@@ -6,6 +6,7 @@ usage error, 3 numeric failure (rank drop, domain violation, log branch).
 """
 
 import argparse
+import json
 import math
 import sys
 
@@ -34,36 +35,38 @@ def _fmt(x):
     return str(x)
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
+def _json_floats(values):
+    """Comma-separated 17-significant-digit floats.  JSON has no literal for
+    nan or inf, so a non-finite value is a numeric failure."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError("non-finite value in the JSON output")
+    return ", ".join(map("{:.17g}".format, values))
 
 
 def _json_dump(obj, out):
-    """Stable-order JSON with floats at 17 significant digits."""
+    """Stable-order JSON with floats at 17 significant digits; keys and
+    strings are escaped by the json module."""
     def emit(o):
         if isinstance(o, dict):
-            return "{" + ", ".join(f"\"{k}\": {emit(v)}" for k, v in o.items()) + "}"
+            return "{" + ", ".join(f"{json.dumps(str(k))}: {emit(v)}"
+                                   for k, v in o.items()) + "}"
+        if isinstance(o, np.ndarray):
+            return emit(o.tolist())
         if isinstance(o, (list, tuple)):
+            if all(type(v) is float for v in o):  # points and matrix rows
+                return "[" + _json_floats(o) + "]"
             return "[" + ", ".join(emit(v) for v in o) + "]"
         if isinstance(o, bool):
             return "true" if o else "false"
         if isinstance(o, float):
-            return _fmt(o)
+            return _json_floats((o,))
         if isinstance(o, int):
             return str(o)
         if o is None:
             return "null"
-        return "\"" + str(o).replace("\\", "\\\\").replace("\"", "\\\"") + "\""
+        return json.dumps(str(o))
 
-    out.write(emit(_to_jsonable(obj)) + "\n")
+    out.write(emit(obj) + "\n")
 
 
 class _Reporter:

@@ -9,12 +9,13 @@ coboundary  omega(x,y) * omega(y,z) * omega(z,x)  on the generic
 infinitesimal 2-simplex.
 """
 
+from functools import cached_property
+
 import numpy as np
-import scipy.linalg
 
 from . import expr as ex
-from .errors import (ContextMismatchError, DegreeError, LogBranchError,
-                     RankDeficiencyError)
+from .errors import (ContextMismatchError, DegreeError, DomainError,
+                     LogBranchError, RankDeficiencyError)
 from .nil import NilElement
 from .chart import NilPoint, Point
 
@@ -96,6 +97,18 @@ class ConnectionData:
         env = dict(zip(self.vars, coords))
         return [np.array([[ex.evaluate(e, env) for e in row]
                           for row in Ai], dtype=object) for Ai in self.A]
+
+    @cached_property
+    def _a_compiled(self):
+        return ex.compile_numpy([e for Ai in self.A for row in Ai for e in row],
+                                self.vars)
+
+    def a_batch(self, coords):
+        """A_i at many points: `coords` holds n arrays of one shape S; the
+        result has shape (n, m, m) + S and is nan or inf where A is not
+        defined."""
+        m = self.group.m
+        return self._a_compiled(*coords).reshape((self.n, m, m) + np.shape(coords[0]))
 
     def a_numeric(self, coords):
         env = dict(zip(self.vars, coords))
@@ -371,50 +384,96 @@ def pin_conventions(conn, points, tol=1e-9):
     raise RankDeficiencyError("could not pin curvature conventions")
 
 
+# Steps per block of stage values, so that memory does not grow with `steps`.
+_BLOCK_STEPS = 1024
+
+
 def parallel_transport(conn, curve_exprs, t0, t1, steps, tvar="t",
                        project=None):
-    """RK4 integration of g' = -sum_i A_i(c(t)) c_i'(t) g from the identity.
+    """RK4 integration of g' = -M(t) g from the identity, where
+    M(t) = sum_i A_i(c(t)) c_i'(t).
 
-    `project` re-projects onto the group each step ('orthogonal' uses the
-    polar factor); defaults to orthogonal projection for SO groups.
+    The ODE is linear, so RK4 step k is a matrix P_k = I + D_k, built from M
+    at the step's three stage times; g is the ordered product ... P_1 P_0.
+    Blocks of steps are evaluated at once and multiplied as a pairwise tree,
+    kept in the I + D form so that the small D_k keep their low bits.
+
+    `project` re-projects onto the group ('orthogonal' uses the polar
+    factor); defaults to orthogonal projection for SO groups.  Each P_k is
+    replaced by its polar factor, which equals projecting g after every step
+    (polar(P Q) = polar(P) Q for orthogonal Q), and the product is projected
+    once more at the end.  A non-finite stage value raises DomainError.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
+    if len(curve_exprs) != conn.n:
+        raise ContextMismatchError("curve not in the connection's chart")
     if project is None:
         project = ("orthogonal"
                    if conn.group.kind == MatrixGroupSpec.SPECIAL_ORTHOGONAL
                    else "none")
-    c_fns = [ex.compile_numeric(c, (tvar,)) for c in curve_exprs]
-    cdot_fns = [ex.compile_numeric(ex.diff(c, tvar), (tvar,)) for c in curve_exprs]
-    a_fns = [[[ex.compile_numeric(e, conn.vars) for e in row] for row in Ai]
-             for Ai in conn.A]
+    curve = ex.compile_numpy(
+        list(curve_exprs) + [ex.diff(c, tvar) for c in curve_exprs], (tvar,))
     m = conn.group.m
-    n = conn.n
-
-    def rhs(t, g):
-        x = [f(t) for f in c_fns]
-        acc = np.zeros((m, m))
-        for i in range(n):
-            ci = cdot_fns[i](t)
-            if ci:
-                Ai = np.array([[e(*x) for e in row] for row in a_fns[i]])
-                acc += Ai * ci
-        return -acc @ g
-
-    g = np.eye(m)
+    eye = np.eye(m)
     h = (t1 - t0) / steps
-    t = t0
-    for _ in range(steps):
-        k1 = rhs(t, g)
-        k2 = rhs(t + 0.5 * h, g + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, g + 0.5 * h * k2)
-        k4 = rhs(t + h, g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
+    total = np.zeros((m, m))
+    for first in range(0, steps, _BLOCK_STEPS):
+        last = min(steps, first + _BLOCK_STEPS)
+        t = t0 + (0.5 * h) * np.arange(2 * first, 2 * last + 1)
+        D = _rk4_step_matrices(_stage_matrices(conn, curve, t), h)
         if project == "orthogonal":
-            uu, _, vv = np.linalg.svd(g)
-            g = uu @ vv
+            D = _polar(eye + D) - eye
+        D = _tree_product(D)
+        total = total + D + D @ total
+    g = eye + total
+    if project == "orthogonal":
+        g = _polar(g)
     return g
+
+
+def _stage_matrices(conn, curve, t):
+    """M at each time of `t`, shape (len(t), m, m).  A_i is left out where
+    c_i' = 0, so it need not be defined there."""
+    n = conn.n
+    values = curve(t)
+    cdot = values[n:, None, None, :]
+    A = conn.a_batch(values[:n])
+    with np.errstate(all="ignore"):
+        M = np.where(cdot != 0.0, A * cdot, 0.0).sum(axis=0)
+    finite = np.isfinite(M).all(axis=(0, 1))
+    if not finite.all():
+        raise DomainError("non-finite connection value on the curve at "
+                          f"t = {float(t[np.argmin(finite)])!r}")
+    return np.ascontiguousarray(M.transpose(2, 0, 1))
+
+
+def _rk4_step_matrices(M, h):
+    """D_k with P_k = I + D_k the RK4 step from M at stages 2k, 2k+1, 2k+2:
+    the RK4 formulas applied to g = I, with the I subtracted exactly."""
+    M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
+    k1 = -M0
+    k2 = -(Mh + (0.5 * h) * (Mh @ k1))
+    k3 = -(Mh + (0.5 * h) * (Mh @ k2))
+    k4 = -(M1 + h * (M1 @ k3))
+    return (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _tree_product(D):
+    """E with I + E = (I + D[-1]) ... (I + D[0]), multiplied in pairwise
+    rounds: (I + b)(I + a) = I + (a + b + b a)."""
+    while len(D) > 1:
+        even = len(D) - len(D) % 2
+        a, b = D[0:even:2], D[1:even:2]
+        pairs = a + b + b @ a
+        D = np.concatenate([pairs, D[even:]]) if even < len(D) else pairs
+    return D[0]
+
+
+def _polar(P):
+    """Orthogonal polar factor of each matrix in P."""
+    u, _, vt = np.linalg.svd(P)
+    return u @ vt
 
 
 def holonomy_log(g):
@@ -447,6 +506,8 @@ def holonomy_log(g):
                       [axis[2], 0.0, -axis[0]],
                       [-axis[1], axis[0], 0.0]])
         return angle * K
+    import scipy.linalg  # only here: it costs more to import than the rest
+
     try:
         L = scipy.linalg.logm(g)
     except Exception as err:  # scipy raises LinAlgError or warns

@@ -8,10 +8,13 @@ given either by m spanning vector-field expressions or by n-m annihilating
 computation is exact W-arithmetic, the base is sampled.
 """
 
+import math
+
 import numpy as np
 
 from . import expr as ex
-from .errors import DegreeError, RankDeficiencyError, ChartDomainError
+from .errors import (ChartDomainError, DegreeError, DomainError,
+                     RankDeficiencyError)
 from .forms import (CombinatorialForm, d_classical, d_comb, eval_semi,
                     to_combinatorial, wedge_classical)
 from .nil import NilElement
@@ -369,10 +372,12 @@ def trace_leaf(dist, start, steps, stepsize, schedule=None, box=None):
 
     `schedule` maps the step index to a rank-vector of field coefficients;
     the default cycles through the basis directions with alternating sign.
+    A domain error, a division by zero or a non-finite point raises
+    DomainError.
     """
     if dist.span is None:
         raise DegreeError("leaf tracing needs a SPAN representation")
-    fields = [[ex.compile_numeric(c, dist.vars) for c in v] for v in dist.span]
+    fields = [ex.compile_numeric(v, dist.vars) for v in dist.span]
     m = dist.rank
 
     if schedule is None:
@@ -381,22 +386,29 @@ def trace_leaf(dist, start, steps, stepsize, schedule=None, box=None):
             c[i % m] = 1.0
             return c
 
-    def velocity(x, c):
-        return np.array([sum(c[j] * fields[j][i](*x) for j in range(m))
-                         for i in range(dist.n)])
+    def velocity(x, terms):
+        v = [0.0] * dist.n
+        for cj, field in terms:
+            v = [vi + cj * fi for vi, fi in zip(v, field(*x))]
+        return v
 
-    x = np.array(start.coords, dtype=float)
+    half = 0.5 * stepsize
+    sixth = stepsize / 6.0
+    x = start.coords
     out = [Point(x)]
     for i in range(steps):
-        c = schedule(i)
-        k1 = velocity(x, c)
-        k2 = velocity(x + 0.5 * stepsize * k1, c)
-        k3 = velocity(x + 0.5 * stepsize * k2, c)
-        k4 = velocity(x + stepsize * k3, c)
-        x = x + (stepsize / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        terms = [(cj, field) for cj, field in zip(schedule(i), fields) if cj]
+        k1 = velocity(x, terms)
+        k2 = velocity([a + half * b for a, b in zip(x, k1)], terms)
+        k3 = velocity([a + half * b for a, b in zip(x, k2)], terms)
+        k4 = velocity([a + stepsize * b for a, b in zip(x, k3)], terms)
+        x = tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4))
+        if not all(map(math.isfinite, x)):
+            raise DomainError(f"leaf trace reached a non-finite point at step {i + 1}")
         if box is not None:
             for xi, (lo, hi) in zip(x, box):
                 if not (lo <= xi <= hi):
-                    raise ChartDomainError(f"leaf trace left the chart at {tuple(x)}")
+                    raise ChartDomainError(f"leaf trace left the chart at {x}")
         out.append(Point(x))
     return out

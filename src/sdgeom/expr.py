@@ -8,6 +8,8 @@ does light constant folding only; no general simplifier.
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 from .nil import NilElement, lift_smooth
 
@@ -322,13 +324,13 @@ def _wrap(e, minimum):
     return f"({s})" if _prec(e) < minimum else s
 
 
-def compile_numeric(e, varnames):
-    """Compile to a fast float-only function of positional arguments."""
-    names = {name: f"_v{i}" for i, name in enumerate(varnames)}
+def _source(e, names, const, call):
+    """Python source of `e`: variables renamed through `names`, literals
+    through `const(value)`, primitives through `call(fn, arg_source)`."""
 
     def gen(e):
         if isinstance(e, Const):
-            return repr(e.value)
+            return const(e.value)
         if isinstance(e, Var):
             return names[e.name]
         if isinstance(e, Add):
@@ -344,9 +346,67 @@ def compile_numeric(e, varnames):
         if isinstance(e, Pow):
             return f"({gen(e.base)} ** {e.power})"
         if isinstance(e, Call):
-            fn = "log" if e.fn == "ln" else e.fn
-            return f"_math.{fn}({gen(e.arg)})"
+            return call("log" if e.fn == "ln" else e.fn, gen(e.arg))
         raise TypeError(type(e).__name__)
 
-    src = f"lambda {', '.join(names[v] for v in varnames)}: {gen(e)}"
-    return eval(src, {"_math": math})  # noqa: S307 - generated from our own AST
+    return gen(e)
+
+
+def _compile(exprs, varnames, const, call, body, namespace):
+    """`def _f(<one argument per variable>)` with the given body, which
+    `body(sources)` builds from the source of each expression."""
+    names = {name: f"_v{i}" for i, name in enumerate(varnames)}
+    sources = [_source(e, names, const, call) for e in exprs]
+    args = ", ".join(names[v] for v in varnames)
+    exec(f"def _f({args}):\n" + body(sources), namespace)  # noqa: S102 - our own AST
+    return namespace["_f"]
+
+
+def compile_numeric(e, varnames):
+    """Compile to a fast float-only function of positional arguments.
+
+    `e` is an expression, or a sequence of them for a function returning a
+    tuple.  A domain error, a division by zero or an overflow raises
+    DomainError, as in `evaluate`.
+    """
+    single = isinstance(e, Expr)
+
+    def body(sources):
+        result = sources[0] if single else "(" + "".join(
+            f"{s}, " for s in sources) + ")"
+        return (f"    try:\n        return {result}\n"
+                "    except (ValueError, ArithmeticError) as err:\n"
+                "        raise _DomainError(str(err)) from None\n")
+
+    return _compile([e] if single else e, varnames, repr,
+                    lambda fn, arg: f"_math.{fn}({arg})", body,
+                    {"_math": math, "_DomainError": DomainError})
+
+
+def compile_numpy(exprs, varnames):
+    """Compile a sequence of expressions to one numpy function of positional
+    array arguments.  It returns an array with one row per expression, each
+    broadcast to the arguments' common shape (constants included).
+
+    Floating-point exceptions are silent, as in numpy: a domain error gives
+    nan and a division by zero inf, so callers test `np.isfinite`.
+    """
+    consts = {}
+
+    def const(value):  # numpy scalars, so that constant subterms never raise
+        name = f"_k{len(consts)}"
+        consts[name] = np.float64(value)
+        return name
+
+    def body(sources):
+        shapes = "".join(f"_np.shape(_v{i}), " for i in range(len(varnames)))
+        rows = "".join(f"        _out[{i}] = {s}\n" for i, s in enumerate(sources))
+        return (f"    _out = _np.empty(({len(sources)},) + _np.broadcast_shapes({shapes}))\n"
+                "    with _np.errstate(all='ignore'):\n"
+                f"{rows}    return _out\n")
+
+    namespace = {"_np": np}
+    fn = _compile(exprs, varnames, const, lambda fn, arg: f"_np.{fn}({arg})",
+                  body, namespace)
+    namespace.update(consts)
+    return fn

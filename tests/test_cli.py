@@ -1,11 +1,18 @@
 """Command-line front end: golden outputs, exit-code contract, determinism."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from sdgeom.cli import (EXIT_FALSE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run)
+from sdgeom.cli import (EXIT_FALSE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                        _json_dump, run)
+from sdgeom.errors import DomainError
 
 CONTACT = """\
 dim 3
@@ -33,10 +40,37 @@ conn A = [0*dx, (0.5*y)*dx - (0.5*x)*dy; (-0.5*y)*dx + (0.5*x)*dy, 0*dx]
 """
 
 
+# a connection and span fields through ln(x), undefined for x <= 0
+LOG_CONN = """\
+dim 2
+var x y
+conn A = [(ln(x))*dy, 0*dx; 0*dx, 0*dx]
+"""
+
+LOG_SPAN = """\
+dim 3
+var x y z
+vector u = (1, 0, ln(x))
+vector v = (0, 1, 0)
+dist S = span(u, v)
+"""
+
+# span fields of the leaves z - g(x, y) = const, g = 0.8 x y + 1.2 sin(x) + y^3
+LEAF = """\
+dim 3
+var x y z
+vector u = (1, 0, 0.8*y + 1.2*cos(x))
+vector v = (0, 1, 0.8*x + 3.0*y*y)
+dist S = span(u, v)
+"""
+
+
 @pytest.fixture
 def files(tmp_path):
     out = {}
-    for name, text in (("contact", CONTACT), ("flat", FLAT), ("rot", ROT)):
+    for name, text in (("contact", CONTACT), ("flat", FLAT), ("rot", ROT),
+                       ("log_conn", LOG_CONN), ("log_span", LOG_SPAN),
+                       ("leaf", LEAF)):
         p = tmp_path / f"{name}.sdg"
         p.write_text(text)
         out[name] = str(p)
@@ -91,6 +125,21 @@ def test_numeric_error_exits_three(files):
     code, _, err = invoke(["leaf", "--file", files["contact"],
                            "--dist", "D", "--start", "0,0,0"])
     assert code == EXIT_NUMERIC
+
+
+def test_holonomy_domain_error_exits_three(files):
+    # the circle passes through x <= 0, where ln(x) is undefined
+    code, _, err = invoke(["holonomy", "--file", files["log_conn"], "--conn", "A",
+                           "--loop", "circle 0,0,1", "--steps", "100"])
+    assert code == EXIT_NUMERIC
+    assert "numeric failure" in err
+
+
+def test_leaf_domain_error_exits_three(files):
+    code, _, err = invoke(["leaf", "--file", files["log_span"], "--dist", "S",
+                           "--start=-0.5,0,0", "--steps", "10"])
+    assert code == EXIT_NUMERIC
+    assert "numeric failure" in err
 
 
 def test_integral_patch_verdicts(files):
@@ -160,6 +209,85 @@ def test_leaf_stays_in_plane(files):
     assert code == EXIT_OK
     for line in out.strip().splitlines():
         assert line.split()[-1] == "7"
+
+
+# The README's six commands and a leaf trace at --seed 7.  The leaf output
+# (3001 points) is pinned by its SHA-256 digest.  The circle's holonomy is a
+# rotation by -pi, the log's branch point, so the sign of its log follows the
+# rounding of the transport.
+README_GOLDEN = [
+    (["d", "--file", "contact", "--form", "w", "--at", "0,2,0"], 0,
+     '{"at 0,2,0": {"point": [0, 2, 0], "combinatorial": {"12": 0.5, "13": 0, '
+     '"23": 0}, "classical": {"12": 1, "13": 0, "23": 0}, "ratio": 0.5}}\n'),
+    (["check-involutive", "--file", "contact", "--dist", "D", "--box=-1..1"], 1,
+     '{"combinatorial": false, "classical": false, "agree": true, '
+     '"mode": "exact-fiber"}\n'),
+    (["check-integral", "--file", "contact", "--dist", "D", "--patch", "P",
+      "--mode", "weak", "--box=-1..1"], 1,
+     '{"mode": "weak", "integral": false}\n'),
+    (["curvature", "--file", "rot", "--conn", "A", "--at", "0.3,0.7"], 0,
+     '{"at 0.29999999999999999,0.69999999999999996": {"F12": {"coboundary": '
+     '[[0, -0.5], [0.5, 0]], "classical": [[0, -1], [1, 0]]}}}\n'),
+    (["holonomy", "--file", "rot", "--conn", "A", "--loop", "circle 0,0,1",
+      "--steps", "10000"], 0,
+     '{"loop0": {"holonomy": [[-1, -2.2204460492503131e-16], '
+     '[-5.5511151231257827e-17, -1]]}, "loop0_log": [[0, 3.1415926535897931], '
+     '[-3.1415926535897931, 0]]}\n'),
+    (["ambrose-singer", "--file", "rot", "--conn", "A", "--loop",
+      "circle 0,0,0.6"], 0,
+     '{"inclusion": true, "dim_h": 1, "max_residual": 3.1401849173675503e-16}\n'),
+    (["leaf", "--file", "leaf", "--dist", "S", "--start=0.1,-0.2,0.3",
+      "--steps", "3000"], 0,
+     "ab2f5646472eca70d8c27ddf79998027ceea9c9683300070a8f21a6518063da5"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, want", README_GOLDEN,
+                         ids=[argv[0] for argv, _, _ in README_GOLDEN])
+def test_json_golden(files, argv, exit_code, want):
+    argv = list(argv)
+    argv[2] = files[argv[2]]
+    code, out, _ = invoke(argv + ["--format", "json", "--seed", "7"])
+    assert code == exit_code
+    if argv[0] == "leaf":
+        assert hashlib.sha256(out.encode()).hexdigest() == want, out[:200]
+    else:
+        assert out == want
+
+
+def test_json_escapes_keys_and_strings():
+    out = io.StringIO()
+    _json_dump({'say "hi"\n': ["back\\slash", "tab\t"], "x": (1.5, np.float64(2.0))}, out)
+    assert out.getvalue() == ('{"say \\"hi\\"\\n": ["back\\\\slash", "tab\\t"], '
+                              '"x": [1.5, 2]}\n')
+    assert json.loads(out.getvalue()) == {'say "hi"\n': ["back\\slash", "tab\t"],
+                                          "x": [1.5, 2]}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, float("-inf")]])
+def test_json_non_finite_is_a_numeric_failure(value):
+    with pytest.raises(DomainError):
+        _json_dump({"value": value}, io.StringIO())
+
+
+def test_cli_start_up_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["sdgeom"].__file__)))
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "import sdgeom.cli\n"
+        "from sdgeom.connections import holonomy_log\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert sdgeom.cli.run(['--help']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+        "holonomy_log(np.diag([2.0, 3.0, 0.5]))\n"
+        "print('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 # -- determinism ------------------------------------------------------------------

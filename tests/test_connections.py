@@ -9,6 +9,7 @@ import pytest
 
 from sdgeom import expr as ex
 from sdgeom.chart import NilPoint, Point
+from sdgeom.errors import ContextMismatchError, DomainError
 from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
                                 TRANSPORT_SIGN, ConnectionData,
                                 GroupElementW, MatrixGroupSpec,
@@ -201,6 +202,112 @@ def test_transport_reversed_curve_inverts():
     g = parallel_transport(conn, curve, 0.0, 1.0, 4000)
     ginv = parallel_transport(conn, curve, 1.0, 0.0, 4000)
     assert np.max(np.abs(g @ ginv - np.eye(2))) <= 1e-9
+
+
+def rk4_reference(conn, curve_exprs, t0, t1, steps, project):
+    """Sequential RK4 on g' = -M(t) g, one step at a time, projecting g onto
+    its polar factor after each step when `project` is set."""
+    c_fns = [ex.compile_numeric(c, ("t",)) for c in curve_exprs]
+    cdot_fns = [ex.compile_numeric(ex.diff(c, "t"), ("t",)) for c in curve_exprs]
+    a_fns = [[[ex.compile_numeric(e, conn.vars) for e in row] for row in Ai]
+             for Ai in conn.A]
+    m = conn.group.m
+
+    def rhs(t, g):
+        x = [f(t) for f in c_fns]
+        acc = np.zeros((m, m))
+        for i in range(conn.n):
+            ci = cdot_fns[i](t)
+            if ci:
+                acc += np.array([[e(*x) for e in row] for row in a_fns[i]]) * ci
+        return -acc @ g
+
+    g = np.eye(m)
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        k1 = rhs(t, g)
+        k2 = rhs(t + 0.5 * h, g + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, g + 0.5 * h * k2)
+        k4 = rhs(t + h, g + h * k3)
+        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        if project:
+            uu, _, vv = np.linalg.svd(g)
+            g = uu @ vv
+    return g
+
+
+def so3_connection():
+    """Skew-symmetric A_i with polynomial and trigonometric entries on R^3."""
+    x, y, z = (ex.Var(v) for v in ("x", "y", "z"))
+    entries = [(ex.Mul(ex.Const(0.7), y), ex.Call("sin", z), ex.Mul(x, z)),
+               (ex.Const(0.4), ex.Mul(ex.Const(-1.1), ex.Mul(x, y)), ex.Call("cos", x)),
+               (ex.Mul(y, z), ex.Const(-0.3), ex.Mul(ex.Const(0.9), x))]
+    A = []
+    for a, b, c in entries:
+        zero = ex.Const(0.0)
+        A.append([[zero, a, b], [ex.Neg(a), zero, c], [ex.Neg(b), ex.Neg(c), zero]])
+    so3 = MatrixGroupSpec(3, MatrixGroupSpec.SPECIAL_ORTHOGONAL)
+    return ConnectionData(3, so3, A, vars=("x", "y", "z"))
+
+
+def so3_loop():
+    t = ex.Var("t")
+    two_pi_t = ex.Mul(ex.Const(2.0 * math.pi), t)
+    return [ex.Call("cos", two_pi_t), ex.Call("sin", two_pi_t),
+            ex.Mul(ex.Const(0.3), ex.Call("sin", ex.Mul(ex.Const(2.0), two_pi_t)))]
+
+
+def transport_cases():
+    t = ex.Var("t")
+    # an open curve along which the second coordinate is constant
+    segment = [ex.Add(ex.Const(0.3), ex.Mul(ex.Const(0.5), t)), ex.Const(-0.2)]
+    gl2 = random_gl2_connection(11)
+    return {
+        "gl2-open-constant-coordinate": (gl2, segment, 0.0, 1.0, 300, False),
+        "so3-projected": (so3_connection(), so3_loop(), 0.0, 1.0, 25, True),
+        "reversed-interval": (rotational_connection(),
+                              circle_curve(0.2, -0.1, 0.4), 1.0, 0.0, 200, True),
+        "one-step": (gl2, circle_curve(0.1, 0.0, 0.5), 0.0, 0.3, 1, False),
+        "odd-steps-across-blocks": (gl2, circle_curve(0.1, 0.0, 0.5),
+                                    0.0, 1.0, 1025, False),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(transport_cases()))
+def test_transport_agrees_with_sequential_rk4(case):
+    conn, curve, t0, t1, steps, project = transport_cases()[case]
+    g = parallel_transport(conn, curve, t0, t1, steps)
+    want = rk4_reference(conn, curve, t0, t1, steps, project)
+    assert np.max(np.abs(g - want)) <= 1e-12
+
+
+def test_so3_transport_stays_orthogonal():
+    g = parallel_transport(so3_connection(), so3_loop(), 0.0, 1.0, 10_000)
+    assert np.max(np.abs(g.T @ g - np.eye(3))) <= 1e-12
+    assert np.linalg.det(g) > 0
+
+
+def test_transport_non_finite_connection_is_a_domain_error():
+    # ln(x) on a circle through x <= 0
+    zero = ex.Const(0.0)
+    log_x = ex.Call("ln", ex.Var("x"))
+    conn = ConnectionData(2, MatrixGroupSpec(2), [
+        [[zero, zero], [zero, zero]], [[log_x, zero], [zero, zero]]], vars=VARS2)
+    with pytest.raises(DomainError):
+        parallel_transport(conn, circle_curve(0.0, 0.0, 1.0), 0.0, 1.0, 100)
+    # A_2 is not needed where c_2' = 0, so a segment along x at y = const
+    # through x <= 0 is fine
+    t = ex.Var("t")
+    g = parallel_transport(conn, [ex.Sub(t, ex.Const(0.5)), ex.Const(0.3)],
+                           0.0, 1.0, 100)
+    assert np.array_equal(g, np.eye(2))
+
+
+def test_transport_curve_must_match_chart_dimension():
+    with pytest.raises(ContextMismatchError):
+        parallel_transport(rotational_connection(), [ex.Var("t")], 0.0, 1.0, 10)
 
 
 # -- holonomy algebra --------------------------------------------------------------
