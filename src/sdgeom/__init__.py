@@ -2,8 +2,7 @@
 combinatorial differential forms, distributions, and principal connections,
 each cross-validated against classical coordinate oracles."""
 
-from .backend import BACKEND
 from .nil import NilElement, canonicalize, lift_smooth
 
-__all__ = ["BACKEND", "NilElement", "canonicalize", "lift_smooth"]
+__all__ = ["NilElement", "canonicalize", "lift_smooth"]
 __version__ = "0.1.0"

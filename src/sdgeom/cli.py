@@ -269,23 +269,7 @@ def _loop_curves(args, prog):
 
 def _subst_t(e, vars):
     """Curves are declared as vectors in the single parameter t := first var."""
-    return _rename(e, {vars[0]: "t"})
-
-
-def _rename(e, mapping):
-    if isinstance(e, ex.Var):
-        return ex.Var(mapping.get(e.name, e.name))
-    if isinstance(e, ex.Const):
-        return e
-    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
-        return type(e)(_rename(e.left, mapping), _rename(e.right, mapping))
-    if isinstance(e, ex.Neg):
-        return ex.Neg(_rename(e.arg, mapping))
-    if isinstance(e, ex.Pow):
-        return ex.Pow(_rename(e.base, mapping), e.power)
-    if isinstance(e, ex.Call):
-        return ex.Call(e.fn, _rename(e.arg, mapping))
-    raise TypeError(type(e).__name__)
+    return ex.rename(e, {vars[0]: "t"})
 
 
 def cmd_holonomy(args, rep):
@@ -338,6 +322,28 @@ def cmd_leaf(args, rep):
     return EXIT_OK
 
 
+def _sample_count(text):
+    """--samples: at least one sample, so that no check passes vacuously."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _tolerance(text):
+    """--tol: finite and >= 0; a NaN tolerance would fail no comparison."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return tol
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="sdg",
@@ -347,9 +353,9 @@ def build_parser():
     def common(p, *, box=False, steps=None, at=False):
         p.add_argument("--file", required=True)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=20)
+        p.add_argument("--samples", type=_sample_count, default=20)
         if box:
             p.add_argument("--box", default="-1..1")
         if steps is not None:

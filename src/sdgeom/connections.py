@@ -327,15 +327,14 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     return out
 
 
-def curvature_classical_oracle(conn, p):
+def curvature_classical_oracle(conn, p, bracket_sign=BRACKET_SIGN):
     """Classical gauge curvature F_ij = d_i A_j - d_j A_i + s [A_i, A_j]
-    with the pinned bracket sign."""
+    for i < j (1-based), with s = `bracket_sign` (the pinned sign unless
+    given)."""
     env = dict(zip(conn.vars, p.coords))
-    m = conn.group.m
     out = {}
     for i in range(1, conn.n + 1):
         for j in range(i + 1, conn.n + 1):
-            F = np.zeros((m, m))
             Ai = np.array([[float(ex.evaluate(e, env)) for e in row]
                            for row in conn.A[i - 1]])
             Aj = np.array([[float(ex.evaluate(e, env)) for e in row]
@@ -344,8 +343,7 @@ def curvature_classical_oracle(conn, p):
                              for e in row] for row in conn.A[j - 1]])
             dAi = np.array([[float(ex.evaluate(ex.diff(e, conn.vars[j - 1]), env))
                              for e in row] for row in conn.A[i - 1]])
-            F = dAj - dAi + BRACKET_SIGN * (Ai @ Aj - Aj @ Ai)
-            out[(i, j)] = F
+            out[(i, j)] = dAj - dAi + bracket_sign * (Ai @ Aj - Aj @ Ai)
     return out
 
 
@@ -358,17 +356,9 @@ def pin_conventions(conn, points, tol=1e-9):
         ok = True
         for p in points:
             cob = curvature_coboundary(conn, p)
-            env = dict(zip(conn.vars, p.coords))
-            for (i, j), Fc in cob.items():
-                Ai = np.array([[float(ex.evaluate(e, env)) for e in row]
-                               for row in conn.A[i - 1]])
-                Aj = np.array([[float(ex.evaluate(e, env)) for e in row]
-                               for row in conn.A[j - 1]])
-                dAj = np.array([[float(ex.evaluate(ex.diff(e, conn.vars[i - 1]), env))
-                                 for e in row] for row in conn.A[j - 1]])
-                dAi = np.array([[float(ex.evaluate(ex.diff(e, conn.vars[j - 1]), env))
-                                 for e in row] for row in conn.A[i - 1]])
-                F = dAj - dAi + s * (Ai @ Aj - Aj @ Ai)
+            classical = curvature_classical_oracle(conn, p, bracket_sign=s)
+            for key, Fc in cob.items():
+                F = classical[key]
                 nF = np.max(np.abs(F))
                 if nF < 1e-8:
                     continue

@@ -53,10 +53,10 @@ class Distribution:
 
     # -- pointwise linear algebra -------------------------------------------
 
-    def kernel_matrix(self, p, tol=DEFAULT_TOL):
+    def kernel_matrix(self, p):
         """(n-rank) x n matrix of kernel-form coefficients at p."""
         if self.kernel is None:
-            return self._numeric_kernel(p, tol)
+            return self._numeric_kernel(p)
         env = dict(zip(self.vars, p.coords))
         rows = []
         for w in self.kernel:
@@ -90,7 +90,7 @@ class Distribution:
             raise RankDeficiencyError(f"kernel null space has wrong rank at {p.coords}")
         return null
 
-    def _numeric_kernel(self, p, tol=DEFAULT_TOL):
+    def _numeric_kernel(self, p):
         """Kernel rows from the span via orthogonal complement."""
         X = self.span_matrix(p)
         q, _ = np.linalg.qr(np.hstack([X, np.eye(self.n)]))
@@ -111,7 +111,7 @@ def is_flat(dist, p, u, tol=DEFAULT_TOL):
     """Whether the displacement u lies in the fiber at p."""
     u = np.asarray(u, dtype=float)
     if dist.kernel is not None:
-        M = dist.kernel_matrix(p, tol)
+        M = dist.kernel_matrix(p)
         return bool(np.max(np.abs(M @ u), initial=0.0) <= tol * max(1.0, np.linalg.norm(u)))
     X = dist.span_matrix(p)
     coef, *_ = np.linalg.lstsq(X, u, rcond=None)
@@ -242,13 +242,11 @@ def _ideal_test(dist, samples, tol):
     full = None
     for w in dist.kernel:
         full = w if full is None else wedge_classical(full, w)
+    tests = [wedge_classical(d_classical(w), full) for w in dist.kernel]
+    tests = [test for test in tests if test.degree <= dist.n]
     for p in samples:
         env = dict(zip(dist.vars, p.coords))
-        for w in dist.kernel:
-            dw = d_classical(w)
-            test = wedge_classical(dw, full)
-            if test.degree > dist.n:
-                continue
+        for test in tests:
             for e in test.coeffs.values():
                 if abs(ex.evaluate(e, env)) > tol:
                     return False
@@ -371,7 +369,8 @@ def trace_leaf(dist, start, steps, stepsize, schedule=None, box=None):
     """Fourth-order Runge-Kutta flow along the span fields.
 
     `schedule` maps the step index to a rank-vector of field coefficients;
-    the default cycles through the basis directions with alternating sign.
+    the default cycles through the basis directions, each with coefficient
+    +1.
     A domain error, a division by zero or a non-finite point raises
     DomainError.
     """

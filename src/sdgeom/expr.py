@@ -278,6 +278,24 @@ def free_vars(e, acc=None):
     return acc
 
 
+def rename(e, mapping):
+    """Copy of `e` with each variable renamed through `mapping`
+    (name -> name); names not in `mapping` are kept."""
+    if isinstance(e, Var):
+        return Var(mapping.get(e.name, e.name))
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, _Binary):
+        return type(e)(rename(e.left, mapping), rename(e.right, mapping))
+    if isinstance(e, Neg):
+        return Neg(rename(e.arg, mapping))
+    if isinstance(e, Pow):
+        return Pow(rename(e.base, mapping), e.power)
+    if isinstance(e, Call):
+        return Call(e.fn, rename(e.arg, mapping))
+    raise TypeError(f"cannot rename in {type(e).__name__}")
+
+
 # precedence levels for printing: higher binds tighter
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4
 

@@ -6,15 +6,19 @@ satisfy xi[i,a]*xi[j,b] = -xi[j,a]*xi[i,b] in a commutative algebra, which
 kills repeated rows and repeated columns and makes (sorted rows, sorted
 columns) a normal form.  Elements are sparse maps from such monomials to
 float coefficients; all operations are pure.
+
+A monomial is a pair of bitmasks (rows, cols): bit i-1 of `rows` set means
+vertex-displacement index i participates, likewise for coordinate indices in
+`cols`.  The canonical monomial pairs the sorted row list with the sorted
+column list position by position, so the two masks determine the monomial.
 """
 
 import math
 from itertools import combinations
 
-from . import backend
 from .errors import ContextMismatchError, DomainError
 
-MAX_INDEX = 64  # masks are machine words in the compiled kernel
+MAX_INDEX = 64  # largest row or column index a context may have
 
 
 def canonicalize(factors):
@@ -43,14 +47,67 @@ def canonicalize(factors):
 
 
 def _bits(mask):
+    """1-based positions of the set bits of `mask`, ascending."""
     out = []
-    pos = 1
     while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return out
+
+
+def _elem_mul(a, b):
+    """Product of two term maps {(rows, cols): coeff}, zeros pruned.
+
+    Two monomials multiply to zero when they share a row or a column;
+    otherwise the sign is the parity of the pairs of factors whose row
+    order and column order disagree.
+    """
+    out = {}
+    for (s1, t1), ca in a.items():
+        for (s2, t2), cb in b.items():
+            if (s1 & s2) or (t1 & t2):
+                continue
+            r1 = _bits(s1)
+            c1 = _bits(t1)
+            r2 = _bits(s2)
+            c2 = _bits(t2)
+            inv = 0
+            for i in range(len(r1)):
+                ri = r1[i]
+                ci = c1[i]
+                for j in range(len(r2)):
+                    if (ri < r2[j]) != (ci < c2[j]):
+                        inv += 1
+            sign = -1 if (inv & 1) else 1
+            key = (s1 | s2, t1 | t2)
+            c = out.get(key, 0.0) + sign * ca * cb
+            if c == 0.0:
+                if key in out:
+                    del out[key]
+            else:
+                out[key] = c
+    return out
+
+
+def _elem_add(a, b):
+    """Sum of two term maps, zeros pruned."""
+    out = dict(a)
+    for key, cb in b.items():
+        c = out.get(key, 0.0) + cb
+        if c == 0.0:
+            if key in out:
+                del out[key]
+        else:
+            out[key] = c
+    return out
+
+
+def _elem_scale(c, a):
+    """Scalar multiple of a term map."""
+    if c == 0.0:
+        return {}
+    return {key: c * v for key, v in a.items()}
 
 
 class NilElement:
@@ -169,12 +226,12 @@ class NilElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return NilElement(self.k, self.n, backend.elem_add(self.terms, other.terms))
+        return NilElement(self.k, self.n, _elem_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NilElement(self.k, self.n, backend.elem_scale(-1.0, self.terms))
+        return NilElement(self.k, self.n, _elem_scale(-1.0, self.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -188,11 +245,11 @@ class NilElement:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return NilElement(self.k, self.n,
-                              backend.elem_scale(float(other), self.terms))
+                              _elem_scale(float(other), self.terms))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return NilElement(self.k, self.n, backend.elem_mul(self.terms, other.terms))
+        return NilElement(self.k, self.n, _elem_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -282,7 +339,7 @@ class NilElement:
         for (rmask, cmask), v in self.terms.items():
             prod = {(0, 0): v}
             for r, c in zip(_bits(rmask), _bits(cmask)):
-                prod = backend.elem_mul(prod, image(r, c))
+                prod = _elem_mul(prod, image(r, c))
                 if not prod:
                     break
             for mono, coef in prod.items():

@@ -2,6 +2,8 @@
 deterministic seed-dependent offset, so identical invocations reproduce
 identical samples."""
 
+import math
+
 from .chart import Point
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -43,5 +45,8 @@ def parse_box(text, dim):
     box = []
     for part in parts:
         lo, _, hi = part.partition("..")
-        box.append((float(lo), float(hi)))
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"box range {part!r} needs finite bounds with lo <= hi")
+        box.append((lo, hi))
     return box

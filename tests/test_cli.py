@@ -120,6 +120,22 @@ def test_unknown_flag_exits_two(files):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("check-involutive", ["--samples", "0"]),
+    ("check-involutive", ["--samples", "-3"]),
+    ("check-integral", ["--patch", "P", "--mode", "strong", "--samples", "0"]),
+    ("check-involutive", ["--tol", "nan"]),
+    ("check-involutive", ["--box=1..-1"]),
+], ids=["samples-0", "samples-negative", "strong-samples-0", "tol-nan",
+        "box-reversed"])
+def test_invalid_input_exits_two(files, command, extra):
+    # no verdict from zero samples, a NaN tolerance or a reversed box
+    code, out, _ = invoke([command, "--file", files["contact"], "--dist", "D",
+                           *extra])
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
 def test_numeric_error_exits_three(files):
     # leaf tracing without a span representation is a numeric-domain error
     code, _, err = invoke(["leaf", "--file", files["contact"],

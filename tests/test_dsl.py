@@ -161,3 +161,15 @@ def test_to_str_parses_back():
         e2 = prog.forms["f"].coeffs[(1,)]
         env = {"x": 0.37, "y": -0.81}
         assert abs(ex.evaluate(e, env) - ex.evaluate(e2, env)) <= 1e-12
+
+
+def test_rename_every_node_kind():
+    x, y = ex.Var("x"), ex.Var("y")
+    e = ex.Div(ex.Sub(ex.Mul(x, ex.Const(2.0)), ex.Neg(y)),
+               ex.Add(ex.Pow(ex.Call("exp", x), 2), ex.Const(1.0)))
+    got = ex.rename(e, {"x": "t"})
+    assert ex.free_vars(got) == {"t", "y"}
+    assert ex.free_vars(e) == {"x", "y"}
+    assert ex.to_str(got) == "(t*2 - -y)/(pow(exp(t), 2) + 1)"
+    env = {"t": 0.3, "y": -0.7}
+    assert ex.evaluate(got, env) == ex.evaluate(e, {"x": 0.3, "y": -0.7})
