@@ -9,6 +9,7 @@ coboundary  omega(x,y) * omega(y,z) * omega(z,x)  on the generic
 infinitesimal 2-simplex.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
-from .nil import NilElement
+from .nil import NilElement, within_tol
 from .chart import NilPoint, Point
 
 # Convention constants fixed by pin_conventions() against the classical
@@ -210,13 +211,15 @@ class GroupElementW:
         return GroupElementW(out)
 
     def max_abs_coeff(self):
+        """Largest |coefficient| over all entries; nan if any is nan."""
         best = 0.0
         for row in self.mat:
             for e in row:
-                if isinstance(e, NilElement):
-                    best = max(best, e.max_abs_coeff())
-                else:
-                    best = max(best, abs(float(e)))
+                v = e.max_abs_coeff() if isinstance(e, NilElement) else abs(float(e))
+                if v != v:
+                    return v
+                if v > best:
+                    best = v
         return best
 
 
@@ -234,14 +237,7 @@ def _omat_mul(a, b):
 
 
 def _omat_is_zero(a, tol=0.0):
-    for row in a:
-        for e in row:
-            if isinstance(e, NilElement):
-                if e.max_abs_coeff() > tol:
-                    return False
-            elif abs(float(e)) > tol:
-                return False
-    return True
+    return all(within_tol(e, tol) for row in a for e in row)
 
 
 def _coords_of(point):
@@ -471,7 +467,9 @@ def holonomy_log(g):
 
     Rotations in SO(2) and SO(3) get closed-form skew logs (stable at the
     angle-pi branch point); everything else goes through scipy's logm and
-    must have a real principal branch.
+    must have a real principal branch.  The SO(2) angle lies in [-pi, pi):
+    an angle within 1e-12 of +pi is reported as -pi, so that at the branch
+    point the sign does not follow the roundoff in g[1, 0].
     """
     g = np.asarray(g, dtype=float)
     m = g.shape[0]
@@ -479,6 +477,8 @@ def holonomy_log(g):
                   and np.linalg.det(g) > 0)
     if orthogonal and m == 2:
         angle = float(np.arctan2(g[1, 0], g[0, 0]))
+        if angle > math.pi - 1e-12:
+            angle = -math.pi
         return np.array([[0.0, -angle], [angle, 0.0]])
     if orthogonal and m == 3:
         cos_angle = np.clip((np.trace(g) - 1.0) / 2.0, -1.0, 1.0)

@@ -17,7 +17,7 @@ from .errors import (ChartDomainError, DegreeError, DomainError,
                      RankDeficiencyError)
 from .forms import (CombinatorialForm, d_classical, d_comb, eval_semi,
                     to_combinatorial, wedge_classical)
-from .nil import NilElement
+from .nil import NilElement, within_tol
 from .chart import Point
 
 DEFAULT_TOL = 1e-9
@@ -133,11 +133,7 @@ def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
             # omega(y, x): base at y = x + u, displacement -u
             new_base = tuple(b + o for b, o in zip(p.coords, offsets[0]))
             backward = theta(new_base, [tuple(-o for o in offsets[0])])
-            s = forward + backward
-            if isinstance(s, NilElement):
-                if s.max_abs_coeff() > tol:
-                    return False
-            elif abs(s) > tol:
+            if not within_tol(forward + backward, tol):
                 return False
     return True
 
@@ -147,18 +143,10 @@ def _flat_generic_offsets(dist, p, arity):
     generic combinations of a fiber basis, in W(arity, rank)."""
     B = dist.basis_at(p)
     m = dist.rank
-    offsets = []
-    for j in range(arity):
-        row = []
-        for a in range(dist.n):
-            acc = NilElement.zero(arity, m)
-            for alpha in range(m):
-                if B[a, alpha]:
-                    acc = acc + B[a, alpha] * NilElement.generator(
-                        arity, m, j + 1, alpha + 1)
-            row.append(acc)
-        offsets.append(row)
-    return offsets
+    return [[NilElement(arity, m, {(1 << j, 1 << alpha): float(B[a, alpha])
+                                   for alpha in range(m) if B[a, alpha]})
+             for a in range(dist.n)]
+            for j in range(arity)]
 
 
 def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
@@ -174,12 +162,7 @@ def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
         offsets = _flat_generic_offsets(dist, p, 2)
         ok = True
         for dtheta in dthetas:
-            value = dtheta(p.coords, offsets)
-            if isinstance(value, NilElement):
-                if value.max_abs_coeff() > tol:
-                    ok = False
-                    break
-            elif abs(value) > tol:
+            if not within_tol(dtheta(p.coords, offsets), tol):
                 ok = False
                 break
         verdicts.append(ok)
@@ -248,7 +231,7 @@ def _ideal_test(dist, samples, tol):
         env = dict(zip(dist.vars, p.coords))
         for test in tests:
             for e in test.coeffs.values():
-                if abs(ex.evaluate(e, env)) > tol:
+                if not within_tol(ex.evaluate(e, env), tol):
                     return False
     return True
 
@@ -343,26 +326,19 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
         raise DegreeError("semi_annihilation_check expects a 2-form")
     if rng is None:
         rng = np.random.default_rng(0)
-    precondition = True
     conclusion = True
     for p in samples:
         offsets = _flat_generic_offsets(dist, p, 2)
-        value = theta(p.coords, offsets)
-        if isinstance(value, NilElement):
-            if value.max_abs_coeff() > tol:
-                precondition = False
-        elif abs(value) > tol:
-            precondition = False
-        if not precondition:
+        if not within_tol(theta(p.coords, offsets), tol):
             return SemiAnnihilationResult(False, None)
         B = dist.basis_at(p)
         vecs = [B[:, a] for a in range(dist.rank)]
         vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
         for i, u in enumerate(vecs):
             for v in vecs[i + 1:]:
-                if abs(eval_semi(theta, p, u, v, tol=tol)) > tol:
+                if not within_tol(eval_semi(theta, p, u, v, tol=tol), tol):
                     conclusion = False
-    return SemiAnnihilationResult(precondition, conclusion)
+    return SemiAnnihilationResult(True, conclusion)
 
 
 def trace_leaf(dist, start, steps, stepsize, schedule=None, box=None):

@@ -224,6 +224,22 @@ def _apply_fn(fn, v):
     return _MATH[fn](v)
 
 
+def _div(num, den):
+    if isinstance(den, NilElement):
+        return num * lift_smooth("reciprocal", den)
+    if den == 0.0:
+        raise DomainError("division by zero")
+    return num / den
+
+
+def _pow(base, power):
+    if isinstance(base, NilElement):
+        return lift_smooth("power", base, exponent=power)
+    if base == 0.0 and power < 0:
+        raise DomainError("negative power of zero")
+    return base ** power
+
+
 def evaluate(e, env):
     """Evaluate with env: name -> float | NilElement (mixing allowed)."""
     if isinstance(e, Const):
@@ -240,22 +256,11 @@ def evaluate(e, env):
     if isinstance(e, Mul):
         return evaluate(e.left, env) * evaluate(e.right, env)
     if isinstance(e, Div):
-        num = evaluate(e.left, env)
-        den = evaluate(e.right, env)
-        if isinstance(den, NilElement):
-            return num * lift_smooth("reciprocal", den)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return num / den
+        return _div(evaluate(e.left, env), evaluate(e.right, env))
     if isinstance(e, Neg):
         return -evaluate(e.arg, env)
     if isinstance(e, Pow):
-        base = evaluate(e.base, env)
-        if isinstance(base, NilElement):
-            return lift_smooth("power", base, exponent=e.power)
-        if base == 0.0 and e.power < 0:
-            raise DomainError("negative power of zero")
-        return base ** e.power
+        return _pow(evaluate(e.base, env), e.power)
     if isinstance(e, Call):
         return _apply_fn(e.fn, evaluate(e.arg, env))
     raise TypeError(f"cannot evaluate {type(e).__name__}")
@@ -342,15 +347,28 @@ def _wrap(e, minimum):
     return f"({s})" if _prec(e) < minimum else s
 
 
-def _source(e, names, const, call):
+def _literal(value):
+    """Python source of a float constant (non-finite ones included), safe as
+    the base of `**`."""
+    if not math.isfinite(value):
+        return f"_float({str(value)!r})"
+    return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
+
+
+def _source(e, names, const, call, div="({} / {})", power="({} ** {})"):
     """Python source of `e`: variables renamed through `names`, literals
-    through `const(value)`, primitives through `call(fn, arg_source)`."""
+    through `const(value)`, primitives through `call(fn, arg_source)` (fn as
+    in FUNCTIONS), quotients and integer powers through the `div` and
+    `power` templates."""
 
     def gen(e):
         if isinstance(e, Const):
             return const(e.value)
         if isinstance(e, Var):
-            return names[e.name]
+            try:
+                return names[e.name]
+            except KeyError:
+                raise DomainError(f"unbound variable {e.name!r}") from None
         if isinstance(e, Add):
             return f"({gen(e.left)} + {gen(e.right)})"
         if isinstance(e, Sub):
@@ -358,26 +376,29 @@ def _source(e, names, const, call):
         if isinstance(e, Mul):
             return f"({gen(e.left)} * {gen(e.right)})"
         if isinstance(e, Div):
-            return f"({gen(e.left)} / {gen(e.right)})"
+            return div.format(gen(e.left), gen(e.right))
         if isinstance(e, Neg):
             return f"(-{gen(e.arg)})"
         if isinstance(e, Pow):
-            return f"({gen(e.base)} ** {e.power})"
+            return power.format(gen(e.base), e.power)
         if isinstance(e, Call):
-            return call("log" if e.fn == "ln" else e.fn, gen(e.arg))
+            return call(e.fn, gen(e.arg))
         raise TypeError(type(e).__name__)
 
     return gen(e)
 
 
-def _compile(exprs, varnames, const, call, body, namespace):
+def _compile(exprs, varnames, const, call, body, namespace, **templates):
     """`def _f(<one argument per variable>)` with the given body, which
     `body(sources)` builds from the source of each expression."""
     names = {name: f"_v{i}" for i, name in enumerate(varnames)}
-    sources = [_source(e, names, const, call) for e in exprs]
+    sources = [_source(e, names, const, call, **templates) for e in exprs]
     args = ", ".join(names[v] for v in varnames)
     exec(f"def _f({args}):\n" + body(sources), namespace)  # noqa: S102 - our own AST
     return namespace["_f"]
+
+
+_LIBRARY_NAME = {"ln": "log"}  # DSL name -> math/numpy name, where they differ
 
 
 def compile_numeric(e, varnames):
@@ -396,9 +417,10 @@ def compile_numeric(e, varnames):
                 "    except (ValueError, ArithmeticError) as err:\n"
                 "        raise _DomainError(str(err)) from None\n")
 
-    return _compile([e] if single else e, varnames, repr,
-                    lambda fn, arg: f"_math.{fn}({arg})", body,
-                    {"_math": math, "_DomainError": DomainError})
+    return _compile([e] if single else e, varnames, _literal,
+                    lambda fn, arg: f"_math.{_LIBRARY_NAME.get(fn, fn)}({arg})",
+                    body, {"_math": math, "_float": float,
+                           "_DomainError": DomainError})
 
 
 def compile_numpy(exprs, varnames):
@@ -424,7 +446,26 @@ def compile_numpy(exprs, varnames):
                 f"{rows}    return _out\n")
 
     namespace = {"_np": np}
-    fn = _compile(exprs, varnames, const, lambda fn, arg: f"_np.{fn}({arg})",
+    fn = _compile(exprs, varnames, const,
+                  lambda fn, arg: f"_np.{_LIBRARY_NAME.get(fn, fn)}({arg})",
                   body, namespace)
     namespace.update(consts)
     return fn
+
+
+def compile_w(exprs, varnames):
+    """Compile a sequence of expressions to one function of positional
+    arguments, each a float or a NilElement, returning a tuple.
+
+    The function performs the operations of `evaluate` in the same order,
+    so its values are those of `evaluate`, bit for bit, and it raises where
+    `evaluate` raises.
+    """
+    def body(sources):
+        return "    return (" + "".join(f"{s}, " for s in sources) + ")\n"
+
+    return _compile(exprs, varnames, _literal,
+                    lambda fn, arg: f"_apply_fn({fn!r}, {arg})", body,
+                    {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow,
+                     "_float": float},
+                    div="_div({}, {})", power="_pow({}, {})")

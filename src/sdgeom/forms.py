@@ -11,8 +11,8 @@ import math
 from itertools import combinations, permutations
 
 from . import expr as ex
-from .errors import DegreeError, SdgError
-from .nil import NilElement, generic_offsets
+from .errors import ContextMismatchError, DegreeError, SdgError
+from .nil import NilElement, _elem_mul, _elem_muladd, _wrap, generic_offsets, within_tol
 
 
 def default_vars(n):
@@ -22,7 +22,7 @@ def default_vars(n):
 class ClassicalForm:
     """Multilinear alternating form field with closed-form coefficients."""
 
-    __slots__ = ("degree", "n", "vars", "coeffs")
+    __slots__ = ("degree", "n", "vars", "coeffs", "_coeff_fn")
 
     def __init__(self, degree, n, coeffs, vars=None):
         self.degree = degree
@@ -41,6 +41,7 @@ class ClassicalForm:
             if not (isinstance(e, ex.Const) and e.value == 0.0):
                 clean[T] = e
         self.coeffs = clean
+        self._coeff_fn = None
 
     @staticmethod
     def zero(degree, n, vars=None):
@@ -50,6 +51,14 @@ class ClassicalForm:
     def dx(i, n, vars=None):
         """The constant 1-form dx^i."""
         return ClassicalForm(1, n, {(i,): ex.Const(1.0)}, vars)
+
+    def coeff_function(self):
+        """The coefficients, in `coeffs` order, as one compiled function of
+        the coordinates (floats or NilElements) returning a tuple; the
+        values are those of `expr.evaluate`.  Compiled on first use."""
+        if self._coeff_fn is None:
+            self._coeff_fn = ex.compile_w(list(self.coeffs.values()), self.vars)
+        return self._coeff_fn
 
     def coeff_env(self, coords):
         return dict(zip(self.vars, coords))
@@ -63,10 +72,7 @@ class ClassicalForm:
         """Multilinear alternating evaluation on `degree` vectors."""
         if len(vectors) != self.degree:
             raise DegreeError("wrong number of argument vectors")
-        total = 0.0
-        for T, a in self.coeffs_at(coords).items():
-            total = total + a * _det([[v[t - 1] for t in T] for v in vectors])
-        return total
+        return to_combinatorial(self)(coords, vectors)
 
     def __add__(self, other):
         if self.degree != other.degree or self.n != other.n:
@@ -93,22 +99,6 @@ class ClassicalForm:
             if T else ex.to_str(e)
             for T, e in sorted(self.coeffs.items()))
         return f"ClassicalForm<{terms}>"
-
-
-def _det(rows):
-    """Leibniz determinant; entries may be floats or NilElements."""
-    p = len(rows)
-    if p == 0:
-        return 1.0
-    total = 0.0
-    for perm in permutations(range(p)):
-        inv = sum(1 for i in range(p) for j in range(i + 1, p)
-                  if perm[i] > perm[j])
-        term = -1.0 if inv & 1 else 1.0
-        for i in range(p):
-            term = term * rows[i][perm[i]]
-        total = total + term
-    return total
 
 
 def _merge_sign(S, T):
@@ -171,20 +161,80 @@ class CombinatorialForm:
 def to_combinatorial(form):
     """Combinatorial form of a classical one: evaluate the classical form on
     the displacement vectors log(x0, xi), with coefficients Taylor-lifted at
-    the (possibly W-valued) base vertex."""
-    coeffs = form.coeffs
-    p = form.degree
+    the (possibly W-valued) base vertex.
+
+    The value sum_T a_T * det(offsets[:, T]) is accumulated into one term
+    map; a float offset entry or coefficient counts as a constant term.  It
+    is a NilElement when the base or an offset is W-valued, else a float.
+    """
+    columns = [tuple(t - 1 for t in T) for T in form.coeffs]
+    perms = _signed_permutations(form.degree)
 
     def evaluator(base, offsets):
-        env = dict(zip(form.vars, base))
-        total = 0.0
-        for T, a in coeffs.items():
-            aval = ex.evaluate(a, env)
-            total = total + aval * _det([[off[t - 1] for t in T]
-                                         for off in offsets])
-        return total
+        values = form.coeff_function()(*base)
+        context = _context(base, offsets)
+        rows = [[_terms(x, context) for x in off] for off in offsets]
+        out = {}
+        for cols, a in zip(columns, values):
+            if isinstance(a, NilElement):
+                det = {}
+                _add_det(det, 1.0, rows, cols, perms)
+                _elem_muladd(out, 1.0, a.terms, det)
+            elif a:
+                _add_det(out, float(a), rows, cols, perms)
+        if context is None:
+            return out.get((0, 0), 0.0)
+        return _wrap(context[0], context[1], out)
 
-    return CombinatorialForm(p, form.n, evaluator, form.vars)
+    return CombinatorialForm(form.degree, form.n, evaluator, form.vars)
+
+
+_UNIT = {(0, 0): 1.0}
+
+
+def _context(base, offsets):
+    """(k, n) of the first W-valued coordinate or offset entry, or None."""
+    for x in base:
+        if isinstance(x, NilElement):
+            return x.k, x.n
+    for off in offsets:
+        for x in off:
+            if isinstance(x, NilElement):
+                return x.k, x.n
+    return None
+
+
+def _terms(x, context):
+    """Term map of an offset entry: a float is a constant term."""
+    if isinstance(x, NilElement):
+        if (x.k, x.n) != context:
+            raise ContextMismatchError(f"W({x.k},{x.n}) vs W{context}")
+        return x.terms
+    return {(0, 0): float(x)} if x else {}
+
+
+def _signed_permutations(p):
+    """(sign, permutation) pairs of range(p), in `permutations` order."""
+    out = []
+    for perm in permutations(range(p)):
+        inv = sum(1 for i in range(p) for j in range(i + 1, p)
+                  if perm[i] > perm[j])
+        out.append((-1.0 if inv & 1 else 1.0, perm))
+    return out
+
+
+def _add_det(out, c, rows, cols, perms):
+    """out += c * det(rows[i][cols[j]]) on term maps, in place (Leibniz)."""
+    p = len(cols)
+    if p == 0:
+        _elem_muladd(out, c, _UNIT, _UNIT)
+        return
+    last = rows[p - 1]
+    for sign, perm in perms:
+        partial = rows[0][cols[perm[0]]] if p > 1 else _UNIT
+        for i in range(1, p - 1):
+            partial = _elem_mul(partial, rows[i][cols[perm[i]]])
+        _elem_muladd(out, sign * c, partial, last[cols[perm[p - 1]]])
 
 
 def eval_generic(theta, base):
@@ -210,7 +260,7 @@ def extract_classical(theta, base, tol=1e-9):
         if rmask == full_rows:
             T = tuple(i + 1 for i in range(theta.n) if cmask & (1 << i))
             coeffs[T] = v / norm
-        elif abs(v) > tol:
+        elif not within_tol(v, tol):
             raise SdgError(
                 f"non-form input: lower-degree term of size {abs(v):g} "
                 "in the generic value")

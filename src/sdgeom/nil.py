@@ -56,37 +56,73 @@ def _bits(mask):
     return out
 
 
+class _MergeSigns(dict):
+    """Memo of the merge sign of one index set (a bitmask) against others:
+    (-1)**#{(i, j) : i in mask, j in other, i > j}, as +1.0 or -1.0."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask):
+        super().__init__()
+        self.mask = mask
+
+    def __missing__(self, other):
+        inv = 0
+        rest = other
+        while rest:
+            low = rest & -rest
+            inv += (self.mask >> low.bit_length()).bit_count()
+            rest ^= low
+        sign = self[other] = -1.0 if inv & 1 else 1.0
+        return sign
+
+
+class _SignTables(dict):
+    """One `_MergeSigns` table per mask, made on first use."""
+
+    def __missing__(self, mask):
+        table = self[mask] = _MergeSigns(mask)
+        return table
+
+
+# The sign of a product of two disjoint monomials is the merge sign of their
+# row masks times the merge sign of their column masks: a pair of factors
+# whose row order and column order disagree counts once in exactly one of
+# the two merges, and a pair that disagrees in neither or both counts twice
+# or not at all.  Rows and columns share the tables; a table only ever holds
+# the mask pairs that products met.
+_MERGE_SIGNS = _SignTables()
+
+
+def _elem_muladd(out, c, a, b):
+    """out += c * a * b on term maps, in place; zeros pruned."""
+    signs = _MERGE_SIGNS
+    get = out.get
+    for (s1, t1), ca in a.items():
+        rows = signs[s1]
+        cols = signs[t1]
+        cca = c * ca
+        for (s2, t2), cb in b.items():
+            if (s1 & s2) or (t1 & t2):
+                continue
+            key = (s1 | s2, t1 | t2)
+            v = get(key, 0.0) + rows[s2] * cols[t2] * cca * cb
+            if v == 0.0:
+                if key in out:
+                    del out[key]
+            else:
+                out[key] = v
+
+
 def _elem_mul(a, b):
     """Product of two term maps {(rows, cols): coeff}, zeros pruned.
 
     Two monomials multiply to zero when they share a row or a column;
-    otherwise the sign is the parity of the pairs of factors whose row
-    order and column order disagree.
+    otherwise the sign is the merge sign of the rows times that of the
+    columns.
     """
     out = {}
-    for (s1, t1), ca in a.items():
-        for (s2, t2), cb in b.items():
-            if (s1 & s2) or (t1 & t2):
-                continue
-            r1 = _bits(s1)
-            c1 = _bits(t1)
-            r2 = _bits(s2)
-            c2 = _bits(t2)
-            inv = 0
-            for i in range(len(r1)):
-                ri = r1[i]
-                ci = c1[i]
-                for j in range(len(r2)):
-                    if (ri < r2[j]) != (ci < c2[j]):
-                        inv += 1
-            sign = -1 if (inv & 1) else 1
-            key = (s1 | s2, t1 | t2)
-            c = out.get(key, 0.0) + sign * ca * cb
-            if c == 0.0:
-                if key in out:
-                    del out[key]
-            else:
-                out[key] = c
+    _elem_muladd(out, 1.0, a, b)
     return out
 
 
@@ -168,14 +204,19 @@ class NilElement:
     def nilpotent_part(self):
         t = dict(self.terms)
         t.pop((0, 0), None)
-        return NilElement(self.k, self.n, t)
+        return _wrap(self.k, self.n, t)
 
     def max_abs_coeff(self, skip_constant=False):
+        """Largest |coefficient|; nan if any coefficient is nan."""
         best = 0.0
         for key, v in self.terms.items():
             if skip_constant and key == (0, 0):
                 continue
-            best = max(best, abs(v))
+            v = abs(v)
+            if v != v:
+                return v
+            if v > best:
+                best = v
         return best
 
     def is_zero(self, tol=0.0):
@@ -185,7 +226,7 @@ class NilElement:
         """Component spanned by monomials of generator-degree r."""
         t = {key: v for key, v in self.terms.items()
              if bin(key[0]).count("1") == r}
-        return NilElement(self.k, self.n, t)
+        return _wrap(self.k, self.n, t)
 
     def __eq__(self, other):
         if isinstance(other, (int, float)):
@@ -223,33 +264,43 @@ class NilElement:
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, float)):
+            terms = dict(self.terms)
+            c = terms.get((0, 0), 0.0) + other
+            if c == 0.0:
+                terms.pop((0, 0), None)
+            else:
+                terms[(0, 0)] = float(c)
+            return _wrap(self.k, self.n, terms)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return NilElement(self.k, self.n, _elem_add(self.terms, other.terms))
+        return _wrap(self.k, self.n, _elem_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NilElement(self.k, self.n, _elem_scale(-1.0, self.terms))
+        return _wrap(self.k, self.n, _elem_scale(-1.0, self.terms))
 
     def __sub__(self, other):
+        if isinstance(other, (int, float)):
+            return self + (-other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _wrap(self.k, self.n,
+                     _elem_add(self.terms, _elem_scale(-1.0, other.terms)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return NilElement(self.k, self.n,
-                              _elem_scale(float(other), self.terms))
+            return _wrap(self.k, self.n, _elem_scale(float(other), self.terms))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return NilElement(self.k, self.n, _elem_mul(self.terms, other.terms))
+        return _wrap(self.k, self.n, _elem_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -290,7 +341,7 @@ class NilElement:
                 out.pop(mono, None)
             else:
                 out[mono] = c
-        return NilElement(self.k, self.n, out)
+        return _wrap(self.k, self.n, out)
 
     def identify_rows(self, i, j):
         """Algebra morphism induced by the degeneracy x_j = x_i."""
@@ -311,7 +362,7 @@ class NilElement:
         """Algebra morphism xi[j,*] -> 0 (identify vertex j with the base)."""
         t = {key: v for key, v in self.terms.items()
              if not key[0] & (1 << (j - 1))}
-        return NilElement(self.k, self.n, t)
+        return _wrap(self.k, self.n, t)
 
     def substitute_rows(self, mats, n_target):
         """The algebra morphism W(k, n) -> W(k, n_target) sending
@@ -348,7 +399,32 @@ class NilElement:
                     out.pop(mono, None)
                 else:
                     out[mono] = c
-        return NilElement(self.k, n_target, out)
+        return _wrap(self.k, n_target, out)
+
+
+_set_k = NilElement.k.__set__
+_set_n = NilElement.n.__set__
+_set_terms = NilElement.terms.__set__
+
+
+def _wrap(k, n, terms):
+    """NilElement over a term map the caller built and gives up: no range
+    check, no copy.  For results of the term-map kernels."""
+    e = object.__new__(NilElement)
+    _set_k(e, k)
+    _set_n(e, n)
+    _set_terms(e, terms)
+    return e
+
+
+def within_tol(residual, tol):
+    """The one pass rule for a residual (a float, or a NilElement measured by
+    its largest |coefficient|): it passes iff it is finite and <= tol."""
+    if isinstance(residual, NilElement):
+        residual = residual.max_abs_coeff()
+    else:
+        residual = abs(residual)
+    return math.isfinite(residual) and residual <= tol
 
 
 def _is_matrix(mats):
@@ -472,15 +548,16 @@ def lift_smooth(f, a, exponent=None):
         except KeyError:
             raise ValueError(f"unknown smooth primitive {f!r}") from None
         derivs = fn(c, order)
-    nil = a.nilpotent_part()
-    out = NilElement.constant(a.k, a.n, derivs[0])
-    power = NilElement.constant(a.k, a.n, 1.0)
+    nil = dict(a.terms)
+    nil.pop((0, 0), None)
+    out = {(0, 0): float(derivs[0])} if derivs[0] else {}
+    power = {(0, 0): 1.0}
     fact = 1.0
     for r in range(1, order + 1):
-        power = power * nil
-        if power.is_zero():
+        power = _elem_mul(power, nil)
+        if not power:
             break
         fact *= r
         if derivs[r]:
-            out = out + power * (derivs[r] / fact)
-    return out
+            out = _elem_add(out, _elem_scale(derivs[r] / fact, power))
+    return _wrap(a.k, a.n, out)

@@ -196,6 +196,30 @@ def test_holonomy_log_branch_point():
     assert abs(np.linalg.norm(L3) / math.sqrt(2.0) - math.pi) <= 1e-9
 
 
+@pytest.mark.parametrize("s", [1e-17, -1e-17, 0.0, -0.0, 5e-13])
+def test_so2_log_at_the_branch_point_is_minus_pi(s):
+    # a rotation by +-pi: the sign of g[1, 0] is roundoff and must not matter
+    g = np.array([[-1.0, -s], [s, -1.0]])
+    assert holonomy_log(g).tolist() == [[0.0, math.pi], [-math.pi, 0.0]]
+
+
+def test_so2_log_angle_near_pi_is_kept():
+    for angle in (math.pi - 1e-9, -math.pi + 1e-9):
+        g = np.array([[math.cos(angle), -math.sin(angle)],
+                      [math.sin(angle), math.cos(angle)]])
+        assert abs(holonomy_log(g)[1, 0] - angle) <= 1e-15
+
+
+def test_nan_nilpotent_part_is_not_zero():
+    # the truncated log and the Neumann-series inverse stop once a power of
+    # the nilpotent part is zero; a nan power is not zero
+    e = NilElement(1, 1, {(0, 0): 1.0, (1, 1): float("nan")})
+    g = GroupElementW([[e, 0.0], [0.0, 1.0]])
+    assert math.isnan(g.max_abs_coeff())
+    assert math.isnan(g.log_truncated().max_abs_coeff())
+    assert math.isnan(g.inverse().max_abs_coeff())
+
+
 def test_transport_reversed_curve_inverts():
     conn = rotational_connection()
     curve = circle_curve(0.2, -0.1, 0.4)

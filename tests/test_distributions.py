@@ -13,8 +13,9 @@ from sdgeom.distributions import (Distribution, IntegralPatch, SemiAnnihilationR
                                   flat_symmetry_check, is_flat, semi_annihilation_check,
                                   pointwise_involutive_span, trace_leaf)
 from sdgeom.errors import RankDeficiencyError
-from sdgeom.forms import (ClassicalForm, d_comb, random_scalar_expr,
-                          to_combinatorial)
+from sdgeom.forms import (ClassicalForm, CombinatorialForm, d_comb,
+                          random_scalar_expr, to_combinatorial)
+from sdgeom.nil import NilElement
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
@@ -229,6 +230,51 @@ def test_semi_annihilation_across_involutive_corpus():
             continue
         passed += 1
     assert passed >= 5
+
+
+# -- non-finite residuals fail ------------------------------------------------------
+
+K = ex.Const(1e300)
+ORIGIN = [Point((0.0, 0.0, 0.0))]
+
+
+def overflowing_closed_form():
+    """w = (y*K*K) dx + (x*K*K) dy + dz: dz at the origin, but its derivative
+    there is K*K - K*K = inf - inf, a nan residual."""
+    x, y = ex.Var("x"), ex.Var("y")
+    return form_1(3, {1: ex.Mul(ex.Mul(y, K), K), 2: ex.Mul(ex.Mul(x, K), K),
+                      3: ex.Const(1.0)}, VARS3)
+
+
+def test_nan_residual_fails_the_involutivity_checks():
+    w = overflowing_closed_form()
+    d = Distribution(3, 2, kernel=[w], vars=VARS3)
+    assert check_involutive_combinatorial(d, ORIGIN) == ([False], False)
+    assert check_involutive_classical(d, ORIGIN) is False
+    res = semi_annihilation_check(d, d_comb(to_combinatorial(w)), ORIGIN)
+    assert res.precondition is False and not bool(res)
+
+
+def test_nan_residual_fails_the_symmetry_check():
+    # an infinite coefficient: forward + backward is inf - inf
+    d = Distribution(3, 2, kernel=[form_1(3, {1: ex.Mul(K, K), 3: ex.Const(1.0)},
+                                          VARS3)], vars=VARS3)
+    assert flat_symmetry_check(d, ORIGIN) is False
+
+
+def test_nan_residual_fails_the_semi_annihilation_conclusion():
+    # zero on flat simplices (W(2, 2)), nan on the generic one (W(2, 3)) from
+    # which eval_semi extracts its coefficients
+    def evaluator(base, offsets):
+        k, n = offsets[0][0].k, offsets[0][0].n
+        if n == 2:
+            return NilElement.zero(k, n)
+        return NilElement.monomial(k, n, (1, 2), (1, 2), float("nan"))
+
+    theta = CombinatorialForm(2, 3, evaluator, VARS3)
+    res = semi_annihilation_check(ker_dz(), theta, ORIGIN)
+    assert res.precondition is True
+    assert res.conclusion is False and not bool(res)
 
 
 # -- leaf tracing -----------------------------------------------------------------

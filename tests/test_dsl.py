@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sdgeom import expr as ex
-from sdgeom.errors import ParseError
+from sdgeom.errors import DomainError, ParseError
 from sdgeom.nil import NilElement
 from sdgeom.program import parse, pretty_print
 
@@ -173,3 +173,82 @@ def test_rename_every_node_kind():
     assert ex.to_str(got) == "(t*2 - -y)/(pow(exp(t), 2) + 1)"
     env = {"t": 0.3, "y": -0.7}
     assert ex.evaluate(got, env) == ex.evaluate(e, {"x": 0.3, "y": -0.7})
+
+
+# -- compiled evaluation on floats and W values ------------------------------------
+
+def _same(got, want):
+    """Bit-for-bit equality of evaluation results (floats or NilElements)."""
+    if isinstance(want, NilElement):
+        return (isinstance(got, NilElement) and (got.k, got.n) == (want.k, want.n)
+                and got.terms.keys() == want.terms.keys()
+                and all(_same(got.terms[key], v) for key, v in want.terms.items()))
+    return (type(got) is type(want) and got == want
+            and math.copysign(1.0, got) == math.copysign(1.0, want))
+
+
+_X, _Y = ex.Var("x"), ex.Var("y")
+EVERY_NODE_KIND = [
+    ex.Const(2.5), ex.Const(-0.0), _X,
+    ex.Add(_X, _Y), ex.Add(ex.Const(1.5), _X),
+    ex.Sub(_X, _Y), ex.Sub(_X, ex.Const(1.5)), ex.Sub(ex.Const(1.5), _X),
+    ex.Mul(_X, _Y), ex.Mul(ex.Const(-3.0), _X),
+    ex.Div(_X, _Y), ex.Div(_X, ex.Const(4.0)), ex.Div(ex.Const(1.0), _X),
+    ex.Neg(_X), ex.Pow(_X, 3), ex.Pow(_X, 0), ex.Pow(_X, -2), ex.Pow(ex.Const(-2.0), 2),
+    ex.Call("sin", _X), ex.Call("cos", _X), ex.Call("exp", _X),
+    ex.Call("ln", _Y), ex.Call("sqrt", _Y),
+    ex.Div(ex.Mul(ex.Call("sin", _X), ex.Pow(_Y, -1)),
+           ex.Add(ex.Call("sqrt", _Y), ex.Neg(_X))),
+]
+
+
+def _w(const, *terms):
+    """const + sum of coeff * xi[row, col] in W(2, 3)."""
+    out = NilElement.constant(2, 3, const)
+    for coeff, row, col in terms:
+        out = out + coeff * NilElement.generator(2, 3, row, col)
+    return out
+
+
+@pytest.mark.parametrize("x, y", [
+    (0.7, 1.3),
+    (_w(0.7, (1.0, 1, 1), (0.5, 2, 2)), _w(1.3, (-1.0, 1, 2), (2.0, 2, 1))),
+    (0.7, _w(1.3, (-1.0, 1, 2), (0.25, 2, 3))),
+    (_w(-0.4, (3.0, 2, 3)), 2.0),
+], ids=["floats", "w", "float-w", "w-float"])
+def test_compile_w_equals_evaluate_bit_for_bit(x, y):
+    got = ex.compile_w(EVERY_NODE_KIND, ("x", "y"))(x, y)
+    env = {"x": x, "y": y}
+    for e, value in zip(EVERY_NODE_KIND, got):
+        assert _same(value, ex.evaluate(e, env)), ex.to_str(e)
+
+
+@pytest.mark.parametrize("e, x", [
+    (ex.Div(ex.Const(1.0), _X), _w(0.0, (1.0, 1, 1))),
+    (ex.Div(_X, ex.Const(0.0)), 1.5),
+    (ex.Div(_X, ex.Const(0.0)), _w(1.5, (1.0, 1, 1))),
+    (ex.Div(ex.Const(1.0), _X), 0.0),
+    (ex.Pow(_X, -1), 0.0),
+    (ex.Pow(_X, -2), _w(0.0, (1.0, 1, 1))),
+    (ex.Call("ln", _X), -1.0),
+    (ex.Call("ln", _X), _w(-1.0, (1.0, 2, 2))),
+    (ex.Call("sqrt", _X), -1.0),
+    (ex.Call("sqrt", _X), _w(0.0, (1.0, 2, 2))),
+    (ex.Add(_X, _Y), 1.0),
+])
+def test_compile_w_raises_the_domain_error_of_evaluate(e, x):
+    with pytest.raises(DomainError) as want:
+        ex.evaluate(e, {"x": x})
+    with pytest.raises(DomainError) as got:
+        ex.compile_w([e], ("x",))(x)  # an unbound variable raises on compiling
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("e", [
+    ex.Pow(ex.Const(-2.0), 2), ex.Pow(ex.Const(-0.0), 1),
+    ex.Add(ex.Const(float("inf")), _X), ex.Mul(ex.Const(float("nan")), _X),
+], ids=["negative-base", "negative-zero-base", "inf", "nan"])
+def test_compiled_literals_match_evaluate(e):
+    want = ex.evaluate(e, {"x": 0.5})
+    for got in (ex.compile_numeric(e, ("x",))(0.5), ex.compile_w([e], ("x",))(0.5)[0]):
+        assert _same(got, want) or (math.isnan(got) and math.isnan(want))

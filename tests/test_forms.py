@@ -11,8 +11,9 @@ import pytest
 
 from sdgeom import expr as ex
 from sdgeom.chart import Point
-from sdgeom.errors import SdgError
-from sdgeom.forms import (ClassicalForm, classical_from_coeffs, d_classical,
+from sdgeom.errors import ContextMismatchError, SdgError
+from sdgeom.forms import (ClassicalForm, CombinatorialForm,
+                          classical_from_coeffs, d_classical,
                           d_comb, d_comparison_ratios, eval_generic,
                           eval_semi, extract_classical, random_form,
                           to_combinatorial, wedge_classical, wedge_comb,
@@ -70,6 +71,77 @@ def test_alternation_sign(form, base):
         assert (permuted - want).max_abs_coeff() <= 1e-9
 
 
+# -- the fused evaluator against the tree walk -----------------------------------
+
+def det_reference(rows):
+    """Leibniz determinant; entries may be floats or NilElements."""
+    p = len(rows)
+    total = 0.0
+    for perm in permutations(range(p)):  # one empty permutation when p = 0
+        term = float(sign_of(perm))
+        for i in range(p):
+            term = term * rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def to_combinatorial_reference(form):
+    """`to_combinatorial` as a tree walk: `expr.evaluate` on each coefficient
+    times the Leibniz determinant of the offsets' T-columns."""
+    def evaluator(base, offsets):
+        env = dict(zip(form.vars, base))
+        total = 0.0
+        for T, a in form.coeffs.items():
+            total = total + ex.evaluate(a, env) * det_reference(
+                [[off[t - 1] for t in T] for off in offsets])
+        return total
+
+    return CombinatorialForm(form.degree, form.n, evaluator, form.vars)
+
+
+def assert_close(got, want, rel=1e-12):
+    if isinstance(want, NilElement):
+        assert isinstance(got, NilElement)
+        assert (got.k, got.n) == (want.k, want.n)
+        assert (got - want).max_abs_coeff() <= rel * want.max_abs_coeff()
+    else:
+        assert not isinstance(got, NilElement)
+        assert abs(got - want) <= rel * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("form,base", corpus(25, seed=1))
+def test_fused_to_combinatorial_matches_tree_walk(form, base):
+    fused, walk = to_combinatorial(form), to_combinatorial_reference(form)
+    # generic simplex, and through d_comb and wedge_comb: W-valued (rebased)
+    # bases and offsets that are sums of generators
+    assert_close(eval_generic(fused, base), eval_generic(walk, base))
+    assert_close(eval_generic(d_comb(fused), base), eval_generic(d_comb(walk), base))
+    assert_close(eval_generic(wedge_comb(fused, fused), base),
+                 eval_generic(wedge_comb(walk, walk), base))
+    # float offsets give a float
+    rng = np.random.default_rng(len(form.coeffs))
+    offsets = [tuple(float(v) for v in rng.uniform(-1, 1, form.n))
+               for _ in range(form.degree)]
+    got = fused(base.coords, offsets)
+    assert type(got) is float
+    assert_close(got, walk(base.coords, offsets))
+
+
+@pytest.mark.parametrize("form,base", corpus(8, degrees=(0,), seed=11))
+def test_fused_to_combinatorial_degree_zero(form, base):
+    fused, walk = to_combinatorial(form), to_combinatorial_reference(form)
+    assert fused(base.coords, []) == walk(base.coords, [])
+    assert_close(eval_generic(fused, base), eval_generic(walk, base))
+    assert_close(eval_generic(d_comb(fused), base), eval_generic(d_comb(walk), base))
+
+
+def test_fused_to_combinatorial_rejects_mixed_contexts():
+    form = ClassicalForm.dx(1, 2)
+    offsets = [[NilElement.generator(1, 2, 1, 1), NilElement.generator(2, 2, 1, 2)]]
+    with pytest.raises(ContextMismatchError):
+        to_combinatorial(form)((0.0, 0.0), offsets)
+
+
 # -- round trip ----------------------------------------------------------------
 
 @pytest.mark.parametrize("form,base", corpus(40, seed=3))
@@ -86,6 +158,12 @@ def test_extract_rejects_non_form():
     from sdgeom.forms import CombinatorialForm
     # an evaluator with a non-vanishing degenerate part is not a form
     bogus = CombinatorialForm(1, 2, lambda b, offs: 1.0 + offs[0][0])
+    with pytest.raises(SdgError):
+        extract_classical(bogus, Point((0.0, 0.0)))
+
+
+def test_extract_rejects_nan_lower_degree_term():
+    bogus = CombinatorialForm(1, 2, lambda b, offs: float("nan") + offs[0][0])
     with pytest.raises(SdgError):
         extract_classical(bogus, Point((0.0, 0.0)))
 

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from sdgeom.nil import (NilElement, all_monomials, canonicalize,
-                        generic_offsets, lift_smooth, monomial_count)
+from sdgeom.nil import (NilElement, _bits, _elem_mul, all_monomials,
+                        canonicalize, generic_offsets, lift_smooth,
+                        monomial_count, within_tol)
 
 
 def xi(k, n, i, a):
@@ -56,6 +57,57 @@ def test_antisymmetric_exchange_in_products():
     p = xi(2, 2, 1, 1) * xi(2, 2, 2, 2)
     q = xi(2, 2, 2, 1) * xi(2, 2, 1, 2)
     assert (p + q).is_zero()
+
+
+def inversion_sign(m1, m2):
+    """Reference sign of the product of two disjoint monomials (rows, cols):
+    the parity of the pairs of factors whose row order and column order
+    disagree."""
+    r1, c1, r2, c2 = _bits(m1[0]), _bits(m1[1]), _bits(m2[0]), _bits(m2[1])
+    inv = sum(1 for i in range(len(r1)) for j in range(len(r2))
+              if (r1[i] < r2[j]) != (c1[i] < c2[j]))
+    return -1.0 if inv & 1 else 1.0
+
+
+def test_mask_pair_sign_equals_inversion_rule():
+    # every monomial of W(k, n) with k <= 4, n <= 8 is a monomial of W(4, 8)
+    monomials = [(sum(1 << (i - 1) for i in rows), sum(1 << (j - 1) for j in cols))
+                 for r in range(5) for rows, cols in all_monomials(4, 8, r)]
+    nonzero = 0
+    for m1 in monomials:
+        for m2 in monomials:
+            got = _elem_mul({m1: 1.0}, {m2: 1.0})
+            if m1[0] & m2[0] or m1[1] & m2[1]:
+                assert got == {}
+            else:
+                nonzero += 1
+                assert got == {(m1[0] | m2[0], m1[1] | m2[1]): inversion_sign(m1, m2)}
+    assert nonzero == 10453
+
+
+# -- non-finite coefficients --------------------------------------------------
+
+def test_nan_coefficient_is_not_small():
+    nan = NilElement(1, 1, {(0, 0): float("nan")})
+    assert math.isnan(nan.max_abs_coeff())
+    assert not nan.is_zero()
+    mixed = NilElement(1, 2, {(0, 0): 2.0, (1, 1): float("nan"), (1, 2): 5.0})
+    assert math.isnan(mixed.max_abs_coeff())
+    assert NilElement(1, 1, {(0, 0): float("nan"), (1, 1): 3.0}).max_abs_coeff(
+        skip_constant=True) == 3.0
+
+
+@pytest.mark.parametrize("residual, tol, want", [
+    (0.0, 0.0, True), (1e-10, 1e-9, True), (-1e-10, 1e-9, True),
+    (1e-8, 1e-9, False), (float("nan"), 1e-9, False), (float("inf"), 1e-9, False),
+    (float("inf"), float("inf"), False),
+    (NilElement(1, 1, {(1, 1): -1e-10}), 1e-9, True),
+    (NilElement(1, 1, {(1, 1): 1e-8}), 1e-9, False),
+    (NilElement(1, 1, {(1, 1): float("nan")}), 1e-9, False),
+    (NilElement(1, 1, {(1, 1): float("-inf")}), 1e-9, False),
+])
+def test_within_tol_is_finite_and_at_most_tol(residual, tol, want):
+    assert within_tol(residual, tol) is want
 
 
 # -- ring laws on random elements ----------------------------------------
