@@ -105,74 +105,48 @@ def _load(args):
     return parse_file(args.file)
 
 
-def _get(prog, table, name, what):
-    entity = getattr(prog, table).get(name)
-    if entity is None:
-        raise ParseError(f"unknown {what} {name!r}")
-    return entity
-
-
-def cmd_d(args, rep):
-    prog = _load(args)
-    form = _get(prog, "forms", args.form, "form")
-    points = _parse_points(args.at, prog.dim)
-    comb_side = fm.d_comb(fm.to_combinatorial(form))
-    classical = fm.d_classical(form)
-    for p in points:
-        comb = fm.extract_classical(comb_side, p, tol=args.tol)
-        env = dict(zip(form.vars, p.coords))
-        oracle = {T: ex.evaluate(e, env) for T, e in classical.coeffs.items()}
-        ratios = [comb.get(T, 0.0) / v for T, v in oracle.items()
-                  if abs(v) > 1e-9]
-        entry = {
-            "point": list(p.coords),
-            "combinatorial": {"".join(map(str, T)): v for T, v in comb.items()},
-            "classical": {"".join(map(str, T)): oracle.get(T, 0.0)
-                          for T in comb},
-            "ratio": ratios[0] if ratios else None,
-        }
-        rep.add(f"at {','.join(_fmt(c) for c in p.coords)}", entry)
-        rep.line(f"at ({', '.join(_fmt(c) for c in p.coords)}):")
-        for T, v in sorted(comb.items()):
-            label = "d" + " d".join(prog.vars[t - 1] for t in T)
-            rep.line(f"  [{label}] combinatorial={_fmt(v)} "
-                     f"classical={_fmt(entry['classical']['' .join(map(str, T))])}")
-        rep.line(f"  measured ratio: "
-                 f"{_fmt(ratios[0]) if ratios else 'n/a (zero form)'}")
-    return EXIT_OK
-
-
-def cmd_wedge(args, rep):
-    prog = _load(args)
-    name_a, _, name_b = args.forms.partition(",")
-    a = _get(prog, "forms", name_a.strip(), "form")
-    b = _get(prog, "forms", name_b.strip(), "form")
-    points = _parse_points(args.at, prog.dim)
-    comb_form = fm.wedge_comb(fm.to_combinatorial(a), fm.to_combinatorial(b))
-    classical = fm.wedge_classical(a, b)
-    for p in points:
-        comb = fm.extract_classical(comb_form, p, tol=args.tol)
-        env = dict(zip(a.vars, p.coords))
-        oracle = {T: ex.evaluate(e, env) for T, e in classical.coeffs.items()}
-        ratios = [comb.get(T, 0.0) / v for T, v in oracle.items()
-                  if abs(v) > 1e-9]
+def _cmd_compare(args, rep, prog, theta, classical):
+    """Combinatorial vs classical coefficients, and their ratio, at each
+    --at point."""
+    for p in _parse_points(args.at, prog.dim):
+        comb, oracle, ratios = fm.comparison(theta, classical, p, tol=args.tol)
+        keys = {T: "".join(map(str, T)) for T in comb}
         rep.add(f"at {','.join(_fmt(c) for c in p.coords)}", {
-            "combinatorial": {"".join(map(str, T)): v for T, v in comb.items()},
-            "classical": {"".join(map(str, T)): oracle.get(T, 0.0) for T in comb},
+            "point": list(p.coords),
+            "combinatorial": {keys[T]: v for T, v in comb.items()},
+            "classical": {keys[T]: oracle.get(T, 0.0) for T in comb},
             "ratio": ratios[0] if ratios else None,
         })
         rep.line(f"at ({', '.join(_fmt(c) for c in p.coords)}):")
         for T, v in sorted(comb.items()):
-            rep.line(f"  [{''.join(map(str, T))}] combinatorial={_fmt(v)} "
+            label = "d" + " d".join(prog.vars[t - 1] for t in T)
+            rep.line(f"  [{label}] combinatorial={_fmt(v)} "
                      f"classical={_fmt(oracle.get(T, 0.0))}")
         rep.line(f"  measured ratio: "
                  f"{_fmt(ratios[0]) if ratios else 'n/a (zero form)'}")
     return EXIT_OK
 
 
+def cmd_d(args, rep):
+    prog = _load(args)
+    form = prog.lookup("forms", args.form, "form")
+    return _cmd_compare(args, rep, prog, fm.d_comb(fm.to_combinatorial(form)),
+                        fm.d_classical(form))
+
+
+def cmd_wedge(args, rep):
+    prog = _load(args)
+    name_a, _, name_b = args.forms.partition(",")
+    a = prog.lookup("forms", name_a.strip(), "form")
+    b = prog.lookup("forms", name_b.strip(), "form")
+    return _cmd_compare(args, rep, prog,
+                        fm.wedge_comb(fm.to_combinatorial(a), fm.to_combinatorial(b)),
+                        fm.wedge_classical(a, b))
+
+
 def cmd_eval(args, rep):
     prog = _load(args)
-    form = _get(prog, "forms", args.form, "form")
+    form = prog.lookup("forms", args.form, "form")
     p = _parse_points(args.at, prog.dim)[0]
     vectors = [[float(v) for v in chunk.split(",")]
                for chunk in args.vectors.split(";")]
@@ -192,7 +166,7 @@ def cmd_eval(args, rep):
 
 def cmd_check_involutive(args, rep):
     prog = _load(args)
-    dist = _get(prog, "dists", args.dist, "distribution")
+    dist = prog.lookup("dists", args.dist, "distribution")
     samples = sample_box(parse_box(args.box, prog.dim), args.samples, args.seed)
     classical = ds.check_involutive_classical(dist, samples, tol=args.tol)
     if dist.kernel is not None:
@@ -215,8 +189,8 @@ def cmd_check_involutive(args, rep):
 
 def cmd_check_integral(args, rep):
     prog = _load(args)
-    dist = _get(prog, "dists", args.dist, "distribution")
-    patch = _get(prog, "patches", args.patch, "patch")
+    dist = prog.lookup("dists", args.dist, "distribution")
+    patch = prog.lookup("patches", args.patch, "patch")
     box = parse_box(args.box, patch.q)
     samples = [tuple(p.coords) for p in sample_box(box, args.samples, args.seed)]
     ok = ds.check_integral_patch(dist, patch, args.mode, samples, tol=args.tol)
@@ -228,7 +202,7 @@ def cmd_check_integral(args, rep):
 
 def cmd_curvature(args, rep):
     prog = _load(args)
-    conn = _get(prog, "conns", args.conn, "connection")
+    conn = prog.lookup("conns", args.conn, "connection")
     for p in _parse_points(args.at, prog.dim):
         cob = cn.curvature_coboundary(conn, p, tol=args.tol)
         oracle = cn.curvature_classical_oracle(conn, p)
@@ -260,7 +234,7 @@ def _loop_curves(args, prog):
             loops.append((curve, 0.0, 2.0 * math.pi))
     if args.curve:
         for name in args.curve.split(","):
-            vec = _get(prog, "vectors", name.strip(), "curve vector")
+            vec = prog.lookup("vectors", name.strip(), "curve vector")
             loops.append(([_subst_t(c, prog.vars) for c in vec], 0.0, 1.0))
     if not loops:
         raise ParseError("need --loop or --curve")
@@ -274,7 +248,7 @@ def _subst_t(e, vars):
 
 def cmd_holonomy(args, rep):
     prog = _load(args)
-    conn = _get(prog, "conns", args.conn, "connection")
+    conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
     for idx, (curve, t0, t1) in enumerate(loops):
         g = cn.parallel_transport(conn, curve, t0, t1, args.steps)
@@ -292,7 +266,7 @@ def cmd_holonomy(args, rep):
 
 def cmd_ambrose_singer(args, rep):
     prog = _load(args)
-    conn = _get(prog, "conns", args.conn, "connection")
+    conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
     samples = sample_box(parse_box(args.box, prog.dim), args.samples, args.seed)
     base = _parse_points(args.at, prog.dim)[0] if args.at else samples[0]
@@ -308,7 +282,7 @@ def cmd_ambrose_singer(args, rep):
 
 def cmd_leaf(args, rep):
     prog = _load(args)
-    dist = _get(prog, "dists", args.dist, "distribution")
+    dist = prog.lookup("dists", args.dist, "distribution")
     start = _parse_points(args.start, prog.dim)[0]
     pts = ds.trace_leaf(dist, start, args.steps, args.stepsize)
     rep.add("points", [list(p.coords) for p in pts])

@@ -17,8 +17,9 @@ import numpy as np
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
-from .nil import NilElement, within_tol
+from .nil import NilElement, generic_offsets, within_tol
 from .chart import NilPoint, Point
+from .distributions import span_residual
 
 # Convention constants fixed by pin_conventions() against the classical
 # oracle; see that function.
@@ -50,7 +51,7 @@ class MatrixGroupSpec:
             for i, a in enumerate(basis):
                 for b in basis[i + 1:]:
                     br = a @ b - b @ a
-                    if _span_residual(flat, br.ravel()) > tol:
+                    if not within_tol(span_residual(flat.T, br.ravel()), tol):
                         raise RankDeficiencyError(
                             "algebra basis not closed under bracket")
             self.algebra_basis = basis
@@ -63,20 +64,11 @@ class MatrixGroupSpec:
         else:
             raise ValueError(f"unknown group kind {kind!r}")
 
-    def in_algebra(self, X, tol=1e-9):
-        flat = np.array([b.ravel() for b in self.algebra_basis])
-        return _span_residual(flat, np.asarray(X).ravel()) <= tol
-
 
 def _e(m, i, j):
     out = np.zeros((m, m))
     out[i, j] = 1.0
     return out
-
-
-def _span_residual(flat_basis, vec):
-    coef, *_ = np.linalg.lstsq(flat_basis.T, vec, rcond=None)
-    return float(np.linalg.norm(flat_basis.T @ coef - vec))
 
 
 class ConnectionData:
@@ -115,14 +107,6 @@ class ConnectionData:
         env = dict(zip(self.vars, coords))
         return [np.array([[float(ex.evaluate(e, env)) for e in row]
                           for row in Ai]) for Ai in self.A]
-
-    def validate_at(self, points, tol=1e-9):
-        """Check A_i(x) lies in the group's Lie algebra at sample points."""
-        for p in points:
-            for Ai in self.a_numeric(p.coords):
-                if not self.group.in_algebra(Ai, tol):
-                    return False
-        return True
 
 
 class GroupElementW:
@@ -295,8 +279,7 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     at (p, I): returns {(i, j): m x m matrix} for i < j (1-based), after the
     degree-2 extraction normalization."""
     n = conn.n
-    u = [NilElement.generator(2, n, 1, a + 1) for a in range(n)]
-    v = [NilElement.generator(2, n, 2, a + 1) for a in range(n)]
+    u, v = generic_offsets(2, n)
     x = Point(p.coords)
     y = NilPoint(x, u)
     z = NilPoint(x, v)
@@ -310,12 +293,12 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     for key, mat in coeffs.items():
         rmask, cmask = key
         if key == (0, 0):
-            if np.max(np.abs(mat - np.eye(m))) > tol:
+            if not within_tol(np.max(np.abs(mat - np.eye(m))), tol):
                 raise RankDeficiencyError("coboundary constant part is not I")
         elif rmask == 0b11:
             i, j = [b + 1 for b in range(n) if cmask & (1 << b)]
             out[(i, j)] = mat * COBOUNDARY_SCALE
-        elif np.max(np.abs(mat)) > tol:
+        elif not within_tol(np.max(np.abs(mat)), tol):
             raise RankDeficiencyError("coboundary has unexpected degree-1 part")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -328,13 +311,11 @@ def curvature_classical_oracle(conn, p, bracket_sign=BRACKET_SIGN):
     for i < j (1-based), with s = `bracket_sign` (the pinned sign unless
     given)."""
     env = dict(zip(conn.vars, p.coords))
+    A = conn.a_numeric(p.coords)
     out = {}
     for i in range(1, conn.n + 1):
         for j in range(i + 1, conn.n + 1):
-            Ai = np.array([[float(ex.evaluate(e, env)) for e in row]
-                           for row in conn.A[i - 1]])
-            Aj = np.array([[float(ex.evaluate(e, env)) for e in row]
-                           for row in conn.A[j - 1]])
+            Ai, Aj = A[i - 1], A[j - 1]
             dAj = np.array([[float(ex.evaluate(ex.diff(e, conn.vars[i - 1]), env))
                              for e in row] for row in conn.A[j - 1]])
             dAi = np.array([[float(ex.evaluate(ex.diff(e, conn.vars[j - 1]), env))
@@ -359,13 +340,13 @@ def pin_conventions(conn, points, tol=1e-9):
                 if nF < 1e-8:
                     continue
                 ratio = float(np.sum(Fc * F) / np.sum(F * F))
-                if np.max(np.abs(Fc - ratio * F)) > tol * max(1.0, nF):
+                if not within_tol(np.max(np.abs(Fc - ratio * F)), tol * max(1.0, nF)):
                     ok = False
                     break
                 ratios.append(ratio)
             if not ok:
                 break
-        if ok and ratios and np.std(ratios) <= tol:
+        if ok and ratios and within_tol(np.std(ratios), tol):
             return float(np.mean(ratios)), s
     raise RankDeficiencyError("could not pin curvature conventions")
 
@@ -519,8 +500,8 @@ def lie_closure(mats, tol=1e-9):
         nonlocal flat
         if np.max(np.abs(X), initial=0.0) < 1e-13:
             return
-        if flat.shape[0] and _span_residual(flat, X.ravel()) <= tol * max(
-                1.0, np.max(np.abs(X))):
+        if flat.shape[0] and within_tol(span_residual(flat.T, X.ravel()),
+                                        tol * max(1.0, np.max(np.abs(X)))):
             return
         basis.append(X)
         flat = np.array([b.ravel() for b in basis])
@@ -566,13 +547,13 @@ def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
     for curve_exprs, t0, t1 in loops:
         g = parallel_transport(conn, curve_exprs, t0, t1, steps)
         L = holonomy_log(g)
-        if np.max(np.abs(L)) < tol:
+        if within_tol(np.max(np.abs(L)), tol):
             continue
         if flat is None:
             max_resid = max(max_resid, float(np.max(np.abs(L))))
             continue
-        max_resid = max(max_resid, _span_residual(flat, L.ravel()))
-    return max_resid <= tol, len(h_basis), max_resid
+        max_resid = max(max_resid, span_residual(flat.T, L.ravel()))
+    return within_tol(max_resid, tol), len(h_basis), max_resid
 
 
 def in_subalgebra_cone(gW, h_basis, tol=1e-9):
@@ -581,11 +562,12 @@ def in_subalgebra_cone(gW, h_basis, tol=1e-9):
     flat = np.array([np.asarray(b, dtype=float).ravel() for b in h_basis])
     L = gW.log_truncated()
     for key, mat in L.coefficient_matrices().items():
-        if np.max(np.abs(mat)) <= tol:
+        size = np.max(np.abs(mat))
+        if within_tol(size, tol):
             continue
         if not flat.shape[0]:
             return False
-        if _span_residual(flat, mat.ravel()) > tol * max(1.0, np.max(np.abs(mat))):
+        if not within_tol(span_residual(flat.T, mat.ravel()), tol * max(1.0, size)):
             return False
     return True
 

@@ -15,9 +15,9 @@ import numpy as np
 from . import expr as ex
 from .errors import (ChartDomainError, DegreeError, DomainError,
                      RankDeficiencyError)
-from .forms import (CombinatorialForm, d_classical, d_comb, eval_semi,
-                    to_combinatorial, wedge_classical)
-from .nil import NilElement, within_tol
+from .forms import (d_classical, d_comb, eval_semi, to_combinatorial,
+                    wedge_classical)
+from .nil import NilElement, generic_offsets, within_tol
 from .chart import Point
 
 DEFAULT_TOL = 1e-9
@@ -107,16 +107,21 @@ class Distribution:
         return self._numeric_span(p)
 
 
+def span_residual(M, v):
+    """Distance of the vector v from the column span of M (least squares);
+    nan if v is not finite."""
+    coef, *_ = np.linalg.lstsq(M, v, rcond=None)
+    return float(np.linalg.norm(M @ coef - v))
+
+
 def is_flat(dist, p, u, tol=DEFAULT_TOL):
     """Whether the displacement u lies in the fiber at p."""
     u = np.asarray(u, dtype=float)
     if dist.kernel is not None:
-        M = dist.kernel_matrix(p)
-        return bool(np.max(np.abs(M @ u), initial=0.0) <= tol * max(1.0, np.linalg.norm(u)))
-    X = dist.span_matrix(p)
-    coef, *_ = np.linalg.lstsq(X, u, rcond=None)
-    resid = np.linalg.norm(X @ coef - u)
-    return bool(resid <= tol * max(1.0, np.linalg.norm(u)))
+        resid = np.max(np.abs(dist.kernel_matrix(p) @ u), initial=0.0)
+    else:
+        resid = span_residual(dist.span_matrix(p), u)
+    return bool(within_tol(resid, tol * max(1.0, np.linalg.norm(u))))
 
 
 def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
@@ -127,8 +132,7 @@ def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
     for p in samples:
         for w in dist.kernel:
             theta = to_combinatorial(w)
-            offsets = [[NilElement.generator(1, dist.n, 1, a + 1)
-                        for a in range(dist.n)]]
+            offsets = generic_offsets(1, dist.n)
             forward = theta(p.coords, offsets)
             # omega(y, x): base at y = x + u, displacement -u
             new_base = tuple(b + o for b, o in zip(p.coords, offsets[0]))
@@ -198,7 +202,7 @@ def pointwise_involutive_span(dist, samples, tol=1e-6, h=1e-5):
                     u, v = B[:, a], B[:, b]
                     du = (omega_dot(x0 + h * u, v) - omega_dot(x0 - h * u, v)) / (2 * h)
                     dv = (omega_dot(x0 + h * v, u) - omega_dot(x0 - h * v, u)) / (2 * h)
-                    if abs(du - dv) > tol:
+                    if not within_tol(du - dv, tol):
                         ok = False
         verdicts.append(ok)
     return verdicts, all(verdicts)
@@ -254,8 +258,7 @@ def _bracket_test(dist, samples, tol):
         X = dist.span_matrix(p)
         for comp in brackets:
             u = np.array([ex.evaluate(c, env) for c in comp], dtype=float)
-            coef, *_ = np.linalg.lstsq(X, u, rcond=None)
-            if np.linalg.norm(X @ coef - u) > tol * max(1.0, np.linalg.norm(u)):
+            if not within_tol(span_residual(X, u), tol * max(1.0, np.linalg.norm(u))):
                 return False
     return True
 
@@ -301,8 +304,7 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
         if mode == "strong":
             B = dist.basis_at(p)
             for col in B.T:
-                coef, *_ = np.linalg.lstsq(J, col, rcond=None)
-                if np.linalg.norm(J @ coef - col) > tol:
+                if not within_tol(span_residual(J, col), tol):
                     return False
     return True
 

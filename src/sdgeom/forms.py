@@ -60,12 +60,9 @@ class ClassicalForm:
             self._coeff_fn = ex.compile_w(list(self.coeffs.values()), self.vars)
         return self._coeff_fn
 
-    def coeff_env(self, coords):
-        return dict(zip(self.vars, coords))
-
     def coeffs_at(self, coords):
         """Numeric (or W-valued) coefficients at the given coordinates."""
-        env = self.coeff_env(coords)
+        env = dict(zip(self.vars, coords))
         return {T: ex.evaluate(e, env) for T, e in self.coeffs.items()}
 
     def apply(self, coords, vectors):
@@ -274,6 +271,19 @@ def classical_from_coeffs(degree, n, coeffs, vars=None):
                          vars)
 
 
+def comparison(theta, classical, base, tol=1e-9):
+    """Synthetic vs classical at `base`: (coefficients extracted from the
+    combinatorial form `theta`, coefficients of the classical form
+    `classical`, their ratios where the classical side is clearly nonzero,
+    |c| > 1e-6).  The comparison theorem says the ratios are one constant
+    per degree: 1/(p+1) for d, k!l!/(k+l)! for the wedge."""
+    extracted = extract_classical(theta, base, tol=tol)
+    oracle = classical.coeffs_at(base.coords)
+    ratios = [extracted.get(T, 0.0) / c for T, c in oracle.items()
+              if abs(c) > 1e-6]
+    return extracted, oracle, ratios
+
+
 def d_comb(theta):
     """Simplicial exterior derivative: alternating sum of face evaluations."""
     p, n = theta.degree, theta.n
@@ -364,33 +374,3 @@ def random_form(rng, degree, n, vars=None, trig=False):
         T = tuple(range(1, degree + 1))
         coeffs[T] = random_scalar_expr(rng, vars, trig=trig)
     return ClassicalForm(degree, n, coeffs, vars)
-
-
-def d_comparison_ratios(form, base, tol=1e-9):
-    """Componentwise ratio of the extracted simplicial derivative to the
-    classical derivative at `base` (only where the classical side is
-    clearly nonzero).  Constancy of these ratios per degree is the
-    comparison-theorem check."""
-    comb = extract_classical(d_comb(to_combinatorial(form)), base, tol=tol)
-    env = dict(zip(form.vars, base.coords))
-    classical = {T: ex.evaluate(e, env)
-                 for T, e in d_classical(form).coeffs.items()}
-    ratios = []
-    for T, c in classical.items():
-        if abs(c) > 1e-6:
-            ratios.append(comb.get(T, 0.0) / c)
-    return ratios
-
-
-def wedge_comparison_ratios(a, b, base, tol=1e-9):
-    """Same as d_comparison_ratios, for the wedge."""
-    comb = extract_classical(
-        wedge_comb(to_combinatorial(a), to_combinatorial(b)), base, tol=tol)
-    env = dict(zip(a.vars, base.coords))
-    classical = {T: ex.evaluate(e, env)
-                 for T, e in wedge_classical(a, b).coeffs.items()}
-    ratios = []
-    for T, c in classical.items():
-        if abs(c) > 1e-6:
-            ratios.append(comb.get(T, 0.0) / c)
-    return ratios

@@ -220,7 +220,7 @@ class NilElement:
         return best
 
     def is_zero(self, tol=0.0):
-        return self.max_abs_coeff() <= tol
+        return within_tol(self, tol)
 
     def degree_part(self, r):
         """Component spanned by monomials of generator-degree r."""

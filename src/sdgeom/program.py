@@ -19,7 +19,7 @@ from . import expr as ex
 from .connections import ConnectionData, MatrixGroupSpec
 from .distributions import Distribution, IntegralPatch
 from .errors import ParseError
-from .forms import ClassicalForm, d_classical, wedge_classical
+from .forms import ClassicalForm, wedge_classical
 
 KEYWORDS = {"dim", "var", "form", "vector", "dist", "patch", "conn",
             "span", "ker", "pow"}
@@ -400,13 +400,15 @@ class _Parser:
         return left
 
     def _form_term(self, stop):
-        """A '*'-chain of scalar factors and at most one wedge chain."""
-        scalars = []
+        """A '*'-chain of scalar factors and at most one wedge chain; a '/'
+        divides the scalar part by the scalar factor after it."""
+        scalar = None
         form_part = None
         negate = False
-        while self.peek().kind == "-" and form_part is None and not scalars:
+        while self.peek().kind == "-":
             self.next()
             negate = not negate
+        allowed = set(self.prog.vars)
         while True:
             factor_form = self._try_form_factor(stop)
             if factor_form is not None:
@@ -414,14 +416,16 @@ class _Parser:
                     self.error("two form factors in a product; use '^' to wedge")
                 form_part = factor_form
             else:
-                scalars.append(self._scal_factor(set(self.prog.vars)))
+                s = self._scal_factor(allowed)
+                scalar = s if scalar is None else ex.Mul(scalar, s)
+            while self.peek().kind == "/":
+                self.next()
+                divisor = self._scal_factor(allowed)
+                scalar = ex.Div(ex.Const(1.0) if scalar is None else scalar, divisor)
             if self.peek().kind == "*":
                 self.next()
                 continue
             break
-        scalar = None
-        for s in scalars:
-            scalar = s if scalar is None else ex.Mul(scalar, s)
         if negate:
             scalar = ex.Const(-1.0) if scalar is None else ex.Mul(ex.Const(-1.0), scalar)
         if form_part is None:

@@ -27,12 +27,10 @@ from sdgeom.distributions import (Distribution, IntegralPatch,
                                   check_involutive_combinatorial,
                                   semi_annihilation_check)
 from sdgeom.errors import RankDeficiencyError
-from sdgeom.forms import (ClassicalForm, d_classical, d_comb,
-                          d_comparison_ratios, eval_generic,
-                          extract_classical, random_form,
+from sdgeom.forms import (ClassicalForm, comparison, d_classical, d_comb,
+                          eval_generic, extract_classical, random_form,
                           random_scalar_expr, to_combinatorial,
-                          wedge_classical, wedge_comb,
-                          wedge_comparison_ratios)
+                          wedge_classical, wedge_comb)
 from sdgeom.nil import NilElement, all_monomials, lift_smooth
 from sdgeom.program import parse, pretty_print
 from sdgeom.sampling import sample_box
@@ -149,7 +147,9 @@ def test_criterion_3_comparison():
     ok = True
     kappa = {1: [], 2: []}
     for form, base in _corpus(100, seed=11):
-        for r in d_comparison_ratios(form, base):
+        _, _, ratios = comparison(d_comb(to_combinatorial(form)),
+                                  d_classical(form), base)
+        for r in ratios:
             kappa[form.degree].append(r)
         # zero-equivalence for d
         env = dict(zip(form.vars, base.coords))
@@ -169,7 +169,9 @@ def test_criterion_3_comparison():
         a = random_form(rng, ka, 4, trig=True)
         b = random_form(rng, kb, 4, trig=True)
         base = Point([round(float(rng.uniform(-1, 1)), 3) for _ in range(4)])
-        mu.setdefault((ka, kb), []).extend(wedge_comparison_ratios(a, b, base))
+        _, _, ratios = comparison(wedge_comb(to_combinatorial(a), to_combinatorial(b)),
+                                  wedge_classical(a, b), base)
+        mu.setdefault((ka, kb), []).extend(ratios)
         # zero-equivalence for wedge
         env = dict(zip(a.vars, base.coords))
         cw = wedge_classical(a, b)

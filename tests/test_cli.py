@@ -33,6 +33,14 @@ vector v = (0, 1, 0)
 dist S = span(u, v)
 """
 
+# a and b have the nonzero wedge -x dy^dz - x*y dx^dy
+PAIR = """\
+dim 3
+var x y z
+form a = dz - y*dx
+form b = x*dy
+"""
+
 ROT = """\
 dim 2
 var x y
@@ -68,9 +76,9 @@ dist S = span(u, v)
 @pytest.fixture
 def files(tmp_path):
     out = {}
-    for name, text in (("contact", CONTACT), ("flat", FLAT), ("rot", ROT),
-                       ("log_conn", LOG_CONN), ("log_span", LOG_SPAN),
-                       ("leaf", LEAF)):
+    for name, text in (("contact", CONTACT), ("flat", FLAT), ("pair", PAIR),
+                       ("rot", ROT), ("log_conn", LOG_CONN),
+                       ("log_span", LOG_SPAN), ("leaf", LEAF)):
         p = tmp_path / f"{name}.sdg"
         p.write_text(text)
         out[name] = str(p)
@@ -181,6 +189,20 @@ def test_d_golden_json(files):
     assert block["combinatorial"]["12"] == 0.5
     assert block["classical"]["12"] == 1
     assert block["ratio"] == 0.5
+
+
+def test_wedge_golden_json(files):
+    # the layout of `sdg d`: a point key, then the cup product's extracted
+    # coefficients, the classical wedge's, and their ratio 1!1!/2! = 1/2
+    code, out, _ = invoke(["wedge", "--file", files["pair"], "--forms", "a,b",
+                           "--at", "1,2,3;0.5,-1,0", "--format", "json"])
+    assert code == EXIT_OK
+    assert out == (
+        '{"at 1,2,3": {"point": [1, 2, 3], "combinatorial": {"12": -1, "13": 0, '
+        '"23": -0.5}, "classical": {"12": -2, "13": 0, "23": -1}, "ratio": 0.5}, '
+        '"at 0.5,-1,0": {"point": [0.5, -1, 0], "combinatorial": {"12": 0.25, '
+        '"13": 0, "23": -0.25}, "classical": {"12": 0.5, "13": 0, "23": -0.5}, '
+        '"ratio": 0.5}}\n')
 
 
 def test_eval_golden(files):

@@ -220,6 +220,12 @@ def test_nan_nilpotent_part_is_not_zero():
     assert math.isnan(g.inverse().max_abs_coeff())
 
 
+def test_nan_coefficient_is_not_in_the_subalgebra_cone():
+    e = NilElement(1, 1, {(0, 0): 1.0, (1, 1): float("nan")})
+    g = GroupElementW([[e, 0.0], [0.0, 1.0]])
+    assert in_subalgebra_cone(g, [J]) is False
+
+
 def test_transport_reversed_curve_inverts():
     conn = rotational_connection()
     curve = circle_curve(0.2, -0.1, 0.4)

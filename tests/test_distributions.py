@@ -277,6 +277,22 @@ def test_nan_residual_fails_the_semi_annihilation_conclusion():
     assert res.conclusion is False and not bool(res)
 
 
+def overflowing_span():
+    """u = (1, 0, y*K*K), v = (0, 1, x*K*K): the plane z = 0 at the origin,
+    where the bracket is K*K - K*K = inf - inf, a nan residual."""
+    x, y, zero, one = ex.Var("x"), ex.Var("y"), ex.Const(0.0), ex.Const(1.0)
+    return Distribution(3, 2, span=[[one, zero, ex.Mul(ex.Mul(y, K), K)],
+                                    [zero, one, ex.Mul(ex.Mul(x, K), K)]],
+                        vars=VARS3)
+
+
+def test_nan_residual_fails_the_span_checks():
+    d = overflowing_span()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert check_involutive_classical(d, ORIGIN) is False
+        assert pointwise_involutive_span(d, ORIGIN) == ([False], False)
+
+
 # -- leaf tracing -----------------------------------------------------------------
 
 def span_dist(fields, vars=VARS3):

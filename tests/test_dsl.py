@@ -79,6 +79,20 @@ def test_pretty_print_round_trip_fixed_point():
         assert s1 == s2
 
 
+@pytest.mark.parametrize("spelling", ["(x/y)*dx", "x/y*dx"])
+def test_quotient_coefficient_parses(spelling):
+    (coeff,) = parse(f"dim 2\nvar x y\nform a = {spelling}\n").forms["a"].coeffs.values()
+    assert isinstance(coeff, ex.Div)
+    assert ex.to_str(coeff) == "x/y"
+    assert ex.evaluate(coeff, {"x": 3.0, "y": 4.0}) == 0.75
+
+
+def test_quotient_coefficient_round_trips():
+    text = pretty_print(parse("dim 2\nvar x y\nform a = x/y*dx + dy\n"))
+    assert "form a = (x/y)*dx + dy" in text
+    assert pretty_print(parse(text)) == text
+
+
 # -- symbolic differentiation -------------------------------------------------
 
 def _num(e, env):

@@ -13,11 +13,10 @@ from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.errors import ContextMismatchError, SdgError
 from sdgeom.forms import (ClassicalForm, CombinatorialForm,
-                          classical_from_coeffs, d_classical,
-                          d_comb, d_comparison_ratios, eval_generic,
-                          eval_semi, extract_classical, random_form,
-                          to_combinatorial, wedge_classical, wedge_comb,
-                          wedge_comparison_ratios)
+                          classical_from_coeffs, comparison, d_classical,
+                          d_comb, eval_generic, eval_semi, extract_classical,
+                          random_form, to_combinatorial, wedge_classical,
+                          wedge_comb)
 from sdgeom.nil import NilElement, generic_offsets
 
 RNG = np.random.default_rng(42)
@@ -190,7 +189,8 @@ def test_d_squared_is_zero(form, base):
 @pytest.mark.parametrize("form,base", corpus(30, seed=5))
 def test_d_comparison_ratio_is_half_factorial(form, base):
     # extracted simplicial derivative = classical derivative / (p+1)
-    ratios = d_comparison_ratios(form, base)
+    _, _, ratios = comparison(d_comb(to_combinatorial(form)),
+                              d_classical(form), base)
     for r in ratios:
         assert abs(r - 1.0 / (form.degree + 1)) <= 1e-9
 
@@ -237,7 +237,9 @@ def test_wedge_comparison_constant(ka, kb):
         a = random_form(rng, ka, n, trig=True)
         b = random_form(rng, kb, n, trig=True)
         base = random_base(rng, n)
-        for r in wedge_comparison_ratios(a, b, base):
+        _, _, ratios = comparison(wedge_comb(to_combinatorial(a), to_combinatorial(b)),
+                                  wedge_classical(a, b), base)
+        for r in ratios:
             assert abs(r - want) <= 1e-9
 
 

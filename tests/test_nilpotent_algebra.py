@@ -1,10 +1,13 @@
 """Algebra of nilpotent simplex displacements W(k, n)."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import sdgeom
 from sdgeom.nil import (NilElement, _bits, _elem_mul, all_monomials,
                         canonicalize, generic_offsets, lift_smooth,
                         monomial_count, within_tol)
@@ -108,6 +111,27 @@ def test_nan_coefficient_is_not_small():
 ])
 def test_within_tol_is_finite_and_at_most_tol(residual, tol, want):
     assert within_tol(residual, tol) is want
+
+
+def test_tolerance_comparisons_go_through_within_tol():
+    # the one pass rule: no <, <=, > or >= with `tol` in an operand outside
+    # within_tol itself and the CLI's check that --tol is finite and >= 0
+    exempt = {("nil.py", "within_tol"), ("cli.py", "_tolerance")}
+    order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    offenders = []
+    for path in sorted(Path(sdgeom.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in exempt
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Compare) and id(node) not in skip
+                    and any(isinstance(op, order) for op in node.ops)
+                    and any(isinstance(name, ast.Name) and name.id == "tol"
+                            for operand in (node.left, *node.comparators)
+                            for name in ast.walk(operand))):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 # -- ring laws on random elements ----------------------------------------
