@@ -1,8 +1,10 @@
 """Command-line front end: parse a .sdg file, dispatch to the engine, print
 deterministic text or JSON.
 
-Exit codes: 0 success / check true, 1 check evaluated false, 2 parse or
-usage error, 3 numeric failure (rank drop, domain violation, log branch).
+Exit codes: 0 success / check true, 1 check evaluated false (for
+`curvature`: coboundary and classical oracle differ by more than --tol,
+scaled by the size of the curvature), 2 parse or usage error, 3 numeric
+failure (rank drop, domain violation, log branch).
 """
 
 import argparse
@@ -19,6 +21,7 @@ from . import forms as fm
 from .chart import Point
 from .errors import (ChartDomainError, DomainError, LogBranchError,
                      ParseError, RankDeficiencyError, SdgError)
+from .nil import within_tol
 from .program import parse_file
 from .sampling import parse_box, sample_box
 
@@ -173,7 +176,7 @@ def cmd_check_involutive(args, rep):
         _, comb = ds.check_involutive_combinatorial(dist, samples, tol=args.tol)
         trust = "exact-fiber"
     else:
-        _, comb = ds.pointwise_involutive_span(dist, samples)
+        _, comb = ds.pointwise_involutive_span(dist, samples, tol=args.tol)
         trust = "pointwise-numeric (lower trust)"
     agree = comb == classical
     verdict = comb and classical
@@ -203,9 +206,15 @@ def cmd_check_integral(args, rep):
 def cmd_curvature(args, rep):
     prog = _load(args)
     conn = prog.lookup("conns", args.conn, "connection")
+    agree = True
     for p in _parse_points(args.at, prog.dim):
         cob = cn.curvature_coboundary(conn, p, tol=args.tol)
         oracle = cn.curvature_classical_oracle(conn, p)
+        # the coboundary carries the degree-2 extraction normalization; the
+        # tolerance scales with |F|, as in `connections.pin_conventions`
+        agree &= all(within_tol(np.max(np.abs(cob[key] - cn.COBOUNDARY_SCALE * F)),
+                                args.tol * max(1.0, np.max(np.abs(F), initial=0.0)))
+                     for key, F in oracle.items())
         key = f"at {','.join(_fmt(c) for c in p.coords)}"
         rep.add(key, {f"F{i}{j}": {"coboundary": _mat_list(cob[(i, j)]),
                                    "classical": _mat_list(oracle[(i, j)])}
@@ -214,7 +223,7 @@ def cmd_curvature(args, rep):
         for (i, j) in sorted(cob):
             rep.line(f"  F{i}{j} coboundary: {_mat_list(cob[(i, j)])}")
             rep.line(f"  F{i}{j} classical:  {_mat_list(oracle[(i, j)])}")
-    return EXIT_OK
+    return EXIT_OK if agree else EXIT_FALSE
 
 
 def _loop_curves(args, prog):
@@ -296,8 +305,9 @@ def cmd_leaf(args, rep):
     return EXIT_OK
 
 
-def _sample_count(text):
-    """--samples: at least one sample, so that no check passes vacuously."""
+def _count(text):
+    """--samples and --steps: at least one, so that no check passes
+    vacuously and no trace is empty."""
     try:
         count = int(text)
     except ValueError:
@@ -318,6 +328,17 @@ def _tolerance(text):
     return tol
 
 
+def _stepsize(text):
+    """--stepsize: finite and nonzero, so that the trace moves."""
+    try:
+        step = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(step) and step != 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonzero, got {text}")
+    return step
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="sdg",
@@ -329,11 +350,11 @@ def build_parser():
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_sample_count, default=20)
+        p.add_argument("--samples", type=_count, default=20)
         if box:
             p.add_argument("--box", default="-1..1")
         if steps is not None:
-            p.add_argument("--steps", type=int, default=steps)
+            p.add_argument("--steps", type=_count, default=steps)
         if at:
             p.add_argument("--at", required=True,
                            help="semicolon-separated comma vectors")
@@ -390,8 +411,8 @@ def build_parser():
     common(p)
     p.add_argument("--dist", required=True)
     p.add_argument("--start", required=True)
-    p.add_argument("--stepsize", type=float, default=1e-3)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--stepsize", type=_stepsize, default=1e-3)
+    p.add_argument("--steps", type=_count, default=100)
     p.set_defaults(fn=cmd_leaf)
     return ap
 

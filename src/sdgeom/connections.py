@@ -85,16 +85,33 @@ class ConnectionData:
         self.A = [[[ex.as_expr(A[i][r][c]) for c in range(m)]
                    for r in range(m)] for i in range(n)]
 
-    def a_matrices(self, coords):
-        """Numeric (or W-valued) matrices A_i at the given coordinates."""
-        env = dict(zip(self.vars, coords))
-        return [np.array([[ex.evaluate(e, env) for e in row]
-                          for row in Ai], dtype=object) for Ai in self.A]
-
     @cached_property
     def _a_compiled(self):
-        return ex.compile_numpy([e for Ai in self.A for row in Ai for e in row],
-                                self.vars)
+        return ex.compile_numpy(self._a_entries, self.vars)
+
+    @cached_property
+    def _a_w(self):
+        return ex.compile_w(self._a_entries, self.vars)
+
+    @cached_property
+    def _da_w(self):
+        """(dA)_ij = d_i A_j - d_j A_i for i < j, differentiated once."""
+        x = self.vars
+        return ex.compile_w([ex.Sub(ex.diff(a, x[i]), ex.diff(b, x[j]))
+                             for i in range(self.n) for j in range(i + 1, self.n)
+                             for row_a, row_b in zip(self.A[j], self.A[i])
+                             for a, b in zip(row_a, row_b)], x)
+
+    @property
+    def _a_entries(self):
+        return [e for Ai in self.A for row in Ai for e in row]
+
+    def a_matrices(self, coords):
+        """Numeric (or W-valued) matrices A_i at the given coordinates."""
+        m = self.group.m
+        values = np.empty(self.n * m * m, dtype=object)
+        values[:] = self._a_w(*coords)
+        return list(values.reshape(self.n, m, m))
 
     def a_batch(self, coords):
         """A_i at many points: `coords` holds n arrays of one shape S; the
@@ -102,11 +119,6 @@ class ConnectionData:
         defined."""
         m = self.group.m
         return self._a_compiled(*coords).reshape((self.n, m, m) + np.shape(coords[0]))
-
-    def a_numeric(self, coords):
-        env = dict(zip(self.vars, coords))
-        return [np.array([[float(ex.evaluate(e, env)) for e in row]
-                          for row in Ai]) for Ai in self.A]
 
 
 class GroupElementW:
@@ -310,17 +322,16 @@ def curvature_classical_oracle(conn, p, bracket_sign=BRACKET_SIGN):
     """Classical gauge curvature F_ij = d_i A_j - d_j A_i + s [A_i, A_j]
     for i < j (1-based), with s = `bracket_sign` (the pinned sign unless
     given)."""
-    env = dict(zip(conn.vars, p.coords))
-    A = conn.a_numeric(p.coords)
+    n, m = conn.n, conn.group.m
+    # compiled for one point as for the W-valued a_matrices: the values and
+    # errors of `expr.evaluate`
+    A = np.array(conn._a_w(*p.coords), dtype=float).reshape(n, m, m)
+    dA = iter(np.array(conn._da_w(*p.coords), dtype=float).reshape(-1, m, m))
     out = {}
-    for i in range(1, conn.n + 1):
-        for j in range(i + 1, conn.n + 1):
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
             Ai, Aj = A[i - 1], A[j - 1]
-            dAj = np.array([[float(ex.evaluate(ex.diff(e, conn.vars[i - 1]), env))
-                             for e in row] for row in conn.A[j - 1]])
-            dAi = np.array([[float(ex.evaluate(ex.diff(e, conn.vars[j - 1]), env))
-                             for e in row] for row in conn.A[i - 1]])
-            out[(i, j)] = dAj - dAi + bracket_sign * (Ai @ Aj - Aj @ Ai)
+            out[(i, j)] = next(dA) + bracket_sign * (Ai @ Aj - Aj @ Ai)
     return out
 
 

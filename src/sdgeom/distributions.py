@@ -9,6 +9,7 @@ computation is exact W-arithmetic, the base is sampled.
 """
 
 import math
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .nil import NilElement, generic_offsets, within_tol
 from .chart import Point
 
 DEFAULT_TOL = 1e-9
+RANK_CUTOFF = 1e-7  # singular values at most this do not count to a rank
 
 
 class Distribution:
@@ -51,21 +53,54 @@ class Distribution:
         else:
             self.vars = tuple(f"x{i + 1}" for i in range(n))
 
+    # -- compiled numeric functions, built on first use ------------------------
+
+    @cached_property
+    def _kernel_fns(self):
+        """Kernel-form coefficients, row by row."""
+        return _Compiled([w.coeffs.get((i + 1,), ex.Const(0.0))
+                          for w in self.kernel for i in range(self.n)], self.vars)
+
+    @cached_property
+    def _span_fns(self):
+        """Spanning-field components, field by field."""
+        return _Compiled([c for v in self.span for c in v], self.vars)
+
+    @cached_property
+    def _ideal_fns(self):
+        """Coefficients of the ideal test's forms d(omega_i) ^ omega_1 ^ ...,
+        form by form."""
+        full = None
+        for w in self.kernel:
+            full = w if full is None else wedge_classical(full, w)
+        tests = [wedge_classical(d_classical(w), full) for w in self.kernel]
+        return _Compiled([e for test in tests if test.degree <= self.n
+                          for e in test.coeffs.values()], self.vars)
+
+    @cached_property
+    def _bracket_fns(self):
+        """Components of [X_a, X_b] for a < b, bracket by bracket,
+        differentiated once."""
+        comps = []
+        for a in range(self.rank):
+            for b in range(a + 1, self.rank):
+                Xa, Xb = self.span[a], self.span[b]
+                for i in range(self.n):
+                    term = ex.Const(0.0)
+                    for j, var in enumerate(self.vars):
+                        term = ex._fold_add(term, ex._fold_mul(Xa[j], ex.diff(Xb[i], var)))
+                        term = ex._fold_sub(term, ex._fold_mul(Xb[j], ex.diff(Xa[i], var)))
+                    comps.append(term)
+        return _Compiled(comps, self.vars)
+
     # -- pointwise linear algebra -------------------------------------------
 
     def kernel_matrix(self, p):
         """(n-rank) x n matrix of kernel-form coefficients at p."""
         if self.kernel is None:
             return self._numeric_kernel(p)
-        env = dict(zip(self.vars, p.coords))
-        rows = []
-        for w in self.kernel:
-            row = [0.0] * self.n
-            for (i,), e in w.coeffs.items():
-                row[i - 1] = ex.evaluate(e, env)
-            rows.append(row)
-        M = np.array(rows, dtype=float)
-        if np.linalg.matrix_rank(M, tol=1e-7) != self.n - self.rank:
+        M = np.array(self._kernel_fns.at(*p.coords)).reshape(self.n - self.rank, self.n)
+        if np.linalg.matrix_rank(M, tol=RANK_CUTOFF) != self.n - self.rank:
             raise RankDeficiencyError(f"kernel forms rank-deficient at {p.coords}")
         return M
 
@@ -73,10 +108,8 @@ class Distribution:
         """n x rank matrix of spanning field values at p."""
         if self.span is None:
             return self._numeric_span(p)
-        env = dict(zip(self.vars, p.coords))
-        M = np.array([[ex.evaluate(c, env) for c in v] for v in self.span],
-                     dtype=float).T
-        if np.linalg.matrix_rank(M, tol=1e-7) != self.rank:
+        M = np.array(self._span_fns.at(*p.coords)).reshape(self.rank, self.n).T
+        if np.linalg.matrix_rank(M, tol=RANK_CUTOFF) != self.rank:
             raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
         return M
 
@@ -105,6 +138,105 @@ class Distribution:
                 raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
             return q
         return self._numeric_span(p)
+
+    # -- the same over stacked points, for the batched screens below -------
+
+    def _kernel_stack(self, X):
+        """kernel_matrix of KERNEL input over the rows of X (N, n): the stack
+        (N, n-rank, n), an orthonormal basis of its null space (N, n, rank)
+        as `basis_at` builds it, and which samples clearly have both."""
+        K, clear = _stack(self._kernel_fns, X, (self.n - self.rank, self.n))
+        _, s, vt = np.linalg.svd(K)
+        return (K, vt[:, self.n - self.rank:].transpose(0, 2, 1),
+                clear & _clearly_full_rank(s, self.n - self.rank))
+
+    def _span_stack(self, X):
+        """span_matrix of SPAN input over the rows of X (N, n): the stack
+        (N, n, rank), its orthonormal basis as `basis_at` builds it, and
+        which samples clearly have both."""
+        M, clear = _stack(self._span_fns, X, (self.rank, self.n))
+        M = M.transpose(0, 2, 1)
+        s = np.linalg.svd(M, compute_uv=False)
+        return M, np.linalg.qr(M)[0], clear & _clearly_full_rank(s, self.rank)
+
+
+class _Compiled:
+    """Expressions compiled on first use: `at` evaluates them all at one
+    point and `each` one by one (compile_numeric: DomainError where
+    `evaluate` raises), `stacked` at stacked points (compile_numpy)."""
+
+    def __init__(self, exprs, vars):
+        self.exprs = list(exprs)
+        self.vars = vars
+
+    @cached_property
+    def at(self):
+        return ex.compile_numeric(self.exprs, self.vars)
+
+    @cached_property
+    def each(self):
+        return [ex.compile_numeric(e, self.vars) for e in self.exprs]
+
+    @cached_property
+    def stacked(self):
+        return ex.compile_numpy(self.exprs, self.vars)
+
+
+# The batched checks evaluate all samples at once, but only as a screen: it
+# clears the samples at which the check clearly passes, and the per-sample
+# check runs, in sample order, at every other sample.  So the first sample at
+# which the per-sample check fails or raises decides, as in a loop over all
+# samples.  "Clearly" leaves a margin for the rounding in which the stacked
+# and the pointwise evaluation differ: finite values, matrices of full rank
+# with their singular values over twice the cut-off and within a factor
+# _MAX_CONDITION of each other, and residuals within half their tolerance
+# less _ROUNDING.  A sample within the margin goes to the per-sample check,
+# which costs time, never a different verdict.
+
+_MAX_CONDITION = 1e4
+_ROUNDING = 1e-12
+
+
+def _undecided(count, screen):
+    """The samples, by index, at which the per-sample check runs: every one
+    of a single sample, at which that check costs less than the screen, and
+    else those that `screen()` does not clear."""
+    return range(count) if count <= 1 else np.flatnonzero(~screen())
+
+
+def _coords(points, n):
+    return np.array([p.coords for p in points], dtype=float).reshape(len(points), n)
+
+
+def _stack(compiled, X, shape):
+    """`compiled.stacked` at the rows of X, shape (N,) + shape, and which
+    rows are finite.  Rows that are not are zeroed, so that the linear
+    algebra over the stack stays finite; the screen does not clear them, and
+    the per-sample check raises DomainError there, or fails."""
+    V = np.moveaxis(compiled.stacked(*X.T), 0, -1).reshape((len(X),) + shape)
+    finite = np.isfinite(V).reshape(len(X), math.prod(shape)).all(axis=1)
+    V[~finite] = 0.0
+    return V, finite
+
+
+def _clearly_full_rank(s, rank):
+    """Screen on the singular values s (N, k) of a stack of matrices: rank
+    `rank` (= k) with a margin."""
+    if rank == 0 or s.shape[1] != rank:
+        return np.full(len(s), s.shape[1] == rank)
+    return (s[:, -1] > 2 * RANK_CUTOFF) & (s[:, -1] * _MAX_CONDITION >= s[:, 0])
+
+
+def _clears(residual, scale):
+    """Screen on residuals: within half their tolerance `scale`, less
+    _ROUNDING."""
+    return within_tol(2 * residual + _ROUNDING, scale)
+
+
+def _basis_residuals(B, V):
+    """Distance of each column of V (N, n, c) from the span of the
+    orthonormal columns of B (N, n, r), shape (N, c)."""
+    return np.linalg.norm(V - B @ (B.transpose(0, 2, 1) @ V), axis=1)
 
 
 def span_residual(M, v):
@@ -212,6 +344,7 @@ def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
     """Classical oracle: ideal test d(omega_i) ^ omega_1 ^ ... = 0 when
     kernel forms are available, bracket test when span fields are; both
     must agree when both representations exist."""
+    samples = list(samples)
     results = []
     if dist.kernel is not None:
         results.append(_ideal_test(dist, samples, tol))
@@ -226,38 +359,36 @@ def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
 
 
 def _ideal_test(dist, samples, tol):
-    full = None
-    for w in dist.kernel:
-        full = w if full is None else wedge_classical(full, w)
-    tests = [wedge_classical(d_classical(w), full) for w in dist.kernel]
-    tests = [test for test in tests if test.degree <= dist.n]
-    for p in samples:
-        env = dict(zip(dist.vars, p.coords))
-        for test in tests:
-            for e in test.coeffs.values():
-                if not within_tol(ex.evaluate(e, env), tol):
-                    return False
+    fns = dist._ideal_fns
+
+    def screen():
+        V, clear = _stack(fns, _coords(samples, dist.n), (len(fns.exprs),))
+        return clear & np.all(_clears(V, tol), axis=1)
+
+    for i in _undecided(len(samples), screen):
+        coords = samples[i].coords
+        for coeff in fns.each:
+            if not within_tol(coeff(*coords), tol):
+                return False
     return True
 
 
 def _bracket_test(dist, samples, tol):
-    brackets = []
-    for a in range(dist.rank):
-        for b in range(a + 1, dist.rank):
-            Xa, Xb = dist.span[a], dist.span[b]
-            comp = []
-            for i in range(dist.n):
-                term = ex.Const(0.0)
-                for j, var in enumerate(dist.vars):
-                    term = ex._fold_add(term, ex._fold_mul(Xa[j], ex.diff(Xb[i], var)))
-                    term = ex._fold_sub(term, ex._fold_mul(Xb[j], ex.diff(Xa[i], var)))
-                comp.append(term)
-            brackets.append(comp)
-    for p in samples:
-        env = dict(zip(dist.vars, p.coords))
+    fns, n = dist._bracket_fns, dist.n
+
+    def screen():
+        X = _coords(samples, n)
+        _, B, clear = dist._span_stack(X)
+        U, finite = _stack(fns, X, (len(fns.exprs) // n, n))
+        U = U.transpose(0, 2, 1)
+        scale = tol * np.maximum(1.0, np.linalg.norm(U, axis=1))
+        return clear & finite & np.all(_clears(_basis_residuals(B, U), scale), axis=1)
+
+    for i in _undecided(len(samples), screen):
+        p = samples[i]
         X = dist.span_matrix(p)
-        for comp in brackets:
-            u = np.array([ex.evaluate(c, env) for c in comp], dtype=float)
+        for a in range(0, len(fns.each), n):
+            u = np.array([c(*p.coords) for c in fns.each[a:a + n]], dtype=float)
             if not within_tol(span_residual(X, u), tol * max(1.0, np.linalg.norm(u))):
                 return False
     return True
@@ -275,15 +406,23 @@ class IntegralPatch:
     def q(self):
         return len(self.params)
 
+    @cached_property
+    def _point_fn(self):
+        return ex.compile_numeric(self.components, self.params)
+
+    @cached_property
+    def _jacobian_fns(self):
+        """Entries d(component)/d(param), row by row, differentiated once."""
+        return _Compiled([ex.diff(c, v) for c in self.components for v in self.params],
+                         self.params)
+
     def point_at(self, s):
-        env = dict(zip(self.params, s))
-        return Point([ex.evaluate(c, env) for c in self.components])
+        return Point(self._point_fn(*map(float, s)))
 
     def jacobian_at(self, s):
-        env = dict(zip(self.params, s))
-        J = np.array([[ex.evaluate(ex.diff(c, v), env) for v in self.params]
-                      for c in self.components], dtype=float)
-        if np.linalg.matrix_rank(J, tol=1e-7) != self.q:
+        J = np.array(self._jacobian_fns.at(*map(float, s))).reshape(
+            len(self.components), self.q)
+        if np.linalg.matrix_rank(J, tol=RANK_CUTOFF) != self.q:
             raise RankDeficiencyError(f"patch Jacobian rank-deficient at {s}")
         return J
 
@@ -295,18 +434,59 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
         raise ValueError("mode must be 'weak' or 'strong'")
     if mode == "strong" and patch.q != dist.rank:
         return False
+    parameter_samples = list(parameter_samples)
+    # A sample whose point cannot be built decides only if no earlier one does.
+    points, error = [], None
     for s in parameter_samples:
-        p = patch.point_at(s)
-        J = patch.jacobian_at(s)
-        for col in J.T:
-            if not is_flat(dist, p, col, tol):
-                return False
-        if mode == "strong":
-            B = dist.basis_at(p)
-            for col in B.T:
-                if not within_tol(span_residual(J, col), tol):
-                    return False
+        try:
+            points.append(patch.point_at(s))
+        except (DomainError, ValueError) as err:
+            error = err
+            break
+    screen = partial(_patch_screen, dist, patch, mode, parameter_samples, points, tol)
+    for i in _undecided(len(points), screen):
+        if not _patch_sample(dist, patch, mode, parameter_samples[i], points[i], tol):
+            return False
+    if error is not None:
+        raise error
     return True
+
+
+def _patch_sample(dist, patch, mode, s, p, tol):
+    """check_integral_patch at one sample."""
+    J = patch.jacobian_at(s)
+    for col in J.T:
+        if not is_flat(dist, p, col, tol):
+            return False
+    if mode == "strong":
+        for col in dist.basis_at(p).T:
+            if not within_tol(span_residual(J, col), tol):
+                return False
+    return True
+
+
+def _patch_screen(dist, patch, mode, parameter_samples, points, tol):
+    """The samples at which check_integral_patch clearly passes, one for
+    each point (the leading parameter samples)."""
+    S = np.array(parameter_samples[:len(points)], dtype=float)
+    J, clear = _stack(patch._jacobian_fns, S.reshape(len(points), patch.q),
+                      (len(patch.components), patch.q))
+    clear &= _clearly_full_rank(np.linalg.svd(J, compute_uv=False), patch.q)
+    X = _coords(points, dist.n)
+    if dist.kernel is not None:
+        K, B, fiber_clear = dist._kernel_stack(X)
+        clear &= fiber_clear
+        resid = np.max(np.abs(K @ J), axis=1, initial=0.0)
+    if dist.span is not None:
+        _, B, fiber_clear = dist._span_stack(X)
+        clear &= fiber_clear
+        if dist.kernel is None:
+            resid = _basis_residuals(B, J)
+    clear &= np.all(_clears(resid, tol * np.maximum(1.0, np.linalg.norm(J, axis=1))),
+                    axis=1)
+    if mode == "strong":
+        clear &= np.all(_clears(_basis_residuals(np.linalg.qr(J)[0], B), tol), axis=1)
+    return clear
 
 
 class SemiAnnihilationResult:

@@ -398,7 +398,11 @@ def _compile(exprs, varnames, const, call, body, namespace, **templates):
     return namespace["_f"]
 
 
-_LIBRARY_NAME = {"ln": "log"}  # DSL name -> math/numpy name, where they differ
+def _tuple_body(sources):
+    return "    return (" + "".join(f"{s}, " for s in sources) + ")\n"
+
+
+_LIBRARY_NAME = {"ln": "log"}  # DSL name -> math name, where they differ
 
 
 def compile_numeric(e, varnames):
@@ -423,13 +427,39 @@ def compile_numeric(e, varnames):
                            "_DomainError": DomainError})
 
 
+# numpy forms of the operations at which `evaluate` raises, giving nan there
+def _overflow_nan(value, arg):
+    """nan where a finite argument gave an infinite value (math raises)."""
+    return np.where(np.isinf(value) & np.isfinite(arg), np.nan, value)
+
+
+def _np_div(num, den):
+    return np.where(den == 0.0, np.nan, np.divide(num, den))
+
+
+def _np_pow(base, power):
+    # nan ** 0 is 1: keep the nan of a base that could not be evaluated
+    return np.where(np.isnan(base), np.nan, _overflow_nan(np.power(base, power), base))
+
+
+def _np_ln(x):
+    return np.where(x > 0.0, np.log(x), np.nan)
+
+
+def _np_exp(x):
+    return _overflow_nan(np.exp(x), x)
+
+
 def compile_numpy(exprs, varnames):
     """Compile a sequence of expressions to one numpy function of positional
     array arguments.  It returns an array with one row per expression, each
     broadcast to the arguments' common shape (constants included).
 
-    Floating-point exceptions are silent, as in numpy: a domain error gives
-    nan and a division by zero inf, so callers test `np.isfinite`.
+    Floating-point exceptions are silent, as in numpy.  Where `evaluate`
+    raises (a domain error, a division by zero, an overflow in exp or a
+    power), the value is nan, and no later operation turns a nan into a
+    number; so a value is finite only where `evaluate` returns it without
+    raising.  Callers test `np.isfinite`.
     """
     consts = {}
 
@@ -438,19 +468,26 @@ def compile_numpy(exprs, varnames):
         consts[name] = np.float64(value)
         return name
 
-    def body(sources):
-        shapes = "".join(f"_np.shape(_v{i}), " for i in range(len(varnames)))
-        rows = "".join(f"        _out[{i}] = {s}\n" for i, s in enumerate(sources))
-        return (f"    _out = _np.empty(({len(sources)},) + _np.broadcast_shapes({shapes}))\n"
-                "    with _np.errstate(all='ignore'):\n"
-                f"{rows}    return _out\n")
+    def call(fn, arg):
+        return f"_{fn}({arg})" if fn in ("ln", "exp") else f"_np.{fn}({arg})"
 
-    namespace = {"_np": np}
-    fn = _compile(exprs, varnames, const,
-                  lambda fn, arg: f"_np.{_LIBRARY_NAME.get(fn, fn)}({arg})",
-                  body, namespace)
+    namespace = {"_np": np, "_div": _np_div, "_pow": _np_pow, "_ln": _np_ln,
+                 "_exp": _np_exp}
+    values = _compile(exprs, varnames, const, call, _tuple_body, namespace,
+                      div="_div({}, {})", power="_pow({}, {})")
     namespace.update(consts)
-    return fn
+
+    # broadcasting and error state here rather than in the generated source,
+    # which is then shorter and quicker to compile
+    def rows(*args):
+        with np.errstate(all="ignore"):
+            row_values = values(*args)
+        out = np.empty((len(row_values),) + np.broadcast_shapes(*map(np.shape, args)))
+        for i, value in enumerate(row_values):
+            out[i] = value
+        return out
+
+    return rows
 
 
 def compile_w(exprs, varnames):
@@ -461,11 +498,8 @@ def compile_w(exprs, varnames):
     so its values are those of `evaluate`, bit for bit, and it raises where
     `evaluate` raises.
     """
-    def body(sources):
-        return "    return (" + "".join(f"{s}, " for s in sources) + ")\n"
-
     return _compile(exprs, varnames, _literal,
-                    lambda fn, arg: f"_apply_fn({fn!r}, {arg})", body,
+                    lambda fn, arg: f"_apply_fn({fn!r}, {arg})", _tuple_body,
                     {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow,
                      "_float": float},
                     div="_div({}, {})", power="_pow({}, {})")

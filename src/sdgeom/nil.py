@@ -418,10 +418,16 @@ def _wrap(k, n, terms):
 
 
 def within_tol(residual, tol):
-    """The one pass rule for a residual (a float, or a NilElement measured by
-    its largest |coefficient|): it passes iff it is finite and <= tol."""
+    """The one pass rule for a residual (a float, a NilElement measured by its
+    largest |coefficient|, or an array, elementwise against a tol that
+    broadcasts with it): it passes iff it is finite and <= tol."""
     if isinstance(residual, NilElement):
         residual = residual.max_abs_coeff()
+    elif getattr(residual, "ndim", 0):  # an array; numpy only then
+        import numpy as np
+
+        residual = np.abs(residual)
+        return np.isfinite(residual) & (residual <= tol)
     else:
         residual = abs(residual)
     return math.isfinite(residual) and residual <= tol

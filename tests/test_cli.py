@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from sdgeom import connections as cn
 from sdgeom.cli import (EXIT_FALSE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         _json_dump, run)
 from sdgeom.errors import DomainError
@@ -47,6 +48,28 @@ var x y
 conn A = [0*dx, (0.5*y)*dx - (0.5*x)*dy; (-0.5*y)*dx + (0.5*x)*dy, 0*dx]
 """
 
+# a gl(2) connection with [A_x, A_y] != 0 off the axes
+GL2 = """\
+dim 2
+var x y
+conn A = [x*dy, y*dx; 0*dx, x*dx]
+"""
+
+# the same with curvature entries of ~1e9
+BIG_GL2 = """\
+dim 2
+var x y
+conn A = [100000*x*dy, 100000*y*dx; 0*dx, 100000*x*dx]
+"""
+
+# [u, v] = -1e-5 dz: involutive to within a tolerance of 1e-3, not of 1e-9
+NEARLY_FLAT_SPAN = """\
+dim 3
+var x y z
+vector u = (1, 0, 0.00001*y)
+vector v = (0, 1, 0)
+dist S = span(u, v)
+"""
 
 # a connection and span fields through ln(x), undefined for x <= 0
 LOG_CONN = """\
@@ -77,7 +100,8 @@ dist S = span(u, v)
 def files(tmp_path):
     out = {}
     for name, text in (("contact", CONTACT), ("flat", FLAT), ("pair", PAIR),
-                       ("rot", ROT), ("log_conn", LOG_CONN),
+                       ("rot", ROT), ("gl2", GL2), ("big_gl2", BIG_GL2), ("nearly_flat", NEARLY_FLAT_SPAN),
+                       ("log_conn", LOG_CONN),
                        ("log_span", LOG_SPAN), ("leaf", LEAF)):
         p = tmp_path / f"{name}.sdg"
         p.write_text(text)
@@ -134,10 +158,14 @@ def test_unknown_flag_exits_two(files):
     ("check-integral", ["--patch", "P", "--mode", "strong", "--samples", "0"]),
     ("check-involutive", ["--tol", "nan"]),
     ("check-involutive", ["--box=1..-1"]),
+    ("leaf", ["--start", "0,0,0", "--steps", "-3"]),
+    ("leaf", ["--start", "0,0,0", "--stepsize", "0"]),
+    ("leaf", ["--start", "0,0,0", "--stepsize", "nan"]),
 ], ids=["samples-0", "samples-negative", "strong-samples-0", "tol-nan",
-        "box-reversed"])
+        "box-reversed", "leaf-steps-negative", "leaf-stepsize-0", "leaf-stepsize-nan"])
 def test_invalid_input_exits_two(files, command, extra):
-    # no verdict from zero samples, a NaN tolerance or a reversed box
+    # no verdict from zero samples, a NaN tolerance or a reversed box, and no
+    # trace without a step
     code, out, _ = invoke([command, "--file", files["contact"], "--dist", "D",
                            *extra])
     assert code == EXIT_USAGE
@@ -164,6 +192,43 @@ def test_leaf_domain_error_exits_three(files):
                            "--start=-0.5,0,0", "--steps", "10"])
     assert code == EXIT_NUMERIC
     assert "numeric failure" in err
+
+
+def test_span_involutivity_takes_tol(files):
+    # both tests of a SPAN-only distribution take --tol
+    argv = ["check-involutive", "--file", files["nearly_flat"], "--dist", "S",
+            "--format", "json"]
+    code, out, _ = invoke(argv + ["--tol", "1e-3"])
+    assert (code, json.loads(out)["combinatorial"], json.loads(out)["agree"]) == (
+        EXIT_OK, True, True)
+    code, out, _ = invoke(argv)
+    assert (code, json.loads(out)["combinatorial"], json.loads(out)["agree"]) == (
+        EXIT_FALSE, False, True)
+
+
+def test_curvature_exit_code_follows_the_oracle(files, monkeypatch):
+    argv = ["curvature", "--file", files["gl2"], "--conn", "A", "--at", "0.3,0.7;-0.2,0.4"]
+    code, agreeing, _ = invoke(argv)
+    assert code == EXIT_OK
+    oracle = cn.curvature_classical_oracle
+    monkeypatch.setattr(cn, "curvature_classical_oracle",
+                        lambda conn, p: oracle(conn, p, bracket_sign=-cn.BRACKET_SIGN))
+    code, disagreeing, _ = invoke(argv)
+    assert code == EXIT_FALSE
+    assert disagreeing != agreeing  # the same report, with the wrong oracle values
+    assert disagreeing.count("classical") == agreeing.count("classical")
+
+
+@pytest.mark.parametrize("relative, want", [(1e-12, EXIT_OK), (1e-6, EXIT_FALSE)])
+def test_curvature_tolerance_scales_with_the_curvature(files, monkeypatch, relative, want):
+    # |F| ~ 2e9 at (0.3, 0.7): an oracle off by 1e-12 of it (~2e-3) agrees to
+    # within the default tol 1e-9, scaled by |F|; one off by 1e-6 does not
+    oracle = cn.curvature_classical_oracle
+    monkeypatch.setattr(cn, "curvature_classical_oracle", lambda conn, p: {
+        key: F * (1 + relative) for key, F in oracle(conn, p).items()})
+    code, _, _ = invoke(["curvature", "--file", files["big_gl2"], "--conn", "A",
+                         "--at", "0.3,0.7"])
+    assert code == want
 
 
 def test_integral_patch_verdicts(files):
