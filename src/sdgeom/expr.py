@@ -221,7 +221,10 @@ def _apply_fn(fn, v):
         if v < 0:
             raise DomainError(f"sqrt of {v}")
         return math.sqrt(v)
-    return _MATH[fn](v)
+    try:
+        return _MATH[fn](v)
+    except (ValueError, OverflowError) as err:  # exp overflow, sin(inf)
+        raise DomainError(f"{fn} of {v}: {err}") from None
 
 
 def _div(num, den):
@@ -237,7 +240,10 @@ def _pow(base, power):
         return lift_smooth("power", base, exponent=power)
     if base == 0.0 and power < 0:
         raise DomainError("negative power of zero")
-    return base ** power
+    try:
+        return base ** power
+    except OverflowError as err:
+        raise DomainError(f"pow({base}, {power}): {err}") from None
 
 
 def evaluate(e, env):

@@ -14,6 +14,7 @@ column list position by position, so the two masks determine the monomial.
 """
 
 import math
+from functools import partial
 from itertools import combinations
 
 from .errors import ContextMismatchError, DomainError
@@ -364,23 +365,21 @@ class NilElement:
              if not key[0] & (1 << (j - 1))}
         return _wrap(self.k, self.n, t)
 
-    def substitute_rows(self, mats, n_target):
+    def substitute_rows(self, mat, n_target):
         """The algebra morphism W(k, n) -> W(k, n_target) sending
-        xi[j, a] to sum_b mats[j-1][b, a] * xi'[j, b].
+        xi[j, a] to sum_b mat[b, a] * xi'[j, b] for every row j.
 
-        `mats` is a single matrix (shared by all rows) or one per row; each
-        has n_target rows and self.n columns (indexable as m[b][a], 0-based).
+        `mat` has n_target rows and self.n columns (indexable as mat[b][a],
+        0-based).
         """
-        per_row = not _is_matrix(mats)
         images = {}
 
         def image(r, c):
             key = (r, c)
             if key not in images:
-                m = mats[r - 1] if per_row else mats
                 terms = {}
                 for b in range(n_target):
-                    coef = float(m[b][c - 1])
+                    coef = float(mat[b][c - 1])
                     if coef:
                         terms[(1 << (r - 1), 1 << b)] = coef
                 images[key] = terms
@@ -431,15 +430,6 @@ def within_tol(residual, tol):
     else:
         residual = abs(residual)
     return math.isfinite(residual) and residual <= tol
-
-
-def _is_matrix(mats):
-    """True if `mats` is a single matrix rather than a per-row list."""
-    import numbers
-    try:
-        return isinstance(mats[0][0], numbers.Real)
-    except (TypeError, IndexError):
-        return False
 
 
 def generic_offsets(k, n):
@@ -538,7 +528,8 @@ def lift_smooth(f, a, exponent=None):
 
     f is one of sin, cos, exp, ln, sqrt, reciprocal, power (the latter
     takes `exponent`).  Exact: the Taylor sum at the constant term
-    truncates at order min(k, n) by nilpotency.
+    truncates at order min(k, n) by nilpotency.  A constant term outside the
+    domain, or one at which a derivative overflows, raises DomainError.
     """
     if not isinstance(a, NilElement):
         raise TypeError("lift_smooth expects a NilElement")
@@ -547,13 +538,16 @@ def lift_smooth(f, a, exponent=None):
     if f == "power":
         if isinstance(exponent, int) and exponent >= 0:
             return a ** exponent
-        derivs = _derivs_power(c, order, float(exponent))
+        fn = partial(_derivs_power, exponent=float(exponent))
     else:
         try:
             fn = _DERIVS[f]
         except KeyError:
             raise ValueError(f"unknown smooth primitive {f!r}") from None
+    try:
         derivs = fn(c, order)
+    except (ValueError, ArithmeticError) as err:  # math raises these
+        raise DomainError(f"{f} at constant term {c}: {err}") from None
     nil = dict(a.terms)
     nil.pop((0, 0), None)
     out = {(0, 0): float(derivs[0])} if derivs[0] else {}

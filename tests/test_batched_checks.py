@@ -218,6 +218,19 @@ def test_perfbench_distributions_and_patches_agree(seed):
                 assert_same_patch_verdicts(dist, patch, params)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("batch", [1, 16])
+def test_relational_span_test_on_the_benchmark_spans(seed, batch):
+    # the relational test against the bracket test, which is known to agree
+    # with its loop above, on the spans of the involutive_span ops
+    k3, _ = perfbench_programs(seed)
+    points = sample_box([(-1.0, 1.0)] * 3, batch, seed)
+    for name, want in (("S", True), ("H", False)):
+        dist = k3.dists[name]
+        assert ds.pointwise_involutive_span(dist, points)[1] is want
+        assert ds.check_involutive_classical(dist, points) is want
+
+
 def test_random_kernel_corpus_agrees():
     rng = np.random.default_rng(77)
     for attempt in range(60):

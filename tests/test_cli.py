@@ -86,6 +86,14 @@ vector v = (0, 1, 0)
 dist S = span(u, v)
 """
 
+# coefficients that overflow at x = 1000
+OVERFLOW = """\
+dim 2
+var x y
+form e = exp(x)*dy
+form p = pow(x, 400)*dy
+"""
+
 # span fields of the leaves z - g(x, y) = const, g = 0.8 x y + 1.2 sin(x) + y^3
 LEAF = """\
 dim 3
@@ -102,7 +110,7 @@ def files(tmp_path):
     for name, text in (("contact", CONTACT), ("flat", FLAT), ("pair", PAIR),
                        ("rot", ROT), ("gl2", GL2), ("big_gl2", BIG_GL2), ("nearly_flat", NEARLY_FLAT_SPAN),
                        ("log_conn", LOG_CONN),
-                       ("log_span", LOG_SPAN), ("leaf", LEAF)):
+                       ("log_span", LOG_SPAN), ("leaf", LEAF), ("overflow", OVERFLOW)):
         p = tmp_path / f"{name}.sdg"
         p.write_text(text)
         out[name] = str(p)
@@ -194,6 +202,16 @@ def test_leaf_domain_error_exits_three(files):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("form", ["e", "p"])
+@pytest.mark.parametrize("command", [["d"], ["eval", "--vectors", "0,1"]],
+                         ids=["d", "eval"])
+def test_overflow_exits_three(files, command, form):
+    code, _, err = invoke([command[0], "--file", files["overflow"], "--form", form,
+                           "--at", "1000,0", *command[1:]])
+    assert code == EXIT_NUMERIC
+    assert "numeric failure:" in err
+
+
 def test_span_involutivity_takes_tol(files):
     # both tests of a SPAN-only distribution take --tol
     argv = ["check-involutive", "--file", files["nearly_flat"], "--dist", "S",
@@ -201,6 +219,7 @@ def test_span_involutivity_takes_tol(files):
     code, out, _ = invoke(argv + ["--tol", "1e-3"])
     assert (code, json.loads(out)["combinatorial"], json.loads(out)["agree"]) == (
         EXIT_OK, True, True)
+    assert json.loads(out)["mode"] == "exact-fiber"  # as for KERNEL input
     code, out, _ = invoke(argv)
     assert (code, json.loads(out)["combinatorial"], json.loads(out)["agree"]) == (
         EXIT_FALSE, False, True)

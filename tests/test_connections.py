@@ -461,3 +461,9 @@ def test_transport_sign_constant_is_frozen():
     assert TRANSPORT_SIGN == 1.0
     assert COBOUNDARY_SCALE == 0.5
     assert BRACKET_SIGN == 1.0
+
+
+@pytest.mark.parametrize("kind", ["subgroup", "unitary"])
+def test_unknown_group_kind_is_rejected(kind):
+    with pytest.raises(ValueError):
+        MatrixGroupSpec(2, kind)

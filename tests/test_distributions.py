@@ -6,7 +6,8 @@ import pytest
 
 from sdgeom import expr as ex
 from sdgeom.chart import Point
-from sdgeom.distributions import (Distribution, IntegralPatch, SemiAnnihilationResult,
+from sdgeom.distributions import (DEFAULT_TOL, Distribution, IntegralPatch,
+                                  SemiAnnihilationResult, _flat_generic_offsets,
                                   check_integral_patch,
                                   check_involutive_classical,
                                   check_involutive_combinatorial,
@@ -15,7 +16,7 @@ from sdgeom.distributions import (Distribution, IntegralPatch, SemiAnnihilationR
 from sdgeom.errors import RankDeficiencyError
 from sdgeom.forms import (ClassicalForm, CombinatorialForm, d_comb,
                           random_scalar_expr, to_combinatorial)
-from sdgeom.nil import NilElement
+from sdgeom.nil import NilElement, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
@@ -143,6 +144,112 @@ def test_flat_span_distribution_pointwise_mode():
     d = Distribution(3, 2, span=span, vars=VARS3)
     _, verdict = pointwise_involutive_span(d, samples3())
     assert verdict is True
+
+
+# -- the relational test (Kock): x ~ y, x ~ z flat and y ~ z give y ~ z flat ------
+
+ZERO, ONE = ex.Const(0.0), ex.Const(1.0)
+
+
+def relational_span_outcome(dist, samples, tol=DEFAULT_TOL):
+    """Verdicts of the relational and the bracket test, or None where either
+    meets a rank drop."""
+    try:
+        return (pointwise_involutive_span(dist, samples, tol)[1],
+                check_involutive_classical(dist, samples, tol))
+    except RankDeficiencyError:
+        return None
+
+
+def random_span_distribution(rng, n):
+    vars = tuple(f"x{i + 1}" for i in range(n))
+    rank = int(rng.integers(1, n))
+    fields = [[random_scalar_expr(rng, vars) for _ in range(n)] for _ in range(rank)]
+    return Distribution(n, rank, span=fields, vars=vars)
+
+
+def graph_span_distribution(rng, n):
+    """X_a = e_a + sum_k d_a g_k e_(rank+k), tangent to the leaves
+    z_k = g_k(x_1, ..., x_rank) + c_k; X_1 then gets h X_2 added, which
+    keeps the span and gives the fields a bracket of their own."""
+    vars = tuple(f"x{i + 1}" for i in range(n))
+    rank = int(rng.integers(1, n))
+    gs = [random_scalar_expr(rng, vars[:rank], trig=True) for _ in range(n - rank)]
+    fields = [[ONE if i == a else ZERO for i in range(rank)]
+              + [ex.diff(g, vars[a]) for g in gs] for a in range(rank)]
+    if rank > 1:
+        h = random_scalar_expr(rng, vars)
+        fields[0] = [ex.Add(c0, ex.Mul(h, c1)) for c0, c1 in zip(fields[0], fields[1])]
+    return Distribution(n, rank, span=fields, vars=vars)
+
+
+@pytest.mark.parametrize("corpus, seed", [(random_span_distribution, 11),
+                                          (graph_span_distribution, 12)])
+def test_relational_span_test_agrees_with_the_bracket_test(corpus, seed):
+    rng = np.random.default_rng(seed)
+    verdicts = []
+    for attempt in range(40):
+        n = int(rng.choice((3, 4, 5)))
+        dist = corpus(rng, n)
+        samples = sample_box([(-1.0, 1.0)] * n, 6, seed=attempt)
+        outcome = relational_span_outcome(dist, samples)
+        if outcome is None:
+            continue
+        relational, bracket = outcome
+        assert relational == bracket, f"corpus member {attempt}"
+        verdicts.append(relational)
+    assert len(verdicts) >= 30
+    if corpus is graph_span_distribution:
+        assert all(verdicts)
+    else:
+        assert verdicts.count(False) >= 15 and verdicts.count(True) >= 5
+
+
+@pytest.mark.parametrize("tol, want", [(1e-9, False), (1e-3, True)])
+def test_relational_span_test_takes_tol(tol, want):
+    # [u, v] = -1e-5 dz for u = (1, 0, 1e-5 y), v = (0, 1, 0)
+    d = Distribution(3, 2, span=[[ONE, ZERO, ex.Mul(ex.Const(1e-5), ex.Var("y"))],
+                                 [ZERO, ONE, ZERO]], vars=VARS3)
+    assert relational_span_outcome(d, samples3(), tol) == (want, want)
+
+
+def relational_kernel_test(dist, samples, tol=DEFAULT_TOL):
+    """The relational test for KERNEL input, by the forms themselves: at the
+    generic flat offsets u, v at x, omega_i(x + u)(v - u) vanishes."""
+    thetas = [to_combinatorial(w) for w in dist.kernel]
+    for p in samples:
+        u, v = _flat_generic_offsets(dist.basis_at(p), 2)
+        y = [c + e for c, e in zip(p.coords, u)]
+        w = [b - a for a, b in zip(u, v)]
+        if not all(within_tol(theta(y, [w]), tol) for theta in thetas):
+            return False
+    return True
+
+
+def test_relational_kernel_test_agrees_with_the_combinatorial_test():
+    rng = np.random.default_rng(78)
+    verdicts = []
+    for attempt in range(60):
+        n = int(rng.choice((3, 4)))
+        dist = random_kernel_distribution(rng, n)
+        # and ker(h df), involutive: h df is not closed, but h df ^ d(h df) = 0
+        vars = dist.vars
+        f, h = random_scalar_expr(rng, vars), random_scalar_expr(rng, vars)
+        level_sets = Distribution(n, n - 1, kernel=[form_1(n, {
+            i + 1: ex.Mul(ex.Add(ex.Const(4.0), h), ex.diff(f, v))
+            for i, v in enumerate(vars)}, vars)], vars=vars)
+        pts = sample_box([(-1.0, 1.0)] * n, 8, seed=attempt)
+        for d in (dist, level_sets):
+            try:
+                _, comb = check_involutive_combinatorial(d, pts)
+                relational = relational_kernel_test(d, pts)
+            except RankDeficiencyError:
+                continue
+            assert relational == comb, f"corpus member {attempt}"
+            verdicts.append(comb)
+    assert relational_kernel_test(ker_dz(), samples3()) is True
+    assert relational_kernel_test(contact(), samples3()) is False
+    assert verdicts.count(False) >= 30 and verdicts.count(True) >= 20
 
 
 # -- integral patches -----------------------------------------------------------

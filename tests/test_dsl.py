@@ -249,6 +249,13 @@ def test_compile_w_equals_evaluate_bit_for_bit(x, y):
     (ex.Call("sqrt", _X), -1.0),
     (ex.Call("sqrt", _X), _w(0.0, (1.0, 2, 2))),
     (ex.Add(_X, _Y), 1.0),
+    # an overflow, or an infinite argument, is a domain error too
+    (ex.Call("exp", _X), 1000.0),
+    (ex.Call("exp", _X), _w(1000.0, (1.0, 1, 1))),
+    (ex.Pow(_X, 400), 1000.0),
+    (ex.Pow(_X, -400), _w(1e-5, (1.0, 1, 1))),
+    (ex.Call("sin", _X), float("inf")),
+    (ex.Call("cos", _X), _w(float("inf"), (1.0, 1, 1))),
 ])
 def test_compile_w_raises_the_domain_error_of_evaluate(e, x):
     with pytest.raises(DomainError) as want:
