@@ -14,9 +14,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import expr as ex
-from .errors import DegreeError, DomainError, RankDeficiencyError
-from .forms import (d_classical, d_comb, eval_semi, to_combinatorial,
-                    wedge_classical)
+from .errors import DegreeError, DomainError, RankDeficiencyError, SdgError
+from .forms import (d_classical, d_comb, extract_classical, semi_value,
+                    to_combinatorial, wedge_classical)
 from .nil import NilElement, generic_offsets, within_tol
 from .chart import Point
 
@@ -103,10 +103,18 @@ class Distribution:
         """(n-rank) x n matrix of kernel-form coefficients at p."""
         if self.kernel is None:
             return self._numeric_kernel(p)
-        M = np.array(self._kernel_fns.at(*p.coords)).reshape(self.n - self.rank, self.n)
-        if np.linalg.matrix_rank(M, tol=RANK_CUTOFF) != self.n - self.rank:
-            raise RankDeficiencyError(f"kernel forms rank-deficient at {p.coords}")
+        M = self._kernel_values(p)
+        self._check_kernel_rank(np.linalg.svd(M, compute_uv=False), p)
         return M
+
+    def _kernel_values(self, p):
+        return np.array(self._kernel_fns.at(*p.coords)).reshape(self.n - self.rank, self.n)
+
+    def _check_kernel_rank(self, s, p):
+        """Raise unless the singular values s of the kernel matrix at p give
+        it full rank."""
+        if np.count_nonzero(s > RANK_CUTOFF) != self.n - self.rank:
+            raise RankDeficiencyError(f"kernel forms rank-deficient at {p.coords}")
 
     def span_matrix(self, p):
         """n x rank matrix of spanning field values at p."""
@@ -118,14 +126,11 @@ class Distribution:
         return M
 
     def _numeric_span(self, p):
-        """Span basis from the kernel via SVD null space."""
-        M = self.kernel_matrix(p)
-        _, s, vt = np.linalg.svd(M)
-        rank = int(np.sum(s > 1e-10))
-        null = vt[rank:].T
-        if null.shape[1] != self.rank:
-            raise RankDeficiencyError(f"kernel null space has wrong rank at {p.coords}")
-        return null
+        """Span basis from the kernel: the null space of the kernel matrix,
+        from the one SVD that also checks its rank."""
+        _, s, vt = np.linalg.svd(self._kernel_values(p))
+        self._check_kernel_rank(s, p)
+        return vt[self.n - self.rank:].T
 
     def _numeric_kernel(self, p):
         """Kernel rows from the span via orthogonal complement."""
@@ -281,12 +286,67 @@ def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
 def _flat_generic_offsets(B, arity):
     """Displacement vectors of the generic flat simplex at a point with
     fiber basis B (n x rank): rows are generic combinations of its columns,
-    in W(arity, rank)."""
-    m = B.shape[1]
-    return [[NilElement(arity, m, {(1 << j, 1 << alpha): c
-                                   for alpha, c in enumerate(row) if c})
-             for row in B.tolist()]
+    in W(arity, rank).  For a stack of bases (N, n, rank), one per sample,
+    the coefficients are arrays over the samples, each kept even where it is
+    zero."""
+    m = B.shape[-1]
+    if B.ndim == 2:
+        return [[NilElement(arity, m, {(1 << j, 1 << alpha): c
+                                       for alpha, c in enumerate(row) if c})
+                 for row in B.tolist()]
+                for j in range(arity)]
+    rows = np.ascontiguousarray(B.transpose(1, 2, 0))  # (n, rank, N)
+    return [[NilElement(arity, m, {(1 << j, 1 << alpha): c for alpha, c in enumerate(row)})
+             for row in rows]
             for j in range(arity)]
+
+
+def _bases(dist, samples):
+    """`basis_at` at the samples in order, up to the first at which it
+    raises: the bases, and that exception (None if there is none)."""
+    bases = []
+    for p in samples:
+        try:
+            bases.append(dist.basis_at(p))
+        except (SdgError, ValueError) as err:
+            return bases, err
+    return bases, None
+
+
+def _flat_sample(forms, p, B, tol):
+    """Whether every form vanishes, within tol, on the generic flat
+    2-simplex at p with fiber basis B."""
+    offsets = _flat_generic_offsets(B, 2)
+    return all(within_tol(form(p.coords, offsets), tol) for form in forms)
+
+
+def _flat_screen(forms, dist, samples, bases, tol):
+    """The screen of `_flat_sample` at the leading samples, one for each
+    basis: every form is evaluated once on the generic flat 2-simplexes at
+    all of them, the base coordinates constant W elements with arrays of
+    the samples' coordinates as their constant terms.  Returns which samples
+    clearly pass and which clearly fail; `_flat_sample` decides the others.
+    Where the per-sample evaluation raises, the batched one gives nan, and
+    the nan reaches the residual, so such a sample is in neither."""
+    count = len(bases)
+    passing = failing = np.zeros(count, dtype=bool)
+    if count <= 1:
+        return passing, failing
+    X = _coords(samples[:count], dist.n)
+    base = [NilElement(2, dist.rank, {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
+    offsets = _flat_generic_offsets(np.array(bases), 2)
+    try:
+        with np.errstate(all="ignore"):
+            residual = np.max([np.broadcast_to(_max_abs(form(base, offsets)), count)
+                               for form in forms], axis=0)
+    except DomainError:  # from a float subexpression: it raises at every sample
+        return passing, failing
+    failing = np.isfinite(residual) & ~within_tol(residual, 2 * tol + _ROUNDING)
+    return _clears(residual, tol), failing
+
+
+def _max_abs(value):
+    return value.max_abs_coeff() if isinstance(value, NilElement) else abs(value)
 
 
 def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
@@ -296,16 +356,15 @@ def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
         raise DegreeError(
             "combinatorial involutivity test needs KERNEL forms "
             "(use pointwise_involutive_span for SPAN-only input)")
+    samples = list(samples)
     dthetas = [d_comb(to_combinatorial(w)) for w in dist.kernel]
-    verdicts = []
-    for p in samples:
-        offsets = _flat_generic_offsets(dist.basis_at(p), 2)
-        ok = True
-        for dtheta in dthetas:
-            if not within_tol(dtheta(p.coords, offsets), tol):
-                ok = False
-                break
-        verdicts.append(ok)
+    bases, error = _bases(dist, samples)
+    passing, failing = _flat_screen(dthetas, dist, samples, bases, tol)
+    verdicts = [bool(passing[i]) if passing[i] or failing[i]
+                else _flat_sample(dthetas, samples[i], B, tol)
+                for i, B in enumerate(bases)]
+    if error is not None:
+        raise error
     return verdicts, all(verdicts)
 
 
@@ -503,17 +562,25 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
         raise DegreeError("semi_annihilation_check expects a 2-form")
     if rng is None:
         rng = np.random.default_rng(0)
+    samples = list(samples)
     conclusion = True
-    for p in samples:
-        B = dist.basis_at(p)
-        if not within_tol(theta(p.coords, _flat_generic_offsets(B, 2)), tol):
-            return SemiAnnihilationResult(False, None)
-        vecs = [B[:, a] for a in range(dist.rank)]
-        vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
-        for i, u in enumerate(vecs):
-            for v in vecs[i + 1:]:
-                if not within_tol(eval_semi(theta, p, u, v, tol=tol), tol):
-                    conclusion = False
+    # the first sample alone, then the screen over the rest: where theta is
+    # not annihilated, the first sample usually shows it
+    for chunk in (samples[:1], samples[1:]):
+        bases, error = _bases(dist, chunk)
+        passing, failing = _flat_screen([theta], dist, chunk, bases, tol)
+        for p, B, passed, failed in zip(chunk, bases, passing, failing):
+            if failed or not (passed or _flat_sample([theta], p, B, tol)):
+                return SemiAnnihilationResult(False, None)
+            vecs = [B[:, a] for a in range(dist.rank)]
+            vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
+            coeffs = extract_classical(theta, p, tol=tol)
+            for i, u in enumerate(vecs):
+                for v in vecs[i + 1:]:
+                    if not within_tol(semi_value(coeffs, u, v), tol):
+                        conclusion = False
+        if error is not None:
+            raise error
     return SemiAnnihilationResult(True, conclusion)
 
 

@@ -328,7 +328,12 @@ def eval_semi(theta, base, u, v, tol=1e-9):
     multilinear evaluation of its extraction on a pair of real vectors."""
     if theta.degree != 2:
         raise DegreeError("eval_semi is defined for 2-forms")
-    coeffs = extract_classical(theta, base, tol=tol)
+    return semi_value(extract_classical(theta, base, tol=tol), u, v)
+
+
+def semi_value(coeffs, u, v):
+    """The 2-form with the classical coefficients `coeffs` ({(s, t): a},
+    as `extract_classical` returns them) on the pair of vectors (u, v)."""
     total = 0.0
     for (s, t), a in coeffs.items():
         total += a * (u[s - 1] * v[t - 1] - u[t - 1] * v[s - 1])

@@ -5,7 +5,10 @@ Generators xi[i, a] (vertex index i in 1..k, coordinate index a in 1..n)
 satisfy xi[i,a]*xi[j,b] = -xi[j,a]*xi[i,b] in a commutative algebra, which
 kills repeated rows and repeated columns and makes (sorted rows, sorted
 columns) a normal form.  Elements are sparse maps from such monomials to
-float coefficients; all operations are pure.
+coefficients; all operations are pure.  A coefficient is a float, or a 1-D
+float64 array with one value per sample point, so that one evaluation serves
+a whole batch of points: the arithmetic is the same, value by value, and a
+float equal to 0.0 is pruned while an array is kept by structure.
 
 A monomial is a pair of bitmasks (rows, cols): bit i-1 of `rows` set means
 vertex-displacement index i participates, likewise for coordinate indices in
@@ -15,7 +18,8 @@ column list position by position, so the two masks determine the monomial.
 
 import math
 from functools import partial
-from itertools import combinations
+from itertools import combinations, repeat
+from types import SimpleNamespace
 
 from .errors import ContextMismatchError, DomainError
 
@@ -95,8 +99,14 @@ class _SignTables(dict):
 _MERGE_SIGNS = _SignTables()
 
 
+def _is_zero(v):
+    """Whether a coefficient is pruned: a float equal to 0.0 (the term-map
+    kernels below inline this test)."""
+    return v.__class__ is float and v == 0.0
+
+
 def _elem_muladd(out, c, a, b):
-    """out += c * a * b on term maps, in place; zeros pruned."""
+    """out += c * a * b on term maps, in place; float zeros pruned."""
     signs = _MERGE_SIGNS
     get = out.get
     for (s1, t1), ca in a.items():
@@ -108,7 +118,7 @@ def _elem_muladd(out, c, a, b):
                 continue
             key = (s1 | s2, t1 | t2)
             v = get(key, 0.0) + rows[s2] * cols[t2] * cca * cb
-            if v == 0.0:
+            if v.__class__ is float and v == 0.0:
                 if key in out:
                     del out[key]
             else:
@@ -116,7 +126,7 @@ def _elem_muladd(out, c, a, b):
 
 
 def _elem_mul(a, b):
-    """Product of two term maps {(rows, cols): coeff}, zeros pruned.
+    """Product of two term maps {(rows, cols): coeff}, float zeros pruned.
 
     Two monomials multiply to zero when they share a row or a column;
     otherwise the sign is the merge sign of the rows times that of the
@@ -128,11 +138,11 @@ def _elem_mul(a, b):
 
 
 def _elem_add(a, b):
-    """Sum of two term maps, zeros pruned."""
+    """Sum of two term maps, float zeros pruned."""
     out = dict(a)
     for key, cb in b.items():
         c = out.get(key, 0.0) + cb
-        if c == 0.0:
+        if c.__class__ is float and c == 0.0:
             if key in out:
                 del out[key]
         else:
@@ -141,9 +151,10 @@ def _elem_add(a, b):
 
 
 def _elem_scale(c, a):
-    """Scalar multiple of a term map."""
-    if c == 0.0:
-        return {}
+    """Scalar multiple of a term map (c a float or an array), float zeros
+    pruned."""
+    if c.__class__ is float and c == 0.0:
+        return {key: c * v for key, v in a.items() if v.__class__ is not float}
     return {key: c * v for key, v in a.items()}
 
 
@@ -208,16 +219,24 @@ class NilElement:
         return _wrap(self.k, self.n, t)
 
     def max_abs_coeff(self, skip_constant=False):
-        """Largest |coefficient|; nan if any coefficient is nan."""
+        """Largest |coefficient|; nan if any coefficient is nan.  With array
+        coefficients, an array: the largest |coefficient| at each sample."""
         best = 0.0
+        arrays = []
         for key, v in self.terms.items():
             if skip_constant and key == (0, 0):
                 continue
             v = abs(v)
-            if v != v:
+            if v.__class__ is not float and getattr(v, "ndim", 0):
+                arrays.append(v)
+            elif v != v:
                 return v
-            if v > best:
+            elif v > best:
                 best = v
+        if arrays:  # numpy only then
+            import numpy as np
+
+            return np.max(arrays, axis=0, initial=best)
         return best
 
     def is_zero(self, tol=0.0):
@@ -267,11 +286,11 @@ class NilElement:
     def __add__(self, other):
         if isinstance(other, (int, float)):
             terms = dict(self.terms)
-            c = terms.get((0, 0), 0.0) + other
-            if c == 0.0:
+            c = terms.get((0, 0), 0.0) + float(other)
+            if _is_zero(c):
                 terms.pop((0, 0), None)
             else:
-                terms[(0, 0)] = float(c)
+                terms[(0, 0)] = c
             return _wrap(self.k, self.n, terms)
         other = self._coerce(other)
         if other is None:
@@ -338,7 +357,7 @@ class NilElement:
             if sign == 0:
                 continue
             c = out.get(mono, 0.0) + sign * v
-            if c == 0.0:
+            if _is_zero(c):
                 out.pop(mono, None)
             else:
                 out[mono] = c
@@ -394,7 +413,7 @@ class NilElement:
                     break
             for mono, coef in prod.items():
                 c = out.get(mono, 0.0) + coef
-                if c == 0.0:
+                if _is_zero(c):
                     out.pop(mono, None)
                 else:
                     out[mono] = c
@@ -419,16 +438,16 @@ def _wrap(k, n, terms):
 def within_tol(residual, tol):
     """The one pass rule for a residual (a float, a NilElement measured by its
     largest |coefficient|, or an array, elementwise against a tol that
-    broadcasts with it): it passes iff it is finite and <= tol."""
+    broadcasts with it; so a NilElement with array coefficients passes or
+    fails sample by sample): it passes iff it is finite and <= tol."""
     if isinstance(residual, NilElement):
         residual = residual.max_abs_coeff()
-    elif getattr(residual, "ndim", 0):  # an array; numpy only then
+    if getattr(residual, "ndim", 0):  # an array; numpy only then
         import numpy as np
 
         residual = np.abs(residual)
         return np.isfinite(residual) & (residual <= tol)
-    else:
-        residual = abs(residual)
+    residual = abs(residual)
     return math.isfinite(residual) and residual <= tol
 
 
@@ -451,46 +470,73 @@ def all_monomials(k, n, r):
 
 
 # -- Taylor lifting of smooth primitives ------------------------------------
+#
+# Each table gives the derivatives f(c), f'(c), ..., f^(order)(c) at a
+# constant term c through the functions of `m`: the math module for a float
+# c, and for an array c `_SAMPLEWISE`, the same math functions applied sample
+# by sample.  The arithmetic between them is IEEE arithmetic in both cases,
+# so an array lift equals the float lift at each sample, bit for bit.
 
-def _derivs_sin(c, order):
-    cyc = [math.sin(c), math.cos(c), -math.sin(c), -math.cos(c)]
+def _samplewise(fn):
+    """`fn(value, *args)` at each value of an array; nan where it raises."""
+
+    def apply(c, *args):
+        import numpy as np
+
+        values = c.tolist()
+        try:
+            return np.fromiter(map(fn, values, *map(repeat, args)), float, len(values))
+        except (ValueError, ArithmeticError):
+            pass
+        out = []
+        for v in values:
+            try:
+                out.append(fn(v, *args))
+            except (ValueError, ArithmeticError):
+                out.append(math.nan)
+        return np.array(out)
+
+    return apply
+
+
+_SAMPLEWISE = SimpleNamespace(**{name: _samplewise(getattr(math, name))
+                                 for name in ("sin", "cos", "exp", "log", "pow")})
+
+
+def _derivs_sin(c, order, m):
+    s, co = m.sin(c), m.cos(c)
+    cyc = [s, co, -s, -co]
     return [cyc[r % 4] for r in range(order + 1)]
 
 
-def _derivs_cos(c, order):
-    cyc = [math.cos(c), -math.sin(c), -math.cos(c), math.sin(c)]
+def _derivs_cos(c, order, m):
+    s, co = m.sin(c), m.cos(c)
+    cyc = [co, -s, -co, s]
     return [cyc[r % 4] for r in range(order + 1)]
 
 
-def _derivs_exp(c, order):
-    e = math.exp(c)
-    return [e] * (order + 1)
+def _derivs_exp(c, order, m):
+    return [m.exp(c)] * (order + 1)
 
 
-def _derivs_ln(c, order):
-    if c <= 0:
-        raise DomainError(f"ln of constant term {c} <= 0")
-    out = [math.log(c)]
+def _derivs_ln(c, order, m):
+    out = [m.log(c)]
     for r in range(1, order + 1):
-        out.append((-1.0) ** (r - 1) * math.factorial(r - 1) / c ** r)
+        out.append((-1.0) ** (r - 1) * math.factorial(r - 1) / m.pow(c, r))
     return out
 
 
-def _derivs_sqrt(c, order):
-    if c <= 0:
-        raise DomainError(f"sqrt of constant term {c} <= 0")
+def _derivs_sqrt(c, order, m):
     out = []
     fall = 1.0
     for r in range(order + 1):
-        out.append(fall * c ** (0.5 - r))
+        out.append(fall * m.pow(c, 0.5 - r))
         fall *= 0.5 - r
     return out
 
 
-def _derivs_reciprocal(c, order):
-    if c == 0:
-        raise DomainError("reciprocal of element with zero constant term")
-    return [(-1.0) ** r * math.factorial(r) / c ** (r + 1)
+def _derivs_reciprocal(c, order, m):
+    return [(-1.0) ** r * math.factorial(r) / m.pow(c, r + 1)
             for r in range(order + 1)]
 
 
@@ -504,7 +550,7 @@ _DERIVS = {
 }
 
 
-def _derivs_power(c, order, exponent):
+def _derivs_power(c, order, m, exponent):
     """Falling-factorial derivatives of x**exponent (real exponent)."""
     out = []
     fall = 1.0
@@ -512,15 +558,24 @@ def _derivs_power(c, order, exponent):
         if fall == 0.0:
             out.append(0.0)
             continue
-        p = exponent - r
-        if c == 0.0:
-            if p < 0:
-                raise DomainError("negative power of zero constant term")
-            out.append(fall * (1.0 if p == 0 else 0.0))
-        else:
-            out.append(fall * c ** p)
+        out.append(fall * m.pow(c, exponent - r))
         fall *= exponent - r
     return out
+
+
+def _array_derivs(table, c, order):
+    """`table` at each sample of the array c, nan at every sample where the
+    float table raises or is not finite, or where c is not finite."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        derivs = table(c, order, _SAMPLEWISE)
+    bad = ~np.isfinite(c)
+    for d in derivs:
+        bad |= ~np.isfinite(d)
+    if bad.any():
+        derivs = [np.where(bad, np.nan, d) for d in derivs]
+    return derivs
 
 
 def lift_smooth(f, a, exponent=None):
@@ -529,28 +584,33 @@ def lift_smooth(f, a, exponent=None):
     f is one of sin, cos, exp, ln, sqrt, reciprocal, power (the latter
     takes `exponent`).  Exact: the Taylor sum at the constant term
     truncates at order min(k, n) by nilpotency.  A constant term outside the
-    domain, or one at which a derivative overflows, raises DomainError.
+    domain (a non-integer power of a negative one included), or one at which
+    a derivative overflows, raises DomainError.  An array constant term is
+    lifted sample by sample in the same way, with nan in place of
+    DomainError: every coefficient is nan at a sample where the float lift
+    raises or is not finite, or where the constant term is not finite.
     """
     if not isinstance(a, NilElement):
         raise TypeError("lift_smooth expects a NilElement")
-    order = min(a.k, a.n)
-    c = a.const_term
     if f == "power":
-        if isinstance(exponent, int) and exponent >= 0:
-            return a ** exponent
-        fn = partial(_derivs_power, exponent=float(exponent))
+        table = partial(_derivs_power, exponent=exponent)
     else:
         try:
-            fn = _DERIVS[f]
+            table = _DERIVS[f]
         except KeyError:
             raise ValueError(f"unknown smooth primitive {f!r}") from None
-    try:
-        derivs = fn(c, order)
-    except (ValueError, ArithmeticError) as err:  # math raises these
-        raise DomainError(f"{f} at constant term {c}: {err}") from None
+    order = min(a.k, a.n)
+    c = a.const_term
+    if getattr(c, "ndim", 0):  # an array; numpy only then
+        derivs = _array_derivs(table, c, order)
+    else:
+        try:
+            derivs = table(c, order, math)
+        except (ValueError, ArithmeticError) as err:  # math raises these
+            raise DomainError(f"{f} at constant term {c}: {err}") from None
     nil = dict(a.terms)
     nil.pop((0, 0), None)
-    out = {(0, 0): float(derivs[0])} if derivs[0] else {}
+    out = {} if _is_zero(derivs[0]) else {(0, 0): derivs[0]}
     power = {(0, 0): 1.0}
     fact = 1.0
     for r in range(1, order + 1):
@@ -558,6 +618,6 @@ def lift_smooth(f, a, exponent=None):
         if not power:
             break
         fact *= r
-        if derivs[r]:
+        if not _is_zero(derivs[r]):
             out = _elem_add(out, _elem_scale(derivs[r] / fact, power))
     return _wrap(a.k, a.n, out)

@@ -1,14 +1,21 @@
 """The batched checks against the per-sample loops they replace.
 
-The reference loops below are the classical side of the checks as it was
-written one sample at a time: every coefficient walked by `expr.evaluate`,
-every Jacobian and bracket differentiated again at each sample, one
-`numpy.linalg` call per matrix.  The library evaluates all samples at once
-through functions compiled once per object; it must reach the same verdict,
-or raise the same exception, as these loops in sample order.
+The reference loops below are the checks as they were written one sample
+at a time.  On the classical side: every coefficient walked by
+`expr.evaluate`, every Jacobian and bracket differentiated again at each
+sample, one `numpy.linalg` call per matrix.  On the W side: one evaluation
+of d(omega) in W(2, rank) per sample, and one extraction of theta's
+classical coefficients per pair of vectors.  The library evaluates all
+samples at once, through functions compiled once per object and through
+term maps whose coefficients are arrays over the samples; it must reach the
+same verdict, or raise the same exception, as these loops in sample order.
 """
 
 import importlib.util
+import math
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +26,10 @@ from sdgeom import distributions as ds
 from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.distributions import Distribution
-from sdgeom.errors import DomainError, RankDeficiencyError
-from sdgeom.forms import ClassicalForm, d_classical, random_scalar_expr, wedge_classical
-from sdgeom.nil import within_tol
+from sdgeom.errors import DomainError, RankDeficiencyError, SdgError
+from sdgeom.forms import (ClassicalForm, d_classical, d_comb, eval_semi, random_scalar_expr,
+                          to_combinatorial, wedge_classical)
+from sdgeom.nil import NilElement, all_monomials, lift_smooth, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
@@ -150,6 +158,35 @@ def ref_curvature_oracle(conn, p):
             Ai, Aj = A[i - 1], A[j - 1]
             out[(i, j)] = dAj - dAi + cn.BRACKET_SIGN * (Ai @ Aj - Aj @ Ai)
     return out
+
+
+def ref_check_involutive_combinatorial(dist, samples, tol):
+    dthetas = [d_comb(to_combinatorial(w)) for w in dist.kernel]
+    verdicts = []
+    for p in samples:
+        offsets = ds._flat_generic_offsets(dist.basis_at(p), 2)
+        ok = True
+        for dtheta in dthetas:
+            if not within_tol(dtheta(p.coords, offsets), tol):
+                ok = False
+                break
+        verdicts.append(ok)
+    return verdicts, all(verdicts)
+
+
+def ref_semi_annihilation_check(dist, theta, samples, rng, tol):
+    conclusion = True
+    for p in samples:
+        B = dist.basis_at(p)
+        if not within_tol(theta(p.coords, ds._flat_generic_offsets(B, 2)), tol):
+            return False, None
+        vecs = [B[:, a] for a in range(dist.rank)]
+        vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
+        for i, u in enumerate(vecs):
+            for v in vecs[i + 1:]:
+                if not within_tol(eval_semi(theta, p, u, v, tol=tol), tol):
+                    conclusion = False
+    return True, conclusion
 
 
 def outcome(fn, *args):
@@ -474,3 +511,313 @@ def test_each_object_differentiates_once(monkeypatch):
         calls.clear()
         check()
         assert calls == []
+
+
+# -- the flat-simplex checks: one W evaluation for all samples ----------------------
+
+def full_outcome(fn, *args):
+    """The result, or the type and the message of the raised exception."""
+    try:
+        return fn(*args)
+    except (SdgError, ValueError) as err:
+        return (type(err), str(err))
+
+
+def _semi(dist, theta, samples, rng, tol):
+    result = ds.semi_annihilation_check(dist, theta, samples, rng, tol)
+    return result.precondition, result.conclusion
+
+
+def assert_same_flat_checks(dist, samples, tol=ds.DEFAULT_TOL, semi=True):
+    """check_involutive_combinatorial and, with `semi`, the semi-annihilation
+    check of each d(omega_i) against their loops: the same result or
+    exception, and the same random draws.  Returns the involutivity outcome."""
+    got = full_outcome(ds.check_involutive_combinatorial, dist, samples, tol)
+    assert got == full_outcome(ref_check_involutive_combinatorial, dist, samples, tol)
+    for w in dist.kernel if semi else ():
+        theta = d_comb(to_combinatorial(w))
+        rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+        assert full_outcome(_semi, dist, theta, samples, rng_got, tol) == full_outcome(
+            ref_semi_annihilation_check, dist, theta, samples, rng_want, tol)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_flat_checks_on_the_benchmark_distributions(seed):
+    for prog in perfbench_programs(seed):
+        for batch in (1, 2, 16, 256):
+            points = sample_box([(-1.0, 1.0)] * prog.dim, batch, seed)
+            for name, want in (("I", True), ("C", False)):
+                got = assert_same_flat_checks(prog.dists[name], points, semi=batch <= 16)
+                assert got[1] is want
+
+
+def integrable_kernel(rng, vars=VARS3):
+    """ker(h dz - h dg) for a random g(x, y) and h = 2 + y^2: involutive."""
+    x, y = ex.Var(vars[0]), ex.Var(vars[1])
+    g = random_scalar_expr(rng, vars[:2], trig=True)
+    h = ex.Add(ex.Const(2.0), ex.Mul(y, y))
+    return Distribution(3, 2, kernel=[form_1({3: h, 1: ex.Neg(ex.Mul(h, ex.diff(g, vars[0]))),
+                                              2: ex.Neg(ex.Mul(h, ex.diff(g, vars[1])))},
+                                             vars)], vars=vars)
+
+
+def test_flat_checks_on_a_random_kernel_corpus():
+    rng = np.random.default_rng(78)
+    verdicts = set()
+    for attempt in range(20):
+        n = int(rng.choice((3, 4)))
+        for dist in (random_kernel_distribution(rng, n), integrable_kernel(rng)):
+            points = sample_box([(-1.0, 1.0)] * dist.n, 8, seed=attempt)
+            got = assert_same_flat_checks(dist, points)
+            assert_same_flat_checks(dist, points[:2])
+            assert_same_flat_checks(dist, points, tol=1e-3)
+            verdicts.add(got if isinstance(got[0], type) else got[1])
+    assert {True, False} <= verdicts
+
+
+def contact_residual(dist, points):
+    """The loop's residual at each point: the largest |coefficient| of
+    d(omega) on the generic flat 2-simplex there."""
+    dtheta = d_comb(to_combinatorial(dist.kernel[0]))
+    return [dtheta(p.coords, ds._flat_generic_offsets(dist.basis_at(p), 2)).max_abs_coeff()
+            for p in points]
+
+
+@pytest.mark.parametrize("factor, want, screened", [
+    (0.3, True, True), (0.7, True, False), (1.0, True, False), (1.3, False, False),
+    (3.0, False, True)])
+def test_flat_residuals_near_the_tolerance_go_to_the_per_sample_test(
+        monkeypatch, factor, want, screened):
+    # ker(dz - 0.8 y dx) at points sharing y: the same residual r at each,
+    # checked at tol = r / factor; the screen decides only the clear cases
+    dist = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Mul(ex.Const(-0.8), Y)})])
+    points = [Point((x, 0.3, z)) for x, z in ((0.1, 0.2), (-0.5, 0.7), (0.9, -0.4), (0.0, 0.0))]
+    residuals = contact_residual(dist, points)
+    assert len(set(residuals)) == 1
+    tol = residuals[0] / factor
+    calls = []
+    flat_sample = ds._flat_sample
+    monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(1) or flat_sample(*args))
+    assert ds.check_involutive_combinatorial(dist, points, tol) == ([want] * 4, want)
+    assert len(calls) == (0 if screened else 4)
+    assert_same_flat_checks(dist, points, tol)
+
+
+def test_clearly_decided_flat_samples_skip_the_per_sample_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(args))
+    k3, _ = perfbench_programs(2)
+    points = sample_box([(-1.0, 1.0)] * 3, 16, seed=9)
+    assert ds.check_involutive_combinatorial(k3.dists["I"], points) == ([True] * 16, True)
+    assert ds.check_involutive_combinatorial(k3.dists["C"], points) == ([False] * 16, False)
+    assert calls == []
+
+
+def test_one_sample_is_not_screened(monkeypatch):
+    stacks = []
+    offsets = ds._flat_generic_offsets
+    monkeypatch.setattr(ds, "_flat_generic_offsets",
+                        lambda B, arity: stacks.append(B.ndim) or offsets(B, arity))
+    dist = perfbench_programs(1)[0].dists["I"]
+    ds.check_involutive_combinatorial(dist, sample_box([(-1.0, 1.0)] * 3, 1, seed=1))
+    assert stacks == [2]
+    stacks.clear()
+    ds.check_involutive_combinatorial(dist, sample_box([(-1.0, 1.0)] * 3, 2, seed=1))
+    assert stacks == [3]
+
+
+def _vanishing(f):
+    """y + f(x) - f(x): y wherever f is defined."""
+    return ex.Sub(ex.Add(Y, f), f)
+
+
+# f(x), and x where the float evaluation of f raises (in `basis_at`), and
+# where only the W evaluation at a W-valued x raises (a derivative overflows)
+DOMAIN_CASES = [
+    (ex.Call("ln", X), -0.5, 1e-200),
+    (ex.Call("sqrt", X), -0.5, 0.0),
+    (ex.Div(ONE, X), 0.0, 1e-200),
+    (ex.Call("exp", X), 1000.0, None),
+    (ex.Pow(X, 400), 1000.0, None),
+]
+
+
+@pytest.mark.parametrize("f, bad, w_only", DOMAIN_CASES,
+                         ids=["ln", "sqrt", "reciprocal", "exp", "pow"])
+def test_flat_checks_raise_where_the_loop_raises(f, bad, w_only):
+    # contact: ker(dz - (y + f - f) dx) fails at every defined sample;
+    # flat: ker(dz + (f - f) dx), ker(dz + (0 f) dx) and ker((1 + 0 f) dz)
+    # pass there (the last with the z-row of every fiber basis zero)
+    contact = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Neg(_vanishing(f))})])
+    flats = [Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Sub(f, f)})]),
+             Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Mul(ZERO, f)})]),
+             Distribution(3, 2, kernel=[form_1({3: ex.Add(ONE, ex.Mul(ZERO, f))})])]
+    good = [Point((0.5, 0.5, 0.1)), Point((0.25, -0.4, 0.3)), Point((0.75, 0.2, -0.6))]
+    raising = [Point((x, 0.3, 0.2)) for x in (bad, w_only) if x is not None]
+    for dist in [contact] + flats:
+        for r in raising:
+            for samples in (good + [r], [r] + good, good[:1] + [r] + good[1:], [r]):
+                got = assert_same_flat_checks(dist, samples)
+                assert got[0] is DomainError
+        assert assert_same_flat_checks(dist, good)[1] is (dist is not contact)
+    # the semi-annihilation check stops at the first failing precondition
+    theta = d_comb(to_combinatorial(contact.kernel[0]))
+    for r in raising:
+        assert _semi(contact, theta, good + [r], None, 1e-9) == (False, None)
+
+
+def test_a_rank_deficient_basis_raises_after_failing_samples():
+    # x (dz - y dx) loses rank at x = 0 and fails elsewhere; x dz passes
+    contact = Distribution(3, 2, kernel=[form_1({3: X, 1: ex.Neg(ex.Mul(X, Y))})])
+    flat = Distribution(3, 2, kernel=[form_1({3: X})])
+    points = [Point((0.5, 0.5, 0.1)), Point((-0.25, -0.4, 0.3)), Point((0.0, 0.2, -0.6)),
+              Point((0.75, 0.2, 0.6))]
+    message = "kernel forms rank-deficient at (0.0, 0.2, -0.6)"
+    for dist in (contact, flat):
+        for samples in (points, points[1:], points[2:]):
+            assert assert_same_flat_checks(dist, samples) == (RankDeficiencyError, message)
+        assert assert_same_flat_checks(dist, points[:2] + points[3:])[1] is (dist is flat)
+    theta = d_comb(to_combinatorial(contact.kernel[0]))
+    assert _semi(contact, theta, points, None, 1e-9) == (False, None)
+    # an earlier sample whose W evaluation raises decides first: sqrt(x + 0.5)
+    # has no derivative at x = -0.5, the kernel row x (1, 0, -1) none at x = 0
+    root = ex.Call("sqrt", ex.Add(X, ex.Const(0.5)))
+    both = Distribution(3, 2, kernel=[form_1({3: ex.Neg(X), 1: ex.Mul(X, _vanishing(root))})])
+    samples = [Point((0.5, 0.5, 0.1)), Point((-0.5, 0.2, 0.3)), Point((0.0, 0.2, -0.6))]
+    assert assert_same_flat_checks(both, samples)[0] is DomainError
+    assert assert_same_flat_checks(both, samples[:1] + samples[2:])[0] is RankDeficiencyError
+
+
+def test_semi_annihilation_stops_at_a_failing_first_sample(monkeypatch):
+    # as the loop does, without the bases of the later samples
+    k3, _ = perfbench_programs(4)
+    dist = k3.dists["C"]
+    visited = []
+    basis_at = Distribution.basis_at
+    monkeypatch.setattr(Distribution, "basis_at",
+                        lambda self, p: visited.append(p) or basis_at(self, p))
+    theta = d_comb(to_combinatorial(k3.forms["wc"]))
+    points = sample_box([(-1.0, 1.0)] * 3, 16, seed=4)
+    assert _semi(dist, theta, points, None, 1e-9) == (False, None)
+    assert visited == points[:1]
+
+
+def test_basis_at_takes_the_null_space_of_the_rank_check():
+    for prog in perfbench_programs(3):
+        for dist in prog.dists.values():
+            if dist.span is None:
+                for p in sample_box([(-1.0, 1.0)] * prog.dim, 64, seed=3):
+                    assert np.array_equal(dist.basis_at(p), ref_null_span(dist, p))
+
+
+# -- term maps with array coefficients -------------------------------------------
+
+COUNT = 6
+
+
+def batched_element(rng, m, const=None):
+    """An element of W(2, m) with array coefficients (some shared floats),
+    and its value at each of COUNT samples as a float element.  `const`
+    replaces the constant terms."""
+    terms = {}
+    for r in range(3):
+        for rows, cols in all_monomials(2, m, r):
+            u = rng.random()
+            if u < 0.3 and r:
+                continue
+            key = (sum(1 << (i - 1) for i in rows), sum(1 << (j - 1) for j in cols))
+            terms[key] = rng.uniform(-2, 2) if u < 0.5 else np.array(
+                [rng.uniform(-2, 2) for _ in range(COUNT)])
+    if const is not None:
+        terms[(0, 0)] = np.array(const, dtype=float)
+    singles = [NilElement(2, m, {key: v if isinstance(v, float) else float(v[j])
+                                 for key, v in terms.items()}) for j in range(COUNT)]
+    return NilElement(2, m, terms), singles
+
+
+def at_sample(element, j):
+    return {key: v if isinstance(v, float) else float(v[j])
+            for key, v in element.terms.items()}
+
+
+def assert_equals_each_sample(batched, singles):
+    for j, single in enumerate(singles):
+        values = at_sample(batched, j)
+        assert single.terms.keys() <= values.keys()
+        for key, v in values.items():
+            want = single.terms.get(key, 0.0)
+            assert v == want or (math.isnan(v) and math.isnan(want)), (key, j)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_array_coefficients_are_the_float_arithmetic_at_each_sample(m):
+    rng = random.Random(m)
+    for _ in range(20):
+        (a, a1), (b, b1) = batched_element(rng, m), batched_element(rng, m)
+        assert_equals_each_sample(a + b, [x + y for x, y in zip(a1, b1)])
+        assert_equals_each_sample(a - b, [x - y for x, y in zip(a1, b1)])
+        assert_equals_each_sample(a * b, [x * y for x, y in zip(a1, b1)])
+        assert_equals_each_sample(a / b, [x / y for x, y in zip(a1, b1)])
+        assert_equals_each_sample(1.5 - a * 0.25, [1.5 - x * 0.25 for x in a1])
+        assert_equals_each_sample(a ** 3, [x ** 3 for x in a1])
+        residual = np.broadcast_to((a - b).max_abs_coeff(), COUNT)
+        assert residual.tolist() == [(x - y).max_abs_coeff() for x, y in zip(a1, b1)]
+        passed = np.broadcast_to(within_tol(a - b, 1.0), COUNT)
+        assert passed.tolist() == [within_tol(x - y, 1.0) for x, y in zip(a1, b1)]
+
+
+# constant terms at which the float lift is defined, raises, or overflows
+LIFT_CONSTANTS = {
+    "sin": [0.3, -2.0, 1e10, float("inf"), float("nan"), 0.0],
+    "cos": [0.3, -2.0, 1e10, float("inf"), float("nan"), 0.0],
+    "exp": [0.3, -2.0, 700.0, 1000.0, float("-inf"), 0.0],
+    "ln": [0.3, 2.0, 1e-200, 0.0, -1.0, float("inf")],
+    "sqrt": [0.3, 2.0, 1e-300, 0.0, -1.0, float("nan")],
+    "reciprocal": [0.3, -2.0, 1e-200, 0.0, 1e300, float("inf")],
+}
+POWERS = {400: [0.3, -1.5, 1000.0, 0.0, 5.0, -0.0], -2: [0.3, -1.5, 1e-200, 0.0, 5.0, 1e5],
+          2.5: [0.3, -1.5, 1e-200, 0.0, 5.0, 1e200], 0: [0.3, -1.5, 0.0, 1.0, 2.0, 3.0]}
+LIFTS = [(f, None, c) for f, c in LIFT_CONSTANTS.items()] + [
+    ("power", e, c) for e, c in POWERS.items()]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("f, exponent, const", LIFTS,
+                         ids=[f if e is None else f"power{e}" for f, e, _ in LIFTS])
+def test_array_lift_is_the_float_lift_at_each_sample(f, exponent, const, m):
+    rng = random.Random(f"{f}{exponent}{m}")
+    batched, singles = batched_element(rng, m, const)
+    with np.errstate(all="ignore"):
+        lifted = lift_smooth(f, batched, exponent)
+    assert lifted.terms
+    for j, single in enumerate(singles):
+        values = at_sample(lifted, j)
+        try:
+            want = lift_smooth(f, single, exponent)
+        except DomainError:
+            assert all(math.isnan(v) for v in values.values()), (const[j], values)
+            continue
+        if not math.isfinite(const[j]) or not all(map(math.isfinite, want.terms.values())):
+            assert all(math.isnan(v) for v in values.values()), (const[j], values)
+            continue
+        assert want.terms.keys() <= values.keys()
+        for key, v in values.items():
+            assert v == want.terms.get(key, 0.0), (const[j], key)
+
+
+def test_nil_imports_numpy_only_for_arrays():
+    script = ("import sys\n"
+              "from sdgeom.nil import NilElement, lift_smooth, within_tol\n"
+              "a = NilElement.generator(2, 2, 1, 1) + 0.5\n"
+              "for f in ('sin', 'cos', 'exp', 'ln', 'sqrt', 'reciprocal'):\n"
+              "    a = a + lift_smooth(f, a)\n"
+              "a = a * lift_smooth('power', a, exponent=3) / a\n"
+              "assert within_tol(a - a, 0.0) and a.max_abs_coeff() > 0\n"
+              "print('numpy' in sys.modules)\n")
+    src = str(Path(ds.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -256,6 +256,8 @@ def test_compile_w_equals_evaluate_bit_for_bit(x, y):
     (ex.Pow(_X, -400), _w(1e-5, (1.0, 1, 1))),
     (ex.Call("sin", _X), float("inf")),
     (ex.Call("cos", _X), _w(float("inf"), (1.0, 1, 1))),
+    # an integer power overflows at a W-valued argument as at a float one
+    (ex.Pow(_X, 400), _w(1000.0, (1.0, 1, 1))),
 ])
 def test_compile_w_raises_the_domain_error_of_evaluate(e, x):
     with pytest.raises(DomainError) as want:
