@@ -10,14 +10,14 @@ infinitesimal 2-simplex.
 """
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
-from .nil import NilElement, generic_offsets, within_tol
+from .nil import _MERGE_SIGNS, NilElement, generic_offsets, within_tol
 from .chart import NilPoint, Point
 from .distributions import span_residual
 
@@ -79,13 +79,6 @@ class ConnectionData:
     def _a_entries(self):
         return [e for Ai in self.A for row in Ai for e in row]
 
-    def a_matrices(self, coords):
-        """Numeric (or W-valued) matrices A_i at the given coordinates."""
-        m = self.group.m
-        values = np.empty(self.n * m * m, dtype=object)
-        values[:] = self._a_w(*coords)
-        return list(values.reshape(self.n, m, m))
-
     def a_batch(self, coords):
         """A_i at many points: `coords` holds n arrays of one shape S; the
         result has shape (n, m, m) + S and is nan or inf where A is not
@@ -95,118 +88,152 @@ class ConnectionData:
 
 
 class GroupElementW:
-    """m x m matrix with NilElement (or float) entries, constant part in G."""
+    """m x m matrix over W(k, n) with constant part in G, stored as one term
+    map: monomial -> m x m float matrix of that monomial's coefficients
+    across the entries (the (0, 0) key is the constant part).  `order` is
+    min(k, n), the degree past which W(k, n) vanishes; 0 for a constant
+    matrix."""
 
-    __slots__ = ("mat",)
+    __slots__ = ("terms", "m", "order")
+    __array_ufunc__ = None  # `array @ g` calls g.__rmatmul__
 
-    def __init__(self, mat):
-        self.mat = np.asarray(mat, dtype=object)
-
-    @staticmethod
-    def identity(m):
-        return GroupElementW(np.eye(m).astype(object))
-
-    @property
-    def m(self):
-        return self.mat.shape[0]
+    def __init__(self, terms, m, order):
+        self.terms = terms
+        self.m = m
+        self.order = order
 
     def const_part(self):
-        return np.array([[e.const_term if isinstance(e, NilElement) else float(e)
-                          for e in row] for row in self.mat])
-
-    def __matmul__(self, other):
-        if isinstance(other, GroupElementW):
-            other = other.mat
-        return GroupElementW(_omat_mul(self.mat, np.asarray(other, dtype=object)))
-
-    def __rmatmul__(self, other):
-        return GroupElementW(_omat_mul(np.asarray(other, dtype=object), self.mat))
-
-    def __sub__(self, other):
-        if isinstance(other, GroupElementW):
-            other = other.mat
-        return GroupElementW(self.mat - np.asarray(other, dtype=object))
-
-    def inverse(self):
-        """Exact inverse: invert the constant part, then a finite Neumann
-        series in the nilpotent remainder."""
-        C = self.const_part()
-        Cinv = np.linalg.inv(C).astype(object)
-        N = _omat_mul(Cinv, self.mat) - np.eye(self.m).astype(object)
-        order = self._nil_order()
-        out = np.eye(self.m).astype(object)
-        power = np.eye(self.m).astype(object)
-        for r in range(1, order + 1):
-            power = _omat_mul(power, N)
-            if _omat_is_zero(power):
-                break
-            out = out + (-1.0) ** r * power
-        return GroupElementW(_omat_mul(out, Cinv))
-
-    def _nil_order(self):
-        for row in self.mat:
-            for e in row:
-                if isinstance(e, NilElement):
-                    return min(e.k, e.n)
-        return 0
+        c = self.terms.get((0, 0))
+        return np.zeros((self.m, self.m)) if c is None else c.copy()
 
     def coefficient_matrices(self):
         """Map monomial -> m x m float matrix of that monomial's coefficients
         across entries (the (0,0) key is the constant part)."""
-        out = {}
-        m = self.m
-        for r in range(m):
-            for c in range(m):
-                e = self.mat[r, c]
-                if isinstance(e, NilElement):
-                    for key, v in e.terms.items():
-                        out.setdefault(key, np.zeros((m, m)))[r, c] = v
-                elif e:
-                    out.setdefault((0, 0), np.zeros((m, m)))[r, c] = float(e)
-        return out
+        return dict(self.terms)
+
+    def __matmul__(self, other):
+        if isinstance(other, GroupElementW):
+            out = {}
+            _mat_muladd(out, self.terms, other.terms)
+            return GroupElementW(out, self.m, max(self.order, other.order))
+        other = np.asarray(other, dtype=float)
+        return GroupElementW({key: a @ other for key, a in self.terms.items()},
+                             self.m, self.order)
+
+    def __rmatmul__(self, other):
+        other = np.asarray(other, dtype=float)
+        return GroupElementW({key: other @ a for key, a in self.terms.items()},
+                             self.m, self.order)
+
+    def __sub__(self, other):
+        if not isinstance(other, GroupElementW):
+            other = GroupElementW({(0, 0): np.asarray(other, dtype=float)}, self.m, 0)
+        terms = dict(self.terms)
+        _mat_axpy(terms, -1.0, other.terms)
+        return GroupElementW(terms, self.m, max(self.order, other.order))
+
+    def inverse(self):
+        """Exact inverse: invert the constant part, then a finite Neumann
+        series in the nilpotent remainder."""
+        Cinv = np.linalg.inv(self.const_part())
+        N = _minus_identity({key: Cinv @ a for key, a in self.terms.items()}, self.m)
+        out = {(0, 0): np.eye(self.m)}
+        power = {(0, 0): np.eye(self.m)}
+        for r in range(1, self.order + 1):
+            power = _mat_mul(power, N)
+            if _mat_is_zero(power):
+                break
+            _mat_axpy(out, (-1.0) ** r, power)
+        return GroupElementW({key: a @ Cinv for key, a in out.items()},
+                             self.m, self.order)
 
     def log_truncated(self):
         """Truncated matrix log: series in (g - I), exact by nilpotency when
         the constant part is I."""
-        N = self.mat - np.eye(self.m).astype(object)
-        order = max(self._nil_order(), 1)
-        out = np.zeros((self.m, self.m), dtype=object)
-        power = np.eye(self.m).astype(object)
-        for r in range(1, order + 1):
-            power = _omat_mul(power, N)
-            if _omat_is_zero(power):
+        N = _minus_identity(dict(self.terms), self.m)
+        out = {}
+        power = {(0, 0): np.eye(self.m)}
+        for r in range(1, max(self.order, 1) + 1):
+            power = _mat_mul(power, N)
+            if _mat_is_zero(power):
                 break
-            out = out + ((-1.0) ** (r + 1) / r) * power
-        return GroupElementW(out)
+            _mat_axpy(out, (-1.0) ** (r + 1) / r, power)
+        return GroupElementW(out, self.m, self.order)
 
     def max_abs_coeff(self):
         """Largest |coefficient| over all entries; nan if any is nan."""
-        best = 0.0
-        for row in self.mat:
-            for e in row:
-                v = e.max_abs_coeff() if isinstance(e, NilElement) else abs(float(e))
-                if v != v:
-                    return v
-                if v > best:
-                    best = v
-        return best
+        if not self.terms:
+            return 0.0
+        return float(np.max(np.abs(list(self.terms.values()))))
 
 
-def _omat_mul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.empty((m, n), dtype=object)
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for l in range(k):
-                acc = acc + a[i, l] * b[l, j]
-            out[i, j] = acc
+def _mat_muladd(out, a, b):
+    """out += a * b on term maps of coefficient arrays, in place: each pair
+    of monomials that share no row and no column adds its merge sign times
+    the matrix product of their coefficients."""
+    signs = _MERGE_SIGNS
+    get = out.get
+    for (s1, t1), ma in a.items():
+        rows = signs[s1]
+        cols = signs[t1]
+        for (s2, t2), mb in b.items():
+            if (s1 & s2) or (t1 & t2):
+                continue
+            key = (s1 | s2, t1 | t2)
+            prod = ma @ mb
+            acc = get(key)
+            if rows[s2] * cols[t2] < 0.0:
+                if acc is None:
+                    out[key] = -prod
+                else:
+                    acc -= prod
+            elif acc is None:
+                out[key] = prod
+            else:
+                acc += prod
+
+
+def _mat_mul(a, b):
+    out = {}
+    _mat_muladd(out, a, b)
     return out
 
 
-def _omat_is_zero(a, tol=0.0):
-    return all(within_tol(e, tol) for row in a for e in row)
+def _mat_axpy(out, c, a):
+    """out += c * a on term maps, without writing to an array of `out`."""
+    for key, v in a.items():
+        acc = out.get(key)
+        out[key] = c * v if acc is None else acc + c * v
+
+
+def _minus_identity(terms, m):
+    """`terms` - I, dropping the constant key if that leaves it zero."""
+    c = terms.get((0, 0), 0.0) - np.eye(m)
+    if c.any():
+        terms[(0, 0)] = c
+    else:
+        terms.pop((0, 0), None)
+    return terms
+
+
+def _mat_is_zero(terms):
+    """Whether every coefficient is 0 (nan is not)."""
+    return not any(a.any() for a in terms.values())
+
+
+def _term_map(values, shape):
+    """Term map monomial -> float array of `shape` from a flat sequence of
+    floats and NilElements, in C order of `shape`."""
+    size = len(values)
+    lists = {}
+    for j, e in enumerate(values):
+        terms = e.terms if isinstance(e, NilElement) else ({(0, 0): e} if e else {})
+        for key, v in terms.items():
+            entries = lists.get(key)
+            if entries is None:
+                entries = lists[key] = [0.0] * size
+            entries[j] = v
+    return {key: np.array(entries).reshape(shape) for key, entries in lists.items()}
 
 
 def _coords_of(point):
@@ -215,6 +242,25 @@ def _coords_of(point):
     if isinstance(point, Point):
         return point.coords
     return tuple(point)
+
+
+def _transport(conn, a_values, d, order):
+    """I + sign * sum_i A_i delta_i from the `compile_w` values of A at the
+    first point and the term map `d` of the displacement delta, as a
+    GroupElementW over a W context of the given order."""
+    n, m = conn.n, conn.group.m
+    # A as (m, m, n) coefficient arrays, so that A @ delta sums over i
+    A = {key: a.transpose(1, 2, 0) for key, a in _term_map(a_values, (n, m, m)).items()}
+    out = _mat_mul(A, d)
+    out[(0, 0)] = out[(0, 0)] + np.eye(m) if (0, 0) in out else np.eye(m)
+    return GroupElementW(out, m, order)
+
+
+def _displacement(delta):
+    """Term map of TRANSPORT_SIGN * delta, and the order of its W context."""
+    d = {key: TRANSPORT_SIGN * v for key, v in _term_map(delta, (len(delta),)).items()}
+    order = next((min(e.k, e.n) for e in delta if isinstance(e, NilElement)), 0)
+    return d, order
 
 
 def transport_neighbor(conn, a, b):
@@ -227,14 +273,8 @@ def transport_neighbor(conn, a, b):
     cb = _coords_of(b)
     if not (len(ca) == len(cb) == conn.n):
         raise ContextMismatchError("points not in the connection's chart")
-    mats = conn.a_matrices(ca)
-    m = conn.group.m
-    out = np.eye(m).astype(object)
-    for i in range(conn.n):
-        delta = cb[i] - ca[i]
-        if isinstance(delta, NilElement) or delta != 0.0:
-            out = out + TRANSPORT_SIGN * mats[i] * delta
-    return GroupElementW(out)
+    return _transport(conn, conn._a_w(*ca),
+                      *_displacement([q - p for p, q in zip(ca, cb)]))
 
 
 def connection_form(conn, x, y):
@@ -243,48 +283,57 @@ def connection_form(conn, x, y):
     a, g = x
     b, h = y
     T = transport_neighbor(conn, a, b)
-    g = np.asarray(g, dtype=float)
-    ginv = np.linalg.inv(g).astype(object)
-    if isinstance(h, GroupElementW):
-        hmat = h.mat
-    else:
-        hmat = np.asarray(h, dtype=object)
-    return GroupElementW(_omat_mul(_omat_mul(ginv, T.mat), hmat))
+    ginv = np.linalg.inv(np.asarray(g, dtype=float))
+    return ginv @ T @ h
 
 
 def horizontal_lift(conn, x, b):
     """The fiber value over b making ((a,g),(b,h)) horizontal: h = T(b,a) g."""
     a, g = x
-    Tba = transport_neighbor(conn, b, a)
-    return GroupElementW(_omat_mul(Tba.mat, np.asarray(g, dtype=object)))
+    return transport_neighbor(conn, b, a) @ g
+
+
+# The vertex swap 1 <-> 2 of the 2-simplex, an automorphism of W(2, n).
+_SWAP = (2, 1)
+
+
+@cache
+def _simplex(n):
+    """The generic offsets u, v of the infinitesimal 2-simplex x, x + u,
+    x + v in R^n, and the displacements y - x, z - y, x - z as made by
+    `_displacement`.  Shared: no caller writes to them."""
+    u, v = generic_offsets(2, n)
+    return u, [_displacement(d) for d in (u, [vi - ui for ui, vi in zip(u, v)],
+                                         [-vi for vi in v])]
 
 
 def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     """Curvature via the coboundary on the generic infinitesimal 2-simplex
     at (p, I): returns {(i, j): m x m matrix} for i < j (1-based), after the
-    degree-2 extraction normalization."""
-    n = conn.n
-    u, v = generic_offsets(2, n)
-    x = Point(p.coords)
-    y = NilPoint(x, u)
-    z = NilPoint(x, v)
-    w_xy = transport_neighbor(conn, x, y)
-    w_yz = transport_neighbor(conn, y, z)
-    w_zx = transport_neighbor(conn, z, x)
-    total = w_xy @ w_yz @ w_zx
-    coeffs = total.coefficient_matrices()
-    m = conn.group.m
+    degree-2 extraction normalization.
+
+    A is evaluated once in W, at y = x + u; its value at z = x + v is the
+    image under the vertex swap, which maps y to z."""
+    n, m = conn.n, conn.group.m
+    u, (d_xy, d_yz, d_zx) = _simplex(n)
+    x = p.coords
+    a_y = conn._a_w(*[ui + xi for ui, xi in zip(u, x)])
+    a_z = [e.permute_rows(_SWAP) if isinstance(e, NilElement) else e for e in a_y]
+    total = (_transport(conn, conn._a_w(*x), *d_xy)
+             @ _transport(conn, a_y, *d_yz) @ _transport(conn, a_z, *d_zx))
+    const = total.terms.pop((0, 0))
+    if not within_tol(np.abs(const - np.eye(m)).max(), tol):
+        raise RankDeficiencyError("coboundary constant part is not I")
     out = {}
-    for key, mat in coeffs.items():
-        rmask, cmask = key
-        if key == (0, 0):
-            if not within_tol(np.max(np.abs(mat - np.eye(m))), tol):
-                raise RankDeficiencyError("coboundary constant part is not I")
-        elif rmask == 0b11:
+    linear = []
+    for (rmask, cmask), mat in total.terms.items():
+        if rmask == 0b11:
             i, j = [b + 1 for b in range(n) if cmask & (1 << b)]
             out[(i, j)] = mat * COBOUNDARY_SCALE
-        elif not within_tol(np.max(np.abs(mat)), tol):
-            raise RankDeficiencyError("coboundary has unexpected degree-1 part")
+        else:
+            linear.append(mat)
+    if linear and not within_tol(np.abs(linear).max(), tol):
+        raise RankDeficiencyError("coboundary has unexpected degree-1 part")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             out.setdefault((i, j), np.zeros((m, m)))
@@ -296,7 +345,7 @@ def curvature_classical_oracle(conn, p, bracket_sign=BRACKET_SIGN):
     for i < j (1-based), with s = `bracket_sign` (the pinned sign unless
     given)."""
     n, m = conn.n, conn.group.m
-    # compiled for one point as for the W-valued a_matrices: the values and
+    # compiled for one point as for the W-valued transport: the values and
     # errors of `expr.evaluate`
     A = np.array(conn._a_w(*p.coords), dtype=float).reshape(n, m, m)
     dA = iter(np.array(conn._da_w(*p.coords), dtype=float).reshape(-1, m, m))
@@ -517,7 +566,7 @@ def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
         g = parallel_transport(conn, seg, 0.0, 1.0, steps)
         ginv = np.linalg.inv(g)
         for F in curvature_coboundary(conn, p).values():
-            conjugated.append(g @ F @ ginv)
+            conjugated.append(ginv @ F @ g)
     h_basis = lie_closure(conjugated, tol=tol)
     flat = np.array([b.ravel() for b in h_basis]) if h_basis else None
     max_resid = 0.0

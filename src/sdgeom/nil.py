@@ -99,6 +99,55 @@ class _SignTables(dict):
 _MERGE_SIGNS = _SignTables()
 
 
+def _coeff_equal(a, b):
+    """`==` for two coefficients: elementwise, with equal shapes, if either
+    is an array."""
+    if getattr(a, "ndim", 0) or getattr(b, "ndim", 0):  # numpy only then
+        import numpy as np
+
+        return bool(np.array_equal(a, b))
+    return a == b
+
+
+def _format_coeff(v):
+    """A coefficient as `repr` prints it: `:g` for a float, and for an
+    array its values in brackets."""
+    if getattr(v, "ndim", 0):
+        return "[" + " ".join(f"{x:g}" for x in v.tolist()) + "]"
+    return f"{v:g}"
+
+
+class _PermutedMonomials(dict):
+    """Memo of the image of each monomial under one row permutation:
+    monomial -> (sign, monomial), the sign +1.0 or -1.0."""
+
+    __slots__ = ("perm",)
+
+    def __init__(self, perm):
+        super().__init__()
+        self.perm = perm
+
+    def __missing__(self, mono):
+        rmask, cmask = mono
+        perm = self.perm
+        sign, image = canonicalize([(perm[r - 1], c)
+                                    for r, c in zip(_bits(rmask), _bits(cmask))])
+        entry = self[mono] = (float(sign), image)
+        return entry
+
+
+class _PermutationTables(dict):
+    """One `_PermutedMonomials` table per permutation tuple, made on first
+    use."""
+
+    def __missing__(self, perm):
+        table = self[perm] = _PermutedMonomials(perm)
+        return table
+
+
+_PERMUTED = _PermutationTables()
+
+
 def _is_zero(v):
     """Whether a coefficient is pruned: a float equal to 0.0 (the term-map
     kernels below inline this test)."""
@@ -249,13 +298,21 @@ class NilElement:
         return _wrap(self.k, self.n, t)
 
     def __eq__(self, other):
+        """Same context, same monomials and equal coefficients; two arrays
+        are equal when their shapes and values are, and nan equals nothing,
+        as for floats."""
         if isinstance(other, (int, float)):
             other = NilElement.constant(self.k, self.n, other)
         if not isinstance(other, NilElement):
             return NotImplemented
-        return (self.k, self.n) == (other.k, other.n) and self.terms == other.terms
+        if (self.k, self.n) != (other.k, other.n) or self.terms.keys() != other.terms.keys():
+            return False
+        theirs = other.terms
+        return all(_coeff_equal(v, theirs[key]) for key, v in self.terms.items())
 
     def __hash__(self):
+        if any(getattr(v, "ndim", 0) for v in self.terms.values()):
+            raise TypeError("unhashable NilElement: it has array coefficients")
         return hash((self.k, self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
@@ -263,12 +320,13 @@ class NilElement:
             return f"W({self.k},{self.n})<0>"
         parts = []
         for (rmask, cmask), v in sorted(self.terms.items()):
+            v = _format_coeff(v)
             if rmask == 0:
-                parts.append(f"{v:g}")
+                parts.append(v)
             else:
                 gens = "".join(f"xi[{r},{c}]"
                                for r, c in zip(_bits(rmask), _bits(cmask)))
-                parts.append(f"{v:g}*{gens}")
+                parts.append(f"{v}*{gens}")
         return f"W({self.k},{self.n})<" + " + ".join(parts) + ">"
 
     # -- arithmetic --------------------------------------------------------
@@ -372,11 +430,18 @@ class NilElement:
     def permute_rows(self, perm):
         """Algebra morphism induced by a vertex permutation.
 
-        `perm` maps row index r (1-based) to perm[r-1].
+        `perm` maps row index r (1-based) to perm[r-1].  It maps monomials
+        one to one, each to a signed monomial memoised per permutation.
         """
+        perm = tuple(perm)
         if sorted(perm) != list(range(1, self.k + 1)):
             raise ValueError("not a permutation of 1..k")
-        return self._map_factors(lambda r, c: (perm[r - 1], c))
+        images = _PERMUTED[perm]
+        out = {}
+        for mono, v in self.terms.items():
+            sign, image = images[mono]
+            out[image] = sign * v
+        return _wrap(self.k, self.n, out)
 
     def zero_row(self, j):
         """Algebra morphism xi[j,*] -> 0 (identify vertex j with the base)."""

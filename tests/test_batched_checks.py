@@ -768,6 +768,25 @@ def test_array_coefficients_are_the_float_arithmetic_at_each_sample(m):
         assert passed.tolist() == [within_tol(x - y, 1.0) for x, y in zip(a1, b1)]
 
 
+def test_array_coefficients_print_compare_and_hash():
+    a = NilElement(2, 2, {(0, 0): np.array([1.0, 2.5]), (1, 1): 0.5})
+    assert repr(a) == "W(2,2)<[1 2.5] + 0.5*xi[1,1]>"
+    # equal values in distinct arrays
+    assert a == NilElement(2, 2, {(0, 0): np.array([1.0, 2.5]), (1, 1): 0.5})
+    for other in ({(0, 0): np.array([1.0, 3.0]), (1, 1): 0.5},
+                  {(0, 0): np.array([1.0, 2.5, 2.5]), (1, 1): 0.5},
+                  {(0, 0): np.array([1.0, 2.5])},
+                  {(0, 0): 1.0, (1, 1): 0.5}):
+        assert a != NilElement(2, 2, other)
+    # nan equals nothing, itself included, as for floats
+    for nan in (NilElement(2, 2, {(0, 0): np.array([1.0, math.nan])}),
+                NilElement(2, 2, {(0, 0): math.nan})):
+        assert nan != nan
+    with pytest.raises(TypeError, match="array coefficients"):
+        hash(a)
+    assert hash(NilElement.constant(2, 2, 1.5)) == hash(NilElement.constant(2, 2, 1.5))
+
+
 # constant terms at which the float lift is defined, raises, or overflows
 LIFT_CONSTANTS = {
     "sin": [0.3, -2.0, 1e10, float("inf"), float("nan"), 0.0],

@@ -2,7 +2,9 @@
 the classical oracle, parallel transport/holonomy, and the holonomy-algebra
 inclusion."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
                                 parallel_transport, pin_conventions,
                                 transport_neighbor)
 from sdgeom.forms import random_scalar_expr
-from sdgeom.nil import NilElement
+from sdgeom.nil import NilElement, generic_offsets, within_tol
+from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -214,7 +217,7 @@ def test_nan_nilpotent_part_is_not_zero():
     # the truncated log and the Neumann-series inverse stop once a power of
     # the nilpotent part is zero; a nan power is not zero
     e = NilElement(1, 1, {(0, 0): 1.0, (1, 1): float("nan")})
-    g = GroupElementW([[e, 0.0], [0.0, 1.0]])
+    g = as_group_element([[e, 0.0], [0.0, 1.0]])
     assert math.isnan(g.max_abs_coeff())
     assert math.isnan(g.log_truncated().max_abs_coeff())
     assert math.isnan(g.inverse().max_abs_coeff())
@@ -222,7 +225,7 @@ def test_nan_nilpotent_part_is_not_zero():
 
 def test_nan_coefficient_is_not_in_the_subalgebra_cone():
     e = NilElement(1, 1, {(0, 0): 1.0, (1, 1): float("nan")})
-    g = GroupElementW([[e, 0.0], [0.0, 1.0]])
+    g = as_group_element([[e, 0.0], [0.0, 1.0]])
     assert in_subalgebra_cone(g, [J]) is False
 
 
@@ -266,6 +269,207 @@ def rk4_reference(conn, curve_exprs, t0, t1, steps, project):
             uu, _, vv = np.linalg.svd(g)
             g = uu @ vv
     return g
+
+
+# -- object-matrix references for the W-valued group elements -------------------
+#
+# The entrywise form that GroupElementW replaced: m x m object arrays of
+# NilElements and floats, multiplied entry by entry.
+
+def omat_mul(a, b):
+    m, k = a.shape
+    _, n = b.shape
+    out = np.empty((m, n), dtype=object)
+    for i in range(m):
+        for j in range(n):
+            acc = 0.0
+            for l in range(k):
+                acc = acc + a[i, l] * b[l, j]
+            out[i, j] = acc
+    return out
+
+
+def omat_is_zero(a):
+    return all(within_tol(e, 0.0) for row in a for e in row)
+
+
+def omat_coords(point):
+    return point.coords_w() if isinstance(point, NilPoint) else point.coords
+
+
+def ref_transport_neighbor(conn, a, b):
+    """T(a, b) = I + sign * sum_i A_i(a) (b - a)_i as an object array."""
+    ca, cb = omat_coords(a), omat_coords(b)
+    m = conn.group.m
+    values = np.empty(conn.n * m * m, dtype=object)
+    values[:] = conn._a_w(*ca)
+    mats = values.reshape(conn.n, m, m)
+    out = np.eye(m).astype(object)
+    for i in range(conn.n):
+        delta = cb[i] - ca[i]
+        if isinstance(delta, NilElement) or delta != 0.0:
+            out = out + TRANSPORT_SIGN * mats[i] * delta
+    return out
+
+
+def ref_coefficient_matrices(mat):
+    """monomial -> m x m float matrix of its coefficients across entries."""
+    out = {}
+    m = mat.shape[0]
+    for r in range(m):
+        for c in range(m):
+            e = mat[r, c]
+            if isinstance(e, NilElement):
+                for key, v in e.terms.items():
+                    out.setdefault(key, np.zeros((m, m)))[r, c] = v
+            elif e:
+                out.setdefault((0, 0), np.zeros((m, m)))[r, c] = float(e)
+    return out
+
+
+def ref_nil_order(mat):
+    return next((min(e.k, e.n) for row in mat for e in row
+                 if isinstance(e, NilElement)), 0)
+
+
+def as_group_element(entries):
+    mat = np.array(entries, dtype=object)
+    return GroupElementW(ref_coefficient_matrices(mat), mat.shape[0], ref_nil_order(mat))
+
+
+def ref_inverse(mat):
+    m = mat.shape[0]
+    C = np.array([[e.const_term if isinstance(e, NilElement) else float(e)
+                   for e in row] for row in mat])
+    Cinv = np.linalg.inv(C).astype(object)
+    N = omat_mul(Cinv, mat) - np.eye(m).astype(object)
+    out = np.eye(m).astype(object)
+    power = np.eye(m).astype(object)
+    for r in range(1, ref_nil_order(mat) + 1):
+        power = omat_mul(power, N)
+        if omat_is_zero(power):
+            break
+        out = out + (-1.0) ** r * power
+    return omat_mul(out, Cinv)
+
+
+def ref_log_truncated(mat):
+    m = mat.shape[0]
+    N = mat - np.eye(m).astype(object)
+    out = np.zeros((m, m), dtype=object)
+    power = np.eye(m).astype(object)
+    for r in range(1, max(ref_nil_order(mat), 1) + 1):
+        power = omat_mul(power, N)
+        if omat_is_zero(power):
+            break
+        out = out + ((-1.0) ** (r + 1) / r) * power
+    return out
+
+
+def ref_coboundary(conn, p):
+    """Degree-2 coefficients of T(x,y) T(y,z) T(z,x), scaled, with A
+    evaluated at each of x, y and z."""
+    n, m = conn.n, conn.group.m
+    u, v = generic_offsets(2, n)
+    x = Point(p.coords)
+    y, z = NilPoint(x, u), NilPoint(x, v)
+    total = omat_mul(omat_mul(ref_transport_neighbor(conn, x, y),
+                              ref_transport_neighbor(conn, y, z)),
+                     ref_transport_neighbor(conn, z, x))
+    out = {(i, j): np.zeros((m, m)) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    for (rmask, cmask), mat in ref_coefficient_matrices(total).items():
+        if rmask == 0b11:
+            i, j = [b + 1 for b in range(n) if cmask & (1 << b)]
+            out[(i, j)] = mat * COBOUNDARY_SCALE
+    return out
+
+
+def assert_terms_close(got, want, rel):
+    """Two term maps agree coefficient by coefficient within rel * max(1,
+    largest |coefficient|); a missing monomial reads zero."""
+    scale = max([1.0] + [np.max(np.abs(a)) for a in want.values()])
+    for key in got.keys() | want.keys():
+        a = got.get(key, 0.0)
+        b = want.get(key, 0.0)
+        assert np.max(np.abs(a - b)) <= rel * scale, key
+
+
+def _load_perfbench_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def smooth_connection():
+    """gl(2)-valued A on R^2 whose entries use exp, sqrt and a quotient."""
+    x, y = ex.Var("x"), ex.Var("y")
+    two = ex.Const(2.0)
+    A1 = [[ex.Call("exp", ex.Mul(x, y)), ex.Div(x, ex.Add(two, y))],
+          [ex.Call("sqrt", ex.Add(two, ex.Mul(x, x))), ex.Mul(ex.Const(-0.4), y)]]
+    A2 = [[ex.Div(ex.Const(1.0), ex.Add(two, x)), ex.Call("exp", ex.Neg(x))],
+          [ex.Mul(y, ex.Call("sqrt", ex.Add(two, y))), ex.Sub(x, y)]]
+    return ConnectionData(2, MatrixGroupSpec(2), [A1, A2], vars=VARS2)
+
+
+def reference_cases():
+    """(connection, batch-16 sample points): perfbench's so2, so3 and gl2
+    connections at seeds 1-5, and `smooth_connection`."""
+    gen = _load_perfbench_gen()
+    cases = []
+    for seed in range(1, 6):
+        sources, _ = gen.checks_sparse(seed)
+        for name in ("so2.sdg", "so3.sdg", "gl2.sdg"):
+            conn = parse(sources[name]).conns["A"]
+            cases.append((conn, sample_box([(-1.0, 1.0)] * conn.n, 16, seed)))
+    cases.append((smooth_connection(), samples2(16, seed=9)))
+    return cases
+
+
+def test_coboundary_agrees_with_the_object_matrix_reference():
+    for conn, points in reference_cases():
+        for p in points:
+            got, want = curvature_coboundary(conn, p), ref_coboundary(conn, p)
+            assert got.keys() == want.keys()
+            for key, F in want.items():
+                assert np.max(np.abs(got[key] - F)) <= 1e-14 * max(1.0, np.max(np.abs(F)))
+
+
+def test_value_at_z_by_the_vertex_swap_is_the_direct_value():
+    for conn, points in reference_cases():
+        u, v = generic_offsets(2, conn.n)
+        for p in points[:4]:
+            x = Point(p.coords)
+            at_y = conn._a_w(*NilPoint(x, u).coords_w())
+            at_z = conn._a_w(*NilPoint(x, v).coords_w())
+            for e, want in zip(at_y, at_z):
+                got = e.permute_rows((2, 1)) if isinstance(e, NilElement) else e
+                assert got == want
+
+
+def test_group_element_arithmetic_agrees_with_the_object_matrix_reference():
+    for conn, points in reference_cases()[::4]:
+        u, v = generic_offsets(2, conn.n)
+        for p in points[:3]:
+            x = Point(p.coords)
+            y, z = NilPoint(x, u), NilPoint(x, v)
+            pairs = [(x, y), (y, z), (z, x)]
+            refs = [ref_transport_neighbor(conn, a, b) for a, b in pairs]
+            gots = [transport_neighbor(conn, a, b) for a, b in pairs]
+            for got, ref in zip(gots, refs):
+                assert got.order == ref_nil_order(ref)
+                assert_terms_close(got.coefficient_matrices(),
+                                   ref_coefficient_matrices(ref), 1e-15)
+                assert_terms_close(got.inverse().coefficient_matrices(),
+                                   ref_coefficient_matrices(ref_inverse(ref)), 1e-14)
+            assert_terms_close((gots[0] @ gots[1]).coefficient_matrices(),
+                               ref_coefficient_matrices(omat_mul(refs[0], refs[1])), 1e-14)
+            # the log of a product with constant part I, exact by nilpotency
+            prod = gots[0] @ gots[1] @ gots[2]
+            ref = omat_mul(omat_mul(refs[0], refs[1]), refs[2])
+            assert_terms_close(prod.log_truncated().coefficient_matrices(),
+                               ref_coefficient_matrices(ref_log_truncated(ref)), 1e-14)
 
 
 def so3_connection():
@@ -362,6 +566,21 @@ def test_ambrose_singer_inclusion():
     assert resid <= 1e-6
 
 
+def test_ambrose_singer_on_a_reducible_so3_connection():
+    # the gauge transform of y E_z dx by the rotation about the x-axis
+    # through angle x: non-abelian values, a 1-dimensional holonomy algebra.
+    # Curvature conjugated the wrong way round spans all of so(3), and every
+    # loop then passes.
+    conn = parse("dim 2\nvar x y\nconn A = [0*dx, (-y*cos(x))*dx, (-y*sin(x))*dx; "
+                 "(y*cos(x))*dx, 0*dx, (1)*dx; (y*sin(x))*dx, (-1)*dx, 0*dx]\n").conns["A"]
+    ok, dim_h, resid = ambrose_singer_check(
+        conn, [(circle_curve(-0.5, 0.0, 0.2), 0.0, 1.0)],
+        sample_box([(-1.0, 1.0)] * 2, 8, 1), Point((-0.3, 0.0)), steps=500)
+    assert dim_h == 1
+    assert ok
+    assert resid <= 1e-6
+
+
 def test_lie_closure_of_so3_generators():
     Lx = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
     Ly = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=float)
@@ -416,16 +635,10 @@ def test_group_element_inverse_exact_in_w():
     conn = rotational_connection()
     a, offs = neighbour_pair(conn, (0.3, 0.6))
     T = transport_neighbor(conn, a, offs)
-    prod = T @ T.inverse()
-    for r in range(2):
-        for c in range(2):
-            entry = prod.mat[r, c]
-            want = 1.0 if r == c else 0.0
-            if isinstance(entry, NilElement):
-                assert abs(entry.const_term - want) <= 1e-15
-                assert entry.nilpotent_part().max_abs_coeff() <= 1e-15
-            else:
-                assert abs(entry - want) <= 1e-15
+    prod = (T @ T.inverse()).coefficient_matrices()
+    assert np.max(np.abs(prod.pop((0, 0)) - np.eye(2))) <= 1e-15
+    for mat in prod.values():
+        assert np.max(np.abs(mat)) <= 1e-15
 
 
 def test_gauge_conjugation_of_curvature():
