@@ -83,9 +83,10 @@ def _check_square_zero(d):
 
 
 def _as_w_coords(p):
+    """Coordinates of a point, a NilPoint (W-valued) or a plain sequence."""
     if isinstance(p, NilPoint):
         return p.coords_w()
-    return p.coords
+    return p.coords if isinstance(p, Point) else tuple(p)
 
 
 def affine_combination(d, x, y):

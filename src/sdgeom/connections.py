@@ -18,8 +18,9 @@ from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
 from .nil import _MERGE_SIGNS, NilElement, generic_offsets, within_tol
-from .chart import NilPoint, Point
+from .chart import _as_w_coords
 from .distributions import span_residual
+from .forms import default_vars
 
 # Convention constants fixed by pin_conventions() against the classical
 # oracle; see that function.
@@ -50,8 +51,7 @@ class ConnectionData:
     def __init__(self, n, group, A, vars=None):
         self.n = n
         self.group = group
-        self.vars = tuple(vars) if vars is not None else tuple(
-            f"x{i + 1}" for i in range(n))
+        self.vars = tuple(vars) if vars is not None else default_vars(n)
         if len(A) != n:
             raise DegreeError("need one matrix of coefficients per dimension")
         m = group.m
@@ -236,14 +236,6 @@ def _term_map(values, shape):
     return {key: np.array(entries).reshape(shape) for key, entries in lists.items()}
 
 
-def _coords_of(point):
-    if isinstance(point, NilPoint):
-        return point.coords_w()
-    if isinstance(point, Point):
-        return point.coords
-    return tuple(point)
-
-
 def _transport(conn, a_values, d, order):
     """I + sign * sum_i A_i delta_i from the `compile_w` values of A at the
     first point and the term map `d` of the displacement delta, as a
@@ -269,8 +261,8 @@ def transport_neighbor(conn, a, b):
     Exact for neighbour pairs: quadratic terms in the displacement vanish.
     Either argument may be W-valued; A is evaluated at the first.
     """
-    ca = _coords_of(a)
-    cb = _coords_of(b)
+    ca = _as_w_coords(a)
+    cb = _as_w_coords(b)
     if not (len(ca) == len(cb) == conn.n):
         raise ContextMismatchError("points not in the connection's chart")
     return _transport(conn, conn._a_w(*ca),
@@ -552,33 +544,36 @@ def lie_closure(mats, tol=1e-9):
 def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
                          tol=1e-6):
     """Log of every loop holonomy lies in the Lie algebra generated by the
-    (transport-conjugated) curvature values.
+    curvature values, all brought to the basepoint.
 
-    `loops` are (curve_exprs, t0, t1) triples of closed curves through the
-    basepoint.  Returns (inclusion_verdict, dim_h, max_residual).
+    Each curvature value F at a sample p, and each holonomy log L of a loop
+    starting at p = curve(t0), is brought to the basepoint as g^-1 F g
+    (g^-1 L g), g the parallel transport along the straight segment from
+    the basepoint to p in `steps` steps.  `loops` are (curve_exprs, t0, t1)
+    triples of closed curves.  Returns (inclusion_verdict, dim_h,
+    max_residual).
     """
-    conjugated = []
-    x0 = np.array(basepoint.coords)
-    for p in samples:
-        seg = [ex.Add(ex.Const(x0[i]),
-                      ex.Mul(ex.Var("t"), ex.Const(p.coords[i] - x0[i])))
-               for i in range(conn.n)]
+    x0 = basepoint.coords
+
+    def to_basepoint(p, values):
+        seg = [ex.Add(ex.Const(a), ex.Mul(ex.Var("t"), ex.Const(b - a)))
+               for a, b in zip(x0, p)]
         g = parallel_transport(conn, seg, 0.0, 1.0, steps)
         ginv = np.linalg.inv(g)
-        for F in curvature_coboundary(conn, p).values():
-            conjugated.append(ginv @ F @ g)
-    h_basis = lie_closure(conjugated, tol=tol)
+        return [ginv @ F @ g for F in values]
+
+    h_basis = lie_closure([F for p in samples for F in to_basepoint(
+        p.coords, curvature_coboundary(conn, p).values())], tol=tol)
     flat = np.array([b.ravel() for b in h_basis]) if h_basis else None
     max_resid = 0.0
     for curve_exprs, t0, t1 in loops:
         g = parallel_transport(conn, curve_exprs, t0, t1, steps)
-        L = holonomy_log(g)
-        if within_tol(np.max(np.abs(L)), tol):
-            continue
-        if flat is None:
-            max_resid = max(max_resid, float(np.max(np.abs(L))))
-            continue
-        max_resid = max(max_resid, span_residual(flat.T, L.ravel()))
+        start = [ex.evaluate(c, {"t": t0}) for c in curve_exprs]
+        L = to_basepoint(start, [holonomy_log(g)])[0]
+        size = float(np.max(np.abs(L)))
+        if not within_tol(size, tol):
+            max_resid = max(max_resid, size if flat is None
+                            else span_residual(flat.T, L.ravel()))
     return within_tol(max_resid, tol), len(h_basis), max_resid
 
 

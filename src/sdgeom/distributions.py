@@ -15,9 +15,9 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DegreeError, DomainError, RankDeficiencyError, SdgError
-from .forms import (d_classical, d_comb, extract_classical, semi_value,
+from .forms import (d_classical, default_vars, extract_classical, semi_value,
                     to_combinatorial, wedge_classical)
-from .nil import NilElement, generic_offsets, within_tol
+from .nil import NilElement, _is_zero, generic_offsets, within_tol
 from .chart import Point
 
 DEFAULT_TOL = 1e-9
@@ -45,12 +45,8 @@ class Distribution:
         self.rank = rank
         self.span = span
         self.kernel = kernel
-        if vars is not None:
-            self.vars = tuple(vars)
-        elif kernel:
-            self.vars = kernel[0].vars
-        else:
-            self.vars = tuple(f"x{i + 1}" for i in range(n))
+        self.vars = (tuple(vars) if vars is not None else kernel[0].vars if kernel
+                     else default_vars(n))
 
     # -- compiled numeric functions, built on first use ------------------------
 
@@ -64,11 +60,6 @@ class Distribution:
     def _span_fns(self):
         """Spanning-field components, field by field."""
         return _Compiled([c for v in self.span for c in v], self.vars)
-
-    @cached_property
-    def _span_w(self):
-        """Spanning-field components, field by field, at W-valued points."""
-        return ex.compile_w(self._span_fns.exprs, self.vars)
 
     @cached_property
     def _ideal_fns(self):
@@ -100,9 +91,10 @@ class Distribution:
     # -- pointwise linear algebra -------------------------------------------
 
     def kernel_matrix(self, p):
-        """(n-rank) x n matrix of kernel-form coefficients at p."""
+        """(n-rank) x n matrix of kernel-form coefficients at p (for SPAN
+        input, orthonormal rows of the complement of the fiber)."""
         if self.kernel is None:
-            return self._numeric_kernel(p)
+            return self._span_frame(p)[1]
         M = self._kernel_values(p)
         self._check_kernel_rank(np.linalg.svd(M, compute_uv=False), p)
         return M
@@ -132,20 +124,19 @@ class Distribution:
         self._check_kernel_rank(s, p)
         return vt[self.n - self.rank:].T
 
-    def _numeric_kernel(self, p):
-        """Kernel rows from the span via orthogonal complement."""
-        X = self.span_matrix(p)
-        q, _ = np.linalg.qr(np.hstack([X, np.eye(self.n)]))
-        comp = q[:, self.rank:self.n]
-        return comp.T
+    def _span_frame(self, p):
+        """For SPAN input, from one complete QR of the span matrix M at p:
+        an orthonormal basis B of the fiber, orthonormal rows K0 of its
+        complement, and the upper triangular C = B^T M."""
+        q, r = np.linalg.qr(self.span_matrix(p), mode="complete")
+        if np.any(np.abs(np.diag(r)) < 1e-10):
+            raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
+        return q[:, :self.rank], q[:, self.rank:].T, r[:self.rank]
 
     def basis_at(self, p):
         """Orthonormal n x rank basis of the fiber at p."""
         if self.span is not None:
-            q, r = np.linalg.qr(self.span_matrix(p))
-            if np.any(np.abs(np.diag(r)) < 1e-10):
-                raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
-            return q
+            return self._span_frame(p)[0]
         return self._numeric_span(p)
 
     # -- the same over stacked points, for the batched screens below -------
@@ -166,13 +157,15 @@ class Distribution:
         M, clear = _stack(self._span_fns, X, (self.rank, self.n))
         M = M.transpose(0, 2, 1)
         s = np.linalg.svd(M, compute_uv=False)
-        return M, np.linalg.qr(M)[0], clear & _clearly_full_rank(s, self.rank)
+        return (M, np.linalg.qr(M, mode="complete")[0][..., :self.rank],
+                clear & _clearly_full_rank(s, self.rank))
 
 
 class _Compiled:
     """Expressions compiled on first use: `at` evaluates them all at one
     point and `each` one by one (compile_numeric: DomainError where
-    `evaluate` raises), `stacked` at stacked points (compile_numpy)."""
+    `evaluate` raises), `stacked` at stacked points (compile_numpy), `w` at
+    W-valued points (compile_w)."""
 
     def __init__(self, exprs, vars):
         self.exprs = list(exprs)
@@ -189,6 +182,10 @@ class _Compiled:
     @cached_property
     def stacked(self):
         return ex.compile_numpy(self.exprs, self.vars)
+
+    @cached_property
+    def w(self):
+        return ex.compile_w(self.exprs, self.vars)
 
 
 # The batched checks evaluate all samples at once, but only as a screen: it
@@ -211,6 +208,18 @@ def _undecided(count, screen):
     of a single sample, at which that check costs less than the screen, and
     else those that `screen()` does not clear."""
     return range(count) if count <= 1 else np.flatnonzero(~screen())
+
+
+def _leading(fn, items, errors):
+    """fn at the items in order, up to the first at which it raises one of
+    `errors`: the values, and that exception (None if there is none)."""
+    values = []
+    for item in items:
+        try:
+            values.append(fn(item))
+        except errors as err:
+            return values, err
+    return values, None
 
 
 def _coords(points, n):
@@ -270,17 +279,19 @@ def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
     so flatness is a symmetric relation."""
     if dist.kernel is None:
         raise DegreeError("symmetry check needs a KERNEL representation")
+    thetas = [to_combinatorial(w) for w in dist.kernel]
+    u, = generic_offsets(1, dist.n)
     for p in samples:
-        for w in dist.kernel:
-            theta = to_combinatorial(w)
-            offsets = generic_offsets(1, dist.n)
-            forward = theta(p.coords, offsets)
-            # omega(y, x): base at y = x + u, displacement -u
-            new_base = tuple(b + o for b, o in zip(p.coords, offsets[0]))
-            backward = theta(new_base, [tuple(-o for o in offsets[0])])
-            if not within_tol(forward + backward, tol):
+        y = [b + o for b, o in zip(p.coords, u)]
+        for theta in thetas:  # omega(y, x): base at y = x + u, displacement -u
+            if not within_tol(theta(p.coords, [u]) + theta(y, [[-o for o in u]]), tol):
                 return False
     return True
+
+
+def _entries(M):
+    """Rows of a matrix as lists of floats; of a stack (N, r, c), of arrays."""
+    return M.tolist() if M.ndim == 2 else np.ascontiguousarray(M.transpose(1, 2, 0))
 
 
 def _flat_generic_offsets(B, arity):
@@ -289,109 +300,111 @@ def _flat_generic_offsets(B, arity):
     in W(arity, rank).  For a stack of bases (N, n, rank), one per sample,
     the coefficients are arrays over the samples, each kept even where it is
     zero."""
-    m = B.shape[-1]
-    if B.ndim == 2:
-        return [[NilElement(arity, m, {(1 << j, 1 << alpha): c
-                                       for alpha, c in enumerate(row) if c})
-                 for row in B.tolist()]
-                for j in range(arity)]
-    rows = np.ascontiguousarray(B.transpose(1, 2, 0))  # (n, rank, N)
-    return [[NilElement(arity, m, {(1 << j, 1 << alpha): c for alpha, c in enumerate(row)})
-             for row in rows]
+    return [[NilElement(arity, B.shape[-1], {(1 << j, 1 << alpha): c
+                                             for alpha, c in enumerate(row) if not _is_zero(c)})
+             for row in _entries(B)]
             for j in range(arity)]
 
 
-def _bases(dist, samples):
-    """`basis_at` at the samples in order, up to the first at which it
-    raises: the bases, and that exception (None if there is none)."""
-    bases = []
-    for p in samples:
-        try:
-            bases.append(dist.basis_at(p))
-        except (SdgError, ValueError) as err:
-            return bases, err
-    return bases, None
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _flat_sample(forms, p, B, tol):
-    """Whether every form vanishes, within tol, on the generic flat
-    2-simplex at p with fiber basis B."""
-    offsets = _flat_generic_offsets(B, 2)
-    return all(within_tol(form(p.coords, offsets), tol) for form in forms)
-
-
-def _flat_screen(forms, dist, samples, bases, tol):
-    """The screen of `_flat_sample` at the leading samples, one for each
-    basis: every form is evaluated once on the generic flat 2-simplexes at
-    all of them, the base coordinates constant W elements with arrays of
-    the samples' coordinates as their constant terms.  Returns which samples
-    clearly pass and which clearly fail; `_flat_sample` decides the others.
-    Where the per-sample evaluation raises, the batched one gives nan, and
-    the nan reaches the residual, so such a sample is in neither."""
-    count = len(bases)
-    passing = failing = np.zeros(count, dtype=bool)
-    if count <= 1:
-        return passing, failing
-    X = _coords(samples[:count], dist.n)
-    base = [NilElement(2, dist.rank, {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
-    offsets = _flat_generic_offsets(np.array(bases), 2)
-    try:
-        with np.errstate(all="ignore"):
-            residual = np.max([np.broadcast_to(_max_abs(form(base, offsets)), count)
-                               for form in forms], axis=0)
-    except DomainError:  # from a float subexpression: it raises at every sample
-        return passing, failing
-    failing = np.isfinite(residual) & ~within_tol(residual, 2 * tol + _ROUNDING)
-    return _clears(residual, tol), failing
+def _flat_sample(residuals, p, frame, tol):
+    """Whether every residual at p, with the frame `frame` there, passes."""
+    return all(within_tol(r, tol) for r in residuals(p.coords, frame))
 
 
 def _max_abs(value):
     return value.max_abs_coeff() if isinstance(value, NilElement) else abs(value)
 
 
+def _relation(dist, span, x, frame):
+    """Kock's relation on the generic flat 2-simplex (x, x + u, x + v): the
+    residuals K_y (v - u) of y = x + u ~_D x + v, yielded kernel row by row.
+    The frame at x holds the columns of the fiber basis B; for KERNEL input
+    K_y is the kernel matrix at y.  For SPAN input (`span`) those of K0^T and
+    S^T follow (`_span_frame`, S = C^-1 B^T), and K_y w = K0 w - (K0 X(y)) S w
+    with X the span matrix: both outer factors are nilpotent and W(2, rank)
+    stops at degree 2, so only C, the constant part of B^T X(y), is inverted.
+    x and the frame are floats at one sample, or constant W elements and
+    arrays over stacked samples."""
+    n, rank = dist.n, dist.rank
+    u, v = _flat_generic_offsets(frame[..., :rank], 2)
+    y = [c + e for c, e in zip(x, u)]
+    w = [b - a for a, b in zip(u, v)]
+    if not span:
+        K = dist._kernel_fns.w(*y)
+        return (_dot(K[i:i + n], w) for i in range(0, len(K), n))
+    columns = list(zip(*([c if c.__class__ is float else NilElement(2, rank, {(0, 0): c})
+                          for c in row] for row in _entries(frame))))
+    K0, S = columns[rank:n], columns[n:]
+    X = dist._span_fns.w(*y)
+    fields = [X[a:a + n] for a in range(0, len(X), n)]
+    Sw = [_dot(row, w) for row in S]
+    return (_dot(row, w) - _dot([_dot(row, f) for f in fields], Sw) for row in K0)
+
+
+def _flat_verdicts(residuals, dist, samples, frame_at, tol):
+    """`_flat_sample` at each sample in order: yields (sample, frame,
+    verdict) up to the first sample at which `frame_at` (`basis_at`, or a
+    frame built through a per-point method) raises, then raises that.
+
+    More than one sample is screened first: the residuals are evaluated
+    once on the generic flat 2-simplexes at all of them, the base
+    coordinates constant W elements with arrays of the samples' coordinates
+    as their constant terms, the frames stacked.  `_flat_sample` decides
+    only where the screen neither clearly passes nor clearly fails.  Where
+    it would raise, the batched evaluation gives nan, which reaches the
+    residual and decides nothing."""
+    frames, error = _leading(frame_at, samples, (SdgError, ValueError))
+    residual = np.full(len(frames), np.nan)
+    if len(frames) > 1:
+        X = _coords(samples[:len(frames)], dist.n)
+        base = [NilElement(2, dist.rank, {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
+        try:
+            with np.errstate(all="ignore"):
+                residual = np.zeros(len(frames))
+                for r in residuals(base, np.array(frames)):
+                    residual = np.maximum(residual, _max_abs(r))
+        except DomainError:  # from a float subexpression: it raises at every sample
+            residual = np.full(len(frames), np.nan)
+    failing = np.isfinite(residual) & ~within_tol(residual, 2 * tol + _ROUNDING)
+    for p, frame, passed, failed in zip(samples, frames, _clears(residual, tol), failing):
+        yield p, frame, bool(passed) or (not failed and _flat_sample(residuals, p, frame, tol))
+    if error is not None:
+        raise error
+
+
+def _relation_test(dist, span, samples, frame_at, tol):
+    verdicts = [ok for *_, ok in _flat_verdicts(partial(_relation, dist, span), dist,
+                                                list(samples), frame_at, tol)]
+    return verdicts, all(verdicts)
+
+
 def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
-    """Simplicial test: every d(omega_i) vanishes on the generic flat
-    2-simplex at each sample.  Returns (per-point list, aggregate)."""
+    """Kock's relation for KERNEL input (see `pointwise_involutive_span`):
+    the kernel forms at x+u vanish on v - u.  Returns (per-point list,
+    aggregate)."""
     if dist.kernel is None:
         raise DegreeError(
             "combinatorial involutivity test needs KERNEL forms "
             "(use pointwise_involutive_span for SPAN-only input)")
-    samples = list(samples)
-    dthetas = [d_comb(to_combinatorial(w)) for w in dist.kernel]
-    bases, error = _bases(dist, samples)
-    passing, failing = _flat_screen(dthetas, dist, samples, bases, tol)
-    verdicts = [bool(passing[i]) if passing[i] or failing[i]
-                else _flat_sample(dthetas, samples[i], B, tol)
-                for i, B in enumerate(bases)]
-    if error is not None:
-        raise error
-    return verdicts, all(verdicts)
+    return _relation_test(dist, False, samples, dist.basis_at, tol)
 
 
 def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
-    """Kock's relational involutivity test for SPAN input: if x ~_D x+u and
-    x ~_D x+v for the generic flat offsets u, v, then x+u ~_D x+v, i.e.
-    w = v - u lies in the span of the fields X at x+u.  Exact in W(2, rank):
-    with B the fiber basis at x, K0 the kernel rows there and
-    C = B^T X(x), the residual K0 w - (K0 X(x+u)) C^-1 B^T w vanishes.  Both
-    outer factors are nilpotent and W(2, rank) stops at degree 2, so only
-    the constant part C of B^T X(x+u) is inverted.  Returns (per-point
-    list, aggregate).
-    """
+    """Kock's relation for SPAN input: if x ~_D x+u and x ~_D x+v for the
+    generic flat offsets u, v at a sample x, then x+u ~_D x+v, in exact
+    W(2, rank) arithmetic.  Returns (per-point list, aggregate)."""
     if dist.span is None:
         raise DegreeError("relational span test needs a SPAN representation")
-    verdicts = []
-    for p in samples:
-        B = dist.basis_at(p)
-        K0 = dist.kernel_matrix(p)
-        solve = np.linalg.solve(B.T @ dist.span_matrix(p), B.T)  # C^-1 B^T
-        u, v = _flat_generic_offsets(B, 2)
-        X = np.array(dist._span_w(*(c + e for c, e in zip(p.coords, u))),
-                     dtype=object).reshape(dist.rank, dist.n).T
-        w = np.array([b - a for a, b in zip(u, v)], dtype=object)
-        residual = K0 @ w - (K0 @ X) @ (solve @ w)
-        verdicts.append(all(within_tol(r, tol) for r in residual))
-    return verdicts, all(verdicts)
+
+    def frame_at(p):
+        B, K0, C = dist._span_frame(p)
+        return np.hstack([B, K0.T, np.linalg.solve(C, B.T).T])
+
+    return _relation_test(dist, True, samples, frame_at, tol)
 
 
 def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
@@ -490,13 +503,7 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
         return False
     parameter_samples = list(parameter_samples)
     # A sample whose point cannot be built decides only if no earlier one does.
-    points, error = [], None
-    for s in parameter_samples:
-        try:
-            points.append(patch.point_at(s))
-        except (DomainError, ValueError) as err:
-            error = err
-            break
+    points, error = _leading(patch.point_at, parameter_samples, (DomainError, ValueError))
     screen = partial(_patch_screen, dist, patch, mode, parameter_samples, points, tol)
     for i in _undecided(len(points), screen):
         if not _patch_sample(dist, patch, mode, parameter_samples[i], points[i], tol):
@@ -563,14 +570,13 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
     if rng is None:
         rng = np.random.default_rng(0)
     samples = list(samples)
+    flat_values = lambda x, B: [theta(x, _flat_generic_offsets(B, 2))]
     conclusion = True
     # the first sample alone, then the screen over the rest: where theta is
     # not annihilated, the first sample usually shows it
     for chunk in (samples[:1], samples[1:]):
-        bases, error = _bases(dist, chunk)
-        passing, failing = _flat_screen([theta], dist, chunk, bases, tol)
-        for p, B, passed, failed in zip(chunk, bases, passing, failing):
-            if failed or not (passed or _flat_sample([theta], p, B, tol)):
+        for p, B, ok in _flat_verdicts(flat_values, dist, chunk, dist.basis_at, tol):
+            if not ok:
                 return SemiAnnihilationResult(False, None)
             vecs = [B[:, a] for a in range(dist.rank)]
             vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
@@ -579,8 +585,6 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
                 for v in vecs[i + 1:]:
                     if not within_tol(semi_value(coeffs, u, v), tol):
                         conclusion = False
-        if error is not None:
-            raise error
     return SemiAnnihilationResult(True, conclusion)
 
 

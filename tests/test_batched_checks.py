@@ -3,8 +3,10 @@
 The reference loops below are the checks as they were written one sample
 at a time.  On the classical side: every coefficient walked by
 `expr.evaluate`, every Jacobian and bracket differentiated again at each
-sample, one `numpy.linalg` call per matrix.  On the W side: one evaluation
-of d(omega) in W(2, rank) per sample, and one extraction of theta's
+sample, one `numpy.linalg` call per matrix.  On the W side: Kock's relation
+in W(2, rank) per sample, its coefficients walked by `expr.evaluate` and
+multiplied as object arrays of W elements (for KERNEL input, d(omega) on the
+flat 2-simplex is kept as a second oracle), and one extraction of theta's
 classical coefficients per pair of vectors.  The library evaluates all
 samples at once, through functions compiled once per object and through
 term maps whose coefficients are arrays over the samples; it must reach the
@@ -160,17 +162,45 @@ def ref_curvature_oracle(conn, p):
     return out
 
 
+def ref_relation_residuals(dist, p, span):
+    """Kock's relation at the sample p, for SPAN input with `span`: the
+    residuals K_y (v - u) of y = x + u ~_D x + v on the generic flat
+    2-simplex (x, x + u, x + v), and for KERNEL input the kernel matrix K_y
+    itself.  The coefficients are evaluated at y by `expr.evaluate`, and the
+    products are those of object arrays of W elements."""
+    B = dist.basis_at(p)
+    u, v = ds._flat_generic_offsets(B, 2)
+    env = _env(dist.vars, [c + e for c, e in zip(p.coords, u)])
+    w = np.array([b - a for a, b in zip(u, v)], dtype=object)
+    if span:
+        K0 = dist.kernel_matrix(p)
+        solve = np.linalg.solve(B.T @ dist.span_matrix(p), B.T)  # C^-1 B^T
+        X = np.array([[ex.evaluate(c, env) for c in field] for field in dist.span],
+                     dtype=object).T
+        return list(K0 @ w - (K0 @ X) @ (solve @ w)), None
+    K = np.array([[ex.evaluate(form.coeffs.get((i + 1,), ZERO), env) for i in range(dist.n)]
+                  for form in dist.kernel], dtype=object)
+    return list(K @ w), K
+
+
+def ref_relation(dist, samples, tol, span=False):
+    """Kock's relation, one sample at a time: the reference loop of
+    check_involutive_combinatorial and, with `span`, of
+    pointwise_involutive_span."""
+    verdicts = [all(within_tol(r, tol) for r in ref_relation_residuals(dist, p, span)[0])
+                for p in samples]
+    return verdicts, all(verdicts)
+
+
+def dcomb_residuals(dist, p):
+    """d(omega_i) on the generic flat 2-simplex at p: the involutivity test
+    of KERNEL input before the relation, kept as a second oracle."""
+    offsets = ds._flat_generic_offsets(dist.basis_at(p), 2)
+    return [d_comb(to_combinatorial(w))(p.coords, offsets) for w in dist.kernel]
+
+
 def ref_check_involutive_combinatorial(dist, samples, tol):
-    dthetas = [d_comb(to_combinatorial(w)) for w in dist.kernel]
-    verdicts = []
-    for p in samples:
-        offsets = ds._flat_generic_offsets(dist.basis_at(p), 2)
-        ok = True
-        for dtheta in dthetas:
-            if not within_tol(dtheta(p.coords, offsets), tol):
-                ok = False
-                break
-        verdicts.append(ok)
+    verdicts = [all(within_tol(r, tol) for r in dcomb_residuals(dist, p)) for p in samples]
     return verdicts, all(verdicts)
 
 
@@ -533,7 +563,7 @@ def assert_same_flat_checks(dist, samples, tol=ds.DEFAULT_TOL, semi=True):
     check of each d(omega_i) against their loops: the same result or
     exception, and the same random draws.  Returns the involutivity outcome."""
     got = full_outcome(ds.check_involutive_combinatorial, dist, samples, tol)
-    assert got == full_outcome(ref_check_involutive_combinatorial, dist, samples, tol)
+    assert got == full_outcome(ref_relation, dist, samples, tol)
     for w in dist.kernel if semi else ():
         theta = d_comb(to_combinatorial(w))
         rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
@@ -541,6 +571,36 @@ def assert_same_flat_checks(dist, samples, tol=ds.DEFAULT_TOL, semi=True):
             ref_semi_annihilation_check, dist, theta, samples, rng_want, tol)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
     return got
+
+
+def assert_same_span_checks(dist, samples, tol=ds.DEFAULT_TOL):
+    """pointwise_involutive_span against its loop: the same result or
+    exception.  Returns that outcome."""
+    got = full_outcome(ds.pointwise_involutive_span, dist, samples, tol)
+    assert got == full_outcome(ref_relation, dist, samples, tol, True)
+    return got
+
+
+def assert_dcomb_oracle_agrees(dist, samples, tol=ds.DEFAULT_TOL):
+    """The d(omega_i) loop against the relational loop: the same verdicts or
+    exception, and at each sample where neither raises, residuals within
+    1e-14 max(1, |K_y|), the largest |coefficient| of the kernel matrix at
+    y = x + u.  d(omega_i) on the flat simplex is omega_i(y)(v - u) less
+    omega_i(x)(v - u), which vanishes up to rounding."""
+    assert full_outcome(ref_check_involutive_combinatorial, dist, samples, tol) == (
+        full_outcome(ref_relation, dist, samples, tol))
+    compared = 0
+    for p in samples:
+        try:
+            relational, K = ref_relation_residuals(dist, p, False)
+            dcomb = dcomb_residuals(dist, p)
+        except (SdgError, ValueError):
+            continue
+        size = max([1.0] + [ds._max_abs(k) for k in K.flat])
+        for a, b in zip(relational, dcomb):
+            assert (a - b).max_abs_coeff() <= 1e-14 * size, p.coords
+        compared += 1
+    return compared
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -551,6 +611,8 @@ def test_flat_checks_on_the_benchmark_distributions(seed):
             for name, want in (("I", True), ("C", False)):
                 got = assert_same_flat_checks(prog.dists[name], points, semi=batch <= 16)
                 assert got[1] is want
+                if batch != 2:
+                    assert assert_dcomb_oracle_agrees(prog.dists[name], points) == batch
 
 
 def integrable_kernel(rng, vars=VARS3):
@@ -573,15 +635,15 @@ def test_flat_checks_on_a_random_kernel_corpus():
             got = assert_same_flat_checks(dist, points)
             assert_same_flat_checks(dist, points[:2])
             assert_same_flat_checks(dist, points, tol=1e-3)
+            assert_dcomb_oracle_agrees(dist, points)
             verdicts.add(got if isinstance(got[0], type) else got[1])
     assert {True, False} <= verdicts
 
 
-def contact_residual(dist, points):
+def contact_residual(dist, points, span=False):
     """The loop's residual at each point: the largest |coefficient| of
-    d(omega) on the generic flat 2-simplex there."""
-    dtheta = d_comb(to_combinatorial(dist.kernel[0]))
-    return [dtheta(p.coords, ds._flat_generic_offsets(dist.basis_at(p), 2)).max_abs_coeff()
+    Kock's relation on the generic flat 2-simplex there."""
+    return [max(r.max_abs_coeff() for r in ref_relation_residuals(dist, p, span)[0])
             for p in points]
 
 
@@ -626,6 +688,83 @@ def test_one_sample_is_not_screened(monkeypatch):
     stacks.clear()
     ds.check_involutive_combinatorial(dist, sample_box([(-1.0, 1.0)] * 3, 2, seed=1))
     assert stacks == [3]
+
+
+def ramp_span(c):
+    """span{(1, 0, c y), (0, 1, 0)}: the span version of ker(dz - c y dx)."""
+    return Distribution(3, 2, span=[[ONE, ZERO, ex.Mul(ex.Const(c), Y)], [ZERO, ONE, ZERO]],
+                        vars=VARS3)
+
+
+@pytest.mark.parametrize("factor, want, screened", [
+    (0.3, True, True), (0.7, True, False), (1.0, True, False), (1.3, False, False),
+    (3.0, False, True)])
+def test_span_residuals_near_the_tolerance_go_to_the_per_sample_test(
+        monkeypatch, factor, want, screened):
+    # the same frames and the same residual r at points sharing y
+    dist = ramp_span(0.8)
+    points = [Point((x, 0.3, z)) for x, z in ((0.1, 0.2), (-0.5, 0.7), (0.9, -0.4), (0.0, 0.0))]
+    residuals = contact_residual(dist, points, span=True)
+    assert len(set(residuals)) == 1
+    tol = residuals[0] / factor
+    calls = []
+    flat_sample = ds._flat_sample
+    monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(1) or flat_sample(*args))
+    assert ds.pointwise_involutive_span(dist, points, tol) == ([want] * 4, want)
+    assert len(calls) == (0 if screened else 4)
+    assert_same_span_checks(dist, points, tol)
+
+
+def test_clearly_decided_span_samples_skip_the_per_sample_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(args))
+    k3, _ = perfbench_programs(2)
+    points = sample_box([(-1.0, 1.0)] * 3, 16, seed=9)
+    assert ds.pointwise_involutive_span(k3.dists["S"], points) == ([True] * 16, True)
+    assert ds.pointwise_involutive_span(k3.dists["H"], points) == ([False] * 16, False)
+    assert calls == []
+
+
+def test_one_span_sample_is_not_screened(monkeypatch):
+    stacks = []
+    offsets = ds._flat_generic_offsets
+    monkeypatch.setattr(ds, "_flat_generic_offsets",
+                        lambda B, arity: stacks.append(B.ndim) or offsets(B, arity))
+    dist = perfbench_programs(1)[0].dists["S"]
+    ds.pointwise_involutive_span(dist, sample_box([(-1.0, 1.0)] * 3, 1, seed=1))
+    assert stacks == [2]
+    stacks.clear()
+    ds.pointwise_involutive_span(dist, sample_box([(-1.0, 1.0)] * 3, 2, seed=1))
+    assert stacks == [3]
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_span_checks_on_the_benchmark_spans(seed):
+    k3, _ = perfbench_programs(seed)
+    for batch in (1, 2, 16):
+        points = sample_box([(-1.0, 1.0)] * 3, batch, seed)
+        for name, want in (("S", True), ("H", False)):
+            assert assert_same_span_checks(k3.dists[name], points)[1] is want
+
+
+def random_span_distribution(rng, n):
+    vars = tuple(f"x{i + 1}" for i in range(n))
+    rank = int(rng.integers(1, n))
+    fields = [[random_scalar_expr(rng, vars) for _ in range(n)] for _ in range(rank)]
+    return Distribution(n, rank, span=fields, vars=vars)
+
+
+def test_span_checks_on_a_random_span_corpus():
+    rng = np.random.default_rng(79)
+    verdicts = set()
+    for attempt in range(30):
+        dist = random_span_distribution(rng, int(rng.choice((3, 4))))
+        points = sample_box([(-1.0, 1.0)] * dist.n, 8, seed=attempt)
+        got = assert_same_span_checks(dist, points)
+        assert_same_span_checks(dist, points[:2])
+        assert_same_span_checks(dist, points, tol=1e-3)
+        verdicts.add(got if isinstance(got[0], type) else got[1])
+    assert {True, False} <= verdicts
 
 
 def _vanishing(f):
@@ -690,6 +829,46 @@ def test_a_rank_deficient_basis_raises_after_failing_samples():
     assert assert_same_flat_checks(both, samples[:1] + samples[2:])[0] is RankDeficiencyError
 
 
+@pytest.mark.parametrize("f, bad, w_only", DOMAIN_CASES,
+                         ids=["ln", "sqrt", "reciprocal", "exp", "pow"])
+def test_span_checks_raise_where_the_loop_raises(f, bad, w_only):
+    # contact: span{(1, 0, y + f - f), (0, 1, 0)} fails at every defined
+    # sample; flat: the third component f - f or 0 f, or the first 1 + 0 f,
+    # passes there
+    def span(first):
+        return Distribution(3, 2, span=[first, [ZERO, ONE, ZERO]], vars=VARS3)
+
+    contact = span([ONE, ZERO, _vanishing(f)])
+    flats = [span([ONE, ZERO, ex.Sub(f, f)]), span([ONE, ZERO, ex.Mul(ZERO, f)]),
+             span([ex.Add(ONE, ex.Mul(ZERO, f)), ZERO, ZERO])]
+    good = [Point((0.5, 0.5, 0.1)), Point((0.25, -0.4, 0.3)), Point((0.75, 0.2, -0.6))]
+    raising = [Point((x, 0.3, 0.2)) for x in (bad, w_only) if x is not None]
+    for dist in [contact] + flats:
+        for r in raising:
+            for samples in (good + [r], [r] + good, good[:1] + [r] + good[1:], [r]):
+                assert assert_same_span_checks(dist, samples)[0] is DomainError
+        assert assert_same_span_checks(dist, good)[1] is (dist is not contact)
+
+
+def test_a_rank_deficient_span_raises_after_failing_samples():
+    # VANISHING_SPAN loses rank at the origin and fails wherever y != 0
+    points = [Point((0.5, 0.5, 0.1)), Point((-0.25, -0.4, 0.3)), Point((0.0, 0.0, 0.0)),
+              Point((0.75, 0.2, 0.6))]
+    message = "span fields rank-deficient at (0.0, 0.0, 0.0)"
+    for samples in (points, points[1:], points[2:]):
+        assert assert_same_span_checks(VANISHING_SPAN, samples) == (
+            RankDeficiencyError, message)
+    assert assert_same_span_checks(VANISHING_SPAN, points[:2] + points[3:])[1] is False
+    # a span whose W evaluation raises at an earlier sample: sqrt(x + 0.5)
+    # has no derivative at x = -0.5
+    root = ex.Call("sqrt", ex.Add(X, ex.Const(0.5)))
+    both = Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, X, _vanishing(root)]],
+                        vars=VARS3)
+    samples = [Point((0.5, 0.0, 0.1)), Point((-0.5, 0.2, 0.3)), Point((0.0, 0.0, -0.6))]
+    assert assert_same_span_checks(both, samples)[0] is DomainError
+    assert assert_same_span_checks(both, samples[:1] + samples[2:])[0] is RankDeficiencyError
+
+
 def test_semi_annihilation_stops_at_a_failing_first_sample(monkeypatch):
     # as the loop does, without the bases of the later samples
     k3, _ = perfbench_programs(4)
@@ -710,6 +889,37 @@ def test_basis_at_takes_the_null_space_of_the_rank_check():
             if dist.span is None:
                 for p in sample_box([(-1.0, 1.0)] * prog.dim, 64, seed=3):
                     assert np.array_equal(dist.basis_at(p), ref_null_span(dist, p))
+
+
+def test_span_frame_from_one_span_matrix_and_one_qr(monkeypatch):
+    # B, K0 and C of SPAN input come from one span matrix and one complete
+    # QR per sample: B C is that matrix, K0 annihilates it, [B | K0^T] is
+    # orthogonal, and `basis_at`/`kernel_matrix` return B and K0
+    calls = []
+    span_matrix = Distribution.span_matrix
+    monkeypatch.setattr(Distribution, "span_matrix",
+                        lambda self, p: calls.append(p) or span_matrix(self, p))
+    rng = np.random.default_rng(80)
+    dists = [perfbench_programs(seed)[0].dists[name] for seed in (1, 2) for name in "SH"]
+    dists += [random_span_distribution(rng, int(rng.choice((3, 4)))) for _ in range(10)]
+    for dist in dists:
+        points = sample_box([(-1.0, 1.0)] * dist.n, 8, seed=dist.n)
+        for p in points:
+            try:
+                B, K0, C = dist._span_frame(p)
+            except RankDeficiencyError:
+                continue
+            M = span_matrix(dist, p)
+            assert np.allclose(B @ C, M, rtol=0, atol=1e-14 * max(1.0, np.abs(M).max()))
+            assert np.allclose(K0 @ M, 0.0, rtol=0, atol=1e-14 * max(1.0, np.abs(M).max()))
+            Q = np.hstack([B, K0.T])
+            assert np.allclose(Q.T @ Q, np.eye(dist.n), rtol=0, atol=1e-14)
+            assert np.array_equal(C, np.triu(C))
+            assert np.array_equal(dist.basis_at(p), B)
+            assert np.array_equal(dist.kernel_matrix(p), K0)
+        calls.clear()
+        outcome(ds.pointwise_involutive_span, dist, points)
+        assert calls == points[:len(calls)] and calls
 
 
 # -- term maps with array coefficients -------------------------------------------

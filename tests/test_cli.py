@@ -357,7 +357,7 @@ README_GOLDEN = [
      '[-3.1415926535897931, 0]]}\n'),
     (["ambrose-singer", "--file", "rot", "--conn", "A", "--loop",
       "circle 0,0,0.6"], 0,
-     '{"inclusion": true, "dim_h": 1, "max_residual": 3.1401849173675503e-16}\n'),
+     '{"inclusion": true, "dim_h": 1, "max_residual": 3.1414426384230277e-16}\n'),
     (["leaf", "--file", "leaf", "--dist", "S", "--start=0.1,-0.2,0.3",
       "--steps", "3000"], 0,
      "ab2f5646472eca70d8c27ddf79998027ceea9c9683300070a8f21a6518063da5"),

@@ -566,16 +566,30 @@ def test_ambrose_singer_inclusion():
     assert resid <= 1e-6
 
 
-def test_ambrose_singer_on_a_reducible_so3_connection():
+def reducible_so3_check(basepoint):
     # the gauge transform of y E_z dx by the rotation about the x-axis
-    # through angle x: non-abelian values, a 1-dimensional holonomy algebra.
-    # Curvature conjugated the wrong way round spans all of so(3), and every
-    # loop then passes.
+    # through angle x: non-abelian values, a 1-dimensional holonomy algebra
     conn = parse("dim 2\nvar x y\nconn A = [0*dx, (-y*cos(x))*dx, (-y*sin(x))*dx; "
                  "(y*cos(x))*dx, 0*dx, (1)*dx; (y*sin(x))*dx, (-1)*dx, 0*dx]\n").conns["A"]
-    ok, dim_h, resid = ambrose_singer_check(
+    return ambrose_singer_check(
         conn, [(circle_curve(-0.5, 0.0, 0.2), 0.0, 1.0)],
-        sample_box([(-1.0, 1.0)] * 2, 8, 1), Point((-0.3, 0.0)), steps=500)
+        sample_box([(-1.0, 1.0)] * 2, 8, 1), Point(basepoint), steps=500)
+
+
+def test_ambrose_singer_on_a_reducible_so3_connection():
+    # curvature conjugated the wrong way round spans all of so(3), and every
+    # loop then passes
+    ok, dim_h, resid = reducible_so3_check((-0.3, 0.0))
+    assert dim_h == 1
+    assert ok
+    assert resid <= 1e-6
+
+
+def test_ambrose_singer_brings_each_loop_to_the_basepoint():
+    # the circle starts at (-0.3, 0); compared at (-0.8, 0.5) without being
+    # brought there, or brought there the wrong way round, its holonomy log
+    # is off the algebra by 0.085 (0.149)
+    ok, dim_h, resid = reducible_so3_check((-0.8, 0.5))
     assert dim_h == 1
     assert ok
     assert resid <= 1e-6
