@@ -126,10 +126,6 @@ def exp_tangent(t, d):
     return NilPoint(t.base, tuple(d * v for v in t.direction))
 
 
-def scale_tangent(s, t):
-    return Tangent(t.base, tuple(s * v for v in t.direction))
-
-
 def pushforward_chart(phi, varnames, p):
     """Apply a smooth chart map (componentwise DSL expressions) to a
     W-valued point."""

@@ -5,6 +5,10 @@ Exit codes: 0 success / check true, 1 check evaluated false (for
 `curvature`: coboundary and classical oracle differ by more than --tol,
 scaled by the size of the curvature), 2 parse or usage error, 3 numeric
 failure (rank drop, domain violation, log branch).
+
+numpy and the `distributions` and `connections` modules are imported by the
+commands that use them, so `sdg --help`, and `sdg d`, `wedge` and `eval` on
+a file of forms and vectors alone, start without them.
 """
 
 import argparse
@@ -12,10 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import connections as cn
-from . import distributions as ds
 from . import expr as ex
 from . import forms as fm
 from .chart import Point
@@ -46,6 +46,13 @@ def _json_floats(values):
     return ", ".join(map("{:.17g}".format, values))
 
 
+def _is_array(o):
+    """Whether `o` is a numpy array, without importing numpy: if numpy is
+    not loaded, nothing is one."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(o, np.ndarray)
+
+
 def _json_dump(obj, out):
     """Stable-order JSON with floats at 17 significant digits; keys and
     strings are escaped by the json module."""
@@ -53,7 +60,7 @@ def _json_dump(obj, out):
         if isinstance(o, dict):
             return "{" + ", ".join(f"{json.dumps(str(k))}: {emit(v)}"
                                    for k, v in o.items()) + "}"
-        if isinstance(o, np.ndarray):
+        if _is_array(o):
             return emit(o.tolist())
         if isinstance(o, (list, tuple)):
             if all(type(v) is float for v in o):  # points and matrix rows
@@ -101,6 +108,8 @@ def _parse_points(text, dim):
 
 
 def _mat_list(M):
+    import numpy as np
+
     return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
 
 
@@ -168,6 +177,8 @@ def cmd_eval(args, rep):
 
 
 def cmd_check_involutive(args, rep):
+    from . import distributions as ds
+
     prog = _load(args)
     dist = prog.lookup("dists", args.dist, "distribution")
     samples = sample_box(parse_box(args.box, prog.dim), args.samples, args.seed)
@@ -189,6 +200,8 @@ def cmd_check_involutive(args, rep):
 
 
 def cmd_check_integral(args, rep):
+    from . import distributions as ds
+
     prog = _load(args)
     dist = prog.lookup("dists", args.dist, "distribution")
     patch = prog.lookup("patches", args.patch, "patch")
@@ -202,6 +215,10 @@ def cmd_check_integral(args, rep):
 
 
 def cmd_curvature(args, rep):
+    import numpy as np
+
+    from . import connections as cn
+
     prog = _load(args)
     conn = prog.lookup("conns", args.conn, "connection")
     agree = True
@@ -254,6 +271,8 @@ def _subst_t(e, vars):
 
 
 def cmd_holonomy(args, rep):
+    from . import connections as cn
+
     prog = _load(args)
     conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
@@ -272,6 +291,8 @@ def cmd_holonomy(args, rep):
 
 
 def cmd_ambrose_singer(args, rep):
+    from . import connections as cn
+
     prog = _load(args)
     conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
@@ -288,6 +309,8 @@ def cmd_ambrose_singer(args, rep):
 
 
 def cmd_leaf(args, rep):
+    from . import distributions as ds
+
     prog = _load(args)
     dist = prog.lookup("dists", args.dist, "distribution")
     start = _parse_points(args.start, prog.dim)[0]

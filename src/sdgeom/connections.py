@@ -269,22 +269,6 @@ def transport_neighbor(conn, a, b):
                       *_displacement([q - p for p, q in zip(ca, cb)]))
 
 
-def connection_form(conn, x, y):
-    """Group-valued connection 1-form: omega(x, y) = g^-1 T(a, b) h for
-    bundle points x = (a, g), y = (b, h)."""
-    a, g = x
-    b, h = y
-    T = transport_neighbor(conn, a, b)
-    ginv = np.linalg.inv(np.asarray(g, dtype=float))
-    return ginv @ T @ h
-
-
-def horizontal_lift(conn, x, b):
-    """The fiber value over b making ((a,g),(b,h)) horizontal: h = T(b,a) g."""
-    a, g = x
-    return transport_neighbor(conn, b, a) @ g
-
-
 # The vertex swap 1 <-> 2 of the 2-simplex, an automorphism of W(2, n).
 _SWAP = (2, 1)
 
@@ -591,10 +575,3 @@ def in_subalgebra_cone(gW, h_basis, tol=1e-9):
         if not within_tol(span_residual(flat.T, mat.ravel()), tol * max(1.0, size)):
             return False
     return True
-
-
-def holonomy_distribution_flatness(conn, h_basis, x, y, tol=1e-9):
-    """Flatness of the bundle pair (x, y) for the holonomy distribution of
-    the subgroup with Lie algebra span(h_basis): omega(x, y) in the H-cone."""
-    omega = connection_form(conn, x, y)
-    return in_subalgebra_cone(omega, h_basis, tol=tol)

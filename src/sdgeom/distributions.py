@@ -15,9 +15,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DegreeError, DomainError, RankDeficiencyError, SdgError
-from .forms import (d_classical, default_vars, extract_classical, semi_value,
-                    to_combinatorial, wedge_classical)
-from .nil import NilElement, _is_zero, generic_offsets, within_tol
+from .forms import d_classical, default_vars, extract_classical, semi_value, wedge_classical
+from .nil import NilElement, _is_zero, within_tol
 from .chart import Point
 
 DEFAULT_TOL = 1e-9
@@ -272,21 +271,6 @@ def is_flat(dist, p, u, tol=DEFAULT_TOL):
     else:
         resid = span_residual(dist.span_matrix(p), u)
     return bool(within_tol(resid, tol * max(1.0, np.linalg.norm(u))))
-
-
-def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
-    """Verify omega_i(x, y) = -omega_i(y, x) as W-identities at samples,
-    so flatness is a symmetric relation."""
-    if dist.kernel is None:
-        raise DegreeError("symmetry check needs a KERNEL representation")
-    thetas = [to_combinatorial(w) for w in dist.kernel]
-    u, = generic_offsets(1, dist.n)
-    for p in samples:
-        y = [b + o for b, o in zip(p.coords, u)]
-        for theta in thetas:  # omega(y, x): base at y = x + u, displacement -u
-            if not within_tol(theta(p.coords, [u]) + theta(y, [[-o for o in u]]), tol):
-                return False
-    return True
 
 
 def _entries(M):

@@ -4,11 +4,12 @@ evaluation on floats or W-valued (nilpotent) arguments.
 The AST is deliberately tiny: literals, variables, +, -, *, /, unary minus,
 integer pow, and the smooth primitives sin/cos/exp/ln/sqrt.  Differentiation
 does light constant folding only; no general simplifier.
+
+numpy is imported only by `compile_numpy` and its helpers, so the float
+and W-valued paths run without it.
 """
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 from .nil import NilElement, lift_smooth
@@ -436,23 +437,33 @@ def compile_numeric(e, varnames):
 # numpy forms of the operations at which `evaluate` raises, giving nan there
 def _overflow_nan(value, arg):
     """nan where a finite argument gave an infinite value (math raises)."""
+    import numpy as np
+
     return np.where(np.isinf(value) & np.isfinite(arg), np.nan, value)
 
 
 def _np_div(num, den):
+    import numpy as np
+
     return np.where(den == 0.0, np.nan, np.divide(num, den))
 
 
 def _np_pow(base, power):
+    import numpy as np
+
     # nan ** 0 is 1: keep the nan of a base that could not be evaluated
     return np.where(np.isnan(base), np.nan, _overflow_nan(np.power(base, power), base))
 
 
 def _np_ln(x):
+    import numpy as np
+
     return np.where(x > 0.0, np.log(x), np.nan)
 
 
 def _np_exp(x):
+    import numpy as np
+
     return _overflow_nan(np.exp(x), x)
 
 
@@ -467,6 +478,8 @@ def compile_numpy(exprs, varnames):
     number; so a value is finite only where `evaluate` returns it without
     raising.  Callers test `np.isfinite`.
     """
+    import numpy as np
+
     consts = {}
 
     def const(value):  # numpy scalars, so that constant subterms never raise

@@ -523,10 +523,6 @@ def generic_offsets(k, n):
             for j in range(k)]
 
 
-def monomial_count(k, n, r):
-    return math.comb(k, r) * math.comb(n, r)
-
-
 def all_monomials(k, n, r):
     """Canonical degree-r monomials of W(k, n) as (rows, cols) tuples."""
     return [(rows, cols)
@@ -647,13 +643,15 @@ def lift_smooth(f, a, exponent=None):
     """Extend a univariate smooth primitive to a W-valued argument.
 
     f is one of sin, cos, exp, ln, sqrt, reciprocal, power (the latter
-    takes `exponent`).  Exact: the Taylor sum at the constant term
-    truncates at order min(k, n) by nilpotency.  A constant term outside the
-    domain (a non-integer power of a negative one included), or one at which
-    a derivative overflows, raises DomainError.  An array constant term is
-    lifted sample by sample in the same way, with nan in place of
-    DomainError: every coefficient is nan at a sample where the float lift
-    raises or is not finite, or where the constant term is not finite.
+    takes `exponent`).  Exact: the Taylor sum at the constant term stops at
+    the first power of the nilpotent part that is zero (by nilpotency, at
+    order min(k, n) or before), and only the derivatives up to that order
+    are taken.  A constant term outside the domain (a non-integer power of
+    a negative one included), or one at which a derivative up to that order
+    overflows, raises DomainError.  An array constant term is lifted sample
+    by sample in the same way, with nan in place of DomainError: every
+    coefficient is nan at a sample where the float lift raises or is not
+    finite, or where the constant term is not finite.
     """
     if not isinstance(a, NilElement):
         raise TypeError("lift_smooth expects a NilElement")
@@ -664,7 +662,16 @@ def lift_smooth(f, a, exponent=None):
             table = _DERIVS[f]
         except KeyError:
             raise ValueError(f"unknown smooth primitive {f!r}") from None
-    order = min(a.k, a.n)
+    nil = dict(a.terms)
+    nil.pop((0, 0), None)
+    powers = []  # the nonzero powers nil**1, nil**2, ...
+    power = {(0, 0): 1.0}
+    for _ in range(min(a.k, a.n)):
+        power = _elem_mul(power, nil)
+        if not power:
+            break
+        powers.append(power)
+    order = len(powers)
     c = a.const_term
     if getattr(c, "ndim", 0):  # an array; numpy only then
         derivs = _array_derivs(table, c, order)
@@ -673,15 +680,9 @@ def lift_smooth(f, a, exponent=None):
             derivs = table(c, order, math)
         except (ValueError, ArithmeticError) as err:  # math raises these
             raise DomainError(f"{f} at constant term {c}: {err}") from None
-    nil = dict(a.terms)
-    nil.pop((0, 0), None)
     out = {} if _is_zero(derivs[0]) else {(0, 0): derivs[0]}
-    power = {(0, 0): 1.0}
     fact = 1.0
-    for r in range(1, order + 1):
-        power = _elem_mul(power, nil)
-        if not power:
-            break
+    for r, power in enumerate(powers, start=1):
         fact *= r
         if not _is_zero(derivs[r]):
             out = _elem_add(out, _elem_scale(derivs[r] / fact, power))

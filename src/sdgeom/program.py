@@ -13,11 +13,13 @@ Grammar (EBNF):
 
 Precedence, loosest to tightest: +/- then "*" (scalar-times-form) then "^"
 (wedge).  Powers are spelled pow(x, n).  "#" starts a comment.
+
+The statements that build a distribution, a patch or a connection import
+`distributions` or `connections` (and numpy with them) when they run, so
+parsing a program of forms and vectors alone loads none of these.
 """
 
 from . import expr as ex
-from .connections import ConnectionData, MatrixGroupSpec
-from .distributions import Distribution, IntegralPatch
 from .errors import ParseError
 from .forms import ClassicalForm, wedge_classical
 
@@ -217,6 +219,8 @@ class _Parser:
         self.prog.order.append(("vector", name))
 
     def _stmt_dist(self, tok):
+        from .distributions import Distribution
+
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a distribution name"))
         self.expect("=")
@@ -254,6 +258,8 @@ class _Parser:
         self.prog.order.append(("dist", name))
 
     def _stmt_patch(self, tok):
+        from .distributions import IntegralPatch
+
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a patch name"))
         self.expect("(")
@@ -270,6 +276,8 @@ class _Parser:
         self.prog.order.append(("patch", name))
 
     def _stmt_conn(self, tok):
+        from .connections import ConnectionData, MatrixGroupSpec
+
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a connection name"))
         self.expect("=")

@@ -28,12 +28,13 @@ from sdgeom.distributions import (Distribution, IntegralPatch,
                                   semi_annihilation_check)
 from sdgeom.errors import RankDeficiencyError
 from sdgeom.forms import (ClassicalForm, comparison, d_classical, d_comb,
-                          eval_generic, extract_classical, random_form,
-                          random_scalar_expr, to_combinatorial,
+                          eval_generic, extract_classical, to_combinatorial,
                           wedge_classical, wedge_comb)
 from sdgeom.nil import NilElement, all_monomials, lift_smooth
 from sdgeom.program import parse, pretty_print
 from sdgeom.sampling import sample_box
+
+from corpus import random_form, random_scalar_expr
 
 
 def report(num, label, ok):

@@ -29,11 +29,13 @@ from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.distributions import Distribution
 from sdgeom.errors import DomainError, RankDeficiencyError, SdgError
-from sdgeom.forms import (ClassicalForm, d_classical, d_comb, eval_semi, random_scalar_expr,
-                          to_combinatorial, wedge_classical)
+from sdgeom.forms import (ClassicalForm, d_classical, d_comb, eval_semi, to_combinatorial,
+                          wedge_classical)
 from sdgeom.nil import NilElement, all_monomials, lift_smooth, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
+
+from corpus import random_scalar_expr
 
 VARS3 = ("x", "y", "z")
 X, Y, Z = ex.Var("x"), ex.Var("y"), ex.Var("z")
@@ -772,20 +774,28 @@ def _vanishing(f):
     return ex.Sub(ex.Add(Y, f), f)
 
 
-# f(x), and x where the float evaluation of f raises (in `basis_at`), and
-# where only the W evaluation at a W-valued x raises (a derivative overflows)
+# f(x); x where the float evaluation of f raises (in `basis_at`); x where
+# only the W evaluation at a W-valued x raises (the first derivative, which
+# the flat 2-simplex needs, is undefined or overflows); and x where only a
+# higher derivative overflows.  At y = x + u the nilpotent part has only
+# row-1 generators, so its square is zero and the lift stops at the first
+# derivative: the checks decide there, as the per-sample loop does.
 DOMAIN_CASES = [
-    (ex.Call("ln", X), -0.5, 1e-200),
-    (ex.Call("sqrt", X), -0.5, 0.0),
-    (ex.Div(ONE, X), 0.0, 1e-200),
-    (ex.Call("exp", X), 1000.0, None),
-    (ex.Pow(X, 400), 1000.0, None),
+    (ex.Call("ln", X), -0.5, None, 1e-200),
+    (ex.Call("sqrt", X), -0.5, 0.0, 1e-250),
+    (ex.Div(ONE, X), 0.0, 1e-200, 1e-120),
+    (ex.Call("exp", X), 1000.0, None, None),
+    (ex.Pow(X, 400), 1000.0, None, None),
 ]
 
 
-@pytest.mark.parametrize("f, bad, w_only", DOMAIN_CASES,
+def _first_order_points(first_order):
+    return [] if first_order is None else [Point((first_order, 0.3, 0.2))]
+
+
+@pytest.mark.parametrize("f, bad, w_only, first_order", DOMAIN_CASES,
                          ids=["ln", "sqrt", "reciprocal", "exp", "pow"])
-def test_flat_checks_raise_where_the_loop_raises(f, bad, w_only):
+def test_flat_checks_raise_where_the_loop_raises(f, bad, w_only, first_order):
     # contact: ker(dz - (y + f - f) dx) fails at every defined sample;
     # flat: ker(dz + (f - f) dx), ker(dz + (0 f) dx) and ker((1 + 0 f) dz)
     # pass there (the last with the z-row of every fiber basis zero)
@@ -801,6 +811,9 @@ def test_flat_checks_raise_where_the_loop_raises(f, bad, w_only):
                 got = assert_same_flat_checks(dist, samples)
                 assert got[0] is DomainError
         assert assert_same_flat_checks(dist, good)[1] is (dist is not contact)
+        for r in _first_order_points(first_order):
+            for samples in (good + [r], [r] + good, [r]):
+                assert assert_same_flat_checks(dist, samples)[1] is (dist is not contact)
     # the semi-annihilation check stops at the first failing precondition
     theta = d_comb(to_combinatorial(contact.kernel[0]))
     for r in raising:
@@ -829,9 +842,9 @@ def test_a_rank_deficient_basis_raises_after_failing_samples():
     assert assert_same_flat_checks(both, samples[:1] + samples[2:])[0] is RankDeficiencyError
 
 
-@pytest.mark.parametrize("f, bad, w_only", DOMAIN_CASES,
+@pytest.mark.parametrize("f, bad, w_only, first_order", DOMAIN_CASES,
                          ids=["ln", "sqrt", "reciprocal", "exp", "pow"])
-def test_span_checks_raise_where_the_loop_raises(f, bad, w_only):
+def test_span_checks_raise_where_the_loop_raises(f, bad, w_only, first_order):
     # contact: span{(1, 0, y + f - f), (0, 1, 0)} fails at every defined
     # sample; flat: the third component f - f or 0 f, or the first 1 + 0 f,
     # passes there
@@ -848,6 +861,9 @@ def test_span_checks_raise_where_the_loop_raises(f, bad, w_only):
             for samples in (good + [r], [r] + good, good[:1] + [r] + good[1:], [r]):
                 assert assert_same_span_checks(dist, samples)[0] is DomainError
         assert assert_same_span_checks(dist, good)[1] is (dist is not contact)
+        for r in _first_order_points(first_order):
+            for samples in (good + [r], [r] + good, [r]):
+                assert assert_same_span_checks(dist, samples)[1] is (dist is not contact)
 
 
 def test_a_rank_deficient_span_raises_after_failing_samples():
@@ -1034,6 +1050,21 @@ def test_array_lift_is_the_float_lift_at_each_sample(f, exponent, const, m):
         assert want.terms.keys() <= values.keys()
         for key, v in values.items():
             assert v == want.terms.get(key, 0.0), (const[j], key)
+
+
+def test_array_lift_stops_at_the_first_zero_power():
+    # as the float lift does: with row-1 generators alone, only the first
+    # derivative is taken, so a second derivative that overflows at one
+    # sample leaves no nan there
+    for f, tiny in (("ln", 1e-200), ("sqrt", 1e-250), ("reciprocal", 1e-120)):
+        const = [tiny, 0.5, 2.0]
+        batched = NilElement(2, 2, {(0, 0): np.array(const), (1, 1): 0.6,
+                                    (1, 2): np.array([0.8, -0.3, 1.5])})
+        lifted = lift_smooth(f, batched)
+        for j in range(len(const)):
+            values = at_sample(lifted, j)
+            assert all(map(math.isfinite, values.values())), (f, j)
+            assert values == lift_smooth(f, NilElement(2, 2, at_sample(batched, j))).terms
 
 
 def test_nil_imports_numpy_only_for_arrays():

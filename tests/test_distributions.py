@@ -11,14 +11,15 @@ from sdgeom.distributions import (DEFAULT_TOL, Distribution, IntegralPatch,
                                   check_integral_patch,
                                   check_involutive_classical,
                                   check_involutive_combinatorial,
-                                  flat_symmetry_check, is_flat, semi_annihilation_check,
+                                  is_flat, semi_annihilation_check,
                                   pointwise_involutive_span, trace_leaf)
 from sdgeom.errors import RankDeficiencyError
-from sdgeom.forms import (ClassicalForm, CombinatorialForm, d_comb,
-                          random_scalar_expr, to_combinatorial)
-from sdgeom.nil import NilElement, within_tol
+from sdgeom.forms import ClassicalForm, CombinatorialForm, d_comb, to_combinatorial
+from sdgeom.nil import NilElement, generic_offsets, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
+
+from corpus import random_scalar_expr
 
 VARS3 = ("x", "y", "z")
 
@@ -49,6 +50,19 @@ def test_flatness_examples():
     assert is_flat(d, p, (1.0, 0.0, 0.0))
     assert is_flat(d, p, (0.3, -2.0, 0.0))
     assert not is_flat(d, p, (0.0, 0.0, 1.0))
+
+
+def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
+    """omega_i(x, y) = -omega_i(y, x) as W-identities at the samples, for
+    the kernel forms omega_i: flatness is a symmetric relation."""
+    thetas = [to_combinatorial(w) for w in dist.kernel]
+    u, = generic_offsets(1, dist.n)
+    for p in samples:
+        y = [b + o for b, o in zip(p.coords, u)]
+        for theta in thetas:  # omega(y, x): base at y = x + u, displacement -u
+            if not within_tol(theta(p.coords, [u]) + theta(y, [[-o for o in u]]), tol):
+                return False
+    return True
 
 
 def test_flatness_is_symmetric():

@@ -10,6 +10,8 @@ from sdgeom.errors import DomainError, ParseError
 from sdgeom.nil import NilElement
 from sdgeom.program import parse, pretty_print
 
+from corpus import random_scalar_expr
+
 CONTACT = """\
 # contact structure
 dim 3
@@ -121,7 +123,6 @@ def test_diff_quotient():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_diff_matches_finite_differences(seed):
-    from sdgeom.forms import random_scalar_expr
     rng = __import__("numpy").random.default_rng(seed)
     vars = ("x", "y")
     e = random_scalar_expr(rng, vars, trig=True)
@@ -151,7 +152,6 @@ def test_evaluate_on_nilpotent_argument_matches_derivative():
 
 def test_ad_consistency_via_nilpotent_evaluation():
     # first-order coefficient of evaluation at c + xi equals symbolic diff
-    from sdgeom.forms import random_scalar_expr
     import numpy as np
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -165,7 +165,6 @@ def test_ad_consistency_via_nilpotent_evaluation():
 
 
 def test_to_str_parses_back():
-    from sdgeom.forms import random_scalar_expr
     import numpy as np
     rng = np.random.default_rng(9)
     for _ in range(25):

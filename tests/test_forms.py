@@ -15,9 +15,10 @@ from sdgeom.errors import ContextMismatchError, SdgError
 from sdgeom.forms import (ClassicalForm, CombinatorialForm,
                           classical_from_coeffs, comparison, d_classical,
                           d_comb, eval_generic, eval_semi, extract_classical,
-                          random_form, to_combinatorial, wedge_classical,
-                          wedge_comb)
+                          to_combinatorial, wedge_classical, wedge_comb)
 from sdgeom.nil import NilElement, generic_offsets
+
+from corpus import random_form
 
 RNG = np.random.default_rng(42)
 

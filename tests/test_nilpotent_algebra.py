@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import sdgeom
+from sdgeom.errors import DomainError
 from sdgeom.nil import (NilElement, _bits, _elem_mul, all_monomials,
                         canonicalize, generic_offsets, lift_smooth,
-                        monomial_count, within_tol)
+                        within_tol)
 
 
 def xi(k, n, i, a):
@@ -191,7 +192,6 @@ def test_graded_dimensions():
             for r in range(0, min(k, n) + 1):
                 monos = all_monomials(k, n, r)
                 assert len(monos) == math.comb(k, r) * math.comb(n, r)
-                assert len(monos) == monomial_count(k, n, r)
                 # they really are independent nonzero canonical monomials
                 for rows, cols in monos:
                     e = NilElement.monomial(k, n, rows, cols)
@@ -296,6 +296,28 @@ def test_lift_ln_inverts_exp():
     for _ in range(30):
         a = nilpotent_with_rational_constant(rng, 2, 2, 0.5)
         assert (lift_smooth("ln", lift_smooth("exp", a)) - a).max_abs_coeff() <= 1e-12
+
+
+def test_lift_stops_at_the_first_zero_power():
+    # u has only row-1 generators, so u*u = 0 in W(2, 2) and the lift takes
+    # the first derivative alone: ln(x), sqrt(x) and 1/x at constant terms
+    # where their second derivatives overflow lift to finite terms
+    u = xi(2, 2, 1, 1) * 0.6 + xi(2, 2, 1, 2) * 0.8
+    firsts = {"ln": (math.log, lambda c: 1.0 / c),
+              "sqrt": (math.sqrt, lambda c: 0.5 * math.pow(c, -0.5)),
+              "reciprocal": (lambda c: 1.0 / c, lambda c: -1.0 / math.pow(c, 2))}
+    for f, c in (("ln", 1e-200), ("sqrt", 1e-250), ("reciprocal", 1e-120)):
+        value, slope = firsts[f]
+        got = lift_smooth(f, u + c)
+        assert got == u * slope(c) + value(c), f
+        assert all(map(math.isfinite, got.terms.values()))
+        # with a row-2 generator the square is not zero: the second
+        # derivative is needed, and it overflows
+        with pytest.raises(DomainError):
+            lift_smooth(f, u + xi(2, 2, 2, 2) + c)
+    # the first derivative of 1/x overflows at 1e-200: no order avoids it
+    with pytest.raises(DomainError):
+        lift_smooth("reciprocal", u + 1e-200)
 
 
 def test_negative_power_is_reciprocal_lift():
