@@ -192,7 +192,8 @@ class _Compiled:
 # check runs, in sample order, at every other sample.  So the first sample at
 # which the per-sample check fails or raises decides, as in a loop over all
 # samples.  "Clearly" leaves a margin for the rounding in which the stacked
-# and the pointwise evaluation differ: finite values, matrices of full rank
+# and the per-sample linear algebra differ (the stacked expression values are
+# the per-sample ones, bit for bit): finite values, matrices of full rank
 # with their singular values over twice the cut-off and within a factor
 # _MAX_CONDITION of each other, and residuals within half their tolerance
 # less _ROUNDING.  A sample within the margin goes to the per-sample check,

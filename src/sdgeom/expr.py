@@ -12,7 +12,7 @@ and W-valued paths run without it.
 import math
 
 from .errors import DomainError
-from .nil import NilElement, lift_smooth
+from .nil import _SAMPLEWISE, NilElement, lift_smooth
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -434,14 +434,7 @@ def compile_numeric(e, varnames):
                            "_DomainError": DomainError})
 
 
-# numpy forms of the operations at which `evaluate` raises, giving nan there
-def _overflow_nan(value, arg):
-    """nan where a finite argument gave an infinite value (math raises)."""
-    import numpy as np
-
-    return np.where(np.isinf(value) & np.isfinite(arg), np.nan, value)
-
-
+# numpy forms of the quotient and the power, giving nan where `evaluate` raises
 def _np_div(num, den):
     import numpy as np
 
@@ -452,19 +445,7 @@ def _np_pow(base, power):
     import numpy as np
 
     # nan ** 0 is 1: keep the nan of a base that could not be evaluated
-    return np.where(np.isnan(base), np.nan, _overflow_nan(np.power(base, power), base))
-
-
-def _np_ln(x):
-    import numpy as np
-
-    return np.where(x > 0.0, np.log(x), np.nan)
-
-
-def _np_exp(x):
-    import numpy as np
-
-    return _overflow_nan(np.exp(x), x)
+    return np.where(np.isnan(base), np.nan, _SAMPLEWISE.pow(base, power))
 
 
 def compile_numpy(exprs, varnames):
@@ -472,11 +453,16 @@ def compile_numpy(exprs, varnames):
     array arguments.  It returns an array with one row per expression, each
     broadcast to the arguments' common shape (constants included).
 
-    Floating-point exceptions are silent, as in numpy.  Where `evaluate`
-    raises (a domain error, a division by zero, an overflow in exp or a
-    power), the value is nan, and no later operation turns a nan into a
-    number; so a value is finite only where `evaluate` returns it without
-    raising.  Callers test `np.isfinite`.
+    The values are those of `evaluate`, bit for bit, wherever `evaluate`
+    returns a finite value, and nan wherever it raises (a domain error, a
+    division by zero, an overflow in exp or a power); no later operation
+    turns a nan into a number, and floating-point exceptions are silent, as
+    in numpy.  Callers test `np.isfinite`.  exp, ln and integer powers are
+    `evaluate`'s `math` functions, applied sample by sample: numpy's differ
+    from them in the last bit, on some inputs and CPUs.  +, -, *, / and
+    sqrt are correctly rounded in numpy too, and numpy's sin and cos, equal
+    to `math`'s on every input tested, keep the stacked curve evaluation of
+    `parallel_transport` fast.
     """
     import numpy as np
 
@@ -488,10 +474,10 @@ def compile_numpy(exprs, varnames):
         return name
 
     def call(fn, arg):
-        return f"_{fn}({arg})" if fn in ("ln", "exp") else f"_np.{fn}({arg})"
+        library = "_math" if fn in ("exp", "ln") else "_np"
+        return f"{library}.{_LIBRARY_NAME.get(fn, fn)}({arg})"
 
-    namespace = {"_np": np, "_div": _np_div, "_pow": _np_pow, "_ln": _np_ln,
-                 "_exp": _np_exp}
+    namespace = {"_np": np, "_math": _SAMPLEWISE, "_div": _np_div, "_pow": _np_pow}
     values = _compile(exprs, varnames, const, call, _tuple_body, namespace,
                       div="_div({}, {})", power="_pow({}, {})")
     namespace.update(consts)

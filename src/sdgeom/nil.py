@@ -396,12 +396,7 @@ class NilElement:
     def __pow__(self, m):
         if not isinstance(m, int):
             return NotImplemented
-        if m < 0:
-            return lift_smooth("reciprocal", self) ** (-m)
-        out = NilElement.constant(self.k, self.n, 1.0)
-        for _ in range(m):
-            out = out * self
-        return out
+        return lift_smooth("power", self, exponent=m)
 
     # -- simplex morphisms -------------------------------------------------
 
@@ -536,26 +531,29 @@ def all_monomials(k, n, r):
 # constant term c through the functions of `m`: the math module for a float
 # c, and for an array c `_SAMPLEWISE`, the same math functions applied sample
 # by sample.  The arithmetic between them is IEEE arithmetic in both cases,
-# so an array lift equals the float lift at each sample, bit for bit.
+# so an array lift equals the float lift at each sample, bit for bit; the
+# stacked evaluation `expr.compile_numpy` takes exp, ln and pow from
+# `_SAMPLEWISE` for the same reason.
 
 def _samplewise(fn):
-    """`fn(value, *args)` at each value of an array; nan where it raises."""
+    """`fn(value, *args)` at each value of an array of any shape (0-d
+    included), as an array of that shape; nan where it raises."""
 
     def apply(c, *args):
         import numpy as np
 
-        values = c.tolist()
+        values = np.ravel(c).tolist()
         try:
-            return np.fromiter(map(fn, values, *map(repeat, args)), float, len(values))
+            out = np.fromiter(map(fn, values, *map(repeat, args)), float, len(values))
         except (ValueError, ArithmeticError):
-            pass
-        out = []
-        for v in values:
-            try:
-                out.append(fn(v, *args))
-            except (ValueError, ArithmeticError):
-                out.append(math.nan)
-        return np.array(out)
+            out = []
+            for v in values:
+                try:
+                    out.append(fn(v, *args))
+                except (ValueError, ArithmeticError):
+                    out.append(math.nan)
+            out = np.array(out, dtype=float)
+        return out.reshape(np.shape(c))
 
     return apply
 
@@ -680,6 +678,9 @@ def lift_smooth(f, a, exponent=None):
             derivs = table(c, order, math)
         except (ValueError, ArithmeticError) as err:  # math raises these
             raise DomainError(f"{f} at constant term {c}: {err}") from None
+        # a float division overflows without an exception: 1.0 / 1e-310
+        if math.isfinite(c) and not all(map(math.isfinite, derivs)):
+            raise DomainError(f"{f} at constant term {c}: a derivative overflows")
     out = {} if _is_zero(derivs[0]) else {(0, 0): derivs[0]}
     fact = 1.0
     for r, power in enumerate(powers, start=1):

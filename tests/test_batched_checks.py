@@ -14,6 +14,7 @@ same verdict, or raise the same exception, as these loops in sample order.
 """
 
 import importlib.util
+import io
 import math
 import random
 import subprocess
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdgeom import cli
 from sdgeom import connections as cn
 from sdgeom import distributions as ds
 from sdgeom import expr as ex
@@ -459,26 +461,96 @@ def test_a_domain_error_inside_a_finite_value_still_raises():
         assert_same_involutivity(dist, samples)
 
 
+def assert_compile_numpy_is_evaluate(exprs, xs):
+    """compile_numpy at the values xs of x: evaluate's value, bit for bit,
+    where it is finite, and nan where evaluate raises."""
+    values = ex.compile_numpy(exprs, ("x",))(np.array(xs))
+    for e, row in zip(exprs, values):
+        for x, got in zip(xs, row.tolist()):
+            try:
+                want = ex.evaluate(e, {"x": x})
+            except (DomainError, ArithmeticError, ValueError):
+                assert math.isnan(got), (ex.to_str(e), x)
+                continue
+            if math.isfinite(want):
+                assert got == want, (ex.to_str(e), x)
+            else:
+                assert not math.isfinite(got), (ex.to_str(e), x)
+
+
 def test_compile_numpy_is_finite_where_evaluate_returns_a_finite_value():
     K = ex.Const(1e300)
     big = ex.Mul(ex.Mul(X, K), K)
     exprs = [ex.Div(ONE, ex.Div(ONE, X)), ex.Call("exp", ex.Div(ex.Const(-1.0), X)),
              ex.Call("ln", X), ex.Call("sqrt", X), ex.Pow(X, -1),
              ex.Pow(ex.Div(ONE, X), 0), ex.Call("exp", X), ex.Pow(X, 2),
-             ex.Call("sin", big), big, ex.Div(ONE, big), ex.Sub(big, big)]
-    xs = [0.0, -1.0, 0.5, 1000.0, 1e200]
-    values = ex.compile_numpy(exprs, ("x",))(np.array(xs))
-    for e, row in zip(exprs, values):
-        for x, got in zip(xs, row):
-            try:
-                want = ex.evaluate(e, {"x": x})
-            except (DomainError, ArithmeticError, ValueError):
-                assert np.isnan(got), (ex.to_str(e), x)
-                continue
-            if np.isfinite(want):
-                assert got == pytest.approx(want, rel=1e-15), (ex.to_str(e), x)
-            else:
-                assert not np.isfinite(got), (ex.to_str(e), x)
+             ex.Call("sin", big), big, ex.Div(ONE, big), ex.Sub(big, big),
+             ex.Call("exp", ex.Const(0.3)), ex.Pow(ex.Const(3.0), -2)]
+    assert_compile_numpy_is_evaluate(exprs, [0.0, -1.0, 0.5, 1000.0, 1e200])
+
+
+def test_compile_numpy_is_evaluate_on_a_random_corpus():
+    # each of the five primitives, quotients and integer powers of random
+    # polynomials with sin and cos factors, on and off their domains
+    rng = np.random.default_rng(12)
+    exprs = []
+    for _ in range(40):
+        a, b = (random_scalar_expr(rng, ("x",), trig=True) for _ in range(2))
+        exprs += [ex.Call(fn, a) for fn in ex.FUNCTIONS]
+        exprs += [ex.Div(a, b), ex.Pow(a, int(rng.integers(-3, 5))),
+                  ex.Call("exp", ex.Div(ex.Call("ln", a), b)),
+                  ex.Mul(ex.Call("sqrt", b), ex.Pow(ex.Call("cos", a), 2))]
+    xs = rng.uniform(-4.0, 4.0, 48).tolist() + [0.0, 1.0, -1.0, 1e3, -1e3]
+    assert_compile_numpy_is_evaluate(exprs, xs)
+
+
+# -- one ulp apart ----------------------------------------------------------------
+#
+# y*1e10*(f(x) - F)*(x - x1) at two samples, F the value of f at x0 one ulp
+# up, vanishes at x0 only in an f one ulp up, and at x1 in any f.  numpy's f
+# is replaced by such an f: a screen that evaluated f through numpy would
+# clear x0, where the loop, through math, fails.
+
+SAMPLES16 = sample_box([(-1.0, 1.0)] * 3, 2, seed=16)
+ULP_CASES = [("exp", math.exp, lambda e: ex.Call("exp", e), ()),
+             ("power", math.pow, lambda e: ex.Pow(e, -2), (-2,))]
+
+
+def one_ulp_apart(case, monkeypatch):
+    name, fn, call, args = case
+    up = np.vectorize(fn, otypes=[float])
+    monkeypatch.setattr(np, name, lambda *a, **kw: np.nextafter(up(*a), np.inf))
+    x0, x1 = (p.coords[0] for p in SAMPLES16)
+    F = math.nextafter(fn(x0, *args), math.inf)
+    return Y * ex.Const(1e10) * (call(X) - F) * (X - x1)
+
+
+@pytest.mark.parametrize("case", ULP_CASES, ids=["exp", "pow"])
+def test_screens_evaluate_as_the_loop_one_ulp_apart(case, monkeypatch):
+    f = one_ulp_apart(case, monkeypatch)
+    kernel = Distribution(3, 2, kernel=[form_1({3: ONE, 1: -f})])
+    span = Distribution(3, 2, span=[[ONE, ZERO, f], [ZERO, ONE, ZERO]], vars=VARS3)
+    flat = ds.IntegralPatch(("s", "t"), [S, T, ZERO])
+    params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 2, seed=16)]
+    for check, dist in ((ds._ideal_test, kernel), (ds._bracket_test, span)):
+        assert [check(dist, [p], ds.DEFAULT_TOL) for p in SAMPLES16] == [False, True]
+        assert check(dist, SAMPLES16, ds.DEFAULT_TOL) is False
+        assert_same_involutivity(dist, SAMPLES16)
+    assert ds.check_integral_patch(kernel, flat, "weak", params) is False
+    assert_same_patch_verdicts(kernel, flat, params)
+
+
+@pytest.mark.parametrize("case", ULP_CASES, ids=["exp", "pow"])
+def test_check_integral_fails_one_ulp_apart(case, monkeypatch, tmp_path):
+    f = one_ulp_apart(case, monkeypatch)
+    path = tmp_path / "ulp.sdg"
+    path.write_text(f"dim 3\nvar x y z\nform w = dz - ({ex.to_str(f)})*dx\n"
+                    "dist D = ker(w)\npatch P(s, t) = (s, t, 0)\n")
+    out = io.StringIO()
+    code = cli.run(["check-integral", "--file", str(path), "--dist", "D", "--patch", "P",
+                    "--mode", "weak", "--samples", "2", "--seed", "16"],
+                   stdout=out, stderr=io.StringIO())
+    assert code == 1, out.getvalue()
 
 
 def test_non_finite_jacobian_decides_as_the_loop():
@@ -946,7 +1018,8 @@ COUNT = 6
 def batched_element(rng, m, const=None):
     """An element of W(2, m) with array coefficients (some shared floats),
     and its value at each of COUNT samples as a float element.  `const`
-    replaces the constant terms."""
+    replaces the constant terms, one sample each."""
+    count = COUNT if const is None else len(const)
     terms = {}
     for r in range(3):
         for rows, cols in all_monomials(2, m, r):
@@ -955,11 +1028,11 @@ def batched_element(rng, m, const=None):
                 continue
             key = (sum(1 << (i - 1) for i in rows), sum(1 << (j - 1) for j in cols))
             terms[key] = rng.uniform(-2, 2) if u < 0.5 else np.array(
-                [rng.uniform(-2, 2) for _ in range(COUNT)])
+                [rng.uniform(-2, 2) for _ in range(count)])
     if const is not None:
         terms[(0, 0)] = np.array(const, dtype=float)
     singles = [NilElement(2, m, {key: v if isinstance(v, float) else float(v[j])
-                                 for key, v in terms.items()}) for j in range(COUNT)]
+                                 for key, v in terms.items()}) for j in range(count)]
     return NilElement(2, m, terms), singles
 
 
@@ -1018,9 +1091,9 @@ LIFT_CONSTANTS = {
     "sin": [0.3, -2.0, 1e10, float("inf"), float("nan"), 0.0],
     "cos": [0.3, -2.0, 1e10, float("inf"), float("nan"), 0.0],
     "exp": [0.3, -2.0, 700.0, 1000.0, float("-inf"), 0.0],
-    "ln": [0.3, 2.0, 1e-200, 0.0, -1.0, float("inf")],
+    "ln": [0.3, 2.0, 1e-200, 0.0, -1.0, float("inf"), 1e-310],
     "sqrt": [0.3, 2.0, 1e-300, 0.0, -1.0, float("nan")],
-    "reciprocal": [0.3, -2.0, 1e-200, 0.0, 1e300, float("inf")],
+    "reciprocal": [0.3, -2.0, 1e-200, 0.0, 1e300, float("inf"), 1e-310],
 }
 POWERS = {400: [0.3, -1.5, 1000.0, 0.0, 5.0, -0.0], -2: [0.3, -1.5, 1e-200, 0.0, 5.0, 1e5],
           2.5: [0.3, -1.5, 1e-200, 0.0, 5.0, 1e200], 0: [0.3, -1.5, 0.0, 1.0, 2.0, 3.0]}
@@ -1044,12 +1117,26 @@ def test_array_lift_is_the_float_lift_at_each_sample(f, exponent, const, m):
         except DomainError:
             assert all(math.isnan(v) for v in values.values()), (const[j], values)
             continue
-        if not math.isfinite(const[j]) or not all(map(math.isfinite, want.terms.values())):
+        if not math.isfinite(const[j]):
             assert all(math.isnan(v) for v in values.values()), (const[j], values)
             continue
+        # at a finite constant term the float lift raises or is finite
+        assert all(map(math.isfinite, want.terms.values())), const[j]
         assert want.terms.keys() <= values.keys()
         for key, v in values.items():
             assert v == want.terms.get(key, 0.0), (const[j], key)
+
+
+def test_float_lift_raises_where_a_division_overflows():
+    # 1.0 / 1e-310 is inf without an exception: the float lift raises where
+    # 1/x, or the one derivative of ln that W(1, 1) needs, overflows so, and
+    # the array lift gives nan at that sample alone
+    for f, nil in (("ln", {(1, 1): 1.0}), ("reciprocal", {})):
+        with pytest.raises(DomainError):
+            lift_smooth(f, NilElement(1, 1, {(0, 0): 1e-310, **nil}))
+        lifted = lift_smooth(f, NilElement(1, 1, {(0, 0): np.array([1e-310, 0.5]), **nil}))
+        assert all(math.isnan(v) for v in at_sample(lifted, 0).values()), f
+        assert at_sample(lifted, 1) == lift_smooth(f, NilElement(1, 1, {(0, 0): 0.5, **nil})).terms
 
 
 def test_array_lift_stops_at_the_first_zero_power():

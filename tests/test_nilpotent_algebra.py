@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sdgeom
+from sdgeom import expr as ex
 from sdgeom.errors import DomainError
 from sdgeom.nil import (NilElement, _bits, _elem_mul, all_monomials,
                         canonicalize, generic_offsets, lift_smooth,
@@ -323,6 +324,17 @@ def test_lift_stops_at_the_first_zero_power():
 def test_negative_power_is_reciprocal_lift():
     g = NilElement.constant(1, 2, 2.0) + xi(1, 2, 1, 1)
     assert (g ** -1 * g - 1.0).max_abs_coeff() <= 1e-15
+
+
+def test_integer_power_is_the_power_of_evaluate():
+    # one integer power in W: `**` is the power lift of evaluate's pow
+    g = NilElement.constant(2, 2, 1.5) + xi(2, 2, 1, 1) + xi(2, 2, 2, 2) * 0.5
+    for m in (-3, -1, 0, 1, 2, 5):
+        assert g ** m == ex.evaluate(ex.Pow(ex.Var("x"), m), {"x": g}), m
+    assert (g ** 3 - g * g * g).max_abs_coeff() <= 1e-14
+    # 1000**400 overflows: DomainError, as in evaluate, not inf coefficients
+    with pytest.raises(DomainError):
+        (NilElement.constant(2, 2, 1000.0) + xi(2, 2, 1, 1)) ** 400
 
 
 def test_generic_offsets_shape():
