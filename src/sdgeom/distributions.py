@@ -4,8 +4,8 @@ tracer.
 
 A distribution is a rank-m sub-bundle of the tangent bundle of a chart,
 given either by m spanning vector-field expressions or by n-m annihilating
-1-forms.  Involutivity is checked pointwise at sample points: the fiber
-computation is exact W-arithmetic, the base is sampled.
+1-forms, not both.  Involutivity is checked pointwise at sample points: the
+fiber computation is exact W-arithmetic, the base is sampled.
 """
 
 import math
@@ -27,8 +27,8 @@ class Distribution:
     """Sub-bundle of the tangent bundle over a chart."""
 
     def __init__(self, n, rank, span=None, kernel=None, vars=None):
-        if span is None and kernel is None:
-            raise ValueError("need a SPAN or KERNEL representation")
+        if (span is None) == (kernel is None):
+            raise ValueError("need one representation: SPAN or KERNEL")
         if kernel is not None:
             kernel = list(kernel)
             if len(kernel) != n - rank:
@@ -99,7 +99,7 @@ class Distribution:
         return M
 
     def _kernel_values(self, p):
-        return np.array(self._kernel_fns.at(*p.coords)).reshape(self.n - self.rank, self.n)
+        return np.array(self._kernel_fns.w(*p.coords)).reshape(self.n - self.rank, self.n)
 
     def _check_kernel_rank(self, s, p):
         """Raise unless the singular values s of the kernel matrix at p give
@@ -111,7 +111,7 @@ class Distribution:
         """n x rank matrix of spanning field values at p."""
         if self.span is None:
             return self._numeric_span(p)
-        M = np.array(self._span_fns.at(*p.coords)).reshape(self.rank, self.n).T
+        M = np.array(self._span_fns.w(*p.coords)).reshape(self.rank, self.n).T
         if np.linalg.matrix_rank(M, tol=RANK_CUTOFF) != self.rank:
             raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
         return M
@@ -128,8 +128,6 @@ class Distribution:
         an orthonormal basis B of the fiber, orthonormal rows K0 of its
         complement, and the upper triangular C = B^T M."""
         q, r = np.linalg.qr(self.span_matrix(p), mode="complete")
-        if np.any(np.abs(np.diag(r)) < 1e-10):
-            raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
         return q[:, :self.rank], q[:, self.rank:].T, r[:self.rank]
 
     def basis_at(self, p):
@@ -161,22 +159,13 @@ class Distribution:
 
 
 class _Compiled:
-    """Expressions compiled on first use: `at` evaluates them all at one
-    point and `each` one by one (compile_numeric: DomainError where
-    `evaluate` raises), `stacked` at stacked points (compile_numpy), `w` at
-    W-valued points (compile_w)."""
+    """Expressions compiled on first use: `stacked` evaluates them at
+    stacked points (compile_numpy), `w` at one point, float or W-valued
+    (compile_w: DomainError where `evaluate` raises)."""
 
     def __init__(self, exprs, vars):
         self.exprs = list(exprs)
         self.vars = vars
-
-    @cached_property
-    def at(self):
-        return ex.compile_numeric(self.exprs, self.vars)
-
-    @cached_property
-    def each(self):
-        return [ex.compile_numeric(e, self.vars) for e in self.exprs]
 
     @cached_property
     def stacked(self):
@@ -393,21 +382,12 @@ def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
 
 
 def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
-    """Classical oracle: ideal test d(omega_i) ^ omega_1 ^ ... = 0 when
-    kernel forms are available, bracket test when span fields are; both
-    must agree when both representations exist."""
+    """Classical oracle: ideal test d(omega_i) ^ omega_1 ^ ... = 0 for
+    KERNEL input, bracket test for SPAN input."""
     samples = list(samples)
-    results = []
     if dist.kernel is not None:
-        results.append(_ideal_test(dist, samples, tol))
-    if dist.span is not None:
-        results.append(_bracket_test(dist, samples, tol))
-    if not results:
-        raise DegreeError("no representation available")
-    if len(results) == 2 and results[0] != results[1]:
-        raise RankDeficiencyError(
-            "ideal and bracket involutivity tests disagree")
-    return results[0]
+        return _ideal_test(dist, samples, tol)
+    return _bracket_test(dist, samples, tol)
 
 
 def _ideal_test(dist, samples, tol):
@@ -418,9 +398,9 @@ def _ideal_test(dist, samples, tol):
         return clear & np.all(_clears(V, tol), axis=1)
 
     for i in _undecided(len(samples), screen):
-        coords = samples[i].coords
-        for coeff in fns.each:
-            if not within_tol(coeff(*coords), tol):
+        env = dict(zip(dist.vars, samples[i].coords))
+        for e in fns.exprs:
+            if not within_tol(ex.evaluate(e, env), tol):
                 return False
     return True
 
@@ -439,8 +419,9 @@ def _bracket_test(dist, samples, tol):
     for i in _undecided(len(samples), screen):
         p = samples[i]
         X = dist.span_matrix(p)
-        for a in range(0, len(fns.each), n):
-            u = np.array([c(*p.coords) for c in fns.each[a:a + n]], dtype=float)
+        env = dict(zip(dist.vars, p.coords))
+        for a in range(0, len(fns.exprs), n):
+            u = np.array([ex.evaluate(e, env) for e in fns.exprs[a:a + n]], dtype=float)
             if not within_tol(span_residual(X, u), tol * max(1.0, np.linalg.norm(u))):
                 return False
     return True
@@ -449,10 +430,9 @@ def _bracket_test(dist, samples, tol):
 class IntegralPatch:
     """Parametrized candidate integral submanifold."""
 
-    def __init__(self, params, component_exprs, domain=None):
+    def __init__(self, params, component_exprs):
         self.params = tuple(params)
         self.components = list(component_exprs)
-        self.domain = domain  # list of (lo, hi) per parameter, or None
 
     @property
     def q(self):
@@ -460,7 +440,7 @@ class IntegralPatch:
 
     @cached_property
     def _point_fn(self):
-        return ex.compile_numeric(self.components, self.params)
+        return ex.compile_w(self.components, self.params)
 
     @cached_property
     def _jacobian_fns(self):
@@ -472,7 +452,7 @@ class IntegralPatch:
         return Point(self._point_fn(*map(float, s)))
 
     def jacobian_at(self, s):
-        J = np.array(self._jacobian_fns.at(*map(float, s))).reshape(
+        J = np.array(self._jacobian_fns.w(*map(float, s))).reshape(
             len(self.components), self.q)
         if np.linalg.matrix_rank(J, tol=RANK_CUTOFF) != self.q:
             raise RankDeficiencyError(f"patch Jacobian rank-deficient at {s}")
@@ -521,13 +501,11 @@ def _patch_screen(dist, patch, mode, parameter_samples, points, tol):
     X = _coords(points, dist.n)
     if dist.kernel is not None:
         K, B, fiber_clear = dist._kernel_stack(X)
-        clear &= fiber_clear
         resid = np.max(np.abs(K @ J), axis=1, initial=0.0)
-    if dist.span is not None:
+    else:
         _, B, fiber_clear = dist._span_stack(X)
-        clear &= fiber_clear
-        if dist.kernel is None:
-            resid = _basis_residuals(B, J)
+        resid = _basis_residuals(B, J)
+    clear &= fiber_clear
     clear &= np.all(_clears(resid, tol * np.maximum(1.0, np.linalg.norm(J, axis=1))),
                     axis=1)
     if mode == "strong":
@@ -581,7 +559,7 @@ def trace_leaf(dist, start, steps, stepsize):
     """
     if dist.span is None:
         raise DegreeError("leaf tracing needs a SPAN representation")
-    fields = [ex.compile_numeric(v, dist.vars) for v in dist.span]
+    fields = [ex.compile_w(v, dist.vars) for v in dist.span]
     half = 0.5 * stepsize
     sixth = stepsize / 6.0
     x = start.coords

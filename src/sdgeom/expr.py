@@ -5,6 +5,11 @@ The AST is deliberately tiny: literals, variables, +, -, *, /, unary minus,
 integer pow, and the smooth primitives sin/cos/exp/ln/sqrt.  Differentiation
 does light constant folding only; no general simplifier.
 
+Three evaluators, of one meaning: `evaluate` walks the tree on floats or
+W values, `compile_w` compiles a function of floats and W values that
+performs `evaluate`'s operations in its order, and `compile_numpy` a
+function of stacked sample arrays.
+
 numpy is imported only by `compile_numpy` and its helpers, so the float
 and W-valued paths run without it.
 """
@@ -355,18 +360,15 @@ def _wrap(e, minimum):
 
 
 def _literal(value):
-    """Python source of a float constant (non-finite ones included), safe as
-    the base of `**`."""
-    if not math.isfinite(value):
-        return f"_float({str(value)!r})"
-    return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
+    """Python source of a float constant, non-finite ones included."""
+    return repr(value) if math.isfinite(value) else f"_float({str(value)!r})"
 
 
-def _source(e, names, const, call, div="({} / {})", power="({} ** {})"):
+def _source(e, names, const, call):
     """Python source of `e`: variables renamed through `names`, literals
     through `const(value)`, primitives through `call(fn, arg_source)` (fn as
-    in FUNCTIONS), quotients and integer powers through the `div` and
-    `power` templates."""
+    in FUNCTIONS), quotients and integer powers through the functions `_div`
+    and `_pow` of the namespace it runs in."""
 
     def gen(e):
         if isinstance(e, Const):
@@ -383,11 +385,11 @@ def _source(e, names, const, call, div="({} / {})", power="({} ** {})"):
         if isinstance(e, Mul):
             return f"({gen(e.left)} * {gen(e.right)})"
         if isinstance(e, Div):
-            return div.format(gen(e.left), gen(e.right))
+            return f"_div({gen(e.left)}, {gen(e.right)})"
         if isinstance(e, Neg):
             return f"(-{gen(e.arg)})"
         if isinstance(e, Pow):
-            return power.format(gen(e.base), e.power)
+            return f"_pow({gen(e.base)}, {e.power})"
         if isinstance(e, Call):
             return call(e.fn, gen(e.arg))
         raise TypeError(type(e).__name__)
@@ -395,43 +397,17 @@ def _source(e, names, const, call, div="({} / {})", power="({} ** {})"):
     return gen(e)
 
 
-def _compile(exprs, varnames, const, call, body, namespace, **templates):
-    """`def _f(<one argument per variable>)` with the given body, which
-    `body(sources)` builds from the source of each expression."""
+def _compile(exprs, varnames, const, call, namespace):
+    """`def _f(<one argument per variable>)` returning the tuple of the
+    values of `exprs`, defined in `namespace`."""
     names = {name: f"_v{i}" for i, name in enumerate(varnames)}
-    sources = [_source(e, names, const, call, **templates) for e in exprs]
+    sources = "".join(f"{_source(e, names, const, call)}, " for e in exprs)
     args = ", ".join(names[v] for v in varnames)
-    exec(f"def _f({args}):\n" + body(sources), namespace)  # noqa: S102 - our own AST
+    exec(f"def _f({args}):\n    return ({sources})\n", namespace)  # noqa: S102 - our own AST
     return namespace["_f"]
 
 
-def _tuple_body(sources):
-    return "    return (" + "".join(f"{s}, " for s in sources) + ")\n"
-
-
 _LIBRARY_NAME = {"ln": "log"}  # DSL name -> math name, where they differ
-
-
-def compile_numeric(e, varnames):
-    """Compile to a fast float-only function of positional arguments.
-
-    `e` is an expression, or a sequence of them for a function returning a
-    tuple.  A domain error, a division by zero or an overflow raises
-    DomainError, as in `evaluate`.
-    """
-    single = isinstance(e, Expr)
-
-    def body(sources):
-        result = sources[0] if single else "(" + "".join(
-            f"{s}, " for s in sources) + ")"
-        return (f"    try:\n        return {result}\n"
-                "    except (ValueError, ArithmeticError) as err:\n"
-                "        raise _DomainError(str(err)) from None\n")
-
-    return _compile([e] if single else e, varnames, _literal,
-                    lambda fn, arg: f"_math.{_LIBRARY_NAME.get(fn, fn)}({arg})",
-                    body, {"_math": math, "_float": float,
-                           "_DomainError": DomainError})
 
 
 # numpy forms of the quotient and the power, giving nan where `evaluate` raises
@@ -453,15 +429,17 @@ def compile_numpy(exprs, varnames):
     array arguments.  It returns an array with one row per expression, each
     broadcast to the arguments' common shape (constants included).
 
-    The values are those of `evaluate`, bit for bit, wherever `evaluate`
-    returns a finite value, and nan wherever it raises (a domain error, a
-    division by zero, an overflow in exp or a power); no later operation
-    turns a nan into a number, and floating-point exceptions are silent, as
-    in numpy.  Callers test `np.isfinite`.  exp, ln and integer powers are
-    `evaluate`'s `math` functions, applied sample by sample: numpy's differ
-    from them in the last bit, on some inputs and CPUs.  +, -, *, / and
-    sqrt are correctly rounded in numpy too, and numpy's sin and cos, equal
-    to `math`'s on every input tested, keep the stacked curve evaluation of
+    At finite arguments, the values are those of `evaluate`, bit for bit,
+    wherever `evaluate` returns a finite value, and nan wherever it raises
+    (a domain error, a division by zero, an overflow in exp or a power); no
+    later operation turns a nan into a number, and floating-point exceptions
+    are silent, as in numpy.  Callers test `np.isfinite`.  At a nan
+    argument a value may be nan where `evaluate`'s is not: `pow(x, 0)` at
+    x = nan is nan, not 1.0.  exp, ln and integer powers are `evaluate`'s
+    `math` functions, applied sample by sample: numpy's differ from them in
+    the last bit, on some inputs and CPUs.  +, -, *, / and sqrt are
+    correctly rounded in numpy too, and numpy's sin and cos, equal to
+    `math`'s on every input tested, keep the stacked curve evaluation of
     `parallel_transport` fast.
     """
     import numpy as np
@@ -478,8 +456,7 @@ def compile_numpy(exprs, varnames):
         return f"{library}.{_LIBRARY_NAME.get(fn, fn)}({arg})"
 
     namespace = {"_np": np, "_math": _SAMPLEWISE, "_div": _np_div, "_pow": _np_pow}
-    values = _compile(exprs, varnames, const, call, _tuple_body, namespace,
-                      div="_div({}, {})", power="_pow({}, {})")
+    values = _compile(exprs, varnames, const, call, namespace)
     namespace.update(consts)
 
     # broadcasting and error state here rather than in the generated source,
@@ -497,14 +474,14 @@ def compile_numpy(exprs, varnames):
 
 def compile_w(exprs, varnames):
     """Compile a sequence of expressions to one function of positional
-    arguments, each a float or a NilElement, returning a tuple.
+    arguments, each a float or a NilElement, returning a tuple: the one
+    compiled evaluator at a point, real or neighbouring.
 
     The function performs the operations of `evaluate` in the same order,
     so its values are those of `evaluate`, bit for bit, and it raises where
     `evaluate` raises.
     """
     return _compile(exprs, varnames, _literal,
-                    lambda fn, arg: f"_apply_fn({fn!r}, {arg})", _tuple_body,
+                    lambda fn, arg: f"_apply_fn({fn!r}, {arg})",
                     {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow,
-                     "_float": float},
-                    div="_div({}, {})", power="_pow({}, {})")
+                     "_float": float})

@@ -12,7 +12,8 @@ from itertools import combinations, permutations
 
 from . import expr as ex
 from .errors import ContextMismatchError, DegreeError, SdgError
-from .nil import NilElement, _elem_mul, _elem_muladd, _wrap, generic_offsets, within_tol
+from .nil import (_MERGE_SIGNS, NilElement, _elem_mul, _elem_muladd, _wrap, generic_offsets,
+                  within_tol)
 
 
 def default_vars(n):
@@ -98,23 +99,24 @@ class ClassicalForm:
         return f"ClassicalForm<{terms}>"
 
 
-def _merge_sign(S, T):
-    """Sign of merging two disjoint sorted tuples into sorted order."""
-    inv = sum(1 for s in S for t in T if s > t)
-    return -1.0 if inv & 1 else 1.0
+def _mask(T):
+    """Bitmask of an index tuple, bit i-1 for index i, as in `nil`: the sign
+    of merging disjoint sorted S and T is _MERGE_SIGNS[_mask(S)][_mask(T)]."""
+    return sum(1 << (t - 1) for t in T)
 
 
 def d_classical(form):
     """Textbook coordinate exterior derivative via symbolic differentiation."""
     coeffs = {}
     for T, a in form.coeffs.items():
+        mask = _mask(T)
         for i, var in enumerate(form.vars, start=1):
             if i in T:
                 continue
             da = ex.diff(a, var)
             if isinstance(da, ex.Const) and da.value == 0.0:
                 continue
-            sign = _merge_sign((i,), T)
+            sign = _MERGE_SIGNS[1 << (i - 1)][mask]
             U = tuple(sorted(T + (i,)))
             term = ex._fold_mul(ex.Const(sign), da)
             coeffs[U] = ex._fold_add(coeffs[U], term) if U in coeffs else term
@@ -127,10 +129,12 @@ def wedge_classical(a, b):
         raise DegreeError("wedge of forms on different charts")
     coeffs = {}
     for S, ea in a.coeffs.items():
+        signs = _MERGE_SIGNS[_mask(S)]
         for T, eb in b.coeffs.items():
-            if set(S) & set(T):
+            mask = _mask(T)
+            if signs.mask & mask:  # S and T share an index
                 continue
-            sign = _merge_sign(S, T)
+            sign = signs[mask]
             U = tuple(sorted(S + T))
             term = ex._fold_mul(ex.Const(sign), ex._fold_mul(ea, eb))
             coeffs[U] = ex._fold_add(coeffs[U], term) if U in coeffs else term

@@ -94,8 +94,8 @@ class _SignTables(dict):
 # row masks times the merge sign of their column masks: a pair of factors
 # whose row order and column order disagree counts once in exactly one of
 # the two merges, and a pair that disagrees in neither or both counts twice
-# or not at all.  Rows and columns share the tables; a table only ever holds
-# the mask pairs that products met.
+# or not at all.  Rows and columns share the tables, and so do the classical
+# forms' wedge and d (`forms`); a table only ever holds the mask pairs met.
 _MERGE_SIGNS = _SignTables()
 
 
@@ -559,7 +559,7 @@ def _samplewise(fn):
 
 
 _SAMPLEWISE = SimpleNamespace(**{name: _samplewise(getattr(math, name))
-                                 for name in ("sin", "cos", "exp", "log", "pow")})
+                                 for name in ("sin", "cos", "exp", "log", "pow", "sqrt")})
 
 
 def _derivs_sin(c, order, m):
@@ -586,9 +586,9 @@ def _derivs_ln(c, order, m):
 
 
 def _derivs_sqrt(c, order, m):
-    out = []
-    fall = 1.0
-    for r in range(order + 1):
+    out = [m.sqrt(c)]  # correctly rounded, as `evaluate`'s sqrt; pow is not
+    fall = 0.5
+    for r in range(1, order + 1):
         out.append(fall * m.pow(c, 0.5 - r))
         fall *= 0.5 - r
     return out

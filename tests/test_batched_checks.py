@@ -504,6 +504,15 @@ def test_compile_numpy_is_evaluate_on_a_random_corpus():
     assert_compile_numpy_is_evaluate(exprs, xs)
 
 
+def test_compile_numpy_is_not_evaluate_at_a_nan_argument():
+    # its bit-identity with evaluate holds at finite arguments only: the
+    # power of a nan base is nan, kept as the nan of a base that could not
+    # be evaluated, where evaluate's nan ** 0 is 1.0
+    e = ex.Pow(X, 0)
+    assert ex.evaluate(e, {"x": math.nan}) == 1.0
+    assert math.isnan(ex.compile_numpy([e], ("x",))(np.array([math.nan]))[0, 0])
+
+
 # -- one ulp apart ----------------------------------------------------------------
 #
 # y*1e10*(f(x) - F)*(x - x1) at two samples, F the value of f at x0 one ulp
@@ -1137,6 +1146,20 @@ def test_float_lift_raises_where_a_division_overflows():
         lifted = lift_smooth(f, NilElement(1, 1, {(0, 0): np.array([1e-310, 0.5]), **nil}))
         assert all(math.isnan(v) for v in at_sample(lifted, 0).values()), f
         assert at_sample(lifted, 1) == lift_smooth(f, NilElement(1, 1, {(0, 0): 0.5, **nil})).terms
+
+
+def test_sqrt_lift_takes_its_constant_term_from_sqrt():
+    # pow(x, 0.5) is not correctly rounded and differs from sqrt(x) in the
+    # last bit at some x (20 of these 20,000): the float and the array lift
+    # of sqrt at x + xi have the constant term of evaluate's float sqrt
+    rng = random.Random(1)
+    xs = [rng.uniform(0.0, 10.0) for _ in range(20000)]
+    want = [math.sqrt(x) for x in xs]
+    got = [ex.evaluate(ex.Call("sqrt", X), {"x": NilElement(1, 1, {(0, 0): x, (1, 1): 1.0})})
+           .const_term for x in xs]
+    assert got == want
+    lifted = lift_smooth("sqrt", NilElement(1, 1, {(0, 0): np.array(xs), (1, 1): 1.0}))
+    assert lifted.const_term.tolist() == want
 
 
 def test_array_lift_stops_at_the_first_zero_power():

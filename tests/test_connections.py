@@ -261,19 +261,18 @@ def test_transport_reversed_curve_inverts():
 def rk4_reference(conn, curve_exprs, t0, t1, steps, project):
     """Sequential RK4 on g' = -M(t) g, one step at a time, projecting g onto
     its polar factor after each step when `project` is set."""
-    c_fns = [ex.compile_numeric(c, ("t",)) for c in curve_exprs]
-    cdot_fns = [ex.compile_numeric(ex.diff(c, "t"), ("t",)) for c in curve_exprs]
-    a_fns = [[[ex.compile_numeric(e, conn.vars) for e in row] for row in Ai]
-             for Ai in conn.A]
+    c_fn = ex.compile_w(curve_exprs, ("t",))
+    cdot_fn = ex.compile_w([ex.diff(c, "t") for c in curve_exprs], ("t",))
+    a_fns = [ex.compile_w([e for row in Ai for e in row], conn.vars) for Ai in conn.A]
     m = conn.group.m
 
     def rhs(t, g):
-        x = [f(t) for f in c_fns]
+        x = c_fn(t)
+        cdot = cdot_fn(t)
         acc = np.zeros((m, m))
         for i in range(conn.n):
-            ci = cdot_fns[i](t)
-            if ci:
-                acc += np.array([[e(*x) for e in row] for row in a_fns[i]]) * ci
+            if cdot[i]:
+                acc += np.array(a_fns[i](*x)).reshape(m, m) * cdot[i]
         return -acc @ g
 
     g = np.eye(m)

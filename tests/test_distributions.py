@@ -42,6 +42,16 @@ def samples3(count=12, seed=0):
     return sample_box([(-1.0, 1.0)] * 3, count, seed)
 
 
+def test_a_distribution_has_one_representation():
+    w = form_1(3, {3: ex.Const(1.0)}, VARS3)
+    fields = [[ex.Const(1.0), ex.Const(0.0), ex.Const(0.0)],
+              [ex.Const(0.0), ex.Const(1.0), ex.Const(0.0)]]
+    with pytest.raises(ValueError, match="one representation"):
+        Distribution(3, 2, span=fields, kernel=[w], vars=VARS3)
+    with pytest.raises(ValueError, match="one representation"):
+        Distribution(3, 2, vars=VARS3)
+
+
 # -- flatness ----------------------------------------------------------------
 
 def test_flatness_examples():

@@ -272,5 +272,5 @@ def test_compile_w_raises_the_domain_error_of_evaluate(e, x):
 ], ids=["negative-base", "negative-zero-base", "inf", "nan"])
 def test_compiled_literals_match_evaluate(e):
     want = ex.evaluate(e, {"x": 0.5})
-    for got in (ex.compile_numeric(e, ("x",))(0.5), ex.compile_w([e], ("x",))(0.5)[0]):
-        assert _same(got, want) or (math.isnan(got) and math.isnan(want))
+    got = ex.compile_w([e], ("x",))(0.5)[0]
+    assert _same(got, want) or (math.isnan(got) and math.isnan(want))
