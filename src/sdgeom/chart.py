@@ -14,8 +14,8 @@ class Point:
     coords: tuple
 
     def __init__(self, coords):
-        coords = tuple(float(c) for c in coords)
-        if not all(math.isfinite(c) for c in coords):
+        coords = tuple(map(float, coords))
+        if not all(map(math.isfinite, coords)):
             raise ValueError("non-finite point coordinates")
         object.__setattr__(self, "coords", coords)
 

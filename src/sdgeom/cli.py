@@ -97,14 +97,19 @@ class _Reporter:
             _json_dump(self.payload, self.out)
 
 
-def _parse_points(text, dim):
-    points = []
+def _parse_vectors(text, dim, what="vector"):
+    """';'-separated vectors of exactly `dim` finite, ','-separated entries."""
+    vectors = []
     for chunk in text.split(";"):
-        coords = [float(v) for v in chunk.split(",")]
-        if len(coords) != dim:
-            raise ValueError(f"point needs {dim} coordinates")
-        points.append(Point(coords))
-    return points
+        vector = [float(v) for v in chunk.split(",")]
+        if len(vector) != dim or not all(map(math.isfinite, vector)):
+            raise ValueError(f"{what} {chunk!r} needs {dim} finite entries")
+        vectors.append(vector)
+    return vectors
+
+
+def _parse_points(text, dim):
+    return [Point(v) for v in _parse_vectors(text, dim, "point")]
 
 
 def _mat_list(M):
@@ -160,8 +165,7 @@ def cmd_eval(args, rep):
     prog = _load(args)
     form = prog.lookup("forms", args.form, "form")
     p = _parse_points(args.at, prog.dim)[0]
-    vectors = [[float(v) for v in chunk.split(",")]
-               for chunk in args.vectors.split(";")]
+    vectors = _parse_vectors(args.vectors, prog.dim)
     if len(vectors) != form.degree:
         raise ParseError(f"form of degree {form.degree} needs that many vectors")
     theta = fm.to_combinatorial(form)
@@ -241,15 +245,28 @@ def cmd_curvature(args, rep):
     return EXIT_OK if agree else EXIT_FALSE
 
 
+def _circle(spec):
+    """Centre and radius of a loop spec 'circle cx,cy,r': three finite
+    numbers, r nonzero (a zero radius has identity holonomy, so an
+    ambrose-singer run on it would check nothing)."""
+    parts = spec.split()
+    try:
+        if len(parts) != 2 or parts[0] != "circle":
+            raise ValueError
+        cx, cy, r = map(float, parts[1].split(","))
+        if not (all(map(math.isfinite, (cx, cy, r))) and r != 0.0):
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"bad loop spec {spec!r} (expected 'circle cx,cy,r' "
+                         "with finite cx, cy and r, r nonzero)") from None
+    return cx, cy, r
+
+
 def _loop_curves(args, prog):
     loops = []
     if args.loop:
         for spec in args.loop.split(";"):
-            parts = spec.split()
-            if parts[0] != "circle" or len(parts) != 2:
-                raise ParseError(f"bad loop spec {spec!r} "
-                                 "(expected 'circle cx,cy,r')")
-            cx, cy, r = (float(v) for v in parts[1].split(","))
+            cx, cy, r = _circle(spec)
             t = ex.Var("t")
             curve = [ex.Add(ex.Const(cx), ex.Mul(ex.Const(r), ex.Call("cos", t))),
                      ex.Add(ex.Const(cy), ex.Mul(ex.Const(r), ex.Call("sin", t)))]

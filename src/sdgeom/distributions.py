@@ -553,25 +553,19 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
 
 def trace_leaf(dist, start, steps, stepsize):
     """Fourth-order Runge-Kutta flow along the span fields, cycling through
-    them: step i follows field i mod rank, with coefficient +1.
+    them: step i follows field i mod rank, with coefficient +1.  The step
+    along each field is compiled once per call (`expr.compile_rk4_step`),
+    its stages evaluating the field with `compile_w`'s meaning.
     A domain error, a division by zero or a non-finite point raises
     DomainError.
     """
     if dist.span is None:
         raise DegreeError("leaf tracing needs a SPAN representation")
-    fields = [ex.compile_w(v, dist.vars) for v in dist.span]
-    half = 0.5 * stepsize
-    sixth = stepsize / 6.0
+    step = [ex.compile_rk4_step(v, dist.vars, stepsize) for v in dist.span]
     x = start.coords
     out = [Point(x)]
     for i in range(steps):
-        field = fields[i % dist.rank]
-        k1 = field(*x)
-        k2 = field(*[a + half * b for a, b in zip(x, k1)])
-        k3 = field(*[a + half * b for a, b in zip(x, k2)])
-        k4 = field(*[a + stepsize * b for a, b in zip(x, k3)])
-        x = tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4))
+        x = step[i % dist.rank](*x)
         if not all(map(math.isfinite, x)):
             raise DomainError(f"leaf trace reached a non-finite point at step {i + 1}")
         out.append(Point(x))

@@ -8,7 +8,9 @@ does light constant folding only; no general simplifier.
 Three evaluators, of one meaning: `evaluate` walks the tree on floats or
 W values, `compile_w` compiles a function of floats and W values that
 performs `evaluate`'s operations in its order, and `compile_numpy` a
-function of stacked sample arrays.
+function of stacked sample arrays.  `compile_rk4_step` compiles a whole
+RK4 step along a vector field with the code generator and the meaning of
+`compile_w`.
 
 numpy is imported only by `compile_numpy` and its helpers, so the float
 and W-valued paths run without it.
@@ -472,6 +474,14 @@ def compile_numpy(exprs, varnames):
     return rows
 
 
+def _w_call(fn, arg):
+    return f"_apply_fn({fn!r}, {arg})"
+
+
+def _w_namespace():
+    return {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow, "_float": float}
+
+
 def compile_w(exprs, varnames):
     """Compile a sequence of expressions to one function of positional
     arguments, each a float or a NilElement, returning a tuple: the one
@@ -481,7 +491,38 @@ def compile_w(exprs, varnames):
     so its values are those of `evaluate`, bit for bit, and it raises where
     `evaluate` raises.
     """
-    return _compile(exprs, varnames, _literal,
-                    lambda fn, arg: f"_apply_fn({fn!r}, {arg})",
-                    {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow,
-                     "_float": float})
+    return _compile(exprs, varnames, _literal, _w_call, _w_namespace())
+
+
+def compile_rk4_step(field, varnames, stepsize):
+    """Compile one classical fourth-order Runge-Kutta step along the vector
+    field `field` (one expression per name of `varnames`) to a function of
+    the float coordinates that returns the next point's as a tuple.
+
+    The stages evaluate the field as `compile_w` does, at x, x + half*k1,
+    x + half*k2 and x + stepsize*k3, and the step returns
+    x + sixth*(k1 + 2*k2 + 2*k3 + k4), with half = 0.5*stepsize and
+    sixth = stepsize/6.0, coordinate by coordinate: the float operations of
+    the same step written over coordinate tuples, in their order, so its
+    values are that loop's, bit for bit, and it raises where that loop
+    raises.
+    """
+    namespace = _w_namespace()
+    namespace.update(_h=0.5 * stepsize, _k=stepsize, _s=stepsize / 6.0)
+    args = [f"_v{i}" for i in range(len(varnames))]
+    lines = []
+    point = args
+    for k, coef in (("_a", "_h"), ("_b", "_h"), ("_c", "_k"), ("_d", None)):
+        names = dict(zip(varnames, point))
+        lines += [f"{k}{i} = {_source(e, names, _literal, _w_call)}"
+                  for i, e in enumerate(field)]
+        if coef:  # the point of the next stage
+            point = [f"{k}p{i}" for i in range(len(args))]
+            lines += [f"{p} = {a} + {coef} * {k}{i}"
+                      for i, (p, a) in enumerate(zip(point, args))]
+    update = "".join(f"{a} + _s * (_a{i} + 2 * _b{i} + 2 * _c{i} + _d{i}), "
+                     for i, a in enumerate(args))
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def _f({', '.join(args)}):\n{body}    return ({update})\n",  # noqa: S102 - our own AST
+         namespace)
+    return namespace["_f"]

@@ -186,6 +186,40 @@ def test_invalid_input_exits_two(files, command, extra):
     assert out == ""
 
 
+@pytest.mark.parametrize("vectors", ["1,2", "1,2,3,4", "1,nan,3"],
+                         ids=["short", "long", "nan"])
+def test_eval_vector_needs_dim_finite_entries(files, vectors):
+    # a short vector ran into an IndexError, a long one lost its last entry
+    # and a nan was read as 0: all exited 1 or 0
+    code, out, err = invoke(["eval", "--file", files["contact"], "--form", "w",
+                             "--at", "0,1,0", "--vectors", vectors])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: vector {vectors!r} needs 3 finite entries\n"
+
+
+@pytest.mark.parametrize("command", ["holonomy", "ambrose-singer"])
+@pytest.mark.parametrize("loops, bad", [
+    ("circle 0,0,1;", ""),
+    ("circle 0,0,nan", "circle 0,0,nan"),
+    ("circle 0,0,inf", "circle 0,0,inf"),
+    ("circle 0,0", "circle 0,0"),
+    ("circle 0,0,1,2", "circle 0,0,1,2"),
+    ("circle 0,0,0", "circle 0,0,0"),
+    ("circle 0,0,1;square 0,0,1", "square 0,0,1"),
+], ids=["empty", "nan", "inf", "two-numbers", "four-numbers", "zero-radius",
+        "not-a-circle"])
+def test_bad_loop_spec_exits_two(files, command, loops, bad):
+    # an empty spec ran into an IndexError, a non-finite one into a numeric
+    # failure on the curve, and a zero radius made ambrose-singer hold
+    # without checking anything
+    code, out, err = invoke([command, "--file", files["rot"], "--conn", "A",
+                             "--loop", loops, "--steps", "10", "--samples", "1"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: bad loop spec {bad!r}")
+
+
 def test_numeric_error_exits_three(files):
     # leaf tracing without a span representation is a numeric-domain error
     code, _, err = invoke(["leaf", "--file", files["contact"],

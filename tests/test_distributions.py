@@ -1,6 +1,8 @@
 """Geometric distributions: flatness, involutivity (simplicial vs classical),
 integral patches, semi-simplex annihilation, and leaf tracing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sdgeom.distributions import (DEFAULT_TOL, Distribution, IntegralPatch,
                                   check_involutive_combinatorial,
                                   is_flat, semi_annihilation_check,
                                   pointwise_involutive_span, trace_leaf)
-from sdgeom.errors import RankDeficiencyError
+from sdgeom.errors import DomainError, RankDeficiencyError
 from sdgeom.forms import ClassicalForm, CombinatorialForm, d_comb, to_combinatorial
 from sdgeom.nil import NilElement, generic_offsets, within_tol
 from sdgeom.program import parse
@@ -453,6 +455,73 @@ def test_trace_leaf_zero_steps():
     start = Point((1.0, 2.0, 3.0))
     pts = trace_leaf(d, start, steps=0, stepsize=1e-3)
     assert pts == [start]
+
+
+def leaf_reference(dist, start, steps, stepsize):
+    """The RK4 leaf trace written over coordinate tuples, one stage at a
+    time, each stage evaluating the field by `compile_w`."""
+    fields = [ex.compile_w(v, dist.vars) for v in dist.span]
+    half = 0.5 * stepsize
+    sixth = stepsize / 6.0
+    x = start.coords
+    out = [x]
+    for i in range(steps):
+        field = fields[i % dist.rank]
+        k1 = field(*x)
+        k2 = field(*[a + half * b for a, b in zip(x, k1)])
+        k3 = field(*[a + half * b for a, b in zip(x, k2)])
+        k4 = field(*[a + stepsize * b for a, b in zip(x, k3)])
+        x = tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4))
+        if not all(map(math.isfinite, x)):
+            raise DomainError(f"leaf trace reached a non-finite point at step {i + 1}")
+        out.append(x)
+    return out
+
+
+# fields through every primitive, division, integer pow and unary minus
+LEAF_FIELDS = """\
+dim 3
+var x y z
+vector u = (1, sin(y)*cos(z), -exp(-x/3) + ln(2 + sin(x)))
+vector v = (sqrt(1 + y*y)/(2 + cos(x)), -1, pow(z, 3)/(1 + pow(x, 2)))
+vector w = (0.5, -pow(y, 2), 1/(3 + cos(z)))
+"""
+
+
+def leaf_fields(rank):
+    names = ", ".join("uvw"[:rank])
+    return parse(LEAF_FIELDS + f"dist S = span({names})\n").dists["S"]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("steps, stepsize", [
+    (0, 1e-3), (1, 1e-3), (1, -0.1), (300, 1e-2), (300, -1e-2), (300, 0.003),
+    (301, -0.007)])
+def test_trace_leaf_is_the_reference_loop(rank, steps, stepsize):
+    d = leaf_fields(rank)
+    start = Point((0.3, -0.2, 0.1))
+    pts = trace_leaf(d, start, steps, stepsize)
+    assert [p.coords for p in pts] == leaf_reference(d, start, steps, stepsize)
+
+
+@pytest.mark.parametrize("fields, start, stepsize", [
+    # x decreases through 0 within a step's stages: ln raises in one
+    (["(-1, 0, ln(x))"], (0.05, 0.0, 0.0), 0.003),
+    # x' = x^3 blows up through * alone, which gives inf, not an error
+    (["(x*x*x, 0, 0)", "(0, 1, 0)"], (1.0, 0.0, 0.0), 0.05),
+], ids=["ln-in-a-stage", "blow-up"])
+def test_trace_leaf_fails_where_the_reference_loop_fails(fields, start, stepsize):
+    names = [f"f{i}" for i in range(len(fields))]
+    d = parse("dim 3\nvar x y z\n"
+              + "".join(f"vector {n} = {f}\n" for n, f in zip(names, fields))
+              + f"dist S = span({', '.join(names)})\n").dists["S"]
+    with pytest.raises(DomainError) as want:
+        leaf_reference(d, Point(start), 10_000, stepsize)
+    with pytest.raises(DomainError) as got:
+        trace_leaf(d, Point(start), 10_000, stepsize)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 # -- parsed distributions round-trip through the checks --------------------------
