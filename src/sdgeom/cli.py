@@ -112,6 +112,14 @@ def _parse_points(text, dim):
     return [Point(v) for v in _parse_vectors(text, dim, "point")]
 
 
+def _parse_point(text, dim):
+    """Exactly one point, for the options that take a single point."""
+    points = _parse_points(text, dim)
+    if len(points) != 1:
+        raise ValueError(f"expected one point, got {len(points)} in {text!r}")
+    return points[0]
+
+
 def _mat_list(M):
     import numpy as np
 
@@ -164,7 +172,7 @@ def cmd_wedge(args, rep):
 def cmd_eval(args, rep):
     prog = _load(args)
     form = prog.lookup("forms", args.form, "form")
-    p = _parse_points(args.at, prog.dim)[0]
+    p = _parse_point(args.at, prog.dim)
     vectors = _parse_vectors(args.vectors, prog.dim)
     if len(vectors) != form.degree:
         raise ParseError(f"form of degree {form.degree} needs that many vectors")
@@ -314,7 +322,7 @@ def cmd_ambrose_singer(args, rep):
     conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
     samples = sample_box(parse_box(args.box, prog.dim), args.samples, args.seed)
-    base = _parse_points(args.at, prog.dim)[0] if args.at else samples[0]
+    base = _parse_point(args.at, prog.dim) if args.at else samples[0]
     ok, dim_h, resid = cn.ambrose_singer_check(
         conn, loops, samples, base, steps=args.steps, tol=args.tol)
     rep.add("inclusion", ok)
@@ -330,7 +338,7 @@ def cmd_leaf(args, rep):
 
     prog = _load(args)
     dist = prog.lookup("dists", args.dist, "distribution")
-    start = _parse_points(args.start, prog.dim)[0]
+    start = _parse_point(args.start, prog.dim)
     pts = ds.trace_leaf(dist, start, args.steps, args.stepsize)
     rep.add("points", [list(p.coords) for p in pts])
     if rep.fmt == "text":
@@ -408,7 +416,8 @@ def build_parser():
     p.set_defaults(fn=cmd_wedge)
 
     p = sub.add_parser("eval", help="evaluate a form on displacement vectors")
-    common(p, at=True)
+    common(p)
+    p.add_argument("--at", required=True, help="one comma vector")
     p.add_argument("--form", required=True)
     p.add_argument("--vectors", required=True)
     p.set_defaults(fn=cmd_eval)

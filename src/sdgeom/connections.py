@@ -6,7 +6,11 @@ of the curvature bracket pinned once against the classical oracle
 F = dA + s[A, A] (the pinning run fixes TRANSPORT_SIGN = +1, BRACKET_SIGN
 = +1 for this convention) and frozen here.  Curvature is the group-valued
 coboundary  omega(x,y) * omega(y,z) * omega(z,x)  on the generic
-infinitesimal 2-simplex.
+infinitesimal 2-simplex.  Each factor is I + N_k with N_k nilpotent in
+W(2, n), so the product is I + N_1 + N_2 + N_3 + N_1 N_2 + N_1 N_3 + N_2 N_3:
+a product of three N's, or one with a degree-2 factor, vanishes.  It is
+formed on arrays stacked over the monomial basis of W(2, n), with the pair
+products of the degree-1 parts taken in one batched matrix product.
 """
 
 import math
@@ -17,7 +21,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
-from .nil import _MERGE_SIGNS, NilElement, generic_offsets, within_tol
+from .nil import _MERGE_SIGNS, _PERMUTED, NilElement, generic_offsets, within_tol
 from .chart import _as_w_coords
 from .distributions import span_residual
 from .forms import default_vars
@@ -236,18 +240,6 @@ def _term_map(values, shape):
     return {key: np.array(entries).reshape(shape) for key, entries in lists.items()}
 
 
-def _transport(conn, a_values, d, order):
-    """I + sign * sum_i A_i delta_i from the `compile_w` values of A at the
-    first point and the term map `d` of the displacement delta, as a
-    GroupElementW over a W context of the given order."""
-    n, m = conn.n, conn.group.m
-    # A as (m, m, n) coefficient arrays, so that A @ delta sums over i
-    A = {key: a.transpose(1, 2, 0) for key, a in _term_map(a_values, (n, m, m)).items()}
-    out = _mat_mul(A, d)
-    out[(0, 0)] = out[(0, 0)] + np.eye(m) if (0, 0) in out else np.eye(m)
-    return GroupElementW(out, m, order)
-
-
 def _displacement(delta):
     """Term map of TRANSPORT_SIGN * delta, and the order of its W context."""
     d = {key: TRANSPORT_SIGN * v for key, v in _term_map(delta, (len(delta),)).items()}
@@ -265,22 +257,90 @@ def transport_neighbor(conn, a, b):
     cb = _as_w_coords(b)
     if not (len(ca) == len(cb) == conn.n):
         raise ContextMismatchError("points not in the connection's chart")
-    return _transport(conn, conn._a_w(*ca),
-                      *_displacement([q - p for p, q in zip(ca, cb)]))
+    n, m = conn.n, conn.group.m
+    d, order = _displacement([q - p for p, q in zip(ca, cb)])
+    # A as (m, m, n) coefficient arrays, so that A @ delta sums over i
+    A = {key: c.transpose(1, 2, 0) for key, c in _term_map(conn._a_w(*ca), (n, m, m)).items()}
+    out = _mat_mul(A, d)
+    out[(0, 0)] = out[(0, 0)] + np.eye(m) if (0, 0) in out else np.eye(m)
+    return GroupElementW(out, m, order)
 
 
 # The vertex swap 1 <-> 2 of the 2-simplex, an automorphism of W(2, n).
 _SWAP = (2, 1)
 
 
+class _Simplex:
+    """Tables for products in W(2, n), the algebra of the generic
+    infinitesimal 2-simplex x, x + u, x + v in R^n, over its monomial basis:
+    the constant, the 2n degree-1 monomials xi[r, a] (row 1, then row 2),
+    and the degree-2 monomials xi[1, a] xi[2, b], a < b, one per face
+    (a, b) of `faces` (1-based).  Every table has O(n^2) entries.
+
+    - `u`: the offset of y = x + u, from `nil.generic_offsets`.
+    - `index`: monomial -> its position in the basis.
+    - `swap`, `swap_sign`: the vertex swap of a stacked array over the
+      basis is swap_sign * array[swap] (signs from `nil._PERMUTED`).
+    - `displacement`: shape (3, 2n, n), the coefficient of each degree-1
+      monomial in TRANSPORT_SIGN * delta_i, for the displacements y - x,
+      z - y and x - z.
+    - `left`, `right`, `sign`: shape (4, faces), the four pairs of degree-1
+      monomials (positions among the 2n) whose product is each face's
+      monomial, and its merge sign from `nil._MERGE_SIGNS` (with two more
+      axes, to scale m x m blocks); the pairs of rows (1, 2) come first, in
+      ascending order of the left column.
+    """
+
+    def __init__(self, n):
+        self.u, v = generic_offsets(2, n)
+        deg1 = [(r, 1 << a) for r in (1, 2) for a in range(n)]
+        self.faces = [(a + 1, b + 1) for a in range(n) for b in range(a + 1, n)]
+        deg2 = [(0b11, (1 << a) | (1 << b)) for a in range(n) for b in range(a + 1, n)]
+        basis = [(0, 0)] + deg1 + deg2
+        self.index = {mono: i for i, mono in enumerate(basis)}
+        self.swap = np.empty(len(basis), dtype=np.intp)
+        self.swap_sign = np.empty((len(basis), 1))
+        for i, mono in enumerate(basis):
+            sign, image = _PERMUTED[_SWAP][mono]
+            self.swap[self.index[image]] = i
+            self.swap_sign[self.index[image]] = sign
+        self.displacement = np.zeros((3, 2 * n, n))
+        for k, delta in enumerate((self.u, [vi - ui for ui, vi in zip(self.u, v)],
+                                   [-vi for vi in v])):
+            for key, d in _displacement(delta)[0].items():
+                self.displacement[k, self.index[key] - 1] = d
+        pairs = {c: [] for c in deg2}
+        for e, (s1, t1) in enumerate(deg1):
+            for f, (s2, t2) in enumerate(deg1):
+                if not (s1 & s2 or t1 & t2):
+                    pairs[(s1 | s2, t1 | t2)].append(
+                        (e, f, _MERGE_SIGNS[s1][s2] * _MERGE_SIGNS[t1][t2]))
+        table = np.array([pairs[c] for c in deg2]).reshape(len(deg2), 4, 3).transpose(2, 1, 0)
+        self.left, self.right = table[:2].astype(np.intp)
+        self.sign = table[2, :, :, None, None]
+
+
 @cache
 def _simplex(n):
-    """The generic offsets u, v of the infinitesimal 2-simplex x, x + u,
-    x + v in R^n, and the displacements y - x, z - y, x - z as made by
-    `_displacement`.  Shared: no caller writes to them."""
-    u, v = generic_offsets(2, n)
-    return u, [_displacement(d) for d in (u, [vi - ui for ui, vi in zip(u, v)],
-                                         [-vi for vi in v])]
+    """The `_Simplex` tables of W(2, n).  Shared: no caller writes to them."""
+    return _Simplex(n)
+
+
+def _transport_product(w, L, Q):
+    """Degree-1 and degree-2 parts of (I + N_1) ... (I + N_K) in W(2, n),
+    from the degree-1 parts L, shape (K, 2n, m, m), and the degree-2 parts
+    Q, shape (K, faces, m, m), of the N_k: sum_k L_k, and sum_k Q_k plus
+    sum_{j<k} L_j L_k; every other product vanishes in W(2, n).
+
+    The pair products are taken as (L_1 + ... + L_{k-1}) L_k, in one
+    batched product over the pairs of `w`, and the degree-2 terms are added
+    in the order of the product taken factor by factor: Q_1, then for each
+    further factor its pair products and its Q_k."""
+    run = np.cumsum(L, axis=0)
+    pairs = (run[:-1, w.left] @ L[1:, w.right]) * w.sign
+    steps = np.concatenate((pairs, Q[1:, None]), axis=1)
+    steps = steps.reshape((steps.shape[0] * steps.shape[1],) + Q.shape[1:])
+    return run[-1], np.concatenate((Q[:1], steps)).sum(axis=0)
 
 
 def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
@@ -288,32 +348,40 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     at (p, I): returns {(i, j): m x m matrix} for i < j (1-based), after the
     degree-2 extraction normalization.
 
-    A is evaluated once in W, at y = x + u; its value at z = x + v is the
-    image under the vertex swap, which maps y to z."""
+    The transport along each edge of the simplex x, y = x + u, z = x + v is
+    I + N_k, N_k = sign * sum_i A_i(p_k) delta_i, and their product is
+    formed as I + N (`_transport_product`).  A is evaluated in W at x and
+    at y and stacked over the monomial basis of W(2, n); its value at z is
+    the image of its value at y under the vertex swap, which maps y to z.
+    A non-finite value of A at x or at y raises DomainError."""
     n, m = conn.n, conn.group.m
-    u, (d_xy, d_yz, d_zx) = _simplex(n)
+    w = _simplex(n)
     x = p.coords
-    a_y = conn._a_w(*[ui + xi for ui, xi in zip(u, x)])
-    a_z = [e.permute_rows(_SWAP) if isinstance(e, NilElement) else e for e in a_y]
-    total = (_transport(conn, conn._a_w(*x), *d_xy)
-             @ _transport(conn, a_y, *d_yz) @ _transport(conn, a_z, *d_zx))
-    const = total.terms.pop((0, 0))
-    if not within_tol(np.abs(const - np.eye(m)).max(), tol):
-        raise RankDeficiencyError("coboundary constant part is not I")
-    out = {}
-    linear = []
-    for (rmask, cmask), mat in total.terms.items():
-        if rmask == 0b11:
-            i, j = [b + 1 for b in range(n) if cmask & (1 << b)]
-            out[(i, j)] = mat * COBOUNDARY_SCALE
-        else:
-            linear.append(mat)
-    if linear and not within_tol(np.abs(linear).max(), tol):
+    # A at x, y and z over the basis: one row per monomial, one column per
+    # entry of A (C order of (n, m, m))
+    A = np.zeros((3, len(w.index), n * m * m))
+    A[0, 0] = conn._a_w(*x)
+    at_y = A[1]
+    for j, e in enumerate(conn._a_w(*[ui + xi for ui, xi in zip(w.u, x)])):
+        if isinstance(e, NilElement):
+            for key, v in e.terms.items():
+                at_y[w.index[key], j] = v
+        elif e:
+            at_y[0, j] = e
+    finite = np.isfinite(A[:2]).all(axis=(1, 2))
+    if not finite.all():
+        where = "at" if not finite[0] else "in the first neighbourhood of"
+        raise DomainError(f"non-finite connection value {where} {x!r}")
+    A[2] = A[1, w.swap] * w.swap_sign
+    # N_k takes its degree-1 part from A's constant part and its degree-2
+    # part from A's degree-1 part; A's degree-2 part times delta vanishes
+    G = w.displacement[:, None] @ A[:, :1 + 2 * n].reshape(3, 1 + 2 * n, n, m * m)
+    L = G[:, 0].reshape(3, 2 * n, m, m)
+    Q = (G[:, 1:][:, w.left, w.right] * w.sign[..., 0]).sum(axis=1).reshape(3, -1, m, m)
+    linear, total = _transport_product(w, L, Q)
+    if not within_tol(np.abs(linear).max(), tol):
         raise RankDeficiencyError("coboundary has unexpected degree-1 part")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.setdefault((i, j), np.zeros((m, m)))
-    return out
+    return dict(zip(w.faces, total * COBOUNDARY_SCALE))
 
 
 def curvature_classical_oracle(conn, p, bracket_sign=BRACKET_SIGN):

@@ -100,6 +100,13 @@ form e = exp(x)*dy
 form p = pow(x, 400)*dy
 """
 
+# A is inf at x = 0.5, and its degree-1 coefficient at y = x + u is inf
+NON_FINITE_CONN = """\
+dim 2
+var x y
+conn A = [(x*1e300*1e300)*dx, 0*dx; 0*dx, 0*dx]
+"""
+
 # span fields of the leaves z - g(x, y) = const, g = 0.8 x y + 1.2 sin(x) + y^3
 LEAF = """\
 dim 3
@@ -116,7 +123,8 @@ def files(tmp_path):
     for name, text in (("contact", CONTACT), ("flat", FLAT), ("pair", PAIR),
                        ("forms_only", FORMS_ONLY), ("rot", ROT), ("gl2", GL2), ("big_gl2", BIG_GL2), ("nearly_flat", NEARLY_FLAT_SPAN),
                        ("log_conn", LOG_CONN),
-                       ("log_span", LOG_SPAN), ("leaf", LEAF), ("overflow", OVERFLOW)):
+                       ("log_span", LOG_SPAN), ("leaf", LEAF), ("overflow", OVERFLOW),
+                       ("non_finite_conn", NON_FINITE_CONN)):
         p = tmp_path / f"{name}.sdg"
         p.write_text(text)
         out[name] = str(p)
@@ -250,6 +258,39 @@ def test_overflow_exits_three(files, command, form):
                            "--at", "1000,0", *command[1:]])
     assert code == EXIT_NUMERIC
     assert "numeric failure:" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("at, where", [
+    ("0,0", "in the first neighbourhood of (0.0, 0.0)"),
+    ("0.5,0.25", "at (0.5, 0.25)"),
+], ids=["degree-1-part", "value"])
+def test_curvature_non_finite_connection_exits_three(files, fmt, at, where):
+    # printed a nan coboundary at the origin (exit 1), and reported an
+    # unexpected degree-1 part at (0.5, 0.25)
+    code, out, err = invoke(["curvature", "--file", files["non_finite_conn"],
+                             "--conn", "A", "--at", at, "--format", fmt])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == f"numeric failure: non-finite connection value {where}\n"
+
+
+@pytest.mark.parametrize("name, argv, option", [
+    ("contact", ["eval", "--form", "w", "--vectors", "1,2,3"], "--at"),
+    ("leaf", ["leaf", "--dist", "S", "--steps", "10"], "--start"),
+    ("rot", ["ambrose-singer", "--conn", "A", "--loop", "circle 0,0,0.6",
+             "--steps", "10", "--samples", "1", "--tol", "1e-6"], "--at"),
+], ids=["eval", "leaf", "ambrose-singer"])
+def test_single_point_options_take_one_point(files, name, argv, option):
+    # the points after the first were dropped without a word
+    dim = 2 if name == "rot" else 3
+    one, two = ",".join(["0.1"] * dim), ",".join(["0.5"] * dim)
+    cmd = [argv[0], "--file", files[name], *argv[1:]]
+    assert invoke(cmd + [option, one])[0] == EXIT_OK
+    code, out, err = invoke(cmd + [option, f"{one};{two}"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: expected one point, got 2 in {one + ';' + two!r}\n"
 
 
 def test_span_involutivity_takes_tol(files):

@@ -21,6 +21,7 @@ from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
                                 in_subalgebra_cone, lie_closure,
                                 parallel_transport, pin_conventions,
                                 transport_neighbor)
+from sdgeom.connections import _simplex, _transport_product
 from sdgeom.nil import NilElement, generic_offsets, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
@@ -490,6 +491,59 @@ def test_group_element_arithmetic_agrees_with_the_object_matrix_reference():
             ref = omat_mul(omat_mul(refs[0], refs[1]), refs[2])
             assert_terms_close(prod.log_truncated().coefficient_matrices(),
                                ref_coefficient_matrices(ref_log_truncated(ref)), 1e-14)
+
+
+def test_stacked_transport_product_agrees_with_group_element_products():
+    # random transports I + N in W(2, n), N with every degree-1 and degree-2
+    # monomial, multiplied as term maps and through the tables
+    rng = np.random.default_rng(15)
+    for n in range(2, 7):
+        w = _simplex(n)
+        basis = sorted(w.index, key=w.index.get)
+        deg1, deg2 = basis[1:1 + 2 * n], basis[1 + 2 * n:]
+        for m in range(1, 4):
+            for factors in (2, 3, 4):
+                L = rng.standard_normal((factors, len(deg1), m, m))
+                Q = rng.standard_normal((factors, len(deg2), m, m))
+                want = None
+                for Lk, Qk in zip(L, Q):
+                    terms = {(0, 0): np.eye(m), **dict(zip(deg1, Lk)), **dict(zip(deg2, Qk))}
+                    g = GroupElementW(terms, m, 2)
+                    want = g if want is None else want @ g
+                linear, total = _transport_product(w, L, Q)
+                got = {(0, 0): np.eye(m), **dict(zip(deg1, linear)), **dict(zip(deg2, total))}
+                assert_terms_close(got, want.coefficient_matrices(), 1e-15)
+
+
+def test_simplex_tables_grow_as_n_squared():
+    # no table of W(2, n) is dense in pairs or triples of basis monomials,
+    # whose number grows as n^4 and n^6
+    for n in range(1, 17):
+        for name, table in vars(_simplex(n)).items():
+            size = table.size if isinstance(table, np.ndarray) else len(table)
+            assert size <= 6 * n * n, (n, name, size)
+
+
+# A has the degree-1 coefficient 1e300*1e300 = inf at y = x + u, and at
+# x = 0.5 the value inf itself
+NON_FINITE_CONN = """\
+dim 2
+var x y
+conn A = [(x*1e300*1e300)*dx, 0*dx; 0*dx, 0*dx]
+"""
+
+
+@pytest.mark.parametrize("at, where", [
+    ((0.0, 0.0), "in the first neighbourhood of (0.0, 0.0)"),
+    ((0.5, 0.25), "at (0.5, 0.25)"),
+], ids=["degree-1-part", "value"])
+def test_coboundary_non_finite_connection_is_a_domain_error(at, where):
+    # a structural zero times inf is nan, so the product would hide where A
+    # fails: A is checked first, and the error names the point
+    conn = parse(NON_FINITE_CONN).conns["A"]
+    with pytest.raises(DomainError) as err:
+        curvature_coboundary(conn, Point(at))
+    assert str(err.value) == f"non-finite connection value {where}"
 
 
 def so3_connection():
