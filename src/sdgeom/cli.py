@@ -3,7 +3,9 @@ deterministic text or JSON.
 
 Exit codes: 0 success / check true, 1 check evaluated false (for
 `curvature`: coboundary and classical oracle differ by more than --tol,
-scaled by the size of the curvature), 2 parse or usage error, 3 numeric
+scaled by the size of the curvature; for `d` and `wedge`: an extracted
+coefficient is not the comparison theorem's constant times the classical
+one to within --tol, scaled likewise), 2 parse or usage error, 3 numeric
 failure (rank drop, domain violation, log branch).
 
 numpy and the `distributions` and `connections` modules are imported by the
@@ -130,11 +132,17 @@ def _load(args):
     return parse_file(args.file)
 
 
-def _cmd_compare(args, rep, prog, theta, classical):
+def _cmd_compare(args, rep, prog, theta, classical, ratio):
     """Combinatorial vs classical coefficients, and their ratio, at each
-    --at point."""
+    --at point.  Every extracted coefficient must be `ratio` times the
+    classical one, those where the classical one is zero included, to
+    within --tol scaled by the largest classical coefficient there, as in
+    `cmd_curvature`: the last-bit rounding of a coefficient of 1e16 is
+    more than 1e-9.  An entry that is not is named, and the exit code is 1."""
+    code = EXIT_OK
     for p in _parse_points(args.at, prog.dim):
         comb, oracle, ratios = fm.comparison(theta, classical, p, tol=args.tol)
+        tol = args.tol * max(1.0, max(map(abs, oracle.values()), default=0.0))
         keys = {T: "".join(map(str, T)) for T in comb}
         rep.add(f"at {','.join(_fmt(c) for c in p.coords)}", {
             "point": list(p.coords),
@@ -143,20 +151,28 @@ def _cmd_compare(args, rep, prog, theta, classical):
             "ratio": ratios[0] if ratios else None,
         })
         rep.line(f"at ({', '.join(_fmt(c) for c in p.coords)}):")
+        failing = []
         for T, v in sorted(comb.items()):
             label = "d" + " d".join(prog.vars[t - 1] for t in T)
+            c = oracle.get(T, 0.0)
             rep.line(f"  [{label}] combinatorial={_fmt(v)} "
-                     f"classical={_fmt(oracle.get(T, 0.0))}")
+                     f"classical={_fmt(c)}")
+            if not within_tol(v - ratio * c, tol):
+                failing.append(label)
         rep.line(f"  measured ratio: "
                  f"{_fmt(ratios[0]) if ratios else 'n/a (zero form)'}")
-    return EXIT_OK
+        for label in failing:
+            rep.line(f"  [{label}] FAILS: combinatorial is not "
+                     f"{_fmt(ratio)} x classical to within {_fmt(tol)}")
+            code = EXIT_FALSE
+    return code
 
 
 def cmd_d(args, rep):
     prog = _load(args)
     form = prog.lookup("forms", args.form, "form")
     return _cmd_compare(args, rep, prog, fm.d_comb(fm.to_combinatorial(form)),
-                        fm.d_classical(form))
+                        fm.d_classical(form), 1.0 / (form.degree + 1))
 
 
 def cmd_wedge(args, rep):
@@ -164,9 +180,11 @@ def cmd_wedge(args, rep):
     name_a, _, name_b = args.forms.partition(",")
     a = prog.lookup("forms", name_a.strip(), "form")
     b = prog.lookup("forms", name_b.strip(), "form")
+    k, l = a.degree, b.degree
     return _cmd_compare(args, rep, prog,
                         fm.wedge_comb(fm.to_combinatorial(a), fm.to_combinatorial(b)),
-                        fm.wedge_classical(a, b))
+                        fm.wedge_classical(a, b),
+                        math.factorial(k) * math.factorial(l) / math.factorial(k + l))
 
 
 def cmd_eval(args, rep):

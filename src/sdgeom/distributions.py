@@ -566,7 +566,9 @@ def trace_leaf(dist, start, steps, stepsize):
     out = [Point(x)]
     for i in range(steps):
         x = step[i % dist.rank](*x)
-        if not all(map(math.isfinite, x)):
-            raise DomainError(f"leaf trace reached a non-finite point at step {i + 1}")
-        out.append(Point(x))
+        try:
+            out.append(Point(x))
+        except ValueError:  # Point's one finiteness check
+            raise DomainError(
+                f"leaf trace reached a non-finite point at step {i + 1}") from None
     return out

@@ -9,9 +9,10 @@ the cup-product wedge act on the callable directly.
 
 import math
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 from . import expr as ex
-from .errors import ContextMismatchError, DegreeError, SdgError
+from .errors import ContextMismatchError, DegreeError, DomainError, SdgError
 from .nil import (_MERGE_SIGNS, NilElement, _elem_mul, _elem_muladd, _wrap, generic_offsets,
                   within_tol)
 
@@ -21,9 +22,14 @@ def default_vars(n):
 
 
 class ClassicalForm:
-    """Multilinear alternating form field with closed-form coefficients."""
+    """Multilinear alternating form field with closed-form coefficients.
 
-    __slots__ = ("degree", "n", "vars", "coeffs", "_coeff_fn")
+    A form is never mutated: `coeffs` is a read-only mapping, so the
+    compiled coefficients and the derived forms (`_derived`: d of the form
+    under "d", its wedge with a partner b under b) are computed once and
+    shared."""
+
+    __slots__ = ("degree", "n", "vars", "coeffs", "_coeff_fn", "_derived")
 
     def __init__(self, degree, n, coeffs, vars=None):
         self.degree = degree
@@ -41,8 +47,9 @@ class ClassicalForm:
             e = ex.as_expr(e)
             if not (isinstance(e, ex.Const) and e.value == 0.0):
                 clean[T] = e
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
         self._coeff_fn = None
+        self._derived = {}
 
     @staticmethod
     def zero(degree, n, vars=None):
@@ -62,9 +69,12 @@ class ClassicalForm:
         return self._coeff_fn
 
     def coeffs_at(self, coords):
-        """Numeric (or W-valued) coefficients at the given coordinates."""
-        env = dict(zip(self.vars, coords))
-        return {T: ex.evaluate(e, env) for T, e in self.coeffs.items()}
+        """Numeric (or W-valued) coefficients at the given `n` coordinates,
+        through `coeff_function`: the values, and the DomainErrors, of
+        `expr.evaluate`."""
+        if len(coords) != self.n:
+            raise DomainError(f"need {self.n} coordinates, got {len(coords)}")
+        return dict(zip(self.coeffs, self.coeff_function()(*coords)))
 
     def apply(self, coords, vectors):
         """Multilinear alternating evaluation on `degree` vectors."""
@@ -106,7 +116,11 @@ def _mask(T):
 
 
 def d_classical(form):
-    """Textbook coordinate exterior derivative via symbolic differentiation."""
+    """Textbook coordinate exterior derivative via symbolic differentiation.
+    Built on the first call for `form` and shared after: forms are never
+    mutated."""
+    if "d" in form._derived:
+        return form._derived["d"]
     coeffs = {}
     for T, a in form.coeffs.items():
         mask = _mask(T)
@@ -120,11 +134,16 @@ def d_classical(form):
             U = tuple(sorted(T + (i,)))
             term = ex._fold_mul(ex.Const(sign), da)
             coeffs[U] = ex._fold_add(coeffs[U], term) if U in coeffs else term
-    return ClassicalForm(form.degree + 1, form.n, coeffs, form.vars)
+    out = form._derived["d"] = ClassicalForm(form.degree + 1, form.n, coeffs, form.vars)
+    return out
 
 
 def wedge_classical(a, b):
-    """Shuffle-sum wedge without factorial prefactor."""
+    """Shuffle-sum wedge without factorial prefactor.  Built on the first
+    call for the pair of objects (a, b) and shared after: forms are never
+    mutated."""
+    if b in a._derived:
+        return a._derived[b]
     if a.n != b.n:
         raise DegreeError("wedge of forms on different charts")
     coeffs = {}
@@ -138,7 +157,8 @@ def wedge_classical(a, b):
             U = tuple(sorted(S + T))
             term = ex._fold_mul(ex.Const(sign), ex._fold_mul(ea, eb))
             coeffs[U] = ex._fold_add(coeffs[U], term) if U in coeffs else term
-    return ClassicalForm(a.degree + b.degree, a.n, coeffs, a.vars)
+    out = a._derived[b] = ClassicalForm(a.degree + b.degree, a.n, coeffs, a.vars)
+    return out
 
 
 class CombinatorialForm:

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 from sdgeom import connections as cn
+from sdgeom import forms as fm
+from sdgeom.chart import Point
 from sdgeom.cli import (EXIT_FALSE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         _json_dump, run)
 from sdgeom.errors import DomainError
+from sdgeom.program import parse_file
 
 CONTACT = """\
 dim 3
@@ -555,3 +558,82 @@ def test_wedge_reports_ratio(files):
     code, out, _ = invoke(["wedge", "--file", files["flat"], "--forms", "w,w",
                            "--at", "0,0,7"])
     assert code == EXIT_OK
+
+
+# -- d and wedge exit 1 where the comparison theorem fails ------------------------
+
+@pytest.mark.parametrize("wrong", ["scaled", "zero"])
+@pytest.mark.parametrize("command, name, argv", [
+    ("d", "d_classical", ["--file", "contact", "--form", "w", "--at", "0,2,0"]),
+    ("wedge", "wedge_classical", ["--file", "pair", "--forms", "a,b",
+                                  "--at", "1,2,3;0.5,-1,0"]),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compare_exit_code_follows_the_oracle(files, monkeypatch, command, name,
+                                              argv, wrong, fmt):
+    argv = [command] + [files.get(a, a) for a in argv] + ["--format", fmt]
+    code, agreeing, _ = invoke(argv)
+    assert code == EXIT_OK
+    oracle = getattr(fm, name)
+
+    def wrong_oracle(*forms):
+        right = oracle(*forms)
+        if wrong == "scaled":
+            return right.scale(2.0)
+        return fm.ClassicalForm.zero(right.degree, right.n, right.vars)
+
+    monkeypatch.setattr(fm, name, wrong_oracle)
+    code, disagreeing, _ = invoke(argv)
+    assert code == EXIT_FALSE
+    if fmt == "json":  # the same keys, with the wrong oracle values
+        assert json.loads(disagreeing).keys() == json.loads(agreeing).keys()
+    else:  # the same report, and a line per failing entry
+        failing = [line for line in disagreeing.splitlines() if "FAILS" in line]
+        assert failing and all(line.startswith("  [d") for line in failing)
+        kept = [line for line in disagreeing.splitlines() if "FAILS" not in line]
+        assert len(kept) == len(agreeing.splitlines())
+
+
+def test_compare_fails_on_a_nonzero_entry_where_the_classical_one_is_zero(
+        files, monkeypatch):
+    # the classical d of dz - y*dx is dx^dy alone; dropping it leaves a
+    # classical side of zero at [dx dy], and no ratio to measure
+    monkeypatch.setattr(fm, "d_classical",
+                        lambda form: fm.ClassicalForm.zero(2, 3, form.vars))
+    code, out, _ = invoke(["d", "--file", files["contact"], "--form", "w",
+                           "--at", "0,2,0"])
+    assert code == EXIT_FALSE
+    assert "measured ratio: n/a (zero form)" in out
+    assert "  [dx dy] FAILS: combinatorial is not 0.5 x classical to within 1.0000000000000001e-09" in out
+    assert "[dx dz] FAILS" not in out
+
+
+def test_wedge_of_a_two_form_compares_with_its_own_constant(tmp_path):
+    # 1!2!/3! = 1/3 for a 1-form and a 2-form
+    path = tmp_path / "forms.sdg"
+    path.write_text("dim 3\nvar x y z\nform a = x*dy + dz\nform b = y*dx ^ dz\n")
+    code, out, _ = invoke(["wedge", "--file", str(path), "--forms", "a,b",
+                           "--at", "1,2,3", "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["at 1,2,3"]["ratio"] == pytest.approx(1 / 3)
+
+
+def test_compare_tolerance_scales_with_the_classical_coefficients(tmp_path, monkeypatch):
+    # the wedge's dx^dy^dz coefficient is ~1e16 at (0.3, -0.7, 0.2): it
+    # agrees to within the default tol 1e-9 scaled by its size, not absolutely
+    path = tmp_path / "big.sdg"
+    path.write_text("dim 3\nvar x y z\n"
+                    "form w = (123456789.123*x*y + 98765.4321*sin(z))*dz + 3e7*x*z*z*dy\n"
+                    "form c = (1.234e9*x*y*y)*dx ^ dz + 7.77e8*exp(z)*dy ^ dz"
+                    " + 5.5e8*cos(x)*dx ^ dy\n")
+    argv = ["wedge", "--file", str(path), "--forms", "w,c", "--at", "0.3,-0.7,0.2"]
+    code, out, _ = invoke(argv)
+    assert (code, "FAILS" in out) == (EXIT_OK, False)
+    forms = parse_file(str(path)).forms
+    theta = fm.wedge_comb(fm.to_combinatorial(forms["w"]), fm.to_combinatorial(forms["c"]))
+    comb, oracle, _ = fm.comparison(theta, fm.wedge_classical(forms["w"], forms["c"]),
+                                    Point((0.3, -0.7, 0.2)))
+    assert abs(comb[(1, 2, 3)] - (2 / 6) * oracle[(1, 2, 3)]) > 1e-9  # not absolutely
+    wedge = fm.wedge_classical
+    monkeypatch.setattr(fm, "wedge_classical", lambda a, b: wedge(a, b).scale(1 + 1e-6))
+    assert invoke(argv)[0] == EXIT_FALSE

@@ -11,14 +11,14 @@ import pytest
 
 from sdgeom import expr as ex
 from sdgeom.chart import Point
-from sdgeom.errors import ContextMismatchError, SdgError
+from sdgeom.errors import ContextMismatchError, DomainError, SdgError
 from sdgeom.forms import (ClassicalForm, CombinatorialForm,
                           classical_from_coeffs, comparison, d_classical,
                           d_comb, eval_generic, eval_semi, extract_classical,
                           to_combinatorial, wedge_classical, wedge_comb)
 from sdgeom.nil import NilElement, generic_offsets
 
-from corpus import random_form
+from corpus import random_form, random_scalar_expr
 
 RNG = np.random.default_rng(42)
 
@@ -140,6 +140,114 @@ def test_fused_to_combinatorial_rejects_mixed_contexts():
     offsets = [[NilElement.generator(1, 2, 1, 1), NilElement.generator(2, 2, 1, 2)]]
     with pytest.raises(ContextMismatchError):
         to_combinatorial(form)((0.0, 0.0), offsets)
+
+
+# -- coeffs_at: the compiled coefficients against the tree walk -------------------
+
+def coeffs_at_reference(form, coords):
+    """`ClassicalForm.coeffs_at` as a tree walk: `expr.evaluate` on each
+    coefficient."""
+    env = dict(zip(form.vars, coords))
+    return {T: ex.evaluate(e, env) for T, e in form.coeffs.items()}
+
+
+def same_float(a, b):
+    """Equal, signed zeros included."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("form,base", corpus(40, degrees=(0, 1, 2), seed=31))
+def test_coeffs_at_is_the_tree_walk(form, base):
+    rng = np.random.default_rng(len(form.coeffs))
+    points = [base.coords, (0.0,) * form.n, (-0.0,) * form.n,
+              tuple(-abs(c) for c in base.coords),
+              tuple(float(v) for v in rng.integers(-2, 3, form.n))]
+    for coords in points:
+        got, want = form.coeffs_at(coords), coeffs_at_reference(form, coords)
+        assert list(got) == list(want)
+        assert all(same_float(got[T], want[T]) for T in want)
+
+
+@pytest.mark.parametrize("form,base", corpus(10, seed=32))
+def test_coeffs_at_is_the_tree_walk_in_w(form, base):
+    coords = [c + g for c, g in zip(base.coords, generic_offsets(1, form.n)[0])]
+    got, want = form.coeffs_at(coords), coeffs_at_reference(form, coords)
+    assert list(got) == list(want)
+    assert all(got[T].terms == want[T].terms for T in want)
+
+
+@pytest.mark.parametrize("text, coords", [
+    ("ln(x1)", (0.0, 1.0)), ("ln(x1)", (-2.0, 1.0)), ("sqrt(x1)", (-1.0, 0.0)),
+    ("x2/x1", (0.0, 1.0)), ("x2/(x1 - x1)", (3.0, 1.0)), ("pow(x1, -2)", (0.0, 1.0)),
+    ("exp(x1)", (1000.0, 0.0)), ("pow(x1, 400)", (1000.0, 0.0)),
+    ("x2 + ln(x1)*x2", (-1.0, 2.0)),
+])
+def test_coeffs_at_raises_where_the_tree_walk_raises(text, coords):
+    from sdgeom.program import parse
+
+    form = parse(f"dim 2\nvar x1 x2\nform f = dx2 + ({text})*dx1\n").forms["f"]
+    with pytest.raises(DomainError) as want:
+        coeffs_at_reference(form, coords)
+    with pytest.raises(DomainError) as got:
+        form.coeffs_at(coords)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("coords", [(), (1.0,), (1.0, 2.0, 3.0, 4.0)])
+def test_coeffs_at_needs_one_coordinate_per_dimension(coords):
+    form = random_form(np.random.default_rng(33), 1, 3)
+    with pytest.raises(DomainError, match="need 3 coordinates"):
+        form.coeffs_at(coords)
+
+
+def test_coefficients_are_read_only():
+    form = random_form(np.random.default_rng(34), 1, 3)
+    with pytest.raises(TypeError):
+        form.coeffs[(1,)] = ex.Const(2.0)
+    with pytest.raises(TypeError):
+        del form.coeffs[next(iter(form.coeffs))]
+
+
+# -- derived classical forms: built once per input --------------------------------
+
+def rebuilt(form):
+    """A new form with the same coefficients: nothing derived from it yet."""
+    return ClassicalForm(form.degree, form.n, dict(form.coeffs), form.vars)
+
+
+def same_text(f, g):
+    return ((f.degree, f.n, f.vars) == (g.degree, g.n, g.vars)
+            and {T: ex.to_str(e) for T, e in f.coeffs.items()}
+            == {T: ex.to_str(e) for T, e in g.coeffs.items()})
+
+
+@pytest.mark.parametrize("form,base", corpus(15, degrees=(0, 1, 2), seed=35))
+def test_d_classical_is_built_once(form, base):
+    first = d_classical(form)
+    assert d_classical(form) is first
+    assert list(first.coeffs) == list(d_classical(rebuilt(form)).coeffs)
+    assert same_text(first, d_classical(rebuilt(form)))
+    assert d_classical(first) is d_classical(first)
+
+
+def test_wedge_classical_is_built_once_per_partner():
+    rng = np.random.default_rng(36)
+    vars = ("x1", "x2", "x3")
+    a = random_form(rng, 1, 3, trig=True)
+    b = random_form(rng, 1, 3, trig=True)
+    c = rebuilt(b)  # a second partner with b's text
+    e = ClassicalForm(2, 3, {(2, 3): random_scalar_expr(rng, vars)})
+    ab, ac, ae = wedge_classical(a, b), wedge_classical(a, c), wedge_classical(a, e)
+    assert len({id(ab), id(ac), id(ae)}) == 3
+    assert wedge_classical(a, b) is ab and wedge_classical(a, c) is ac
+    assert wedge_classical(a, e) is ae
+    for got, partner in ((ab, b), (ac, c), (ae, e)):
+        assert same_text(got, wedge_classical(rebuilt(a), rebuilt(partner)))
+    # the wedge does not commute, and (b, a) is another pair
+    ba = wedge_classical(b, a)
+    assert ba is not ab
+    assert same_text(ba, wedge_classical(rebuilt(b), rebuilt(a)))
 
 
 # -- round trip ----------------------------------------------------------------
