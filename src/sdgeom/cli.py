@@ -138,18 +138,20 @@ def _cmd_compare(args, rep, prog, theta, classical, ratio):
     classical one, those where the classical one is zero included, to
     within --tol scaled by the largest classical coefficient there, as in
     `cmd_curvature`: the last-bit rounding of a coefficient of 1e16 is
-    more than 1e-9.  An entry that is not is named, and the exit code is 1."""
+    more than 1e-9.  An entry that is not is named, in the JSON output under
+    "failing" too, and the exit code is 1."""
     code = EXIT_OK
     for p in _parse_points(args.at, prog.dim):
         comb, oracle, ratios = fm.comparison(theta, classical, p, tol=args.tol)
         tol = args.tol * max(1.0, max(map(abs, oracle.values()), default=0.0))
         keys = {T: "".join(map(str, T)) for T in comb}
-        rep.add(f"at {','.join(_fmt(c) for c in p.coords)}", {
+        entry = {
             "point": list(p.coords),
             "combinatorial": {keys[T]: v for T, v in comb.items()},
             "classical": {keys[T]: oracle.get(T, 0.0) for T in comb},
             "ratio": ratios[0] if ratios else None,
-        })
+        }
+        rep.add(f"at {','.join(_fmt(c) for c in p.coords)}", entry)
         rep.line(f"at ({', '.join(_fmt(c) for c in p.coords)}):")
         failing = []
         for T, v in sorted(comb.items()):
@@ -161,6 +163,8 @@ def _cmd_compare(args, rep, prog, theta, classical, ratio):
                 failing.append(label)
         rep.line(f"  measured ratio: "
                  f"{_fmt(ratios[0]) if ratios else 'n/a (zero form)'}")
+        if failing:
+            entry["failing"] = failing
         for label in failing:
             rep.line(f"  [{label}] FAILS: combinatorial is not "
                      f"{_fmt(ratio)} x classical to within {_fmt(tol)}")

@@ -1,16 +1,17 @@
 """Principal connections on a trivialized bundle chart x group.
 
-Transport over a neighbour pair is first-order exact in W arithmetic:
-T(a,b) = I + sum_i A_i(a) (b-a)_i, with the sign of the gauge coupling and
-of the curvature bracket pinned once against the classical oracle
-F = dA + s[A, A] (the pinning run fixes TRANSPORT_SIGN = +1, BRACKET_SIGN
-= +1 for this convention) and frozen here.  Curvature is the group-valued
-coboundary  omega(x,y) * omega(y,z) * omega(z,x)  on the generic
-infinitesimal 2-simplex.  Each factor is I + N_k with N_k nilpotent in
-W(2, n), so the product is I + N_1 + N_2 + N_3 + N_1 N_2 + N_1 N_3 + N_2 N_3:
-a product of three N's, or one with a degree-2 factor, vanishes.  It is
-formed on arrays stacked over the monomial basis of W(2, n), with the pair
-products of the degree-1 parts taken in one batched matrix product.
+Curvature is the group-valued coboundary  T(x,y) * T(y,z) * T(z,x)  on the
+generic infinitesimal 2-simplex x, y = x + u, z = x + v.  Its factors are
+the transports over the edges: for neighbours a ~ b, the factor
+T(a,b) = I + sum_i A_i(a) (b-a)_i is first-order exact in W(2, n).  The
+sign of the gauge coupling and of the curvature bracket are pinned once
+against the classical oracle F = dA + s[A, A] (the pinning run fixes
+TRANSPORT_SIGN = +1, BRACKET_SIGN = +1 for this convention) and frozen
+here.  Each factor is I + N_k with N_k nilpotent in W(2, n), so the product
+is I + N_1 + N_2 + N_3 + N_1 N_2 + N_1 N_3 + N_2 N_3: a product of three
+N's, or one with a degree-2 factor, vanishes.  It is formed on arrays
+stacked over the monomial basis of W(2, n), with the pair products of the
+degree-1 parts taken in one batched matrix product.
 """
 
 import math
@@ -22,7 +23,6 @@ from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
 from .nil import _MERGE_SIGNS, _PERMUTED, NilElement, generic_offsets, within_tol
-from .chart import _as_w_coords
 from .distributions import span_residual
 from .forms import default_vars
 
@@ -91,181 +91,6 @@ class ConnectionData:
         return self._a_compiled(*coords).reshape((self.n, m, m) + np.shape(coords[0]))
 
 
-class GroupElementW:
-    """m x m matrix over W(k, n) with constant part in G, stored as one term
-    map: monomial -> m x m float matrix of that monomial's coefficients
-    across the entries (the (0, 0) key is the constant part).  `order` is
-    min(k, n), the degree past which W(k, n) vanishes; 0 for a constant
-    matrix."""
-
-    __slots__ = ("terms", "m", "order")
-    __array_ufunc__ = None  # `array @ g` calls g.__rmatmul__
-
-    def __init__(self, terms, m, order):
-        self.terms = terms
-        self.m = m
-        self.order = order
-
-    def const_part(self):
-        c = self.terms.get((0, 0))
-        return np.zeros((self.m, self.m)) if c is None else c.copy()
-
-    def coefficient_matrices(self):
-        """Map monomial -> m x m float matrix of that monomial's coefficients
-        across entries (the (0,0) key is the constant part)."""
-        return dict(self.terms)
-
-    def __matmul__(self, other):
-        if isinstance(other, GroupElementW):
-            out = {}
-            _mat_muladd(out, self.terms, other.terms)
-            return GroupElementW(out, self.m, max(self.order, other.order))
-        other = np.asarray(other, dtype=float)
-        return GroupElementW({key: a @ other for key, a in self.terms.items()},
-                             self.m, self.order)
-
-    def __rmatmul__(self, other):
-        other = np.asarray(other, dtype=float)
-        return GroupElementW({key: other @ a for key, a in self.terms.items()},
-                             self.m, self.order)
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupElementW):
-            other = GroupElementW({(0, 0): np.asarray(other, dtype=float)}, self.m, 0)
-        terms = dict(self.terms)
-        _mat_axpy(terms, -1.0, other.terms)
-        return GroupElementW(terms, self.m, max(self.order, other.order))
-
-    def inverse(self):
-        """Exact inverse: invert the constant part, then a finite Neumann
-        series in the nilpotent remainder."""
-        Cinv = np.linalg.inv(self.const_part())
-        N = _minus_identity({key: Cinv @ a for key, a in self.terms.items()}, self.m)
-        out = {(0, 0): np.eye(self.m)}
-        power = {(0, 0): np.eye(self.m)}
-        for r in range(1, self.order + 1):
-            power = _mat_mul(power, N)
-            if _mat_is_zero(power):
-                break
-            _mat_axpy(out, (-1.0) ** r, power)
-        return GroupElementW({key: a @ Cinv for key, a in out.items()},
-                             self.m, self.order)
-
-    def log_truncated(self):
-        """Truncated matrix log: series in (g - I), exact by nilpotency when
-        the constant part is I."""
-        N = _minus_identity(dict(self.terms), self.m)
-        out = {}
-        power = {(0, 0): np.eye(self.m)}
-        for r in range(1, max(self.order, 1) + 1):
-            power = _mat_mul(power, N)
-            if _mat_is_zero(power):
-                break
-            _mat_axpy(out, (-1.0) ** (r + 1) / r, power)
-        return GroupElementW(out, self.m, self.order)
-
-    def max_abs_coeff(self):
-        """Largest |coefficient| over all entries; nan if any is nan."""
-        if not self.terms:
-            return 0.0
-        return float(np.max(np.abs(list(self.terms.values()))))
-
-
-def _mat_muladd(out, a, b):
-    """out += a * b on term maps of coefficient arrays, in place: each pair
-    of monomials that share no row and no column adds its merge sign times
-    the matrix product of their coefficients."""
-    signs = _MERGE_SIGNS
-    get = out.get
-    for (s1, t1), ma in a.items():
-        rows = signs[s1]
-        cols = signs[t1]
-        for (s2, t2), mb in b.items():
-            if (s1 & s2) or (t1 & t2):
-                continue
-            key = (s1 | s2, t1 | t2)
-            prod = ma @ mb
-            acc = get(key)
-            if rows[s2] * cols[t2] < 0.0:
-                if acc is None:
-                    out[key] = -prod
-                else:
-                    acc -= prod
-            elif acc is None:
-                out[key] = prod
-            else:
-                acc += prod
-
-
-def _mat_mul(a, b):
-    out = {}
-    _mat_muladd(out, a, b)
-    return out
-
-
-def _mat_axpy(out, c, a):
-    """out += c * a on term maps, without writing to an array of `out`."""
-    for key, v in a.items():
-        acc = out.get(key)
-        out[key] = c * v if acc is None else acc + c * v
-
-
-def _minus_identity(terms, m):
-    """`terms` - I, dropping the constant key if that leaves it zero."""
-    c = terms.get((0, 0), 0.0) - np.eye(m)
-    if c.any():
-        terms[(0, 0)] = c
-    else:
-        terms.pop((0, 0), None)
-    return terms
-
-
-def _mat_is_zero(terms):
-    """Whether every coefficient is 0 (nan is not)."""
-    return not any(a.any() for a in terms.values())
-
-
-def _term_map(values, shape):
-    """Term map monomial -> float array of `shape` from a flat sequence of
-    floats and NilElements, in C order of `shape`."""
-    size = len(values)
-    lists = {}
-    for j, e in enumerate(values):
-        terms = e.terms if isinstance(e, NilElement) else ({(0, 0): e} if e else {})
-        for key, v in terms.items():
-            entries = lists.get(key)
-            if entries is None:
-                entries = lists[key] = [0.0] * size
-            entries[j] = v
-    return {key: np.array(entries).reshape(shape) for key, entries in lists.items()}
-
-
-def _displacement(delta):
-    """Term map of TRANSPORT_SIGN * delta, and the order of its W context."""
-    d = {key: TRANSPORT_SIGN * v for key, v in _term_map(delta, (len(delta),)).items()}
-    order = next((min(e.k, e.n) for e in delta if isinstance(e, NilElement)), 0)
-    return d, order
-
-
-def transport_neighbor(conn, a, b):
-    """First-order transport T(a, b) = I + sign * sum_i A_i(a) (b - a)_i.
-
-    Exact for neighbour pairs: quadratic terms in the displacement vanish.
-    Either argument may be W-valued; A is evaluated at the first.
-    """
-    ca = _as_w_coords(a)
-    cb = _as_w_coords(b)
-    if not (len(ca) == len(cb) == conn.n):
-        raise ContextMismatchError("points not in the connection's chart")
-    n, m = conn.n, conn.group.m
-    d, order = _displacement([q - p for p, q in zip(ca, cb)])
-    # A as (m, m, n) coefficient arrays, so that A @ delta sums over i
-    A = {key: c.transpose(1, 2, 0) for key, c in _term_map(conn._a_w(*ca), (n, m, m)).items()}
-    out = _mat_mul(A, d)
-    out[(0, 0)] = out[(0, 0)] + np.eye(m) if (0, 0) in out else np.eye(m)
-    return GroupElementW(out, m, order)
-
-
 # The vertex swap 1 <-> 2 of the 2-simplex, an automorphism of W(2, n).
 _SWAP = (2, 1)
 
@@ -307,8 +132,9 @@ class _Simplex:
         self.displacement = np.zeros((3, 2 * n, n))
         for k, delta in enumerate((self.u, [vi - ui for ui, vi in zip(self.u, v)],
                                    [-vi for vi in v])):
-            for key, d in _displacement(delta)[0].items():
-                self.displacement[k, self.index[key] - 1] = d
+            for i, d in enumerate(delta):
+                for key, c in d.terms.items():
+                    self.displacement[k, self.index[key] - 1, i] = TRANSPORT_SIGN * c
         pairs = {c: [] for c in deg2}
         for e, (s1, t1) in enumerate(deg1):
             for f, (s2, t2) in enumerate(deg1):
@@ -444,7 +270,8 @@ def parallel_transport(conn, curve_exprs, t0, t1, steps):
     For an SO group each P_k is replaced by its orthogonal polar factor,
     which equals projecting g after every step (polar(P Q) = polar(P) Q for
     orthogonal Q), and the product is projected once more at the end.  A
-    non-finite stage value raises DomainError.
+    non-finite stage value raises DomainError, and so does a block whose
+    step matrices or running product overflow.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -460,15 +287,25 @@ def parallel_transport(conn, curve_exprs, t0, t1, steps):
     for first in range(0, steps, _BLOCK_STEPS):
         last = min(steps, first + _BLOCK_STEPS)
         t = t0 + (0.5 * h) * np.arange(2 * first, 2 * last + 1)
-        D = _rk4_step_matrices(_stage_matrices(conn, curve, t), h)
-        if orthogonal:
-            D = _polar(eye + D) - eye
-        D = _tree_product(D)
-        total = total + D + D @ total
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = _rk4_step_matrices(_stage_matrices(conn, curve, t), h)
+            _check_block(D, t)
+            if orthogonal:
+                D = _polar(eye + D) - eye
+            D = _tree_product(D)
+            total = total + D + D @ total
+        _check_block(total, t)
     g = eye + total
     if orthogonal:
         g = _polar(g)
     return g
+
+
+def _check_block(values, t):
+    """DomainError naming the block's t-range if `values` is not finite."""
+    if not np.isfinite(values).all():
+        raise DomainError("parallel transport overflows for t from "
+                          f"{float(t[0])!r} to {float(t[-1])!r}")
 
 
 def _stage_matrices(conn, curve, t):
@@ -627,19 +464,3 @@ def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
             max_resid = max(max_resid, size if flat is None
                             else span_residual(flat.T, L.ravel()))
     return within_tol(max_resid, tol), len(h_basis), max_resid
-
-
-def in_subalgebra_cone(gW, h_basis, tol=1e-9):
-    """Whether a W-valued group element is an 'H-element': its truncated
-    log has every monomial coefficient matrix in span(h_basis)."""
-    flat = np.array([np.asarray(b, dtype=float).ravel() for b in h_basis])
-    L = gW.log_truncated()
-    for key, mat in L.coefficient_matrices().items():
-        size = np.max(np.abs(mat))
-        if within_tol(size, tol):
-            continue
-        if not flat.shape[0]:
-            return False
-        if not within_tol(span_residual(flat.T, mat.ravel()), tol * max(1.0, size)):
-            return False
-    return True

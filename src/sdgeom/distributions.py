@@ -273,8 +273,8 @@ def _flat_generic_offsets(B, arity):
     fiber basis B (n x rank): rows are generic combinations of its columns,
     in W(arity, rank).  For a stack of bases (N, n, rank), one per sample,
     the coefficients are arrays over the samples, each kept even where it is
-    zero."""
-    return [[NilElement(arity, B.shape[-1], {(1 << j, 1 << alpha): c
+    zero.  At rank 0 they are the zero elements of W(arity, 1)."""
+    return [[NilElement(arity, max(B.shape[-1], 1), {(1 << j, 1 << alpha): c
                                              for alpha, c in enumerate(row) if not _is_zero(c)})
              for row in _entries(B)]
             for j in range(arity)]
@@ -335,7 +335,7 @@ def _flat_verdicts(residuals, dist, samples, frame_at, tol):
     residual = np.full(len(frames), np.nan)
     if len(frames) > 1:
         X = _coords(samples[:len(frames)], dist.n)
-        base = [NilElement(2, dist.rank, {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
+        base = [NilElement(2, max(dist.rank, 1), {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
         try:
             with np.errstate(all="ignore"):
                 residual = np.zeros(len(frames))

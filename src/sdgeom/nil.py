@@ -262,11 +262,6 @@ class NilElement:
             cmask |= 1 << (c - 1)
         return self.terms.get((rmask, cmask), 0.0)
 
-    def nilpotent_part(self):
-        t = dict(self.terms)
-        t.pop((0, 0), None)
-        return _wrap(self.k, self.n, t)
-
     def max_abs_coeff(self, skip_constant=False):
         """Largest |coefficient|; nan if any coefficient is nan.  With array
         coefficients, an array: the largest |coefficient| at each sample."""
@@ -443,41 +438,6 @@ class NilElement:
         t = {key: v for key, v in self.terms.items()
              if not key[0] & (1 << (j - 1))}
         return _wrap(self.k, self.n, t)
-
-    def substitute_rows(self, mat, n_target):
-        """The algebra morphism W(k, n) -> W(k, n_target) sending
-        xi[j, a] to sum_b mat[b, a] * xi'[j, b] for every row j.
-
-        `mat` has n_target rows and self.n columns (indexable as mat[b][a],
-        0-based).
-        """
-        images = {}
-
-        def image(r, c):
-            key = (r, c)
-            if key not in images:
-                terms = {}
-                for b in range(n_target):
-                    coef = float(mat[b][c - 1])
-                    if coef:
-                        terms[(1 << (r - 1), 1 << b)] = coef
-                images[key] = terms
-            return images[key]
-
-        out = {}
-        for (rmask, cmask), v in self.terms.items():
-            prod = {(0, 0): v}
-            for r, c in zip(_bits(rmask), _bits(cmask)):
-                prod = _elem_mul(prod, image(r, c))
-                if not prod:
-                    break
-            for mono, coef in prod.items():
-                c = out.get(mono, 0.0) + coef
-                if _is_zero(c):
-                    out.pop(mono, None)
-                else:
-                    out[mono] = c
-        return _wrap(self.k, n_target, out)
 
 
 _set_k = NilElement.k.__set__

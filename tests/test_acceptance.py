@@ -19,8 +19,7 @@ from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
                                 ambrose_singer_check,
                                 curvature_classical_oracle,
                                 curvature_coboundary, holonomy_log,
-                                in_subalgebra_cone, parallel_transport,
-                                pin_conventions, transport_neighbor)
+                                parallel_transport, pin_conventions)
 from sdgeom.distributions import (Distribution, IntegralPatch,
                                   check_integral_patch,
                                   check_involutive_classical,
@@ -30,11 +29,12 @@ from sdgeom.errors import RankDeficiencyError
 from sdgeom.forms import (ClassicalForm, comparison, d_classical, d_comb,
                           eval_generic, extract_classical, to_combinatorial,
                           wedge_classical, wedge_comb)
-from sdgeom.nil import NilElement, all_monomials, lift_smooth
+from sdgeom.nil import NilElement, all_monomials, generic_offsets, lift_smooth
 from sdgeom.program import parse, pretty_print
 from sdgeom.sampling import sample_box
 
 from corpus import random_form, random_scalar_expr
+from wmatrix import in_subalgebra_cone, omat_mul, ref_transport_neighbor
 
 
 def report(num, label, ok):
@@ -407,14 +407,10 @@ def test_criterion_7_connections():
 
     # holonomy-distribution involutivity in W arithmetic on random simplices
     for _ in range(5):
-        p = Point(lrng.uniform(-0.5, 0.5, size=2))
-        u = [NilElement.generator(2, 2, 1, a + 1) for a in range(2)]
-        v = [NilElement.generator(2, 2, 2, a + 1) for a in range(2)]
-        x, y, z = Point(p.coords), NilPoint(p, u), NilPoint(p, v)
-        fxy = transport_neighbor(conn, x, y)
-        fyz = transport_neighbor(conn, y, z)
-        fzx = transport_neighbor(conn, z, x)
-        for f in (fxy, fyz, fzx, fxy @ fyz @ fzx, fyz @ fzx):
+        x = Point(lrng.uniform(-0.5, 0.5, size=2))
+        y, z = (NilPoint(x, offsets) for offsets in generic_offsets(2, 2))
+        fxy, fyz, fzx = (ref_transport_neighbor(conn, a, b) for a, b in ((x, y), (y, z), (z, x)))
+        for f in (fxy, fyz, fzx, omat_mul(omat_mul(fxy, fyz), fzx), omat_mul(fyz, fzx)):
             ok &= in_subalgebra_cone(f, [J])
     report(7, "connections: flat case, abelian coboundary, oracle match, "
               "holonomy=area, holonomy-algebra inclusion, W-involutivity", ok)

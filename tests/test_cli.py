@@ -110,6 +110,13 @@ var x y
 conn A = [(x*1e300*1e300)*dx, 0*dx; 0*dx, 0*dx]
 """
 
+# every stage value is finite, but the RK4 products overflow
+HUGE_CONN = ("dim 2\nvar x y\n"
+             "conn A = [0*dx, (1e160*y)*dx + (1e160*x)*dy; (-1e160*y)*dx, 0*dx]\n")
+
+# ker(dx, dy): the zero sub-bundle of R^2
+RANK_ZERO = "dim 2\nvar x y\nform a = dx\nform b = dy\ndist D = ker(a, b)\n"
+
 # span fields of the leaves z - g(x, y) = const, g = 0.8 x y + 1.2 sin(x) + y^3
 LEAF = """\
 dim 3
@@ -127,7 +134,8 @@ def files(tmp_path):
                        ("forms_only", FORMS_ONLY), ("rot", ROT), ("gl2", GL2), ("big_gl2", BIG_GL2), ("nearly_flat", NEARLY_FLAT_SPAN),
                        ("log_conn", LOG_CONN),
                        ("log_span", LOG_SPAN), ("leaf", LEAF), ("overflow", OVERFLOW),
-                       ("non_finite_conn", NON_FINITE_CONN)):
+                       ("non_finite_conn", NON_FINITE_CONN), ("huge_conn", HUGE_CONN),
+                       ("rank_zero", RANK_ZERO)):
         p = tmp_path / f"{name}.sdg"
         p.write_text(text)
         out[name] = str(p)
@@ -147,6 +155,11 @@ def test_involutive_true_exits_zero(files):
     code, _, _ = invoke(["check-involutive", "--file", files["flat"],
                          "--dist", "D", "--box=-1..1"])
     assert code == EXIT_OK
+    # rank 0 exited 2, on a W(2, 0) context
+    for samples in ("1", "20"):
+        assert invoke(["check-involutive", "--file", files["rank_zero"], "--dist", "D",
+                       "--samples", samples]) == (EXIT_OK, "combinatorial: involutive; "
+                                                  "classical: involutive; tests agree\n", "")
 
 
 def test_involutive_false_exits_one(files):
@@ -244,6 +257,13 @@ def test_holonomy_domain_error_exits_three(files):
                            "--loop", "circle 0,0,1", "--steps", "100"])
     assert code == EXIT_NUMERIC
     assert "numeric failure" in err
+    # a nan holonomy exited 0 in text, and ambrose-singer exited 2 on its SVD
+    for command in ("holonomy", "ambrose-singer"):
+        for fmt in ("text", "json"):
+            code, out, err = invoke([command, "--file", files["huge_conn"], "--conn", "A",
+                                     "--loop", "circle 0,0,0.5", "--format", fmt])
+            assert (code, out) == (EXIT_NUMERIC, "")
+            assert err.startswith("numeric failure: parallel transport overflows for t from")
 
 
 def test_leaf_domain_error_exits_three(files):
@@ -585,8 +605,14 @@ def test_compare_exit_code_follows_the_oracle(files, monkeypatch, command, name,
     monkeypatch.setattr(fm, name, wrong_oracle)
     code, disagreeing, _ = invoke(argv)
     assert code == EXIT_FALSE
-    if fmt == "json":  # the same keys, with the wrong oracle values
-        assert json.loads(disagreeing).keys() == json.loads(agreeing).keys()
+    if fmt == "json":  # the same keys, and the entries the text names
+        agree, disagree = json.loads(agreeing), json.loads(disagreeing)
+        assert disagree.keys() == agree.keys()
+        assert not any("failing" in at for at in agree.values())
+        text = invoke(argv[:-2])[1].splitlines()
+        named = [line[3:line.index("]")] for line in text if "FAILS" in line]
+        failing = [at["failing"] for at in disagree.values() if "failing" in at]
+        assert all(failing) and named and named == sum(failing, [])
     else:  # the same report, and a line per failing entry
         failing = [line for line in disagreeing.splitlines() if "FAILS" in line]
         assert failing and all(line.startswith("  [d") for line in failing)

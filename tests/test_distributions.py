@@ -344,6 +344,19 @@ def test_semi_annihilation_zero_form_trivially_true():
     assert bool(res)
 
 
+def test_rank_zero_kernel():
+    # the zero sub-bundle: its flat simplexes are points, in W(2, 1)
+    program = "dim 2\nvar x y\nform a = dx\nform b = {}\ndist D = ker(a, b)\n"
+    zero, bad = (parse(program.format(b)).dists["D"] for b in ("dy", "(2)*dx"))
+    theta = to_combinatorial(ClassicalForm(2, 2, {(1, 2): ex.Var("x")}, ("x", "y")))
+    for count in (1, 20):
+        pts = sample_box([(-1.0, 1.0)] * 2, count, 0)
+        assert check_involutive_combinatorial(zero, pts)[1] is True
+        assert bool(semi_annihilation_check(zero, theta, pts))
+    with pytest.raises(RankDeficiencyError):
+        check_involutive_combinatorial(bad, pts)
+
+
 def test_semi_annihilation_across_involutive_corpus():
     rng = np.random.default_rng(31)
     passed = 0
