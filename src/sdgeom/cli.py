@@ -195,7 +195,8 @@ def cmd_eval(args, rep):
     prog = _load(args)
     form = prog.lookup("forms", args.form, "form")
     p = _parse_point(args.at, prog.dim)
-    vectors = _parse_vectors(args.vectors, prog.dim)
+    # an empty --vectors gives none, for a 0-form
+    vectors = _parse_vectors(args.vectors, prog.dim) if args.vectors else []
     if len(vectors) != form.degree:
         raise ParseError(f"form of degree {form.degree} needs that many vectors")
     theta = fm.to_combinatorial(form)

@@ -63,12 +63,10 @@ class ConnectionData:
                    for r in range(m)] for i in range(n)]
 
     @cached_property
-    def _a_compiled(self):
-        return ex.compile_numpy(self._a_entries, self.vars)
-
-    @cached_property
     def _a_w(self):
-        return ex.compile_w(self._a_entries, self.vars)
+        """The entries of A, compiled once for points, neighbours and
+        stacked samples."""
+        return ex.compile_w([e for Ai in self.A for row in Ai for e in row], self.vars)
 
     @cached_property
     def _da_w(self):
@@ -79,16 +77,13 @@ class ConnectionData:
                              for row_a, row_b in zip(self.A[j], self.A[i])
                              for a, b in zip(row_a, row_b)], x)
 
-    @property
-    def _a_entries(self):
-        return [e for Ai in self.A for row in Ai for e in row]
-
     def a_batch(self, coords):
         """A_i at many points: `coords` holds n arrays of one shape S; the
         result has shape (n, m, m) + S and is nan or inf where A is not
-        defined."""
+        defined; an entry with an undefined subexpression without variables
+        raises DomainError."""
         m = self.group.m
-        return self._a_compiled(*coords).reshape((self.n, m, m) + np.shape(coords[0]))
+        return ex.stacked(self._a_w, *coords).reshape((self.n, m, m) + np.shape(coords[0]))
 
 
 # The vertex swap 1 <-> 2 of the 2-simplex, an automorphism of W(2, n).
@@ -179,7 +174,8 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     formed as I + N (`_transport_product`).  A is evaluated in W at x and
     at y and stacked over the monomial basis of W(2, n); its value at z is
     the image of its value at y under the vertex swap, which maps y to z.
-    A non-finite value of A at x or at y raises DomainError."""
+    A non-finite value of A at x or at y, or of the product, raises
+    DomainError."""
     n, m = conn.n, conn.group.m
     w = _simplex(n)
     x = p.coords
@@ -201,10 +197,12 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     A[2] = A[1, w.swap] * w.swap_sign
     # N_k takes its degree-1 part from A's constant part and its degree-2
     # part from A's degree-1 part; A's degree-2 part times delta vanishes
-    G = w.displacement[:, None] @ A[:, :1 + 2 * n].reshape(3, 1 + 2 * n, n, m * m)
-    L = G[:, 0].reshape(3, 2 * n, m, m)
-    Q = (G[:, 1:][:, w.left, w.right] * w.sign[..., 0]).sum(axis=1).reshape(3, -1, m, m)
-    linear, total = _transport_product(w, L, Q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = w.displacement[:, None] @ A[:, :1 + 2 * n].reshape(3, 1 + 2 * n, n, m * m)
+        L = G[:, 0].reshape(3, 2 * n, m, m)
+        Q = (G[:, 1:][:, w.left, w.right] * w.sign[..., 0]).sum(axis=1).reshape(3, -1, m, m)
+        linear, total = _transport_product(w, L, Q)
+    _check_curvature(total, x)
     if not within_tol(np.abs(linear).max(), tol):
         raise RankDeficiencyError("coboundary has unexpected degree-1 part")
     return dict(zip(w.faces, total * COBOUNDARY_SCALE))
@@ -213,18 +211,27 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
 def curvature_classical_oracle(conn, p, bracket_sign=BRACKET_SIGN):
     """Classical gauge curvature F_ij = d_i A_j - d_j A_i + s [A_i, A_j]
     for i < j (1-based), with s = `bracket_sign` (the pinned sign unless
-    given)."""
+    given).  A non-finite value raises DomainError."""
     n, m = conn.n, conn.group.m
     # compiled for one point as for the W-valued transport: the values and
     # errors of `expr.evaluate`
     A = np.array(conn._a_w(*p.coords), dtype=float).reshape(n, m, m)
     dA = iter(np.array(conn._da_w(*p.coords), dtype=float).reshape(-1, m, m))
     out = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            Ai, Aj = A[i - 1], A[j - 1]
-            out[(i, j)] = next(dA) + bracket_sign * (Ai @ Aj - Aj @ Ai)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                Ai, Aj = A[i - 1], A[j - 1]
+                out[(i, j)] = next(dA) + bracket_sign * (Ai @ Aj - Aj @ Ai)
+    _check_curvature(list(out.values()), p.coords)
     return out
+
+
+def _check_curvature(values, x):
+    """DomainError naming the point x if the curvature `values` are not
+    finite."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"non-finite curvature at {x!r}")
 
 
 def pin_conventions(conn, points, tol=1e-9):
@@ -278,8 +285,7 @@ def parallel_transport(conn, curve_exprs, t0, t1, steps):
     if len(curve_exprs) != conn.n:
         raise ContextMismatchError("curve not in the connection's chart")
     orthogonal = conn.group.kind == MatrixGroupSpec.SPECIAL_ORTHOGONAL
-    curve = ex.compile_numpy(
-        list(curve_exprs) + [ex.diff(c, "t") for c in curve_exprs], ("t",))
+    curve = ex.compile_w(list(curve_exprs) + [ex.diff(c, "t") for c in curve_exprs], ("t",))
     m = conn.group.m
     eye = np.eye(m)
     h = (t1 - t0) / steps
@@ -310,9 +316,10 @@ def _check_block(values, t):
 
 def _stage_matrices(conn, curve, t):
     """M at each time of `t`, shape (len(t), m, m).  A_i is left out where
-    c_i' = 0, so it need not be defined there."""
+    c_i' = 0, so it need not be defined there; an entry whose undefined
+    subexpression has no variables still raises DomainError."""
     n = conn.n
-    values = curve(t)
+    values = ex.stacked(curve, t)
     cdot = values[n:, None, None, :]
     A = conn.a_batch(values[:n])
     with np.errstate(all="ignore"):

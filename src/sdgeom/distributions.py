@@ -8,7 +8,6 @@ given either by m spanning vector-field expressions or by n-m annihilating
 fiber computation is exact W-arithmetic, the base is sampled.
 """
 
-import math
 from functools import cached_property, partial
 
 import numpy as np
@@ -47,18 +46,18 @@ class Distribution:
         self.vars = (tuple(vars) if vars is not None else kernel[0].vars if kernel
                      else default_vars(n))
 
-    # -- compiled numeric functions, built on first use ------------------------
+    # -- compiled functions (`expr.compile_w`), built on first use -----------
 
     @cached_property
     def _kernel_fns(self):
         """Kernel-form coefficients, row by row."""
-        return _Compiled([w.coeffs.get((i + 1,), ex.Const(0.0))
-                          for w in self.kernel for i in range(self.n)], self.vars)
+        return ex.compile_w([w.coeffs.get((i + 1,), ex.Const(0.0))
+                             for w in self.kernel for i in range(self.n)], self.vars)
 
     @cached_property
     def _span_fns(self):
         """Spanning-field components, field by field."""
-        return _Compiled([c for v in self.span for c in v], self.vars)
+        return ex.compile_w([c for v in self.span for c in v], self.vars)
 
     @cached_property
     def _ideal_fns(self):
@@ -68,8 +67,8 @@ class Distribution:
         for w in self.kernel:
             full = w if full is None else wedge_classical(full, w)
         tests = [wedge_classical(d_classical(w), full) for w in self.kernel]
-        return _Compiled([e for test in tests if test.degree <= self.n
-                          for e in test.coeffs.values()], self.vars)
+        return ex.compile_w([e for test in tests if test.degree <= self.n
+                             for e in test.coeffs.values()], self.vars)
 
     @cached_property
     def _bracket_fns(self):
@@ -85,7 +84,7 @@ class Distribution:
                         term = ex._fold_add(term, ex._fold_mul(Xa[j], ex.diff(Xb[i], var)))
                         term = ex._fold_sub(term, ex._fold_mul(Xb[j], ex.diff(Xa[i], var)))
                     comps.append(term)
-        return _Compiled(comps, self.vars)
+        return ex.compile_w(comps, self.vars)
 
     # -- pointwise linear algebra -------------------------------------------
 
@@ -99,7 +98,7 @@ class Distribution:
         return M
 
     def _kernel_values(self, p):
-        return np.array(self._kernel_fns.w(*p.coords)).reshape(self.n - self.rank, self.n)
+        return np.array(self._kernel_fns(*p.coords)).reshape(self.n - self.rank, self.n)
 
     def _check_kernel_rank(self, s, p):
         """Raise unless the singular values s of the kernel matrix at p give
@@ -111,7 +110,7 @@ class Distribution:
         """n x rank matrix of spanning field values at p."""
         if self.span is None:
             return self._numeric_span(p)
-        M = np.array(self._span_fns.w(*p.coords)).reshape(self.rank, self.n).T
+        M = np.array(self._span_fns(*p.coords)).reshape(self.rank, self.n).T
         if np.linalg.matrix_rank(M, tol=RANK_CUTOFF) != self.rank:
             raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
         return M
@@ -142,7 +141,7 @@ class Distribution:
         """kernel_matrix of KERNEL input over the rows of X (N, n): the stack
         (N, n-rank, n), an orthonormal basis of its null space (N, n, rank)
         as `basis_at` builds it, and which samples clearly have both."""
-        K, clear = _stack(self._kernel_fns, X, (self.n - self.rank, self.n))
+        K, clear = _stack(self._kernel_fns, X, self.n)
         _, s, vt = np.linalg.svd(K)
         return (K, vt[:, self.n - self.rank:].transpose(0, 2, 1),
                 clear & _clearly_full_rank(s, self.n - self.rank))
@@ -151,29 +150,11 @@ class Distribution:
         """span_matrix of SPAN input over the rows of X (N, n): the stack
         (N, n, rank), its orthonormal basis as `basis_at` builds it, and
         which samples clearly have both."""
-        M, clear = _stack(self._span_fns, X, (self.rank, self.n))
+        M, clear = _stack(self._span_fns, X, self.n)
         M = M.transpose(0, 2, 1)
         s = np.linalg.svd(M, compute_uv=False)
         return (M, np.linalg.qr(M, mode="complete")[0][..., :self.rank],
                 clear & _clearly_full_rank(s, self.rank))
-
-
-class _Compiled:
-    """Expressions compiled on first use: `stacked` evaluates them at
-    stacked points (compile_numpy), `w` at one point, float or W-valued
-    (compile_w: DomainError where `evaluate` raises)."""
-
-    def __init__(self, exprs, vars):
-        self.exprs = list(exprs)
-        self.vars = vars
-
-    @cached_property
-    def stacked(self):
-        return ex.compile_numpy(self.exprs, self.vars)
-
-    @cached_property
-    def w(self):
-        return ex.compile_w(self.exprs, self.vars)
 
 
 # The batched checks evaluate all samples at once, but only as a screen: it
@@ -195,8 +176,16 @@ _ROUNDING = 1e-12
 def _undecided(count, screen):
     """The samples, by index, at which the per-sample check runs: every one
     of a single sample, at which that check costs less than the screen, and
-    else those that `screen()` does not clear."""
-    return range(count) if count <= 1 else np.flatnonzero(~screen())
+    else those that `screen()` does not clear.  A screen that raises
+    DomainError, from a subexpression without variables that `_stack`
+    cannot evaluate, clears none: that subexpression raises at every
+    sample."""
+    if count <= 1:
+        return range(count)
+    try:
+        return np.flatnonzero(~screen())
+    except DomainError:
+        return range(count)
 
 
 def _leading(fn, items, errors):
@@ -215,13 +204,15 @@ def _coords(points, n):
     return np.array([p.coords for p in points], dtype=float).reshape(len(points), n)
 
 
-def _stack(compiled, X, shape):
-    """`compiled.stacked` at the rows of X, shape (N,) + shape, and which
-    rows are finite.  Rows that are not are zeroed, so that the linear
-    algebra over the stack stays finite; the screen does not clear them, and
-    the per-sample check raises DomainError there, or fails."""
-    V = np.moveaxis(compiled.stacked(*X.T), 0, -1).reshape((len(X),) + shape)
-    finite = np.isfinite(V).reshape(len(X), math.prod(shape)).all(axis=1)
+def _stack(fn, X, width):
+    """The values of the compiled `fn` at the rows of X (N, n), in rows of
+    `width`: shape (N, values / width, width), and which samples are
+    finite.  Samples that are not are zeroed, so that the linear algebra
+    over the stack stays finite; the screen does not clear them, and the
+    per-sample check raises DomainError there, or fails."""
+    V = ex.stacked(fn, *X.T).T
+    V = V.reshape(len(X), V.shape[1] // width, width)
+    finite = np.isfinite(V).all(axis=(1, 2))
     V[~finite] = 0.0
     return V, finite
 
@@ -308,12 +299,12 @@ def _relation(dist, span, x, frame):
     y = [c + e for c, e in zip(x, u)]
     w = [b - a for a, b in zip(u, v)]
     if not span:
-        K = dist._kernel_fns.w(*y)
+        K = dist._kernel_fns(*y)
         return (_dot(K[i:i + n], w) for i in range(0, len(K), n))
     columns = list(zip(*([c if c.__class__ is float else NilElement(2, rank, {(0, 0): c})
                           for c in row] for row in _entries(frame))))
     K0, S = columns[rank:n], columns[n:]
-    X = dist._span_fns.w(*y)
+    X = dist._span_fns(*y)
     fields = [X[a:a + n] for a in range(0, len(X), n)]
     Sw = [_dot(row, w) for row in S]
     return (_dot(row, w) - _dot([_dot(row, f) for f in fields], Sw) for row in K0)
@@ -394,14 +385,12 @@ def _ideal_test(dist, samples, tol):
     fns = dist._ideal_fns
 
     def screen():
-        V, clear = _stack(fns, _coords(samples, dist.n), (len(fns.exprs),))
-        return clear & np.all(_clears(V, tol), axis=1)
+        V, clear = _stack(fns, _coords(samples, dist.n), 1)
+        return clear & np.all(_clears(V, tol), axis=(1, 2))
 
     for i in _undecided(len(samples), screen):
-        env = dict(zip(dist.vars, samples[i].coords))
-        for e in fns.exprs:
-            if not within_tol(ex.evaluate(e, env), tol):
-                return False
+        if not all(within_tol(v, tol) for v in fns(*samples[i].coords)):
+            return False
     return True
 
 
@@ -411,7 +400,7 @@ def _bracket_test(dist, samples, tol):
     def screen():
         X = _coords(samples, n)
         _, B, clear = dist._span_stack(X)
-        U, finite = _stack(fns, X, (len(fns.exprs) // n, n))
+        U, finite = _stack(fns, X, n)
         U = U.transpose(0, 2, 1)
         scale = tol * np.maximum(1.0, np.linalg.norm(U, axis=1))
         return clear & finite & np.all(_clears(_basis_residuals(B, U), scale), axis=1)
@@ -419,9 +408,7 @@ def _bracket_test(dist, samples, tol):
     for i in _undecided(len(samples), screen):
         p = samples[i]
         X = dist.span_matrix(p)
-        env = dict(zip(dist.vars, p.coords))
-        for a in range(0, len(fns.exprs), n):
-            u = np.array([ex.evaluate(e, env) for e in fns.exprs[a:a + n]], dtype=float)
+        for u in np.array(fns(*p.coords), dtype=float).reshape(-1, n):
             if not within_tol(span_residual(X, u), tol * max(1.0, np.linalg.norm(u))):
                 return False
     return True
@@ -445,14 +432,14 @@ class IntegralPatch:
     @cached_property
     def _jacobian_fns(self):
         """Entries d(component)/d(param), row by row, differentiated once."""
-        return _Compiled([ex.diff(c, v) for c in self.components for v in self.params],
-                         self.params)
+        return ex.compile_w([ex.diff(c, v) for c in self.components for v in self.params],
+                            self.params)
 
     def point_at(self, s):
         return Point(self._point_fn(*map(float, s)))
 
     def jacobian_at(self, s):
-        J = np.array(self._jacobian_fns.w(*map(float, s))).reshape(
+        J = np.array(self._jacobian_fns(*map(float, s))).reshape(
             len(self.components), self.q)
         if np.linalg.matrix_rank(J, tol=RANK_CUTOFF) != self.q:
             raise RankDeficiencyError(f"patch Jacobian rank-deficient at {s}")
@@ -495,8 +482,7 @@ def _patch_screen(dist, patch, mode, parameter_samples, points, tol):
     """The samples at which check_integral_patch clearly passes, one for
     each point (the leading parameter samples)."""
     S = np.array(parameter_samples[:len(points)], dtype=float)
-    J, clear = _stack(patch._jacobian_fns, S.reshape(len(points), patch.q),
-                      (len(patch.components), patch.q))
+    J, clear = _stack(patch._jacobian_fns, S.reshape(len(points), patch.q), patch.q)
     clear &= _clearly_full_rank(np.linalg.svd(J, compute_uv=False), patch.q)
     X = _coords(points, dist.n)
     if dist.kernel is not None:

@@ -5,15 +5,15 @@ The AST is deliberately tiny: literals, variables, +, -, *, /, unary minus,
 integer pow, and the smooth primitives sin/cos/exp/ln/sqrt.  Differentiation
 does light constant folding only; no general simplifier.
 
-Three evaluators, of one meaning: `evaluate` walks the tree on floats or
-W values, `compile_w` compiles a function of floats and W values that
-performs `evaluate`'s operations in its order, and `compile_numpy` a
-function of stacked sample arrays.  `compile_rk4_step` compiles a whole
-RK4 step along a vector field with the code generator and the meaning of
-`compile_w`.
+Two evaluators, of one meaning: `evaluate` walks the tree on floats or W
+values, and `compile_w` compiles a function that performs `evaluate`'s
+operations in its order, on floats and W values (a point, real or
+neighbouring) and on arrays of stacked samples (`stacked`).
+`compile_rk4_step` compiles a whole RK4 step along a vector field with the
+code generator and the meaning of `compile_w`.
 
-numpy is imported only by `compile_numpy` and its helpers, so the float
-and W-valued paths run without it.
+numpy is imported only on arrays, so the float and W-valued paths run
+without it.
 """
 
 import math
@@ -221,37 +221,55 @@ _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 def _apply_fn(fn, v):
     if isinstance(v, NilElement):
         return lift_smooth(fn, v)
+    if not getattr(v, "ndim", 0):  # a float
+        if fn == "ln":
+            if v <= 0:
+                raise DomainError(f"ln of {v}")
+            return math.log(v)
+        if fn == "sqrt":
+            if v < 0:
+                raise DomainError(f"sqrt of {v}")
+            return math.sqrt(v)
+        try:
+            return _MATH[fn](v)
+        except (ValueError, OverflowError) as err:  # exp overflow, sin(inf)
+            raise DomainError(f"{fn} of {v}: {err}") from None
+    # an array of samples: nan where the float branch raises
+    if fn == "exp":
+        return _SAMPLEWISE.exp(v)
     if fn == "ln":
-        if v <= 0:
-            raise DomainError(f"ln of {v}")
-        return math.log(v)
-    if fn == "sqrt":
-        if v < 0:
-            raise DomainError(f"sqrt of {v}")
-        return math.sqrt(v)
-    try:
-        return _MATH[fn](v)
-    except (ValueError, OverflowError) as err:  # exp overflow, sin(inf)
-        raise DomainError(f"{fn} of {v}: {err}") from None
+        return _SAMPLEWISE.log(v)
+    import numpy as np
+
+    return getattr(np, fn)(v)
 
 
 def _div(num, den):
     if isinstance(den, NilElement):
         return num * lift_smooth("reciprocal", den)
-    if den == 0.0:
-        raise DomainError("division by zero")
-    return num / den
+    if not getattr(den, "ndim", 0):
+        if den == 0.0:
+            raise DomainError("division by zero")
+        return num / den
+    import numpy as np
+
+    return np.where(den == 0.0, np.nan, num / den)
 
 
 def _pow(base, power):
     if isinstance(base, NilElement):
         return lift_smooth("power", base, exponent=power)
-    if base == 0.0 and power < 0:
-        raise DomainError("negative power of zero")
-    try:
-        return base ** power
-    except OverflowError as err:
-        raise DomainError(f"pow({base}, {power}): {err}") from None
+    if not getattr(base, "ndim", 0):
+        if base == 0.0 and power < 0:
+            raise DomainError("negative power of zero")
+        try:
+            return base ** power
+        except OverflowError as err:
+            raise DomainError(f"pow({base}, {power}): {err}") from None
+    import numpy as np
+
+    # nan ** 0 is 1: keep the nan of a base that could not be evaluated
+    return np.where(np.isnan(base), np.nan, _SAMPLEWISE.pow(base, power))
 
 
 def evaluate(e, env):
@@ -366,15 +384,14 @@ def _literal(value):
     return repr(value) if math.isfinite(value) else f"_float({str(value)!r})"
 
 
-def _source(e, names, const, call):
-    """Python source of `e`: variables renamed through `names`, literals
-    through `const(value)`, primitives through `call(fn, arg_source)` (fn as
-    in FUNCTIONS), quotients and integer powers through the functions `_div`
-    and `_pow` of the namespace it runs in."""
+def _source(e, names):
+    """Python source of `e`: variables renamed through `names`, primitives,
+    quotients and integer powers through the functions `_apply_fn`, `_div`
+    and `_pow` of the namespace it runs in (`_NAMESPACE`)."""
 
     def gen(e):
         if isinstance(e, Const):
-            return const(e.value)
+            return _literal(e.value)
         if isinstance(e, Var):
             try:
                 return names[e.name]
@@ -393,105 +410,57 @@ def _source(e, names, const, call):
         if isinstance(e, Pow):
             return f"_pow({gen(e.base)}, {e.power})"
         if isinstance(e, Call):
-            return call(e.fn, gen(e.arg))
+            return f"_apply_fn({e.fn!r}, {gen(e.arg)})"
         raise TypeError(type(e).__name__)
 
     return gen(e)
 
 
-def _compile(exprs, varnames, const, call, namespace):
-    """`def _f(<one argument per variable>)` returning the tuple of the
-    values of `exprs`, defined in `namespace`."""
-    names = {name: f"_v{i}" for i, name in enumerate(varnames)}
-    sources = "".join(f"{_source(e, names, const, call)}, " for e in exprs)
-    args = ", ".join(names[v] for v in varnames)
-    exec(f"def _f({args}):\n    return ({sources})\n", namespace)  # noqa: S102 - our own AST
-    return namespace["_f"]
-
-
-_LIBRARY_NAME = {"ln": "log"}  # DSL name -> math name, where they differ
-
-
-# numpy forms of the quotient and the power, giving nan where `evaluate` raises
-def _np_div(num, den):
-    import numpy as np
-
-    return np.where(den == 0.0, np.nan, np.divide(num, den))
-
-
-def _np_pow(base, power):
-    import numpy as np
-
-    # nan ** 0 is 1: keep the nan of a base that could not be evaluated
-    return np.where(np.isnan(base), np.nan, _SAMPLEWISE.pow(base, power))
-
-
-def compile_numpy(exprs, varnames):
-    """Compile a sequence of expressions to one numpy function of positional
-    array arguments.  It returns an array with one row per expression, each
-    broadcast to the arguments' common shape (constants included).
-
-    At finite arguments, the values are those of `evaluate`, bit for bit,
-    wherever `evaluate` returns a finite value, and nan wherever it raises
-    (a domain error, a division by zero, an overflow in exp or a power); no
-    later operation turns a nan into a number, and floating-point exceptions
-    are silent, as in numpy.  Callers test `np.isfinite`.  At a nan
-    argument a value may be nan where `evaluate`'s is not: `pow(x, 0)` at
-    x = nan is nan, not 1.0.  exp, ln and integer powers are `evaluate`'s
-    `math` functions, applied sample by sample: numpy's differ from them in
-    the last bit, on some inputs and CPUs.  +, -, *, / and sqrt are
-    correctly rounded in numpy too, and numpy's sin and cos, equal to
-    `math`'s on every input tested, keep the stacked curve evaluation of
-    `parallel_transport` fast.
-    """
-    import numpy as np
-
-    consts = {}
-
-    def const(value):  # numpy scalars, so that constant subterms never raise
-        name = f"_k{len(consts)}"
-        consts[name] = np.float64(value)
-        return name
-
-    def call(fn, arg):
-        library = "_math" if fn in ("exp", "ln") else "_np"
-        return f"{library}.{_LIBRARY_NAME.get(fn, fn)}({arg})"
-
-    namespace = {"_np": np, "_math": _SAMPLEWISE, "_div": _np_div, "_pow": _np_pow}
-    values = _compile(exprs, varnames, const, call, namespace)
-    namespace.update(consts)
-
-    # broadcasting and error state here rather than in the generated source,
-    # which is then shorter and quicker to compile
-    def rows(*args):
-        with np.errstate(all="ignore"):
-            row_values = values(*args)
-        out = np.empty((len(row_values),) + np.broadcast_shapes(*map(np.shape, args)))
-        for i, value in enumerate(row_values):
-            out[i] = value
-        return out
-
-    return rows
-
-
-def _w_call(fn, arg):
-    return f"_apply_fn({fn!r}, {arg})"
-
-
-def _w_namespace():
-    return {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow, "_float": float}
+_NAMESPACE = {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow, "_float": float}
 
 
 def compile_w(exprs, varnames):
     """Compile a sequence of expressions to one function of positional
-    arguments, each a float or a NilElement, returning a tuple: the one
-    compiled evaluator at a point, real or neighbouring.
+    arguments, one per name of `varnames`, returning a tuple: the one
+    compiled evaluator, at a point, real or neighbouring, and at stacked
+    samples.
 
-    The function performs the operations of `evaluate` in the same order,
-    so its values are those of `evaluate`, bit for bit, and it raises where
-    `evaluate` raises.
+    Each argument is a float, a NilElement or a 1-D float array of samples
+    (call it through `stacked`).  The function performs the operations of
+    `evaluate` in the same order, so at floats and W values its values are
+    those of `evaluate`, bit for bit, and it raises where `evaluate`
+    raises.  At arrays of finite samples each value is `evaluate`'s at
+    each sample, bit for bit, wherever that is finite, and nan wherever
+    `evaluate` raises there.  A subexpression without variables is still
+    a float, so one that is not defined raises DomainError for all
+    samples at once.
     """
-    return _compile(exprs, varnames, _literal, _w_call, _w_namespace())
+    names = {name: f"_v{i}" for i, name in enumerate(varnames)}
+    sources = "".join(f"{_source(e, names)}, " for e in exprs)
+    args = ", ".join(names[v] for v in varnames)
+    namespace = dict(_NAMESPACE)
+    exec(f"def _f({args}):\n    return ({sources})\n", namespace)  # noqa: S102 - our own AST
+    return namespace["_f"]
+
+
+def stacked(fn, *arrays):
+    """`fn`, compiled by `compile_w`, at the samples of `arrays`: an array
+    with one row per expression, each broadcast to the arrays' common shape
+    (constants included).  Floating-point exceptions are silent, as in
+    numpy, and callers test `np.isfinite`; a DomainError from an undefined
+    subexpression without variables is raised.
+
+    At a nan argument a value may be nan where `evaluate`'s is not:
+    `pow(x, 0)` at x = nan is nan, not 1.0.
+    """
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        values = fn(*arrays)
+    out = np.empty((len(values),) + np.broadcast_shapes(*map(np.shape, arrays)))
+    for i, value in enumerate(values):
+        out[i] = value
+    return out
 
 
 def compile_rk4_step(field, varnames, stepsize):
@@ -507,14 +476,13 @@ def compile_rk4_step(field, varnames, stepsize):
     values are that loop's, bit for bit, and it raises where that loop
     raises.
     """
-    namespace = _w_namespace()
-    namespace.update(_h=0.5 * stepsize, _k=stepsize, _s=stepsize / 6.0)
+    namespace = dict(_NAMESPACE, _h=0.5 * stepsize, _k=stepsize, _s=stepsize / 6.0)
     args = [f"_v{i}" for i in range(len(varnames))]
     lines = []
     point = args
     for k, coef in (("_a", "_h"), ("_b", "_h"), ("_c", "_k"), ("_d", None)):
         names = dict(zip(varnames, point))
-        lines += [f"{k}{i} = {_source(e, names, _literal, _w_call)}"
+        lines += [f"{k}{i} = {_source(e, names)}"
                   for i, e in enumerate(field)]
         if coef:  # the point of the next stage
             point = [f"{k}p{i}" for i in range(len(args))]

@@ -491,9 +491,9 @@ def all_monomials(k, n, r):
 # constant term c through the functions of `m`: the math module for a float
 # c, and for an array c `_SAMPLEWISE`, the same math functions applied sample
 # by sample.  The arithmetic between them is IEEE arithmetic in both cases,
-# so an array lift equals the float lift at each sample, bit for bit; the
-# stacked evaluation `expr.compile_numpy` takes exp, ln and pow from
-# `_SAMPLEWISE` for the same reason.
+# so an array lift equals the float lift at each sample, bit for bit;
+# `expr.compile_w` takes exp, ln and integer powers of arrays of samples
+# from `_SAMPLEWISE` for the same reason.
 
 def _samplewise(fn):
     """`fn(value, *args)` at each value of an array of any shape (0-d

@@ -451,6 +451,20 @@ def test_ideal_test_domain_error_follows_sample_order():
         assert_same_involutivity(dist, samples)
 
 
+def test_the_per_sample_check_evaluates_every_value_before_it_tests_one():
+    # at x1 = 0 the bracket [X1, X2] = (0, 0, 0, 1) is off the span, and
+    # [X1, X3] = (0, 0, 0, 0.5/sqrt(x1)) is undefined: the sample raises, as
+    # an undefined span field or Jacobian entry does, whichever comes first
+    x1 = ex.Var("x1")
+    dist = Distribution(4, 3, span=[[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, x1],
+                                    [ZERO, ZERO, ONE, ex.Call("sqrt", x1)]],
+                        vars=("x1", "x2", "x3", "x4"))
+    bad, good = Point((0.0, 0.3, 0.2, 0.1)), Point((0.5, 0.3, 0.2, 0.1))
+    for samples in ([bad], [bad, good]):
+        assert outcome(ds._bracket_test, dist, samples, 1e-9) is DomainError
+    assert outcome(ds._bracket_test, dist, [good, bad], 1e-9) is False
+
+
 def test_a_domain_error_inside_a_finite_value_still_raises():
     # exp(-1/x) is 0.0 in floating point at x = 0, where 1/x raises
     w = form_1({3: ONE, 1: ex.Mul(Y, ex.Call("exp", ex.Div(ex.Const(-1.0), X)))})
@@ -461,10 +475,10 @@ def test_a_domain_error_inside_a_finite_value_still_raises():
         assert_same_involutivity(dist, samples)
 
 
-def assert_compile_numpy_is_evaluate(exprs, xs):
-    """compile_numpy at the values xs of x: evaluate's value, bit for bit,
-    where it is finite, and nan where evaluate raises."""
-    values = ex.compile_numpy(exprs, ("x",))(np.array(xs))
+def assert_stacked_is_evaluate(exprs, xs):
+    """compile_w at the stacked values xs of x: evaluate's value, bit for
+    bit, where it is finite, and nan where evaluate raises."""
+    values = ex.stacked(ex.compile_w(exprs, ("x",)), np.array(xs))
     for e, row in zip(exprs, values):
         for x, got in zip(xs, row.tolist()):
             try:
@@ -478,7 +492,7 @@ def assert_compile_numpy_is_evaluate(exprs, xs):
                 assert not math.isfinite(got), (ex.to_str(e), x)
 
 
-def test_compile_numpy_is_finite_where_evaluate_returns_a_finite_value():
+def test_stacked_compile_w_is_finite_where_evaluate_returns_a_finite_value():
     K = ex.Const(1e300)
     big = ex.Mul(ex.Mul(X, K), K)
     exprs = [ex.Div(ONE, ex.Div(ONE, X)), ex.Call("exp", ex.Div(ex.Const(-1.0), X)),
@@ -486,12 +500,14 @@ def test_compile_numpy_is_finite_where_evaluate_returns_a_finite_value():
              ex.Pow(ex.Div(ONE, X), 0), ex.Call("exp", X), ex.Pow(X, 2),
              ex.Call("sin", big), big, ex.Div(ONE, big), ex.Sub(big, big),
              ex.Call("exp", ex.Const(0.3)), ex.Pow(ex.Const(3.0), -2)]
-    assert_compile_numpy_is_evaluate(exprs, [0.0, -1.0, 0.5, 1000.0, 1e200])
+    assert_stacked_is_evaluate(exprs, [0.0, -1.0, 0.5, 1000.0, 1e200])
 
 
-def test_compile_numpy_is_evaluate_on_a_random_corpus():
+def test_stacked_compile_w_is_evaluate_on_a_random_corpus():
     # each of the five primitives, quotients and integer powers of random
-    # polynomials with sin and cos factors, on and off their domains
+    # polynomials with sin and cos factors, on and off their domains, each
+    # compiled on its own: an undefined subexpression without variables
+    # raises DomainError for all samples, and evaluate raises at each
     rng = np.random.default_rng(12)
     exprs = []
     for _ in range(40):
@@ -501,16 +517,25 @@ def test_compile_numpy_is_evaluate_on_a_random_corpus():
                   ex.Call("exp", ex.Div(ex.Call("ln", a), b)),
                   ex.Mul(ex.Call("sqrt", b), ex.Pow(ex.Call("cos", a), 2))]
     xs = rng.uniform(-4.0, 4.0, 48).tolist() + [0.0, 1.0, -1.0, 1e3, -1e3]
-    assert_compile_numpy_is_evaluate(exprs, xs)
+    raised = 0
+    for e in exprs:
+        try:
+            assert_stacked_is_evaluate([e], xs)
+        except DomainError:
+            raised += 1
+            for x in xs:
+                with pytest.raises(DomainError):
+                    ex.evaluate(e, {"x": x})
+    assert raised < len(exprs) // 10
 
 
-def test_compile_numpy_is_not_evaluate_at_a_nan_argument():
+def test_stacked_compile_w_is_not_evaluate_at_a_nan_argument():
     # its bit-identity with evaluate holds at finite arguments only: the
     # power of a nan base is nan, kept as the nan of a base that could not
     # be evaluated, where evaluate's nan ** 0 is 1.0
     e = ex.Pow(X, 0)
     assert ex.evaluate(e, {"x": math.nan}) == 1.0
-    assert math.isnan(ex.compile_numpy([e], ("x",))(np.array([math.nan]))[0, 0])
+    assert math.isnan(ex.stacked(ex.compile_w([e], ("x",)), np.array([math.nan]))[0, 0])
 
 
 # -- one ulp apart ----------------------------------------------------------------
@@ -624,6 +649,62 @@ def test_each_object_differentiates_once(monkeypatch):
         calls.clear()
         check()
         assert calls == []
+
+
+def test_each_object_compiles_each_expression_list_once(monkeypatch):
+    # one compiled function per expression list serves one point, a
+    # neighbour in W and the stacked samples alike
+    compiled, functions, stacked_calls = [], set(), []
+    compile_w, stacked = ex.compile_w, ex.stacked
+
+    def counting_compile_w(exprs, varnames):
+        exprs = list(exprs)
+        compiled.append(tuple(map(ex.to_str, exprs)))
+        fn = compile_w(exprs, varnames)
+        functions.add(fn)
+        return fn
+
+    def checked_stacked(fn, *arrays):
+        assert fn in functions
+        stacked_calls.append(fn)
+        return stacked(fn, *arrays)
+
+    monkeypatch.setattr(ex, "compile_w", counting_compile_w)
+    monkeypatch.setattr(ex, "stacked", checked_stacked)
+    points = sample_box([(-1.0, 1.0)] * 3, 4, seed=1)
+    params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 4, seed=2)]
+    # neither distribution is involutive, nor the patch integral: the
+    # screens clear no sample, and the per-sample checks decide
+    kernel = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Call("sin", Y)})])
+    span = Distribution(3, 2, span=[[ONE, ZERO, ex.Mul(X, Y)], [ZERO, ONE, ex.Call("exp", X)]],
+                        vars=VARS3)
+    patch = ds.IntegralPatch(("s", "t"), [S, T, ex.Mul(S, ex.Call("cos", T))])
+    conn = next(iter(parse(perfbench_connection_sources()[0]).conns.values()))
+    conn_points = sample_box([(-1.0, 1.0)] * conn.n, 4, seed=3)
+    t = ex.Var("t")
+    curve = [ex.Mul(ex.Const(0.1 * (i + 1)), ex.Call("cos", t)) for i in range(conn.n)]
+    checks = [lambda: ds.check_involutive_classical(kernel, points),
+              lambda: ds.check_involutive_classical(kernel, points[:1]),
+              lambda: ds.check_involutive_combinatorial(kernel, points),
+              lambda: ds.check_involutive_classical(span, points),
+              lambda: ds.check_involutive_classical(span, points[:1]),
+              lambda: ds.pointwise_involutive_span(span, points),
+              lambda: ds.check_integral_patch(kernel, patch, "strong", params),
+              lambda: ds.check_integral_patch(span, patch, "weak", params[:1]),
+              lambda: [cn.curvature_coboundary(conn, p) for p in conn_points],
+              lambda: [cn.curvature_classical_oracle(conn, p) for p in conn_points],
+              lambda: cn.parallel_transport(conn, curve, 0.0, 1.0, 20)]
+    for check in checks:
+        check()
+    assert stacked_calls, "the screens and the transport evaluate stacked samples"
+    assert len(compiled) == len(set(compiled)), "no expression list compiles twice"
+    curve_list = compiled[-1]
+    assert len(curve_list) == 2 * conn.n
+    compiled.clear()
+    for check in checks:
+        check()
+    # a curve is an argument, compiled once per transport
+    assert compiled == [curve_list]
 
 
 # -- the flat-simplex checks: one W evaluation for all samples ----------------------

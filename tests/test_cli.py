@@ -257,13 +257,50 @@ def test_holonomy_domain_error_exits_three(files):
                            "--loop", "circle 0,0,1", "--steps", "100"])
     assert code == EXIT_NUMERIC
     assert "numeric failure" in err
-    # a nan holonomy exited 0 in text, and ambrose-singer exited 2 on its SVD
-    for command in ("holonomy", "ambrose-singer"):
+    # a nan holonomy exited 0 in text, and ambrose-singer exited 2 on its SVD;
+    # ambrose-singer stops earlier, at its first curvature value, which overflows
+    for command, message in (("holonomy", "parallel transport overflows for t from"),
+                             ("ambrose-singer", "non-finite curvature at")):
         for fmt in ("text", "json"):
             code, out, err = invoke([command, "--file", files["huge_conn"], "--conn", "A",
                                      "--loop", "circle 0,0,0.5", "--format", fmt])
             assert (code, out) == (EXIT_NUMERIC, "")
-            assert err.startswith("numeric failure: parallel transport overflows for t from")
+            assert err.startswith(f"numeric failure: {message}")
+
+
+# on the curve c(t) = (0.5, t), c_1' = 0: A leaves out an entry undefined
+# through its variables, B has one with an undefined constant subexpression
+MASKED = """\
+dim 2
+var x y
+vector c = (0.5, x)
+conn A = [ln(x - 1)*dx + y*dy, 0*dx; 0*dx, 0*dx]
+conn B = [(ln(0-1)*y)*dx + y*dy, 0*dx; 0*dx, 0*dx]
+"""
+
+
+def test_holonomy_masks_only_entries_undefined_through_their_variables(tmp_path):
+    path = tmp_path / "masked.sdg"
+    path.write_text(MASKED)
+    holonomy = ["holonomy", "--file", str(path), "--curve", "c", "--steps", "100"]
+    code, out, _ = invoke(holonomy + ["--conn", "A"])
+    assert code == EXIT_OK
+    assert out.startswith("loop 0 holonomy: ")
+    # B printed a holonomy and exited 0, while its curvature exited 3
+    assert invoke(holonomy + ["--conn", "B"]) == (EXIT_NUMERIC, "",
+                                                 "numeric failure: ln of -1.0\n")
+    code, _, _ = invoke(["curvature", "--file", str(path), "--conn", "B", "--at", "0.3,0.7"])
+    assert code == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_curvature_overflow_exits_three(files, fmt):
+    # every value of A is finite, but the coboundary's products and the
+    # oracle's bracket overflow: it printed inf entries and exited 1
+    code, out, err = invoke(["curvature", "--file", files["huge_conn"], "--conn", "A",
+                             "--at", "0.3,0.7", "--format", fmt])
+    assert (code, out, err) == (EXIT_NUMERIC, "",
+                                "numeric failure: non-finite curvature at (0.3, 0.7)\n")
 
 
 def test_leaf_domain_error_exits_three(files):
@@ -399,6 +436,22 @@ def test_eval_golden(files):
                            "--format", "json"])
     assert code == EXIT_OK
     assert json.loads(out) == {"value": -2}
+
+
+def test_eval_zero_form_takes_no_vectors(tmp_path):
+    # an empty --vectors failed with "could not convert string to float: ''"
+    path = tmp_path / "scalar.sdg"
+    path.write_text("dim 3\nvar x y z\nform f = x*y + sin(z)\nform w = dz - y*dx\n")
+    cmd = ["eval", "--file", str(path), "--at", "1,2,0", "--vectors="]
+    for fmt, want in (("text", "value: 2\n"), ("json", '{"value": 2}\n')):
+        assert invoke(cmd + ["--form", "f", "--format", fmt]) == (EXIT_OK, want, "")
+
+
+def test_eval_one_form_needs_a_vector(files):
+    code, out, err = invoke(["eval", "--file", files["contact"], "--form", "w",
+                             "--at", "1,2,3", "--vectors="])
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "error: form of degree 1 needs that many vectors\n")
 
 
 def test_curvature_golden(files):

@@ -415,6 +415,20 @@ def test_coboundary_non_finite_connection_is_a_domain_error(at, where):
     assert str(err.value) == f"non-finite connection value {where}"
 
 
+HUGE_CONN = ("dim 2\nvar x y\n"
+             "conn A = [0*dx, (1e160*y)*dx + (1e160*x)*dy; (-1e160*y)*dx, 0*dx]\n")
+
+
+@pytest.mark.parametrize("curvature", [curvature_coboundary, curvature_classical_oracle])
+def test_curvature_overflow_is_a_domain_error(curvature):
+    # every value of A is finite, but the coboundary's pair products and the
+    # oracle's bracket overflow: both returned inf entries
+    conn = parse(HUGE_CONN).conns["A"]
+    with pytest.raises(DomainError) as err:
+        curvature(conn, Point((0.3, 0.7)))
+    assert str(err.value) == "non-finite curvature at (0.3, 0.7)"
+
+
 def so3_connection():
     """Skew-symmetric A_i with polynomial and trigonometric entries on R^3."""
     x, y, z = (ex.Var(v) for v in ("x", "y", "z"))
@@ -475,8 +489,7 @@ def test_transport_non_finite_connection_is_a_domain_error():
     with pytest.raises(DomainError):
         parallel_transport(conn, circle_curve(0.0, 0.0, 1.0), 0.0, 1.0, 100)
     # every stage value is finite, but the RK4 products overflow
-    huge = parse("dim 2\nvar x y\nconn A = [0*dx, (1e160*y)*dx + (1e160*x)*dy; "
-                 "(-1e160*y)*dx, 0*dx]\n").conns["A"]
+    huge = parse(HUGE_CONN).conns["A"]
     with pytest.raises(DomainError, match=r"^parallel transport overflows for t from 0\.0 to "):
         parallel_transport(huge, circle_curve(0.0, 0.0, 0.5), 0.0, 1.0, 50)
     # A_2 is not needed where c_2' = 0, so a segment along x at y = const
@@ -485,6 +498,30 @@ def test_transport_non_finite_connection_is_a_domain_error():
     g = parallel_transport(conn, [ex.Sub(t, ex.Const(0.5)), ex.Const(0.3)],
                            0.0, 1.0, 100)
     assert np.array_equal(g, np.eye(2))
+
+
+MASKED = """\
+dim 2
+var x y
+vector c = (0.5, x)
+conn A = [ln(x - 1)*dx + y*dy, 0*dx; 0*dx, 0*dx]
+conn B = [(ln(0-1)*y)*dx + y*dy, 0*dx; 0*dx, 0*dx]
+"""
+
+
+def test_transport_leaves_out_an_entry_undefined_through_its_variables():
+    # on c(t) = (0.5, t), c_1' = 0: A_1 = ln(x - 1) is left out, although it
+    # is undefined at every point of the curve
+    prog = parse(MASKED)
+    curve = [ex.rename(e, {"x": "t"}) for e in prog.vectors["c"]]
+    g = parallel_transport(prog.conns["A"], curve, 0.0, 1.0, 100)
+    assert np.all(np.isfinite(g))
+    # ln(0 - 1) has no variable: it is undefined at every sample at once,
+    # and raises even where it is left out, as the curvature does
+    with pytest.raises(DomainError, match=r"^ln of -1\.0$"):
+        parallel_transport(prog.conns["B"], curve, 0.0, 1.0, 100)
+    with pytest.raises(DomainError):
+        curvature_coboundary(prog.conns["B"], Point((0.3, 0.7)))
 
 
 def test_transport_curve_must_match_chart_dimension():
