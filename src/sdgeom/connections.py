@@ -11,7 +11,10 @@ here.  Each factor is I + N_k with N_k nilpotent in W(2, n), so the product
 is I + N_1 + N_2 + N_3 + N_1 N_2 + N_1 N_3 + N_2 N_3: a product of three
 N's, or one with a degree-2 factor, vanishes.  It is formed on arrays
 stacked over the monomial basis of W(2, n), with the pair products of the
-degree-1 parts taken in one batched matrix product.
+degree-1 parts taken in one batched matrix product.  A enters at x as its
+value and at y, a neighbour of x in the first neighbourhood of the
+diagonal, as its 1-jet: there a function is exactly its value plus its
+differential applied to y - x, which is all of its value in W.
 """
 
 import math
@@ -22,7 +25,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
-from .nil import _MERGE_SIGNS, _PERMUTED, NilElement, generic_offsets, within_tol
+from .nil import _MERGE_SIGNS, _PERMUTED, generic_offsets, within_tol
 from .distributions import span_residual
 from .forms import default_vars
 
@@ -66,7 +69,19 @@ class ConnectionData:
     def _a_w(self):
         """The entries of A, compiled once for points, neighbours and
         stacked samples."""
-        return ex.compile_w([e for Ai in self.A for row in Ai for e in row], self.vars)
+        return ex.compile_w(self._entries, self.vars)
+
+    @cached_property
+    def _a_jet(self):
+        """The entries of A, compiled once as 1-jets at y = x + u, u_i the
+        row-1 generator xi[1, i]: the identity as the tangent rows."""
+        n = self.n
+        return ex.compile_jet(self._entries, self.vars, n,
+                              rows=[[float(a == i) for a in range(n)] for i in range(n)])
+
+    @property
+    def _entries(self):
+        return [e for Ai in self.A for row in Ai for e in row]
 
     @cached_property
     def _da_w(self):
@@ -97,7 +112,6 @@ class _Simplex:
     and the degree-2 monomials xi[1, a] xi[2, b], a < b, one per face
     (a, b) of `faces` (1-based).  Every table has O(n^2) entries.
 
-    - `u`: the offset of y = x + u, from `nil.generic_offsets`.
     - `index`: monomial -> its position in the basis.
     - `swap`, `swap_sign`: the vertex swap of a stacked array over the
       basis is swap_sign * array[swap] (signs from `nil._PERMUTED`).
@@ -112,7 +126,7 @@ class _Simplex:
     """
 
     def __init__(self, n):
-        self.u, v = generic_offsets(2, n)
+        u, v = generic_offsets(2, n)
         deg1 = [(r, 1 << a) for r in (1, 2) for a in range(n)]
         self.faces = [(a + 1, b + 1) for a in range(n) for b in range(a + 1, n)]
         deg2 = [(0b11, (1 << a) | (1 << b)) for a in range(n) for b in range(a + 1, n)]
@@ -125,7 +139,7 @@ class _Simplex:
             self.swap[self.index[image]] = i
             self.swap_sign[self.index[image]] = sign
         self.displacement = np.zeros((3, 2 * n, n))
-        for k, delta in enumerate((self.u, [vi - ui for ui, vi in zip(self.u, v)],
+        for k, delta in enumerate((u, [vi - ui for ui, vi in zip(u, v)],
                                    [-vi for vi in v])):
             for i, d in enumerate(delta):
                 for key, c in d.terms.items():
@@ -171,10 +185,12 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
 
     The transport along each edge of the simplex x, y = x + u, z = x + v is
     I + N_k, N_k = sign * sum_i A_i(p_k) delta_i, and their product is
-    formed as I + N (`_transport_product`).  A is evaluated in W at x and
-    at y and stacked over the monomial basis of W(2, n); its value at z is
-    the image of its value at y under the vertex swap, which maps y to z.
-    A non-finite value of A at x or at y, or of the product, raises
+    formed as I + N (`_transport_product`).  A is evaluated at x, and at y
+    as its 1-jet (`expr.compile_jet`: y = x + u lies in the first
+    neighbourhood of x, so A's value in W there has only a constant and
+    row-1 terms), and stacked over the monomial basis of W(2, n); its value
+    at z is the image of its value at y under the vertex swap, which maps y
+    to z.  A non-finite value of A at x or at y, or of the product, raises
     DomainError."""
     n, m = conn.n, conn.group.m
     w = _simplex(n)
@@ -183,13 +199,7 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     # entry of A (C order of (n, m, m))
     A = np.zeros((3, len(w.index), n * m * m))
     A[0, 0] = conn._a_w(*x)
-    at_y = A[1]
-    for j, e in enumerate(conn._a_w(*[ui + xi for ui, xi in zip(w.u, x)])):
-        if isinstance(e, NilElement):
-            for key, v in e.terms.items():
-                at_y[w.index[key], j] = v
-        elif e:
-            at_y[0, j] = e
+    A[1, :1 + n] = np.reshape(conn._a_jet(*x), (1 + n, -1))
     finite = np.isfinite(A[:2]).all(axis=(1, 2))
     if not finite.all():
         where = "at" if not finite[0] else "in the first neighbourhood of"

@@ -49,15 +49,26 @@ class Distribution:
     # -- compiled functions (`expr.compile_w`), built on first use -----------
 
     @cached_property
-    def _kernel_fns(self):
+    def _kernel_coeffs(self):
         """Kernel-form coefficients, row by row."""
-        return ex.compile_w([w.coeffs.get((i + 1,), ex.Const(0.0))
-                             for w in self.kernel for i in range(self.n)], self.vars)
+        return [w.coeffs.get((i + 1,), ex.Const(0.0)) for w in self.kernel for i in range(self.n)]
+
+    @cached_property
+    def _kernel_fns(self):
+        return ex.compile_w(self._kernel_coeffs, self.vars)
+
+    @cached_property
+    def _kernel_jet(self):
+        return _FiberJet(self._kernel_coeffs, self.vars, self.rank)
 
     @cached_property
     def _span_fns(self):
         """Spanning-field components, field by field."""
         return ex.compile_w([c for v in self.span for c in v], self.vars)
+
+    @cached_property
+    def _span_jet(self):
+        return _FiberJet([c for v in self.span for c in v], self.vars, self.rank)
 
     @cached_property
     def _ideal_fns(self):
@@ -173,14 +184,14 @@ _MAX_CONDITION = 1e4
 _ROUNDING = 1e-12
 
 
-def _undecided(count, screen):
+def _undecided(count, screen, screen_one=False):
     """The samples, by index, at which the per-sample check runs: every one
-    of a single sample, at which that check costs less than the screen, and
-    else those that `screen()` does not clear.  A screen that raises
-    DomainError, from a subexpression without variables that `_stack`
-    cannot evaluate, clears none: that subexpression raises at every
-    sample."""
-    if count <= 1:
+    of a single sample, at which that check costs less than the screen,
+    unless `screen_one`, and else those that `screen()` does not clear.  A
+    screen that raises DomainError, from a subexpression without variables
+    that `_stack` cannot evaluate, clears none: that subexpression raises
+    at every sample."""
+    if count == 0 or (count == 1 and not screen_one):
         return range(count)
     try:
         return np.flatnonzero(~screen())
@@ -284,6 +295,32 @@ def _max_abs(value):
     return value.max_abs_coeff() if isinstance(value, NilElement) else abs(value)
 
 
+class _FiberJet:
+    """Expressions compiled as 1-jets (`expr.compile_jet`) at y = x + u, u
+    the row-1 offset of the generic flat 2-simplex in W(2, rank): called
+    with each variable's value at x and its row of the fiber basis, it
+    returns `compile_w`'s values at y, each a float for an expression
+    without variables and else a W(2, rank) element of a constant and
+    row-1 terms.  A float zero coefficient of the jet is left out; the
+    W arithmetic keeps one only where a scaling underflows, and in the
+    relation such a coefficient meets only finite factors on its way into
+    a product with w = v - u, which drops it."""
+
+    def __init__(self, exprs, vars, rank):
+        self.fn = ex.compile_jet(exprs, vars, rank)
+        self.constant = [not ex.free_vars(e) for e in exprs]
+        self.keys = [(0, 0)] + [(1, 1 << a) for a in range(rank)]
+        self.context = max(rank, 1)
+
+    def __call__(self, x, B):
+        coeffs = self.fn(*[c for xi, row in zip(x, B) for c in (xi, *row)])
+        count = len(self.constant)
+        return [coeffs[j] if constant else
+                NilElement(2, self.context, {key: c for key, c in zip(self.keys, coeffs[j::count])
+                                             if not _is_zero(c)})
+                for j, constant in enumerate(self.constant)]
+
+
 def _relation(dist, span, x, frame):
     """Kock's relation on the generic flat 2-simplex (x, x + u, x + v): the
     residuals K_y (v - u) of y = x + u ~_D x + v, yielded kernel row by row.
@@ -292,19 +329,24 @@ def _relation(dist, span, x, frame):
     S^T follow (`_span_frame`, S = C^-1 B^T), and K_y w = K0 w - (K0 X(y)) S w
     with X the span matrix: both outer factors are nilpotent and W(2, rank)
     stops at degree 2, so only C, the constant part of B^T X(y), is inverted.
-    x and the frame are floats at one sample, or constant W elements and
-    arrays over stacked samples."""
+    K and X at y are 1-jets whose tangents are the rows of B (`_FiberJet`),
+    and W elements only in the products with w = v - u.  x and the frame
+    are floats at one sample, or constant W elements and arrays over
+    stacked samples."""
     n, rank = dist.n, dist.rank
-    u, v = _flat_generic_offsets(frame[..., :rank], 2)
-    y = [c + e for c, e in zip(x, u)]
+    B = frame[..., :rank]
+    u, v = _flat_generic_offsets(B, 2)
     w = [b - a for a, b in zip(u, v)]
+    # y = x + u in W: its constant is x's, its row-1 terms 0.0 + B
+    x = [c.const_term if isinstance(c, NilElement) else c for c in x]
+    B = _entries(0.0 + B)
     if not span:
-        K = dist._kernel_fns(*y)
+        K = dist._kernel_jet(x, B)
         return (_dot(K[i:i + n], w) for i in range(0, len(K), n))
     columns = list(zip(*([c if c.__class__ is float else NilElement(2, rank, {(0, 0): c})
                           for c in row] for row in _entries(frame))))
     K0, S = columns[rank:n], columns[n:]
-    X = dist._span_fns(*y)
+    X = dist._span_jet(x, B)
     fields = [X[a:a + n] for a in range(0, len(X), n)]
     Sw = [_dot(row, w) for row in S]
     return (_dot(row, w) - _dot([_dot(row, f) for f in fields], Sw) for row in K0)
@@ -454,14 +496,19 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
     if mode == "strong" and patch.q != dist.rank:
         return False
     parameter_samples = list(parameter_samples)
-    # A sample whose point cannot be built decides only if no earlier one does.
-    points, error = _leading(patch.point_at, parameter_samples, (DomainError, ValueError))
-    screen = partial(_patch_screen, dist, patch, mode, parameter_samples, points, tol)
-    for i in _undecided(len(points), screen):
-        if not _patch_sample(dist, patch, mode, parameter_samples[i], points[i], tol):
-            return False
-    if error is not None:
-        raise error
+    # the first sample alone, then the rest: a patch that is not integral
+    # usually fails at the first sample, and the rest need not be screened;
+    # the first is screened too when more follow, so that a clearly passing
+    # sample still skips the per-sample check
+    for chunk in (parameter_samples[:1], parameter_samples[1:]):
+        # a sample whose point cannot be built decides only if no earlier one does
+        points, error = _leading(patch.point_at, chunk, (DomainError, ValueError))
+        screen = partial(_patch_screen, dist, patch, mode, chunk, points, tol)
+        for i in _undecided(len(points), screen, len(parameter_samples) > 1):
+            if not _patch_sample(dist, patch, mode, chunk[i], points[i], tol):
+                return False
+        if error is not None:
+            raise error
     return True
 
 

@@ -8,18 +8,23 @@ does light constant folding only; no general simplifier.
 Two evaluators, of one meaning: `evaluate` walks the tree on floats or W
 values, and `compile_w` compiles a function that performs `evaluate`'s
 operations in its order, on floats and W values (a point, real or
-neighbouring) and on arrays of stacked samples (`stacked`).
-`compile_rk4_step` compiles a whole RK4 step along a vector field with the
-code generator and the meaning of `compile_w`.
+neighbouring) and on arrays of stacked samples (`stacked`).  One code
+generator (`_source`'s walk) has three targets, all with `compile_w`'s
+meaning: `compile_w` itself; `compile_rk4_step`, a whole RK4 step along a
+vector field; and `compile_jet`, the value at a neighbour y = x + u in the
+first neighbourhood of the diagonal as a 1-jet, a value and its tangent
+coefficients, which is all of the value in W there: the product of two
+offsets in row 1 of W(2, n) vanishes.
 
 numpy is imported only on arrays, so the float and W-valued paths run
 without it.
 """
 
 import math
+from itertools import count
 
 from .errors import DomainError
-from .nil import _SAMPLEWISE, NilElement, lift_smooth
+from .nil import _SAMPLEWISE, NilElement, _is_zero, _table, _taylor, lift_smooth
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -384,10 +389,56 @@ def _literal(value):
     return repr(value) if math.isfinite(value) else f"_float({str(value)!r})"
 
 
-def _source(e, names):
-    """Python source of `e`: variables renamed through `names`, primitives,
-    quotients and integer powers through the functions `_apply_fn`, `_div`
-    and `_pow` of the namespace it runs in (`_NAMESPACE`)."""
+def _w_code(e, *args):
+    """Python source of the operation at node `e` on the sources `args` of
+    its operands: quotients, integer powers and primitives through the
+    functions `_div`, `_pow` and `_apply_fn` of the namespace it runs in
+    (`_NAMESPACE`)."""
+    if isinstance(e, Add):
+        return f"({args[0]} + {args[1]})"
+    if isinstance(e, Sub):
+        return f"({args[0]} - {args[1]})"
+    if isinstance(e, Mul):
+        return f"({args[0]} * {args[1]})"
+    if isinstance(e, Div):
+        return f"_div({args[0]}, {args[1]})"
+    if isinstance(e, Neg):
+        return f"(-{args[0]})"
+    if isinstance(e, Pow):
+        return f"_pow({args[0]}, {e.power})"
+    return f"_apply_fn({e.fn!r}, {args[0]})"
+
+
+def _structure(e):
+    """A key equal for two expressions exactly when their trees are equal
+    (constants by `repr`, so that 0.0 and -0.0 differ)."""
+    if isinstance(e, Const):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return (e.name,)
+    if isinstance(e, _Binary):
+        return (type(e).__name__, _structure(e.left), _structure(e.right))
+    if isinstance(e, Neg):
+        return ("Neg", _structure(e.arg))
+    if isinstance(e, Pow):
+        return ("Pow", e.power, _structure(e.base))
+    if isinstance(e, Call):
+        return (e.fn, _structure(e.arg))
+    raise TypeError(type(e).__name__)
+
+
+def _source(e, names, combine=_w_code, shared=None):
+    """The walk of the one code generator: the source of `e`, constants as
+    literals, variables renamed through `names`, and each operation through
+    `combine(node, *operands)`, its operands generated first, left before
+    right, in the order in which Python evaluates them.  `_w_code` is
+    `compile_w`'s target, a `_JetWriter` `compile_jet`'s.
+
+    With a dict `shared` (kept across the expressions of one function), an
+    operation whose tree was generated before is not generated again: it
+    takes the earlier result, which the code computes first.  Evaluation
+    is pure, so the value is the same, and an error has been raised at the
+    earlier one."""
 
     def gen(e):
         if isinstance(e, Const):
@@ -397,26 +448,207 @@ def _source(e, names):
                 return names[e.name]
             except KeyError:
                 raise DomainError(f"unbound variable {e.name!r}") from None
-        if isinstance(e, Add):
-            return f"({gen(e.left)} + {gen(e.right)})"
-        if isinstance(e, Sub):
-            return f"({gen(e.left)} - {gen(e.right)})"
-        if isinstance(e, Mul):
-            return f"({gen(e.left)} * {gen(e.right)})"
-        if isinstance(e, Div):
-            return f"_div({gen(e.left)}, {gen(e.right)})"
+        if shared is not None:
+            key = _structure(e)
+            if key not in shared:
+                shared[key] = operation(e)
+            return shared[key]
+        return operation(e)
+
+    def operation(e):
+        if isinstance(e, _Binary):
+            return combine(e, gen(e.left), gen(e.right))
         if isinstance(e, Neg):
-            return f"(-{gen(e.arg)})"
+            return combine(e, gen(e.arg))
         if isinstance(e, Pow):
-            return f"_pow({gen(e.base)}, {e.power})"
+            return combine(e, gen(e.base))
         if isinstance(e, Call):
-            return f"_apply_fn({e.fn!r}, {gen(e.arg)})"
+            return combine(e, gen(e.arg))
         raise TypeError(type(e).__name__)
 
     return gen(e)
 
 
-_NAMESPACE = {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow, "_float": float}
+def _nonzero(v):
+    """A coefficient, or None where it is a float zero, which the term-map
+    kernels of `nil` drop."""
+    return None if v.__class__ is float and v == 0.0 else v
+
+
+# The coefficient operations of compiled jets, None absent: each performs
+# the NilElement operation that compile_w performs, on one coefficient.
+
+def _jet_sum(x, y):
+    """x + y: `nil._elem_add`, which keeps x as it is where y is absent."""
+    if y is None:
+        return x
+    return _nonzero((0.0 if x is None else x) + y)
+
+
+def _jet_difference(x, y):
+    """x - y, which `NilElement.__sub__` forms as x + (-1.0 * y)."""
+    if y is None:
+        return x
+    return _nonzero((0.0 if x is None else x) + -1.0 * y)
+
+
+def _jet_shift(c, k):
+    """The constant term c plus a float k: `NilElement.__add__`."""
+    return _nonzero((0.0 if c is None else c) + k)
+
+
+def _jet_scale(k, c):
+    """k * c for a float k: `nil._elem_scale`, which drops c only where it
+    is a float and k a float zero."""
+    return None if c is None or (k == 0.0 and c.__class__ is float) else k * c
+
+
+def _jet_product(a0, bi, ai=None, b0=None):
+    """The constant a0 * b0, or a row-1 coefficient a0 * bi + ai * b0, of
+    a product of two jets: `nil._elem_mul`, in which the product of two
+    row-1 terms vanishes."""
+    if a0 is None or bi is None:
+        if ai is None or b0 is None:
+            return None
+        return _nonzero(0.0 + ai * b0)
+    if ai is None or b0 is None:
+        return _nonzero(0.0 + a0 * bi)
+    return _nonzero(0.0 + a0 * bi + ai * b0)
+
+
+def _lift(f, exponent, c, *tangents):
+    """`nil.lift_smooth` of the primitive f (`exponent` for a power) at the
+    element of W(2, n) with constant term c and row-1 coefficients
+    `tangents`, None where absent, as its constant and row-1 coefficients,
+    None where absent.  A product of two row-1 monomials is 0, so the
+    Taylor sum stops at order 1, or at order 0 where every tangent is 0."""
+    table = _table(f, exponent)
+    power = [None if t is None else _nonzero(0.0 + t) for t in tangents]
+    order = int(any(p is not None for p in power))
+    derivs = _taylor(f, table, 0.0 if c is None else c, order)
+    if not order or _is_zero(derivs[1]):
+        return (_nonzero(derivs[0]),) + (None,) * len(tangents)
+    return (_nonzero(derivs[0]),
+            *(None if p is None else _nonzero(0.0 + derivs[1] * p) for p in power))
+
+
+def _code(c):
+    """Source of a jet coefficient: None, a float known when compiling, or
+    the name of a local."""
+    return _literal(c) if c.__class__ is float else str(c)
+
+
+class _JetWriter:
+    """The jet target of `_source`: straight-line statements that evaluate
+    an expression at y = x + u, with u in row 1 of W(2, n), as the
+    constant and row-1 coefficients of `compile_w`'s value there.
+
+    An operand is the source of a float, for an expression without
+    variables, which is computed in its place in the walk, or a jet: a
+    tuple of its coefficients, the constant first, each None where it is
+    absent at every argument, a float where it is known when compiling, or
+    the name of a local.  At run time an absent coefficient is None, a
+    present one a float or an array.  Each operation is the NilElement
+    operation that `compile_w` performs, restricted to degree <= 1 (a
+    product of two row-1 monomials vanishes), coefficient by coefficient
+    through the `_jet_*` functions and `_lift`: the same floating-point
+    operations in the same order, and the same coefficients dropped.  A
+    `_jet_*` function of known coefficients is applied when compiling; it
+    cannot raise, and gives the same float then as later."""
+
+    def __init__(self):
+        self.lines = []
+        self.names = (f"_j{i}" for i in count())
+
+    def temp(self, code):
+        name = next(self.names)
+        self.lines.append(f"{name} = {code}")
+        return name
+
+    def apply(self, fn, *args):
+        """fn, a `_jet_*` function, at the coefficients `args` (and float
+        sources)."""
+        if all(c is None or c.__class__ is float for c in args):
+            return fn(*args)
+        return self.temp(f"{fn.__name__}({', '.join(map(_code, args))})")
+
+    def __call__(self, e, *args):
+        a = args[0]
+        if not any(isinstance(arg, tuple) for arg in args):
+            return self.temp(_w_code(e, *args))
+        if isinstance(e, Neg):
+            return self.scale("-1.0", a, -1.0)
+        if isinstance(e, Pow):
+            return self.lift("power", a, e.power)
+        if isinstance(e, Call):
+            return self.lift(e.fn, a)
+        b = args[1]
+        left = a if isinstance(a, tuple) else None
+        right = b if isinstance(b, tuple) else None
+        if isinstance(e, Add):
+            if left and right:
+                return self.add(_jet_sum, a, b)
+            return self.shift(left or right, b if left else a)
+        if isinstance(e, Sub):
+            if left and right:
+                return self.add(_jet_difference, a, b)
+            if left:
+                return self.shift(a, f"(-{b})")
+            return self.shift(self.scale("-1.0", b, -1.0), a)
+        if isinstance(e, Mul):
+            if left and right:
+                return self.mul(a, b)
+            factor = e.right if left else e.left
+            return self.scale(b if left else a, left or right,
+                              factor.value if isinstance(factor, Const) else None)
+        # a quotient: num * lift("reciprocal", den), or num * (1.0 / den)
+        if not right:
+            return self.scale(self.temp(f"_div(1.0, {b})"), a)
+        inverse = self.lift("reciprocal", b)
+        if left:
+            return self.mul(a, inverse)
+        return self.scale(a, inverse, e.left.value if isinstance(e.left, Const) else None)
+
+    def add(self, fn, a, b):
+        """a + b or a - b, coefficient by coefficient through `fn`."""
+        return tuple(x if y is None else self.apply(fn, x, y) for x, y in zip(a, b))
+
+    def shift(self, a, k):
+        """a + k for a float k."""
+        return (self.temp(f"_jet_shift({_code(a[0])}, {k})"),) + a[1:]
+
+    def scale(self, k, a, value=None):
+        """k * a for a float k, `value` if it is a literal."""
+        if value is None:
+            return tuple(None if c is None else self.apply(_jet_scale, k, c) for c in a)
+        drop = " or {c}.__class__ is float" if value == 0.0 else ""
+        return tuple(_jet_scale(value, c) if c is None or c.__class__ is float else
+                     self.temp(f"None if {c} is None{drop.format(c=c)} else {k} * {c}")
+                     for c in a)
+
+    def mul(self, a, b):
+        """a * b: the constant from a0 * b0, each tangent from a0 * bi and
+        ai * b0, a term left out where a factor is absent."""
+        out = []
+        tangents = [((a[0], bi), (ai, b[0])) for ai, bi in zip(a[1:], b[1:])]
+        for pairs in [((a[0], b[0]),)] + tangents:
+            terms = [c for pair in pairs if None not in pair for c in pair]
+            out.append(self.apply(_jet_product, *terms) if terms else None)
+        return tuple(out)
+
+    def lift(self, f, a, exponent=None):
+        """f(a): `_lift`, at run time, where an error is raised in its
+        place; its tangents are absent where a's are."""
+        out = (next(self.names),) + tuple(None if t is None else next(self.names)
+                                          for t in a[1:])
+        targets = "".join(f"{name or '_'}, " for name in out)
+        self.lines.append(f"{targets}= _lift({f!r}, {exponent!r}, {', '.join(map(_code, a))})")
+        return out
+
+
+_NAMESPACE = {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow, "_float": float,
+              "_lift": _lift, "_jet_sum": _jet_sum, "_jet_difference": _jet_difference,
+              "_jet_shift": _jet_shift, "_jet_scale": _jet_scale, "_jet_product": _jet_product}
 
 
 def compile_w(exprs, varnames):
@@ -440,6 +672,56 @@ def compile_w(exprs, varnames):
     args = ", ".join(names[v] for v in varnames)
     namespace = dict(_NAMESPACE)
     exec(f"def _f({args}):\n    return ({sources})\n", namespace)  # noqa: S102 - our own AST
+    return namespace["_f"]
+
+
+def compile_jet(exprs, varnames, slots, rows=None):
+    """Compile a sequence of expressions to one function that evaluates them
+    at y = x + u, u in row 1 of W(2, n) with `slots` row-1 monomials, as
+    their 1-jets.  Each variable's value x_i is a positional argument, and
+    so are its `slots` tangent coefficients (its row-1 coefficients at y),
+    after it, unless its tangent row is `rows[i]`, floats known when
+    compiling.  A float zero coefficient is absent.
+
+    It returns a flat tuple: the values of all expressions, then their
+    first tangent coefficients, and so on.  These are the constant and
+    row-1 coefficients of `compile_w`'s value at y, bit for bit, wherever
+    those are finite (an expression without variables is its constant; an
+    absent coefficient reads +0.0), for float and for array coefficients,
+    and it raises DomainError with `compile_w`'s message where that
+    raises.  It performs the operations of `compile_w`'s W arithmetic in
+    their order, on the constant and row-1 coefficients alone: on y every
+    product of two row-1 monomials vanishes, so no other coefficient
+    reaches them.  A repeated subexpression is evaluated once.
+    """
+    writer = _JetWriter()
+    names, args = {}, []
+    for i, name in enumerate(varnames):
+        value = f"_v{i}"
+        if rows is None:
+            tangents = tuple(f"_v{i}_{a}" for a in range(slots))
+            args += (value,) + tangents
+        else:
+            tangents = tuple(_nonzero(float(t)) for t in rows[i])
+            args.append(value)
+        names[name] = (value,) + tangents
+    writer.lines += [f"{a} = None if {a}.__class__ is float and {a} == 0.0 else {a}"
+                     for a in args]
+    shared = {}
+    jets = [_source(e, names, writer, shared) for e in exprs]
+    out = []
+    for s in range(slots + 1):
+        for jet in jets:
+            if not isinstance(jet, tuple):  # a float: a zero is an absent constant
+                out.append(f"({jet} + 0.0)" if s == 0 else "0.0")
+            elif jet[s] is None or jet[s].__class__ is float:
+                out.append(_code(0.0 if jet[s] is None else jet[s]))
+            else:
+                out.append(f"(0.0 if {jet[s]} is None else {jet[s]})")
+    body = "".join(f"    {line}\n" for line in writer.lines)
+    namespace = dict(_NAMESPACE)
+    exec(f"def _f({', '.join(args)}):\n{body}    return ({''.join(o + ', ' for o in out)})\n",  # noqa: S102 - our own AST
+         namespace)
     return namespace["_f"]
 
 

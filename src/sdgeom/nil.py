@@ -597,6 +597,33 @@ def _array_derivs(table, c, order):
     return derivs
 
 
+def _table(f, exponent=None):
+    """The derivative table of the primitive f (`power` takes `exponent`)."""
+    if f == "power":
+        return partial(_derivs_power, exponent=exponent)
+    try:
+        return _DERIVS[f]
+    except KeyError:
+        raise ValueError(f"unknown smooth primitive {f!r}") from None
+
+
+def _taylor(f, table, c, order):
+    """f(c), f'(c), ..., f^(order)(c) from the table of f, as `lift_smooth`
+    takes them: through `math` at a float c, raising DomainError where that
+    raises or where a derivative overflows, and through `_array_derivs` at
+    an array c."""
+    if getattr(c, "ndim", 0):  # an array; numpy only then
+        return _array_derivs(table, c, order)
+    try:
+        derivs = table(c, order, math)
+    except (ValueError, ArithmeticError) as err:  # math raises these
+        raise DomainError(f"{f} at constant term {c}: {err}") from None
+    # a float division overflows without an exception: 1.0 / 1e-310
+    if math.isfinite(c) and not all(map(math.isfinite, derivs)):
+        raise DomainError(f"{f} at constant term {c}: a derivative overflows")
+    return derivs
+
+
 def lift_smooth(f, a, exponent=None):
     """Extend a univariate smooth primitive to a W-valued argument.
 
@@ -613,13 +640,7 @@ def lift_smooth(f, a, exponent=None):
     """
     if not isinstance(a, NilElement):
         raise TypeError("lift_smooth expects a NilElement")
-    if f == "power":
-        table = partial(_derivs_power, exponent=exponent)
-    else:
-        try:
-            table = _DERIVS[f]
-        except KeyError:
-            raise ValueError(f"unknown smooth primitive {f!r}") from None
+    table = _table(f, exponent)
     nil = dict(a.terms)
     nil.pop((0, 0), None)
     powers = []  # the nonzero powers nil**1, nil**2, ...
@@ -629,18 +650,7 @@ def lift_smooth(f, a, exponent=None):
         if not power:
             break
         powers.append(power)
-    order = len(powers)
-    c = a.const_term
-    if getattr(c, "ndim", 0):  # an array; numpy only then
-        derivs = _array_derivs(table, c, order)
-    else:
-        try:
-            derivs = table(c, order, math)
-        except (ValueError, ArithmeticError) as err:  # math raises these
-            raise DomainError(f"{f} at constant term {c}: {err}") from None
-        # a float division overflows without an exception: 1.0 / 1e-310
-        if math.isfinite(c) and not all(map(math.isfinite, derivs)):
-            raise DomainError(f"{f} at constant term {c}: a derivative overflows")
+    derivs = _taylor(f, table, a.const_term, len(powers))
     out = {} if _is_zero(derivs[0]) else {(0, 0): derivs[0]}
     fact = 1.0
     for r, power in enumerate(powers, start=1):

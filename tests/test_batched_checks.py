@@ -37,7 +37,7 @@ from sdgeom.nil import NilElement, all_monomials, lift_smooth, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
-from corpus import random_scalar_expr
+from corpus import random_form, random_scalar_expr
 
 VARS3 = ("x", "y", "z")
 X, Y, Z = ex.Var("x"), ex.Var("y"), ex.Var("z")
@@ -538,6 +538,182 @@ def test_stacked_compile_w_is_not_evaluate_at_a_nan_argument():
     assert math.isnan(ex.stacked(ex.compile_w([e], ("x",)), np.array([math.nan]))[0, 0])
 
 
+# -- 1-jets at the neighbour vertex ------------------------------------------------
+#
+# compile_jet at y = x + u, u in row 1 of W(2, n), against compile_w at the
+# same y in W: a jet's value and tangents are the constant and row-1
+# coefficients of compile_w's value, bit for bit, and it raises where
+# compile_w raises, with its message.
+
+def same_bits(a, b):
+    """Equal shapes and values, zeros of equal sign, nan where nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    values = a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+    return values and np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)]))
+
+
+def w_neighbour(xs, rows):
+    """y = x + u in W(2, slots): u_i the row-1 element with the coefficients
+    rows[i], its float zeros left out; a float x_i is added to it, and an
+    array x_i enters as a constant element, as in the coboundary and in
+    Kock's relation."""
+    context = max(len(rows[0]), 1)
+    ys = []
+    for x, row in zip(xs, rows):
+        u = NilElement(2, context, {(1, 1 << a): t for a, t in enumerate(row)
+                                    if not (t.__class__ is float and t == 0.0)})
+        ys.append(x + u if x.__class__ is float else NilElement(2, context, {(0, 0): x}) + u)
+    return ys
+
+
+def w_coefficients(value, slots):
+    """The constant and row-1 coefficients of compile_w's value, an absent
+    one read as +0.0; an expression without variables is its constant."""
+    if not isinstance(value, NilElement):
+        return [value + 0.0] + [0.0] * slots
+    keys = [(0, 0)] + [(1, 1 << a) for a in range(slots)]
+    assert set(value.terms) <= set(keys), "y has nothing but a constant and row-1 terms"
+    return [value.terms.get(key, 0.0) for key in keys]
+
+
+def jet_outcome(exprs, varnames, xs, rows, compiled=None):
+    """Assert that compile_jet at the neighbour y = x + u is compile_w there
+    (`compiled`, the two functions, if given), with the tangent rows as
+    arguments and, where they are floats, as rows known when compiling:
+    the coefficients, or the DomainError message."""
+    slots = len(rows[0])
+    ys = w_neighbour(xs, rows)
+    args = [c for y in ys for c in w_coefficients(y, slots)]
+    jet, fn = compiled or (ex.compile_jet(exprs, varnames, slots), ex.compile_w(exprs, varnames))
+    calls = [(jet, args)]
+    if all(t.__class__ is float for row in rows for t in row):
+        calls.append((ex.compile_jet(exprs, varnames, slots, rows), args[::slots + 1]))
+    with np.errstate(all="ignore"):
+        try:
+            want = fn(*ys)
+        except DomainError as err:
+            for f, f_args in calls:
+                with pytest.raises(DomainError) as raised:
+                    f(*f_args)
+                assert str(raised.value) == str(err)
+            return str(err)
+        outcomes = [f(*f_args) for f, f_args in calls]
+    for got in outcomes:
+        assert len(got) == len(exprs) * (slots + 1)
+        for j, value in enumerate(want):
+            for s, coeff in enumerate(w_coefficients(value, slots)):
+                assert same_bits(got[s * len(exprs) + j], coeff), (ex.to_str(exprs[j]), s)
+    return outcomes[0]
+
+
+def jet_points(rng, n, slots):
+    """(xs, rows) at which to compare: a float point and a stack of samples
+    (with a zero coordinate among them), each with unit tangent rows and
+    with general ones (with a zero among them)."""
+    point = [0.0] + rng.uniform(-2.0, 2.0, n - 1).tolist()
+    stack = [np.append(rng.uniform(-2.0, 2.0, 5), 0.0) for _ in range(n)]
+    unit = [[1.0 if a == i else 0.0 for a in range(slots)] for i in range(n)]
+    general = rng.uniform(-2.0, 2.0, (n, slots)).tolist()
+    if slots:
+        general[0][0] = 0.0
+    return [(point, unit), (point, general), (stack, unit),
+            (stack, [[np.append(rng.uniform(-2.0, 2.0, 5), 0.0) for _ in row] for row in general])]
+
+
+def assert_jets_are_compile_w(exprs, varnames, rng, slots=None):
+    slots = len(varnames) if slots is None else slots
+    compiled = ex.compile_jet(exprs, varnames, slots), ex.compile_w(exprs, varnames)
+    for xs, rows in jet_points(rng, len(varnames), slots):
+        jet_outcome(exprs, varnames, xs, rows, compiled)
+
+
+def test_jet_is_compile_w_on_the_corpus():
+    rng = np.random.default_rng(19)
+    for slots in (0, 1, 2, 3):
+        exprs = [random_scalar_expr(rng, VARS3, trig=trig) for trig in (False, True) * 4]
+        exprs += [e for degree in (1, 2) for e in random_form(rng, degree, 3, VARS3, trig=True).coeffs.values()]
+        assert_jets_are_compile_w(exprs, VARS3, rng, slots)
+
+
+def test_jet_is_compile_w_with_every_primitive():
+    # each primitive, quotients and integer powers, on and off their domains,
+    # each compiled on its own so that one that raises spares the others
+    rng = np.random.default_rng(20)
+    raised = 0
+    for _ in range(12):
+        a, b = (random_scalar_expr(rng, ("x", "y"), trig=True) for _ in range(2))
+        exprs = [ex.Call(fn, a) for fn in ex.FUNCTIONS]
+        exprs += [ex.Div(a, b), ex.Div(ONE, b), ex.Div(a, ex.Const(3.0)),
+                  ex.Pow(a, int(rng.integers(-3, 5))), ex.Sub(ONE, a), ex.Neg(a),
+                  ex.Call("exp", ex.Div(ex.Call("ln", a), b)),
+                  ex.Mul(ex.Call("sqrt", b), ex.Pow(ex.Call("cos", a), 2))]
+        for e in exprs:
+            compiled = ex.compile_jet([e], ("x", "y"), 2), ex.compile_w([e], ("x", "y"))
+            for xs, rows in jet_points(rng, 2, 2):
+                raised += isinstance(jet_outcome([e], ("x", "y"), xs, rows, compiled), str)
+    assert raised, "some expressions leave their domain at some point"
+
+
+def test_jet_is_compile_w_on_the_benchmark_objects():
+    rng = np.random.default_rng(21)
+    for text in perfbench_connection_sources():
+        conn = next(iter(parse(text).conns.values()))
+        assert_jets_are_compile_w(conn._entries, conn.vars, rng)
+    for prog in perfbench_programs(3):
+        for dist in prog.dists.values():
+            exprs = dist._kernel_coeffs if dist.kernel else [c for v in dist.span for c in v]
+            assert_jets_are_compile_w(exprs, dist.vars, rng, dist.rank)
+
+
+K = ex.Const(1e300)
+JET_EDGES = {
+    # the tangent part is zero, so the lift stops at order 0, where sqrt'(0)
+    # would raise
+    "sqrt(x - x)": (ex.Call("sqrt", ex.Sub(X, X)), None),
+    # ln'(1e-310) overflows: an error with a tangent, none without one
+    "ln at 1e-310": (ex.Call("ln", X), "ln at constant term 1e-310: a derivative overflows"),
+    "1/(x - x)": (ex.Div(ONE, ex.Sub(X, X)),
+                  "reciprocal at constant term 0.0: float division by zero"),
+    "0*x": (ex.Mul(ZERO, ex.Mul(ex.Mul(X, K), K)), None),
+    "pow(x, 0)": (ex.Pow(X, 0), None),
+    "x*1e300*1e300": (ex.Mul(ex.Mul(X, K), K), None),
+    # an absent coefficient times an infinite one is no term, not nan
+    "x*(y*1e300*1e300)": (ex.Mul(X, ex.Mul(ex.Mul(Y, K), K)), None),
+    # a scaling keeps the -0.0 it underflows to, and so does a sum
+    "a scaling underflows": (ex.Add(ex.Mul(ex.Mul(X, ex.Const(-1e-200)), ex.Const(1e-200)), Y),
+                             None),
+}
+
+
+@pytest.mark.parametrize("name", JET_EDGES)
+def test_jet_is_compile_w_at_the_edges(name):
+    # x with tangent (t, 0) and y = 0.25 with tangent (0, 1)
+    e, message = JET_EDGES[name]
+
+    def at(x, t=1.0):
+        return jet_outcome([e], ("x", "y"), [x, 0.25], [[t, 0.0], [0.0, 1.0]])
+
+    for x in (0.0, 1e-310, 0.5, -2.0):
+        for t in (1.0, 0.0, -0.5):
+            at(x, t)
+    stack = np.array([0.0, 1e-310, 0.5, math.nan])
+    for t in (1.0, np.array([1.0, 0.0, -0.5, 2.0])):
+        got = jet_outcome([e], ("x", "y"), [stack, np.full(4, 0.25)], [[t, 0.0], [0.0, 1.0]])
+        if name == "pow(x, 0)":  # nan at the nan sample, as compile_w's lift gives
+            assert np.isnan(got[0][3]) and got[0][:3].tolist() == [1.0] * 3
+    if message:
+        assert at(1e-310 if name == "ln at 1e-310" else 0.5) == message
+    expected = {"ln at 1e-310": ((1e-310, 0.0), (math.log(1e-310), 0.0, 0.0)),
+                "sqrt(x - x)": ((0.5,), (0.0, 0.0, 0.0)),
+                "0*x": ((0.5,), (0.0, 0.0, 0.0)),  # the float 0 drops the inf tangent
+                "x*1e300*1e300": ((0.0,), (0.0, math.inf, 0.0)),
+                "x*(y*1e300*1e300)": ((0.0,), (0.0, math.inf, 0.0)),
+                "a scaling underflows": ((0.5,), (0.25, -0.0, 1.0))}
+    if name in expected:
+        args, want = expected[name]
+        assert all(map(same_bits, at(*args), want))
+
+
 # -- one ulp apart ----------------------------------------------------------------
 #
 # y*1e10*(f(x) - F)*(x - x1) at two samples, F the value of f at x0 one ulp
@@ -653,9 +829,10 @@ def test_each_object_differentiates_once(monkeypatch):
 
 def test_each_object_compiles_each_expression_list_once(monkeypatch):
     # one compiled function per expression list serves one point, a
-    # neighbour in W and the stacked samples alike
+    # neighbour in W and the stacked samples alike, and one more compiled
+    # jet (`compile_jet`) the neighbours of the coboundary and the relation
     compiled, functions, stacked_calls = [], set(), []
-    compile_w, stacked = ex.compile_w, ex.stacked
+    compile_w, compile_jet, stacked = ex.compile_w, ex.compile_jet, ex.stacked
 
     def counting_compile_w(exprs, varnames):
         exprs = list(exprs)
@@ -664,12 +841,18 @@ def test_each_object_compiles_each_expression_list_once(monkeypatch):
         functions.add(fn)
         return fn
 
+    def counting_compile_jet(exprs, varnames, slots, rows=None):
+        exprs = list(exprs)
+        compiled.append(("jet",) + tuple(map(ex.to_str, exprs)))
+        return compile_jet(exprs, varnames, slots, rows)
+
     def checked_stacked(fn, *arrays):
         assert fn in functions
         stacked_calls.append(fn)
         return stacked(fn, *arrays)
 
     monkeypatch.setattr(ex, "compile_w", counting_compile_w)
+    monkeypatch.setattr(ex, "compile_jet", counting_compile_jet)
     monkeypatch.setattr(ex, "stacked", checked_stacked)
     points = sample_box([(-1.0, 1.0)] * 3, 4, seed=1)
     params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 4, seed=2)]
@@ -698,6 +881,7 @@ def test_each_object_compiles_each_expression_list_once(monkeypatch):
         check()
     assert stacked_calls, "the screens and the transport evaluate stacked samples"
     assert len(compiled) == len(set(compiled)), "no expression list compiles twice"
+    assert sum(c[0] == "jet" for c in compiled) == 3, "the kernel, span and connection jets"
     curve_list = compiled[-1]
     assert len(curve_list) == 2 * conn.n
     compiled.clear()
@@ -909,6 +1093,55 @@ def test_span_checks_on_the_benchmark_spans(seed):
         points = sample_box([(-1.0, 1.0)] * 3, batch, seed)
         for name, want in (("S", True), ("H", False)):
             assert assert_same_span_checks(k3.dists[name], points)[1] is want
+
+
+def w_path_relation(dist, span, x, frame):
+    """Kock's relation as `distributions._relation` computes it, with K or
+    X at y = x + u evaluated in W(2, rank) by compile_w, not as 1-jets."""
+    n, rank = dist.n, dist.rank
+    u, v = ds._flat_generic_offsets(frame[..., :rank], 2)
+    y = [c + e for c, e in zip(x, u)]
+    w = [b - a for a, b in zip(u, v)]
+    if not span:
+        K = dist._kernel_fns(*y)
+        return [ds._dot(K[i:i + n], w) for i in range(0, len(K), n)]
+    columns = list(zip(*([c if c.__class__ is float else NilElement(2, rank, {(0, 0): c})
+                          for c in row] for row in ds._entries(frame))))
+    K0, S = columns[rank:n], columns[n:]
+    X = dist._span_fns(*y)
+    fields = [X[a:a + n] for a in range(0, len(X), n)]
+    Sw = [ds._dot(row, w) for row in S]
+    return [ds._dot(row, w) - ds._dot([ds._dot(row, f) for f in fields], Sw) for row in K0]
+
+
+def same_residuals(got, want):
+    """Residuals with the same monomials and coefficients, bit for bit."""
+    return len(got) == len(want) and all(
+        a.terms.keys() == b.terms.keys() and all(same_bits(a.terms[k], b.terms[k]) for k in a.terms)
+        for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relation_is_the_w_path_per_sample_and_stacked(seed):
+    # K and X at y as 1-jets, turned into W elements for the products with
+    # v - u, give the residuals of their W values at y
+    for prog in perfbench_programs(seed):
+        points = sample_box([(-1.0, 1.0)] * prog.dim, 16, seed)
+        for dist in prog.dists.values():
+            span = dist.span is not None
+            if span:
+                frames = [np.hstack([B, K0.T, np.linalg.solve(C, B.T).T])
+                          for B, K0, C in map(dist._span_frame, points)]
+            else:
+                frames = [dist.basis_at(p) for p in points]
+            for x, frame in [(p.coords, f) for p, f in zip(points, frames)] + [(
+                    [NilElement(2, max(dist.rank, 1), {(0, 0): c})
+                     for c in np.array([p.coords for p in points]).T],
+                    np.array(frames))]:
+                with np.errstate(all="ignore"):
+                    want = w_path_relation(dist, span, x, frame)
+                    got = list(ds._relation(dist, span, x, frame))
+                assert same_residuals(got, want)
 
 
 def random_span_distribution(rng, n):

@@ -350,6 +350,38 @@ def test_coboundary_agrees_with_the_object_matrix_reference():
                 assert np.max(np.abs(got[key] - F)) <= 1e-14 * max(1.0, np.max(np.abs(F)))
 
 
+def w_path_coboundary(conn, p):
+    """curvature_coboundary with A at y = x + u evaluated in W by compile_w,
+    its terms placed over the monomial basis one by one, and the stacked
+    product of the library."""
+    n, m = conn.n, conn.group.m
+    w = _simplex(n)
+    u, _ = generic_offsets(2, n)
+    x = p.coords
+    A = np.zeros((3, len(w.index), n * m * m))
+    A[0, 0] = conn._a_w(*x)
+    for j, e in enumerate(conn._a_w(*[ui + xi for ui, xi in zip(u, x)])):
+        if isinstance(e, NilElement):
+            for key, v in e.terms.items():
+                A[1, w.index[key], j] = v
+        elif e:
+            A[1, 0, j] = e
+    A[2] = A[1, w.swap] * w.swap_sign
+    G = w.displacement[:, None] @ A[:, :1 + 2 * n].reshape(3, 1 + 2 * n, n, m * m)
+    L = G[:, 0].reshape(3, 2 * n, m, m)
+    Q = (G[:, 1:][:, w.left, w.right] * w.sign[..., 0]).sum(axis=1).reshape(3, -1, m, m)
+    return dict(zip(w.faces, _transport_product(w, L, Q)[1] * COBOUNDARY_SCALE))
+
+
+def test_coboundary_is_the_w_path_byte_for_byte():
+    # A at y as a 1-jet fills the rows its value in W there fills
+    for conn, points in reference_cases():
+        for p in points:
+            got, want = curvature_coboundary(conn, p), w_path_coboundary(conn, p)
+            assert got.keys() == want.keys()
+            assert all(got[key].tobytes() == F.tobytes() for key, F in want.items())
+
+
 def test_value_at_z_by_the_vertex_swap_is_the_direct_value():
     for conn, points in reference_cases():
         u, v = generic_offsets(2, conn.n)
