@@ -408,91 +408,95 @@ def _stepsize(text):
     return step
 
 
-def build_parser():
+def _common(*, box=False, steps=None, at=False):
+    """The options every command takes, then those some of them share."""
+    options = [("--file", {"required": True}),
+               ("--format", {"choices": ("text", "json"), "default": "text"}),
+               ("--tol", {"type": _tolerance, "default": 1e-9}),
+               ("--seed", {"type": int, "default": 0}),
+               ("--samples", {"type": _count, "default": 20})]
+    if box:
+        options.append(("--box", {"default": "-1..1"}))
+    if steps is not None:
+        options.append(("--steps", {"type": _count, "default": steps}))
+    if at:
+        options.append(("--at", {"required": True,
+                                 "help": "semicolon-separated comma vectors"}))
+    return options
+
+
+# name -> (help, options, handler), in the order `sdg --help` lists them
+COMMANDS = {
+    "d": ("simplicial vs classical exterior derivative",
+          _common(at=True) + [("--form", {"required": True})], cmd_d),
+    "wedge": ("cup-product vs classical wedge",
+              _common(at=True) + [("--forms", {"required": True,
+                                               "help": "two names, comma-separated"})],
+              cmd_wedge),
+    "eval": ("evaluate a form on displacement vectors",
+             _common() + [("--at", {"required": True, "help": "one comma vector"}),
+                          ("--form", {"required": True}),
+                          ("--vectors", {"required": True})], cmd_eval),
+    "check-involutive": ("combinatorial + classical test",
+                         _common(box=True) + [("--dist", {"required": True})],
+                         cmd_check_involutive),
+    "check-integral": ("weak/strong integral patch",
+                       _common(box=True) + [("--dist", {"required": True}),
+                                            ("--patch", {"required": True}),
+                                            ("--mode", {"choices": ("weak", "strong"),
+                                                        "required": True})],
+                       cmd_check_integral),
+    "curvature": ("coboundary vs classical curvature",
+                  _common(at=True) + [("--conn", {"required": True})], cmd_curvature),
+    "holonomy": ("parallel transport around loops",
+                 _common(steps=10000) + [
+                     ("--conn", {"required": True}),
+                     ("--loop", {"help": "'circle cx,cy,r' specs, ';'-separated"}),
+                     ("--curve", {"help": "named curve vectors, ','-separated"})],
+                 cmd_holonomy),
+    "ambrose-singer": ("holonomy-curvature inclusion",
+                       _common(box=True, steps=2000) + [
+                           ("--conn", {"required": True}), ("--loop", {}),
+                           ("--curve", {}), ("--at", {"help": "basepoint"})],
+                       cmd_ambrose_singer),
+    "leaf": ("numeric leaf trace along span fields",
+             _common() + [("--dist", {"required": True}),
+                          ("--start", {"required": True}),
+                          ("--stepsize", {"type": _stepsize, "default": 1e-3}),
+                          ("--steps", {"type": _count, "default": 100})], cmd_leaf),
+}
+
+
+def build_parser(argv=None):
+    """The `sdg` parser for the arguments `argv`.  When argv[0] names a
+    command, only that command's subparser is registered, under the usage
+    line of all of them; otherwise (no command, --help, an unknown name)
+    every command is."""
     ap = argparse.ArgumentParser(
         prog="sdg",
         description="combinatorial differential geometry engine")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, *, box=False, steps=None, at=False):
-        p.add_argument("--file", required=True)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=_tolerance, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_count, default=20)
-        if box:
-            p.add_argument("--box", default="-1..1")
-        if steps is not None:
-            p.add_argument("--steps", type=_count, default=steps)
-        if at:
-            p.add_argument("--at", required=True,
-                           help="semicolon-separated comma vectors")
-
-    p = sub.add_parser("d", help="simplicial vs classical exterior derivative")
-    common(p, at=True)
-    p.add_argument("--form", required=True)
-    p.set_defaults(fn=cmd_d)
-
-    p = sub.add_parser("wedge", help="cup-product vs classical wedge")
-    common(p, at=True)
-    p.add_argument("--forms", required=True, help="two names, comma-separated")
-    p.set_defaults(fn=cmd_wedge)
-
-    p = sub.add_parser("eval", help="evaluate a form on displacement vectors")
-    common(p)
-    p.add_argument("--at", required=True, help="one comma vector")
-    p.add_argument("--form", required=True)
-    p.add_argument("--vectors", required=True)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("check-involutive", help="combinatorial + classical test")
-    common(p, box=True)
-    p.add_argument("--dist", required=True)
-    p.set_defaults(fn=cmd_check_involutive)
-
-    p = sub.add_parser("check-integral", help="weak/strong integral patch")
-    common(p, box=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--patch", required=True)
-    p.add_argument("--mode", choices=("weak", "strong"), required=True)
-    p.set_defaults(fn=cmd_check_integral)
-
-    p = sub.add_parser("curvature", help="coboundary vs classical curvature")
-    common(p, at=True)
-    p.add_argument("--conn", required=True)
-    p.set_defaults(fn=cmd_curvature)
-
-    p = sub.add_parser("holonomy", help="parallel transport around loops")
-    common(p, steps=10000)
-    p.add_argument("--conn", required=True)
-    p.add_argument("--loop", help="'circle cx,cy,r' specs, ';'-separated")
-    p.add_argument("--curve", help="named curve vectors, ','-separated")
-    p.set_defaults(fn=cmd_holonomy)
-
-    p = sub.add_parser("ambrose-singer", help="holonomy-curvature inclusion")
-    common(p, box=True, steps=2000)
-    p.add_argument("--conn", required=True)
-    p.add_argument("--loop")
-    p.add_argument("--curve")
-    p.add_argument("--at", help="basepoint")
-    p.set_defaults(fn=cmd_ambrose_singer)
-
-    p = sub.add_parser("leaf", help="numeric leaf trace along span fields")
-    common(p)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--stepsize", type=_stepsize, default=1e-3)
-    p.add_argument("--steps", type=_count, default=100)
-    p.set_defaults(fn=cmd_leaf)
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+        # the usage line argparse would write with every command registered
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, options, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=handler)
     return ap
 
 
 def run(argv=None, stdout=None, stderr=None):
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
     rep = _Reporter(args.format, stdout)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
-                     LogBranchError, RankDeficiencyError)
+                     LogBranchError, RankDeficiencyError, SdgError)
 from .nil import _MERGE_SIGNS, _PERMUTED, generic_offsets, within_tol
 from .distributions import span_residual
 from .forms import default_vars
@@ -271,7 +271,8 @@ def pin_conventions(conn, points, tol=1e-9):
     raise RankDeficiencyError("could not pin curvature conventions")
 
 
-# Steps per block of stage values, so that memory does not grow with `steps`.
+# Steps per block of stage values, summed over the curves transported at
+# once, so that memory grows with neither `steps` nor the number of curves.
 _BLOCK_STEPS = 1024
 
 
@@ -288,63 +289,129 @@ def parallel_transport(conn, curve_exprs, t0, t1, steps):
     which equals projecting g after every step (polar(P Q) = polar(P) Q for
     orthogonal Q), and the product is projected once more at the end.  A
     non-finite stage value raises DomainError, and so does a block whose
-    step matrices or running product overflow.
+    step matrices or running product overflow.  This is the one-curve case
+    of `_transports`.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
     if len(curve_exprs) != conn.n:
         raise ContextMismatchError("curve not in the connection's chart")
-    orthogonal = conn.group.kind == MatrixGroupSpec.SPECIAL_ORTHOGONAL
+    n = conn.n
     curve = ex.compile_w(list(curve_exprs) + [ex.diff(c, "t") for c in curve_exprs], ("t",))
+
+    def stages(t):
+        values = ex.stacked(curve, t)[:, None]
+        return values[:n], values[n:]
+
+    (g,), (err,) = _transports(conn, stages, 1, t0, t1, steps)
+    if err is not None:
+        raise err
+    return g
+
+
+def _segment_transports(conn, x0, ends, steps):
+    """`parallel_transport` along each straight segment x0 + t (p - x0), t
+    from 0 to 1, p in `ends`, in `steps` steps: its matrix, bit for bit, or
+    the exception it raises.  The segments are transported together, as
+    many at once as fit in a block of `_BLOCK_STEPS` steps."""
+    if steps <= 0:
+        return [ValueError("steps must be positive")] * len(ends)
+    if len(x0) != conn.n:
+        return [ContextMismatchError("curve not in the connection's chart")] * len(ends)
+    start = np.array(x0, dtype=float)[:, None, None]
+    batch = max(1, _BLOCK_STEPS // steps)
+    out = []
+    for first in range(0, len(ends), batch):
+        velocity = np.array(ends[first:first + batch], dtype=float).T[:, :, None] - start
+        # the float operations of the compiled segment a + t*(b - a), whose
+        # derivative b - a is constant
+        gs, errors = _transports(conn, lambda t: (start + t * velocity, velocity),
+                                 velocity.shape[1], 0.0, 1.0, steps)
+        out += [g if err is None else err for g, err in zip(gs, errors)]
+    return out
+
+
+def _transports(conn, stages, count, t0, t1, steps):
+    """The RK4 transports of `parallel_transport` along `count` curves at
+    once, from t0 to t1 in `steps` steps each.  `stages(t)` gives the
+    curves' points and velocities at the times `t`: arrays of n rows that
+    broadcast to shape (n, count, len(t)).  Every array carries the curve
+    as its leading axis, and each curve's values are those of its own
+    transport, bit for bit.
+
+    Returns the matrices and, for each curve, None or the DomainError at
+    which its own transport stops.  A curve that fails is carried on as the
+    identity, so that its values reach no other curve, and the blocks stop
+    once every curve has failed."""
+    orthogonal = conn.group.kind == MatrixGroupSpec.SPECIAL_ORTHOGONAL
     m = conn.group.m
     eye = np.eye(m)
     h = (t1 - t0) / steps
-    total = np.zeros((m, m))
+    total = np.zeros((count, m, m))
+    errors = [None] * count
     for first in range(0, steps, _BLOCK_STEPS):
         last = min(steps, first + _BLOCK_STEPS)
         t = t0 + (0.5 * h) * np.arange(2 * first, 2 * last + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            D = _rk4_step_matrices(_stage_matrices(conn, curve, t), h)
-            _check_block(D, t)
+            D = _rk4_step_matrices(_stage_matrices(conn, *stages(t), t, errors), h)
+            _check_block(D, t, errors)
             if orthogonal:
                 D = _polar(eye + D) - eye
             D = _tree_product(D)
             total = total + D + D @ total
-        _check_block(total, t)
+        _check_block(total, t, errors)
+        if None not in errors:
+            break
     g = eye + total
     if orthogonal:
         g = _polar(g)
-    return g
+    return g, errors
 
 
-def _check_block(values, t):
-    """DomainError naming the block's t-range if `values` is not finite."""
-    if not np.isfinite(values).all():
-        raise DomainError("parallel transport overflows for t from "
-                          f"{float(t[0])!r} to {float(t[-1])!r}")
+def _check_block(values, t, errors, message=None):
+    """For each curve whose `values` (leading axis: the curve) are not all
+    finite: a DomainError, unless the curve has one, and its values zeroed.
+    The error names the block's t-range, or is message(finite), `finite`
+    telling which of the curve's values are."""
+    finite = np.isfinite(values)
+    for c in np.flatnonzero(~finite.reshape(len(values), -1).all(axis=1)):
+        if errors[c] is None:
+            errors[c] = DomainError(
+                message(finite[c]) if message else "parallel transport overflows "
+                f"for t from {float(t[0])!r} to {float(t[-1])!r}")
+        values[c] = 0.0
 
 
-def _stage_matrices(conn, curve, t):
-    """M at each time of `t`, shape (len(t), m, m).  A_i is left out where
-    c_i' = 0, so it need not be defined there; an entry whose undefined
-    subexpression has no variables still raises DomainError."""
+def _stage_matrices(conn, x, cdot, t, errors):
+    """M at each curve and time of `t`, shape (count, len(t), m, m), from the
+    curves' points `x` and velocities `cdot`.  A_i is left out where
+    c_i' = 0, so it need not be defined there; a curve with a non-finite M
+    gets a DomainError naming its first such time.  An entry whose
+    undefined subexpression has no variables fails every curve."""
     n = conn.n
-    values = ex.stacked(curve, t)
-    cdot = values[n:, None, None, :]
-    A = conn.a_batch(values[:n])
+    count = len(errors)
+    shape = (count, len(t))
+    try:
+        A = conn.a_batch(np.broadcast_to(x, (n,) + shape))
+    except DomainError as err:  # raised at every point, so in the first block
+        errors[:] = [err] * count
+        return np.zeros(shape + (conn.group.m,) * 2)
+    cdot = np.broadcast_to(cdot, (n,) + shape)[:, None, None]
     with np.errstate(all="ignore"):
-        M = np.where(cdot != 0.0, A * cdot, 0.0).sum(axis=0)
-    finite = np.isfinite(M).all(axis=(0, 1))
-    if not finite.all():
-        raise DomainError("non-finite connection value on the curve at "
-                          f"t = {float(t[np.argmin(finite)])!r}")
-    return np.ascontiguousarray(M.transpose(2, 0, 1))
+        # A_i c_i', and 0.0 where c_i' = 0, in place
+        np.multiply(A, cdot, out=A)
+        np.copyto(A, 0.0, where=cdot == 0.0)
+        M = np.ascontiguousarray(A.sum(axis=0).transpose(2, 3, 0, 1))
+    _check_block(M, t, errors, lambda finite: "non-finite connection value on the "
+                 f"curve at t = {float(t[np.argmin(finite.all(axis=(1, 2)))])!r}")
+    return M
 
 
 def _rk4_step_matrices(M, h):
-    """D_k with P_k = I + D_k the RK4 step from M at stages 2k, 2k+1, 2k+2:
-    the RK4 formulas applied to g = I, with the I subtracted exactly."""
-    M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
+    """D_k with P_k = I + D_k the RK4 step from M at stages 2k, 2k+1, 2k+2
+    of each curve: the RK4 formulas applied to g = I, with the I subtracted
+    exactly."""
+    M0, Mh, M1 = M[:, 0:-1:2], M[:, 1::2], M[:, 2::2]
     k1 = -M0
     k2 = -(Mh + (0.5 * h) * (Mh @ k1))
     k3 = -(Mh + (0.5 * h) * (Mh @ k2))
@@ -353,14 +420,14 @@ def _rk4_step_matrices(M, h):
 
 
 def _tree_product(D):
-    """E with I + E = (I + D[-1]) ... (I + D[0]), multiplied in pairwise
-    rounds: (I + b)(I + a) = I + (a + b + b a)."""
-    while len(D) > 1:
-        even = len(D) - len(D) % 2
-        a, b = D[0:even:2], D[1:even:2]
+    """E with I + E = (I + D[c, -1]) ... (I + D[c, 0]) for each curve c,
+    multiplied in pairwise rounds: (I + b)(I + a) = I + (a + b + b a)."""
+    while D.shape[1] > 1:
+        even = D.shape[1] - D.shape[1] % 2
+        a, b = D[:, 0:even:2], D[:, 1:even:2]
         pairs = a + b + b @ a
-        D = np.concatenate([pairs, D[even:]]) if even < len(D) else pairs
-    return D[0]
+        D = np.concatenate([pairs, D[:, even:]], axis=1) if even < D.shape[1] else pairs
+    return D[:, 0]
 
 
 def _polar(P):
@@ -459,23 +526,35 @@ def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
     triples of closed curves.  Returns (inclusion_verdict, dim_h,
     max_residual).
     """
-    x0 = basepoint.coords
+    # the segments, one per sample and one per loop start, are transported
+    # together; each error is raised where the transports one at a time
+    # would raise it first
+    starts = []
+    for curve_exprs, t0, _ in loops:
+        try:
+            starts.append([ex.evaluate(c, {"t": t0}) for c in curve_exprs])
+        except SdgError as err:
+            starts.append(err)
+    transports = iter(_segment_transports(
+        conn, basepoint.coords, [p.coords for p in samples]
+        + [s for s in starts if not isinstance(s, SdgError)], steps))
 
-    def to_basepoint(p, values):
-        seg = [ex.Add(ex.Const(a), ex.Mul(ex.Var("t"), ex.Const(b - a)))
-               for a, b in zip(x0, p)]
-        g = parallel_transport(conn, seg, 0.0, 1.0, steps)
+    def to_basepoint(values):
+        g = next(transports)
+        if isinstance(g, Exception):
+            raise g
         ginv = np.linalg.inv(g)
         return [ginv @ F @ g for F in values]
 
     h_basis = lie_closure([F for p in samples for F in to_basepoint(
-        p.coords, curvature_coboundary(conn, p).values())], tol=tol)
+        curvature_coboundary(conn, p).values())], tol=tol)
     flat = np.array([b.ravel() for b in h_basis]) if h_basis else None
     max_resid = 0.0
-    for curve_exprs, t0, t1 in loops:
+    for (curve_exprs, t0, t1), start in zip(loops, starts):
         g = parallel_transport(conn, curve_exprs, t0, t1, steps)
-        start = [ex.evaluate(c, {"t": t0}) for c in curve_exprs]
-        L = to_basepoint(start, [holonomy_log(g)])[0]
+        if isinstance(start, SdgError):
+            raise start
+        L = to_basepoint([holonomy_log(g)])[0]
         size = float(np.max(np.abs(L)))
         if not within_tol(size, tol):
             max_resid = max(max_resid, size if flat is None

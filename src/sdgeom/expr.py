@@ -356,6 +356,9 @@ def to_str(e):
     """Deterministic surface rendering, parseable back by the DSL parser."""
     if isinstance(e, Const):
         v = e.value
+        if not math.isfinite(v):
+            # the DSL reads 1e400 as inf; inf - inf is nan
+            return "(1e400 - 1e400)" if v != v else "1e400" if v > 0 else "(-1e400)"
         if v == int(v) and abs(v) < 1e15:
             return str(int(v)) if v >= 0 else f"(-{int(-v)})"
         return repr(v) if v >= 0 else f"({v!r})"

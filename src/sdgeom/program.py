@@ -14,10 +14,12 @@ Grammar (EBNF):
 Precedence, loosest to tightest: +/- then "*" (scalar-times-form) then "^"
 (wedge).  Powers are spelled pow(x, n).  "#" starts a comment.
 
-The statements that build a distribution, a patch or a connection import
-`distributions` or `connections` (and numpy with them) when they run, so
-parsing a program of forms and vectors alone loads none of these.
+A distribution, a patch or a connection is built on its first lookup, which
+imports `distributions` or `connections` (and numpy with them); parsing
+checks its declaration and loads none of these.
 """
+
+from collections.abc import Mapping
 
 from . import expr as ex
 from .errors import ParseError
@@ -96,6 +98,31 @@ def tokenize(text):
     return tokens
 
 
+class _Declared(Mapping):
+    """Name -> object, each built from its declaration on first lookup."""
+
+    def __init__(self):
+        self._builders = {}
+        self._built = {}
+
+    def declare(self, name, build):
+        self._builders[name] = build
+
+    def __getitem__(self, name):
+        if name not in self._built:
+            self._built[name] = self._builders[name]()
+        return self._built[name]
+
+    def __contains__(self, name):
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self):
+        return len(self._builders)
+
+
 class Program:
     """Parsed .sdg module: a chart plus named geometric entities."""
 
@@ -105,9 +132,9 @@ class Program:
         self.order = []  # (kind, name) in declaration order, for printing
         self.forms = {}
         self.vectors = {}
-        self.dists = {}
-        self.patches = {}
-        self.conns = {}
+        self.dists = _Declared()
+        self.patches = _Declared()
+        self.conns = _Declared()
         self._dist_decls = {}
         self._conn_decls = {}
 
@@ -219,8 +246,6 @@ class _Parser:
         self.prog.order.append(("vector", name))
 
     def _stmt_dist(self, tok):
-        from .distributions import Distribution
-
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a distribution name"))
         self.expect("=")
@@ -233,14 +258,14 @@ class _Parser:
             self.next()
             members.append(self.expect("ident", "an entity name"))
         self.expect(")")
-        n = self.prog.dim
+        n, vars = self.prog.dim, self.prog.vars
         if kind_tok.text == "span":
             fields = []
             for m in members:
                 if m.text not in self.prog.vectors:
                     self.error(f"unknown vector {m.text!r}", m)
                 fields.append(self.prog.vectors[m.text])
-            dist = Distribution(n, len(fields), span=fields, vars=self.prog.vars)
+            options = {"rank": len(fields), "span": fields}
         else:
             kforms = []
             for m in members:
@@ -250,16 +275,19 @@ class _Parser:
                 if w.degree != 1:
                     self.error(f"kernel member {m.text!r} is not a 1-form", m)
                 kforms.append(w)
-            dist = Distribution(n, n - len(kforms), kernel=kforms,
-                                vars=self.prog.vars)
-        self.prog.dists[name] = dist
+            options = {"rank": n - len(kforms), "kernel": kforms}
+
+        def build():
+            from .distributions import Distribution
+
+            return Distribution(n, vars=vars, **options)
+
+        self.prog.dists.declare(name, build)
         self.prog._dist_decls[name] = (kind_tok.text,
                                        [m.text for m in members])
         self.prog.order.append(("dist", name))
 
     def _stmt_patch(self, tok):
-        from .distributions import IntegralPatch
-
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a patch name"))
         self.expect("(")
@@ -272,12 +300,16 @@ class _Parser:
         comps = self._paren_scalar_list(extra_vars=params)
         if len(comps) != self.prog.dim:
             self.error(f"patch needs {self.prog.dim} components", tok)
-        self.prog.patches[name] = IntegralPatch(params, comps)
+
+        def build():
+            from .distributions import IntegralPatch
+
+            return IntegralPatch(params, comps)
+
+        self.prog.patches.declare(name, build)
         self.prog.order.append(("patch", name))
 
     def _stmt_conn(self, tok):
-        from .connections import ConnectionData, MatrixGroupSpec
-
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a connection name"))
         self.expect("=")
@@ -290,7 +322,7 @@ class _Parser:
         m = len(rows)
         if any(len(r) != m for r in rows):
             self.error("connection matrix must be square", tok)
-        n = self.prog.dim
+        n, vars = self.prog.dim, self.prog.vars
         zero = ex.Const(0.0)
         A = [[[zero for _ in range(m)] for _ in range(m)] for _ in range(n)]
         for r in range(m):
@@ -298,9 +330,13 @@ class _Parser:
                 entry = rows[r][c]
                 for (i,), e in entry.coeffs.items():
                     A[i - 1][r][c] = e
-        group = MatrixGroupSpec(m, MatrixGroupSpec.GENERAL)
-        conn = ConnectionData(n, group, A, vars=self.prog.vars)
-        self.prog.conns[name] = conn
+
+        def build():
+            from .connections import ConnectionData, MatrixGroupSpec
+
+            return ConnectionData(n, MatrixGroupSpec(m, MatrixGroupSpec.GENERAL), A, vars=vars)
+
+        self.prog.conns.declare(name, build)
         self.prog._conn_decls[name] = rows
         self.prog.order.append(("conn", name))
 

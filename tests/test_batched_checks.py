@@ -1505,3 +1505,137 @@ def test_nil_imports_numpy_only_for_arrays():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+# -- Ambrose-Singer segments: one batch of transports ------------------------------
+
+def ref_segment_transport(conn, x0, p, steps):
+    """The transport along the segment from x0 to p as Ambrose-Singer took
+    it one segment at a time: `parallel_transport` on the compiled
+    expressions a + t*(b - a)."""
+    t = ex.Var("t")
+    segment = [ex.Add(ex.Const(a), ex.Mul(t, ex.Const(b - a))) for a, b in zip(x0, p)]
+    return cn.parallel_transport(conn, segment, 0.0, 1.0, steps)
+
+
+def ref_ambrose_singer(conn, loops, samples, basepoint, steps, tol=1e-6):
+    """`ambrose_singer_check` with one transport per segment, each taken
+    where it is needed."""
+    x0 = basepoint.coords
+
+    def to_basepoint(p, values):
+        g = ref_segment_transport(conn, x0, p, steps)
+        ginv = np.linalg.inv(g)
+        return [ginv @ F @ g for F in values]
+
+    h_basis = cn.lie_closure([F for p in samples for F in to_basepoint(
+        p.coords, cn.curvature_coboundary(conn, p).values())], tol=tol)
+    flat = np.array([b.ravel() for b in h_basis]) if h_basis else None
+    max_resid = 0.0
+    for curve, t0, t1 in loops:
+        g = cn.parallel_transport(conn, curve, t0, t1, steps)
+        start = [ex.evaluate(c, {"t": t0}) for c in curve]
+        L = to_basepoint(start, [cn.holonomy_log(g)])[0]
+        size = float(np.max(np.abs(L)))
+        if not within_tol(size, tol):
+            max_resid = max(max_resid, size if flat is None
+                            else ds.span_residual(flat.T, L.ravel()))
+    return within_tol(max_resid, tol), len(h_basis), max_resid
+
+
+ROT_SDG = ("dim 2\nvar x y\n"
+           "conn A = [0*dx, (0.5*y)*dx - (0.5*x)*dy; (-0.5*y)*dx + (0.5*x)*dy, 0*dx]\n")
+
+
+def batched_transport_connections():
+    """The README's rot.sdg, the same A in SO(2), whose steps are projected,
+    and the so(3) and gl(2) connections of the checks_sparse benchmark."""
+    rot = parse(ROT_SDG).conns["A"]
+    so2 = cn.ConnectionData(2, cn.MatrixGroupSpec(2, cn.MatrixGroupSpec.SPECIAL_ORTHOGONAL),
+                            rot.A, vars=rot.vars)
+    return [rot, so2] + [next(iter(parse(text).conns.values()))
+                         for text in perfbench_connection_sources()]
+
+
+@pytest.mark.parametrize("steps", [1, 250, 1025])
+@pytest.mark.parametrize("count", [1, 20])
+def test_batched_transports_are_parallel_transport_bit_for_bit(steps, count):
+    # 250 steps put four segments in a block, 1025 one, and cross a block
+    for conn in batched_transport_connections():
+        points = sample_box([(-1.0, 1.0)] * conn.n, count + 1, seed=steps + count)
+        x0, ends = points[0].coords, [p.coords for p in points[1:]]
+        got = cn._segment_transports(conn, x0, ends, steps)
+        assert len(got) == count
+        for p, g in zip(ends, got):
+            assert g.tobytes() == ref_segment_transport(conn, x0, p, steps).tobytes()
+
+
+# ln(x^2 + y^2 - 1/4) is undefined on the disc of radius 1/2: a segment from
+# (1, 0) across it fails, and so does the curvature at a point inside it
+DISC_CONN = "dim 2\nvar x y\nconn A = [ln(x*x + y*y - 0.25)*dx + y*dy, 0*dx; dy, 0*dx]\n"
+HUGE_CONN = ("dim 2\nvar x y\n"
+             "conn A = [0*dx, (1e160*y)*dx + (1e160*x)*dy; (-1e160*y)*dx, 0*dx]\n")
+OK1, OK2, CROSSES, CROSSES_LATER, INSIDE = (1.0, 0.5), (0.8, -0.9), (-1.0, 0.0), (-0.5, 0.3), (0.1, 0.1)
+MORE_OK = [(1.0 + 0.05 * k, 0.1 * k - 0.4) for k in range(9)]
+
+
+@pytest.mark.parametrize("steps", [64, 250])
+@pytest.mark.parametrize("text, x0, ends", [
+    (DISC_CONN, (1.0, 0.0), [OK1, CROSSES, OK2, CROSSES_LATER, INSIDE] + MORE_OK),
+    (HUGE_CONN, (0.0, 0.0), [(0.0, 0.0), (0.5, 0.5), (1e-170, 1e-170), (0.3, -0.2)]),
+], ids=["non-finite-value", "overflow"])
+def test_batched_transports_fail_where_each_transport_fails(text, x0, ends, steps):
+    # a failing segment neither raises for the others nor changes their bits
+    conn = parse(text).conns["A"]
+    got = cn._segment_transports(conn, x0, ends, steps)
+    outcomes = {type(g) for g in got}
+    assert outcomes == {np.ndarray, DomainError}
+    for p, g in zip(ends, got):
+        want = full_outcome(ref_segment_transport, conn, x0, p, steps)
+        if isinstance(g, DomainError):
+            assert (DomainError, str(g)) == want
+        else:
+            assert g.tobytes() == want.tobytes()
+
+
+def _circle(cx, cy, r):
+    t = ex.Var("t")
+    return ([ex.Add(ex.Const(cx), ex.Mul(ex.Const(r), ex.Call("cos", t))),
+             ex.Add(ex.Const(cy), ex.Mul(ex.Const(r), ex.Call("sin", t)))], 0.0, 2.0 * math.pi)
+
+
+NEAR, FAR = _circle(1.0, 0.0, 0.2), _circle(-1.0, 0.0, 0.1)
+# x(t) = 0*ln(t - 1) + 2 cannot be evaluated at t = 0, but x' = 0 leaves A_x
+# out of the loop's transport, which passes
+NAN_START = ([ex.Add(ex.Mul(ZERO, ex.Call("ln", ex.Sub(ex.Var("t"), ONE))), ex.Const(2.0)),
+              ex.Call("sin", ex.Var("t"))], 0.0, 2.0 * math.pi)
+_ACROSS = "non-finite connection value on the curve at t = "
+
+
+@pytest.mark.parametrize("samples, loops, want", [
+    ([OK1, CROSSES, OK2], [NEAR], _ACROSS + "0.25"),
+    # the transport to a sample fails before the curvature at a later one
+    ([OK1, CROSSES, INSIDE], [NEAR], _ACROSS + "0.25"),
+    ([OK1, INSIDE, CROSSES], [NEAR], "ln of -0.22999999999999998"),
+    ([OK1, CROSSES_LATER, CROSSES], [NEAR], _ACROSS + "0.34375"),
+    # a loop's start: after the loop's transport, its log and the samples
+    ([OK1, OK2], [NEAR, FAR], _ACROSS + "0.265625"),
+    ([OK1, OK2], [NEAR, NAN_START], "ln of -1.0"),
+    ([OK1, CROSSES], [NAN_START], _ACROSS + "0.25"),
+    (MORE_OK + [CROSSES, CROSSES_LATER], [NEAR], _ACROSS + "0.25"),
+    ([OK1, OK2], [NEAR], None),
+], ids=["one-failing-segment", "segment-before-curvature", "curvature-before-segment",
+        "first-failing-segment", "loop-start-segment", "loop-start-value",
+        "sample-before-loop-start", "failing-segment-in-a-later-block", "passes"])
+def test_batched_transport_ambrose_singer_raises_where_the_loop_raises(samples, loops, want):
+    conn = parse(DISC_CONN).conns["A"]
+    for steps in (64, 250):
+        args = (conn, loops, [Point(p) for p in samples], Point((1.0, 0.0)), steps)
+        got = full_outcome(cn.ambrose_singer_check, *args)
+        assert got == full_outcome(ref_ambrose_singer, *args)
+    if want is None:
+        assert got[0] is True
+    else:
+        # the messages at 64 steps of the transports one segment at a time
+        got = full_outcome(cn.ambrose_singer_check, *args[:-1], 64)
+        assert got == (DomainError, want)

@@ -1,11 +1,13 @@
 """Command-line front end: golden outputs, exit-code contract, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ import pytest
 from sdgeom import connections as cn
 from sdgeom import forms as fm
 from sdgeom.chart import Point
-from sdgeom.cli import (EXIT_FALSE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                        _json_dump, run)
+from sdgeom.cli import (COMMANDS, EXIT_FALSE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                        _json_dump, build_parser, run)
 from sdgeom.errors import DomainError
 from sdgeom.program import parse_file
 
@@ -586,13 +588,19 @@ print(json.dumps(results))
 
 
 def test_form_commands_start_without_numpy(files):
-    # `import sdgeom.cli`, --help, and d, wedge and eval on forms and vectors
-    # load neither numpy nor the check modules; a check loads them after
+    # `import sdgeom.cli`, --help, and d, wedge and eval load neither numpy
+    # nor the check modules, also on a file that declares a distribution; a
+    # check loads them after
     json_flag = ["--format", "json"]
     forms = ["--file", files["forms_only"]]
-    check = ["check-involutive", "--file", files["contact"], "--dist", "D", "--box=-1..1"]
+    contact = ["--file", files["contact"]]
+    check = ["check-involutive", *contact, "--dist", "D", "--box=-1..1"]
     commands = [["--help"],
                 ["d", *forms, "--form", "a", "--at", "0,2,0", *json_flag],
+                # a file that declares a distribution and a patch, unused
+                ["d", *contact, "--form", "w", "--at", "0,2,0"],
+                ["wedge", *contact, "--forms", "w,w", "--at", "1,2,3", *json_flag],
+                ["eval", *contact, "--form", "w", "--at", "0,1,0", "--vectors", "1,2,3"],
                 ["wedge", *forms, "--forms", "a,b", "--at", "1,2,3", *json_flag],
                 ["eval", *forms, "--form", "a", "--at", "1,2,3", "--vectors", "1,0,0",
                  *json_flag],
@@ -615,6 +623,50 @@ def test_form_commands_start_without_numpy(files):
     assert code == EXIT_FALSE and (code, out) == invoke(check)[:2]
     assert out.startswith("combinatorial: non-involutive")
     assert loaded == ["numpy", "sdgeom.distributions"]
+
+
+# -- argparse's text ---------------------------------------------------------------
+
+# help, usage errors and their exit codes, written by the parser of all nine
+# commands on Python 3.11 at 80 columns
+CLI_TEXT = json.loads((Path(__file__).parent / "cli_text.json").read_text())
+
+
+def argparse_text(parse, argv):
+    """Exit code, stdout and stderr of `parse(argv)`, which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's wording differs between Python versions")
+@pytest.mark.parametrize("case", CLI_TEXT, ids=lambda case: " ".join(case["argv"]) or "none")
+def test_cli_text_is_unchanged(case, monkeypatch):
+    # the top-level usage lists every command, and an unknown command is an
+    # invalid choice of "argument command", also where one parser is built
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(case["argv"])
+    assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"],
+                                                      case["stderr"])
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in CLI_TEXT
+                                  if case["argv"] and case["argv"][0] in COMMANDS],
+                         ids=" ".join)
+def test_one_command_parser_writes_the_text_of_all(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser(argv)
+    (sub,) = parser._subparsers._group_actions
+    assert list(sub.choices) == [argv[0]]
+    assert (argparse_text(parser.parse_args, argv)
+            == argparse_text(build_parser().parse_args, argv))
 
 
 # -- determinism ------------------------------------------------------------------

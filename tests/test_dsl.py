@@ -95,6 +95,54 @@ def test_quotient_coefficient_round_trips():
     assert pretty_print(parse(text)) == text
 
 
+# a literal beyond the float range reads as inf
+HUGE = """\
+dim 2
+var x y
+form a = 1e400*dx - (1e400*x)*dy
+vector u = (1e400, -1e400*y)
+conn A = [1e400*dx, 0*dx; 0*dx, x*dy]
+"""
+
+
+def test_non_finite_constants_print_and_round_trip():
+    # int(inf) and int(nan) raised OverflowError and ValueError
+    assert repr(ex.Const(math.inf)) == "Expr<1e400>"
+    assert repr(ex.Const(-math.inf)) == "Expr<(-1e400)>"
+    assert repr(ex.Const(math.nan)) == "Expr<(1e400 - 1e400)>"
+    prog = parse(HUGE)
+    text = pretty_print(prog)
+    assert "vector u = (1e400, (-1e400)*y)" in text
+    again = parse(text)
+    assert pretty_print(again) == text
+    for p in (prog, again):
+        assert [ex.evaluate(c, {"x": 1.0, "y": 2.0}) for c in p.vectors["u"]] == [math.inf, -math.inf]
+        assert ex.evaluate(p.forms["a"].coeffs[(1,)], {}) == math.inf
+    nan = ex.evaluate(parse("dim 1\nvar x\nvector u = ((1e400 - 1e400))\n").vectors["u"][0], {})
+    assert math.isnan(nan)
+
+
+def test_distributions_patches_and_connections_are_built_on_lookup(monkeypatch):
+    from sdgeom import connections, distributions
+
+    built = []
+    for module, name in ((distributions, "Distribution"), (distributions, "IntegralPatch"),
+                         (connections, "ConnectionData")):
+        cls = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, cls=cls, **kwargs: built.append(cls.__name__)
+                            or cls(*args, **kwargs))
+    prog = parse(CONTACT + "conn A = [0*dx, x*dy, 0*dx; dz, 0*dx, 0*dx; 0*dx, 0*dx, y*dx]\n")
+    assert "D" in prog.dists and "Q" not in prog.patches
+    assert (list(prog.dists), len(prog.patches), list(prog.conns)) == (["D"], 1, ["A"])
+    assert built == []
+    assert prog.dists["D"] is prog.dists["D"]
+    assert prog.patches["P"].q == 2 and prog.conns["A"].group.m == 3
+    assert built == ["Distribution", "IntegralPatch", "ConnectionData"]
+    with pytest.raises(ParseError, match="unknown distribution 'Q'"):
+        prog.lookup("dists", "Q", "distribution")
+
+
 # -- symbolic differentiation -------------------------------------------------
 
 def _num(e, env):
