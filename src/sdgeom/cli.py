@@ -261,7 +261,7 @@ def cmd_curvature(args, rep):
         cob = cn.curvature_coboundary(conn, p, tol=args.tol)
         oracle = cn.curvature_classical_oracle(conn, p)
         # the coboundary carries the degree-2 extraction normalization; the
-        # tolerance scales with |F|, as in `connections.pin_conventions`
+        # tolerance scales with the largest |F| entry, floored at 1
         agree &= all(within_tol(np.max(np.abs(cob[key] - cn.COBOUNDARY_SCALE * F)),
                                 args.tol * max(1.0, np.max(np.abs(F), initial=0.0)))
                      for key, F in oracle.items())
@@ -305,8 +305,12 @@ def _loop_curves(args, prog):
                 raise ParseError("circle loops require a 2-dimensional chart")
             loops.append((curve, 0.0, 2.0 * math.pi))
     if args.curve:
-        for name in args.curve.split(","):
-            vec = prog.lookup("vectors", name.strip(), "curve vector")
+        for name in map(str.strip, args.curve.split(",")):
+            vec = prog.lookup("vectors", name, "curve vector")
+            others = sorted(set().union(*map(ex.free_vars, vec)) - {prog.vars[0]})
+            if others:
+                raise ParseError(f"curve vector {name!r} uses {', '.join(others)}: a curve "
+                                 f"is a vector in the parameter {prog.vars[0]} alone")
             loops.append(([_subst_t(c, prog.vars) for c in vec], 0.0, 1.0))
     if not loops:
         raise ParseError("need --loop or --curve")

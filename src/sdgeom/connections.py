@@ -4,9 +4,10 @@ Curvature is the group-valued coboundary  T(x,y) * T(y,z) * T(z,x)  on the
 generic infinitesimal 2-simplex x, y = x + u, z = x + v.  Its factors are
 the transports over the edges: for neighbours a ~ b, the factor
 T(a,b) = I + sum_i A_i(a) (b-a)_i is first-order exact in W(2, n).  The
-sign of the gauge coupling and of the curvature bracket are pinned once
-against the classical oracle F = dA + s[A, A] (the pinning run fixes
-TRANSPORT_SIGN = +1, BRACKET_SIGN = +1 for this convention) and frozen
+sign of the gauge coupling and of the curvature bracket were pinned once
+against the classical oracle F = dA + s[A, A] (the pinning run,
+`pin_conventions` in the tests' `reference` module, gives
+TRANSPORT_SIGN = +1, BRACKET_SIGN = +1 for this convention) and are frozen
 here.  Each factor is I + N_k with N_k nilpotent in W(2, n), so the product
 is I + N_1 + N_2 + N_3 + N_1 N_2 + N_1 N_3 + N_2 N_3: a product of three
 N's, or one with a degree-2 factor, vanishes.  It is formed on arrays
@@ -29,8 +30,9 @@ from .nil import _MERGE_SIGNS, _PERMUTED, generic_offsets, within_tol
 from .distributions import span_residual
 from .forms import default_vars
 
-# Convention constants fixed by pin_conventions() against the classical
-# oracle; see that function.
+# Convention constants, pinned against the classical oracle F = dA + s[A, A]
+# (the tests' `reference.pin_conventions`): the coboundary is
+# COBOUNDARY_SCALE * F with s = BRACKET_SIGN.
 TRANSPORT_SIGN = +1.0
 BRACKET_SIGN = +1.0
 COBOUNDARY_SCALE = 0.5  # extraction normalization 2! in degree 2
@@ -218,13 +220,12 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     return dict(zip(w.faces, total * COBOUNDARY_SCALE))
 
 
-def curvature_classical_oracle(conn, p, bracket_sign=BRACKET_SIGN):
+def curvature_classical_oracle(conn, p):
     """Classical gauge curvature F_ij = d_i A_j - d_j A_i + s [A_i, A_j]
-    for i < j (1-based), with s = `bracket_sign` (the pinned sign unless
-    given).  A non-finite value raises DomainError."""
+    for i < j (1-based), with s = BRACKET_SIGN, read at each call.  A
+    non-finite value raises DomainError."""
     n, m = conn.n, conn.group.m
-    # compiled for one point as for the W-valued transport: the values and
-    # errors of `expr.evaluate`
+    # A and dA at p, through the functions compiled once per connection
     A = np.array(conn._a_w(*p.coords), dtype=float).reshape(n, m, m)
     dA = iter(np.array(conn._da_w(*p.coords), dtype=float).reshape(-1, m, m))
     out = {}
@@ -232,7 +233,7 @@ def curvature_classical_oracle(conn, p, bracket_sign=BRACKET_SIGN):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 Ai, Aj = A[i - 1], A[j - 1]
-                out[(i, j)] = next(dA) + bracket_sign * (Ai @ Aj - Aj @ Ai)
+                out[(i, j)] = next(dA) + BRACKET_SIGN * (Ai @ Aj - Aj @ Ai)
     _check_curvature(list(out.values()), p.coords)
     return out
 
@@ -242,33 +243,6 @@ def _check_curvature(values, x):
     finite."""
     if not np.isfinite(values).all():
         raise DomainError(f"non-finite curvature at {x!r}")
-
-
-def pin_conventions(conn, points, tol=1e-9):
-    """One-time pinning run: measure the scalar ratio and bracket sign
-    relating the coboundary curvature to the classical oracle.  Returns
-    (scale, bracket_sign); the module freezes (0.5, +1.0)."""
-    for s in (+1.0, -1.0):
-        ratios = []
-        ok = True
-        for p in points:
-            cob = curvature_coboundary(conn, p)
-            classical = curvature_classical_oracle(conn, p, bracket_sign=s)
-            for key, Fc in cob.items():
-                F = classical[key]
-                nF = np.max(np.abs(F))
-                if nF < 1e-8:
-                    continue
-                ratio = float(np.sum(Fc * F) / np.sum(F * F))
-                if not within_tol(np.max(np.abs(Fc - ratio * F)), tol * max(1.0, nF)):
-                    ok = False
-                    break
-                ratios.append(ratio)
-            if not ok:
-                break
-        if ok and ratios and within_tol(np.std(ratios), tol):
-            return float(np.mean(ratios)), s
-    raise RankDeficiencyError("could not pin curvature conventions")
 
 
 # Steps per block of stage values, summed over the curves transported at
@@ -532,7 +506,7 @@ def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
     starts = []
     for curve_exprs, t0, _ in loops:
         try:
-            starts.append([ex.evaluate(c, {"t": t0}) for c in curve_exprs])
+            starts.append(ex.compile_w(curve_exprs, ("t",))(t0))
         except SdgError as err:
             starts.append(err)
     transports = iter(_segment_transports(

@@ -1,18 +1,17 @@
 """Scalar expression AST: construction, symbolic differentiation, and
-evaluation on floats or W-valued (nilpotent) arguments.
+compiled evaluation on floats, W-valued (nilpotent) arguments and arrays.
 
 The AST is deliberately tiny: literals, variables, +, -, *, /, unary minus,
 integer pow, and the smooth primitives sin/cos/exp/ln/sqrt.  Differentiation
 does light constant folding only; no general simplifier.
 
-Two evaluators, of one meaning: `evaluate` walks the tree on floats or W
-values, and `compile_w` compiles a function that performs `evaluate`'s
-operations in its order, on floats and W values (a point, real or
-neighbouring) and on arrays of stacked samples (`stacked`).  One code
-generator (`_source`'s walk) has three targets, all with `compile_w`'s
-meaning: `compile_w` itself; `compile_rk4_step`, a whole RK4 step along a
-vector field; and `compile_jet`, the value at a neighbour y = x + u in the
-first neighbourhood of the diagonal as a 1-jet, a value and its tangent
+One evaluator: `compile_w` compiles a function of the expressions that
+evaluates them on floats and W values (a point, real or neighbouring) and
+on arrays of stacked samples (`stacked`).  One code generator (`_source`'s
+walk) has three targets, all with `compile_w`'s meaning: `compile_w`
+itself; `compile_rk4_step`, a whole RK4 step along a vector field; and
+`compile_jet`, the value at a neighbour y = x + u in the first
+neighbourhood of the diagonal as a 1-jet, a value and its tangent
 coefficients, which is all of the value in W there: the product of two
 offsets in row 1 of W(2, n) vanishes.
 
@@ -275,32 +274,6 @@ def _pow(base, power):
 
     # nan ** 0 is 1: keep the nan of a base that could not be evaluated
     return np.where(np.isnan(base), np.nan, _SAMPLEWISE.pow(base, power))
-
-
-def evaluate(e, env):
-    """Evaluate with env: name -> float | NilElement (mixing allowed)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise DomainError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Add):
-        return evaluate(e.left, env) + evaluate(e.right, env)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env) - evaluate(e.right, env)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env) * evaluate(e.right, env)
-    if isinstance(e, Div):
-        return _div(evaluate(e.left, env), evaluate(e.right, env))
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Pow):
-        return _pow(evaluate(e.base, env), e.power)
-    if isinstance(e, Call):
-        return _apply_fn(e.fn, evaluate(e.arg, env))
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
 def free_vars(e, acc=None):
@@ -657,18 +630,25 @@ _NAMESPACE = {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow, "_float": floa
 def compile_w(exprs, varnames):
     """Compile a sequence of expressions to one function of positional
     arguments, one per name of `varnames`, returning a tuple: the one
-    compiled evaluator, at a point, real or neighbouring, and at stacked
-    samples.
+    evaluator, at a point, real or neighbouring, and at stacked samples.
+    A variable not in `varnames` raises DomainError here.
 
     Each argument is a float, a NilElement or a 1-D float array of samples
-    (call it through `stacked`).  The function performs the operations of
-    `evaluate` in the same order, so at floats and W values its values are
-    those of `evaluate`, bit for bit, and it raises where `evaluate`
-    raises.  At arrays of finite samples each value is `evaluate`'s at
-    each sample, bit for bit, wherever that is finite, and nan wherever
-    `evaluate` raises there.  A subexpression without variables is still
-    a float, so one that is not defined raises DomainError for all
-    samples at once.
+    (call it through `stacked`).  The function evaluates the tree node by
+    node, operands before their operation and left before right, by one
+    rule for each kind of value:
+
+    - floats: Python's float arithmetic and the `math` primitives; a
+      quotient by zero, a negative power of zero, an overflowing power, ln
+      of x <= 0, sqrt of x < 0 and a math error of sin, cos or exp raise
+      DomainError;
+    - W values: NilElement arithmetic, a quotient as the product with the
+      reciprocal lift of the divisor, and integer powers and primitives as
+      Taylor lifts (`nil.lift_smooth`);
+    - arrays: at finite samples, the float rule at each sample, bit for
+      bit, wherever its value is finite, and nan wherever it raises.  A
+      subexpression without variables is still a float, so one that is
+      not defined raises DomainError for all samples at once.
     """
     names = {name: f"_v{i}" for i, name in enumerate(varnames)}
     sources = "".join(f"{_source(e, names)}, " for e in exprs)
@@ -735,8 +715,8 @@ def stacked(fn, *arrays):
     numpy, and callers test `np.isfinite`; a DomainError from an undefined
     subexpression without variables is raised.
 
-    At a nan argument a value may be nan where `evaluate`'s is not:
-    `pow(x, 0)` at x = nan is nan, not 1.0.
+    At a nan argument a value may be nan where the float rule's is not:
+    `pow(x, 0)` at x = nan is nan, not the 1.0 of `nan ** 0`.
     """
     import numpy as np
 

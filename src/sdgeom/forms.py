@@ -62,8 +62,8 @@ class ClassicalForm:
 
     def coeff_function(self):
         """The coefficients, in `coeffs` order, as one compiled function of
-        the coordinates (floats or NilElements) returning a tuple; the
-        values are those of `expr.evaluate`.  Compiled on first use."""
+        the coordinates (floats or NilElements) returning a tuple, by
+        `expr.compile_w`.  Compiled on first use."""
         if self._coeff_fn is None:
             self._coeff_fn = ex.compile_w(list(self.coeffs.values()), self.vars)
         return self._coeff_fn
@@ -71,7 +71,7 @@ class ClassicalForm:
     def coeffs_at(self, coords):
         """Numeric (or W-valued) coefficients at the given `n` coordinates,
         through `coeff_function`: the values, and the DomainErrors, of
-        `expr.evaluate`."""
+        `expr.compile_w`."""
         if len(coords) != self.n:
             raise DomainError(f"need {self.n} coordinates, got {len(coords)}")
         return dict(zip(self.coeffs, self.coeff_function()(*coords)))

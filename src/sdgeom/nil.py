@@ -18,7 +18,7 @@ column list position by position, so the two masks determine the monomial.
 
 import math
 from functools import partial
-from itertools import combinations, repeat
+from itertools import repeat
 from types import SimpleNamespace
 
 from .errors import ContextMismatchError, DomainError
@@ -262,14 +262,12 @@ class NilElement:
             cmask |= 1 << (c - 1)
         return self.terms.get((rmask, cmask), 0.0)
 
-    def max_abs_coeff(self, skip_constant=False):
+    def max_abs_coeff(self):
         """Largest |coefficient|; nan if any coefficient is nan.  With array
         coefficients, an array: the largest |coefficient| at each sample."""
         best = 0.0
         arrays = []
-        for key, v in self.terms.items():
-            if skip_constant and key == (0, 0):
-                continue
+        for v in self.terms.values():
             v = abs(v)
             if v.__class__ is not float and getattr(v, "ndim", 0):
                 arrays.append(v)
@@ -379,6 +377,8 @@ class NilElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
+            if other == 0:
+                raise DomainError("division by zero")
             return self * (1.0 / other)
         other = self._coerce(other)
         if other is None:
@@ -478,13 +478,6 @@ def generic_offsets(k, n):
             for j in range(k)]
 
 
-def all_monomials(k, n, r):
-    """Canonical degree-r monomials of W(k, n) as (rows, cols) tuples."""
-    return [(rows, cols)
-            for rows in combinations(range(1, k + 1), r)
-            for cols in combinations(range(1, n + 1), r)]
-
-
 # -- Taylor lifting of smooth primitives ------------------------------------
 #
 # Each table gives the derivatives f(c), f'(c), ..., f^(order)(c) at a
@@ -546,7 +539,7 @@ def _derivs_ln(c, order, m):
 
 
 def _derivs_sqrt(c, order, m):
-    out = [m.sqrt(c)]  # correctly rounded, as `evaluate`'s sqrt; pow is not
+    out = [m.sqrt(c)]  # correctly rounded, as `compile_w`'s float sqrt; pow is not
     fall = 0.5
     for r in range(1, order + 1):
         out.append(fall * m.pow(c, 0.5 - r))

@@ -1,0 +1,215 @@
+"""References the engine is checked against, kept beside the tests that use
+them: the tree walk of an expression, the neighbour-point layer of a chart
+(neighbour pairs x ~ y, tangents and the log/exp correspondence), the run
+that pins the curvature conventions, and the monomials of W(k, n)."""
+
+from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
+
+from sdgeom import expr as ex
+from sdgeom.chart import Point
+from sdgeom.connections import curvature_coboundary
+from sdgeom.errors import ContextMismatchError, DomainError, RankDeficiencyError
+from sdgeom.nil import NilElement, within_tol
+
+
+# -- the tree walk -----------------------------------------------------------
+
+def evaluate(e, env):
+    """Evaluate with env: name -> float | NilElement (mixing allowed), node
+    by node, through the operations of `expr` (`_div`, `_pow`, `_apply_fn`):
+    the oracle for `expr.compile_w`, `expr.compile_jet` and the stacked
+    paths."""
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise DomainError(f"unbound variable {e.name!r}") from None
+    if isinstance(e, ex.Add):
+        return evaluate(e.left, env) + evaluate(e.right, env)
+    if isinstance(e, ex.Sub):
+        return evaluate(e.left, env) - evaluate(e.right, env)
+    if isinstance(e, ex.Mul):
+        return evaluate(e.left, env) * evaluate(e.right, env)
+    if isinstance(e, ex.Div):
+        return ex._div(evaluate(e.left, env), evaluate(e.right, env))
+    if isinstance(e, ex.Neg):
+        return -evaluate(e.arg, env)
+    if isinstance(e, ex.Pow):
+        return ex._pow(evaluate(e.base, env), e.power)
+    if isinstance(e, ex.Call):
+        return ex._apply_fn(e.fn, evaluate(e.arg, env))
+    raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+# -- neighbour points in a chart ---------------------------------------------
+
+@dataclass(frozen=True)
+class NilPoint:
+    """A virtual point base + offset, the offsets being nilpotent."""
+
+    base: Point
+    offset: tuple  # n-vector of NilElement with zero constant term
+
+    def __init__(self, base, offset):
+        offset = tuple(offset)
+        for o in offset:
+            if not isinstance(o, NilElement):
+                raise TypeError("offset entries must be NilElements")
+            if o.const_term != 0.0:
+                raise ValueError("offset entries must have zero constant term")
+        if len(offset) != base.n:
+            raise ContextMismatchError("offset/base dimension mismatch")
+        ctxs = {(o.k, o.n) for o in offset}
+        if len(ctxs) > 1:
+            raise ContextMismatchError("offset entries in different W contexts")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "offset", offset)
+
+    @property
+    def n(self):
+        return self.base.n
+
+    def coords_w(self):
+        """Coordinates as W-valued scalars: base + offset."""
+        return tuple(o + b for b, o in zip(self.base.coords, self.offset))
+
+
+@dataclass(frozen=True)
+class Tangent:
+    """The tangent d -> base + d*direction, stored as (base, direction)."""
+
+    base: Point
+    direction: tuple  # n-vector of reals
+
+    def __init__(self, base, direction):
+        direction = tuple(float(v) for v in direction)
+        if len(direction) != base.n:
+            raise ContextMismatchError("direction/base dimension mismatch")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "direction", direction)
+
+
+def _check_square_zero(d):
+    if not isinstance(d, NilElement):
+        raise TypeError("expected a NilElement scalar")
+    if d.const_term != 0.0:
+        raise ValueError("d must have zero constant term")
+    if not (d * d).is_zero():
+        raise DomainError("d squared is nonzero in W")
+
+
+def _as_w_coords(p):
+    """Coordinates of a point, a NilPoint (W-valued) or a plain sequence."""
+    if isinstance(p, NilPoint):
+        return p.coords_w()
+    return p.coords if isinstance(p, Point) else tuple(p)
+
+
+def affine_combination(d, x, y):
+    """(1-d)*x + d*y, componentwise in the chart."""
+    if not isinstance(d, NilElement) or d.const_term != 0.0:
+        raise ValueError("weight d must be a NilElement with zero constant term")
+    xs = _as_w_coords(x)
+    ys = _as_w_coords(y)
+    if len(xs) != len(ys):
+        raise ContextMismatchError("points in different charts")
+    base = x.base if isinstance(x, NilPoint) else x
+    offset = []
+    for xi, yi, bi in zip(xs, ys, base.coords):
+        value = xi + d * (yi - xi) - bi
+        if not isinstance(value, NilElement):
+            value = NilElement.constant(d.k, d.n, value)
+        offset.append(value)
+    return NilPoint(base, offset)
+
+
+def log_pair(x, y):
+    """log(x, y): the offset vector y - x of a neighbour pair."""
+    if not isinstance(x, Point):
+        raise TypeError("log_pair expects a real base point")
+    if isinstance(y, Point):
+        if y.coords != x.coords:
+            raise ContextMismatchError("log of non-neighbour real points")
+        return tuple(NilElement.zero(1, x.n) for _ in range(x.n))
+    if y.base.coords != x.coords:
+        raise ContextMismatchError("y must be based at x")
+    return y.offset
+
+
+def exp_tangent(t, d):
+    """exp(d*t) = base + d*direction; requires d^2 = 0 in its context."""
+    _check_square_zero(d)
+    return NilPoint(t.base, tuple(d * v for v in t.direction))
+
+
+def pushforward_chart(phi, varnames, p):
+    """Apply a smooth chart map (componentwise DSL expressions) to a
+    W-valued point, through the engine's evaluator `expr.compile_w`."""
+    f = ex.compile_w(phi, varnames)
+    images = f(*_as_w_coords(p))
+    base = Point(f(*(p.base.coords if isinstance(p, NilPoint) else p.coords)))
+    if isinstance(p, Point):
+        return base
+    k, n = p.offset[0].k, p.offset[0].n
+    offset = []
+    for img, b in zip(images, base.coords):
+        if isinstance(img, NilElement):
+            offset.append(img - b)
+        else:
+            offset.append(NilElement.constant(k, n, img - b))
+    return NilPoint(base, offset)
+
+
+# -- the curvature conventions -----------------------------------------------
+
+def _classical_curvature(conn, p, bracket_sign):
+    """F_ij = d_i A_j - d_j A_i + s [A_i, A_j] for i < j (1-based), s =
+    `bracket_sign`, from the connection's compiled A and dA at p, as
+    `connections.curvature_classical_oracle` forms it with s =
+    BRACKET_SIGN."""
+    n, m = conn.n, conn.group.m
+    A = np.array(conn._a_w(*p.coords), dtype=float).reshape(n, m, m)
+    dA = iter(np.array(conn._da_w(*p.coords), dtype=float).reshape(-1, m, m))
+    return {(i, j): next(dA) + bracket_sign * (A[i - 1] @ A[j - 1] - A[j - 1] @ A[i - 1])
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+
+
+def pin_conventions(conn, points, tol=1e-9):
+    """One-time pinning run: measure the scalar ratio and bracket sign
+    relating the coboundary curvature to the classical F = dA + s[A, A].
+    Returns (scale, bracket_sign); `connections` freezes (0.5, +1.0)."""
+    for s in (+1.0, -1.0):
+        ratios = []
+        ok = True
+        for p in points:
+            cob = curvature_coboundary(conn, p)
+            classical = _classical_curvature(conn, p, s)
+            for key, Fc in cob.items():
+                F = classical[key]
+                nF = np.max(np.abs(F))
+                if nF < 1e-8:
+                    continue
+                ratio = float(np.sum(Fc * F) / np.sum(F * F))
+                if not within_tol(np.max(np.abs(Fc - ratio * F)), tol * max(1.0, nF)):
+                    ok = False
+                    break
+                ratios.append(ratio)
+            if not ok:
+                break
+        if ok and ratios and within_tol(np.std(ratios), tol):
+            return float(np.mean(ratios)), s
+    raise RankDeficiencyError("could not pin curvature conventions")
+
+
+# -- monomials -----------------------------------------------------------------
+
+def all_monomials(k, n, r):
+    """Canonical degree-r monomials of W(k, n) as (rows, cols) tuples."""
+    return [(rows, cols)
+            for rows in combinations(range(1, k + 1), r)
+            for cols in combinations(range(1, n + 1), r)]

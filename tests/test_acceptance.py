@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from sdgeom import expr as ex
-from sdgeom.chart import NilPoint, Point, Tangent, exp_tangent, pushforward_chart
+from sdgeom.chart import Point
 from sdgeom.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, run
 from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
                                 ConnectionData, MatrixGroupSpec,
                                 ambrose_singer_check,
                                 curvature_classical_oracle,
                                 curvature_coboundary, holonomy_log,
-                                parallel_transport, pin_conventions)
+                                parallel_transport)
 from sdgeom.distributions import (Distribution, IntegralPatch,
                                   check_integral_patch,
                                   check_involutive_classical,
@@ -29,11 +29,13 @@ from sdgeom.errors import RankDeficiencyError
 from sdgeom.forms import (ClassicalForm, comparison, d_classical, d_comb,
                           eval_generic, extract_classical, to_combinatorial,
                           wedge_classical, wedge_comb)
-from sdgeom.nil import NilElement, all_monomials, generic_offsets, lift_smooth
+from sdgeom.nil import NilElement, generic_offsets, lift_smooth
 from sdgeom.program import parse, pretty_print
 from sdgeom.sampling import sample_box
 
 from corpus import random_form, random_scalar_expr
+from reference import (NilPoint, Tangent, all_monomials, evaluate, exp_tangent,
+                       pin_conventions, pushforward_chart)
 from wmatrix import in_subalgebra_cone, omat_mul, ref_transport_neighbor
 
 
@@ -133,7 +135,7 @@ def test_criterion_2_forms():
         env = dict(zip(form.vars, base.coords))
         got = extract_classical(theta, base)
         for T, e in form.coeffs.items():
-            want = ex.evaluate(e, env)
+            want = evaluate(e, env)
             ok &= abs(got.get(T, 0.0) - want) <= 1e-12 * max(1.0, abs(want))
     # tangent/neighbour correspondence identities, exact
     d = NilElement.generator(1, 3, 1, 1)
@@ -154,7 +156,7 @@ def test_criterion_3_comparison():
             kappa[form.degree].append(r)
         # zero-equivalence for d
         env = dict(zip(form.vars, base.coords))
-        classical_zero = all(abs(ex.evaluate(e, env)) <= 1e-9
+        classical_zero = all(abs(evaluate(e, env)) <= 1e-9
                              for e in d_classical(form).coeffs.values())
         comb_zero = eval_generic(d_comb(to_combinatorial(form)),
                                  base).max_abs_coeff() <= 1e-9
@@ -176,7 +178,7 @@ def test_criterion_3_comparison():
         # zero-equivalence for wedge
         env = dict(zip(a.vars, base.coords))
         cw = wedge_classical(a, b)
-        classical_zero = all(abs(ex.evaluate(e, env)) <= 1e-9
+        classical_zero = all(abs(evaluate(e, env)) <= 1e-9
                              for e in cw.coeffs.values())
         val = eval_generic(wedge_comb(to_combinatorial(a),
                                       to_combinatorial(b)), base)
@@ -221,7 +223,7 @@ def test_criterion_4_involutivity():
         f = random_scalar_expr(rng, VARS3)
         df = {i + 1: ex.diff(f, v) for i, v in enumerate(VARS3)}
         good = [p for p in sample_box([(-1.0, 1.0)] * 3, 30, seed=found + 1)
-                if max(abs(ex.evaluate(e, dict(zip(VARS3, p.coords))))
+                if max(abs(evaluate(e, dict(zip(VARS3, p.coords))))
                        for e in df.values()) > 0.3][:8]
         if len(good) < 5:
             continue
@@ -287,7 +289,7 @@ def test_criterion_5_patches_and_semi_simplices():
         dist = Distribution(3, 2, kernel=[_form1(3, df, VARS3)], vars=VARS3)
         try:
             good = [p for p in pts
-                    if max(abs(ex.evaluate(e, dict(zip(VARS3, p.coords))))
+                    if max(abs(evaluate(e, dict(zip(VARS3, p.coords))))
                            for e in df.values()) > 0.3][:5]
             if len(good) < 3:
                 continue
@@ -323,7 +325,7 @@ def test_criterion_6_chart_invariance():
         d = NilElement.generator(1, n, 1, 1)
         image = pushforward_chart(phi, vars, exp_tangent(t, d))
         env = dict(zip(vars, base.coords))
-        J = [[ex.evaluate(ex.diff(c, v), env) for v in vars] for c in phi]
+        J = [[evaluate(ex.diff(c, v), env) for v in vars] for c in phi]
         for i in range(n):
             want = sum(J[i][j] * t.direction[j] for j in range(n))
             ok &= (image.offset[i] - d * want).max_abs_coeff() <= 1e-10
@@ -440,10 +442,10 @@ def test_criterion_8_dsl_cli(tmp_path):
         at = {"x": prng.uniform(0.2, 1.2), "y": prng.uniform(0.2, 1.2)}
         h = 1e-6
         for v in ("x", "y"):
-            de = ex.evaluate(ex.diff(e, v), at)
+            de = evaluate(ex.diff(e, v), at)
             up = dict(at); up[v] += h
             dn = dict(at); dn[v] -= h
-            fd = (ex.evaluate(e, up) - ex.evaluate(e, dn)) / (2 * h)
+            fd = (evaluate(e, up) - evaluate(e, dn)) / (2 * h)
             ok &= abs(de - fd) <= 1e-5 * max(1.0, abs(de))
     # exit-code contract
     contact = tmp_path / "contact.sdg"

@@ -2,9 +2,9 @@
 
 The reference loops below are the checks as they were written one sample
 at a time.  On the classical side: every coefficient walked by
-`expr.evaluate`, every Jacobian and bracket differentiated again at each
+`reference.evaluate`, every Jacobian and bracket differentiated again at each
 sample, one `numpy.linalg` call per matrix.  On the W side: Kock's relation
-in W(2, rank) per sample, its coefficients walked by `expr.evaluate` and
+in W(2, rank) per sample, its coefficients walked by `reference.evaluate` and
 multiplied as object arrays of W elements (for KERNEL input, d(omega) on the
 flat 2-simplex is kept as a second oracle), and one extraction of theta's
 classical coefficients per pair of vectors.  The library evaluates all
@@ -33,11 +33,12 @@ from sdgeom.distributions import Distribution
 from sdgeom.errors import DomainError, RankDeficiencyError, SdgError
 from sdgeom.forms import (ClassicalForm, d_classical, d_comb, eval_semi, to_combinatorial,
                           wedge_classical)
-from sdgeom.nil import NilElement, all_monomials, lift_smooth, within_tol
+from sdgeom.nil import NilElement, lift_smooth, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
 from corpus import random_form, random_scalar_expr
+from reference import all_monomials, evaluate
 
 VARS3 = ("x", "y", "z")
 X, Y, Z = ex.Var("x"), ex.Var("y"), ex.Var("z")
@@ -56,7 +57,7 @@ def ref_kernel_matrix(dist, p):
         q, _ = np.linalg.qr(np.hstack([ref_span_matrix(dist, p), np.eye(dist.n)]))
         return q[:, dist.rank:dist.n].T
     env = _env(dist.vars, p.coords)
-    M = np.array([[ex.evaluate(w.coeffs[(i + 1,)], env) if (i + 1,) in w.coeffs else 0.0
+    M = np.array([[evaluate(w.coeffs[(i + 1,)], env) if (i + 1,) in w.coeffs else 0.0
                    for i in range(dist.n)] for w in dist.kernel], dtype=float)
     if np.linalg.matrix_rank(M, tol=1e-7) != dist.n - dist.rank:
         raise RankDeficiencyError(f"kernel forms rank-deficient at {p.coords}")
@@ -75,7 +76,7 @@ def ref_span_matrix(dist, p):
     if dist.span is None:
         return ref_null_span(dist, p)
     env = _env(dist.vars, p.coords)
-    M = np.array([[ex.evaluate(c, env) for c in v] for v in dist.span], dtype=float).T
+    M = np.array([[evaluate(c, env) for c in v] for v in dist.span], dtype=float).T
     if np.linalg.matrix_rank(M, tol=1e-7) != dist.rank:
         raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
     return M
@@ -109,7 +110,7 @@ def ref_ideal_test(dist, samples, tol):
             if test.degree > dist.n:
                 continue
             for e in test.coeffs.values():
-                if not within_tol(ex.evaluate(e, env), tol):
+                if not within_tol(evaluate(e, env), tol):
                     return False
     return True
 
@@ -121,8 +122,8 @@ def ref_bracket_test(dist, samples, tol):
         for a in range(dist.rank):
             for b in range(a + 1, dist.rank):
                 Xa, Xb = dist.span[a], dist.span[b]
-                u = np.array([sum(ex.evaluate(Xa[j], env) * ex.evaluate(ex.diff(Xb[i], v), env)
-                                  - ex.evaluate(Xb[j], env) * ex.evaluate(ex.diff(Xa[i], v), env)
+                u = np.array([sum(evaluate(Xa[j], env) * evaluate(ex.diff(Xb[i], v), env)
+                                  - evaluate(Xb[j], env) * evaluate(ex.diff(Xa[i], v), env)
                                   for j, v in enumerate(dist.vars))
                               for i in range(dist.n)], dtype=float)
                 if not within_tol(ds.span_residual(M, u), tol * max(1.0, np.linalg.norm(u))):
@@ -135,8 +136,8 @@ def ref_check_integral_patch(dist, patch, mode, parameter_samples, tol):
         return False
     for s in parameter_samples:
         env = _env(patch.params, s)
-        p = Point([ex.evaluate(c, env) for c in patch.components])
-        J = np.array([[ex.evaluate(ex.diff(c, v), env) for v in patch.params]
+        p = Point([evaluate(c, env) for c in patch.components])
+        J = np.array([[evaluate(ex.diff(c, v), env) for v in patch.params]
                       for c in patch.components], dtype=float)
         if np.linalg.matrix_rank(J, tol=1e-7) != patch.q:
             raise RankDeficiencyError(f"patch Jacobian rank-deficient at {s}")
@@ -152,7 +153,7 @@ def ref_check_integral_patch(dist, patch, mode, parameter_samples, tol):
 
 def ref_curvature_oracle(conn, p):
     env = _env(conn.vars, p.coords)
-    value = lambda e: float(ex.evaluate(e, env))
+    value = lambda e: float(evaluate(e, env))
     A = [np.array([[value(e) for e in row] for row in Ai]) for Ai in conn.A]
     out = {}
     for i in range(1, conn.n + 1):
@@ -170,7 +171,7 @@ def ref_relation_residuals(dist, p, span):
     """Kock's relation at the sample p, for SPAN input with `span`: the
     residuals K_y (v - u) of y = x + u ~_D x + v on the generic flat
     2-simplex (x, x + u, x + v), and for KERNEL input the kernel matrix K_y
-    itself.  The coefficients are evaluated at y by `expr.evaluate`, and the
+    itself.  The coefficients are evaluated at y by `reference.evaluate`, and the
     products are those of object arrays of W elements."""
     B = dist.basis_at(p)
     u, v = ds._flat_generic_offsets(B, 2)
@@ -179,10 +180,10 @@ def ref_relation_residuals(dist, p, span):
     if span:
         K0 = dist.kernel_matrix(p)
         solve = np.linalg.solve(B.T @ dist.span_matrix(p), B.T)  # C^-1 B^T
-        X = np.array([[ex.evaluate(c, env) for c in field] for field in dist.span],
+        X = np.array([[evaluate(c, env) for c in field] for field in dist.span],
                      dtype=object).T
         return list(K0 @ w - (K0 @ X) @ (solve @ w)), None
-    K = np.array([[ex.evaluate(form.coeffs.get((i + 1,), ZERO), env) for i in range(dist.n)]
+    K = np.array([[evaluate(form.coeffs.get((i + 1,), ZERO), env) for i in range(dist.n)]
                   for form in dist.kernel], dtype=object)
     return list(K @ w), K
 
@@ -482,7 +483,7 @@ def assert_stacked_is_evaluate(exprs, xs):
     for e, row in zip(exprs, values):
         for x, got in zip(xs, row.tolist()):
             try:
-                want = ex.evaluate(e, {"x": x})
+                want = evaluate(e, {"x": x})
             except (DomainError, ArithmeticError, ValueError):
                 assert math.isnan(got), (ex.to_str(e), x)
                 continue
@@ -525,7 +526,7 @@ def test_stacked_compile_w_is_evaluate_on_a_random_corpus():
             raised += 1
             for x in xs:
                 with pytest.raises(DomainError):
-                    ex.evaluate(e, {"x": x})
+                    evaluate(e, {"x": x})
     assert raised < len(exprs) // 10
 
 
@@ -534,7 +535,7 @@ def test_stacked_compile_w_is_not_evaluate_at_a_nan_argument():
     # power of a nan base is nan, kept as the nan of a base that could not
     # be evaluated, where evaluate's nan ** 0 is 1.0
     e = ex.Pow(X, 0)
-    assert ex.evaluate(e, {"x": math.nan}) == 1.0
+    assert evaluate(e, {"x": math.nan}) == 1.0
     assert math.isnan(ex.stacked(ex.compile_w([e], ("x",)), np.array([math.nan]))[0, 0])
 
 
@@ -1469,7 +1470,7 @@ def test_sqrt_lift_takes_its_constant_term_from_sqrt():
     rng = random.Random(1)
     xs = [rng.uniform(0.0, 10.0) for _ in range(20000)]
     want = [math.sqrt(x) for x in xs]
-    got = [ex.evaluate(ex.Call("sqrt", X), {"x": NilElement(1, 1, {(0, 0): x, (1, 1): 1.0})})
+    got = [evaluate(ex.Call("sqrt", X), {"x": NilElement(1, 1, {(0, 0): x, (1, 1): 1.0})})
            .const_term for x in xs]
     assert got == want
     lifted = lift_smooth("sqrt", NilElement(1, 1, {(0, 0): np.array(xs), (1, 1): 1.0}))
@@ -1534,7 +1535,7 @@ def ref_ambrose_singer(conn, loops, samples, basepoint, steps, tol=1e-6):
     max_resid = 0.0
     for curve, t0, t1 in loops:
         g = cn.parallel_transport(conn, curve, t0, t1, steps)
-        start = [ex.evaluate(c, {"t": t0}) for c in curve]
+        start = [evaluate(c, {"t": t0}) for c in curve]
         L = to_basepoint(start, [cn.holonomy_log(g)])[0]
         size = float(np.max(np.abs(L)))
         if not within_tol(size, tol):

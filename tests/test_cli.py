@@ -295,6 +295,27 @@ def test_holonomy_masks_only_entries_undefined_through_their_variables(tmp_path)
     assert code == EXIT_NUMERIC
 
 
+ROT_CONN = "conn A = [0*dx, (0.5*y)*dx - (0.5*x)*dy; (-0.5*y)*dx + (0.5*x)*dy, 0*dx]\n"
+
+
+@pytest.mark.parametrize("command", ["holonomy", "ambrose-singer"])
+@pytest.mark.parametrize("text, others", [
+    ("dim 2\nvar x y\nvector c = (cos(x), sin(y))\n" + ROT_CONN, "y"),
+    ("dim 2\nvar x t\nvector c = (cos(6.2831853*x), t)\n"
+     + ROT_CONN.replace("y", "t"), "t"),
+], ids=["second-variable", "second-variable-named-t"])
+def test_curve_in_more_than_the_parameter_exits_two(tmp_path, command, text, others):
+    # a curve is read in the chart's first variable: one that used y exited
+    # 3 on an unbound variable, and one that used a second variable named t
+    # exited 0, transported along (cos 2 pi t, t)
+    path = tmp_path / "curve.sdg"
+    path.write_text(text)
+    code, out, err = invoke([command, "--file", str(path), "--conn", "A", "--curve", "c",
+                             "--steps", "100", "--samples", "1"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: curve vector 'c' uses {others}: ")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_curvature_overflow_exits_three(files, fmt):
     # every value of A is finite, but the coboundary's products and the
@@ -372,9 +393,7 @@ def test_curvature_exit_code_follows_the_oracle(files, monkeypatch):
     argv = ["curvature", "--file", files["gl2"], "--conn", "A", "--at", "0.3,0.7;-0.2,0.4"]
     code, agreeing, _ = invoke(argv)
     assert code == EXIT_OK
-    oracle = cn.curvature_classical_oracle
-    monkeypatch.setattr(cn, "curvature_classical_oracle",
-                        lambda conn, p: oracle(conn, p, bracket_sign=-cn.BRACKET_SIGN))
+    monkeypatch.setattr(cn, "BRACKET_SIGN", -cn.BRACKET_SIGN)
     code, disagreeing, _ = invoke(argv)
     assert code == EXIT_FALSE
     assert disagreeing != agreeing  # the same report, with the wrong oracle values

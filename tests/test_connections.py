@@ -10,21 +10,21 @@ import numpy as np
 import pytest
 
 from sdgeom import expr as ex
-from sdgeom.chart import NilPoint, Point
+from sdgeom.chart import Point
 from sdgeom.errors import ContextMismatchError, DomainError
 from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
                                 TRANSPORT_SIGN, ConnectionData,
                                 MatrixGroupSpec, ambrose_singer_check,
                                 curvature_classical_oracle,
                                 curvature_coboundary, holonomy_log,
-                                lie_closure, parallel_transport,
-                                pin_conventions)
+                                lie_closure, parallel_transport)
 from sdgeom.connections import _simplex, _transport_product
 from sdgeom.nil import NilElement, generic_offsets
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
 from corpus import random_scalar_expr
+from reference import NilPoint, pin_conventions
 from wmatrix import (in_subalgebra_cone, omat_from_terms, omat_max_abs, omat_mul,
                      ref_coefficient_matrices, ref_inverse, ref_transport_neighbor)
 

@@ -11,6 +11,7 @@ from sdgeom.nil import NilElement
 from sdgeom.program import parse, pretty_print
 
 from corpus import random_scalar_expr
+from reference import evaluate
 
 CONTACT = """\
 # contact structure
@@ -86,7 +87,7 @@ def test_quotient_coefficient_parses(spelling):
     (coeff,) = parse(f"dim 2\nvar x y\nform a = {spelling}\n").forms["a"].coeffs.values()
     assert isinstance(coeff, ex.Div)
     assert ex.to_str(coeff) == "x/y"
-    assert ex.evaluate(coeff, {"x": 3.0, "y": 4.0}) == 0.75
+    assert evaluate(coeff, {"x": 3.0, "y": 4.0}) == 0.75
 
 
 def test_quotient_coefficient_round_trips():
@@ -116,9 +117,9 @@ def test_non_finite_constants_print_and_round_trip():
     again = parse(text)
     assert pretty_print(again) == text
     for p in (prog, again):
-        assert [ex.evaluate(c, {"x": 1.0, "y": 2.0}) for c in p.vectors["u"]] == [math.inf, -math.inf]
-        assert ex.evaluate(p.forms["a"].coeffs[(1,)], {}) == math.inf
-    nan = ex.evaluate(parse("dim 1\nvar x\nvector u = ((1e400 - 1e400))\n").vectors["u"][0], {})
+        assert [evaluate(c, {"x": 1.0, "y": 2.0}) for c in p.vectors["u"]] == [math.inf, -math.inf]
+        assert evaluate(p.forms["a"].coeffs[(1,)], {}) == math.inf
+    nan = evaluate(parse("dim 1\nvar x\nvector u = ((1e400 - 1e400))\n").vectors["u"][0], {})
     assert math.isnan(nan)
 
 
@@ -146,7 +147,7 @@ def test_distributions_patches_and_connections_are_built_on_lookup(monkeypatch):
 # -- symbolic differentiation -------------------------------------------------
 
 def _num(e, env):
-    return ex.evaluate(e, env)
+    return evaluate(e, env)
 
 
 def test_diff_product_rule():
@@ -191,7 +192,7 @@ def test_evaluate_on_nilpotent_argument_matches_derivative():
     e = ex.Mul(ex.Var("x"), ex.Call("cos", ex.Var("x")))
     c = 0.4
     xi = NilElement.generator(1, 1, 1, 1)
-    val = ex.evaluate(e, {"x": NilElement.constant(1, 1, c) + xi})
+    val = evaluate(e, {"x": NilElement.constant(1, 1, c) + xi})
     f = c * math.cos(c)
     fp = math.cos(c) - c * math.sin(c)
     assert abs(val.const_term - f) <= 1e-12
@@ -206,8 +207,8 @@ def test_ad_consistency_via_nilpotent_evaluation():
         e = random_scalar_expr(rng, ("x",), trig=True)
         c = float(rng.uniform(0.3, 1.0))
         xi = NilElement.generator(1, 1, 1, 1)
-        val = ex.evaluate(e, {"x": NilElement.constant(1, 1, c) + xi})
-        sym = ex.evaluate(ex.diff(e, "x"), {"x": c})
+        val = evaluate(e, {"x": NilElement.constant(1, 1, c) + xi})
+        sym = evaluate(ex.diff(e, "x"), {"x": c})
         got = val.coeff((1,), (1,)) if isinstance(val, NilElement) else 0.0
         assert abs(got - sym) <= 1e-12 * max(1.0, abs(sym))
 
@@ -221,7 +222,7 @@ def test_to_str_parses_back():
         prog = parse(f"dim 2\nvar x y\nform f = ({s})*dx\n")
         e2 = prog.forms["f"].coeffs[(1,)]
         env = {"x": 0.37, "y": -0.81}
-        assert abs(ex.evaluate(e, env) - ex.evaluate(e2, env)) <= 1e-12
+        assert abs(evaluate(e, env) - evaluate(e2, env)) <= 1e-12
 
 
 def test_rename_every_node_kind():
@@ -233,7 +234,7 @@ def test_rename_every_node_kind():
     assert ex.free_vars(e) == {"x", "y"}
     assert ex.to_str(got) == "(t*2 - -y)/(pow(exp(t), 2) + 1)"
     env = {"t": 0.3, "y": -0.7}
-    assert ex.evaluate(got, env) == ex.evaluate(e, {"x": 0.3, "y": -0.7})
+    assert evaluate(got, env) == evaluate(e, {"x": 0.3, "y": -0.7})
 
 
 # -- compiled evaluation on floats and W values ------------------------------------
@@ -281,7 +282,7 @@ def test_compile_w_equals_evaluate_bit_for_bit(x, y):
     got = ex.compile_w(EVERY_NODE_KIND, ("x", "y"))(x, y)
     env = {"x": x, "y": y}
     for e, value in zip(EVERY_NODE_KIND, got):
-        assert _same(value, ex.evaluate(e, env)), ex.to_str(e)
+        assert _same(value, evaluate(e, env)), ex.to_str(e)
 
 
 @pytest.mark.parametrize("e, x", [
@@ -308,7 +309,7 @@ def test_compile_w_equals_evaluate_bit_for_bit(x, y):
 ])
 def test_compile_w_raises_the_domain_error_of_evaluate(e, x):
     with pytest.raises(DomainError) as want:
-        ex.evaluate(e, {"x": x})
+        evaluate(e, {"x": x})
     with pytest.raises(DomainError) as got:
         ex.compile_w([e], ("x",))(x)  # an unbound variable raises on compiling
     assert str(got.value) == str(want.value)
@@ -319,6 +320,6 @@ def test_compile_w_raises_the_domain_error_of_evaluate(e, x):
     ex.Add(ex.Const(float("inf")), _X), ex.Mul(ex.Const(float("nan")), _X),
 ], ids=["negative-base", "negative-zero-base", "inf", "nan"])
 def test_compiled_literals_match_evaluate(e):
-    want = ex.evaluate(e, {"x": 0.5})
+    want = evaluate(e, {"x": 0.5})
     got = ex.compile_w([e], ("x",))(0.5)[0]
     assert _same(got, want) or (math.isnan(got) and math.isnan(want))

@@ -19,6 +19,7 @@ from sdgeom.forms import (ClassicalForm, CombinatorialForm,
 from sdgeom.nil import NilElement, generic_offsets
 
 from corpus import random_form, random_scalar_expr
+from reference import evaluate
 
 RNG = np.random.default_rng(42)
 
@@ -86,13 +87,13 @@ def det_reference(rows):
 
 
 def to_combinatorial_reference(form):
-    """`to_combinatorial` as a tree walk: `expr.evaluate` on each coefficient
-    times the Leibniz determinant of the offsets' T-columns."""
+    """`to_combinatorial` as a tree walk: `reference.evaluate` on each
+    coefficient times the Leibniz determinant of the offsets' T-columns."""
     def evaluator(base, offsets):
         env = dict(zip(form.vars, base))
         total = 0.0
         for T, a in form.coeffs.items():
-            total = total + ex.evaluate(a, env) * det_reference(
+            total = total + evaluate(a, env) * det_reference(
                 [[off[t - 1] for t in T] for off in offsets])
         return total
 
@@ -145,10 +146,10 @@ def test_fused_to_combinatorial_rejects_mixed_contexts():
 # -- coeffs_at: the compiled coefficients against the tree walk -------------------
 
 def coeffs_at_reference(form, coords):
-    """`ClassicalForm.coeffs_at` as a tree walk: `expr.evaluate` on each
+    """`ClassicalForm.coeffs_at` as a tree walk: `reference.evaluate` on each
     coefficient."""
     env = dict(zip(form.vars, coords))
-    return {T: ex.evaluate(e, env) for T, e in form.coeffs.items()}
+    return {T: evaluate(e, env) for T, e in form.coeffs.items()}
 
 
 def same_float(a, b):
@@ -258,7 +259,7 @@ def test_extract_inverts_to_combinatorial(form, base):
     got = extract_classical(theta, base, tol=1e-9)
     env = dict(zip(form.vars, base.coords))
     for T, e in form.coeffs.items():
-        want = ex.evaluate(e, env)
+        want = evaluate(e, env)
         assert abs(got.get(T, 0.0) - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -310,7 +311,7 @@ def test_d_zero_equivalence():
     for form, base in corpus(40, seed=6):
         env = dict(zip(form.vars, base.coords))
         classical = d_classical(form)
-        classical_zero = all(abs(ex.evaluate(e, env)) <= 1e-9
+        classical_zero = all(abs(evaluate(e, env)) <= 1e-9
                              for e in classical.coeffs.values())
         value = eval_generic(d_comb(to_combinatorial(form)), base)
         comb_zero = value.max_abs_coeff() <= 1e-9
@@ -361,7 +362,7 @@ def test_wedge_zero_equivalence():
         base = random_base(rng, n)
         env = dict(zip(a.vars, base.coords))
         cw = wedge_classical(a, b)
-        classical_zero = all(abs(ex.evaluate(e, env)) <= 1e-9
+        classical_zero = all(abs(evaluate(e, env)) <= 1e-9
                              for e in cw.coeffs.values())
         value = eval_generic(wedge_comb(to_combinatorial(a),
                                         to_combinatorial(b)), base)
@@ -400,9 +401,9 @@ def test_leibniz_rule_for_extracted_derivative():
         rhs1 = wedge_classical(d_classical(a), b)
         rhs2 = wedge_classical(a, d_classical(b))
         for T in lhs.coeffs:
-            want = (ex.evaluate(rhs1.coeffs.get(T, ex.Const(0.0)), env)
-                    - ex.evaluate(rhs2.coeffs.get(T, ex.Const(0.0)), env))
-            assert abs(ex.evaluate(lhs.coeffs[T], env) - want) <= 1e-9
+            want = (evaluate(rhs1.coeffs.get(T, ex.Const(0.0)), env)
+                    - evaluate(rhs2.coeffs.get(T, ex.Const(0.0)), env))
+            assert abs(evaluate(lhs.coeffs[T], env) - want) <= 1e-9
 
 
 # -- multilinear reconstruction and semi-simplices -----------------------------

@@ -5,10 +5,11 @@ matrix's log lies in a matrix Lie subalgebra."""
 
 import numpy as np
 
-from sdgeom.chart import NilPoint
 from sdgeom.connections import TRANSPORT_SIGN
 from sdgeom.distributions import span_residual
 from sdgeom.nil import NilElement, within_tol
+
+from reference import NilPoint
 
 
 def omat_mul(a, b):
