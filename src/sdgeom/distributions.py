@@ -146,26 +146,36 @@ class Distribution:
             return self._span_frame(p)[0]
         return self._numeric_span(p)
 
-    # -- the same over stacked points, for the batched screens below -------
+    # -- the same over stacked points, for the batched checks below ---------
 
     def _kernel_stack(self, X):
-        """kernel_matrix of KERNEL input over the rows of X (N, n): the stack
-        (N, n-rank, n), an orthonormal basis of its null space (N, n, rank)
-        as `basis_at` builds it, and which samples clearly have both."""
+        """kernel_matrix of KERNEL input over the rows of X (N, n), from one
+        batched SVD: the stack (N, n-rank, n), an orthonormal basis of its
+        null space (N, n, rank), `basis_at`'s bit for bit, and which samples
+        clearly have both."""
         K, clear = _stack(self._kernel_fns, X, self.n)
         _, s, vt = np.linalg.svd(K)
         return (K, vt[:, self.n - self.rank:].transpose(0, 2, 1),
                 clear & _clearly_full_rank(s, self.n - self.rank))
 
     def _span_stack(self, X):
-        """span_matrix of SPAN input over the rows of X (N, n): the stack
-        (N, n, rank), its orthonormal basis as `basis_at` builds it, and
-        which samples clearly have both."""
+        """`_span_frame` over the rows of X (N, n), from one complete QR of
+        the stacked span matrices (N, n, rank): Q = [B | K0^T] (N, n, n) and
+        C (N, rank, rank), `_span_frame`'s bit for bit, and which samples
+        clearly have them."""
         M, clear = _stack(self._span_fns, X, self.n)
         M = M.transpose(0, 2, 1)
         s = np.linalg.svd(M, compute_uv=False)
-        return (M, np.linalg.qr(M, mode="complete")[0][..., :self.rank],
-                clear & _clearly_full_rank(s, self.rank))
+        q, r = np.linalg.qr(M, mode="complete")
+        return q, r[:, :self.rank], clear & _clearly_full_rank(s, self.rank)
+
+    def _basis_stack(self, X):
+        """basis_at over the rows of X (N, n), and which samples clearly
+        have it."""
+        if self.span is None:
+            return self._kernel_stack(X)[1:]
+        Q, _, clear = self._span_stack(X)
+        return Q[..., :self.rank], clear
 
 
 # The batched checks evaluate all samples at once, but only as a screen: it
@@ -179,6 +189,12 @@ class Distribution:
 # _MAX_CONDITION of each other, and residuals within half their tolerance
 # less _ROUNDING.  A sample within the margin goes to the per-sample check,
 # which costs time, never a different verdict.
+#
+# The flat-simplex checks take their frames the same way (`_frames`): one
+# factorisation of the stack, a batched SVD of the kernel matrices or one
+# complete QR of the span matrices (with one batched solve for the relation
+# frame), gives `basis_at`'s frame bit for bit at each sample it clears, and
+# the per-sample frame is built, in sample order, at every other sample.
 
 _MAX_CONDITION = 1e4
 _ROUNDING = 1e-12
@@ -352,10 +368,44 @@ def _relation(dist, span, x, frame):
     return (_dot(row, w) - _dot([_dot(row, f) for f in fields], Sw) for row in K0)
 
 
-def _flat_verdicts(residuals, dist, samples, frame_at, tol):
+def _frames(frame_at, stack, samples, X, first_per_sample):
+    """The frames at the samples in order, up to the first at which
+    `frame_at` raises: the frames, their stack, and that exception (None if
+    there is none).
+
+    Of more than one sample, each that `stack(X)` clears takes its frame
+    from that one factorisation of all samples (X (N, n) their
+    coordinates), `frame_at`'s bit for bit.  `frame_at` builds the frame,
+    in sample order, at every other sample: one whose values are not finite
+    or that is not clearly of full rank, and every sample where `stack`
+    raises DomainError.  With `first_per_sample`, the first sample takes
+    `frame_at`'s frame too, cleared or not: perfbench's tracer counts a
+    sample as visited only through the per-point methods, and fails an op
+    whose checks visit none (ROADMAP item 1)."""
+    stacked, clear = None, np.zeros(len(samples), dtype=bool)
+    if len(samples) > 1:
+        try:
+            stacked, clear = stack(X)
+        except DomainError:  # from a float subexpression: it raises at every sample
+            pass
+        clear[0] &= not first_per_sample
+    redo = np.flatnonzero(~clear)
+    built, error = _leading(lambda i: frame_at(samples[i]), redo, (SdgError, ValueError))
+    if stacked is None:
+        return built, np.array(built), error
+    end = len(samples) if error is None else redo[len(built)]
+    frames, stacked = list(stacked[:end]), stacked[:end].copy()
+    for i, frame in zip(redo, built):
+        frames[i] = stacked[i] = frame
+    return frames, stacked, error
+
+
+def _flat_verdicts(residuals, dist, samples, frame_at, stack, tol, first_per_sample=True):
     """`_flat_sample` at each sample in order: yields (sample, frame,
     verdict) up to the first sample at which `frame_at` (`basis_at`, or a
-    frame built through a per-point method) raises, then raises that.
+    frame built through a per-point method) raises, then raises that.  The
+    frames come from `_frames`, with `stack` the same frames over stacked
+    samples.
 
     More than one sample is screened first: the residuals are evaluated
     once on the generic flat 2-simplexes at all of them, the base
@@ -364,15 +414,16 @@ def _flat_verdicts(residuals, dist, samples, frame_at, tol):
     only where the screen neither clearly passes nor clearly fails.  Where
     it would raise, the batched evaluation gives nan, which reaches the
     residual and decides nothing."""
-    frames, error = _leading(frame_at, samples, (SdgError, ValueError))
+    X = _coords(samples, dist.n)
+    frames, stacked, error = _frames(frame_at, stack, samples, X, first_per_sample)
     residual = np.full(len(frames), np.nan)
     if len(frames) > 1:
-        X = _coords(samples[:len(frames)], dist.n)
-        base = [NilElement(2, max(dist.rank, 1), {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
+        base = [NilElement(2, max(dist.rank, 1), {(0, 0): x})
+                for x in np.ascontiguousarray(X[:len(frames)].T)]
         try:
             with np.errstate(all="ignore"):
                 residual = np.zeros(len(frames))
-                for r in residuals(base, np.array(frames)):
+                for r in residuals(base, stacked):
                     residual = np.maximum(residual, _max_abs(r))
         except DomainError:  # from a float subexpression: it raises at every sample
             residual = np.full(len(frames), np.nan)
@@ -383,9 +434,9 @@ def _flat_verdicts(residuals, dist, samples, frame_at, tol):
         raise error
 
 
-def _relation_test(dist, span, samples, frame_at, tol):
+def _relation_test(dist, span, samples, frame_at, stack, tol):
     verdicts = [ok for *_, ok in _flat_verdicts(partial(_relation, dist, span), dist,
-                                                list(samples), frame_at, tol)]
+                                                list(samples), frame_at, stack, tol)]
     return verdicts, all(verdicts)
 
 
@@ -397,7 +448,7 @@ def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
         raise DegreeError(
             "combinatorial involutivity test needs KERNEL forms "
             "(use pointwise_involutive_span for SPAN-only input)")
-    return _relation_test(dist, False, samples, dist.basis_at, tol)
+    return _relation_test(dist, False, samples, dist.basis_at, dist._basis_stack, tol)
 
 
 def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
@@ -406,12 +457,27 @@ def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
     W(2, rank) arithmetic.  Returns (per-point list, aggregate)."""
     if dist.span is None:
         raise DegreeError("relational span test needs a SPAN representation")
+    return _relation_test(dist, True, samples, partial(_span_relation_frame, dist),
+                          partial(_span_relation_stack, dist), tol)
 
-    def frame_at(p):
-        B, K0, C = dist._span_frame(p)
-        return np.hstack([B, K0.T, np.linalg.solve(C, B.T).T])
 
-    return _relation_test(dist, True, samples, frame_at, tol)
+def _span_relation_frame(dist, p):
+    """The frame of Kock's relation for SPAN input at p (`_relation`):
+    [B | K0^T | S^T], S = C^-1 B^T."""
+    B, K0, C = dist._span_frame(p)
+    return np.hstack([B, K0.T, np.linalg.solve(C, B.T).T])
+
+
+def _span_relation_stack(dist, X):
+    """`_span_relation_frame` over the rows of X (N, n), from
+    `_span_stack` and one batched solve, and which samples clearly have it.
+    A sample that is not cleared is left out of the solve: its C may be
+    singular, or zeroed where its values are not finite."""
+    Q, C, clear = dist._span_stack(X)
+    Bt = Q[..., :dist.rank].transpose(0, 2, 1)
+    S = np.zeros_like(Bt)
+    S[clear] = np.linalg.solve(C[clear], Bt[clear])
+    return np.concatenate([Q, S.transpose(0, 2, 1)], axis=2), clear
 
 
 def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
@@ -441,7 +507,7 @@ def _bracket_test(dist, samples, tol):
 
     def screen():
         X = _coords(samples, n)
-        _, B, clear = dist._span_stack(X)
+        B, clear = dist._basis_stack(X)
         U, finite = _stack(fns, X, n)
         U = U.transpose(0, 2, 1)
         scale = tol * np.maximum(1.0, np.linalg.norm(U, axis=1))
@@ -536,7 +602,7 @@ def _patch_screen(dist, patch, mode, parameter_samples, points, tol):
         K, B, fiber_clear = dist._kernel_stack(X)
         resid = np.max(np.abs(K @ J), axis=1, initial=0.0)
     else:
-        _, B, fiber_clear = dist._span_stack(X)
+        B, fiber_clear = dist._basis_stack(X)
         resid = _basis_residuals(B, J)
     clear &= fiber_clear
     clear &= np.all(_clears(resid, tol * np.maximum(1.0, np.linalg.norm(J, axis=1))),
@@ -571,7 +637,8 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
     # the first sample alone, then the screen over the rest: where theta is
     # not annihilated, the first sample usually shows it
     for chunk in (samples[:1], samples[1:]):
-        for p, B, ok in _flat_verdicts(flat_values, dist, chunk, dist.basis_at, tol):
+        for p, B, ok in _flat_verdicts(flat_values, dist, chunk, dist.basis_at,
+                                       dist._basis_stack, tol, first_per_sample=False):
             if not ok:
                 return SemiAnnihilationResult(False, None)
             vecs = [B[:, a] for a in range(dist.rank)]

@@ -19,6 +19,7 @@ import math
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -1332,6 +1333,194 @@ def test_span_frame_from_one_span_matrix_and_one_qr(monkeypatch):
         calls.clear()
         outcome(ds.pointwise_involutive_span, dist, points)
         assert calls == points[:len(calls)] and calls
+
+
+# -- frames from one stacked factorisation ------------------------------------------
+
+def frame_kinds(dist):
+    """(frame_at, stack) of each frame the flat-simplex checks take: the
+    fiber basis (KERNEL input, and the semi-annihilation check of SPAN
+    input) and, for SPAN input, the relation frame [B | K0^T | S^T]."""
+    kinds = [(dist.basis_at, dist._basis_stack)]
+    if dist.span is not None:
+        kinds.append((partial(ds._span_relation_frame, dist),
+                      partial(ds._span_relation_stack, dist)))
+    return kinds
+
+
+def assert_stacked_frames_are_frame_at(dist, points):
+    """Each frame that a stack clears is frame_at's at that sample, bit for
+    bit and laid out alike (so that a product with it, as the
+    semi-annihilation check's B r, rounds alike).  Returns the number of
+    samples cleared, and of samples."""
+    X = ds._coords(points, dist.n)
+    cleared = total = 0
+    for frame_at, stack in frame_kinds(dist):
+        frames, clear = stack(X)
+        for p, frame, ok in zip(points, frames, clear):
+            if ok:
+                want = frame_at(p)
+                assert frame.shape == want.shape and frame.strides == want.strides, p.coords
+                assert frame.tobytes() == want.tobytes(), p.coords
+        cleared += int(np.count_nonzero(clear))
+        total += len(points)
+    return cleared, total
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_stacked_frames_are_frame_at(seed):
+    for prog in perfbench_programs(seed):
+        for batch in (2, 16, 256):
+            points = sample_box([(-1.0, 1.0)] * prog.dim, batch, seed)
+            for dist in prog.dists.values():
+                cleared, total = assert_stacked_frames_are_frame_at(dist, points)
+                assert cleared == total, (seed, batch)
+    rng = np.random.default_rng(80 + seed)
+    cleared = total = 0
+    for attempt in range(8):
+        n = int(rng.choice((3, 4)))
+        points = sample_box([(-1.0, 1.0)] * n, 16, seed=attempt)
+        for dist in (random_kernel_distribution(rng, n), random_span_distribution(rng, n)):
+            counts = assert_stacked_frames_are_frame_at(dist, points)
+            cleared, total = cleared + counts[0], total + counts[1]
+    assert cleared > total // 2
+
+
+MARGIN_POINTS = [(0.5, 0.3, 0.1), (0.7, -0.4, 0.3), None, (0.4, 0.2, -0.6), (0.9, -0.1, 0.5)]
+
+
+def margin_points(x):
+    """Five samples, the middle one at x = `x`, where the cases below are
+    not clearly of full rank or not finite."""
+    return [Point((x, 0.3, 0.2) if c is None else c) for c in MARGIN_POINTS]
+
+
+def _reciprocal_zero():
+    return ex.Mul(ZERO, ex.Div(ONE, X))
+
+
+# (name, distribution, x at the middle sample, whether it is involutive):
+# values not finite there, rank-deficient, full rank with a smallest
+# singular value between RANK_CUTOFF and 2 RANK_CUTOFF, and with a
+# condition over _MAX_CONDITION; involutive and not
+MARGIN_CASES = [
+    ("kernel, not finite", Distribution(3, 2, kernel=[form_1({3: ONE, 1: _reciprocal_zero()})]),
+     0.0, True),
+    ("kernel, rank-deficient", Distribution(3, 2, kernel=[form_1({3: X})]), 0.0, True),
+    ("kernel, small", Distribution(3, 2, kernel=[form_1({3: X})]), 1.5e-7, True),
+    ("contact, small", Distribution(3, 2, kernel=[form_1({3: X, 1: ex.Neg(ex.Mul(X, Y))})]),
+     1.2e-7, False),
+    ("kernel, ill-conditioned", Distribution(3, 1, kernel=[form_1({1: ONE}), form_1({2: X})]),
+     1e-5, True),
+    ("span, not finite", Distribution(3, 2, span=[[ONE, ZERO, _reciprocal_zero()],
+                                                  [ZERO, ONE, ZERO]], vars=VARS3), 0.0, True),
+    ("span, rank-deficient", Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, X, ZERO]],
+                                          vars=VARS3), 0.0, True),
+    ("span, small", Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, X, ZERO]], vars=VARS3),
+     1.5e-7, True),
+    ("ramp, small", Distribution(3, 2, span=[[ONE, ZERO, Y], [ZERO, X, ZERO]], vars=VARS3),
+     1.5e-7, False),
+    ("span, ill-conditioned", Distribution(3, 2, span=[[ONE, ZERO, Y], [ZERO, X, ZERO]],
+                                           vars=VARS3), 1e-5, False),
+]
+
+
+def frame_calls(monkeypatch, check, *args):
+    """The outcome of check(*args) (`full_outcome`), and the samples at
+    which it builds a frame per sample: `basis_at`, or the relation frame
+    of SPAN input."""
+    calls = []
+    basis_at, relation_frame = Distribution.basis_at, ds._span_relation_frame
+    monkeypatch.setattr(Distribution, "basis_at",
+                        lambda self, p: calls.append(p) or basis_at(self, p))
+    monkeypatch.setattr(ds, "_span_relation_frame",
+                        lambda dist, p: calls.append(p) or relation_frame(dist, p))
+    try:
+        return full_outcome(check, *args), calls
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name, dist, x, involutive", MARGIN_CASES,
+                         ids=[case[0] for case in MARGIN_CASES])
+def test_frame_at_runs_where_the_stack_does_not_clear(monkeypatch, name, dist, x, involutive):
+    # frame_at at the first sample and at the middle one alone, which the
+    # stack does not clear; the same verdicts, per-point lists and errors
+    # as the per-sample loops
+    points = margin_points(x)
+    span = dist.span is not None
+    X = ds._coords(points, dist.n)
+    for _, stack in frame_kinds(dist):
+        assert stack(X)[1].tolist() == [True, True, False, True, True]
+    check = ds.pointwise_involutive_span if span else ds.check_involutive_combinatorial
+    got, calls = frame_calls(monkeypatch, check, dist, points)
+    assert calls == [points[0], points[2]]
+    assert got == full_outcome(ref_relation, dist, points, ds.DEFAULT_TOL, span)
+    if not isinstance(got[0], type):
+        assert got[1] is involutive
+    for tol in (1e-9, 1e-3):
+        theta = (d_comb(to_combinatorial(form_1({3: ONE}))) if span else
+                 d_comb(to_combinatorial(dist.kernel[0])))
+        rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+        got, calls = frame_calls(monkeypatch, _semi, dist, theta, points, rng_got, tol)
+        assert got == full_outcome(ref_semi_annihilation_check, dist, theta, points, rng_want,
+                                   tol)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        assert calls == ([points[0], points[2]] if got[0] is not False else points[:1])
+
+
+def test_a_constant_undefined_frame_raises_at_the_first_sample(monkeypatch):
+    # ln(-1) raises at every sample, in the stack and in frame_at
+    undefined = ex.Mul(ZERO, ex.Call("ln", ex.Const(-1.0)))
+    points = margin_points(0.2)
+    kernel = Distribution(3, 2, kernel=[form_1({3: ONE, 1: undefined})])
+    span = Distribution(3, 2, span=[[ONE, ZERO, undefined], [ZERO, ONE, ZERO]], vars=VARS3)
+    theta = d_comb(to_combinatorial(form_1({3: ONE})))
+    for dist, check, reference in (
+            (kernel, ds.check_involutive_combinatorial, ref_relation),
+            (span, ds.pointwise_involutive_span, partial(ref_relation, span=True))):
+        got, calls = frame_calls(monkeypatch, check, dist, points)
+        assert got[0] is DomainError and calls == points[:1]
+        assert got == full_outcome(reference, dist, points, ds.DEFAULT_TOL)
+        got, calls = frame_calls(monkeypatch, _semi, dist, theta, points, None, 1e-9)
+        assert got[0] is DomainError and calls == points[:1]
+        assert got == full_outcome(ref_semi_annihilation_check, dist, theta, points,
+                                   np.random.default_rng(0), 1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_one_stacked_factorisation_per_check(monkeypatch, seed):
+    # at 256 clearly conditioned samples, each flat-simplex check factors
+    # the stack once (an SVD of the kernel matrices, a complete QR of the
+    # span matrices, whose rank screen takes their singular values), and
+    # builds the first sample's frame alone
+    k3, _ = perfbench_programs(seed)
+    points = sample_box([(-1.0, 1.0)] * 3, 256, seed)
+    stacked, visited = [], []
+    for module, name in ((np.linalg, "svd"), (np.linalg, "qr"),
+                         (Distribution, "basis_at"), (Distribution, "span_matrix")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            if _name in ("svd", "qr"):
+                if np.ndim(args[0]) == 3:
+                    stacked.append((_name, kwargs.get("compute_uv", True)))
+            else:
+                visited.append((_name, args[1]))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    theta = d_comb(to_combinatorial(k3.forms["wi"]))
+    kernel = [("svd", True)]
+    span = [("svd", False), ("qr", True)]
+    for check, args, factors, frame in (
+            (ds.check_involutive_combinatorial, (k3.dists["I"], points), kernel, "basis_at"),
+            (ds.check_involutive_combinatorial, (k3.dists["C"], points), kernel, "basis_at"),
+            (ds.pointwise_involutive_span, (k3.dists["S"], points), span, "span_matrix"),
+            (ds.pointwise_involutive_span, (k3.dists["H"], points), span, "span_matrix"),
+            (ds.semi_annihilation_check, (k3.dists["I"], theta, points), kernel, "basis_at")):
+        stacked.clear()
+        visited.clear()
+        check(*args)
+        assert stacked == factors, check.__name__
+        assert visited == [(frame, points[0])], check.__name__
 
 
 # -- term maps with array coefficients -------------------------------------------
