@@ -8,12 +8,12 @@ given either by m spanning vector-field expressions or by n-m annihilating
 fiber computation is exact W-arithmetic, the base is sampled.
 """
 
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from . import expr as ex
-from .errors import DegreeError, DomainError, RankDeficiencyError, SdgError
+from .errors import DegreeError, DomainError, RankDeficiencyError
 from .forms import d_classical, default_vars, extract_classical, semi_value, wedge_classical
 from .nil import NilElement, _is_zero, within_tol
 from .chart import Point
@@ -104,34 +104,24 @@ class Distribution:
         input, orthonormal rows of the complement of the fiber)."""
         if self.kernel is None:
             return self._span_frame(p)[1]
-        M = self._kernel_values(p)
-        self._check_kernel_rank(np.linalg.svd(M, compute_uv=False), p)
-        return M
+        return self._kernel_frame(p)[0]
 
-    def _kernel_values(self, p):
-        return np.array(self._kernel_fns(*p.coords)).reshape(self.n - self.rank, self.n)
-
-    def _check_kernel_rank(self, s, p):
-        """Raise unless the singular values s of the kernel matrix at p give
-        it full rank."""
-        if np.count_nonzero(s > RANK_CUTOFF) != self.n - self.rank:
-            raise RankDeficiencyError(f"kernel forms rank-deficient at {p.coords}")
+    def _kernel_frame(self, p):
+        """For KERNEL input, from one SVD of the kernel matrix K at p, which
+        also checks its rank: K and an orthonormal basis of its null space."""
+        K = np.array(self._kernel_fns(*p.coords)).reshape(self.n - self.rank, self.n)
+        _, s, vt = np.linalg.svd(K)
+        _full_rank(s, self.n - self.rank, f"kernel forms rank-deficient at {p.coords}")
+        return K, vt[self.n - self.rank:].T
 
     def span_matrix(self, p):
         """n x rank matrix of spanning field values at p."""
         if self.span is None:
-            return self._numeric_span(p)
+            return self._kernel_frame(p)[1]
         M = np.array(self._span_fns(*p.coords)).reshape(self.rank, self.n).T
-        if np.linalg.matrix_rank(M, tol=RANK_CUTOFF) != self.rank:
-            raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
+        _full_rank(np.linalg.svd(M, compute_uv=False), self.rank,
+                   f"span fields rank-deficient at {p.coords}")
         return M
-
-    def _numeric_span(self, p):
-        """Span basis from the kernel: the null space of the kernel matrix,
-        from the one SVD that also checks its rank."""
-        _, s, vt = np.linalg.svd(self._kernel_values(p))
-        self._check_kernel_rank(s, p)
-        return vt[self.n - self.rank:].T
 
     def _span_frame(self, p):
         """For SPAN input, from one complete QR of the span matrix M at p:
@@ -144,75 +134,57 @@ class Distribution:
         """Orthonormal n x rank basis of the fiber at p."""
         if self.span is not None:
             return self._span_frame(p)[0]
-        return self._numeric_span(p)
+        return self._kernel_frame(p)[1]
 
-    # -- the same over stacked points, for the batched checks below ---------
+    # -- the same over stacked points, for the checks below -----------------
 
     def _kernel_stack(self, X):
-        """kernel_matrix of KERNEL input over the rows of X (N, n), from one
-        batched SVD: the stack (N, n-rank, n), an orthonormal basis of its
-        null space (N, n, rank), `basis_at`'s bit for bit, and which samples
-        clearly have both."""
-        K, clear = _stack(self._kernel_fns, X, self.n)
+        """`_kernel_frame` over the rows of X (N, n), from one batched SVD:
+        the kernel matrices (N, n-rank, n), their null-space bases
+        (N, n, rank), and which samples have both."""
+        K, ok = _stack(self._kernel_fns, X, self.n)
         _, s, vt = np.linalg.svd(K)
         return (K, vt[:, self.n - self.rank:].transpose(0, 2, 1),
-                clear & _clearly_full_rank(s, self.n - self.rank))
+                ok & _full_rank(s, self.n - self.rank))
 
     def _span_stack(self, X):
         """`_span_frame` over the rows of X (N, n), from one complete QR of
         the stacked span matrices (N, n, rank): Q = [B | K0^T] (N, n, n) and
-        C (N, rank, rank), `_span_frame`'s bit for bit, and which samples
-        clearly have them."""
-        M, clear = _stack(self._span_fns, X, self.n)
+        C (N, rank, rank), and which samples have them."""
+        M, ok = _stack(self._span_fns, X, self.n)
         M = M.transpose(0, 2, 1)
         s = np.linalg.svd(M, compute_uv=False)
         q, r = np.linalg.qr(M, mode="complete")
-        return q, r[:, :self.rank], clear & _clearly_full_rank(s, self.rank)
+        return q, r[:, :self.rank], ok & _full_rank(s, self.rank)
 
     def _basis_stack(self, X):
-        """basis_at over the rows of X (N, n), and which samples clearly
-        have it."""
+        """basis_at over the rows of X (N, n), and which samples have it."""
         if self.span is None:
             return self._kernel_stack(X)[1:]
-        Q, _, clear = self._span_stack(X)
-        return Q[..., :self.rank], clear
+        Q, _, ok = self._span_stack(X)
+        return Q[..., :self.rank], ok
 
 
-# The batched checks evaluate all samples at once, but only as a screen: it
-# clears the samples at which the check clearly passes, and the per-sample
-# check runs, in sample order, at every other sample.  So the first sample at
-# which the per-sample check fails or raises decides, as in a loop over all
-# samples.  "Clearly" leaves a margin for the rounding in which the stacked
-# and the per-sample linear algebra differ (the stacked expression values are
-# the per-sample ones, bit for bit): finite values, matrices of full rank
-# with their singular values over twice the cut-off and within a factor
-# _MAX_CONDITION of each other, and residuals within half their tolerance
-# less _ROUNDING.  A sample within the margin goes to the per-sample check,
-# which costs time, never a different verdict.
-#
-# The flat-simplex checks take their frames the same way (`_frames`): one
-# factorisation of the stack, a batched SVD of the kernel matrices or one
-# complete QR of the span matrices (with one batched solve for the relation
-# frame), gives `basis_at`'s frame bit for bit at each sample it clears, and
-# the per-sample frame is built, in sample order, at every other sample.
-
-_MAX_CONDITION = 1e4
-_ROUNDING = 1e-12
+# Each check's rule is written once, over a stack of samples with a leading
+# sample axis.  One sample's values are its float values, from the compiled
+# functions' float calls and the per-point methods, which raise where the
+# sample is undefined or rank-deficient.  More samples' are stacked: by
+# `expr.stacked`, the float values bit for bit wherever they are finite, and
+# one factorisation of the stack, the per-point one bit for bit.  The stack
+# decides each sample whose values are finite and whose matrix has full
+# rank.  At the first other sample, in sample order, the check makes its own
+# one-sample call, which raises there or returns that sample's verdict; so
+# verdicts, per-point lists and errors are those of a loop over the samples.
 
 
-def _undecided(count, screen, screen_one=False):
-    """The samples, by index, at which the per-sample check runs: every one
-    of a single sample, at which that check costs less than the screen,
-    unless `screen_one`, and else those that `screen()` does not clear.  A
-    screen that raises DomainError, from a subexpression without variables
-    that `_stack` cannot evaluate, clears none: that subexpression raises
-    at every sample."""
-    if count == 0 or (count == 1 and not screen_one):
-        return range(count)
-    try:
-        return np.flatnonzero(~screen())
-    except DomainError:
-        return range(count)
+def _full_rank(s, rank, message=None):
+    """The one rank rule: whether matrices with the singular values s
+    (..., k) have rank `rank`, that is, that many of them over RANK_CUTOFF.
+    Given a `message`, a matrix that has not raises RankDeficiencyError."""
+    full = np.count_nonzero(s > RANK_CUTOFF, axis=-1) == rank
+    if message is not None and not full:
+        raise RankDeficiencyError(message)
+    return full
 
 
 def _leading(fn, items, errors):
@@ -233,10 +205,14 @@ def _coords(points, n):
 
 def _stack(fn, X, width):
     """The values of the compiled `fn` at the rows of X (N, n), in rows of
-    `width`: shape (N, values / width, width), and which samples are
-    finite.  Samples that are not are zeroed, so that the linear algebra
-    over the stack stays finite; the screen does not clear them, and the
-    per-sample check raises DomainError there, or fails."""
+    `width`, shape (N, values / width, width), and which rows they decide.
+    One row's are fn's float call, which raises where the row is undefined.
+    More rows' come from `expr.stacked`; a row that is not finite is zeroed,
+    so that the linear algebra over the stack stays finite, and undecided."""
+    if len(X) == 1:
+        values = fn(*X[0].tolist())
+        return (np.array(values, dtype=float).reshape(1, len(values) // width, width),
+                np.ones(1, dtype=bool))
     V = ex.stacked(fn, *X.T).T
     V = V.reshape(len(X), V.shape[1] // width, width)
     finite = np.isfinite(V).all(axis=(1, 2))
@@ -244,24 +220,57 @@ def _stack(fn, X, width):
     return V, finite
 
 
-def _clearly_full_rank(s, rank):
-    """Screen on the singular values s (N, k) of a stack of matrices: rank
-    `rank` (= k) with a margin."""
-    if rank == 0 or s.shape[1] != rank:
-        return np.full(len(s), s.shape[1] == rank)
-    return (s[:, -1] > 2 * RANK_CUTOFF) & (s[:, -1] * _MAX_CONDITION >= s[:, 0])
+def _fibers(dist, points):
+    """At the points, stacked: the kernel matrices (N, n-rank, n) of KERNEL
+    input (None for SPAN input), the fiber bases (N, n, rank), and which
+    points have both: one point's from the per-point methods, which raise
+    where it has none, more points' from one factorisation of their stack."""
+    if len(points) > 1:
+        X = _coords(points, dist.n)
+        return dist._kernel_stack(X) if dist.kernel is not None else (None, *dist._basis_stack(X))
+    if dist.kernel is not None:
+        K, B = dist._kernel_frame(points[0])
+        return K[None], B[None], np.ones(1, dtype=bool)
+    return None, dist.basis_at(points[0])[None], np.ones(1, dtype=bool)
 
 
-def _clears(residual, scale):
-    """Screen on residuals: within half their tolerance `scale`, less
-    _ROUNDING."""
-    return within_tol(2 * residual + _ROUNDING, scale)
+def _loop_verdict(samples, verdicts, check_one):
+    """Whether a check passes at every sample, as a loop over them in order
+    decides: `verdicts()` gives its verdict at each sample and which samples
+    it decides, and `check_one(sample)`, its one-sample call, decides each
+    other sample before the first failing one, in sample order."""
+    if not samples:
+        return True
+    try:
+        passed, decided = verdicts()
+    except DomainError:  # from a subexpression without variables: it raises at every sample
+        if len(samples) == 1:
+            raise
+        passed = decided = np.zeros(len(samples), dtype=bool)
+    failing = np.flatnonzero(decided & ~passed)
+    end = int(failing[0]) if len(failing) else len(samples)
+    return all(check_one(samples[i]) for i in np.flatnonzero(~decided[:end])) and (
+        end == len(samples))
 
 
 def _basis_residuals(B, V):
     """Distance of each column of V (N, n, c) from the span of the
     orthonormal columns of B (N, n, r), shape (N, c)."""
     return np.linalg.norm(V - B @ (B.transpose(0, 2, 1) @ V), axis=1)
+
+
+def _tangent_verdicts(K, B, V, tol):
+    """Whether each column v of V (N, n, c) lies in the fiber, shape (N, c):
+    its residual within tol max(1, |v|).  For KERNEL input (K the kernel
+    matrices) the residual is the largest |K v|, taken one column at a time
+    (K @ V rounds differently); for SPAN input, the distance of v from the
+    span of the fiber bases B."""
+    if K is None:
+        residual = _basis_residuals(B, V)
+    else:
+        residual = np.stack([np.abs(K @ V[..., j:j + 1]).max(axis=(1, 2), initial=0.0)
+                             for j in range(V.shape[2])], axis=1)
+    return within_tol(residual, tol * np.maximum(1.0, np.linalg.norm(V, axis=1)))
 
 
 def span_residual(M, v):
@@ -272,13 +281,10 @@ def span_residual(M, v):
 
 
 def is_flat(dist, p, u, tol=DEFAULT_TOL):
-    """Whether the displacement u lies in the fiber at p."""
-    u = np.asarray(u, dtype=float)
-    if dist.kernel is not None:
-        resid = np.max(np.abs(dist.kernel_matrix(p) @ u), initial=0.0)
-    else:
-        resid = span_residual(dist.span_matrix(p), u)
-    return bool(within_tol(resid, tol * max(1.0, np.linalg.norm(u))))
+    """Whether the displacement u lies in the fiber at p: the weak test of
+    `check_integral_patch`, with u for a tangent vector."""
+    K, B, _ = _fibers(dist, [p])
+    return bool(_tangent_verdicts(K, B, np.asarray(u, dtype=float).reshape(1, -1, 1), tol)[0, 0])
 
 
 def _entries(M):
@@ -359,7 +365,7 @@ def _relation(dist, span, x, frame):
     if not span:
         K = dist._kernel_jet(x, B)
         return (_dot(K[i:i + n], w) for i in range(0, len(K), n))
-    columns = list(zip(*([c if c.__class__ is float else NilElement(2, rank, {(0, 0): c})
+    columns = list(zip(*([c if c.__class__ is float else NilElement(2, max(rank, 1), {(0, 0): c})
                           for c in row] for row in _entries(frame))))
     K0, S = columns[rank:n], columns[n:]
     X = dist._span_jet(x, B)
@@ -368,70 +374,35 @@ def _relation(dist, span, x, frame):
     return (_dot(row, w) - _dot([_dot(row, f) for f in fields], Sw) for row in K0)
 
 
-def _frames(frame_at, stack, samples, X, first_per_sample):
-    """The frames at the samples in order, up to the first at which
-    `frame_at` raises: the frames, their stack, and that exception (None if
-    there is none).
-
-    Of more than one sample, each that `stack(X)` clears takes its frame
-    from that one factorisation of all samples (X (N, n) their
-    coordinates), `frame_at`'s bit for bit.  `frame_at` builds the frame,
-    in sample order, at every other sample: one whose values are not finite
-    or that is not clearly of full rank, and every sample where `stack`
-    raises DomainError.  With `first_per_sample`, the first sample takes
-    `frame_at`'s frame too, cleared or not: perfbench's tracer counts a
-    sample as visited only through the per-point methods, and fails an op
-    whose checks visit none (ROADMAP item 1)."""
-    stacked, clear = None, np.zeros(len(samples), dtype=bool)
-    if len(samples) > 1:
-        try:
-            stacked, clear = stack(X)
-        except DomainError:  # from a float subexpression: it raises at every sample
-            pass
-        clear[0] &= not first_per_sample
-    redo = np.flatnonzero(~clear)
-    built, error = _leading(lambda i: frame_at(samples[i]), redo, (SdgError, ValueError))
-    if stacked is None:
-        return built, np.array(built), error
-    end = len(samples) if error is None else redo[len(built)]
-    frames, stacked = list(stacked[:end]), stacked[:end].copy()
-    for i, frame in zip(redo, built):
-        frames[i] = stacked[i] = frame
-    return frames, stacked, error
-
-
 def _flat_verdicts(residuals, dist, samples, frame_at, stack, tol, first_per_sample=True):
     """`_flat_sample` at each sample in order: yields (sample, frame,
-    verdict) up to the first sample at which `frame_at` (`basis_at`, or a
-    frame built through a per-point method) raises, then raises that.  The
-    frames come from `_frames`, with `stack` the same frames over stacked
-    samples.
+    verdict), and raises where `frame_at` (`basis_at`, or a frame built
+    through a per-point method) or `_flat_sample` raises, as the loop does.
 
-    More than one sample is screened first: the residuals are evaluated
-    once on the generic flat 2-simplexes at all of them, the base
-    coordinates constant W elements with arrays of the samples' coordinates
-    as their constant terms, the frames stacked.  `_flat_sample` decides
-    only where the screen neither clearly passes nor clearly fails.  Where
-    it would raise, the batched evaluation gives nan, which reaches the
-    residual and decides nothing."""
+    Of more than one sample, the frames are `stack(X)`, and the residuals
+    are evaluated once on the generic flat 2-simplexes at all samples, the
+    base coordinates constant W elements with arrays of the samples'
+    coordinates as their constant terms.  `frame_at` builds the frame where
+    the stack does not decide, and `_flat_sample` replays the residual
+    there and wherever it is not finite (nan where the per-sample
+    evaluation raises).  With `first_per_sample`, the first sample takes
+    `frame_at`'s frame too: perfbench's tracer counts a sample as visited
+    only through the per-point methods (ROADMAP item 1)."""
     X = _coords(samples, dist.n)
-    frames, stacked, error = _frames(frame_at, stack, samples, X, first_per_sample)
-    residual = np.full(len(frames), np.nan)
-    if len(frames) > 1:
-        base = [NilElement(2, max(dist.rank, 1), {(0, 0): x})
-                for x in np.ascontiguousarray(X[:len(frames)].T)]
+    ok, residual = np.zeros(len(samples), dtype=bool), np.full(len(samples), np.nan)
+    if len(samples) > 1:
+        base = [NilElement(2, max(dist.rank, 1), {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
         try:
+            stacked, ok = stack(X)
             with np.errstate(all="ignore"):
-                residual = np.zeros(len(frames))
-                for r in residuals(base, stacked):
-                    residual = np.maximum(residual, _max_abs(r))
+                residual = reduce(np.maximum, map(_max_abs, residuals(base, stacked)),
+                                  np.zeros(len(samples)))
         except DomainError:  # from a float subexpression: it raises at every sample
-            residual = np.full(len(frames), np.nan)
-    failing = np.isfinite(residual) & ~within_tol(residual, 2 * tol + _ROUNDING)
-    for p, frame, passed, failed in zip(samples, frames, _clears(residual, tol), failing):
-        yield p, frame, bool(passed) or (not failed and _flat_sample(residuals, p, frame, tol))
-    if error is not None:
-        raise error
+            pass
+    for i, (p, decided, r) in enumerate(zip(samples, ok, residual)):
+        frame = stacked[i] if decided and (i or not first_per_sample) else frame_at(p)
+        yield p, frame, (bool(within_tol(r, tol)) if decided and np.isfinite(r) else
+                         _flat_sample(residuals, p, frame, tol))
 
 
 def _relation_test(dist, span, samples, frame_at, stack, tol):
@@ -470,14 +441,14 @@ def _span_relation_frame(dist, p):
 
 def _span_relation_stack(dist, X):
     """`_span_relation_frame` over the rows of X (N, n), from
-    `_span_stack` and one batched solve, and which samples clearly have it.
-    A sample that is not cleared is left out of the solve: its C may be
-    singular, or zeroed where its values are not finite."""
-    Q, C, clear = dist._span_stack(X)
+    `_span_stack` and one batched solve, and which samples have it.  A
+    sample that does not is left out of the solve: its C may be singular,
+    or zeroed where its values are not finite."""
+    Q, C, ok = dist._span_stack(X)
     Bt = Q[..., :dist.rank].transpose(0, 2, 1)
     S = np.zeros_like(Bt)
-    S[clear] = np.linalg.solve(C[clear], Bt[clear])
-    return np.concatenate([Q, S.transpose(0, 2, 1)], axis=2), clear
+    S[ok] = np.linalg.solve(C[ok], Bt[ok])
+    return np.concatenate([Q, S.transpose(0, 2, 1)], axis=2), ok
 
 
 def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
@@ -490,36 +461,23 @@ def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
 
 
 def _ideal_test(dist, samples, tol):
-    fns = dist._ideal_fns
+    """Every coefficient of the ideal test's forms within tol."""
+    def verdicts():
+        V, decided = _stack(dist._ideal_fns, _coords(samples, dist.n), 1)
+        return np.all(within_tol(V, tol), axis=(1, 2)), decided
 
-    def screen():
-        V, clear = _stack(fns, _coords(samples, dist.n), 1)
-        return clear & np.all(_clears(V, tol), axis=(1, 2))
-
-    for i in _undecided(len(samples), screen):
-        if not all(within_tol(v, tol) for v in fns(*samples[i].coords)):
-            return False
-    return True
+    return _loop_verdict(samples, verdicts, lambda p: _ideal_test(dist, [p], tol))
 
 
 def _bracket_test(dist, samples, tol):
-    fns, n = dist._bracket_fns, dist.n
+    """Every bracket [X_a, X_b] in the fiber (`_tangent_verdicts`)."""
+    def verdicts():
+        _, B, decided = _fibers(dist, samples)
+        U, finite = _stack(dist._bracket_fns, _coords(samples, dist.n), dist.n)
+        return np.all(_tangent_verdicts(None, B, U.transpose(0, 2, 1), tol), axis=1), (
+            decided & finite)
 
-    def screen():
-        X = _coords(samples, n)
-        B, clear = dist._basis_stack(X)
-        U, finite = _stack(fns, X, n)
-        U = U.transpose(0, 2, 1)
-        scale = tol * np.maximum(1.0, np.linalg.norm(U, axis=1))
-        return clear & finite & np.all(_clears(_basis_residuals(B, U), scale), axis=1)
-
-    for i in _undecided(len(samples), screen):
-        p = samples[i]
-        X = dist.span_matrix(p)
-        for u in np.array(fns(*p.coords), dtype=float).reshape(-1, n):
-            if not within_tol(span_residual(X, u), tol * max(1.0, np.linalg.norm(u))):
-                return False
-    return True
+    return _loop_verdict(samples, verdicts, lambda p: _bracket_test(dist, [p], tol))
 
 
 class IntegralPatch:
@@ -549,8 +507,8 @@ class IntegralPatch:
     def jacobian_at(self, s):
         J = np.array(self._jacobian_fns(*map(float, s))).reshape(
             len(self.components), self.q)
-        if np.linalg.matrix_rank(J, tol=RANK_CUTOFF) != self.q:
-            raise RankDeficiencyError(f"patch Jacobian rank-deficient at {s}")
+        _full_rank(np.linalg.svd(J, compute_uv=False), self.q,
+                   f"patch Jacobian rank-deficient at {s}")
         return J
 
 
@@ -561,55 +519,37 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
         raise ValueError("mode must be 'weak' or 'strong'")
     if mode == "strong" and patch.q != dist.rank:
         return False
-    parameter_samples = list(parameter_samples)
-    # the first sample alone, then the rest: a patch that is not integral
-    # usually fails at the first sample, and the rest need not be screened;
-    # the first is screened too when more follow, so that a clearly passing
-    # sample still skips the per-sample check
-    for chunk in (parameter_samples[:1], parameter_samples[1:]):
-        # a sample whose point cannot be built decides only if no earlier one does
-        points, error = _leading(patch.point_at, chunk, (DomainError, ValueError))
-        screen = partial(_patch_screen, dist, patch, mode, chunk, points, tol)
-        for i in _undecided(len(points), screen, len(parameter_samples) > 1):
-            if not _patch_sample(dist, patch, mode, chunk[i], points[i], tol):
-                return False
-        if error is not None:
-            raise error
-    return True
-
-
-def _patch_sample(dist, patch, mode, s, p, tol):
-    """check_integral_patch at one sample."""
-    J = patch.jacobian_at(s)
-    for col in J.T:
-        if not is_flat(dist, p, col, tol):
+    samples = list(parameter_samples)
+    check_one = lambda s: check_integral_patch(dist, patch, mode, [s], tol)
+    # the first sample alone: a patch that is not integral usually fails
+    # there, and the rest need not be stacked
+    if len(samples) > 1:
+        if not check_one(samples[0]):
             return False
-    if mode == "strong":
-        for col in dist.basis_at(p).T:
-            if not within_tol(span_residual(J, col), tol):
-                return False
+        samples = samples[1:]
+    # a sample whose point cannot be built decides only if no earlier one does
+    points, error = _leading(patch.point_at, samples, (DomainError, ValueError))
+    params = samples[:len(points)]
+
+    def verdicts():
+        # the columns of the Jacobian J lie in the fiber (weak), and the
+        # fiber in their span (strong)
+        if len(points) == 1:
+            J, decided = patch.jacobian_at(params[0])[None], np.ones(1, dtype=bool)
+        else:
+            J, decided = _stack(patch._jacobian_fns, np.array(params, dtype=float), patch.q)
+            decided &= _full_rank(np.linalg.svd(J, compute_uv=False), patch.q)
+        K, B, fibers = _fibers(dist, points)
+        passed = np.all(_tangent_verdicts(K, B, J, tol), axis=1)
+        if mode == "strong":
+            passed &= np.all(within_tol(_basis_residuals(np.linalg.qr(J)[0], B), tol), axis=1)
+        return passed, decided & fibers
+
+    if not _loop_verdict(params, verdicts, check_one):
+        return False
+    if error is not None:
+        raise error
     return True
-
-
-def _patch_screen(dist, patch, mode, parameter_samples, points, tol):
-    """The samples at which check_integral_patch clearly passes, one for
-    each point (the leading parameter samples)."""
-    S = np.array(parameter_samples[:len(points)], dtype=float)
-    J, clear = _stack(patch._jacobian_fns, S.reshape(len(points), patch.q), patch.q)
-    clear &= _clearly_full_rank(np.linalg.svd(J, compute_uv=False), patch.q)
-    X = _coords(points, dist.n)
-    if dist.kernel is not None:
-        K, B, fiber_clear = dist._kernel_stack(X)
-        resid = np.max(np.abs(K @ J), axis=1, initial=0.0)
-    else:
-        B, fiber_clear = dist._basis_stack(X)
-        resid = _basis_residuals(B, J)
-    clear &= fiber_clear
-    clear &= np.all(_clears(resid, tol * np.maximum(1.0, np.linalg.norm(J, axis=1))),
-                    axis=1)
-    if mode == "strong":
-        clear &= np.all(_clears(_basis_residuals(np.linalg.qr(J)[0], B), tol), axis=1)
-    return clear
 
 
 class SemiAnnihilationResult:
@@ -634,7 +574,7 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
     samples = list(samples)
     flat_values = lambda x, B: [theta(x, _flat_generic_offsets(B, 2))]
     conclusion = True
-    # the first sample alone, then the screen over the rest: where theta is
+    # the first sample alone, then the stack of the rest: where theta is
     # not annihilated, the first sample usually shows it
     for chunk in (samples[:1], samples[1:]):
         for p, B, ok in _flat_verdicts(flat_values, dist, chunk, dist.basis_at,

@@ -359,8 +359,8 @@ def test_line_fields_agree():
 @pytest.mark.parametrize("c, want", [(0.7e-9, True), (1.0e-9, True), (1.3e-9, False)])
 def test_residuals_near_the_tolerance_go_to_the_per_sample_check(c, want):
     # the flat patch (s, t, 0) of ker(dz - c dx) has the residual |c| at
-    # every sample: the screen clears none of them at tol 1e-9, and the
-    # per-sample check decides
+    # every sample: the one-sample call at the first sample and the stack of
+    # the rest decide alike at tol 1e-9, as the loop does
     dist = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Const(-c)})])
     patch = ds.IntegralPatch(("s", "t"), [S, T, ZERO])
     params = [(0.1, 0.2), (0.3, -0.4)]
@@ -368,15 +368,33 @@ def test_residuals_near_the_tolerance_go_to_the_per_sample_check(c, want):
     assert_same_patch_verdicts(dist, patch, params)
 
 
+def one_sample_calls(monkeypatch, name, position, alone=None):
+    """The samples at which `distributions.<name>`, a check taking its
+    samples as argument `position`, is called with that sample alone: the
+    check's one-sample calls, its own included, appended to `alone`."""
+    alone = [] if alone is None else alone
+    check = getattr(ds, name)
+
+    def recording(*args):
+        samples = list(args[position])
+        if len(samples) == 1:
+            alone.append(samples[0])
+        return check(*args[:position], samples, *args[position + 1:])
+
+    monkeypatch.setattr(ds, name, recording)
+    return alone
+
+
 def test_clearly_passing_samples_skip_the_per_sample_check(monkeypatch):
-    calls = []
-    monkeypatch.setattr(ds, "_patch_sample", lambda *args: calls.append(args))
+    # the first sample alone, and the stack of the rest: no other sample is
+    # checked alone
+    alone = one_sample_calls(monkeypatch, "check_integral_patch", 3)
     patch = ds.IntegralPatch(("s", "t"), [S, T, ex.Mul(S, T)])
     # z = s t: dz - y dx - x dy vanishes on the patch
     dist = Distribution(3, 2, kernel=[form_1({3: ONE, 1: -Y, 2: -X})])
     params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 32, seed=6)]
     assert ds.check_integral_patch(dist, patch, "strong", params) is True
-    assert calls == []
+    assert alone == params[:1]
 
 
 def test_curvature_oracle_agrees():
@@ -997,13 +1015,14 @@ def contact_residual(dist, points, span=False):
             for p in points]
 
 
-@pytest.mark.parametrize("factor, want, screened", [
+@pytest.mark.parametrize("factor, want, far", [
     (0.3, True, True), (0.7, True, False), (1.0, True, False), (1.3, False, False),
     (3.0, False, True)])
 def test_flat_residuals_near_the_tolerance_go_to_the_per_sample_test(
-        monkeypatch, factor, want, screened):
+        monkeypatch, factor, want, far):
     # ker(dz - 0.8 y dx) at points sharing y: the same residual r at each,
-    # checked at tol = r / factor; the screen decides only the clear cases
+    # checked at tol = r / factor; near the tolerance or `far` from it, the
+    # stack decides each finite residual, and none is replayed per sample
     dist = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Mul(ex.Const(-0.8), Y)})])
     points = [Point((x, 0.3, z)) for x, z in ((0.1, 0.2), (-0.5, 0.7), (0.9, -0.4), (0.0, 0.0))]
     residuals = contact_residual(dist, points)
@@ -1013,7 +1032,7 @@ def test_flat_residuals_near_the_tolerance_go_to_the_per_sample_test(
     flat_sample = ds._flat_sample
     monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(1) or flat_sample(*args))
     assert ds.check_involutive_combinatorial(dist, points, tol) == ([want] * 4, want)
-    assert len(calls) == (0 if screened else 4)
+    assert calls == []
     assert_same_flat_checks(dist, points, tol)
 
 
@@ -1046,12 +1065,13 @@ def ramp_span(c):
                         vars=VARS3)
 
 
-@pytest.mark.parametrize("factor, want, screened", [
+@pytest.mark.parametrize("factor, want, far", [
     (0.3, True, True), (0.7, True, False), (1.0, True, False), (1.3, False, False),
     (3.0, False, True)])
 def test_span_residuals_near_the_tolerance_go_to_the_per_sample_test(
-        monkeypatch, factor, want, screened):
-    # the same frames and the same residual r at points sharing y
+        monkeypatch, factor, want, far):
+    # the same frames and the same residual r at points sharing y, decided
+    # by the stack alike near the tolerance and `far` from it
     dist = ramp_span(0.8)
     points = [Point((x, 0.3, z)) for x, z in ((0.1, 0.2), (-0.5, 0.7), (0.9, -0.4), (0.0, 0.0))]
     residuals = contact_residual(dist, points, span=True)
@@ -1061,7 +1081,7 @@ def test_span_residuals_near_the_tolerance_go_to_the_per_sample_test(
     flat_sample = ds._flat_sample
     monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(1) or flat_sample(*args))
     assert ds.pointwise_involutive_span(dist, points, tol) == ([want] * 4, want)
-    assert len(calls) == (0 if screened else 4)
+    assert calls == []
     assert_same_span_checks(dist, points, tol)
 
 
@@ -1391,7 +1411,7 @@ MARGIN_POINTS = [(0.5, 0.3, 0.1), (0.7, -0.4, 0.3), None, (0.4, 0.2, -0.6), (0.9
 
 def margin_points(x):
     """Five samples, the middle one at x = `x`, where the cases below are
-    not clearly of full rank or not finite."""
+    not finite, rank-deficient or of full rank by a small margin."""
     return [Point((x, 0.3, 0.2) if c is None else c) for c in MARGIN_POINTS]
 
 
@@ -1402,7 +1422,8 @@ def _reciprocal_zero():
 # (name, distribution, x at the middle sample, whether it is involutive):
 # values not finite there, rank-deficient, full rank with a smallest
 # singular value between RANK_CUTOFF and 2 RANK_CUTOFF, and with a
-# condition over _MAX_CONDITION; involutive and not
+# condition number over 1e4; involutive and not.  Only the first two are
+# not decided by the stack.
 MARGIN_CASES = [
     ("kernel, not finite", Distribution(3, 2, kernel=[form_1({3: ONE, 1: _reciprocal_zero()})]),
      0.0, True),
@@ -1441,20 +1462,29 @@ def frame_calls(monkeypatch, check, *args):
         monkeypatch.undo()
 
 
+def undecided(name):
+    """Whether the stack leaves the middle sample of a margin case to
+    frame_at: where its values are not finite or its matrix is
+    rank-deficient, not where that matrix is of full rank by a small
+    margin."""
+    return name.endswith(("not finite", "rank-deficient"))
+
+
 @pytest.mark.parametrize("name, dist, x, involutive", MARGIN_CASES,
                          ids=[case[0] for case in MARGIN_CASES])
 def test_frame_at_runs_where_the_stack_does_not_clear(monkeypatch, name, dist, x, involutive):
-    # frame_at at the first sample and at the middle one alone, which the
-    # stack does not clear; the same verdicts, per-point lists and errors
-    # as the per-sample loops
+    # frame_at at the first sample, and at the middle one alone where the
+    # stack does not decide it; the same verdicts, per-point lists and
+    # errors as the per-sample loops
     points = margin_points(x)
     span = dist.span is not None
     X = ds._coords(points, dist.n)
     for _, stack in frame_kinds(dist):
-        assert stack(X)[1].tolist() == [True, True, False, True, True]
+        assert stack(X)[1].tolist() == [True, True, not undecided(name), True, True]
+    built = [points[0], points[2]] if undecided(name) else [points[0]]
     check = ds.pointwise_involutive_span if span else ds.check_involutive_combinatorial
     got, calls = frame_calls(monkeypatch, check, dist, points)
-    assert calls == [points[0], points[2]]
+    assert calls == built
     assert got == full_outcome(ref_relation, dist, points, ds.DEFAULT_TOL, span)
     if not isinstance(got[0], type):
         assert got[1] is involutive
@@ -1466,7 +1496,7 @@ def test_frame_at_runs_where_the_stack_does_not_clear(monkeypatch, name, dist, x
         assert got == full_outcome(ref_semi_annihilation_check, dist, theta, points, rng_want,
                                    tol)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
-        assert calls == ([points[0], points[2]] if got[0] is not False else points[:1])
+        assert calls == (built if got[0] is not False else points[:1])
 
 
 def test_a_constant_undefined_frame_raises_at_the_first_sample(monkeypatch):
@@ -1521,6 +1551,211 @@ def test_one_stacked_factorisation_per_check(monkeypatch, seed):
         check(*args)
         assert stacked == factors, check.__name__
         assert visited == [(frame, points[0])], check.__name__
+
+
+def test_a_rank_zero_span_is_involutive():
+    # span{} in R^3, the zero sub-bundle: Kock's relation holds at every
+    # sample, and there is no bracket to test
+    dist = Distribution(3, 0, span=[])
+    for count in (1, 2, 16):
+        points = sample_box([(-1.0, 1.0)] * 3, count, seed=count)
+        assert ds.pointwise_involutive_span(dist, points) == ([True] * count, True)
+        assert ds.check_involutive_classical(dist, points) is True
+
+
+# -- one rule per check: the stack decides as the one-sample calls do ----------
+
+def fold_alone(kind, check, samples):
+    """check([sample]) at each sample in order, folded as a loop over the
+    samples folds: the classical and patch checks stop at the first failing
+    sample, the relation checks list each sample's verdict, and the
+    semi-annihilation check stops at the first failing precondition.  An
+    exception ends the fold."""
+    if kind == "relation":
+        verdicts = [check([s])[0][0] for s in samples]
+        return verdicts, all(verdicts)
+    if kind == "semi":
+        conclusion = True
+        for s in samples:
+            precondition, alone = check([s])
+            if not precondition:
+                return False, None
+            conclusion = conclusion and alone
+        return True, conclusion
+    return all(check([s]) for s in samples)
+
+
+def semi_theta(dist):
+    """A 2-form for the semi-annihilation check of dist: d of its first
+    kernel form, or of dx_n for SPAN input."""
+    form = dist.kernel[0] if dist.kernel is not None else form_1({dist.n: ONE}, dist.vars)
+    return d_comb(to_combinatorial(form))
+
+
+def batch_checks(dist, tol, rng=None):
+    """(kind, check) of each check of dist, check a function of the
+    samples; the semi-annihilation check draws from `rng`."""
+    relation = (ds.check_involutive_combinatorial if dist.kernel is not None else
+                ds.pointwise_involutive_span)
+    theta = semi_theta(dist)
+    return [("classical", lambda s: ds.check_involutive_classical(dist, s, tol)),
+            ("relation", lambda s: relation(dist, s, tol)),
+            ("semi", lambda s: _semi(dist, theta, s, rng, tol))]
+
+
+def patch_checks(dist, patch, tol):
+    return [("patch", lambda s, mode=mode: ds.check_integral_patch(dist, patch, mode, s, tol))
+            for mode in ("weak", "strong")]
+
+
+def assert_batch_is_fold(dist, samples, tol, patches=()):
+    """Each check of dist at all samples, and of each (patch, parameter
+    samples), against the fold of its one-sample calls: the same result or
+    exception, and the same random draws."""
+    rngs = [np.random.default_rng(3), np.random.default_rng(3)]
+    pairs = zip(batch_checks(dist, tol, rngs[0]), batch_checks(dist, tol, rngs[1]))
+    for (kind, check), (_, alone) in pairs:
+        assert full_outcome(check, samples) == full_outcome(fold_alone, kind, alone, samples), (
+            kind, tol)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    for patch, params in patches:
+        for kind, check in patch_checks(dist, patch, tol):
+            assert full_outcome(check, params) == full_outcome(fold_alone, kind, check, params)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_a_stack_decides_as_its_one_sample_calls_on_the_benchmark(seed):
+    for prog in perfbench_programs(seed):
+        points = sample_box([(-1.0, 1.0)] * prog.dim, 16, seed)
+        params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 16, seed)]
+        for dist in prog.dists.values():
+            for tol in (ds.DEFAULT_TOL, 0.0):
+                assert_batch_is_fold(dist, points, tol,
+                                     [(patch, params) for patch in prog.patches.values()])
+
+
+def test_a_stack_decides_as_its_one_sample_calls_on_the_random_corpora():
+    rng = np.random.default_rng(81)
+    for attempt in range(12):
+        n = int(rng.choice((3, 4)))
+        points = sample_box([(-1.0, 1.0)] * n, 8, seed=attempt)
+        for dist in (random_kernel_distribution(rng, n), random_span_distribution(rng, n)):
+            for tol in (ds.DEFAULT_TOL, 0.0):
+                assert_batch_is_fold(dist, points, tol)
+    # the distributions and patches of test_random_patch_corpus_agrees
+    rng = np.random.default_rng(5)
+    dists = [Distribution(3, 2, kernel=[form_1({3: ONE})]),
+             Distribution(3, 2, kernel=[form_1({3: ONE, 1: -Y})]),
+             Distribution(3, 2, span=[[ONE, ZERO, Y], [ZERO, ONE, ZERO]], vars=VARS3),
+             Distribution(3, 1, span=[[ONE, X, ZERO]], vars=VARS3)]
+    for attempt in range(10):
+        third = random_scalar_expr(rng, ("s", "t"))
+        surface = ds.IntegralPatch(("s", "t"), [S, T, third])
+        curve = ds.IntegralPatch(("s",), [S, ex.Mul(S, S), ex.rename(third, {"t": "s"})])
+        for patch in (surface, curve):
+            params = [tuple(p.coords)
+                      for p in sample_box([(-1.0, 1.0)] * patch.q, 6, attempt)]
+            for dist in dists:
+                for tol in (ds.DEFAULT_TOL, 0.0):
+                    for kind, check in patch_checks(dist, patch, tol):
+                        assert full_outcome(check, params) == full_outcome(
+                            fold_alone, kind, check, params)
+
+
+@pytest.mark.parametrize("name, dist, x, involutive", MARGIN_CASES,
+                         ids=[case[0] for case in MARGIN_CASES])
+def test_a_stack_decides_as_its_one_sample_calls_at_the_margins(name, dist, x, involutive):
+    for tol in (ds.DEFAULT_TOL, 0.0):
+        assert_batch_is_fold(dist, margin_points(x), tol)
+
+
+def alone_samples(monkeypatch, kind, check, samples):
+    """The outcome of check(samples) (`full_outcome`), and the samples, in
+    order and without repeats, at which it works on one sample alone: for
+    the classical and patch checks, their calls with one sample; for the
+    relation and semi-annihilation checks, the frames built through
+    `basis_at` or the relation frame of SPAN input, and the residuals
+    replayed by `_flat_sample`."""
+    alone = []
+    if kind == "patch":
+        one_sample_calls(monkeypatch, "check_integral_patch", 3, alone)
+    elif kind == "classical":
+        for name in ("_ideal_test", "_bracket_test"):
+            one_sample_calls(monkeypatch, name, 1, alone)
+    else:
+        basis_at, relation_frame, flat_sample = (
+            Distribution.basis_at, ds._span_relation_frame, ds._flat_sample)
+        monkeypatch.setattr(Distribution, "basis_at",
+                            lambda self, p: alone.append(p) or basis_at(self, p))
+        monkeypatch.setattr(ds, "_span_relation_frame",
+                            lambda dist, p: alone.append(p) or relation_frame(dist, p))
+        monkeypatch.setattr(ds, "_flat_sample",
+                            lambda res, p, *args: alone.append(p) or flat_sample(res, p, *args))
+    try:
+        got = full_outcome(check, samples)
+    finally:
+        monkeypatch.undo()
+    return got, [s for i, s in enumerate(alone) if s not in alone[:i]]
+
+
+def first_raising(kind, check, samples):
+    """[the first sample at which check([sample]) raises], if a loop over
+    the samples in order reaches it, else []."""
+    for s in samples:
+        got = full_outcome(check, [s])
+        if isinstance(got, tuple) and isinstance(got[0], type):
+            return [s]
+        if kind != "relation" and got in (False, (False, None)):
+            return []
+    return []
+
+
+def assert_one_sample_calls(monkeypatch, kind, check, samples):
+    """A check of more than one sample works on a sample alone only at its
+    first (the first patch and semi-annihilation sample, the first relation
+    frame) and at the first sample whose values are not finite or whose
+    matrix is rank-deficient, at which the one-sample call raises."""
+    got, alone = alone_samples(monkeypatch, kind, check, samples)
+    first = [] if kind == "classical" else samples[:1]
+    want = first + [s for s in first_raising(kind, check, samples) if s not in first]
+    assert alone == want, (kind, got)
+    return got
+
+
+@pytest.mark.parametrize("name, dist, x, involutive", MARGIN_CASES,
+                         ids=[case[0] for case in MARGIN_CASES])
+def test_one_sample_calls_at_the_margins(monkeypatch, name, dist, x, involutive):
+    for kind, check in batch_checks(dist, ds.DEFAULT_TOL):
+        got = assert_one_sample_calls(monkeypatch, kind, check, margin_points(x))
+        # of full rank by a small margin is of full rank
+        assert undecided(name) or not (isinstance(got, tuple) and isinstance(got[0], type))
+
+
+def test_one_sample_calls_where_a_sample_raises(monkeypatch):
+    k3, _ = perfbench_programs(2)
+    points = sample_box([(-1.0, 1.0)] * 3, 16, seed=9)
+    good = [Point((0.5, 0.5, 0.1)), Point((0.25, -0.4, 0.3)), Point((0.75, 0.2, -0.6))]
+    cases = [(dist, points) for dist in k3.dists.values()]
+    for f, bad, w_only, _ in DOMAIN_CASES:
+        contact = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Neg(_vanishing(f))})])
+        flat = Distribution(3, 2, span=[[ONE, ZERO, ex.Sub(f, f)], [ZERO, ONE, ZERO]],
+                            vars=VARS3)
+        for x in (bad, w_only):
+            if x is not None:
+                samples = good[:1] + [Point((x, 0.3, 0.2))] + good[1:]
+                cases += [(contact, samples), (flat, samples)]
+    for dist, samples in cases:
+        for kind, check in batch_checks(dist, ds.DEFAULT_TOL):
+            assert_one_sample_calls(monkeypatch, kind, check, samples)
+    # ker(dz) contains the patch (s, t^2, 0), whose Jacobian loses rank at t = 0
+    flat = Distribution(3, 2, kernel=[form_1({3: ONE})])
+    square = ds.IntegralPatch(("s", "t"), [S, ex.Mul(T, T), ZERO])
+    params = [(0.5, 0.5), (0.2, 0.3), (0.3, 0.0), (0.4, 0.1)]
+    for dist, patch, samples in ((flat, square, params), (flat, square, params[:2]),
+                                 (CONTACT, SQUARE_PATCH, params[2:]),
+                                 (CONTACT, SQUARE_PATCH, params)):
+        for kind, check in patch_checks(dist, patch, ds.DEFAULT_TOL):
+            assert_one_sample_calls(monkeypatch, kind, check, samples)
 
 
 # -- term maps with array coefficients -------------------------------------------
