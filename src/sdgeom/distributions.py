@@ -101,7 +101,8 @@ class Distribution:
 
     def kernel_matrix(self, p):
         """(n-rank) x n matrix of kernel-form coefficients at p (for SPAN
-        input, orthonormal rows of the complement of the fiber)."""
+        input, orthonormal rows of the complement of the fiber); it raises
+        RankDeficiencyError where the rank falls short (`_full_rank`)."""
         if self.kernel is None:
             return self._span_frame(p)[1]
         return self._kernel_frame(p)[0]
@@ -115,7 +116,8 @@ class Distribution:
         return K, vt[self.n - self.rank:].T
 
     def span_matrix(self, p):
-        """n x rank matrix of spanning field values at p."""
+        """n x rank matrix of spanning field values at p (for KERNEL input,
+        `basis_at`'s); RankDeficiencyError where the rank falls short."""
         if self.span is None:
             return self._kernel_frame(p)[1]
         M = np.array(self._span_fns(*p.coords)).reshape(self.rank, self.n).T
@@ -131,7 +133,8 @@ class Distribution:
         return q[:, :self.rank], q[:, self.rank:].T, r[:self.rank]
 
     def basis_at(self, p):
-        """Orthonormal n x rank basis of the fiber at p."""
+        """Orthonormal n x rank basis of the fiber at p: the checks' at one
+        sample, and bit for bit the one of the stacks (`_basis_stack`)."""
         if self.span is not None:
             return self._span_frame(p)[0]
         return self._kernel_frame(p)[1]
@@ -181,22 +184,10 @@ def _full_rank(s, rank, message=None):
     """The one rank rule: whether matrices with the singular values s
     (..., k) have rank `rank`, that is, that many of them over RANK_CUTOFF.
     Given a `message`, a matrix that has not raises RankDeficiencyError."""
-    full = np.count_nonzero(s > RANK_CUTOFF, axis=-1) == rank
+    full = (s > RANK_CUTOFF).sum(axis=-1) == rank
     if message is not None and not full:
         raise RankDeficiencyError(message)
     return full
-
-
-def _leading(fn, items, errors):
-    """fn at the items in order, up to the first at which it raises one of
-    `errors`: the values, and that exception (None if there is none)."""
-    values = []
-    for item in items:
-        try:
-            values.append(fn(item))
-        except errors as err:
-            return values, err
-    return values, None
 
 
 def _coords(points, n):
@@ -210,9 +201,8 @@ def _stack(fn, X, width):
     More rows' come from `expr.stacked`; a row that is not finite is zeroed,
     so that the linear algebra over the stack stays finite, and undecided."""
     if len(X) == 1:
-        values = fn(*X[0].tolist())
-        return (np.array(values, dtype=float).reshape(1, len(values) // width, width),
-                np.ones(1, dtype=bool))
+        V = np.array(fn(*X[0].tolist()), dtype=float)
+        return V.reshape(1, len(V) // width, width), np.ones(1, dtype=bool)
     V = ex.stacked(fn, *X.T).T
     V = V.reshape(len(X), V.shape[1] // width, width)
     finite = np.isfinite(V).all(axis=(1, 2))
@@ -239,13 +229,11 @@ def _loop_verdict(samples, verdicts, check_one):
     decides: `verdicts()` gives its verdict at each sample and which samples
     it decides, and `check_one(sample)`, its one-sample call, decides each
     other sample before the first failing one, in sample order."""
-    if not samples:
-        return True
+    if len(samples) <= 1:
+        return not samples or bool(verdicts()[0][0])
     try:
         passed, decided = verdicts()
     except DomainError:  # from a subexpression without variables: it raises at every sample
-        if len(samples) == 1:
-            raise
         passed = decided = np.zeros(len(samples), dtype=bool)
     failing = np.flatnonzero(decided & ~passed)
     end = int(failing[0]) if len(failing) else len(samples)
@@ -268,8 +256,8 @@ def _tangent_verdicts(K, B, V, tol):
     if K is None:
         residual = _basis_residuals(B, V)
     else:
-        residual = np.stack([np.abs(K @ V[..., j:j + 1]).max(axis=(1, 2), initial=0.0)
-                             for j in range(V.shape[2])], axis=1)
+        KV = np.concatenate([K @ V[..., j:j + 1] for j in range(V.shape[2])] or [K @ V], axis=2)
+        residual = np.abs(KV).max(axis=1, initial=0.0)
     return within_tol(residual, tol * np.maximum(1.0, np.linalg.norm(V, axis=1)))
 
 
@@ -389,20 +377,26 @@ def _flat_verdicts(residuals, dist, samples, frame_at, stack, tol, first_per_sam
     `frame_at`'s frame too: perfbench's tracer counts a sample as visited
     only through the per-point methods (ROADMAP item 1)."""
     X = _coords(samples, dist.n)
-    ok, residual = np.zeros(len(samples), dtype=bool), np.full(len(samples), np.nan)
+    frames, ok = [None] * len(samples), np.zeros(len(samples), dtype=bool)
+    residual = np.full(len(samples), np.nan)
     if len(samples) > 1:
         base = [NilElement(2, max(dist.rank, 1), {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
         try:
             stacked, ok = stack(X)
+            frames = list(stacked)
             with np.errstate(all="ignore"):
                 residual = reduce(np.maximum, map(_max_abs, residuals(base, stacked)),
                                   np.zeros(len(samples)))
         except DomainError:  # from a float subexpression: it raises at every sample
             pass
-    for i, (p, decided, r) in enumerate(zip(samples, ok, residual)):
-        frame = stacked[i] if decided and (i or not first_per_sample) else frame_at(p)
-        yield p, frame, (bool(within_tol(r, tol)) if decided and np.isfinite(r) else
-                         _flat_sample(residuals, p, frame, tol))
+    alone = ~ok
+    alone[:1] |= first_per_sample
+    replay = ~(ok & np.isfinite(residual))
+    for p, frame, built, passed, replayed in zip(samples, frames, alone.tolist(),
+                                                 within_tol(residual, tol).tolist(),
+                                                 replay.tolist()):
+        frame = frame_at(p) if built else frame
+        yield p, frame, _flat_sample(residuals, p, frame, tol) if replayed else passed
 
 
 def _relation_test(dist, span, samples, frame_at, stack, tol):
@@ -440,10 +434,9 @@ def _span_relation_frame(dist, p):
 
 
 def _span_relation_stack(dist, X):
-    """`_span_relation_frame` over the rows of X (N, n), from
-    `_span_stack` and one batched solve, and which samples have it.  A
-    sample that does not is left out of the solve: its C may be singular,
-    or zeroed where its values are not finite."""
+    """`_span_relation_frame` over the rows of X (N, n), from `_span_stack`
+    and one batched solve, and which samples have it.  The solve leaves out
+    the samples that do not: their C may be singular."""
     Q, C, ok = dist._span_stack(X)
     Bt = Q[..., :dist.rank].transpose(0, 2, 1)
     S = np.zeros_like(Bt)
@@ -505,6 +498,8 @@ class IntegralPatch:
         return Point(self._point_fn(*map(float, s)))
 
     def jacobian_at(self, s):
+        """The Jacobian at the parameters s; RankDeficiencyError unless of
+        rank q (`_full_rank`)."""
         J = np.array(self._jacobian_fns(*map(float, s))).reshape(
             len(self.components), self.q)
         _full_rank(np.linalg.svd(J, compute_uv=False), self.q,
@@ -521,14 +516,18 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
         return False
     samples = list(parameter_samples)
     check_one = lambda s: check_integral_patch(dist, patch, mode, [s], tol)
-    # the first sample alone: a patch that is not integral usually fails
-    # there, and the rest need not be stacked
-    if len(samples) > 1:
-        if not check_one(samples[0]):
-            return False
-        samples = samples[1:]
+    # the first sample alone, then the rest: a patch that is not integral
+    # usually fails at the first sample, and the rest need not be stacked
+    if len(samples) > 1 and not check_one(samples.pop(0)):
+        return False
     # a sample whose point cannot be built decides only if no earlier one does
-    points, error = _leading(patch.point_at, samples, (DomainError, ValueError))
+    points, error = [], None
+    for s in samples:
+        try:
+            points.append(patch.point_at(s))
+        except (DomainError, ValueError) as err:
+            error = err
+            break
     params = samples[:len(points)]
 
     def verdicts():

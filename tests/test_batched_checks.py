@@ -738,8 +738,8 @@ def test_jet_is_compile_w_at_the_edges(name):
 #
 # y*1e10*(f(x) - F)*(x - x1) at two samples, F the value of f at x0 one ulp
 # up, vanishes at x0 only in an f one ulp up, and at x1 in any f.  numpy's f
-# is replaced by such an f: a screen that evaluated f through numpy would
-# clear x0, where the loop, through math, fails.
+# is replaced by such an f: a stack that evaluated f through numpy would
+# pass x0, where the loop, through math, fails.
 
 SAMPLES16 = sample_box([(-1.0, 1.0)] * 3, 2, seed=16)
 ULP_CASES = [("exp", math.exp, lambda e: ex.Call("exp", e), ()),
@@ -877,7 +877,7 @@ def test_each_object_compiles_each_expression_list_once(monkeypatch):
     points = sample_box([(-1.0, 1.0)] * 3, 4, seed=1)
     params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 4, seed=2)]
     # neither distribution is involutive, nor the patch integral: the
-    # screens clear no sample, and the per-sample checks decide
+    # stacks and the one-sample calls at the first samples decide
     kernel = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Call("sin", Y)})])
     span = Distribution(3, 2, span=[[ONE, ZERO, ex.Mul(X, Y)], [ZERO, ONE, ex.Call("exp", X)]],
                         vars=VARS3)
@@ -899,7 +899,7 @@ def test_each_object_compiles_each_expression_list_once(monkeypatch):
               lambda: cn.parallel_transport(conn, curve, 0.0, 1.0, 20)]
     for check in checks:
         check()
-    assert stacked_calls, "the screens and the transport evaluate stacked samples"
+    assert stacked_calls, "the checks and the transport evaluate stacked samples"
     assert len(compiled) == len(set(compiled)), "no expression list compiles twice"
     assert sum(c[0] == "jet" for c in compiled) == 3, "the kernel, span and connection jets"
     curve_list = compiled[-1]
@@ -1520,9 +1520,9 @@ def test_a_constant_undefined_frame_raises_at_the_first_sample(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 3])
 def test_one_stacked_factorisation_per_check(monkeypatch, seed):
-    # at 256 clearly conditioned samples, each flat-simplex check factors
+    # at 256 samples of full rank, each flat-simplex check factors
     # the stack once (an SVD of the kernel matrices, a complete QR of the
-    # span matrices, whose rank screen takes their singular values), and
+    # span matrices, whose rank rule takes their singular values), and
     # builds the first sample's frame alone
     k3, _ = perfbench_programs(seed)
     points = sample_box([(-1.0, 1.0)] * 3, 256, seed)
@@ -1744,6 +1744,10 @@ def test_one_sample_calls_where_a_sample_raises(monkeypatch):
             if x is not None:
                 samples = good[:1] + [Point((x, 0.3, 0.2))] + good[1:]
                 cases += [(contact, samples), (flat, samples)]
+    # span{(1, 0, 0), (0, x, x z)} is involutive off x = 0, where it loses
+    # rank and the basis of its stacked QR misses the bracket (0, 1, z)
+    folded = Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, X, ex.Mul(X, Z)]], vars=VARS3)
+    cases.append((folded, [Point((0.5, 0.3, 0.5)), Point((0.0, 0.3, 0.5)), good[1]]))
     for dist, samples in cases:
         for kind, check in batch_checks(dist, ds.DEFAULT_TOL):
             assert_one_sample_calls(monkeypatch, kind, check, samples)
