@@ -183,7 +183,7 @@ class Distribution:
 def _full_rank(s, rank, message=None):
     """The one rank rule: whether matrices with the singular values s
     (..., k) have rank `rank`, that is, that many of them over RANK_CUTOFF.
-    Given a `message`, a matrix that has not raises RankDeficiencyError."""
+    With a `message`, it raises RankDeficiencyError for a matrix that has not."""
     full = (s > RANK_CUTOFF).sum(axis=-1) == rank
     if message is not None and not full:
         raise RankDeficiencyError(message)
@@ -250,9 +250,9 @@ def _basis_residuals(B, V):
 def _tangent_verdicts(K, B, V, tol):
     """Whether each column v of V (N, n, c) lies in the fiber, shape (N, c):
     its residual within tol max(1, |v|).  For KERNEL input (K the kernel
-    matrices) the residual is the largest |K v|, taken one column at a time
-    (K @ V rounds differently); for SPAN input, the distance of v from the
-    span of the fiber bases B."""
+    matrices) that is the largest |K v|, one column at a time (K @ V rounds
+    differently, and serves only where V has no column); for SPAN input, the
+    distance of v from the span of the fiber bases B."""
     if K is None:
         residual = _basis_residuals(B, V)
     else:
