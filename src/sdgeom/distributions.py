@@ -28,6 +28,8 @@ class Distribution:
     def __init__(self, n, rank, span=None, kernel=None, vars=None):
         if (span is None) == (kernel is None):
             raise ValueError("need one representation: SPAN or KERNEL")
+        if not 0 <= rank <= n:
+            raise DegreeError(f"rank must lie between 0 and the dimension {n}")
         if kernel is not None:
             kernel = list(kernel)
             if len(kernel) != n - rank:
@@ -169,15 +171,18 @@ class Distribution:
 
 
 # Each check's rule is written once, over a stack of samples with a leading
-# sample axis.  One sample's values are its float values, from the compiled
-# functions' float calls and the per-point methods, which raise where the
-# sample is undefined or rank-deficient.  More samples' are stacked: by
-# `expr.stacked`, the float values bit for bit wherever they are finite, and
-# one factorisation of the stack, the per-point one bit for bit.  The stack
-# decides each sample whose values are finite and whose matrix has full
-# rank.  At the first other sample, in sample order, the check makes its own
-# one-sample call, which raises there or returns that sample's verdict; so
-# verdicts, per-point lists and errors are those of a loop over the samples.
+# sample axis: `check(samples)` returns the outcome at each sample and which
+# samples it decides.  One sample's values are its float values, from the
+# compiled functions' float calls and the per-point methods, which raise
+# where the sample is undefined or rank-deficient, so a one-sample call
+# decides its sample or raises as a loop over the samples does.  More
+# samples' are stacked: by `expr.stacked`, the float values bit for bit
+# wherever they are finite, and one factorisation of the stack, the
+# per-point one bit for bit.  The stack decides each sample whose values are
+# finite and whose matrix has full rank.  `_in_order` drives every check: the
+# first sample alone, then the stack of the rest, and a one-sample call at
+# each sample that stack does not decide, in sample order; so verdicts,
+# per-point lists and errors are those of a loop over the samples.
 
 
 def _full_rank(s, rank, message=None):
@@ -213,32 +218,39 @@ def _stack(fn, X, width):
 def _fibers(dist, points):
     """At the points, stacked: the kernel matrices (N, n-rank, n) of KERNEL
     input (None for SPAN input), the fiber bases (N, n, rank), and which
-    points have both: one point's from the per-point methods, which raise
-    where it has none, more points' from one factorisation of their stack."""
+    points have both: of one point, [p], from the per-point methods, which
+    raise where it has none; of more, given by their coordinates (N, n), from
+    one factorisation of their stack."""
     if len(points) > 1:
-        X = _coords(points, dist.n)
-        return dist._kernel_stack(X) if dist.kernel is not None else (None, *dist._basis_stack(X))
+        return dist._kernel_stack(points) if dist.kernel is not None else (
+            None, *dist._basis_stack(points))
     if dist.kernel is not None:
         K, B = dist._kernel_frame(points[0])
         return K[None], B[None], np.ones(1, dtype=bool)
     return None, dist.basis_at(points[0])[None], np.ones(1, dtype=bool)
 
 
-def _loop_verdict(samples, verdicts, check_one):
-    """Whether a check passes at every sample, as a loop over them in order
-    decides: `verdicts()` gives its verdict at each sample and which samples
-    it decides, and `check_one(sample)`, its one-sample call, decides each
-    other sample before the first failing one, in sample order."""
-    if len(samples) <= 1:
-        return not samples or bool(verdicts()[0][0])
+def _in_order(samples, check):
+    """The outcome of a check at each sample, lazily and in sample order, as
+    a loop over the samples decides.  `check(samples)` returns the outcomes
+    at the samples and which of them it decides; a one-sample call decides
+    its sample or raises.  The first sample is checked alone, then, if the
+    caller asks for more, the stack of the rest, with a one-sample call at
+    each sample that stack does not decide (a stack of one is a one-sample
+    call)."""
+    def alone(s):
+        return check([s])[0][0]
+
+    if len(samples) < 3:
+        yield from map(alone, samples)
+        return
+    yield alone(samples[0])
     try:
-        passed, decided = verdicts()
+        outcomes, decided = check(samples[1:])
     except DomainError:  # from a subexpression without variables: it raises at every sample
-        passed = decided = np.zeros(len(samples), dtype=bool)
-    failing = np.flatnonzero(decided & ~passed)
-    end = int(failing[0]) if len(failing) else len(samples)
-    return all(check_one(samples[i]) for i in np.flatnonzero(~decided[:end])) and (
-        end == len(samples))
+        outcomes = decided = [False] * (len(samples) - 1)
+    for s, outcome, ok in zip(samples[1:], outcomes, decided):
+        yield outcome if ok else alone(s)
 
 
 def _basis_residuals(B, V):
@@ -294,11 +306,6 @@ def _flat_generic_offsets(B, arity):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _flat_sample(residuals, p, frame, tol):
-    """Whether every residual at p, with the frame `frame` there, passes."""
-    return all(within_tol(r, tol) for r in residuals(p.coords, frame))
 
 
 def _max_abs(value):
@@ -362,46 +369,35 @@ def _relation(dist, span, x, frame):
     return (_dot(row, w) - _dot([_dot(row, f) for f in fields], Sw) for row in K0)
 
 
-def _flat_verdicts(residuals, dist, samples, frame_at, stack, tol, first_per_sample=True):
-    """`_flat_sample` at each sample in order: yields (sample, frame,
-    verdict), and raises where `frame_at` (`basis_at`, or a frame built
-    through a per-point method) or `_flat_sample` raises, as the loop does.
-
-    Of more than one sample, the frames are `stack(X)`, and the residuals
-    are evaluated once on the generic flat 2-simplexes at all samples, the
-    base coordinates constant W elements with arrays of the samples'
-    coordinates as their constant terms.  `frame_at` builds the frame where
-    the stack does not decide, and `_flat_sample` replays the residual
-    there and wherever it is not finite (nan where the per-sample
-    evaluation raises).  With `first_per_sample`, the first sample takes
-    `frame_at`'s frame too: perfbench's tracer counts a sample as visited
-    only through the per-point methods (ROADMAP item 1)."""
+def _flat_check(dist, span, residuals, tol, samples):
+    """Whether every residual `residuals(x, frame)` on the generic flat
+    2-simplex at x passes, at each sample: [(verdict, frame)], and which
+    samples that decides.  The frame is the fiber basis, or with `span` the
+    relation frame of SPAN input (`_span_relation_frame`).  One sample's
+    frame is built by `basis_at` or `_span_relation_frame`, and its
+    residuals are floats; both raise where the loop raises.  Of more
+    samples, the frames come from one factorisation of their stack, and the
+    residuals are evaluated once, the base coordinates constant W elements
+    with arrays of the samples' coordinates as their constant terms; the
+    stack decides a sample whose frame it has and whose residuals are
+    finite."""
+    if len(samples) == 1:
+        p = samples[0]
+        frame = _span_relation_frame(dist, p) if span else dist.basis_at(p)
+        return [(all(within_tol(r, tol) for r in residuals(p.coords, frame)), frame)], [True]
     X = _coords(samples, dist.n)
-    frames, ok = [None] * len(samples), np.zeros(len(samples), dtype=bool)
-    residual = np.full(len(samples), np.nan)
-    if len(samples) > 1:
-        base = [NilElement(2, max(dist.rank, 1), {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
-        try:
-            stacked, ok = stack(X)
-            frames = list(stacked)
-            with np.errstate(all="ignore"):
-                residual = reduce(np.maximum, map(_max_abs, residuals(base, stacked)),
-                                  np.zeros(len(samples)))
-        except DomainError:  # from a float subexpression: it raises at every sample
-            pass
-    alone = ~ok
-    alone[:1] |= first_per_sample
-    replay = ~(ok & np.isfinite(residual))
-    for p, frame, built, passed, replayed in zip(samples, frames, alone.tolist(),
-                                                 within_tol(residual, tol).tolist(),
-                                                 replay.tolist()):
-        frame = frame_at(p) if built else frame
-        yield p, frame, _flat_sample(residuals, p, frame, tol) if replayed else passed
+    frames, ok = _span_relation_stack(dist, X) if span else dist._basis_stack(X)
+    base = [NilElement(2, max(dist.rank, 1), {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
+    with np.errstate(all="ignore"):
+        residual = reduce(np.maximum, map(_max_abs, residuals(base, frames)),
+                          np.zeros(len(samples)))
+    return (list(zip(within_tol(residual, tol).tolist(), frames)),
+            (ok & np.isfinite(residual)).tolist())
 
 
-def _relation_test(dist, span, samples, frame_at, stack, tol):
-    verdicts = [ok for *_, ok in _flat_verdicts(partial(_relation, dist, span), dist,
-                                                list(samples), frame_at, stack, tol)]
+def _relation_test(dist, span, samples, tol):
+    verdicts = [ok for ok, _ in _in_order(
+        list(samples), partial(_flat_check, dist, span, partial(_relation, dist, span), tol))]
     return verdicts, all(verdicts)
 
 
@@ -413,7 +409,7 @@ def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
         raise DegreeError(
             "combinatorial involutivity test needs KERNEL forms "
             "(use pointwise_involutive_span for SPAN-only input)")
-    return _relation_test(dist, False, samples, dist.basis_at, dist._basis_stack, tol)
+    return _relation_test(dist, False, samples, tol)
 
 
 def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
@@ -422,8 +418,7 @@ def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
     W(2, rank) arithmetic.  Returns (per-point list, aggregate)."""
     if dist.span is None:
         raise DegreeError("relational span test needs a SPAN representation")
-    return _relation_test(dist, True, samples, partial(_span_relation_frame, dist),
-                          partial(_span_relation_stack, dist), tol)
+    return _relation_test(dist, True, samples, tol)
 
 
 def _span_relation_frame(dist, p):
@@ -455,22 +450,23 @@ def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
 
 def _ideal_test(dist, samples, tol):
     """Every coefficient of the ideal test's forms within tol."""
-    def verdicts():
+    def check(samples):
         V, decided = _stack(dist._ideal_fns, _coords(samples, dist.n), 1)
         return np.all(within_tol(V, tol), axis=(1, 2)), decided
 
-    return _loop_verdict(samples, verdicts, lambda p: _ideal_test(dist, [p], tol))
+    return all(_in_order(samples, check))
 
 
 def _bracket_test(dist, samples, tol):
     """Every bracket [X_a, X_b] in the fiber (`_tangent_verdicts`)."""
-    def verdicts():
-        _, B, decided = _fibers(dist, samples)
-        U, finite = _stack(dist._bracket_fns, _coords(samples, dist.n), dist.n)
+    def check(samples):
+        X = _coords(samples, dist.n)
+        _, B, decided = _fibers(dist, samples if len(samples) == 1 else X)
+        U, finite = _stack(dist._bracket_fns, X, dist.n)
         return np.all(_tangent_verdicts(None, B, U.transpose(0, 2, 1), tol), axis=1), (
             decided & finite)
 
-    return _loop_verdict(samples, verdicts, lambda p: _bracket_test(dist, [p], tol))
+    return all(_in_order(samples, check))
 
 
 class IntegralPatch:
@@ -478,6 +474,8 @@ class IntegralPatch:
 
     def __init__(self, params, component_exprs):
         self.params = tuple(params)
+        if not self.params:
+            raise ValueError("a patch needs at least one parameter")
         self.components = list(component_exprs)
 
     @property
@@ -514,41 +512,27 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
         raise ValueError("mode must be 'weak' or 'strong'")
     if mode == "strong" and patch.q != dist.rank:
         return False
-    samples = list(parameter_samples)
-    check_one = lambda s: check_integral_patch(dist, patch, mode, [s], tol)
-    # the first sample alone, then the rest: a patch that is not integral
-    # usually fails at the first sample, and the rest need not be stacked
-    if len(samples) > 1 and not check_one(samples.pop(0)):
-        return False
-    # a sample whose point cannot be built decides only if no earlier one does
-    points, error = [], None
-    for s in samples:
-        try:
-            points.append(patch.point_at(s))
-        except (DomainError, ValueError) as err:
-            error = err
-            break
-    params = samples[:len(points)]
 
-    def verdicts():
+    def check(params):
         # the columns of the Jacobian J lie in the fiber (weak), and the
-        # fiber in their span (strong)
-        if len(points) == 1:
+        # fiber in their span (strong); more samples' points are stacked, and
+        # one that is not finite or undefined leaves its sample undecided
+        if len(params) == 1:
+            points = [patch.point_at(params[0])]
             J, decided = patch.jacobian_at(params[0])[None], np.ones(1, dtype=bool)
         else:
-            J, decided = _stack(patch._jacobian_fns, np.array(params, dtype=float), patch.q)
-            decided &= _full_rank(np.linalg.svd(J, compute_uv=False), patch.q)
+            P = np.array(params, dtype=float)
+            X, decided = _stack(patch._point_fn, P, dist.n)
+            J, defined = _stack(patch._jacobian_fns, P, patch.q)
+            decided &= defined & _full_rank(np.linalg.svd(J, compute_uv=False), patch.q)
+            points = X[:, 0]
         K, B, fibers = _fibers(dist, points)
         passed = np.all(_tangent_verdicts(K, B, J, tol), axis=1)
         if mode == "strong":
             passed &= np.all(within_tol(_basis_residuals(np.linalg.qr(J)[0], B), tol), axis=1)
         return passed, decided & fibers
 
-    if not _loop_verdict(params, verdicts, check_one):
-        return False
-    if error is not None:
-        raise error
-    return True
+    return all(_in_order(list(parameter_samples), check))
 
 
 class SemiAnnihilationResult:
@@ -573,20 +557,17 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
     samples = list(samples)
     flat_values = lambda x, B: [theta(x, _flat_generic_offsets(B, 2))]
     conclusion = True
-    # the first sample alone, then the stack of the rest: where theta is
-    # not annihilated, the first sample usually shows it
-    for chunk in (samples[:1], samples[1:]):
-        for p, B, ok in _flat_verdicts(flat_values, dist, chunk, dist.basis_at,
-                                       dist._basis_stack, tol, first_per_sample=False):
-            if not ok:
-                return SemiAnnihilationResult(False, None)
-            vecs = [B[:, a] for a in range(dist.rank)]
-            vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
-            coeffs = extract_classical(theta, p, tol=tol)
-            for i, u in enumerate(vecs):
-                for v in vecs[i + 1:]:
-                    if not within_tol(semi_value(coeffs, u, v), tol):
-                        conclusion = False
+    for p, (ok, B) in zip(samples, _in_order(
+            samples, partial(_flat_check, dist, False, flat_values, tol))):
+        if not ok:
+            return SemiAnnihilationResult(False, None)
+        vecs = [B[:, a] for a in range(dist.rank)]
+        vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
+        coeffs = extract_classical(theta, p, tol=tol)
+        for i, u in enumerate(vecs):
+            for v in vecs[i + 1:]:
+                if not within_tol(semi_value(coeffs, u, v), tol):
+                    conclusion = False
     return SemiAnnihilationResult(True, conclusion)
 
 
@@ -600,6 +581,8 @@ def trace_leaf(dist, start, steps, stepsize):
     """
     if dist.span is None:
         raise DegreeError("leaf tracing needs a SPAN representation")
+    if not dist.span:
+        raise DegreeError("no span field to follow")
     step = [ex.compile_rk4_step(v, dist.vars, stepsize) for v in dist.span]
     x = start.coords
     out = [Point(x)]

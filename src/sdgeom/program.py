@@ -259,6 +259,9 @@ class _Parser:
             members.append(self.expect("ident", "an entity name"))
         self.expect(")")
         n, vars = self.prog.dim, self.prog.vars
+        if len(members) > n:
+            self.error(f"{kind_tok.text} has {len(members)} members, more than dim {n}",
+                       members[n])
         if kind_tok.text == "span":
             fields = []
             for m in members:

@@ -368,33 +368,30 @@ def test_residuals_near_the_tolerance_go_to_the_per_sample_check(c, want):
     assert_same_patch_verdicts(dist, patch, params)
 
 
-def one_sample_calls(monkeypatch, name, position, alone=None):
-    """The samples at which `distributions.<name>`, a check taking its
-    samples as argument `position`, is called with that sample alone: the
-    check's one-sample calls, its own included, appended to `alone`."""
-    alone = [] if alone is None else alone
-    check = getattr(ds, name)
-
-    def recording(*args):
-        samples = list(args[position])
-        if len(samples) == 1:
-            alone.append(samples[0])
-        return check(*args[:position], samples, *args[position + 1:])
-
-    monkeypatch.setattr(ds, name, recording)
-    return alone
+def rule_calls(monkeypatch, check, *args):
+    """The outcome of check(*args) (`full_outcome`), and the sample lists on
+    which `distributions._in_order`, the driver of every check, calls the
+    check's rule, in order."""
+    calls = []
+    in_order = ds._in_order
+    monkeypatch.setattr(ds, "_in_order", lambda samples, rule: in_order(
+        samples, lambda chunk: calls.append(list(chunk)) or rule(chunk)))
+    try:
+        return full_outcome(check, *args), calls
+    finally:
+        monkeypatch.undo()
 
 
 def test_clearly_passing_samples_skip_the_per_sample_check(monkeypatch):
     # the first sample alone, and the stack of the rest: no other sample is
     # checked alone
-    alone = one_sample_calls(monkeypatch, "check_integral_patch", 3)
     patch = ds.IntegralPatch(("s", "t"), [S, T, ex.Mul(S, T)])
     # z = s t: dz - y dx - x dy vanishes on the patch
     dist = Distribution(3, 2, kernel=[form_1({3: ONE, 1: -Y, 2: -X})])
     params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 32, seed=6)]
-    assert ds.check_integral_patch(dist, patch, "strong", params) is True
-    assert alone == params[:1]
+    got, calls = rule_calls(monkeypatch, ds.check_integral_patch, dist, patch, "strong", params)
+    assert got is True
+    assert calls == [params[:1], params[1:]]
 
 
 def test_curvature_oracle_agrees():
@@ -422,6 +419,9 @@ SQUARE_PATCH = ds.IntegralPatch(("s", "t"), [S, ex.Mul(T, T), ZERO])
 # lies in the span only where y = 0
 VANISHING_SPAN = Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, X, Y]], vars=VARS3)
 LN_PATCH = ds.IntegralPatch(("s", "t"), [S, T, ex.Call("ln", S)])
+# ker(x dz - dx) contains LN_PATCH where s > 0; at s < 0 its point is
+# undefined, while its Jacobian is not
+LN_KERNEL = Distribution(3, 2, kernel=[form_1({3: X, 1: ex.Neg(ONE)})])
 
 
 @pytest.mark.parametrize("check, samples, want", [
@@ -445,8 +445,11 @@ LN_PATCH = ds.IntegralPatch(("s", "t"), [S, T, ex.Call("ln", S)])
     (lambda s: ds.check_integral_patch(
         CONTACT, ds.IntegralPatch(("s", "t"), [S, T, ex.Call("sqrt", S)]), "weak", s),
      [(0.0, 0.0), (0.5, 0.5)], DomainError),
+    (lambda s: ds.check_integral_patch(LN_KERNEL, LN_PATCH, "weak", s),
+     [(0.5, 0.5), (0.2, 0.3), (-0.5, 0.2), (0.4, 0.1)], DomainError),
 ], ids=["fail-then-rank", "rank-then-fail", "bracket-fail-then-rank",
-        "bracket-rank-then-fail", "fail-then-ln", "ln-then-fail", "sqrt-jacobian"])
+        "bracket-rank-then-fail", "fail-then-ln", "ln-then-fail", "sqrt-jacobian",
+        "ln-in-a-stack"])
 def test_the_first_decisive_sample_decides(check, samples, want):
     assert outcome(check, samples) == want
 
@@ -1022,28 +1025,27 @@ def test_flat_residuals_near_the_tolerance_go_to_the_per_sample_test(
         monkeypatch, factor, want, far):
     # ker(dz - 0.8 y dx) at points sharing y: the same residual r at each,
     # checked at tol = r / factor; near the tolerance or `far` from it, the
-    # stack decides each finite residual, and none is replayed per sample
+    # stack of the samples after the first decides each finite residual, and
+    # none is checked alone again
     dist = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Mul(ex.Const(-0.8), Y)})])
     points = [Point((x, 0.3, z)) for x, z in ((0.1, 0.2), (-0.5, 0.7), (0.9, -0.4), (0.0, 0.0))]
     residuals = contact_residual(dist, points)
     assert len(set(residuals)) == 1
     tol = residuals[0] / factor
-    calls = []
-    flat_sample = ds._flat_sample
-    monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(1) or flat_sample(*args))
-    assert ds.check_involutive_combinatorial(dist, points, tol) == ([want] * 4, want)
-    assert calls == []
+    got, calls = rule_calls(monkeypatch, ds.check_involutive_combinatorial, dist, points, tol)
+    assert got == ([want] * 4, want)
+    assert calls == [points[:1], points[1:]]
     assert_same_flat_checks(dist, points, tol)
 
 
 def test_clearly_decided_flat_samples_skip_the_per_sample_test(monkeypatch):
-    calls = []
-    monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(args))
     k3, _ = perfbench_programs(2)
     points = sample_box([(-1.0, 1.0)] * 3, 16, seed=9)
-    assert ds.check_involutive_combinatorial(k3.dists["I"], points) == ([True] * 16, True)
-    assert ds.check_involutive_combinatorial(k3.dists["C"], points) == ([False] * 16, False)
-    assert calls == []
+    for name, want in (("I", True), ("C", False)):
+        got, calls = rule_calls(monkeypatch, ds.check_involutive_combinatorial, k3.dists[name],
+                                points)
+        assert got == ([want] * 16, want)
+        assert calls == [points[:1], points[1:]]
 
 
 def test_one_sample_is_not_screened(monkeypatch):
@@ -1051,12 +1053,13 @@ def test_one_sample_is_not_screened(monkeypatch):
     offsets = ds._flat_generic_offsets
     monkeypatch.setattr(ds, "_flat_generic_offsets",
                         lambda B, arity: stacks.append(B.ndim) or offsets(B, arity))
+    # each of one or two samples is checked alone; of three, the first
+    # alone and the other two stacked
     dist = perfbench_programs(1)[0].dists["I"]
-    ds.check_involutive_combinatorial(dist, sample_box([(-1.0, 1.0)] * 3, 1, seed=1))
-    assert stacks == [2]
-    stacks.clear()
-    ds.check_involutive_combinatorial(dist, sample_box([(-1.0, 1.0)] * 3, 2, seed=1))
-    assert stacks == [3]
+    for count, want in ((1, [2]), (2, [2, 2]), (3, [2, 3])):
+        stacks.clear()
+        ds.check_involutive_combinatorial(dist, sample_box([(-1.0, 1.0)] * 3, count, seed=1))
+        assert stacks == want, count
 
 
 def ramp_span(c):
@@ -1071,28 +1074,26 @@ def ramp_span(c):
 def test_span_residuals_near_the_tolerance_go_to_the_per_sample_test(
         monkeypatch, factor, want, far):
     # the same frames and the same residual r at points sharing y, decided
-    # by the stack alike near the tolerance and `far` from it
+    # by the stack of the samples after the first alike near the tolerance
+    # and `far` from it
     dist = ramp_span(0.8)
     points = [Point((x, 0.3, z)) for x, z in ((0.1, 0.2), (-0.5, 0.7), (0.9, -0.4), (0.0, 0.0))]
     residuals = contact_residual(dist, points, span=True)
     assert len(set(residuals)) == 1
     tol = residuals[0] / factor
-    calls = []
-    flat_sample = ds._flat_sample
-    monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(1) or flat_sample(*args))
-    assert ds.pointwise_involutive_span(dist, points, tol) == ([want] * 4, want)
-    assert calls == []
+    got, calls = rule_calls(monkeypatch, ds.pointwise_involutive_span, dist, points, tol)
+    assert got == ([want] * 4, want)
+    assert calls == [points[:1], points[1:]]
     assert_same_span_checks(dist, points, tol)
 
 
 def test_clearly_decided_span_samples_skip_the_per_sample_test(monkeypatch):
-    calls = []
-    monkeypatch.setattr(ds, "_flat_sample", lambda *args: calls.append(args))
     k3, _ = perfbench_programs(2)
     points = sample_box([(-1.0, 1.0)] * 3, 16, seed=9)
-    assert ds.pointwise_involutive_span(k3.dists["S"], points) == ([True] * 16, True)
-    assert ds.pointwise_involutive_span(k3.dists["H"], points) == ([False] * 16, False)
-    assert calls == []
+    for name, want in (("S", True), ("H", False)):
+        got, calls = rule_calls(monkeypatch, ds.pointwise_involutive_span, k3.dists[name], points)
+        assert got == ([want] * 16, want)
+        assert calls == [points[:1], points[1:]]
 
 
 def test_one_span_sample_is_not_screened(monkeypatch):
@@ -1100,12 +1101,13 @@ def test_one_span_sample_is_not_screened(monkeypatch):
     offsets = ds._flat_generic_offsets
     monkeypatch.setattr(ds, "_flat_generic_offsets",
                         lambda B, arity: stacks.append(B.ndim) or offsets(B, arity))
+    # each of one or two samples is checked alone; of three, the first
+    # alone and the other two stacked
     dist = perfbench_programs(1)[0].dists["S"]
-    ds.pointwise_involutive_span(dist, sample_box([(-1.0, 1.0)] * 3, 1, seed=1))
-    assert stacks == [2]
-    stacks.clear()
-    ds.pointwise_involutive_span(dist, sample_box([(-1.0, 1.0)] * 3, 2, seed=1))
-    assert stacks == [3]
+    for count, want in ((1, [2]), (2, [2, 2]), (3, [2, 3])):
+        stacks.clear()
+        ds.pointwise_involutive_span(dist, sample_box([(-1.0, 1.0)] * 3, count, seed=1))
+        assert stacks == want, count
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -1585,6 +1587,23 @@ def fold_alone(kind, check, samples):
     return all(check([s]) for s in samples)
 
 
+def test_a_stack_that_raises_leaves_each_sample_to_a_one_sample_call():
+    # the driver yields lazily, and a DomainError from the stack of the rest
+    # leaves every sample of it undecided
+    calls = []
+
+    def rule(samples):
+        calls.append(list(samples))
+        if len(samples) > 1:
+            raise DomainError("from a subexpression without variables")
+        return [samples[0] > 0], [True]
+
+    outcomes = ds._in_order([1, 2, -3, 4], rule)
+    assert next(outcomes) is True and calls == [[1]]
+    assert all(outcomes) is False
+    assert calls == [[1], [2, -3, 4], [2], [-3]]
+
+
 def semi_theta(dist):
     """A 2-form for the semi-annihilation check of dist: d of its first
     kernel form, or of dx_n for SPAN input."""
@@ -1669,35 +1688,6 @@ def test_a_stack_decides_as_its_one_sample_calls_at_the_margins(name, dist, x, i
         assert_batch_is_fold(dist, margin_points(x), tol)
 
 
-def alone_samples(monkeypatch, kind, check, samples):
-    """The outcome of check(samples) (`full_outcome`), and the samples, in
-    order and without repeats, at which it works on one sample alone: for
-    the classical and patch checks, their calls with one sample; for the
-    relation and semi-annihilation checks, the frames built through
-    `basis_at` or the relation frame of SPAN input, and the residuals
-    replayed by `_flat_sample`."""
-    alone = []
-    if kind == "patch":
-        one_sample_calls(monkeypatch, "check_integral_patch", 3, alone)
-    elif kind == "classical":
-        for name in ("_ideal_test", "_bracket_test"):
-            one_sample_calls(monkeypatch, name, 1, alone)
-    else:
-        basis_at, relation_frame, flat_sample = (
-            Distribution.basis_at, ds._span_relation_frame, ds._flat_sample)
-        monkeypatch.setattr(Distribution, "basis_at",
-                            lambda self, p: alone.append(p) or basis_at(self, p))
-        monkeypatch.setattr(ds, "_span_relation_frame",
-                            lambda dist, p: alone.append(p) or relation_frame(dist, p))
-        monkeypatch.setattr(ds, "_flat_sample",
-                            lambda res, p, *args: alone.append(p) or flat_sample(res, p, *args))
-    try:
-        got = full_outcome(check, samples)
-    finally:
-        monkeypatch.undo()
-    return got, [s for i, s in enumerate(alone) if s not in alone[:i]]
-
-
 def first_raising(kind, check, samples):
     """[the first sample at which check([sample]) raises], if a loop over
     the samples in order reaches it, else []."""
@@ -1710,15 +1700,27 @@ def first_raising(kind, check, samples):
     return []
 
 
+def goes_on(kind, check, s):
+    """Whether a loop over the samples goes on after s: check([s]) raises
+    nothing and, unless the check lists each sample's verdict, passes."""
+    got = full_outcome(check, [s])
+    return not (isinstance(got, tuple) and isinstance(got[0], type)) and (
+        kind == "relation" or got not in (False, (False, None)))
+
+
 def assert_one_sample_calls(monkeypatch, kind, check, samples):
-    """A check of more than one sample works on a sample alone only at its
-    first (the first patch and semi-annihilation sample, the first relation
-    frame) and at the first sample whose values are not finite or whose
-    matrix is rank-deficient, at which the one-sample call raises."""
-    got, alone = alone_samples(monkeypatch, kind, check, samples)
-    first = [] if kind == "classical" else samples[:1]
-    want = first + [s for s in first_raising(kind, check, samples) if s not in first]
-    assert alone == want, (kind, got)
+    """A check calls its rule on its first sample alone, then, if a loop
+    over the samples goes on, on the stack of the rest, and on a later
+    sample alone only at the first sample whose values are not finite or
+    whose matrix is rank-deficient, at which the one-sample call raises (a
+    stack of one sample is a one-sample call)."""
+    got, calls = rule_calls(monkeypatch, check, samples)
+    want = [samples[:1]]
+    rest = samples[1:]
+    if rest and goes_on(kind, check, samples[0]):
+        want += [rest] + ([] if len(rest) == 1 else
+                          [[s] for s in first_raising(kind, check, rest)])
+    assert calls == want, (kind, got)
     return got
 
 

@@ -186,6 +186,25 @@ def test_parse_error_exits_two(tmp_path):
     assert "degree" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("text, argv, where", [
+    ("form a = dx\nform b = dy\nform c = x*dy\ndist D = ker(a, b, c)\n",
+     ["check-involutive", "--dist", "D"], "6:20: ker has 3 members"),
+    ("vector u = (1, 0)\nvector v = (0, 1)\nvector w = (x, y)\ndist D = span(u, v, w)\n",
+     ["check-involutive", "--dist", "D"], "6:21: span has 3 members"),
+    ("vector u = (1, 0)\nvector v = (0, 1)\nvector w = (x, y)\ndist D = span(u, v, w)\n",
+     ["leaf", "--dist", "D", "--start", "0,0", "--steps", "3"], "6:21: span has 3 members"),
+], ids=["ker", "span", "span-leaf"])
+def test_more_members_than_dim_exits_two(tmp_path, text, argv, where, fmt):
+    # three kernel forms in dim 2 died with an IndexError (exit 1), three
+    # span fields exited 3 (rank-deficient) or traced a leaf (exit 0)
+    path = tmp_path / "over.sdg"
+    path.write_text("dim 2\nvar x y\n" + text)
+    code, out, err = invoke([*argv, "--file", str(path), "--format", fmt])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {where}, more than dim 2\n"
+
+
 def test_unknown_flag_exits_two(files):
     code, _, _ = invoke(["d", "--file", files["contact"], "--form", "w",
                          "--at", "0,0,0", "--bogus"])

@@ -15,7 +15,7 @@ from sdgeom.distributions import (DEFAULT_TOL, Distribution, IntegralPatch,
                                   check_involutive_combinatorial,
                                   is_flat, semi_annihilation_check,
                                   pointwise_involutive_span, trace_leaf)
-from sdgeom.errors import DomainError, RankDeficiencyError
+from sdgeom.errors import DegreeError, DomainError, RankDeficiencyError
 from sdgeom.forms import ClassicalForm, CombinatorialForm, d_comb, to_combinatorial
 from sdgeom.nil import NilElement, generic_offsets, within_tol
 from sdgeom.program import parse
@@ -53,6 +53,19 @@ def test_a_distribution_has_one_representation():
         Distribution(3, 2, span=fields, kernel=[w], vars=VARS3)
     with pytest.raises(ValueError, match="one representation"):
         Distribution(3, 2, vars=VARS3)
+
+
+def test_a_distribution_has_a_rank_between_0_and_n():
+    # three span fields in R^2 were accepted, and rank-deficient everywhere;
+    # four kernel forms in R^3 gave rank -1
+    one = ex.Const(1.0)
+    with pytest.raises(DegreeError, match="rank must lie between 0 and the dimension 2"):
+        Distribution(2, 3, span=[[one, one]] * 3, vars=("x", "y"))
+    with pytest.raises(DegreeError, match="rank must lie between 0 and the dimension 3"):
+        Distribution(3, -1, kernel=[form_1(3, {i: one}, VARS3) for i in (1, 2, 3, 3)],
+                     vars=VARS3)
+    assert Distribution(3, 0, span=[], vars=VARS3).rank == 0
+    assert Distribution(3, 3, kernel=[], vars=VARS3).rank == 3
 
 
 # -- flatness ----------------------------------------------------------------
@@ -285,6 +298,12 @@ def param_samples(q, count=8, seed=3):
     return [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * q, count, seed)]
 
 
+def test_a_patch_needs_a_parameter():
+    # without one, check_integral_patch raised IndexError at three samples
+    with pytest.raises(ValueError, match="a patch needs at least one parameter"):
+        IntegralPatch((), [ex.Const(0.1), ex.Const(0.2), ex.Const(0.0)])
+
+
 def test_patch_weak_and_strong():
     d = ker_dz()
     patch = IntegralPatch(("s", "t"),
@@ -462,6 +481,12 @@ def test_trace_leaf_conserves_level_function():
     for p in pts:
         x, y, z = p.coords
         assert abs(z - x * x - y * y) <= 1e-6
+
+
+def test_trace_leaf_needs_a_span_field():
+    # a rank-0 span raised ZeroDivisionError from the field index i mod 0
+    with pytest.raises(DegreeError, match="no span field to follow"):
+        trace_leaf(span_dist([]), Point((1.0, 2.0, 3.0)), steps=10, stepsize=1e-3)
 
 
 def test_trace_leaf_zero_steps():
