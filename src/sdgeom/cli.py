@@ -48,13 +48,6 @@ def _json_floats(values):
     return ", ".join(map("{:.17g}".format, values))
 
 
-def _is_array(o):
-    """Whether `o` is a numpy array, without importing numpy: if numpy is
-    not loaded, nothing is one."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(o, np.ndarray)
-
-
 def _json_dump(obj, out):
     """Stable-order JSON with floats at 17 significant digits; keys and
     strings are escaped by the json module."""
@@ -62,8 +55,6 @@ def _json_dump(obj, out):
         if isinstance(o, dict):
             return "{" + ", ".join(f"{json.dumps(str(k))}: {emit(v)}"
                                    for k, v in o.items()) + "}"
-        if _is_array(o):
-            return emit(o.tolist())
         if isinstance(o, (list, tuple)):
             if all(type(v) is float for v in o):  # points and matrix rows
                 return "[" + _json_floats(o) + "]"
@@ -136,9 +127,10 @@ def _cmd_compare(args, rep, prog, theta, classical, ratio):
     """Combinatorial vs classical coefficients, and their ratio, at each
     --at point.  Every extracted coefficient must be `ratio` times the
     classical one, those where the classical one is zero included, to
-    within --tol scaled by the largest classical coefficient there, as in
-    `cmd_curvature`: the last-bit rounding of a coefficient of 1e16 is
-    more than 1e-9.  An entry that is not is named, in the JSON output under
+    within --tol scaled by max(1, largest |classical coefficient|) at that
+    point, as `cmd_curvature` scales each face F_ij by max(1, its largest
+    |entry|): the last-bit rounding of a coefficient of 1e16 is more than
+    1e-9.  An entry that is not is named, in the JSON output under
     "failing" too, and the exit code is 1."""
     code = EXIT_OK
     for p in _parse_points(args.at, prog.dim):

@@ -276,20 +276,27 @@ def _pow(base, power):
     return np.where(np.isnan(base), np.nan, _SAMPLEWISE.pow(base, power))
 
 
+def _children(e):
+    """The operands of node `e`, left before right: none for a constant or
+    a variable.  Raises TypeError on anything that is not a node."""
+    if isinstance(e, (Const, Var)):
+        return ()
+    if isinstance(e, _Binary):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    raise TypeError(f"not an expression node: {type(e).__name__}")
+
+
 def free_vars(e, acc=None):
     if acc is None:
         acc = set()
     if isinstance(e, Var):
         acc.add(e.name)
-    elif isinstance(e, _Binary):
-        free_vars(e.left, acc)
-        free_vars(e.right, acc)
-    elif isinstance(e, Neg):
-        free_vars(e.arg, acc)
-    elif isinstance(e, Pow):
-        free_vars(e.base, acc)
-    elif isinstance(e, Call):
-        free_vars(e.arg, acc)
+    for child in _children(e):
+        free_vars(child, acc)
     return acc
 
 
@@ -298,17 +305,12 @@ def rename(e, mapping):
     (name -> name); names not in `mapping` are kept."""
     if isinstance(e, Var):
         return Var(mapping.get(e.name, e.name))
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, _Binary):
-        return type(e)(rename(e.left, mapping), rename(e.right, mapping))
-    if isinstance(e, Neg):
-        return Neg(rename(e.arg, mapping))
+    operands = [rename(child, mapping) for child in _children(e)]
     if isinstance(e, Pow):
-        return Pow(rename(e.base, mapping), e.power)
+        return Pow(*operands, e.power)
     if isinstance(e, Call):
-        return Call(e.fn, rename(e.arg, mapping))
-    raise TypeError(f"cannot rename in {type(e).__name__}")
+        return Call(e.fn, *operands)
+    return type(e)(*operands) if operands else e
 
 
 # precedence levels for printing: higher binds tighter
@@ -392,15 +394,8 @@ def _structure(e):
         return repr(e.value)
     if isinstance(e, Var):
         return (e.name,)
-    if isinstance(e, _Binary):
-        return (type(e).__name__, _structure(e.left), _structure(e.right))
-    if isinstance(e, Neg):
-        return ("Neg", _structure(e.arg))
-    if isinstance(e, Pow):
-        return ("Pow", e.power, _structure(e.base))
-    if isinstance(e, Call):
-        return (e.fn, _structure(e.arg))
-    raise TypeError(type(e).__name__)
+    label = e.fn if isinstance(e, Call) else e.power if isinstance(e, Pow) else type(e).__name__
+    return (label, *map(_structure, _children(e)))
 
 
 def _source(e, names, combine=_w_code, shared=None):
@@ -427,20 +422,9 @@ def _source(e, names, combine=_w_code, shared=None):
         if shared is not None:
             key = _structure(e)
             if key not in shared:
-                shared[key] = operation(e)
+                shared[key] = combine(e, *map(gen, _children(e)))
             return shared[key]
-        return operation(e)
-
-    def operation(e):
-        if isinstance(e, _Binary):
-            return combine(e, gen(e.left), gen(e.right))
-        if isinstance(e, Neg):
-            return combine(e, gen(e.arg))
-        if isinstance(e, Pow):
-            return combine(e, gen(e.base))
-        if isinstance(e, Call):
-            return combine(e, gen(e.arg))
-        raise TypeError(type(e).__name__)
+        return combine(e, *map(gen, _children(e)))
 
     return gen(e)
 
@@ -627,6 +611,17 @@ _NAMESPACE = {"_apply_fn": _apply_fn, "_div": _div, "_pow": _pow, "_float": floa
               "_jet_shift": _jet_shift, "_jet_scale": _jet_scale, "_jet_product": _jet_product}
 
 
+def _define(args, lines, result, **constants):
+    """The function `_f` of the arguments `args` that runs the statements
+    `lines` and returns the tuple of the values `result` (each a sequence
+    of Python sources), defined in `_NAMESPACE` with `constants` added."""
+    body = "".join(f"    {line}\n" for line in lines)
+    returns = "".join(f"{value}, " for value in result)
+    namespace = dict(_NAMESPACE, **constants)
+    exec(f"def _f({', '.join(args)}):\n{body}    return ({returns})\n", namespace)  # noqa: S102 - our own AST
+    return namespace["_f"]
+
+
 def compile_w(exprs, varnames):
     """Compile a sequence of expressions to one function of positional
     arguments, one per name of `varnames`, returning a tuple: the one
@@ -651,11 +646,7 @@ def compile_w(exprs, varnames):
       not defined raises DomainError for all samples at once.
     """
     names = {name: f"_v{i}" for i, name in enumerate(varnames)}
-    sources = "".join(f"{_source(e, names)}, " for e in exprs)
-    args = ", ".join(names[v] for v in varnames)
-    namespace = dict(_NAMESPACE)
-    exec(f"def _f({args}):\n    return ({sources})\n", namespace)  # noqa: S102 - our own AST
-    return namespace["_f"]
+    return _define([names[v] for v in varnames], (), [_source(e, names) for e in exprs])
 
 
 def compile_jet(exprs, varnames, slots, rows=None):
@@ -701,11 +692,7 @@ def compile_jet(exprs, varnames, slots, rows=None):
                 out.append(_code(0.0 if jet[s] is None else jet[s]))
             else:
                 out.append(f"(0.0 if {jet[s]} is None else {jet[s]})")
-    body = "".join(f"    {line}\n" for line in writer.lines)
-    namespace = dict(_NAMESPACE)
-    exec(f"def _f({', '.join(args)}):\n{body}    return ({''.join(o + ', ' for o in out)})\n",  # noqa: S102 - our own AST
-         namespace)
-    return namespace["_f"]
+    return _define(args, writer.lines, out)
 
 
 def stacked(fn, *arrays):
@@ -741,7 +728,6 @@ def compile_rk4_step(field, varnames, stepsize):
     values are that loop's, bit for bit, and it raises where that loop
     raises.
     """
-    namespace = dict(_NAMESPACE, _h=0.5 * stepsize, _k=stepsize, _s=stepsize / 6.0)
     args = [f"_v{i}" for i in range(len(varnames))]
     lines = []
     point = args
@@ -753,9 +739,6 @@ def compile_rk4_step(field, varnames, stepsize):
             point = [f"{k}p{i}" for i in range(len(args))]
             lines += [f"{p} = {a} + {coef} * {k}{i}"
                       for i, (p, a) in enumerate(zip(point, args))]
-    update = "".join(f"{a} + _s * (_a{i} + 2 * _b{i} + 2 * _c{i} + _d{i}), "
-                     for i, a in enumerate(args))
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def _f({', '.join(args)}):\n{body}    return ({update})\n",  # noqa: S102 - our own AST
-         namespace)
-    return namespace["_f"]
+    update = [f"{a} + _s * (_a{i} + 2 * _b{i} + 2 * _c{i} + _d{i})"
+              for i, a in enumerate(args)]
+    return _define(args, lines, update, _h=0.5 * stepsize, _k=stepsize, _s=stepsize / 6.0)

@@ -148,10 +148,11 @@ def wedge_classical(a, b):
         raise DegreeError("wedge of forms on different charts")
     coeffs = {}
     for S, ea in a.coeffs.items():
-        signs = _MERGE_SIGNS[_mask(S)]
+        smask = _mask(S)
+        signs = _MERGE_SIGNS[smask]
         for T, eb in b.coeffs.items():
             mask = _mask(T)
-            if signs.mask & mask:  # S and T share an index
+            if smask & mask:  # S and T share an index
                 continue
             sign = signs[mask]
             U = tuple(sorted(S + T))

@@ -61,33 +61,30 @@ def _bits(mask):
     return out
 
 
-class _MergeSigns(dict):
-    """Memo of the merge sign of one index set (a bitmask) against others:
-    (-1)**#{(i, j) : i in mask, j in other, i > j}, as +1.0 or -1.0."""
+class _Memo(dict):
+    """A dict that fills a missing key with `fill(key)` on its first
+    lookup; a hit is a plain dict lookup."""
 
-    __slots__ = ("mask",)
+    __slots__ = ("fill",)
 
-    def __init__(self, mask):
+    def __init__(self, fill):
         super().__init__()
-        self.mask = mask
+        self.fill = fill
 
-    def __missing__(self, other):
-        inv = 0
-        rest = other
-        while rest:
-            low = rest & -rest
-            inv += (self.mask >> low.bit_length()).bit_count()
-            rest ^= low
-        sign = self[other] = -1.0 if inv & 1 else 1.0
-        return sign
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-class _SignTables(dict):
-    """One `_MergeSigns` table per mask, made on first use."""
-
-    def __missing__(self, mask):
-        table = self[mask] = _MergeSigns(mask)
-        return table
+def _merge_sign(mask, other):
+    """The merge sign of one index set (a bitmask) against another:
+    (-1)**#{(i, j) : i in mask, j in other, i > j}, as +1.0 or -1.0."""
+    inv = 0
+    while other:
+        low = other & -other
+        inv += (mask >> low.bit_length()).bit_count()
+        other ^= low
+    return -1.0 if inv & 1 else 1.0
 
 
 # The sign of a product of two disjoint monomials is the merge sign of their
@@ -96,7 +93,7 @@ class _SignTables(dict):
 # the two merges, and a pair that disagrees in neither or both counts twice
 # or not at all.  Rows and columns share the tables, and so do the classical
 # forms' wedge and d (`forms`); a table only ever holds the mask pairs met.
-_MERGE_SIGNS = _SignTables()
+_MERGE_SIGNS = _Memo(lambda mask: _Memo(partial(_merge_sign, mask)))
 
 
 def _coeff_equal(a, b):
@@ -117,35 +114,16 @@ def _format_coeff(v):
     return f"{v:g}"
 
 
-class _PermutedMonomials(dict):
-    """Memo of the image of each monomial under one row permutation:
-    monomial -> (sign, monomial), the sign +1.0 or -1.0."""
-
-    __slots__ = ("perm",)
-
-    def __init__(self, perm):
-        super().__init__()
-        self.perm = perm
-
-    def __missing__(self, mono):
-        rmask, cmask = mono
-        perm = self.perm
-        sign, image = canonicalize([(perm[r - 1], c)
-                                    for r, c in zip(_bits(rmask), _bits(cmask))])
-        entry = self[mono] = (float(sign), image)
-        return entry
+def _permuted(perm, mono):
+    """The image of a monomial under a row permutation (a tuple, row r to
+    perm[r-1]): (sign, monomial), the sign +1.0 or -1.0."""
+    rmask, cmask = mono
+    sign, image = canonicalize([(perm[r - 1], c)
+                                for r, c in zip(_bits(rmask), _bits(cmask))])
+    return float(sign), image
 
 
-class _PermutationTables(dict):
-    """One `_PermutedMonomials` table per permutation tuple, made on first
-    use."""
-
-    def __missing__(self, perm):
-        table = self[perm] = _PermutedMonomials(perm)
-        return table
-
-
-_PERMUTED = _PermutationTables()
+_PERMUTED = _Memo(lambda perm: _Memo(partial(_permuted, perm)))
 
 
 def _is_zero(v):

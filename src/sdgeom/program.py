@@ -20,6 +20,7 @@ checks its declaration and loads none of these.
 """
 
 from collections.abc import Mapping
+from functools import partial
 
 from . import expr as ex
 from .errors import ParseError
@@ -99,28 +100,32 @@ def tokenize(text):
 
 
 class _Declared(Mapping):
-    """Name -> object, each built from its declaration on first lookup."""
+    """Name -> object, each built by its builder on first lookup; the
+    declaration it was parsed from is kept for printing."""
 
     def __init__(self):
-        self._builders = {}
+        self._declared = {}  # name -> (declaration, build)
         self._built = {}
 
-    def declare(self, name, build):
-        self._builders[name] = build
+    def declare(self, name, declaration, build):
+        self._declared[name] = (declaration, build)
+
+    def declaration(self, name):
+        return self._declared[name][0]
 
     def __getitem__(self, name):
         if name not in self._built:
-            self._built[name] = self._builders[name]()
+            self._built[name] = self._declared[name][1]()
         return self._built[name]
 
     def __contains__(self, name):
-        return name in self._builders
+        return name in self._declared
 
     def __iter__(self):
-        return iter(self._builders)
+        return iter(self._declared)
 
     def __len__(self):
-        return len(self._builders)
+        return len(self._declared)
 
 
 class Program:
@@ -135,8 +140,6 @@ class Program:
         self.dists = _Declared()
         self.patches = _Declared()
         self.conns = _Declared()
-        self._dist_decls = {}
-        self._conn_decls = {}
 
     def lookup(self, table, name, what):
         try:
@@ -171,6 +174,15 @@ class _Parser:
     def error(self, msg, tok=None):
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col)
+
+    def separated(self, item, sep=","):
+        """What `item()` parses, once and again after each `sep` token, as
+        a list."""
+        items = [item()]
+        while self.peek().kind == sep:
+            self.next()
+            items.append(item())
+        return items
 
     # -- statements ----------------------------------------------------------
 
@@ -253,10 +265,7 @@ class _Parser:
         if kind_tok.text not in ("span", "ker"):
             self.error("expected 'span' or 'ker'", kind_tok)
         self.expect("(")
-        members = [self.expect("ident", "an entity name")]
-        while self.peek().kind == ",":
-            self.next()
-            members.append(self.expect("ident", "an entity name"))
+        members = self.separated(partial(self.expect, "ident", "an entity name"))
         self.expect(")")
         n, vars = self.prog.dim, self.prog.vars
         if len(members) > n:
@@ -285,19 +294,15 @@ class _Parser:
 
             return Distribution(n, vars=vars, **options)
 
-        self.prog.dists.declare(name, build)
-        self.prog._dist_decls[name] = (kind_tok.text,
-                                       [m.text for m in members])
+        self.prog.dists.declare(name, (kind_tok.text, [m.text for m in members]), build)
         self.prog.order.append(("dist", name))
 
     def _stmt_patch(self, tok):
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a patch name"))
         self.expect("(")
-        params = [self.expect("ident", "a parameter name").text]
-        while self.peek().kind == ",":
-            self.next()
-            params.append(self.expect("ident", "a parameter name").text)
+        params = [param.text for param in
+                  self.separated(partial(self.expect, "ident", "a parameter name"))]
         self.expect(")")
         self.expect("=")
         comps = self._paren_scalar_list(extra_vars=params)
@@ -309,7 +314,7 @@ class _Parser:
 
             return IntegralPatch(params, comps)
 
-        self.prog.patches.declare(name, build)
+        self.prog.patches.declare(name, (params, comps), build)
         self.prog.order.append(("patch", name))
 
     def _stmt_conn(self, tok):
@@ -317,10 +322,7 @@ class _Parser:
         name = self._fresh_name(self.expect("ident", "a connection name"))
         self.expect("=")
         self.expect("[")
-        rows = [self._conn_row()]
-        while self.peek().kind == ";":
-            self.next()
-            rows.append(self._conn_row())
+        rows = self.separated(self._conn_row, ";")
         self.expect("]")
         m = len(rows)
         if any(len(r) != m for r in rows):
@@ -339,15 +341,11 @@ class _Parser:
 
             return ConnectionData(n, MatrixGroupSpec(m, MatrixGroupSpec.GENERAL), A, vars=vars)
 
-        self.prog.conns.declare(name, build)
-        self.prog._conn_decls[name] = rows
+        self.prog.conns.declare(name, rows, build)
         self.prog.order.append(("conn", name))
 
     def _conn_row(self):
-        row = [self.parse_form_expr(stop={",", ";", "]"})]
-        while self.peek().kind == ",":
-            self.next()
-            row.append(self.parse_form_expr(stop={",", ";", "]"}))
+        row = self.separated(partial(self.parse_form_expr, stop={",", ";", "]"}))
         for entry in row:
             if entry.degree != 1:
                 self.error("connection entries must be 1-forms")
@@ -356,10 +354,7 @@ class _Parser:
     def _paren_scalar_list(self, extra_vars=()):
         self.expect("(")
         allowed = set(self.prog.vars) | set(extra_vars)
-        comps = [self.parse_scalar(allowed)]
-        while self.peek().kind == ",":
-            self.next()
-            comps.append(self.parse_scalar(allowed))
+        comps = self.separated(partial(self.parse_scalar, allowed))
         self.expect(")")
         return comps
 
@@ -487,7 +482,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident":
             if self._is_differential(tok.text) or tok.text in self.prog.forms:
-                return self._form_wedge(stop)
+                return self._form_wedge(self._form_atom(stop), stop)
         if tok.kind == "(":
             # lookahead: a parenthesized form vs a parenthesized scalar
             save = self.pos
@@ -501,16 +496,11 @@ class _Parser:
             if inner.degree == 0 and self.peek().kind != "^":
                 self.pos = save
                 return None
-            wedge = inner
-            while self.peek().kind == "^":
-                self.next()
-                right = self._form_atom(stop)
-                wedge = wedge_classical(wedge, right)
-            return wedge
+            return self._form_wedge(inner, stop)
         return None
 
-    def _form_wedge(self, stop):
-        left = self._form_atom(stop)
+    def _form_wedge(self, left, stop):
+        """The wedge chain left ^ atom ^ atom ..., `left` parsed already."""
         while self.peek().kind == "^":
             self.next()
             right = self._form_atom(stop)
@@ -577,14 +567,14 @@ def pretty_print(prog):
             comps = ", ".join(ex.to_str(c) for c in prog.vectors[name])
             lines.append(f"vector {name} = ({comps})")
         elif kind == "dist":
-            dkind, members = prog._dist_decls[name]
+            dkind, members = prog.dists.declaration(name)
             lines.append(f"dist {name} = {dkind}({', '.join(members)})")
         elif kind == "patch":
-            patch = prog.patches[name]
-            comps = ", ".join(ex.to_str(c) for c in patch.components)
-            lines.append(f"patch {name}({', '.join(patch.params)}) = ({comps})")
+            params, comps = prog.patches.declaration(name)
+            comps = ", ".join(ex.to_str(c) for c in comps)
+            lines.append(f"patch {name}({', '.join(params)}) = ({comps})")
         elif kind == "conn":
-            rows = prog._conn_decls[name]
+            rows = prog.conns.declaration(name)
             body = "; ".join(", ".join(form_to_str(e, prog.vars) for e in row)
                              for row in rows)
             lines.append(f"conn {name} = [{body}]")

@@ -205,6 +205,52 @@ def test_more_members_than_dim_exits_two(tmp_path, text, argv, where, fmt):
     assert err == f"error: {where}, more than dim 2\n"
 
 
+CHART2 = "dim 2\nvar x y\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (CHART2 + "form span = dx\n", "3:6: 'span' is a reserved word"),
+    (CHART2 + "form a = dx\nform a = dy\n", "4:6: duplicate name 'a'"),
+    (CHART2 + "vector a = (1, 0)\nform a = dy\n", "4:6: duplicate name 'a'"),
+    (CHART2 + "form x = dx\n", "3:6: 'x' is already a chart variable"),
+    ("dim 2\ndim 2\nvar x y\n", "2:1: duplicate 'dim' declaration"),
+    ("dim 2.5\nvar x y\n", "1:5: dimension must be an integer"),
+    ("dim 0\n", "1:5: dimension must be positive"),
+    (CHART2 + "var z\n", "3:1: duplicate 'var' declaration"),
+    ("dim 2\nvar\n", "3:1: expected variable names after 'var'"),
+    ("dim 2\nvar x x\n", "2:1: duplicate variable names"),
+    ("var x\n", "missing 'dim' declaration"),
+    ("dim 3\nvar x y\n", "declared 2 variables for dim 3"),
+    ("dim 2\nform a = dx\n", "2:1: chart ('dim' and 'var') must be declared first"),
+    ("dim 2\nfrm a = dx\n", "2:1: unknown statement 'frm'"),
+    (CHART2 + "= dx\n", "3:1: expected a statement keyword, found '='"),
+    (CHART2 + "vector u = (1, 0, 0)\n", "3:1: vector needs 2 components"),
+    (CHART2 + "vector u = 1\n", "3:12: expected (, found '1'"),
+    (CHART2 + "patch P(s) = (s)\n", "3:1: patch needs 2 components"),
+    (CHART2 + "form a = dx\ndist D = kr(a)\n", "4:10: expected 'span' or 'ker'"),
+    (CHART2 + "dist D = span(u)\n", "3:15: unknown vector 'u'"),
+    (CHART2 + "dist D = ker(a)\n", "3:14: unknown form 'a'"),
+    (CHART2 + "form a = dx ^ dy\ndist D = ker(a)\n", "4:14: kernel member 'a' is not a 1-form"),
+    (CHART2 + "conn A = [dx, dy; dx]\n", "3:1: connection matrix must be square"),
+    (CHART2 + "conn A = [dx ^ dy]\n", "3:18: connection entries must be 1-forms"),
+    (CHART2 + "vector u = (1.5e, 0)\n", "3:13: bad number '1.5e'"),
+    (CHART2 + "vector u = (pow(x, 1.5), 0)\n", "3:20: pow exponent must be an integer"),
+    (CHART2 + "vector u = (pow(x, y), 0)\n", "3:20: pow exponent must be an integer"),
+    (CHART2 + "vector u = (q, 0)\n", "3:13: unknown identifier 'q'"),
+    (CHART2 + "vector u = (*, 0)\n", "3:13: unexpected token '*'"),
+    # the product is read to its end before the error names the next token
+    (CHART2 + "form a = dx*dy\n", "4:1: two form factors in a product; use '^' to wedge"),
+    (CHART2 + "form a = dx ^ b\n", "3:15: unknown form 'b'"),
+    (CHART2 + "form a = dx ^ 1\n", "3:15: expected a form, found '1'"),
+    (CHART2 + "form a = $\n", "3:10: unexpected character '$'"),
+])
+def test_parse_error_names_its_place(tmp_path, text, message):
+    path = tmp_path / "bad.sdg"
+    path.write_text(text)
+    code, out, err = invoke(["d", "--file", str(path), "--form", "a", "--at", "0,0"])
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_unknown_flag_exits_two(files):
     code, _, _ = invoke(["d", "--file", files["contact"], "--form", "w",
                          "--at", "0,0,0", "--bogus"])

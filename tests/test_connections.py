@@ -197,6 +197,23 @@ def test_holonomy_angle_equals_minus_area(radius):
     assert abs(angle - (-area)) <= 1e-3 or abs(angle - (2 * math.pi - area)) <= 1e-3
 
 
+def test_transport_needs_a_positive_step_count():
+    with pytest.raises(ValueError, match="^steps must be positive$"):
+        parallel_transport(rotational_connection(), circle_curve(0.0, 0.0, 1.0), 0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("basepoint, steps, error, message", [
+    ((0.1, 0.2), 0, ValueError, "steps must be positive"),
+    ((0.1, 0.2, 0.3), 50, ContextMismatchError, "curve not in the connection's chart"),
+], ids=["no-steps", "basepoint-off-chart"])
+def test_ambrose_singer_argument_errors(basepoint, steps, error, message):
+    # the errors of the segment transports from the basepoint
+    loops = [(circle_curve(0.0, 0.0, 0.5), 0.0, 1.0)]
+    with pytest.raises(error, match=f"^{message}$"):
+        ambrose_singer_check(rotational_connection(), loops, samples2(3), Point(basepoint),
+                             steps=steps)
+
+
 def test_holonomy_angle_mod_2pi_radius_two():
     # area 4*pi wraps: the holonomy element equals rotation by -4*pi = id
     conn = rotational_connection()

@@ -1,7 +1,11 @@
 """Expression language: parser, symbolic differentiation, pretty printing."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +100,26 @@ def test_quotient_coefficient_round_trips():
     assert pretty_print(parse(text)) == text
 
 
+@pytest.mark.parametrize("spelling, expanded", [
+    ("(dx + x*dy)^dz", "dx^dz + x*dy^dz"),
+    ("dz^(dx + x*dy)", "dz^dx + x*dz^dy"),
+    ("(y*dx - dy)^(dz + x*dx)", "y*dx^dz - dy^dz - x*dy^dx"),
+], ids=["sum-wedge", "wedge-sum", "sum-wedge-sum"])
+def test_parenthesised_wedge_factor_is_its_expansion(spelling, expanded):
+    prog = parse(f"dim 3\nvar x y z\nform a = {spelling}\nform b = {expanded}\n")
+    a, b = prog.forms["a"], prog.forms["b"]
+    assert a.degree == b.degree == 2 and sorted(a.coeffs) == sorted(b.coeffs)
+    env = {"x": 0.3, "y": -1.7, "z": 2.5}
+    assert {T: evaluate(e, env) for T, e in a.coeffs.items()} == \
+        {T: evaluate(e, env) for T, e in b.coeffs.items()}
+
+
+def test_doubled_minus_in_a_component_is_its_expansion():
+    prog = parse("dim 2\nvar x y\nvector u = (--x, ---y)\nvector v = (x, -y)\n")
+    assert [ex.to_str(c) for c in prog.vectors["u"]] == \
+        [ex.to_str(c) for c in prog.vectors["v"]] == ["x", "-y"]
+
+
 # a literal beyond the float range reads as inf
 HUGE = """\
 dim 2
@@ -142,6 +166,25 @@ def test_distributions_patches_and_connections_are_built_on_lookup(monkeypatch):
     assert built == ["Distribution", "IntegralPatch", "ConnectionData"]
     with pytest.raises(ParseError, match="unknown distribution 'Q'"):
         prog.lookup("dists", "Q", "distribution")
+
+
+def test_pretty_print_builds_nothing_and_loads_no_numpy():
+    # a patch, a distribution and a connection print from their declarations
+    text = CONTACT + "conn A = [0*dx, x*dy; dz, y*dx]\n"
+    script = ("import json, sys\n"
+              "from sdgeom.program import parse, pretty_print\n"
+              "out = pretty_print(parse(sys.argv[1]))\n"
+              "heavy = ('numpy', 'sdgeom.distributions', 'sdgeom.connections')\n"
+              "print(json.dumps([out, [m for m in heavy if m in sys.modules]]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["sdgeom"].__file__)))
+    done = subprocess.run([sys.executable, "-c", script, text],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out, loaded = json.loads(done.stdout)
+    assert loaded == []
+    assert out == pretty_print(parse(text))
+    assert "patch P(s, t) = (s, t, 0)\n" in out
 
 
 # -- symbolic differentiation -------------------------------------------------
@@ -235,6 +278,15 @@ def test_rename_every_node_kind():
     assert ex.to_str(got) == "(t*2 - -y)/(pow(exp(t), 2) + 1)"
     env = {"t": 0.3, "y": -0.7}
     assert evaluate(got, env) == evaluate(e, {"x": 0.3, "y": -0.7})
+
+
+@pytest.mark.parametrize("walk", [ex.free_vars, lambda e: ex.rename(e, {}),
+                                  lambda e: ex.compile_w([e], ("x",))],
+                         ids=["free_vars", "rename", "compile_w"])
+def test_operand_walks_reject_a_non_node(walk):
+    # Add does not coerce: its right operand is a float, not a Const
+    with pytest.raises(TypeError):
+        walk(ex.Add(ex.Var("x"), 2.0))
 
 
 # -- compiled evaluation on floats and W values ------------------------------------
