@@ -17,6 +17,3 @@ class Point:
     @property
     def n(self):
         return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]

@@ -34,10 +34,9 @@ EXIT_NUMERIC = 3
 
 
 def _fmt(x):
-    """17-significant-digit rendering used in both text and JSON output."""
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    """17-significant-digit rendering of a float, used in both text and JSON
+    output."""
+    return format(x, ".17g")
 
 
 def _json_floats(values):

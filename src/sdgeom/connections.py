@@ -27,7 +27,6 @@ from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError, SdgError)
 from .nil import _MERGE_SIGNS, _PERMUTED, generic_offsets, within_tol
-from .distributions import span_residual
 from .forms import default_vars
 
 # Convention constants, pinned against the classical oracle F = dA + s[A, A]
@@ -453,6 +452,13 @@ def holonomy_log(g):
     if np.max(np.abs(np.asarray(L).imag)) > 1e-8:
         raise LogBranchError("holonomy has no real principal logarithm")
     return np.asarray(L).real
+
+
+def span_residual(M, v):
+    """Distance of the vector v from the column span of M (least squares);
+    nan if v is not finite."""
+    coef, *_ = np.linalg.lstsq(M, v, rcond=None)
+    return float(np.linalg.norm(M @ coef - v))
 
 
 def lie_closure(mats, tol=1e-9):

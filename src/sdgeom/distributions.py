@@ -1,6 +1,6 @@
-"""Geometric distributions: flatness of neighbour pairs, combinatorial and
-classical involutivity tests, integral-patch checks, and a numeric leaf
-tracer.
+"""Geometric distributions: combinatorial and classical involutivity tests
+on flat simplices, integral-patch checks, semi-simplex annihilation, and a
+numeric leaf tracer.
 
 A distribution is a rank-m sub-bundle of the tangent bundle of a chart,
 given either by m spanning vector-field expressions or by n-m annihilating
@@ -271,20 +271,6 @@ def _tangent_verdicts(K, B, V, tol):
         KV = np.concatenate([K @ V[..., j:j + 1] for j in range(V.shape[2])] or [K @ V], axis=2)
         residual = np.abs(KV).max(axis=1, initial=0.0)
     return within_tol(residual, tol * np.maximum(1.0, np.linalg.norm(V, axis=1)))
-
-
-def span_residual(M, v):
-    """Distance of the vector v from the column span of M (least squares);
-    nan if v is not finite."""
-    coef, *_ = np.linalg.lstsq(M, v, rcond=None)
-    return float(np.linalg.norm(M @ coef - v))
-
-
-def is_flat(dist, p, u, tol=DEFAULT_TOL):
-    """Whether the displacement u lies in the fiber at p: the weak test of
-    `check_integral_patch`, with u for a tangent vector."""
-    K, B, _ = _fibers(dist, [p])
-    return bool(_tangent_verdicts(K, B, np.asarray(u, dtype=float).reshape(1, -1, 1), tol)[0, 0])
 
 
 def _entries(M):

@@ -31,33 +31,6 @@ FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 class Expr:
     __slots__ = ()
 
-    def __add__(self, other):
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(as_expr(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
     def __repr__(self):
         return f"Expr<{to_str(self)}>"
 

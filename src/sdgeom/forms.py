@@ -166,12 +166,11 @@ class CombinatorialForm:
     """Function of infinitesimal p-simplices, given as base point plus p
     nilpotent displacement vectors; vanishes on degenerate simplices."""
 
-    __slots__ = ("degree", "n", "vars", "evaluator")
+    __slots__ = ("degree", "n", "evaluator")
 
-    def __init__(self, degree, n, evaluator, vars=None):
+    def __init__(self, degree, n, evaluator):
         self.degree = degree
         self.n = n
-        self.vars = tuple(vars) if vars is not None else default_vars(n)
         self.evaluator = evaluator
 
     def __call__(self, base_coords, offsets):
@@ -208,7 +207,7 @@ def to_combinatorial(form):
             return out.get((0, 0), 0.0)
         return _wrap(context[0], context[1], out)
 
-    return CombinatorialForm(form.degree, form.n, evaluator, form.vars)
+    return CombinatorialForm(form.degree, form.n, evaluator)
 
 
 _UNIT = {(0, 0): 1.0}
@@ -325,7 +324,7 @@ def d_comb(theta):
             total = total + v if i % 2 == 0 else total - v
         return total
 
-    return CombinatorialForm(p + 1, n, evaluator, theta.vars)
+    return CombinatorialForm(p + 1, n, evaluator)
 
 
 def wedge_comb(om, th):
@@ -345,7 +344,7 @@ def wedge_comb(om, th):
                                  for j in range(l)])
         return front * back
 
-    return CombinatorialForm(k + l, om.n, evaluator, om.vars)
+    return CombinatorialForm(k + l, om.n, evaluator)
 
 
 def eval_semi(theta, base, u, v, tol=1e-9):

@@ -303,8 +303,6 @@ class NilElement:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, float)):
-            return NilElement.constant(self.k, self.n, other)
         if isinstance(other, NilElement):
             if (self.k, self.n) != (other.k, other.n):
                 raise ContextMismatchError(

@@ -41,9 +41,6 @@ class Token:
         self.line = line
         self.col = col
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
-
 
 def tokenize(text):
     tokens = []
@@ -231,7 +228,9 @@ class _Parser:
         if self.prog.vars:
             self.error("duplicate 'var' declaration", tok)
         names = []
-        while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
+        # the names end with the line: a word on the next is a statement
+        while (self.peek().kind == "ident" and self.peek().text not in KEYWORDS
+               and self.peek().line == tok.line):
             names.append(self.next().text)
         if not names:
             self.error("expected variable names after 'var'")
@@ -345,7 +344,7 @@ class _Parser:
         self.prog.order.append(("conn", name))
 
     def _conn_row(self):
-        row = self.separated(partial(self.parse_form_expr, stop={",", ";", "]"}))
+        row = self.separated(self.parse_form_expr)
         for entry in row:
             if entry.degree != 1:
                 self.error("connection entries must be 1-forms")
@@ -428,11 +427,11 @@ class _Parser:
 
     # -- form expressions --------------------------------------------------
 
-    def parse_form_expr(self, stop=()):
-        left = self._form_term(stop)
+    def parse_form_expr(self):
+        left = self._form_term()
         while self.peek().kind in ("+", "-"):
             op_tok = self.next()
-            right = self._form_term(stop)
+            right = self._form_term()
             if left.degree != right.degree:
                 self.error(
                     f"degree mismatch: {left.degree}-form "
@@ -441,7 +440,7 @@ class _Parser:
             left = left + right if op_tok.kind == "+" else left - right
         return left
 
-    def _form_term(self, stop):
+    def _form_term(self):
         """A '*'-chain of scalar factors and at most one wedge chain; a '/'
         divides the scalar part by the scalar factor after it."""
         scalar = None
@@ -452,10 +451,11 @@ class _Parser:
             negate = not negate
         allowed = set(self.prog.vars)
         while True:
-            factor_form = self._try_form_factor(stop)
+            start = self.peek()
+            factor_form = self._try_form_factor()
             if factor_form is not None:
                 if form_part is not None:
-                    self.error("two form factors in a product; use '^' to wedge")
+                    self.error("two form factors in a product; use '^' to wedge", start)
                 form_part = factor_form
             else:
                 s = self._scal_factor(allowed)
@@ -477,40 +477,36 @@ class _Parser:
                                  self.prog.vars)
         return form_part if scalar is None else form_part.scale(scalar)
 
-    def _try_form_factor(self, stop):
+    def _try_form_factor(self):
         """Parse a wedge chain if the next token starts a form; else None."""
         tok = self.peek()
         if tok.kind == "ident":
             if self._is_differential(tok.text) or tok.text in self.prog.forms:
-                return self._form_wedge(self._form_atom(stop), stop)
+                return self._form_wedge(self._form_atom())
         if tok.kind == "(":
             # lookahead: a parenthesized form vs a parenthesized scalar
             save = self.pos
             self.next()
-            try:
-                inner = self.parse_form_expr(stop={")"})
-            except ParseError:
-                self.pos = save
-                return None
+            inner = self.parse_form_expr()
             self.expect(")")
             if inner.degree == 0 and self.peek().kind != "^":
                 self.pos = save
                 return None
-            return self._form_wedge(inner, stop)
+            return self._form_wedge(inner)
         return None
 
-    def _form_wedge(self, left, stop):
+    def _form_wedge(self, left):
         """The wedge chain left ^ atom ^ atom ..., `left` parsed already."""
         while self.peek().kind == "^":
             self.next()
-            right = self._form_atom(stop)
+            right = self._form_atom()
             left = wedge_classical(left, right)
         return left
 
-    def _form_atom(self, stop):
+    def _form_atom(self):
         tok = self.next()
         if tok.kind == "(":
-            inner = self.parse_form_expr(stop={")"})
+            inner = self.parse_form_expr()
             self.expect(")")
             return inner
         if tok.kind == "ident":

@@ -1,7 +1,8 @@
 """References the engine is checked against, kept beside the tests that use
-them: the tree walk of an expression, the neighbour-point layer of a chart
-(neighbour pairs x ~ y, tangents and the log/exp correspondence), the run
-that pins the curvature conventions, and the monomials of W(k, n)."""
+them: the tree walk of an expression, the fibers of a distribution one point
+at a time, the neighbour-point layer of a chart (neighbour pairs x ~ y,
+tangents and the log/exp correspondence), the run that pins the curvature
+conventions, and the monomials of W(k, n)."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -10,7 +11,7 @@ import numpy as np
 
 from sdgeom import expr as ex
 from sdgeom.chart import Point
-from sdgeom.connections import curvature_coboundary
+from sdgeom.connections import curvature_coboundary, span_residual
 from sdgeom.errors import ContextMismatchError, DomainError, RankDeficiencyError
 from sdgeom.nil import NilElement, within_tol
 
@@ -44,6 +45,49 @@ def evaluate(e, env):
     if isinstance(e, ex.Call):
         return ex._apply_fn(e.fn, evaluate(e.arg, env))
     raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+# -- the fibers of a distribution, one point at a time ----------------------
+
+def ref_kernel_matrix(dist, p):
+    if dist.kernel is None:
+        q, _ = np.linalg.qr(np.hstack([ref_span_matrix(dist, p), np.eye(dist.n)]))
+        return q[:, dist.rank:dist.n].T
+    env = dict(zip(dist.vars, p.coords))
+    M = np.array([[evaluate(w.coeffs[(i + 1,)], env) if (i + 1,) in w.coeffs else 0.0
+                   for i in range(dist.n)] for w in dist.kernel], dtype=float)
+    if np.linalg.matrix_rank(M, tol=1e-7) != dist.n - dist.rank:
+        raise RankDeficiencyError(f"kernel forms rank-deficient at {p.coords}")
+    return M
+
+
+def ref_null_span(dist, p):
+    _, s, vt = np.linalg.svd(ref_kernel_matrix(dist, p))
+    null = vt[int(np.sum(s > 1e-10)):].T
+    if null.shape[1] != dist.rank:
+        raise RankDeficiencyError(f"kernel null space has wrong rank at {p.coords}")
+    return null
+
+
+def ref_span_matrix(dist, p):
+    if dist.span is None:
+        return ref_null_span(dist, p)
+    env = dict(zip(dist.vars, p.coords))
+    M = np.array([[evaluate(c, env) for c in v] for v in dist.span], dtype=float).T
+    if np.linalg.matrix_rank(M, tol=1e-7) != dist.rank:
+        raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
+    return M
+
+
+def ref_is_flat(dist, p, u, tol):
+    """Whether the displacement u lies in the fiber at p: |K u| for KERNEL
+    input, the least-squares distance from the span for SPAN input, within
+    tol max(1, |u|)."""
+    if dist.kernel is not None:
+        resid = np.max(np.abs(ref_kernel_matrix(dist, p) @ u), initial=0.0)
+    else:
+        resid = span_residual(ref_span_matrix(dist, p), u)
+    return within_tol(resid, tol * max(1.0, np.linalg.norm(u)))
 
 
 # -- neighbour points in a chart ---------------------------------------------

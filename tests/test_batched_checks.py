@@ -39,7 +39,7 @@ from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
 from corpus import random_form, random_scalar_expr
-from reference import all_monomials, evaluate
+from reference import all_monomials, evaluate, ref_is_flat, ref_null_span, ref_span_matrix
 
 VARS3 = ("x", "y", "z")
 X, Y, Z = ex.Var("x"), ex.Var("y"), ex.Var("z")
@@ -53,36 +53,6 @@ def _env(names, coords):
     return dict(zip(names, coords))
 
 
-def ref_kernel_matrix(dist, p):
-    if dist.kernel is None:
-        q, _ = np.linalg.qr(np.hstack([ref_span_matrix(dist, p), np.eye(dist.n)]))
-        return q[:, dist.rank:dist.n].T
-    env = _env(dist.vars, p.coords)
-    M = np.array([[evaluate(w.coeffs[(i + 1,)], env) if (i + 1,) in w.coeffs else 0.0
-                   for i in range(dist.n)] for w in dist.kernel], dtype=float)
-    if np.linalg.matrix_rank(M, tol=1e-7) != dist.n - dist.rank:
-        raise RankDeficiencyError(f"kernel forms rank-deficient at {p.coords}")
-    return M
-
-
-def ref_null_span(dist, p):
-    _, s, vt = np.linalg.svd(ref_kernel_matrix(dist, p))
-    null = vt[int(np.sum(s > 1e-10)):].T
-    if null.shape[1] != dist.rank:
-        raise RankDeficiencyError(f"kernel null space has wrong rank at {p.coords}")
-    return null
-
-
-def ref_span_matrix(dist, p):
-    if dist.span is None:
-        return ref_null_span(dist, p)
-    env = _env(dist.vars, p.coords)
-    M = np.array([[evaluate(c, env) for c in v] for v in dist.span], dtype=float).T
-    if np.linalg.matrix_rank(M, tol=1e-7) != dist.rank:
-        raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
-    return M
-
-
 def ref_basis_at(dist, p):
     if dist.span is None:
         return ref_null_span(dist, p)
@@ -90,14 +60,6 @@ def ref_basis_at(dist, p):
     if np.any(np.abs(np.diag(r)) < 1e-10):
         raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
     return q
-
-
-def ref_is_flat(dist, p, u, tol):
-    if dist.kernel is not None:
-        resid = np.max(np.abs(ref_kernel_matrix(dist, p) @ u), initial=0.0)
-    else:
-        resid = ds.span_residual(ref_span_matrix(dist, p), u)
-    return within_tol(resid, tol * max(1.0, np.linalg.norm(u)))
 
 
 def ref_ideal_test(dist, samples, tol):
@@ -127,7 +89,7 @@ def ref_bracket_test(dist, samples, tol):
                                   - evaluate(Xb[j], env) * evaluate(ex.diff(Xa[i], v), env)
                                   for j, v in enumerate(dist.vars))
                               for i in range(dist.n)], dtype=float)
-                if not within_tol(ds.span_residual(M, u), tol * max(1.0, np.linalg.norm(u))):
+                if not within_tol(cn.span_residual(M, u), tol * max(1.0, np.linalg.norm(u))):
                     return False
     return True
 
@@ -147,7 +109,7 @@ def ref_check_integral_patch(dist, patch, mode, parameter_samples, tol):
                 return False
         if mode == "strong":
             for col in ref_basis_at(dist, p).T:
-                if not within_tol(ds.span_residual(J, col), tol):
+                if not within_tol(cn.span_residual(J, col), tol):
                     return False
     return True
 
@@ -325,7 +287,7 @@ def test_random_kernel_corpus_agrees():
 def test_random_patch_corpus_agrees():
     rng = np.random.default_rng(5)
     dists = [Distribution(3, 2, kernel=[form_1({3: ONE})]),
-             Distribution(3, 2, kernel=[form_1({3: ONE, 1: -Y})]),
+             Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Neg(Y)})]),
              Distribution(3, 2, span=[[ONE, ZERO, Y], [ZERO, ONE, ZERO]], vars=VARS3),
              Distribution(3, 1, span=[[ONE, X, ZERO]], vars=VARS3)]
     for attempt in range(20):
@@ -387,7 +349,7 @@ def test_clearly_passing_samples_skip_the_per_sample_check(monkeypatch):
     # checked alone
     patch = ds.IntegralPatch(("s", "t"), [S, T, ex.Mul(S, T)])
     # z = s t: dz - y dx - x dy vanishes on the patch
-    dist = Distribution(3, 2, kernel=[form_1({3: ONE, 1: -Y, 2: -X})])
+    dist = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Neg(Y), 2: ex.Neg(X)})])
     params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 32, seed=6)]
     got, calls = rule_calls(monkeypatch, ds.check_integral_patch, dist, patch, "strong", params)
     assert got is True
@@ -411,7 +373,7 @@ def perfbench_connection_sources():
 
 # -- which sample decides, and how -------------------------------------------------
 
-CONTACT = Distribution(3, 2, kernel=[form_1({3: ONE, 1: -Y})])
+CONTACT = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Neg(Y)})])
 # J = [[1, 0], [0, 2t], [0, 0]] is rank-deficient at t = 0; d/ds is off the
 # contact plane wherever y = t^2 != 0
 SQUARE_PATCH = ds.IntegralPatch(("s", "t"), [S, ex.Mul(T, T), ZERO])
@@ -755,13 +717,14 @@ def one_ulp_apart(case, monkeypatch):
     monkeypatch.setattr(np, name, lambda *a, **kw: np.nextafter(up(*a), np.inf))
     x0, x1 = (p.coords[0] for p in SAMPLES16)
     F = math.nextafter(fn(x0, *args), math.inf)
-    return Y * ex.Const(1e10) * (call(X) - F) * (X - x1)
+    return ex.Mul(ex.Mul(ex.Mul(Y, ex.Const(1e10)), ex.Sub(call(X), ex.Const(F))),
+                  ex.Sub(X, ex.Const(x1)))
 
 
 @pytest.mark.parametrize("case", ULP_CASES, ids=["exp", "pow"])
 def test_screens_evaluate_as_the_loop_one_ulp_apart(case, monkeypatch):
     f = one_ulp_apart(case, monkeypatch)
-    kernel = Distribution(3, 2, kernel=[form_1({3: ONE, 1: -f})])
+    kernel = Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Neg(f)})])
     span = Distribution(3, 2, span=[[ONE, ZERO, f], [ZERO, ONE, ZERO]], vars=VARS3)
     flat = ds.IntegralPatch(("s", "t"), [S, T, ZERO])
     params = [tuple(p.coords) for p in sample_box([(-1.0, 1.0)] * 2, 2, seed=16)]
@@ -1664,7 +1627,7 @@ def test_a_stack_decides_as_its_one_sample_calls_on_the_random_corpora():
     # the distributions and patches of test_random_patch_corpus_agrees
     rng = np.random.default_rng(5)
     dists = [Distribution(3, 2, kernel=[form_1({3: ONE})]),
-             Distribution(3, 2, kernel=[form_1({3: ONE, 1: -Y})]),
+             Distribution(3, 2, kernel=[form_1({3: ONE, 1: ex.Neg(Y)})]),
              Distribution(3, 2, span=[[ONE, ZERO, Y], [ZERO, ONE, ZERO]], vars=VARS3),
              Distribution(3, 1, span=[[ONE, X, ZERO]], vars=VARS3)]
     for attempt in range(10):
@@ -1970,7 +1933,7 @@ def ref_ambrose_singer(conn, loops, samples, basepoint, steps, tol=1e-6):
         size = float(np.max(np.abs(L)))
         if not within_tol(size, tol):
             max_resid = max(max_resid, size if flat is None
-                            else ds.span_residual(flat.T, L.ravel()))
+                            else cn.span_residual(flat.T, L.ravel()))
     return within_tol(max_resid, tol), len(h_basis), max_resid
 
 

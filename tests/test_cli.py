@@ -17,7 +17,8 @@ from sdgeom import forms as fm
 from sdgeom.chart import Point
 from sdgeom.cli import (COMMANDS, EXIT_FALSE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                         _json_dump, build_parser, run)
-from sdgeom.errors import DomainError
+from sdgeom.distributions import trace_leaf
+from sdgeom.errors import DomainError, LogBranchError
 from sdgeom.program import parse_file
 
 CONTACT = """\
@@ -223,6 +224,8 @@ CHART2 = "dim 2\nvar x y\n"
     ("dim 3\nvar x y\n", "declared 2 variables for dim 3"),
     ("dim 2\nform a = dx\n", "2:1: chart ('dim' and 'var') must be declared first"),
     ("dim 2\nfrm a = dx\n", "2:1: unknown statement 'frm'"),
+    # the variable names end with their line
+    (CHART2 + "frm a = dx\n", "3:1: unknown statement 'frm'"),
     (CHART2 + "= dx\n", "3:1: expected a statement keyword, found '='"),
     (CHART2 + "vector u = (1, 0, 0)\n", "3:1: vector needs 2 components"),
     (CHART2 + "vector u = 1\n", "3:12: expected (, found '1'"),
@@ -234,12 +237,16 @@ CHART2 = "dim 2\nvar x y\n"
     (CHART2 + "conn A = [dx, dy; dx]\n", "3:1: connection matrix must be square"),
     (CHART2 + "conn A = [dx ^ dy]\n", "3:18: connection entries must be 1-forms"),
     (CHART2 + "vector u = (1.5e, 0)\n", "3:13: bad number '1.5e'"),
+    # a number ends before its second point
+    (CHART2 + "vector u = (1.2.3, 0)\n", "3:16: expected ), found '.3'"),
     (CHART2 + "vector u = (pow(x, 1.5), 0)\n", "3:20: pow exponent must be an integer"),
     (CHART2 + "vector u = (pow(x, y), 0)\n", "3:20: pow exponent must be an integer"),
     (CHART2 + "vector u = (q, 0)\n", "3:13: unknown identifier 'q'"),
     (CHART2 + "vector u = (*, 0)\n", "3:13: unexpected token '*'"),
-    # the product is read to its end before the error names the next token
-    (CHART2 + "form a = dx*dy\n", "4:1: two form factors in a product; use '^' to wedge"),
+    (CHART2 + "form a = dx*dy\n", "3:13: two form factors in a product; use '^' to wedge"),
+    # a parenthesised sum is read as a form, as a scalar only if it is a 0-form
+    (CHART2 + "form a = (1 + dx)*dy\n", "3:13: degree mismatch: 0-form + 1-form"),
+    (CHART2 + "form a = (x*dx + 1)\n", "3:16: degree mismatch: 1-form + 0-form"),
     (CHART2 + "form a = dx ^ b\n", "3:15: unknown form 'b'"),
     (CHART2 + "form a = dx ^ 1\n", "3:15: expected a form, found '1'"),
     (CHART2 + "form a = $\n", "3:10: unexpected character '$'"),
@@ -309,6 +316,34 @@ def test_bad_loop_spec_exits_two(files, command, loops, bad):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith(f"error: bad loop spec {bad!r}")
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("check-involutive", "--samples", "x", "not an integer: 'x'"),
+    ("leaf", "--steps", "1.5", "not an integer: '1.5'"),
+    ("check-involutive", "--tol", "x", "not a number: 'x'"),
+    ("leaf", "--stepsize", "1e", "not a number: '1e'"),
+], ids=["samples", "steps", "tol", "stepsize"])
+def test_option_values_name_their_error(files, capsys, command, option, value, message):
+    start = ["--start", "0,0,0"] if command == "leaf" else []
+    code, out, _ = invoke([command, "--file", files["contact"], "--dist", "D", *start,
+                           option, value])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["holonomy", "ambrose-singer"])
+@pytest.mark.parametrize("text, argv, message", [
+    ("dim 3\nvar x y z\nconn A = [dx]\n", ["--loop", "circle 0,0,1"],
+     "circle loops require a 2-dimensional chart"),
+    (ROT, [], "need --loop or --curve"),
+], ids=["circle-in-3d", "no-loop"])
+def test_loops_need_a_plane_and_a_spec(tmp_path, command, text, argv, message):
+    path = tmp_path / "conn.sdg"
+    path.write_text(text)
+    code, out, err = invoke([command, "--file", str(path), "--conn", "A", "--steps", "10",
+                             "--samples", "1", *argv])
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_numeric_error_exits_three(files):
@@ -560,12 +595,43 @@ def test_holonomy_golden(files):
     assert abs(abs(L[0][1]) - 3.141592653589793) <= 1e-6
 
 
+@pytest.mark.parametrize("fmt, want", [
+    ("text", "loop 0 log: no principal branch\n"),
+    ("json", '"loop0_log": null}\n'),
+])
+def test_holonomy_without_a_log_still_exits_zero(files, monkeypatch, fmt, want):
+    def no_branch(g):
+        raise LogBranchError("holonomy has no real principal logarithm")
+
+    monkeypatch.setattr(cn, "holonomy_log", no_branch)
+    code, out, err = invoke(["holonomy", "--file", files["rot"], "--conn", "A",
+                             "--loop", "circle 0,0,1", "--steps", "100", "--format", fmt])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("loop 0 holonomy: [[" if fmt == "text" else '{"loop0": {"holonomy"')
+    assert out.endswith(want)
+
+
 def test_ambrose_singer_cli(files):
     code, out, _ = invoke(["ambrose-singer", "--file", files["rot"],
                            "--conn", "A", "--loop", "circle 0,0,0.6",
                            "--samples", "5", "--seed", "3"])
     assert code == EXIT_OK
     assert "holds" in out
+
+
+def test_leaf_text_shows_every_stride_and_the_last_point(files):
+    # 22 points at a stride of 2: the last falls off the stride and is added
+    argv = ["leaf", "--file", files["leaf"], "--dist", "S", "--start=0.1,-0.2,0.3",
+            "--steps", "21", "--stepsize", "0.01"]
+    code, out, _ = invoke(argv)
+    _, data, _ = invoke(argv + ["--format", "json"])
+    points = json.loads(data)["points"]
+    dist = parse_file(files["leaf"]).dists["S"]
+    want = trace_leaf(dist, Point((0.1, -0.2, 0.3)), 21, 0.01)
+    assert points == [list(p.coords) for p in want]
+    assert code == EXIT_OK
+    assert out.splitlines() == [" ".join(format(c, ".17g") for c in p)
+                                for p in points[::2] + points[-1:]]
 
 
 def test_leaf_stays_in_plane(files):
@@ -821,6 +887,19 @@ def test_compare_fails_on_a_nonzero_entry_where_the_classical_one_is_zero(
     assert "measured ratio: n/a (zero form)" in out
     assert "  [dx dy] FAILS: combinatorial is not 0.5 x classical to within 1.0000000000000001e-09" in out
     assert "[dx dz] FAILS" not in out
+
+
+def test_wedge_of_a_zero_form_is_its_product(tmp_path):
+    # 0!1!/1! = 1: f a = x^2 y dy + x y dz
+    path = tmp_path / "forms.sdg"
+    path.write_text("dim 3\nvar x y z\nform f = x*y\nform a = x*dy + dz\n")
+    code, out, _ = invoke(["wedge", "--file", str(path), "--forms", "f,a",
+                           "--at", "1,2,3", "--format", "json"])
+    assert code == EXIT_OK
+    entry = json.loads(out)["at 1,2,3"]
+    assert entry["classical"] == {"1": 0.0, "2": 2.0, "3": 2.0}
+    assert entry["combinatorial"] == pytest.approx(entry["classical"], abs=1e-12)
+    assert entry["ratio"] == pytest.approx(1.0)
 
 
 def test_wedge_of_a_two_form_compares_with_its_own_constant(tmp_path):

@@ -11,7 +11,8 @@ import pytest
 
 from sdgeom import expr as ex
 from sdgeom.chart import Point
-from sdgeom.errors import ContextMismatchError, DomainError
+from sdgeom.errors import (ContextMismatchError, DegreeError, DomainError, LogBranchError,
+                           RankDeficiencyError)
 from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
                                 TRANSPORT_SIGN, ConnectionData,
                                 MatrixGroupSpec, ambrose_singer_check,
@@ -234,6 +235,19 @@ def test_holonomy_log_branch_point():
     L3 = holonomy_log(g3)
     assert np.max(np.abs(L3 + L3.T)) <= 1e-12  # skew
     assert abs(np.linalg.norm(L3) / math.sqrt(2.0) - math.pi) <= 1e-9
+
+
+def test_so3_log_of_the_identity_is_zero():
+    assert holonomy_log(np.eye(3)).tolist() == np.zeros((3, 3)).tolist()
+
+
+@pytest.mark.parametrize("g, message", [
+    (np.diag([-1.0, -2.0]), "holonomy has no real principal logarithm"),
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), "array must not contain infs or NaNs"),
+], ids=["negative-eigenvalues", "nan"])
+def test_holonomy_log_without_a_real_principal_branch(g, message):
+    with pytest.raises(LogBranchError, match=f"^{message}$"):
+        holonomy_log(g)
 
 
 @pytest.mark.parametrize("s", [1e-17, -1e-17, 0.0, -0.0, 5e-13])
@@ -634,6 +648,8 @@ def test_lie_closure_of_so3_generators():
     Ly = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=float)
     basis = lie_closure([Lx, Ly])
     assert len(basis) == 3
+    # a zero matrix spans nothing
+    assert len(lie_closure([np.zeros((3, 3)), Lx])) == 1
 
 
 def test_holonomy_distribution_flatness_in_w():
@@ -715,6 +731,23 @@ def test_transport_sign_constant_is_frozen():
     assert TRANSPORT_SIGN == 1.0
     assert COBOUNDARY_SCALE == 0.5
     assert BRACKET_SIGN == 1.0
+
+
+def test_a_connection_needs_one_matrix_per_dimension():
+    zero = [[ex.Const(0.0)] * 2 for _ in range(2)]
+    with pytest.raises(DegreeError, match="^need one matrix of coefficients per dimension$"):
+        ConnectionData(2, SO2, [zero], vars=VARS2)
+
+
+def test_coboundary_rejects_a_degree_one_part():
+    # the degree-1 part is (A(x) - A(y)'s constant) u, zero exactly when the
+    # 1-jet at y starts at A(x): shift that constant, its first n m m = 8
+    # values, as a faulty jet would
+    conn = rotational_connection()
+    jet = conn._a_jet
+    conn._a_jet = lambda *x: [c + 1e-3 if i < 8 else c for i, c in enumerate(jet(*x))]
+    with pytest.raises(RankDeficiencyError, match="^coboundary has unexpected degree-1 part$"):
+        curvature_coboundary(conn, Point((0.3, 0.7)))
 
 
 @pytest.mark.parametrize("kind", ["subgroup", "unitary"])

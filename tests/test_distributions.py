@@ -2,6 +2,7 @@
 integral patches, semi-simplex annihilation, and leaf tracing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,16 +14,16 @@ from sdgeom.distributions import (DEFAULT_TOL, Distribution, IntegralPatch,
                                   check_integral_patch,
                                   check_involutive_classical,
                                   check_involutive_combinatorial,
-                                  is_flat, semi_annihilation_check,
+                                  semi_annihilation_check,
                                   pointwise_involutive_span, trace_leaf)
 from sdgeom.errors import DegreeError, DomainError, RankDeficiencyError
-from sdgeom.forms import ClassicalForm, CombinatorialForm, d_comb, to_combinatorial
+from sdgeom.forms import ClassicalForm, CombinatorialForm, d_classical, d_comb, to_combinatorial
 from sdgeom.nil import NilElement, generic_offsets, within_tol
 from sdgeom.program import parse
-from sdgeom.sampling import sample_box
+from sdgeom.sampling import parse_box, sample_box
 
 from corpus import random_scalar_expr
-from reference import evaluate
+from reference import evaluate, ref_is_flat
 
 VARS3 = ("x", "y", "z")
 
@@ -68,14 +69,56 @@ def test_a_distribution_has_a_rank_between_0_and_n():
     assert Distribution(3, 3, kernel=[], vars=VARS3).rank == 3
 
 
+ONE, ZERO = ex.Const(1.0), ex.Const(0.0)
+DZ = form_1(3, {3: ONE}, VARS3)
+PLANE = Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]], vars=VARS3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Distribution(3, 1, kernel=[DZ], vars=VARS3), DegreeError,
+     "kernel must consist of n-rank 1-forms"),
+    (lambda: Distribution(3, 2, kernel=[form_1(2, {2: ONE}, VARS3[:2])], vars=VARS3), DegreeError,
+     "kernel entries must be 1-forms on the chart"),
+    (lambda: Distribution(3, 2, kernel=[d_classical(form_1(3, {1: ex.Var("y")}, VARS3))],
+                          vars=VARS3), DegreeError, "kernel entries must be 1-forms on the chart"),
+    (lambda: Distribution(3, 1, span=[[ONE, ZERO]], vars=VARS3), DegreeError,
+     "span must consist of rank n-vector fields"),
+    (lambda: check_involutive_combinatorial(PLANE, samples3()), DegreeError,
+     "combinatorial involutivity test needs KERNEL forms "
+     "(use pointwise_involutive_span for SPAN-only input)"),
+    (lambda: pointwise_involutive_span(ker_dz(), samples3()), DegreeError,
+     "relational span test needs a SPAN representation"),
+    (lambda: check_integral_patch(ker_dz(), IntegralPatch(("s",), [ex.Var("s"), ZERO, ZERO]),
+                                  "exact", [(0.0,)]), ValueError, "mode must be 'weak' or 'strong'"),
+    (lambda: semi_annihilation_check(ker_dz(), to_combinatorial(DZ), samples3()), DegreeError,
+     "semi_annihilation_check expects a 2-form"),
+    (lambda: sample_box([(0.0, 1.0)] * 17, 1), ValueError,
+     "box dimension too large for the Halton table"),
+    (lambda: parse_box("0..1,0..1", 3), ValueError, "box needs 1 or 3 ranges, got 2"),
+], ids=["kernel-count", "kernel-chart", "kernel-degree", "span-shape", "relation-kernel",
+        "relation-span", "patch-mode", "semi-degree", "box-dimension", "box-ranges"])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("p", samples3(3, seed=4))
+def test_kernel_input_matrices_are_its_frame(p):
+    # the kernel matrix of ker(dz - y dx) is its coefficient row, and its
+    # span matrix the fiber basis
+    dist = contact()
+    assert np.array_equal(dist.kernel_matrix(p), [[-p.coords[1], 0.0, 1.0]])
+    assert np.array_equal(dist.span_matrix(p), dist.basis_at(p))
+
+
 # -- flatness ----------------------------------------------------------------
 
 def test_flatness_examples():
     d = ker_dz()
     p = Point((0.2, -0.4, 0.9))
-    assert is_flat(d, p, (1.0, 0.0, 0.0))
-    assert is_flat(d, p, (0.3, -2.0, 0.0))
-    assert not is_flat(d, p, (0.0, 0.0, 1.0))
+    assert ref_is_flat(d, p, np.array((1.0, 0.0, 0.0)), DEFAULT_TOL)
+    assert ref_is_flat(d, p, np.array((0.3, -2.0, 0.0)), DEFAULT_TOL)
+    assert not ref_is_flat(d, p, np.array((0.0, 0.0, 1.0)), DEFAULT_TOL)
 
 
 def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
@@ -187,8 +230,6 @@ def test_flat_span_distribution_pointwise_mode():
 
 
 # -- the relational test (Kock): x ~ y, x ~ z flat and y ~ z give y ~ z flat ------
-
-ZERO, ONE = ex.Const(0.0), ex.Const(1.0)
 
 
 def relational_span_outcome(dist, samples, tol=DEFAULT_TOL):
@@ -437,7 +478,7 @@ def test_nan_residual_fails_the_semi_annihilation_conclusion():
             return NilElement.zero(k, n)
         return NilElement.monomial(k, n, (1, 2), (1, 2), float("nan"))
 
-    theta = CombinatorialForm(2, 3, evaluator, VARS3)
+    theta = CombinatorialForm(2, 3, evaluator)
     res = semi_annihilation_check(ker_dz(), theta, ORIGIN)
     assert res.precondition is True
     assert res.conclusion is False and not bool(res)

@@ -80,10 +80,11 @@ def test_comments_and_blank_lines():
 
 
 def test_pretty_print_round_trip_fixed_point():
-    for text in (CONTACT, MIXED):
+    for text in (CONTACT, MIXED, "dim 2\nvar x y\nform f = x\n"):
         s1 = pretty_print(parse(text))
         s2 = pretty_print(parse(s1))
         assert s1 == s2
+    assert s1 == "dim 2\nvar x y\nform f = x\n"
 
 
 @pytest.mark.parametrize("spelling", ["(x/y)*dx", "x/y*dx"])
@@ -280,13 +281,27 @@ def test_rename_every_node_kind():
     assert evaluate(got, env) == evaluate(e, {"x": 0.3, "y": -0.7})
 
 
-@pytest.mark.parametrize("walk", [ex.free_vars, lambda e: ex.rename(e, {}),
-                                  lambda e: ex.compile_w([e], ("x",))],
-                         ids=["free_vars", "rename", "compile_w"])
-def test_operand_walks_reject_a_non_node(walk):
+@pytest.mark.parametrize("walk, message", [
+    (ex.free_vars, "not an expression node: float"),
+    (lambda e: ex.rename(e, {}), "not an expression node: float"),
+    (lambda e: ex.compile_w([e], ("x",)), "not an expression node: float"),
+    (lambda e: ex.diff(e, "x"), "cannot differentiate float"),
+    (ex.to_str, "cannot print float"),
+], ids=["free_vars", "rename", "compile_w", "diff", "to_str"])
+def test_operand_walks_reject_a_non_node(walk, message):
     # Add does not coerce: its right operand is a float, not a Const
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=f"^{message}$"):
         walk(ex.Add(ex.Var("x"), 2.0))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ex.Pow(ex.Var("x"), 1.5), TypeError, "pow exponent must be an integer"),
+    (lambda: ex.Call("tan", ex.Var("x")), ValueError, "unknown function 'tan'"),
+    (lambda: ex.as_expr("x"), TypeError, "cannot coerce str to Expr"),
+], ids=["pow-float", "unknown-call", "coerce-str"])
+def test_nodes_reject_what_they_cannot_hold(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 # -- compiled evaluation on floats and W values ------------------------------------

@@ -4,6 +4,7 @@ operations."""
 
 import math
 import random
+import re
 from itertools import permutations
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from sdgeom import expr as ex
 from sdgeom.chart import Point
-from sdgeom.errors import ContextMismatchError, DomainError, SdgError
+from sdgeom.errors import ContextMismatchError, DegreeError, DomainError, SdgError
 from sdgeom.forms import (ClassicalForm, CombinatorialForm,
                           classical_from_coeffs, comparison, d_classical,
                           d_comb, eval_generic, eval_semi, extract_classical,
@@ -97,7 +98,7 @@ def to_combinatorial_reference(form):
                 [[off[t - 1] for t in T] for off in offsets])
         return total
 
-    return CombinatorialForm(form.degree, form.n, evaluator, form.vars)
+    return CombinatorialForm(form.degree, form.n, evaluator)
 
 
 def assert_close(got, want, rel=1e-12):
@@ -110,7 +111,9 @@ def assert_close(got, want, rel=1e-12):
         assert abs(got - want) <= rel * max(abs(want), 1.0)
 
 
-@pytest.mark.parametrize("form,base", corpus(25, seed=1))
+# the 3-forms multiply three offset entries in each Leibniz term
+@pytest.mark.parametrize("form,base", corpus(25, seed=1)
+                         + corpus(2, degrees=(3,), ns=(3, 4), seed=12))
 def test_fused_to_combinatorial_matches_tree_walk(form, base):
     fused, walk = to_combinatorial(form), to_combinatorial_reference(form)
     # generic simplex, and through d_comb and wedge_comb: W-valued (rebased)
@@ -200,6 +203,40 @@ def test_coeffs_at_needs_one_coordinate_per_dimension(coords):
     form = random_form(np.random.default_rng(33), 1, 3)
     with pytest.raises(DomainError, match="need 3 coordinates"):
         form.coeffs_at(coords)
+
+
+DX1, DX3 = ClassicalForm.dx(1, 2), ClassicalForm.dx(1, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ClassicalForm(1, 2, {}, ("x",)), ValueError, "need one variable name per dimension"),
+    (lambda: ClassicalForm(1, 2, {(1, 2): 1.0}), DegreeError,
+     "index tuple (1, 2) invalid for degree 1"),
+    (lambda: ClassicalForm(1, 2, {(2, 1): 1.0}), DegreeError,
+     "index tuple (2, 1) invalid for degree 1"),
+    (lambda: ClassicalForm(1, 2, {(3,): 1.0}), DegreeError, "index tuple (3,) out of range for dim 2"),
+    (lambda: DX1.apply((0.0, 0.0), []), DegreeError, "wrong number of argument vectors"),
+    (lambda: DX1 + DX3, DegreeError, "cannot add forms of different degree/dimension"),
+    (lambda: DX1 + wedge_classical(DX1, ClassicalForm.dx(2, 2)), DegreeError,
+     "cannot add forms of different degree/dimension"),
+    (lambda: wedge_classical(DX1, DX3), DegreeError, "wedge of forms on different charts"),
+    (lambda: to_combinatorial(DX1)((0.0, 0.0), []), DegreeError, "wrong simplex arity"),
+    (lambda: wedge_comb(to_combinatorial(DX1), to_combinatorial(DX3)), DegreeError,
+     "wedge of forms on different charts"),
+    (lambda: eval_semi(to_combinatorial(DX1), Point((0.0, 0.0)), (1.0, 0.0), (0.0, 1.0)),
+     DegreeError, "eval_semi is defined for 2-forms"),
+], ids=["vars", "degree", "order", "range", "apply", "add-dim", "add-degree",
+        "wedge-classical", "arity", "wedge-comb", "eval-semi"])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_repr_lists_the_terms():
+    assert repr(ClassicalForm.zero(2, 3)) == "ClassicalForm<0 (deg 2)>"
+    form = ClassicalForm(1, 2, {(1,): ex.Var("x"), (2,): ex.Const(2.0)}, ("x", "y"))
+    assert repr(form) == "ClassicalForm<(x)*dx + (2)*dy>"
+    assert repr(ClassicalForm(0, 2, {(): ex.Var("y")}, ("x", "y"))) == "ClassicalForm<y>"
 
 
 def test_coefficients_are_read_only():

@@ -2,14 +2,16 @@
 
 import ast
 import math
+import operator
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 import sdgeom
 from sdgeom import expr as ex
-from sdgeom.errors import DomainError
+from sdgeom.errors import ContextMismatchError, DomainError
 from sdgeom.nil import (NilElement, _bits, _elem_mul, canonicalize,
                         generic_offsets, lift_smooth, within_tol)
 
@@ -337,3 +339,42 @@ def test_generic_offsets_shape():
     offs = generic_offsets(2, 3)
     assert len(offs) == 2 and len(offs[0]) == 3
     assert offs[1][2] == xi(2, 3, 2, 3)
+
+
+# -- guards ------------------------------------------------------------------
+
+G = NilElement.constant(2, 2, 1.5) + xi(2, 2, 1, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: NilElement(1, 0), ValueError, "context (1,0) out of supported range"),
+    (lambda: setattr(G, "k", 3), AttributeError, "NilElement is immutable"),
+    (lambda: NilElement.generator(2, 2, 3, 1), ValueError, "generator (3,1) outside context (2,2)"),
+    (lambda: G + xi(1, 2, 1, 1), ContextMismatchError, "W(2,2) vs W(1,2)"),
+    (lambda: G.identify_rows(1, 3), ValueError, "row index out of range for arity 2"),
+    (lambda: G.permute_rows((1, 1)), ValueError, "not a permutation of 1..k"),
+    (lambda: lift_smooth("tan", G), ValueError, "unknown smooth primitive 'tan'"),
+    (lambda: lift_smooth("sin", 1.5), TypeError, "lift_smooth expects a NilElement"),
+], ids=["context", "immutable", "generator", "context-mismatch", "identify-rows",
+        "permute-rows", "unknown-primitive", "lift-float"])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.pow], ids=["add", "sub", "mul", "truediv", "pow"])
+def test_arithmetic_with_a_non_element_is_not_implemented(op):
+    # None is not an element, nor a number; 0.5 is not an integer exponent
+    other = 0.5 if op is operator.pow else None
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(G, other)
+
+
+def test_equality_repr_and_reflected_division():
+    assert NilElement.constant(2, 2, 1.5) == 1.5 and G != 1.5
+    assert (G == "W") is False
+    assert repr(NilElement.zero(2, 2)) == "W(2,2)<0>"
+    # a repeated row makes the monomial zero
+    assert NilElement.monomial(2, 2, (1, 1), (1, 2)) == NilElement.zero(2, 2)
+    assert 2.0 / G == lift_smooth("reciprocal", G) * 2.0

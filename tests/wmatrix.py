@@ -5,8 +5,7 @@ matrix's log lies in a matrix Lie subalgebra."""
 
 import numpy as np
 
-from sdgeom.connections import TRANSPORT_SIGN
-from sdgeom.distributions import span_residual
+from sdgeom.connections import TRANSPORT_SIGN, span_residual
 from sdgeom.nil import NilElement, within_tol
 
 from reference import NilPoint
