@@ -416,9 +416,12 @@ def holonomy_log(g):
     angle-pi branch point); everything else goes through scipy's logm and
     must have a real principal branch.  The SO(2) angle lies in [-pi, pi):
     an angle within 1e-12 of +pi is reported as -pi, so that at the branch
-    point the sign does not follow the roundoff in g[1, 0].
+    point the sign does not follow the roundoff in g[1, 0].  A non-finite
+    entry raises LogBranchError.
     """
     g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():  # logm would not return on an infinite entry
+        raise LogBranchError("array must not contain infs or NaNs")
     m = g.shape[0]
     orthogonal = (np.max(np.abs(g.T @ g - np.eye(m))) < 1e-9
                   and np.linalg.det(g) > 0)

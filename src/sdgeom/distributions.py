@@ -99,99 +99,83 @@ class Distribution:
                     comps.append(term)
         return ex.compile_w(comps, self.vars)
 
-    # -- pointwise linear algebra -------------------------------------------
+    # -- pointwise linear algebra: row 0 of a one-row stack ------------------
 
     def kernel_matrix(self, p):
         """(n-rank) x n matrix of kernel-form coefficients at p (for SPAN
         input, orthonormal rows of the complement of the fiber); it raises
         RankDeficiencyError where the rank falls short (`_full_rank`)."""
+        X = np.array([p.coords])
         if self.kernel is None:
-            return self._span_frame(p)[1]
-        return self._kernel_frame(p)[0]
-
-    def _kernel_frame(self, p):
-        """For KERNEL input, from one SVD of the kernel matrix K at p, which
-        also checks its rank: K and an orthonormal basis of its null space."""
-        K = np.array(self._kernel_fns(*p.coords)).reshape(self.n - self.rank, self.n)
-        _, s, vt = np.linalg.svd(K)
-        _full_rank(s, self.n - self.rank, f"kernel forms rank-deficient at {p.coords}")
-        return K, vt[self.n - self.rank:].T
+            return self._span_stack(X)[1][0, :, self.rank:].T
+        return self._kernel_stack(X)[0][0]
 
     def span_matrix(self, p):
         """n x rank matrix of spanning field values at p (for KERNEL input,
         `basis_at`'s); RankDeficiencyError where the rank falls short."""
+        X = np.array([p.coords])
         if self.span is None:
-            return self._kernel_frame(p)[1]
-        M = np.array(self._span_fns(*p.coords)).reshape(self.rank, self.n).T
-        _full_rank(np.linalg.svd(M, compute_uv=False), self.rank,
-                   f"span fields rank-deficient at {p.coords}")
-        return M
-
-    def _span_frame(self, p):
-        """For SPAN input, from one complete QR of the span matrix M at p:
-        an orthonormal basis B of the fiber, orthonormal rows K0 of its
-        complement, and the upper triangular C = B^T M."""
-        q, r = np.linalg.qr(self.span_matrix(p), mode="complete")
-        return q[:, :self.rank], q[:, self.rank:].T, r[:self.rank]
+            return self._kernel_stack(X)[1][0]
+        return self._span_stack(X)[0][0]
 
     def basis_at(self, p):
-        """Orthonormal n x rank basis of the fiber at p: the checks' at one
-        sample, and bit for bit the one of the stacks (`_basis_stack`)."""
-        if self.span is not None:
-            return self._span_frame(p)[0]
-        return self._kernel_frame(p)[1]
+        """Orthonormal n x rank basis of the fiber at p: row 0 of its
+        one-row stack (`_basis_stack`), the checks' at one sample."""
+        return self._basis_stack(np.array([p.coords]))[0][0]
 
     # -- the same over stacked points, for the checks below -----------------
 
     def _kernel_stack(self, X):
-        """`_kernel_frame` over the rows of X (N, n), from one batched SVD:
-        the kernel matrices (N, n-rank, n), their null-space bases
-        (N, n, rank), and which samples have both."""
+        """Over the rows of X (N, n), from one batched SVD: the kernel
+        matrices (N, n-rank, n), their null-space bases (N, n, rank), and
+        which samples have both."""
         K, ok = _stack(self._kernel_fns, X, self.n)
         _, s, vt = np.linalg.svd(K)
         return (K, vt[:, self.n - self.rank:].transpose(0, 2, 1),
-                ok & _full_rank(s, self.n - self.rank))
+                ok & _full_rank(s, self.n - self.rank, X, "kernel forms"))
 
     def _span_stack(self, X):
-        """`_span_frame` over the rows of X (N, n), from one complete QR of
-        the stacked span matrices (N, n, rank): Q = [B | K0^T] (N, n, n) and
-        C (N, rank, rank), and which samples have them."""
+        """Over the rows of X (N, n): the span matrices M (N, n, rank), from
+        one complete QR of them Q = [B | K0^T] (N, n, n) and the upper
+        triangular C = B^T M (N, rank, rank), and which samples have them."""
         M, ok = _stack(self._span_fns, X, self.n)
         M = M.transpose(0, 2, 1)
-        s = np.linalg.svd(M, compute_uv=False)
+        ok &= _full_rank(np.linalg.svd(M, compute_uv=False), self.rank, X, "span fields")
         q, r = np.linalg.qr(M, mode="complete")
-        return q, r[:, :self.rank], ok & _full_rank(s, self.rank)
+        return M, q, r[:, :self.rank], ok
 
     def _basis_stack(self, X):
         """basis_at over the rows of X (N, n), and which samples have it."""
         if self.span is None:
             return self._kernel_stack(X)[1:]
-        Q, _, ok = self._span_stack(X)
+        _, Q, _, ok = self._span_stack(X)
         return Q[..., :self.rank], ok
 
 
 # Each check's rule is written once, over a stack of samples with a leading
 # sample axis: `check(samples)` returns the outcome at each sample and which
 # samples it decides.  One sample's values are its float values, from the
-# compiled functions' float calls and the per-point methods, which raise
-# where the sample is undefined or rank-deficient, so a one-sample call
-# decides its sample or raises as a loop over the samples does.  More
-# samples' are stacked: by `expr.stacked`, the float values bit for bit
-# wherever they are finite, and one factorisation of the stack, the
-# per-point one bit for bit.  The stack decides each sample whose values are
-# finite and whose matrix has full rank.  `_in_order` drives every check: the
-# first sample alone, then the stack of the rest, and a one-sample call at
-# each sample that stack does not decide, in sample order; so verdicts,
-# per-point lists and errors are those of a loop over the samples.
+# compiled functions' float calls, and its frame is its one-row stack's;
+# both raise where the sample is undefined or rank-deficient, so a
+# one-sample call decides its sample or raises as a loop over the samples
+# does.  More samples' are stacked: by `expr.stacked`, the float values bit
+# for bit wherever they are finite, and one factorisation of the stack,
+# each row's frame that of its one-row stack bit for bit.  The stack decides
+# each sample whose values are finite and whose matrix has full rank.
+# `_in_order` drives every check: the first sample alone, then the stack of
+# the rest, and a one-sample call at each sample that stack does not
+# decide, in sample order; so verdicts, per-point lists and errors are
+# those of a loop over the samples.
 
 
-def _full_rank(s, rank, message=None):
-    """The one rank rule: whether matrices with the singular values s
-    (..., k) have rank `rank`, that is, that many of them over RANK_CUTOFF.
-    With a `message`, it raises RankDeficiencyError for a matrix that has not."""
+def _full_rank(s, rank, X, what):
+    """The one rank rule: whether the matrices of `what` at the rows of X
+    (N, ...), with the singular values s (N, k), have rank `rank`, that is,
+    that many of them over RANK_CUTOFF.  A one-row stack raises
+    RankDeficiencyError where its matrix has not."""
     full = (s > RANK_CUTOFF).sum(axis=-1) == rank
-    if message is not None and not full:
-        raise RankDeficiencyError(message)
+    if len(X) == 1 and not full[0]:
+        raise RankDeficiencyError(f"{what} rank-deficient at {tuple(X[0].tolist())}")
     return full
 
 
@@ -215,19 +199,14 @@ def _stack(fn, X, width):
     return V, finite
 
 
-def _fibers(dist, points):
-    """At the points, stacked: the kernel matrices (N, n-rank, n) of KERNEL
-    input (None for SPAN input), the fiber bases (N, n, rank), and which
-    points have both: of one point, [p], from the per-point methods, which
-    raise where it has none; of more, given by their coordinates (N, n), from
-    one factorisation of their stack."""
-    if len(points) > 1:
-        return dist._kernel_stack(points) if dist.kernel is not None else (
-            None, *dist._basis_stack(points))
-    if dist.kernel is not None:
-        K, B = dist._kernel_frame(points[0])
-        return K[None], B[None], np.ones(1, dtype=bool)
-    return None, dist.basis_at(points[0])[None], np.ones(1, dtype=bool)
+def _fibers(dist, samples, X):
+    """The fiber bases (N, n, rank) at the samples, with coordinates X
+    (N, n), from one factorisation of their stack, and which samples have
+    one.  One sample's is `basis_at`'s, the same one-row stack's: perfbench's
+    tracer counts the samples a check visits through the per-point methods."""
+    if len(samples) == 1:
+        return dist.basis_at(samples[0])[None], np.ones(1, dtype=bool)
+    return dist._basis_stack(X)
 
 
 def _in_order(samples, check):
@@ -329,9 +308,10 @@ def _relation(dist, span, x, frame):
     residuals K_y (v - u) of y = x + u ~_D x + v, yielded kernel row by row.
     The frame at x holds the columns of the fiber basis B; for KERNEL input
     K_y is the kernel matrix at y.  For SPAN input (`span`) those of K0^T and
-    S^T follow (`_span_frame`, S = C^-1 B^T), and K_y w = K0 w - (K0 X(y)) S w
-    with X the span matrix: both outer factors are nilpotent and W(2, rank)
-    stops at degree 2, so only C, the constant part of B^T X(y), is inverted.
+    S^T follow (`_span_relation_stack`, S = C^-1 B^T), and
+    K_y w = K0 w - (K0 X(y)) S w with X the span matrix: both outer factors
+    are nilpotent and W(2, rank) stops at degree 2, so only C, the constant
+    part of B^T X(y), is inverted.
     K and X at y are 1-jets whose tangents are the rows of B (`_FiberJet`),
     and W elements only in the products with w = v - u.  x and the frame
     are floats at one sample, or constant W elements and arrays over
@@ -358,21 +338,20 @@ def _relation(dist, span, x, frame):
 def _flat_check(dist, span, residuals, tol, samples):
     """Whether every residual `residuals(x, frame)` on the generic flat
     2-simplex at x passes, at each sample: [(verdict, frame)], and which
-    samples that decides.  The frame is the fiber basis, or with `span` the
-    relation frame of SPAN input (`_span_relation_frame`).  One sample's
-    frame is built by `basis_at` or `_span_relation_frame`, and its
-    residuals are floats; both raise where the loop raises.  Of more
-    samples, the frames come from one factorisation of their stack, and the
-    residuals are evaluated once, the base coordinates constant W elements
-    with arrays of the samples' coordinates as their constant terms; the
-    stack decides a sample whose frame it has and whose residuals are
-    finite."""
-    if len(samples) == 1:
-        p = samples[0]
-        frame = _span_relation_frame(dist, p) if span else dist.basis_at(p)
-        return [(all(within_tol(r, tol) for r in residuals(p.coords, frame)), frame)], [True]
+    samples that decides.  The frame is the fiber basis (`_fibers`), or with
+    `span` the relation frame of SPAN input (`_span_relation_stack`), from
+    one factorisation of the samples' stack; a one-row stack raises where
+    the loop raises.  One sample's residuals are floats, and raise where the
+    loop raises.  Of more samples, the residuals are evaluated once, the
+    base coordinates constant W elements with arrays of the samples'
+    coordinates as their constant terms; the stack decides a sample whose
+    frame it has and whose residuals are finite."""
     X = _coords(samples, dist.n)
-    frames, ok = _span_relation_stack(dist, X) if span else dist._basis_stack(X)
+    frames, ok = _span_relation_stack(dist, X) if span else _fibers(dist, samples, X)
+    if len(samples) == 1:
+        frame = frames[0]
+        return [(all(within_tol(r, tol) for r in residuals(samples[0].coords, frame)),
+                 frame)], [True]
     base = [NilElement(2, max(dist.rank, 1), {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
     with np.errstate(all="ignore"):
         residual = reduce(np.maximum, map(_max_abs, residuals(base, frames)),
@@ -407,18 +386,12 @@ def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
     return _relation_test(dist, True, samples, tol)
 
 
-def _span_relation_frame(dist, p):
-    """The frame of Kock's relation for SPAN input at p (`_relation`):
-    [B | K0^T | S^T], S = C^-1 B^T."""
-    B, K0, C = dist._span_frame(p)
-    return np.hstack([B, K0.T, np.linalg.solve(C, B.T).T])
-
-
 def _span_relation_stack(dist, X):
-    """`_span_relation_frame` over the rows of X (N, n), from `_span_stack`
-    and one batched solve, and which samples have it.  The solve leaves out
-    the samples that do not: their C may be singular."""
-    Q, C, ok = dist._span_stack(X)
+    """The frames of Kock's relation for SPAN input at the rows of X (N, n)
+    (`_relation`), [B | K0^T | S^T] with S = C^-1 B^T, from `_span_stack`
+    and one batched solve, and which samples have them.  The solve leaves
+    out the samples that do not: their C may be singular."""
+    _, Q, C, ok = dist._span_stack(X)
     Bt = Q[..., :dist.rank].transpose(0, 2, 1)
     S = np.zeros_like(Bt)
     S[ok] = np.linalg.solve(C[ok], Bt[ok])
@@ -447,7 +420,7 @@ def _bracket_test(dist, samples, tol):
     """Every bracket [X_a, X_b] in the fiber (`_tangent_verdicts`)."""
     def check(samples):
         X = _coords(samples, dist.n)
-        _, B, decided = _fibers(dist, samples if len(samples) == 1 else X)
+        B, decided = _fibers(dist, samples, X)
         U, finite = _stack(dist._bracket_fns, X, dist.n)
         return np.all(_tangent_verdicts(None, B, U.transpose(0, 2, 1), tol), axis=1), (
             decided & finite)
@@ -482,13 +455,16 @@ class IntegralPatch:
         return Point(self._point_fn(*map(float, s)))
 
     def jacobian_at(self, s):
-        """The Jacobian at the parameters s; RankDeficiencyError unless of
-        rank q (`_full_rank`)."""
-        J = np.array(self._jacobian_fns(*map(float, s))).reshape(
-            len(self.components), self.q)
-        _full_rank(np.linalg.svd(J, compute_uv=False), self.q,
-                   f"patch Jacobian rank-deficient at {s}")
-        return J
+        """The Jacobian at the parameters s, row 0 of their one-row stack;
+        RankDeficiencyError unless of rank q."""
+        return self._jacobian_stack(np.array([s], dtype=float))[0][0]
+
+    def _jacobian_stack(self, P):
+        """The Jacobians at the rows of P (N, q), shape (N, components, q),
+        and which have rank q (`_full_rank`)."""
+        J, ok = _stack(self._jacobian_fns, P, self.q)
+        return J, ok & _full_rank(np.linalg.svd(J, compute_uv=False), self.q, P,
+                                  "patch Jacobian")
 
 
 def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
@@ -504,15 +480,15 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
         # fiber in their span (strong); more samples' points are stacked, and
         # one that is not finite or undefined leaves its sample undecided
         if len(params) == 1:
-            points = [patch.point_at(params[0])]
+            X = np.array([patch.point_at(params[0]).coords])
             J, decided = patch.jacobian_at(params[0])[None], np.ones(1, dtype=bool)
         else:
             P = np.array(params, dtype=float)
             X, decided = _stack(patch._point_fn, P, dist.n)
-            J, defined = _stack(patch._jacobian_fns, P, patch.q)
-            decided &= defined & _full_rank(np.linalg.svd(J, compute_uv=False), patch.q)
-            points = X[:, 0]
-        K, B, fibers = _fibers(dist, points)
+            J, defined = patch._jacobian_stack(P)
+            X, decided = X[:, 0], decided & defined
+        K, B, fibers = (dist._kernel_stack(X) if dist.kernel is not None
+                        else (None, *dist._basis_stack(X)))
         passed = np.all(_tangent_verdicts(K, B, J, tol), axis=1)
         if mode == "strong":
             passed &= np.all(within_tol(_basis_residuals(np.linalg.qr(J)[0], B), tol), axis=1)

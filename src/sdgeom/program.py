@@ -227,16 +227,20 @@ class _Parser:
     def _stmt_var(self, tok):
         if self.prog.vars:
             self.error("duplicate 'var' declaration", tok)
-        names = []
+        toks = []
         # the names end with the line: a word on the next is a statement
         while (self.peek().kind == "ident" and self.peek().text not in KEYWORDS
                and self.peek().line == tok.line):
-            names.append(self.next().text)
-        if not names:
+            toks.append(self.next())
+        if not toks:
             self.error("expected variable names after 'var'")
-        if len(set(names)) != len(names):
+        self.prog.vars = tuple(t.text for t in toks)
+        if len(set(self.prog.vars)) != len(toks):
             self.error("duplicate variable names", tok)
-        self.prog.vars = tuple(names)
+        # in a form, dx is the differential of the variable x
+        for t in toks:
+            if self._is_differential(t.text):
+                self.error(f"variable {t.text!r} reads as the differential of {t.text[1:]!r}", t)
 
     def _stmt_form(self, tok):
         self._chart_ready(tok)

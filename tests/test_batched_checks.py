@@ -1116,11 +1116,7 @@ def test_relation_is_the_w_path_per_sample_and_stacked(seed):
         points = sample_box([(-1.0, 1.0)] * prog.dim, 16, seed)
         for dist in prog.dists.values():
             span = dist.span is not None
-            if span:
-                frames = [np.hstack([B, K0.T, np.linalg.solve(C, B.T).T])
-                          for B, K0, C in map(dist._span_frame, points)]
-            else:
-                frames = [dist.basis_at(p) for p in points]
+            frames = [one_row_frame(frame_kinds(dist)[-1], p) for p in points]
             for x, frame in [(p.coords, f) for p, f in zip(points, frames)] + [(
                     [NilElement(2, max(dist.rank, 1), {(0, 0): c})
                      for c in np.array([p.coords for p in points]).T],
@@ -1267,6 +1263,33 @@ def test_a_rank_deficient_span_raises_after_failing_samples():
     assert assert_same_span_checks(both, samples[:1] + samples[2:])[0] is RankDeficiencyError
 
 
+def test_one_sample_names_its_rank_deficiency():
+    # a one-row stack raises the rank rule's message (`_full_rank`), from a
+    # per-point method and from a check of one sample alike
+    kernel = Distribution(3, 2, kernel=[form_1({3: X})])
+    theta = d_comb(to_combinatorial(kernel.kernel[0]))
+    plane = ds.IntegralPatch(("s", "t"), [ZERO, S, T])
+    flat = ds.IntegralPatch(("s", "t"), [S, T, ZERO])
+    for message, p, calls in [
+        ("kernel forms rank-deficient at (0.0, 0.2, -0.6)", Point((0.0, 0.2, -0.6)), [
+            kernel.kernel_matrix, kernel.span_matrix, kernel.basis_at,
+            lambda p: ds.check_involutive_combinatorial(kernel, [p]),
+            lambda p: ds.semi_annihilation_check(kernel, theta, [p]),
+            lambda p: ds.check_integral_patch(kernel, plane, "weak", [p.coords[1:]])]),
+        ("span fields rank-deficient at (0.0, 0.0, 0.0)", Point((0.0, 0.0, 0.0)), [
+            VANISHING_SPAN.span_matrix, VANISHING_SPAN.kernel_matrix, VANISHING_SPAN.basis_at,
+            lambda p: ds.pointwise_involutive_span(VANISHING_SPAN, [p]),
+            lambda p: ds.check_involutive_classical(VANISHING_SPAN, [p]),
+            lambda p: ds.semi_annihilation_check(VANISHING_SPAN, theta, [p]),
+            lambda p: ds.check_integral_patch(VANISHING_SPAN, flat, "strong", [p.coords[:2]])]),
+        ("patch Jacobian rank-deficient at (0.3, 0.0)", (0.3, 0.0), [
+            SQUARE_PATCH.jacobian_at,
+            lambda s: ds.check_integral_patch(CONTACT, SQUARE_PATCH, "weak", [s])]),
+    ]:
+        for call in calls:
+            assert full_outcome(call, p) == (RankDeficiencyError, message)
+
+
 def test_semi_annihilation_stops_at_a_failing_first_sample(monkeypatch):
     # as the loop does, without the bases of the later samples
     k3, _ = perfbench_programs(4)
@@ -1291,12 +1314,13 @@ def test_basis_at_takes_the_null_space_of_the_rank_check():
 
 def test_span_frame_from_one_span_matrix_and_one_qr(monkeypatch):
     # B, K0 and C of SPAN input come from one span matrix and one complete
-    # QR per sample: B C is that matrix, K0 annihilates it, [B | K0^T] is
-    # orthogonal, and `basis_at`/`kernel_matrix` return B and K0
+    # QR per sample, in its one-row stack: B C is that matrix, K0
+    # annihilates it, [B | K0^T] is orthogonal, and `span_matrix`/`basis_at`/
+    # `kernel_matrix` return M, B and K0
     calls = []
-    span_matrix = Distribution.span_matrix
-    monkeypatch.setattr(Distribution, "span_matrix",
-                        lambda self, p: calls.append(p) or span_matrix(self, p))
+    span_stack = Distribution._span_stack
+    monkeypatch.setattr(Distribution, "_span_stack", lambda self, X: calls.extend(
+        Point(x) for x in X if len(X) == 1) or span_stack(self, X))
     rng = np.random.default_rng(80)
     dists = [perfbench_programs(seed)[0].dists[name] for seed in (1, 2) for name in "SH"]
     dists += [random_span_distribution(rng, int(rng.choice((3, 4)))) for _ in range(10)]
@@ -1304,15 +1328,16 @@ def test_span_frame_from_one_span_matrix_and_one_qr(monkeypatch):
         points = sample_box([(-1.0, 1.0)] * dist.n, 8, seed=dist.n)
         for p in points:
             try:
-                B, K0, C = dist._span_frame(p)
+                M, Q, C, _ = (a[0] for a in span_stack(dist, np.array([p.coords])))
             except RankDeficiencyError:
                 continue
-            M = span_matrix(dist, p)
+            B, K0 = Q[:, :dist.rank], Q[:, dist.rank:].T
             assert np.allclose(B @ C, M, rtol=0, atol=1e-14 * max(1.0, np.abs(M).max()))
             assert np.allclose(K0 @ M, 0.0, rtol=0, atol=1e-14 * max(1.0, np.abs(M).max()))
             Q = np.hstack([B, K0.T])
             assert np.allclose(Q.T @ Q, np.eye(dist.n), rtol=0, atol=1e-14)
             assert np.array_equal(C, np.triu(C))
+            assert np.array_equal(dist.span_matrix(p), M)
             assert np.array_equal(dist.basis_at(p), B)
             assert np.array_equal(dist.kernel_matrix(p), K0)
         calls.clear()
@@ -1323,28 +1348,33 @@ def test_span_frame_from_one_span_matrix_and_one_qr(monkeypatch):
 # -- frames from one stacked factorisation ------------------------------------------
 
 def frame_kinds(dist):
-    """(frame_at, stack) of each frame the flat-simplex checks take: the
-    fiber basis (KERNEL input, and the semi-annihilation check of SPAN
-    input) and, for SPAN input, the relation frame [B | K0^T | S^T]."""
-    kinds = [(dist.basis_at, dist._basis_stack)]
+    """The stack of each frame the flat-simplex checks take: the fiber basis
+    (KERNEL input, and the semi-annihilation check of SPAN input) and, for
+    SPAN input, the relation frame [B | K0^T | S^T]."""
+    kinds = [dist._basis_stack]
     if dist.span is not None:
-        kinds.append((partial(ds._span_relation_frame, dist),
-                      partial(ds._span_relation_stack, dist)))
+        kinds.append(partial(ds._span_relation_stack, dist))
     return kinds
 
 
+def one_row_frame(stack, p):
+    """p's frame in its one-row stack, as a one-sample check builds it (the
+    frame_at of the names below)."""
+    return stack(np.array([p.coords]))[0][0]
+
+
 def assert_stacked_frames_are_frame_at(dist, points):
-    """Each frame that a stack clears is frame_at's at that sample, bit for
-    bit and laid out alike (so that a product with it, as the
-    semi-annihilation check's B r, rounds alike).  Returns the number of
+    """Each frame that a stack clears is that sample's frame in its one-row
+    stack, bit for bit and laid out alike (so that a product with it, as
+    the semi-annihilation check's B r, rounds alike).  Returns the number of
     samples cleared, and of samples."""
     X = ds._coords(points, dist.n)
     cleared = total = 0
-    for frame_at, stack in frame_kinds(dist):
+    for stack in frame_kinds(dist):
         frames, clear = stack(X)
         for p, frame, ok in zip(points, frames, clear):
             if ok:
-                want = frame_at(p)
+                want = one_row_frame(stack, p)
                 assert frame.shape == want.shape and frame.strides == want.strides, p.coords
                 assert frame.tobytes() == want.tobytes(), p.coords
         cleared += int(np.count_nonzero(clear))
@@ -1413,14 +1443,16 @@ MARGIN_CASES = [
 
 def frame_calls(monkeypatch, check, *args):
     """The outcome of check(*args) (`full_outcome`), and the samples at
-    which it builds a frame per sample: `basis_at`, or the relation frame
-    of SPAN input."""
+    which it builds a frame per sample, a one-row stack: of the fiber basis,
+    or of the relation frame of SPAN input."""
     calls = []
-    basis_at, relation_frame = Distribution.basis_at, ds._span_relation_frame
-    monkeypatch.setattr(Distribution, "basis_at",
-                        lambda self, p: calls.append(p) or basis_at(self, p))
-    monkeypatch.setattr(ds, "_span_relation_frame",
-                        lambda dist, p: calls.append(p) or relation_frame(dist, p))
+    basis_stack, relation_stack = Distribution._basis_stack, ds._span_relation_stack
+
+    def recording(stack):
+        return lambda dist, X: calls.extend(Point(x) for x in X if len(X) == 1) or stack(dist, X)
+
+    monkeypatch.setattr(Distribution, "_basis_stack", recording(basis_stack))
+    monkeypatch.setattr(ds, "_span_relation_stack", recording(relation_stack))
     try:
         return full_outcome(check, *args), calls
     finally:
@@ -1444,7 +1476,7 @@ def test_frame_at_runs_where_the_stack_does_not_clear(monkeypatch, name, dist, x
     points = margin_points(x)
     span = dist.span is not None
     X = ds._coords(points, dist.n)
-    for _, stack in frame_kinds(dist):
+    for stack in frame_kinds(dist):
         assert stack(X)[1].tolist() == [True, True, not undecided(name), True, True]
     built = [points[0], points[2]] if undecided(name) else [points[0]]
     check = ds.pointwise_involutive_span if span else ds.check_involutive_combinatorial
@@ -1486,9 +1518,11 @@ def test_a_constant_undefined_frame_raises_at_the_first_sample(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 3])
 def test_one_stacked_factorisation_per_check(monkeypatch, seed):
     # at 256 samples of full rank, each flat-simplex check factors
-    # the stack once (an SVD of the kernel matrices, a complete QR of the
-    # span matrices, whose rank rule takes their singular values), and
-    # builds the first sample's frame alone
+    # the stack of more than one sample once (an SVD of the kernel matrices,
+    # a complete QR of the span matrices, whose rank rule takes their
+    # singular values), and builds the first sample's frame alone: the fiber
+    # basis through `basis_at`, the relation frame of SPAN input through
+    # neither public method
     k3, _ = perfbench_programs(seed)
     points = sample_box([(-1.0, 1.0)] * 3, 256, seed)
     stacked, visited = [], []
@@ -1496,7 +1530,7 @@ def test_one_stacked_factorisation_per_check(monkeypatch, seed):
                          (Distribution, "basis_at"), (Distribution, "span_matrix")):
         def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
             if _name in ("svd", "qr"):
-                if np.ndim(args[0]) == 3:
+                if np.ndim(args[0]) == 3 and len(args[0]) > 1:
                     stacked.append((_name, kwargs.get("compute_uv", True)))
             else:
                 visited.append((_name, args[1]))
@@ -1508,14 +1542,14 @@ def test_one_stacked_factorisation_per_check(monkeypatch, seed):
     for check, args, factors, frame in (
             (ds.check_involutive_combinatorial, (k3.dists["I"], points), kernel, "basis_at"),
             (ds.check_involutive_combinatorial, (k3.dists["C"], points), kernel, "basis_at"),
-            (ds.pointwise_involutive_span, (k3.dists["S"], points), span, "span_matrix"),
-            (ds.pointwise_involutive_span, (k3.dists["H"], points), span, "span_matrix"),
+            (ds.pointwise_involutive_span, (k3.dists["S"], points), span, None),
+            (ds.pointwise_involutive_span, (k3.dists["H"], points), span, None),
             (ds.semi_annihilation_check, (k3.dists["I"], theta, points), kernel, "basis_at")):
         stacked.clear()
         visited.clear()
         check(*args)
         assert stacked == factors, check.__name__
-        assert visited == [(frame, points[0])], check.__name__
+        assert visited == ([(frame, points[0])] if frame else []), check.__name__
 
 
 def test_a_rank_zero_span_is_involutive():

@@ -220,6 +220,9 @@ CHART2 = "dim 2\nvar x y\n"
     (CHART2 + "var z\n", "3:1: duplicate 'var' declaration"),
     ("dim 2\nvar\n", "3:1: expected variable names after 'var'"),
     ("dim 2\nvar x x\n", "2:1: duplicate variable names"),
+    # dx would be the differential inside a form and the variable elsewhere
+    ("dim 2\nvar x dx\n", "2:7: variable 'dx' reads as the differential of 'x'"),
+    ("dim 2\nvar dx x\n", "2:5: variable 'dx' reads as the differential of 'x'"),
     ("var x\n", "missing 'dim' declaration"),
     ("dim 3\nvar x y\n", "declared 2 variables for dim 3"),
     ("dim 2\nform a = dx\n", "2:1: chart ('dim' and 'var') must be declared first"),

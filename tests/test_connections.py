@@ -244,7 +244,9 @@ def test_so3_log_of_the_identity_is_zero():
 @pytest.mark.parametrize("g, message", [
     (np.diag([-1.0, -2.0]), "holonomy has no real principal logarithm"),
     (np.array([[math.nan, 0.0], [0.0, 1.0]]), "array must not contain infs or NaNs"),
-], ids=["negative-eigenvalues", "nan"])
+    # logm of an infinite entry did not return
+    (np.array([[math.inf, 0.0], [0.0, 1.0]]), "array must not contain infs or NaNs"),
+], ids=["negative-eigenvalues", "nan", "inf"])
 def test_holonomy_log_without_a_real_principal_branch(g, message):
     with pytest.raises(LogBranchError, match=f"^{message}$"):
         holonomy_log(g)
