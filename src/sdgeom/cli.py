@@ -369,38 +369,29 @@ def cmd_leaf(args, rep):
     return EXIT_OK
 
 
-def _count(text):
-    """--samples and --steps: at least one, so that no check passes
-    vacuously and no trace is empty."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _checked(convert, kind, ok, refusal):
+    """An argparse type: the text must `convert` (else `not <kind>: 'text'`)
+    to a value that is `ok` (else `refusal`, formatted with the value and the
+    text)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(refusal.format(value=value, text=text))
+        return value
+
+    return parse
 
 
-def _tolerance(text):
-    """--tol: finite and >= 0; a NaN tolerance would fail no comparison."""
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return tol
-
-
-def _stepsize(text):
-    """--stepsize: finite and nonzero, so that the trace moves."""
-    try:
-        step = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(step) and step != 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and nonzero, got {text}")
-    return step
+# --samples and --steps (no vacuous check, no empty trace), --tol (a NaN one
+# fails no comparison) and --stepsize (the trace moves)
+_count = _checked(int, "an integer", lambda v: v >= 1, "must be at least 1, got {value}")
+_tolerance = _checked(float, "a number", lambda v: math.isfinite(v) and v >= 0.0,
+                      "must be finite and >= 0, got {text}")
+_stepsize = _checked(float, "a number", lambda v: math.isfinite(v) and v != 0.0,
+                     "must be finite and nonzero, got {text}")
 
 
 def _common(*, box=False, steps=None, at=False):

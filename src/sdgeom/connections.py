@@ -25,8 +25,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
-                     LogBranchError, RankDeficiencyError, SdgError)
-from .nil import _MERGE_SIGNS, _PERMUTED, generic_offsets, within_tol
+                     LogBranchError, RankDeficiencyError)
+from .nil import _MERGE_SIGNS, _ROW_IMAGES, generic_offsets, within_tol
 from .forms import default_vars
 
 # Convention constants, pinned against the classical oracle F = dA + s[A, A]
@@ -115,7 +115,7 @@ class _Simplex:
 
     - `index`: monomial -> its position in the basis.
     - `swap`, `swap_sign`: the vertex swap of a stacked array over the
-      basis is swap_sign * array[swap] (signs from `nil._PERMUTED`).
+      basis is swap_sign * array[swap] (signs from `nil._ROW_IMAGES`).
     - `displacement`: shape (3, 2n, n), the coefficient of each degree-1
       monomial in TRANSPORT_SIGN * delta_i, for the displacements y - x,
       z - y and x - z.
@@ -136,7 +136,7 @@ class _Simplex:
         self.swap = np.empty(len(basis), dtype=np.intp)
         self.swap_sign = np.empty((len(basis), 1))
         for i, mono in enumerate(basis):
-            sign, image = _PERMUTED[_SWAP][mono]
+            sign, image = _ROW_IMAGES[_SWAP][mono]
             self.swap[self.index[image]] = i
             self.swap_sign[self.index[image]] = sign
         self.displacement = np.zeros((3, 2 * n, n))
@@ -265,6 +265,12 @@ def parallel_transport(conn, curve_exprs, t0, t1, steps):
     step matrices or running product overflow.  This is the one-curve case
     of `_transports`.
     """
+    return _transport_and_curve(conn, curve_exprs, t0, t1, steps)[0]
+
+
+def _transport_and_curve(conn, curve_exprs, t0, t1, steps):
+    """`parallel_transport`, and the curve's points and velocities as the
+    one function of t that it compiles."""
     if steps <= 0:
         raise ValueError("steps must be positive")
     if len(curve_exprs) != conn.n:
@@ -279,7 +285,7 @@ def parallel_transport(conn, curve_exprs, t0, t1, steps):
     (g,), (err,) = _transports(conn, stages, 1, t0, t1, steps)
     if err is not None:
         raise err
-    return g
+    return g, curve
 
 
 def _segment_transports(conn, x0, ends, steps):
@@ -484,16 +490,12 @@ def lie_closure(mats, tol=1e-9):
 
     for X in mats:
         try_add(X)
-    changed = True
-    while changed and len(basis) < m * m:
-        changed = False
-        cur = list(basis)
-        for i, a in enumerate(cur):
-            for b in cur[i + 1:]:
-                before = len(basis)
+    size = None
+    while size != len(basis) and len(basis) < m * m:  # until a round adds nothing
+        size = len(basis)
+        for i, a in enumerate(basis[:size]):
+            for b in basis[i + 1:size]:
                 try_add(a @ b - b @ a)
-                if len(basis) > before:
-                    changed = True
     return basis
 
 
@@ -509,35 +511,25 @@ def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
     triples of closed curves.  Returns (inclusion_verdict, dim_h,
     max_residual).
     """
-    # the segments, one per sample and one per loop start, are transported
-    # together; each error is raised where the transports one at a time
-    # would raise it first
-    starts = []
-    for curve_exprs, t0, _ in loops:
-        try:
-            starts.append(ex.compile_w(curve_exprs, ("t",))(t0))
-        except SdgError as err:
-            starts.append(err)
-    transports = iter(_segment_transports(
-        conn, basepoint.coords, [p.coords for p in samples]
-        + [s for s in starts if not isinstance(s, SdgError)], steps))
-
-    def to_basepoint(values):
-        g = next(transports)
+    # the segments to the samples are transported together, and each error
+    # is raised where the transports one at a time would raise it first; a
+    # loop's start comes from the curve that its transport compiles
+    def to_basepoint(values, g):
         if isinstance(g, Exception):
             raise g
         ginv = np.linalg.inv(g)
         return [ginv @ F @ g for F in values]
 
-    h_basis = lie_closure([F for p in samples for F in to_basepoint(
-        curvature_coboundary(conn, p).values())], tol=tol)
+    segments = _segment_transports(conn, basepoint.coords, [p.coords for p in samples], steps)
+    h_basis = lie_closure([F for p, g in zip(samples, segments) for F in to_basepoint(
+        curvature_coboundary(conn, p).values(), g)], tol=tol)
     flat = np.array([b.ravel() for b in h_basis]) if h_basis else None
     max_resid = 0.0
-    for (curve_exprs, t0, t1), start in zip(loops, starts):
-        g = parallel_transport(conn, curve_exprs, t0, t1, steps)
-        if isinstance(start, SdgError):
-            raise start
-        L = to_basepoint([holonomy_log(g)])[0]
+    for curve_exprs, t0, t1 in loops:
+        g, curve = _transport_and_curve(conn, curve_exprs, t0, t1, steps)
+        start = curve(t0)[:conn.n]
+        L = to_basepoint([holonomy_log(g)],
+                         _segment_transports(conn, basepoint.coords, [start], steps)[0])[0]
         size = float(np.max(np.abs(L)))
         if not within_tol(size, tol):
             max_resid = max(max_resid, size if flat is None

@@ -105,7 +105,7 @@ class Distribution:
         """(n-rank) x n matrix of kernel-form coefficients at p (for SPAN
         input, orthonormal rows of the complement of the fiber); it raises
         RankDeficiencyError where the rank falls short (`_full_rank`)."""
-        X = np.array([p.coords])
+        X = _coords([p], self.n)
         if self.kernel is None:
             return self._span_stack(X)[1][0, :, self.rank:].T
         return self._kernel_stack(X)[0][0]
@@ -113,7 +113,7 @@ class Distribution:
     def span_matrix(self, p):
         """n x rank matrix of spanning field values at p (for KERNEL input,
         `basis_at`'s); RankDeficiencyError where the rank falls short."""
-        X = np.array([p.coords])
+        X = _coords([p], self.n)
         if self.span is None:
             return self._kernel_stack(X)[1][0]
         return self._span_stack(X)[0][0]
@@ -121,7 +121,7 @@ class Distribution:
     def basis_at(self, p):
         """Orthonormal n x rank basis of the fiber at p: row 0 of its
         one-row stack (`_basis_stack`), the checks' at one sample."""
-        return self._basis_stack(np.array([p.coords]))[0][0]
+        return self._basis_stack(_coords([p], self.n))[0][0]
 
     # -- the same over stacked points, for the checks below -----------------
 
@@ -179,20 +179,34 @@ def _full_rank(s, rank, X, what):
     return full
 
 
+def _samples(samples):
+    """The samples as a list; ValueError for none, which would pass vacuously."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("no samples to check")
+    return samples
+
+
 def _coords(points, n):
-    return np.array([p.coords for p in points], dtype=float).reshape(len(points), n)
+    """The points' coordinates as rows (N, n); ValueError for a point of
+    another dimension."""
+    for p in points:
+        if len(p.coords) != n:
+            raise ValueError(f"point {p.coords} is not in the {n}-dimensional chart")
+    return np.array([p.coords for p in points], dtype=float)
 
 
 def _stack(fn, X, width):
     """The values of the compiled `fn` at the rows of X (N, n), in rows of
     `width`, shape (N, values / width, width), and which rows they decide.
-    One row's are fn's float call, which raises where the row is undefined.
-    More rows' come from `expr.stacked`; a row that is not finite is zeroed,
-    so that the linear algebra over the stack stays finite, and undecided."""
+    One row's are fn's float call, which raises where the row is undefined;
+    more rows' come from `expr.stacked`.  A row that is not finite is zeroed,
+    so that the linear algebra over the stack stays finite and a frame's
+    counts no singular value (`_full_rank`), and undecided."""
     if len(X) == 1:
-        V = np.array(fn(*X[0].tolist()), dtype=float)
-        return V.reshape(1, len(V) // width, width), np.ones(1, dtype=bool)
-    V = ex.stacked(fn, *X.T).T
+        V = np.array([fn(*X[0].tolist())], dtype=float)
+    else:
+        V = ex.stacked(fn, *X.T).T
     V = V.reshape(len(X), V.shape[1] // width, width)
     finite = np.isfinite(V).all(axis=(1, 2))
     V[~finite] = 0.0
@@ -241,13 +255,13 @@ def _basis_residuals(B, V):
 def _tangent_verdicts(K, B, V, tol):
     """Whether each column v of V (N, n, c) lies in the fiber, shape (N, c):
     its residual within tol max(1, |v|).  For KERNEL input (K the kernel
-    matrices) that is the largest |K v|, one column at a time (K @ V rounds
-    differently, and serves only where V has no column); for SPAN input, the
-    distance of v from the span of the fiber bases B."""
+    matrices, V a patch Jacobian) that is the largest |K v|, one column at a
+    time (K @ V rounds differently); for SPAN input, the distance of v from
+    the span of the fiber bases B."""
     if K is None:
         residual = _basis_residuals(B, V)
     else:
-        KV = np.concatenate([K @ V[..., j:j + 1] for j in range(V.shape[2])] or [K @ V], axis=2)
+        KV = np.concatenate([K @ V[..., j:j + 1] for j in range(V.shape[2])], axis=2)
         residual = np.abs(KV).max(axis=1, initial=0.0)
     return within_tol(residual, tol * np.maximum(1.0, np.linalg.norm(V, axis=1)))
 
@@ -362,7 +376,7 @@ def _flat_check(dist, span, residuals, tol, samples):
 
 def _relation_test(dist, span, samples, tol):
     verdicts = [ok for ok, _ in _in_order(
-        list(samples), partial(_flat_check, dist, span, partial(_relation, dist, span), tol))]
+        _samples(samples), partial(_flat_check, dist, span, partial(_relation, dist, span), tol))]
     return verdicts, all(verdicts)
 
 
@@ -401,7 +415,7 @@ def _span_relation_stack(dist, X):
 def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
     """Classical oracle: ideal test d(omega_i) ^ omega_1 ^ ... = 0 for
     KERNEL input, bracket test for SPAN input."""
-    samples = list(samples)
+    samples = _samples(samples)
     if dist.kernel is not None:
         return _ideal_test(dist, samples, tol)
     return _bracket_test(dist, samples, tol)
@@ -410,8 +424,8 @@ def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
 def _ideal_test(dist, samples, tol):
     """Every coefficient of the ideal test's forms within tol."""
     def check(samples):
-        V, decided = _stack(dist._ideal_fns, _coords(samples, dist.n), 1)
-        return np.all(within_tol(V, tol), axis=(1, 2)), decided
+        V, finite = _stack(dist._ideal_fns, _coords(samples, dist.n), 1)
+        return np.all(within_tol(V, tol), axis=(1, 2)) & finite, finite
 
     return all(_in_order(samples, check))
 
@@ -422,7 +436,7 @@ def _bracket_test(dist, samples, tol):
         X = _coords(samples, dist.n)
         B, decided = _fibers(dist, samples, X)
         U, finite = _stack(dist._bracket_fns, X, dist.n)
-        return np.all(_tangent_verdicts(None, B, U.transpose(0, 2, 1), tol), axis=1), (
+        return np.all(_tangent_verdicts(None, B, U.transpose(0, 2, 1), tol), axis=1) & finite, (
             decided & finite)
 
     return all(_in_order(samples, check))
@@ -452,7 +466,12 @@ class IntegralPatch:
                             self.params)
 
     def point_at(self, s):
-        return Point(self._point_fn(*map(float, s)))
+        """The point at the parameters s; DomainError where it is not finite."""
+        s = tuple(map(float, s))
+        try:
+            return Point(self._point_fn(*s))
+        except ValueError:  # Point's one finiteness check
+            raise DomainError(f"non-finite patch point at parameters {s}") from None
 
     def jacobian_at(self, s):
         """The Jacobian at the parameters s, row 0 of their one-row stack;
@@ -472,6 +491,7 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
     or equal to (strong) the distribution fibers."""
     if mode not in ("weak", "strong"):
         raise ValueError("mode must be 'weak' or 'strong'")
+    parameter_samples = _samples(parameter_samples)
     if mode == "strong" and patch.q != dist.rank:
         return False
 
@@ -494,7 +514,7 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
             passed &= np.all(within_tol(_basis_residuals(np.linalg.qr(J)[0], B), tol), axis=1)
         return passed, decided & fibers
 
-    return all(_in_order(list(parameter_samples), check))
+    return all(_in_order(parameter_samples, check))
 
 
 class SemiAnnihilationResult:
@@ -516,7 +536,7 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
         raise DegreeError("semi_annihilation_check expects a 2-form")
     if rng is None:
         rng = np.random.default_rng(0)
-    samples = list(samples)
+    samples = _samples(samples)
     flat_values = lambda x, B: [theta(x, _flat_generic_offsets(B, 2))]
     conclusion = True
     for p, (ok, B) in zip(samples, _in_order(

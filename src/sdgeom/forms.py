@@ -313,11 +313,7 @@ def d_comb(theta):
     p, n = theta.degree, theta.n
 
     def evaluator(base, offsets):
-        # face omitting vertex 0: rebase at x1
-        u0 = offsets[0]
-        new_base = tuple(b + o for b, o in zip(base, u0))
-        faces = theta(new_base, [_vsub(o, u0) for o in offsets[1:]])
-        total = faces
+        total = theta(*_rebase(base, offsets[1:], offsets[0]))  # the face without x0
         for i in range(1, p + 2):
             rest = offsets[:i - 1] + offsets[i:]
             v = theta(base, rest)
@@ -338,10 +334,7 @@ def wedge_comb(om, th):
         if k == 0:
             back = th(base, offsets)
         else:
-            pivot = offsets[k - 1]
-            new_base = tuple(b + o for b, o in zip(base, pivot))
-            back = th(new_base, [_vsub(offsets[k + j], pivot)
-                                 for j in range(l)])
+            back = th(*_rebase(base, offsets[k:], offsets[k - 1]))
         return front * back
 
     return CombinatorialForm(k + l, om.n, evaluator)
@@ -364,5 +357,8 @@ def semi_value(coeffs, u, v):
     return total
 
 
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+def _rebase(base, offsets, pivot):
+    """A face rebased at its vertex base + pivot: that vertex, and each
+    offset minus pivot."""
+    return (tuple(b + o for b, o in zip(base, pivot)),
+            [tuple(a - b for a, b in zip(o, pivot)) for o in offsets])

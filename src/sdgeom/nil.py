@@ -114,16 +114,17 @@ def _format_coeff(v):
     return f"{v:g}"
 
 
-def _permuted(perm, mono):
-    """The image of a monomial under a row permutation (a tuple, row r to
-    perm[r-1]): (sign, monomial), the sign +1.0 or -1.0."""
+def _row_image(rows, mono):
+    """The image of a monomial under a row map (a tuple, row r to rows[r-1]):
+    (sign, monomial), the sign +1.0 or -1.0, or 0.0 and None where two
+    factors land on one row, as under a degeneracy."""
     rmask, cmask = mono
-    sign, image = canonicalize([(perm[r - 1], c)
+    sign, image = canonicalize([(rows[r - 1], c)
                                 for r, c in zip(_bits(rmask), _bits(cmask))])
     return float(sign), image
 
 
-_PERMUTED = _Memo(lambda perm: _Memo(partial(_permuted, perm)))
+_ROW_IMAGES = _Memo(lambda rows: _Memo(partial(_row_image, rows)))
 
 
 def _is_zero(v):
@@ -371,38 +372,32 @@ class NilElement:
 
     # -- simplex morphisms -------------------------------------------------
 
-    def _map_factors(self, fn):
-        """Apply fn: (row, col) -> (row', col') to every generator factor
-        and recanonicalize.  fn must land inside the same context."""
-        out = {}
-        for (rmask, cmask), v in self.terms.items():
-            factors = [fn(r, c) for r, c in zip(_bits(rmask), _bits(cmask))]
-            sign, mono = canonicalize(factors)
-            if sign == 0:
-                continue
-            c = out.get(mono, 0.0) + sign * v
-            if _is_zero(c):
-                out.pop(mono, None)
-            else:
-                out[mono] = c
-        return _wrap(self.k, self.n, out)
-
     def identify_rows(self, i, j):
         """Algebra morphism induced by the degeneracy x_j = x_i."""
         if not (1 <= i <= self.k and 1 <= j <= self.k):
             raise ValueError(f"row index out of range for arity {self.k}")
-        return self._map_factors(lambda r, c: (i if r == j else r, c))
+        images = _ROW_IMAGES[tuple(i if r == j else r for r in range(1, self.k + 1))]
+        out = {}
+        for mono, v in self.terms.items():
+            sign, image = images[mono]
+            if sign:
+                c = out.get(image, 0.0) + sign * v
+                if _is_zero(c):
+                    out.pop(image, None)
+                else:
+                    out[image] = c
+        return _wrap(self.k, self.n, out)
 
     def permute_rows(self, perm):
         """Algebra morphism induced by a vertex permutation.
 
         `perm` maps row index r (1-based) to perm[r-1].  It maps monomials
-        one to one, each to a signed monomial memoised per permutation.
+        one to one, each to its signed image (`_ROW_IMAGES`).
         """
         perm = tuple(perm)
         if sorted(perm) != list(range(1, self.k + 1)):
             raise ValueError("not a permutation of 1..k")
-        images = _PERMUTED[perm]
+        images = _ROW_IMAGES[perm]
         out = {}
         for mono, v in self.terms.items():
             sign, image = images[mono]

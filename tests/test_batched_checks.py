@@ -99,7 +99,10 @@ def ref_check_integral_patch(dist, patch, mode, parameter_samples, tol):
         return False
     for s in parameter_samples:
         env = _env(patch.params, s)
-        p = Point([evaluate(c, env) for c in patch.components])
+        try:
+            p = Point([evaluate(c, env) for c in patch.components])
+        except ValueError:  # a non-finite point is a numeric failure
+            raise DomainError(f"non-finite patch point at parameters {s}") from None
         J = np.array([[evaluate(ex.diff(c, v), env) for v in patch.params]
                       for c in patch.components], dtype=float)
         if np.linalg.matrix_rank(J, tol=1e-7) != patch.q:
@@ -762,12 +765,97 @@ def test_non_finite_jacobian_decides_as_the_loop():
             assert_same_patch_verdicts(dist, patch, samples)
 
 
-def test_no_samples_pass():
-    # as the loops over no sample did
+# -inf*0 = nan in u's coefficient and a's third component at x = 0, +-inf at
+# x, y != 0; P's point is finite only where s*t = 0, and N's Jacobian has the
+# entry inf*t, nan at t = 0, where N's point is finite
+NON_FINITE = parse("dim 3\nvar x y z\nform u = dz - (y*1e300*1e300*x)*dx\ndist E = ker(u)\n"
+                   "vector a = (1, 0, y*1e300*1e300*x)\nvector b = (0, 1, 0)\n"
+                   "dist S = span(a, b)\npatch P(s, t) = (s, t, s*t*1e300*1e300 + 1)\n"
+                   "patch N(s, t) = (s, t, s*1e300*1e300*t)\n")
+
+
+@pytest.mark.parametrize("where", [(0.0, 0.5, 0.0), (1.0, 0.5, 0.0)], ids=["nan", "inf"])
+def test_a_non_finite_frame_counts_no_singular_value(where):
+    # a nan entry made numpy's SVD raise LinAlgError, a ValueError; the
+    # frame at a non-finite one-row stack now raises the rank message, which
+    # an infinite entry already raised
+    finite = [Point((0.3, 0.0, 0.1)), Point((0.2, 0.0, 0.5))]
+    p = Point(where)
+    for dist, what, check in ((NON_FINITE.dists["E"], "kernel forms",
+                               ds.check_involutive_combinatorial),
+                              (NON_FINITE.dists["S"], "span fields",
+                               ds.pointwise_involutive_span)):
+        want = (RankDeficiencyError, f"{what} rank-deficient at {where}")
+        for method in (dist.basis_at, dist.kernel_matrix, dist.span_matrix):
+            assert full_outcome(method, p) == want
+        for samples in ([p], finite + [p], finite + [p] + finite):
+            assert full_outcome(check, dist, samples) == want
+    # the ideal test reads no frame, and its non-finite value fails; the
+    # bracket test reads the frame first
+    assert ds.check_involutive_classical(NON_FINITE.dists["E"], [p]) is False
+    assert full_outcome(ds.check_involutive_classical, NON_FINITE.dists["S"], [p]) == want
+
+
+def test_a_non_finite_patch_point_is_a_numeric_failure():
+    # point_at raised Point's ValueError
+    patch, want = NON_FINITE.patches["P"], "non-finite patch point at parameters (0.5, 0.25)"
+    with pytest.raises(DomainError, match=r"^non-finite patch point at parameters \(0\.5, 0\.25\)$"):
+        patch.point_at((0.5, 0.25))
+    for samples in ([(0.5, 0.25)], [(0.0, 0.0), (0.0, 0.0), (0.5, 0.25)]):
+        for mode in ("weak", "strong"):
+            assert full_outcome(ds.check_integral_patch, CONTACT, patch, mode, samples) == (
+                DomainError, want)
+        assert_same_patch_verdicts(CONTACT, patch, samples)
+    # a nan Jacobian entry at a finite point counts no singular value
+    patch, want = NON_FINITE.patches["N"], "patch Jacobian rank-deficient at (0.0, 0.0)"
+    assert full_outcome(patch.jacobian_at, (0.0, 0.0)) == (RankDeficiencyError, want)
+    assert full_outcome(ds.check_integral_patch, CONTACT, patch, "weak", [(0.0, 0.0)]) == (
+        RankDeficiencyError, want)
+
+
+def test_a_point_of_another_dimension_is_named():
+    # the checks raised numpy's "cannot reshape", and basis_at, kernel_matrix
+    # and span_matrix the compiled function's TypeError
+    flat = Distribution(3, 2, kernel=[form_1({3: ONE})])
+    flat_span = Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]], vars=VARS3)
+    theta = d_comb(to_combinatorial(flat.kernel[0]))
+    good, bad = Point((0.1, 0.2, 0.3)), Point((0.0, 1.0))
+    want = (ValueError, "point (0.0, 1.0) is not in the 3-dimensional chart")
+    checks = [partial(ds.check_involutive_combinatorial, flat),
+              partial(ds.pointwise_involutive_span, flat_span),
+              partial(ds.check_involutive_classical, flat),
+              partial(ds.check_involutive_classical, flat_span),
+              partial(ds.semi_annihilation_check, flat, theta)]
+    for check in checks:
+        assert check([good, good, good])
+        for samples in ([bad], [good, bad], [good, bad, good], [good, good, good, bad]):
+            assert full_outcome(check, samples) == want
+    for dist in (flat, flat_span):
+        for method in (dist.basis_at, dist.kernel_matrix, dist.span_matrix):
+            assert full_outcome(method, bad) == want
+
+
+def test_no_samples_raise(monkeypatch):
+    # a check over no sample would pass vacuously: each of the five raises
+    # before its sample driver runs, also the semi-annihilation check, which
+    # zips its samples with the driver's outcomes
+    def no_driver(samples, check):
+        raise AssertionError("the sample driver ran")
+
+    monkeypatch.setattr(ds, "_in_order", no_driver)
     flat = ds.IntegralPatch(("s", "t"), [S, T, ZERO])
-    assert ds.check_involutive_classical(CONTACT, []) is True
-    assert ds.check_involutive_classical(VANISHING_SPAN, []) is True
-    assert ds.check_integral_patch(CONTACT, flat, "strong", []) is True
+    theta = d_comb(to_combinatorial(CONTACT.kernel[0]))
+    checks = [lambda s: ds.check_involutive_combinatorial(CONTACT, s),
+              lambda s: ds.pointwise_involutive_span(VANISHING_SPAN, s),
+              lambda s: ds.check_involutive_classical(CONTACT, s),
+              lambda s: ds.check_involutive_classical(VANISHING_SPAN, s),
+              lambda s: ds.check_integral_patch(CONTACT, flat, "weak", s),
+              lambda s: ds.check_integral_patch(CONTACT, flat, "strong", s),
+              lambda s: ds.semi_annihilation_check(CONTACT, theta, s)]
+    for check in checks:
+        for samples in ([], (), iter([])):
+            with pytest.raises(ValueError, match="^no samples to check$"):
+                check(samples)
 
 
 def test_within_tol_is_elementwise_on_arrays():
@@ -2067,3 +2155,25 @@ def test_batched_transport_ambrose_singer_raises_where_the_loop_raises(samples, 
         # the messages at 64 steps of the transports one segment at a time
         got = full_outcome(cn.ambrose_singer_check, *args[:-1], 64)
         assert got == (DomainError, want)
+
+
+def test_ambrose_singer_compiles_each_loop_curve_once(monkeypatch):
+    # the start of each loop compiled its curve a second time
+    compiled, compile_w = [], ex.compile_w
+
+    def counting_compile_w(exprs, varnames):
+        exprs = list(exprs)
+        compiled.append(tuple(map(ex.to_str, exprs)))
+        return compile_w(exprs, varnames)
+
+    monkeypatch.setattr(ex, "compile_w", counting_compile_w)
+    conn = parse(DISC_CONN).conns["A"]
+    loops = [NEAR, _circle(1.1, 0.1, 0.1)]
+    args = (conn, loops, [Point(OK1), Point(OK2)], Point((1.0, 0.0)), 64)
+    got = cn.ambrose_singer_check(*args)
+    monkeypatch.undo()
+    assert got == ref_ambrose_singer(*args)
+    for curve, _, _ in loops:
+        names = tuple(map(ex.to_str, curve))
+        assert [c[2:] for c in compiled if c[:2] == names] == [
+            tuple(ex.to_str(ex.diff(c, "t")) for c in curve)]

@@ -335,6 +335,26 @@ def test_option_values_name_their_error(files, capsys, command, option, value, m
     assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
 
 
+@pytest.mark.parametrize("command, option, value, message", [
+    ("check-involutive", "--samples", "0", "must be at least 1, got 0"),
+    ("check-involutive", "--samples", "-0", "must be at least 1, got 0"),
+    ("leaf", "--steps", "-3", "must be at least 1, got -3"),
+    ("check-involutive", "--tol", "NaN", "must be finite and >= 0, got NaN"),
+    ("check-involutive", "--tol", "1e999", "must be finite and >= 0, got 1e999"),
+    ("check-involutive", "--tol", "-1", "must be finite and >= 0, got -1"),
+    ("leaf", "--stepsize", "-0.0", "must be finite and nonzero, got -0.0"),
+    ("leaf", "--stepsize", "inf", "must be finite and nonzero, got inf"),
+])
+def test_option_values_out_of_range_name_their_rule(files, capsys, command, option, value,
+                                                    message):
+    # a count is shown as the integer read, a number as it was given
+    start = ["--start", "0,0,0"] if command == "leaf" else []
+    code, out, _ = invoke([command, "--file", files["contact"], "--dist", "D", *start,
+                           option, value])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["holonomy", "ambrose-singer"])
 @pytest.mark.parametrize("text, argv, message", [
     ("dim 3\nvar x y z\nconn A = [dx]\n", ["--loop", "circle 0,0,1"],
@@ -444,6 +464,30 @@ def test_overflow_exits_three(files, command, form):
                            "--at", "1000,0", *command[1:]])
     assert code == EXIT_NUMERIC
     assert "numeric failure:" in err
+
+
+# a patch point that overflows, and a kernel coefficient -inf*0 = nan at x = 0:
+# each exited 2 with numpy's or Point's ValueError
+NON_FINITE_PATCH = ("dim 3\nvar x y z\nform w = dz - y*dx\ndist D = ker(w)\n"
+                    "patch P(s, t) = (s, t, s*t*1e300*1e300 + 1)\n")
+NAN_KERNEL = "dim 3\nvar x y z\nform u = dz - (y*1e300*1e300*x)*dx\ndist E = ker(u)\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("text, argv, message", [
+    (NON_FINITE_PATCH, ["check-integral", "--dist", "D", "--patch", "P", "--mode", "weak",
+                        "--box=0.1..1"],
+     "non-finite patch point at parameters (0.55, 0.4)"),
+    (NAN_KERNEL, ["check-involutive", "--dist", "E", "--box=-1..1"],
+     "kernel forms rank-deficient at (0.0, -0.33333333333333337, -0.6)"),
+], ids=["patch-point", "nan-kernel"])
+def test_non_finite_sample_values_exit_three(tmp_path, text, argv, message, fmt):
+    path = tmp_path / "case.sdg"
+    path.write_text(text)
+    code, out, err = invoke([argv[0], "--file", str(path), *argv[1:], "--format", fmt])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == f"numeric failure: {message}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
