@@ -23,7 +23,7 @@ from . import forms as fm
 from .chart import Point
 from .errors import (DomainError, LogBranchError, ParseError,
                      RankDeficiencyError, SdgError)
-from .nil import within_tol
+from .nil import DEFAULT_TOL, within_tol
 from .program import parse_file
 from .sampling import parse_box, sample_box
 
@@ -44,7 +44,7 @@ def _json_floats(values):
     nan or inf, so a non-finite value is a numeric failure."""
     if not all(map(math.isfinite, values)):
         raise DomainError("non-finite value in the JSON output")
-    return ", ".join(map("{:.17g}".format, values))
+    return ", ".join(map(_fmt, values))
 
 
 def _json_dump(obj, out):
@@ -118,10 +118,6 @@ def _mat_list(M):
     return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
 
 
-def _load(args):
-    return parse_file(args.file)
-
-
 def _cmd_compare(args, rep, prog, theta, classical, ratio):
     """Combinatorial vs classical coefficients, and their ratio, at each
     --at point.  Every extracted coefficient must be `ratio` times the
@@ -164,14 +160,14 @@ def _cmd_compare(args, rep, prog, theta, classical, ratio):
 
 
 def cmd_d(args, rep):
-    prog = _load(args)
+    prog = parse_file(args.file)
     form = prog.lookup("forms", args.form, "form")
     return _cmd_compare(args, rep, prog, fm.d_comb(fm.to_combinatorial(form)),
                         fm.d_classical(form), 1.0 / (form.degree + 1))
 
 
 def cmd_wedge(args, rep):
-    prog = _load(args)
+    prog = parse_file(args.file)
     name_a, _, name_b = args.forms.partition(",")
     a = prog.lookup("forms", name_a.strip(), "form")
     b = prog.lookup("forms", name_b.strip(), "form")
@@ -183,7 +179,7 @@ def cmd_wedge(args, rep):
 
 
 def cmd_eval(args, rep):
-    prog = _load(args)
+    prog = parse_file(args.file)
     form = prog.lookup("forms", args.form, "form")
     p = _parse_point(args.at, prog.dim)
     # an empty --vectors gives none, for a 0-form
@@ -205,7 +201,7 @@ def cmd_eval(args, rep):
 def cmd_check_involutive(args, rep):
     from . import distributions as ds
 
-    prog = _load(args)
+    prog = parse_file(args.file)
     dist = prog.lookup("dists", args.dist, "distribution")
     samples = sample_box(parse_box(args.box, prog.dim), args.samples, args.seed)
     classical = ds.check_involutive_classical(dist, samples, tol=args.tol)
@@ -228,7 +224,7 @@ def cmd_check_involutive(args, rep):
 def cmd_check_integral(args, rep):
     from . import distributions as ds
 
-    prog = _load(args)
+    prog = parse_file(args.file)
     dist = prog.lookup("dists", args.dist, "distribution")
     patch = prog.lookup("patches", args.patch, "patch")
     box = parse_box(args.box, patch.q)
@@ -245,7 +241,7 @@ def cmd_curvature(args, rep):
 
     from . import connections as cn
 
-    prog = _load(args)
+    prog = parse_file(args.file)
     conn = prog.lookup("conns", args.conn, "connection")
     agree = True
     for p in _parse_points(args.at, prog.dim):
@@ -302,21 +298,25 @@ def _loop_curves(args, prog):
             if others:
                 raise ParseError(f"curve vector {name!r} uses {', '.join(others)}: a curve "
                                  f"is a vector in the parameter {prog.vars[0]} alone")
-            loops.append(([_subst_t(c, prog.vars) for c in vec], 0.0, 1.0))
+            # the parameter t from 0 to 1 is the first variable
+            curve = [ex.rename(c, {prog.vars[0]: "t"}) for c in vec]
+            start, end = map(ex.compile_w(curve, ("t",)), (0.0, 1.0))
+            if not all(map(math.isfinite, start + end)):
+                raise DomainError(f"curve vector {name!r} is not finite: from {start} to {end}")
+            # closed to within the default tolerance, relative to the start
+            if not within_tol(max(abs(b - a) for a, b in zip(start, end)),
+                              DEFAULT_TOL * max(1.0, *map(abs, start))):
+                raise ParseError(f"curve vector {name!r} is open: from {start} to {end}")
+            loops.append((curve, 0.0, 1.0))
     if not loops:
         raise ParseError("need --loop or --curve")
     return loops
 
 
-def _subst_t(e, vars):
-    """Curves are declared as vectors in the single parameter t := first var."""
-    return ex.rename(e, {vars[0]: "t"})
-
-
 def cmd_holonomy(args, rep):
     from . import connections as cn
 
-    prog = _load(args)
+    prog = parse_file(args.file)
     conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
     for idx, (curve, t0, t1) in enumerate(loops):
@@ -336,7 +336,7 @@ def cmd_holonomy(args, rep):
 def cmd_ambrose_singer(args, rep):
     from . import connections as cn
 
-    prog = _load(args)
+    prog = parse_file(args.file)
     conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
     samples = sample_box(parse_box(args.box, prog.dim), args.samples, args.seed)
@@ -354,7 +354,7 @@ def cmd_ambrose_singer(args, rep):
 def cmd_leaf(args, rep):
     from . import distributions as ds
 
-    prog = _load(args)
+    prog = parse_file(args.file)
     dist = prog.lookup("dists", args.dist, "distribution")
     start = _parse_point(args.start, prog.dim)
     pts = ds.trace_leaf(dist, start, args.steps, args.stepsize)
@@ -394,15 +394,17 @@ _stepsize = _checked(float, "a number", lambda v: math.isfinite(v) and v != 0.0,
                      "must be finite and nonzero, got {text}")
 
 
-def _common(*, box=False, steps=None, at=False):
-    """The options every command takes, then those some of them share."""
+def _common(*, tol=True, box=False, steps=None, at=False):
+    """The options every command takes (--seed on all, so that one argument
+    list fixes the output of any command), then those some of them share."""
     options = [("--file", {"required": True}),
-               ("--format", {"choices": ("text", "json"), "default": "text"}),
-               ("--tol", {"type": _tolerance, "default": 1e-9}),
-               ("--seed", {"type": int, "default": 0}),
-               ("--samples", {"type": _count, "default": 20})]
+               ("--format", {"choices": ("text", "json"), "default": "text"})]
+    if tol:
+        options.append(("--tol", {"type": _tolerance, "default": DEFAULT_TOL}))
+    options.append(("--seed", {"type": int, "default": 0}))
     if box:
-        options.append(("--box", {"default": "-1..1"}))
+        options += [("--samples", {"type": _count, "default": 20}),
+                    ("--box", {"default": "-1..1"})]
     if steps is not None:
         options.append(("--steps", {"type": _count, "default": steps}))
     if at:
@@ -435,7 +437,7 @@ COMMANDS = {
     "curvature": ("coboundary vs classical curvature",
                   _common(at=True) + [("--conn", {"required": True})], cmd_curvature),
     "holonomy": ("parallel transport around loops",
-                 _common(steps=10000) + [
+                 _common(tol=False, steps=10000) + [
                      ("--conn", {"required": True}),
                      ("--loop", {"help": "'circle cx,cy,r' specs, ';'-separated"}),
                      ("--curve", {"help": "named curve vectors, ','-separated"})],
@@ -446,10 +448,10 @@ COMMANDS = {
                            ("--curve", {}), ("--at", {"help": "basepoint"})],
                        cmd_ambrose_singer),
     "leaf": ("numeric leaf trace along span fields",
-             _common() + [("--dist", {"required": True}),
-                          ("--start", {"required": True}),
-                          ("--stepsize", {"type": _stepsize, "default": 1e-3}),
-                          ("--steps", {"type": _count, "default": 100})], cmd_leaf),
+             _common(tol=False) + [("--dist", {"required": True}),
+                                   ("--start", {"required": True}),
+                                   ("--stepsize", {"type": _stepsize, "default": 1e-3}),
+                                   ("--steps", {"type": _count, "default": 100})], cmd_leaf),
 }
 
 

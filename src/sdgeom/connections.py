@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
-from .nil import _MERGE_SIGNS, _ROW_IMAGES, generic_offsets, within_tol
+from .nil import _MERGE_SIGNS, _ROW_IMAGES, DEFAULT_TOL, generic_offsets, within_tol
 from .forms import default_vars
 
 # Convention constants, pinned against the classical oracle F = dA + s[A, A]
@@ -35,8 +35,6 @@ from .forms import default_vars
 TRANSPORT_SIGN = +1.0
 BRACKET_SIGN = +1.0
 COBOUNDARY_SCALE = 0.5  # extraction normalization 2! in degree 2
-
-DEFAULT_TOL = 1e-9
 
 
 class MatrixGroupSpec:
@@ -92,14 +90,6 @@ class ConnectionData:
                              for i in range(self.n) for j in range(i + 1, self.n)
                              for row_a, row_b in zip(self.A[j], self.A[i])
                              for a, b in zip(row_a, row_b)], x)
-
-    def a_batch(self, coords):
-        """A_i at many points: `coords` holds n arrays of one shape S; the
-        result has shape (n, m, m) + S and is nan or inf where A is not
-        defined; an entry with an undefined subexpression without variables
-        raises DomainError."""
-        m = self.group.m
-        return ex.stacked(self._a_w, *coords).reshape((self.n, m, m) + np.shape(coords[0]))
 
 
 # The vertex swap 1 <-> 2 of the 2-simplex, an automorphism of W(2, n).
@@ -367,14 +357,15 @@ def _stage_matrices(conn, x, cdot, t, errors):
     c_i' = 0, so it need not be defined there; a curve with a non-finite M
     gets a DomainError naming its first such time.  An entry whose
     undefined subexpression has no variables fails every curve."""
-    n = conn.n
+    n, m = conn.n, conn.group.m
     count = len(errors)
     shape = (count, len(t))
     try:
-        A = conn.a_batch(np.broadcast_to(x, (n,) + shape))
+        # A_i at each curve and time, nan or inf where A is not defined
+        A = ex.stacked(conn._a_w, *np.broadcast_to(x, (n,) + shape)).reshape((n, m, m) + shape)
     except DomainError as err:  # raised at every point, so in the first block
         errors[:] = [err] * count
-        return np.zeros(shape + (conn.group.m,) * 2)
+        return np.zeros(shape + (m, m))
     cdot = np.broadcast_to(cdot, (n,) + shape)[:, None, None]
     with np.errstate(all="ignore"):
         # A_i c_i', and 0.0 where c_i' = 0, in place
@@ -470,7 +461,7 @@ def span_residual(M, v):
     return float(np.linalg.norm(M @ coef - v))
 
 
-def lie_closure(mats, tol=1e-9):
+def lie_closure(mats, tol=DEFAULT_TOL):
     """Basis of the Lie algebra generated by the given matrices: iterate
     brackets until the rank stabilizes (capped at m^2)."""
     mats = [np.asarray(x, dtype=float) for x in mats]

@@ -15,10 +15,9 @@ import numpy as np
 from . import expr as ex
 from .errors import DegreeError, DomainError, RankDeficiencyError
 from .forms import d_classical, default_vars, extract_classical, semi_value, wedge_classical
-from .nil import NilElement, _is_zero, within_tol
+from .nil import DEFAULT_TOL, NilElement, _is_zero, within_tol
 from .chart import Point
 
-DEFAULT_TOL = 1e-9
 RANK_CUTOFF = 1e-7  # singular values at most this do not count to a rank
 
 
@@ -465,9 +464,17 @@ class IntegralPatch:
         return ex.compile_w([ex.diff(c, v) for c in self.components for v in self.params],
                             self.params)
 
+    def _rows(self, params):
+        """The parameter samples as rows (N, q); ValueError for one of another length."""
+        if set(map(len, params)) != {self.q}:
+            s = next(s for s in params if len(s) != self.q)
+            raise ValueError(f"parameters {tuple(map(float, s))} are not the "
+                             f"patch's {self.q}: {', '.join(self.params)}")
+        return np.array(params, dtype=float)
+
     def point_at(self, s):
         """The point at the parameters s; DomainError where it is not finite."""
-        s = tuple(map(float, s))
+        s = tuple(self._rows([s])[0].tolist())
         try:
             return Point(self._point_fn(*s))
         except ValueError:  # Point's one finiteness check
@@ -476,7 +483,7 @@ class IntegralPatch:
     def jacobian_at(self, s):
         """The Jacobian at the parameters s, row 0 of their one-row stack;
         RankDeficiencyError unless of rank q."""
-        return self._jacobian_stack(np.array([s], dtype=float))[0][0]
+        return self._jacobian_stack(self._rows([s]))[0][0]
 
     def _jacobian_stack(self, P):
         """The Jacobians at the rows of P (N, q), shape (N, components, q),
@@ -497,22 +504,22 @@ def check_integral_patch(dist, patch, mode, parameter_samples, tol=DEFAULT_TOL):
 
     def check(params):
         # the columns of the Jacobian J lie in the fiber (weak), and the
-        # fiber in their span (strong); more samples' points are stacked, and
-        # one that is not finite or undefined leaves its sample undecided
+        # fiber in their span (strong); one sample's point is `point_at`'s, and a
+        # stacked point that is not finite or undefined leaves its sample undecided
         if len(params) == 1:
-            X = np.array([patch.point_at(params[0]).coords])
-            J, decided = patch.jacobian_at(params[0])[None], np.ones(1, dtype=bool)
-        else:
+            X, decided = np.array([patch.point_at(params[0]).coords]), np.ones(1, dtype=bool)
             P = np.array(params, dtype=float)
+        else:
+            P = patch._rows(params)
             X, decided = _stack(patch._point_fn, P, dist.n)
-            J, defined = patch._jacobian_stack(P)
-            X, decided = X[:, 0], decided & defined
+            X = X[:, 0]
+        J, defined = patch._jacobian_stack(P)
         K, B, fibers = (dist._kernel_stack(X) if dist.kernel is not None
                         else (None, *dist._basis_stack(X)))
         passed = np.all(_tangent_verdicts(K, B, J, tol), axis=1)
         if mode == "strong":
             passed &= np.all(within_tol(_basis_residuals(np.linalg.qr(J)[0], B), tol), axis=1)
-        return passed, decided & fibers
+        return passed, decided & defined & fibers
 
     return all(_in_order(parameter_samples, check))
 
@@ -566,7 +573,7 @@ def trace_leaf(dist, start, steps, stepsize):
     if not dist.span:
         raise DegreeError("no span field to follow")
     step = [ex.compile_rk4_step(v, dist.vars, stepsize) for v in dist.span]
-    x = start.coords
+    x = _coords([start], dist.n)[0].tolist()
     out = [Point(x)]
     for i in range(steps):
         x = step[i % dist.rank](*x)

@@ -13,8 +13,8 @@ from types import MappingProxyType
 
 from . import expr as ex
 from .errors import ContextMismatchError, DegreeError, DomainError, SdgError
-from .nil import (_MERGE_SIGNS, NilElement, _elem_mul, _elem_muladd, _wrap, generic_offsets,
-                  within_tol)
+from .nil import (_MERGE_SIGNS, DEFAULT_TOL, NilElement, _elem_mul, _elem_muladd, _wrap,
+                  generic_offsets, within_tol)
 
 
 def default_vars(n):
@@ -269,7 +269,7 @@ def eval_generic(theta, base):
     return value
 
 
-def extract_classical(theta, base, tol=1e-9):
+def extract_classical(theta, base, tol=DEFAULT_TOL):
     """Coefficients of the classical form corresponding to `theta` at `base`,
     read off the generic value and normalized by degree!."""
     p = theta.degree
@@ -295,7 +295,7 @@ def classical_from_coeffs(degree, n, coeffs, vars=None):
                          vars)
 
 
-def comparison(theta, classical, base, tol=1e-9):
+def comparison(theta, classical, base, tol=DEFAULT_TOL):
     """Synthetic vs classical at `base`: (coefficients extracted from the
     combinatorial form `theta`, coefficients of the classical form
     `classical`, their ratios where the classical side is clearly nonzero,
@@ -340,7 +340,7 @@ def wedge_comb(om, th):
     return CombinatorialForm(k + l, om.n, evaluator)
 
 
-def eval_semi(theta, base, u, v, tol=1e-9):
+def eval_semi(theta, base, u, v, tol=DEFAULT_TOL):
     """Extension of a combinatorial 2-form to semi-infinitesimal simplices:
     multilinear evaluation of its extraction on a pair of real vectors."""
     if theta.degree != 2:

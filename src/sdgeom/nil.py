@@ -426,6 +426,9 @@ def _wrap(k, n, terms):
     return e
 
 
+DEFAULT_TOL = 1e-9  # every check's and the CLI's tolerance unless one is given
+
+
 def within_tol(residual, tol):
     """The one pass rule for a residual (a float, a NilElement measured by its
     largest |coefficient|, or an array, elementwise against a tol that

@@ -357,14 +357,11 @@ class _Parser:
     def _paren_scalar_list(self, extra_vars=()):
         self.expect("(")
         allowed = set(self.prog.vars) | set(extra_vars)
-        comps = self.separated(partial(self.parse_scalar, allowed))
+        comps = self.separated(partial(self._scal_sum, allowed))
         self.expect(")")
         return comps
 
     # -- scalar expressions ----------------------------------------------
-
-    def parse_scalar(self, allowed):
-        return self._scal_sum(allowed)
 
     def _scal_sum(self, allowed):
         left = self._scal_term(allowed)

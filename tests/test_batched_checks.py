@@ -835,6 +835,36 @@ def test_a_point_of_another_dimension_is_named():
             assert full_outcome(method, bad) == want
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((0.1,), "parameters (0.1,) are not the patch's 2: s, t"),
+    ((0.1, 0.2, 0.3), "parameters (0.1, 0.2, 0.3) are not the patch's 2: s, t"),
+    ((), "parameters () are not the patch's 2: s, t"),
+], ids=["short", "long", "empty"])
+def test_parameters_of_another_length_are_named(bad, message):
+    # they raised the compiled function's TypeError (`_f() missing 1 required
+    # positional argument`, `takes 2 positional arguments but 3 were given`),
+    # or in a stack numpy's ValueError on an inhomogeneous shape
+    flat = Distribution(3, 2, kernel=[form_1({3: ONE})])
+    patch = ds.IntegralPatch(("s", "t"), [S, T, ZERO])
+    good = (0.1, 0.2)
+    want = (ValueError, message)
+    for mode in ("weak", "strong"):
+        assert ds.check_integral_patch(flat, patch, mode, [good, good, good])
+        for samples in ([bad], [good, bad], [good, bad, good], [good, good, good, bad]):
+            assert full_outcome(ds.check_integral_patch, flat, patch, mode, samples) == want
+    for method in (patch.point_at, patch.jacobian_at):
+        assert full_outcome(method, bad) == want
+
+
+@pytest.mark.parametrize("start", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)], ids=["short", "long"])
+def test_a_leaf_start_of_another_dimension_is_named(start):
+    # both raised the compiled RK4 step's TypeError
+    span = Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]], vars=VARS3)
+    assert len(ds.trace_leaf(span, Point((0.1, 0.2, 0.3)), 3, 1e-3)) == 4
+    assert full_outcome(ds.trace_leaf, span, Point(start), 3, 1e-3) == (
+        ValueError, f"point {start} is not in the 3-dimensional chart")
+
+
 def test_no_samples_raise(monkeypatch):
     # a check over no sample would pass vacuously: each of the five raises
     # before its sample driver runs, also the semi-annihilation check, which

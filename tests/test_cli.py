@@ -299,6 +299,11 @@ def test_eval_vector_needs_dim_finite_entries(files, vectors):
     assert err == f"error: vector {vectors!r} needs 3 finite entries\n"
 
 
+def one_sample(command):
+    """`--samples 1` for ambrose-singer, the one of the two that samples."""
+    return ["--samples", "1"] if command == "ambrose-singer" else []
+
+
 @pytest.mark.parametrize("command", ["holonomy", "ambrose-singer"])
 @pytest.mark.parametrize("loops, bad", [
     ("circle 0,0,1;", ""),
@@ -315,7 +320,7 @@ def test_bad_loop_spec_exits_two(files, command, loops, bad):
     # failure on the curve, and a zero radius made ambrose-singer hold
     # without checking anything
     code, out, err = invoke([command, "--file", files["rot"], "--conn", "A",
-                             "--loop", loops, "--steps", "10", "--samples", "1"])
+                             "--loop", loops, "--steps", "10", *one_sample(command)])
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith(f"error: bad loop spec {bad!r}")
@@ -355,6 +360,30 @@ def test_option_values_out_of_range_name_their_rule(files, capsys, command, opti
     assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
 
 
+# each command declares the options it reads: --samples only the three that
+# sample a box, --tol all but holonomy and leaf
+@pytest.mark.parametrize("command, name, argv, dead", [
+    ("d", "contact", ["--form", "w", "--at", "0,2,0"], "--samples 5"),
+    ("wedge", "pair", ["--forms", "a,b", "--at", "1,2,3"], "--samples 5"),
+    ("eval", "contact", ["--form", "w", "--at", "0,1,0", "--vectors", "1,2,3"], "--samples 5"),
+    ("curvature", "rot", ["--conn", "A", "--at", "0.3,0.7"], "--samples 5"),
+    ("holonomy", "rot", ["--conn", "A", "--loop", "circle 0,0,1", "--steps", "10"],
+     "--samples 5"),
+    ("holonomy", "rot", ["--conn", "A", "--loop", "circle 0,0,1", "--steps", "10"],
+     "--tol 1e-3"),
+    ("leaf", "leaf", ["--dist", "S", "--start", "0,0,0", "--steps", "3"], "--samples 5"),
+    ("leaf", "leaf", ["--dist", "S", "--start", "0,0,0", "--steps", "3"], "--tol 1e-3"),
+], ids=["d-samples", "wedge-samples", "eval-samples", "curvature-samples",
+        "holonomy-samples", "holonomy-tol", "leaf-samples", "leaf-tol"])
+def test_options_a_command_does_not_read_exit_two(files, capsys, command, name, argv, dead):
+    # each was accepted and ignored: the command exited 0
+    argv = [command, "--file", files[name], *argv]
+    assert invoke(argv)[0] == EXIT_OK
+    capsys.readouterr()
+    assert invoke(argv + dead.split()) == (EXIT_USAGE, "", "")
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {dead}\n")
+
+
 @pytest.mark.parametrize("command", ["holonomy", "ambrose-singer"])
 @pytest.mark.parametrize("text, argv, message", [
     ("dim 3\nvar x y z\nconn A = [dx]\n", ["--loop", "circle 0,0,1"],
@@ -365,7 +394,7 @@ def test_loops_need_a_plane_and_a_spec(tmp_path, command, text, argv, message):
     path = tmp_path / "conn.sdg"
     path.write_text(text)
     code, out, err = invoke([command, "--file", str(path), "--conn", "A", "--steps", "10",
-                             "--samples", "1", *argv])
+                             *one_sample(command), *argv])
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
@@ -393,12 +422,13 @@ def test_holonomy_domain_error_exits_three(files):
             assert err.startswith(f"numeric failure: {message}")
 
 
-# on the curve c(t) = (0.5, t), c_1' = 0: A leaves out an entry undefined
-# through its variables, B has one with an undefined constant subexpression
+# on the closed curve c(t) = (0.5, sin 2 pi t), c_1' = 0: A leaves out an
+# entry undefined through its variables, B has one with an undefined constant
+# subexpression
 MASKED = """\
 dim 2
 var x y
-vector c = (0.5, x)
+vector c = (0.5, sin(6.283185307179586*x))
 conn A = [ln(x - 1)*dx + y*dy, 0*dx; 0*dx, 0*dx]
 conn B = [(ln(0-1)*y)*dx + y*dy, 0*dx; 0*dx, 0*dx]
 """
@@ -434,9 +464,57 @@ def test_curve_in_more_than_the_parameter_exits_two(tmp_path, command, text, oth
     path = tmp_path / "curve.sdg"
     path.write_text(text)
     code, out, err = invoke([command, "--file", str(path), "--conn", "A", "--curve", "c",
-                             "--steps", "100", "--samples", "1"])
+                             "--steps", "100", *one_sample(command)])
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith(f"error: curve vector 'c' uses {others}: ")
+
+
+# curves in t = x from 0 to 1: a holonomy needs a closed one, to within
+# the default tolerance times max(1, largest |c_i(0)|), whatever --tol is
+CURVES = """\
+dim 2
+var x y
+vector open = (x, 1)
+vector circle = (cos(6.283185307179586*x), sin(6.283185307179586*x))
+vector near = (0.5 + 0.000001*x, sin(6.283185307179586*x))
+vector far = (1000 + 0.0000001*x, 0)
+vector log = (ln(x), 0)
+vector huge = (x*1e300*1e300, 0)
+""" + ROT_CONN
+
+
+@pytest.mark.parametrize("command", ["holonomy", "ambrose-singer"])
+def test_an_open_curve_exits_two(tmp_path, command):
+    # holonomy printed the transport along an open curve as "loop 0
+    # holonomy", and ambrose-singer tested its log: both exited 0
+    path = tmp_path / "curves.sdg"
+    path.write_text(CURVES)
+
+    def curve(name, *tol):
+        return invoke([command, "--file", str(path), "--conn", "A", "--curve", name,
+                       "--steps", "1000", *one_sample(command), *tol])
+
+    verdict = "loop 0 holonomy: " if command == "holonomy" else "holonomy-log inclusion: holds"
+    assert curve("open") == (EXIT_USAGE, "", "error: curve vector 'open' is open: "
+                             "from (0.0, 1.0) to (1.0, 1.0)\n")
+    # 1e-6 apart is open; 1e-7 apart at 1000 is closed
+    code, out, err = curve("near")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: curve vector 'near' is open: from (0.5, 0.0) to (0.500001, ")
+    for name in ("circle", "far"):
+        code, out, _ = curve(name)
+        assert (code, out.startswith(verdict)) == (EXIT_OK, True), name
+    if command == "ambrose-singer":
+        # --tol is the verdict's alone: at --tol 0 the circle, open by
+        # sin(2 pi) = -2.4e-16, is still closed and gets a verdict, and
+        # --tol 1e-3 does not close near
+        code, out, _ = curve("circle", "--tol", "0")
+        assert (code, out.startswith("holonomy-log inclusion: FAILS")) == (EXIT_FALSE, True)
+        assert curve("near", "--tol", "1e-3")[:2] == (EXIT_USAGE, "")
+    # a curve undefined or overflowing at an end is a numeric failure
+    assert curve("log") == (EXIT_NUMERIC, "", "numeric failure: ln of 0.0\n")
+    assert curve("huge") == (EXIT_NUMERIC, "", "numeric failure: curve vector 'huge' is "
+                             "not finite: from (0.0, 0.0) to (inf, 0.0)\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
