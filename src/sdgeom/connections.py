@@ -1,4 +1,4 @@
-"""Principal connections on a trivialized bundle chart x group.
+"""Connections on a trivialized bundle chart x GL(m), with no declared group.
 
 Curvature is the group-valued coboundary  T(x,y) * T(y,z) * T(z,x)  on the
 generic infinitesimal 2-simplex x, y = x + u, z = x + v.  Its factors are
@@ -14,8 +14,9 @@ N's, or one with a degree-2 factor, vanishes.  It is formed on arrays
 stacked over the monomial basis of W(2, n), with the pair products of the
 degree-1 parts taken in one batched matrix product.  A enters at x as its
 value and at y, a neighbour of x in the first neighbourhood of the
-diagonal, as its 1-jet: there a function is exactly its value plus its
-differential applied to y - x, which is all of its value in W.
+diagonal, as its 1-jet (at z, the same jet on row 2): there a function is
+exactly its value plus its differential applied to y - x, which is all of
+its value in W.
 """
 
 import math
@@ -26,7 +27,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (ContextMismatchError, DegreeError, DomainError,
                      LogBranchError, RankDeficiencyError)
-from .nil import _MERGE_SIGNS, _ROW_IMAGES, DEFAULT_TOL, generic_offsets, within_tol
+from .nil import _MERGE_SIGNS, DEFAULT_TOL, generic_offsets, within_tol
 from .forms import default_vars
 
 # Convention constants, pinned against the classical oracle F = dA + s[A, A]
@@ -37,30 +38,17 @@ BRACKET_SIGN = +1.0
 COBOUNDARY_SCALE = 0.5  # extraction normalization 2! in degree 2
 
 
-class MatrixGroupSpec:
-    """Structure group of m x m matrices: GL(m) or SO(m).  Parallel
-    transport keeps an SO(m) holonomy orthogonal."""
-
-    GENERAL = "general"
-    SPECIAL_ORTHOGONAL = "special_orthogonal"
-
-    def __init__(self, m, kind=GENERAL):
-        if kind not in (self.GENERAL, self.SPECIAL_ORTHOGONAL):
-            raise ValueError(f"unknown group kind {kind!r}")
-        self.m = m
-        self.kind = kind
-
-
 class ConnectionData:
-    """Lie-algebra-valued local connection 1-form A on a chart."""
+    """Local connection 1-form A on a chart: each A_i an m x m matrix."""
 
-    def __init__(self, n, group, A, vars=None):
+    def __init__(self, n, A, vars=None):
         self.n = n
-        self.group = group
         self.vars = tuple(vars) if vars is not None else default_vars(n)
         if len(A) != n:
             raise DegreeError("need one matrix of coefficients per dimension")
-        m = group.m
+        self.m = m = len(A[0]) if A else 0
+        if any(len(Ai) != m or any(len(row) != m for row in Ai) for Ai in A):
+            raise DegreeError("the matrices of coefficients must be square and of one size")
         self.A = [[[ex.as_expr(A[i][r][c]) for c in range(m)]
                    for r in range(m)] for i in range(n)]
 
@@ -92,10 +80,6 @@ class ConnectionData:
                              for a, b in zip(row_a, row_b)], x)
 
 
-# The vertex swap 1 <-> 2 of the 2-simplex, an automorphism of W(2, n).
-_SWAP = (2, 1)
-
-
 class _Simplex:
     """Tables for products in W(2, n), the algebra of the generic
     infinitesimal 2-simplex x, x + u, x + v in R^n, over its monomial basis:
@@ -104,8 +88,6 @@ class _Simplex:
     (a, b) of `faces` (1-based).  Every table has O(n^2) entries.
 
     - `index`: monomial -> its position in the basis.
-    - `swap`, `swap_sign`: the vertex swap of a stacked array over the
-      basis is swap_sign * array[swap] (signs from `nil._ROW_IMAGES`).
     - `displacement`: shape (3, 2n, n), the coefficient of each degree-1
       monomial in TRANSPORT_SIGN * delta_i, for the displacements y - x,
       z - y and x - z.
@@ -123,12 +105,6 @@ class _Simplex:
         deg2 = [(0b11, (1 << a) | (1 << b)) for a in range(n) for b in range(a + 1, n)]
         basis = [(0, 0)] + deg1 + deg2
         self.index = {mono: i for i, mono in enumerate(basis)}
-        self.swap = np.empty(len(basis), dtype=np.intp)
-        self.swap_sign = np.empty((len(basis), 1))
-        for i, mono in enumerate(basis):
-            sign, image = _ROW_IMAGES[_SWAP][mono]
-            self.swap[self.index[image]] = i
-            self.swap_sign[self.index[image]] = sign
         self.displacement = np.zeros((3, 2 * n, n))
         for k, delta in enumerate((u, [vi - ui for ui, vi in zip(u, v)],
                                    [-vi for vi in v])):
@@ -180,10 +156,9 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     as its 1-jet (`expr.compile_jet`: y = x + u lies in the first
     neighbourhood of x, so A's value in W there has only a constant and
     row-1 terms), and stacked over the monomial basis of W(2, n); its value
-    at z is the image of its value at y under the vertex swap, which maps y
-    to z.  A non-finite value of A at x or at y, or of the product, raises
-    DomainError."""
-    n, m = conn.n, conn.group.m
+    at z = x + v is the same jet with its tangents on row 2.  A non-finite
+    value of A at x or at y, or of the product, raises DomainError."""
+    n, m = conn.n, conn.m
     w = _simplex(n)
     x = p.coords
     # A at x, y and z over the basis: one row per monomial, one column per
@@ -195,7 +170,7 @@ def curvature_coboundary(conn, p, tol=DEFAULT_TOL):
     if not finite.all():
         where = "at" if not finite[0] else "in the first neighbourhood of"
         raise DomainError(f"non-finite connection value {where} {x!r}")
-    A[2] = A[1, w.swap] * w.swap_sign
+    A[2, 0], A[2, 1 + n:1 + 2 * n] = A[1, 0], A[1, 1:1 + n]
     # N_k takes its degree-1 part from A's constant part and its degree-2
     # part from A's degree-1 part; A's degree-2 part times delta vanishes
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,7 +188,7 @@ def curvature_classical_oracle(conn, p):
     """Classical gauge curvature F_ij = d_i A_j - d_j A_i + s [A_i, A_j]
     for i < j (1-based), with s = BRACKET_SIGN, read at each call.  A
     non-finite value raises DomainError."""
-    n, m = conn.n, conn.group.m
+    n, m = conn.n, conn.m
     # A and dA at p, through the functions compiled once per connection
     A = np.array(conn._a_w(*p.coords), dtype=float).reshape(n, m, m)
     dA = iter(np.array(conn._da_w(*p.coords), dtype=float).reshape(-1, m, m))
@@ -248,10 +223,7 @@ def parallel_transport(conn, curve_exprs, t0, t1, steps):
     Blocks of steps are evaluated at once and multiplied as a pairwise tree,
     kept in the I + D form so that the small D_k keep their low bits.
 
-    For an SO group each P_k is replaced by its orthogonal polar factor,
-    which equals projecting g after every step (polar(P Q) = polar(P) Q for
-    orthogonal Q), and the product is projected once more at the end.  A
-    non-finite stage value raises DomainError, and so does a block whose
+    A non-finite stage value raises DomainError, and so does a block whose
     step matrices or running product overflow.  This is the one-curve case
     of `_transports`.
     """
@@ -312,8 +284,7 @@ def _transports(conn, stages, count, t0, t1, steps):
     which its own transport stops.  A curve that fails is carried on as the
     identity, so that its values reach no other curve, and the blocks stop
     once every curve has failed."""
-    orthogonal = conn.group.kind == MatrixGroupSpec.SPECIAL_ORTHOGONAL
-    m = conn.group.m
+    m = conn.m
     eye = np.eye(m)
     h = (t1 - t0) / steps
     total = np.zeros((count, m, m))
@@ -324,17 +295,12 @@ def _transports(conn, stages, count, t0, t1, steps):
         with np.errstate(over="ignore", invalid="ignore"):
             D = _rk4_step_matrices(_stage_matrices(conn, *stages(t), t, errors), h)
             _check_block(D, t, errors)
-            if orthogonal:
-                D = _polar(eye + D) - eye
             D = _tree_product(D)
             total = total + D + D @ total
         _check_block(total, t, errors)
         if None not in errors:
             break
-    g = eye + total
-    if orthogonal:
-        g = _polar(g)
-    return g, errors
+    return eye + total, errors
 
 
 def _check_block(values, t, errors, message=None):
@@ -357,7 +323,7 @@ def _stage_matrices(conn, x, cdot, t, errors):
     c_i' = 0, so it need not be defined there; a curve with a non-finite M
     gets a DomainError naming its first such time.  An entry whose
     undefined subexpression has no variables fails every curve."""
-    n, m = conn.n, conn.group.m
+    n, m = conn.n, conn.m
     count = len(errors)
     shape = (count, len(t))
     try:
@@ -400,27 +366,21 @@ def _tree_product(D):
     return D[:, 0]
 
 
-def _polar(P):
-    """Orthogonal polar factor of each matrix in P."""
-    u, _, vt = np.linalg.svd(P)
-    return u @ vt
-
-
 def holonomy_log(g):
     """Principal matrix logarithm of a holonomy element.
 
-    Rotations in SO(2) and SO(3) get closed-form skew logs (stable at the
-    angle-pi branch point); everything else goes through scipy's logm and
-    must have a real principal branch.  The SO(2) angle lies in [-pi, pi):
-    an angle within 1e-12 of +pi is reported as -pi, so that at the branch
-    point the sign does not follow the roundoff in g[1, 0].  A non-finite
-    entry raises LogBranchError.
+    A g within 1e-6 of SO(2) or SO(3), a margin for RK4's drift, gets the
+    closed-form skew log (stable at the angle-pi branch point); everything
+    else goes through scipy's logm and must have a real principal branch.
+    The SO(2) angle lies in [-pi, pi): an angle within 1e-12 of +pi is
+    reported as -pi, so that at the branch point the sign does not follow
+    the roundoff in g[1, 0].  A non-finite entry raises LogBranchError.
     """
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():  # logm would not return on an infinite entry
         raise LogBranchError("array must not contain infs or NaNs")
     m = g.shape[0]
-    orthogonal = (np.max(np.abs(g.T @ g - np.eye(m))) < 1e-9
+    orthogonal = (np.max(np.abs(g.T @ g - np.eye(m))) < 1e-6
                   and np.linalg.det(g) > 0)
     if orthogonal and m == 2:
         angle = float(np.arctan2(g[1, 0], g[0, 0]))

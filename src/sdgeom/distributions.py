@@ -229,7 +229,8 @@ def _in_order(samples, check):
     its sample or raises.  The first sample is checked alone, then, if the
     caller asks for more, the stack of the rest, with a one-sample call at
     each sample that stack does not decide (a stack of one is a one-sample
-    call)."""
+    call).  A stack that raises DomainError or ValueError (a subexpression
+    without variables, a sample of another dimension) decides no sample."""
     def alone(s):
         return check([s])[0][0]
 
@@ -239,7 +240,7 @@ def _in_order(samples, check):
     yield alone(samples[0])
     try:
         outcomes, decided = check(samples[1:])
-    except DomainError:  # from a subexpression without variables: it raises at every sample
+    except (DomainError, ValueError):
         outcomes = decided = [False] * (len(samples) - 1)
     for s, outcome, ok in zip(samples[1:], outcomes, decided):
         yield outcome if ok else alone(s)

@@ -340,9 +340,9 @@ class _Parser:
                     A[i - 1][r][c] = e
 
         def build():
-            from .connections import ConnectionData, MatrixGroupSpec
+            from .connections import ConnectionData
 
-            return ConnectionData(n, MatrixGroupSpec(m, MatrixGroupSpec.GENERAL), A, vars=vars)
+            return ConnectionData(n, A, vars=vars)
 
         self.prog.conns.declare(name, rows, build)
         self.prog.order.append(("conn", name))

@@ -216,7 +216,7 @@ def _classical_curvature(conn, p, bracket_sign):
     `bracket_sign`, from the connection's compiled A and dA at p, as
     `connections.curvature_classical_oracle` forms it with s =
     BRACKET_SIGN."""
-    n, m = conn.n, conn.group.m
+    n, m = conn.n, conn.m
     A = np.array(conn._a_w(*p.coords), dtype=float).reshape(n, m, m)
     dA = iter(np.array(conn._da_w(*p.coords), dtype=float).reshape(-1, m, m))
     return {(i, j): next(dA) + bracket_sign * (A[i - 1] @ A[j - 1] - A[j - 1] @ A[i - 1])

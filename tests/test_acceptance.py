@@ -15,8 +15,7 @@ from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, run
 from sdgeom.connections import (BRACKET_SIGN, COBOUNDARY_SCALE,
-                                ConnectionData, MatrixGroupSpec,
-                                ambrose_singer_check,
+                                ConnectionData, ambrose_singer_check,
                                 curvature_classical_oracle,
                                 curvature_coboundary, holonomy_log,
                                 parallel_transport)
@@ -338,8 +337,7 @@ def _rotational():
           [ex.Mul(ex.Const(-0.5), ex.Var("y")), ex.Const(0.0)]]
     K2 = [[ex.Const(0.0), ex.Mul(ex.Const(-0.5), ex.Var("x"))],
           [ex.Mul(ex.Const(0.5), ex.Var("x")), ex.Const(0.0)]]
-    return ConnectionData(2, MatrixGroupSpec(2, MatrixGroupSpec.SPECIAL_ORTHOGONAL),
-                          [J2, K2], vars=("x", "y"))
+    return ConnectionData(2, [J2, K2], vars=("x", "y"))
 
 
 def _circle(cx, cy, r):
@@ -353,8 +351,7 @@ def test_criterion_7_connections():
     ok = True
     # flat connection: zero curvature, identity holonomy
     zero = [[ex.Const(0.0)] * 2 for _ in range(2)]
-    flat = ConnectionData(2, MatrixGroupSpec(2, MatrixGroupSpec.SPECIAL_ORTHOGONAL),
-                          [zero, zero], vars=("x", "y"))
+    flat = ConnectionData(2, [zero, zero], vars=("x", "y"))
     for p in sample_box([(-1.0, 1.0)] * 2, 5, seed=1):
         for F in curvature_coboundary(flat, p).values():
             ok &= np.max(np.abs(F)) <= 1e-12
@@ -373,7 +370,7 @@ def test_criterion_7_connections():
     vars2 = ("x1", "x2")
     A = [[[random_scalar_expr(rng, vars2) for _ in range(2)] for _ in range(2)]
          for _ in range(2)]
-    gl = ConnectionData(2, MatrixGroupSpec(2), A, vars=vars2)
+    gl = ConnectionData(2, A, vars=vars2)
     scale, sign = pin_conventions(gl, sample_box([(-1.0, 1.0)] * 2, 6, seed=3))
     ok &= abs(scale - COBOUNDARY_SCALE) <= 1e-9 and sign == BRACKET_SIGN
     for p in sample_box([(-1.0, 1.0)] * 2, 50, seed=4):

@@ -835,6 +835,26 @@ def test_a_point_of_another_dimension_is_named():
             assert full_outcome(method, bad) == want
 
 
+LN_CHART = parse("dim 3\nvar x y z\nform w = dz - ln(x)*dy\nform f = dz\n"
+                 "dist D = ker(w)\ndist F = ker(f)\npatch P(s, t) = (ln(s), t, 0)\n")
+
+
+@pytest.mark.parametrize("earlier, want, patch_want", [
+    (-1.0, (DomainError, "ln of -1.0"), (DomainError, "ln of -1.0")),
+    (0.6, (ValueError, "point (0.1, 0.2) is not in the 3-dimensional chart"),
+     (ValueError, "parameters (0.1,) are not the patch's 2: s, t")),
+], ids=["earlier-sample-undefined", "earlier-samples-pass"])
+def test_a_malformed_later_sample_raises_after_an_earlier_error(earlier, want, patch_want):
+    # the stack of the later samples raised the malformed sample's
+    # ValueError before the one-sample call at the undefined sample
+    samples = [Point((0.5, 0.1, 0.1)), Point((earlier, 0.2, 0.3)), Point((0.1, 0.2))]
+    assert full_outcome(ds.check_involutive_combinatorial, LN_CHART.dists["D"], samples) == want
+    params = [(0.5, 0.5), (earlier, 0.5), (0.1,)]
+    for mode in ("weak", "strong"):
+        assert full_outcome(ds.check_integral_patch, LN_CHART.dists["F"],
+                            LN_CHART.patches["P"], mode, params) == patch_want
+
+
 @pytest.mark.parametrize("bad, message", [
     ((0.1,), "parameters (0.1,) are not the patch's 2: s, t"),
     ((0.1, 0.2, 0.3), "parameters (0.1, 0.2, 0.3) are not the patch's 2: s, t"),
@@ -2094,13 +2114,10 @@ ROT_SDG = ("dim 2\nvar x y\n"
 
 
 def batched_transport_connections():
-    """The README's rot.sdg, the same A in SO(2), whose steps are projected,
-    and the so(3) and gl(2) connections of the checks_sparse benchmark."""
-    rot = parse(ROT_SDG).conns["A"]
-    so2 = cn.ConnectionData(2, cn.MatrixGroupSpec(2, cn.MatrixGroupSpec.SPECIAL_ORTHOGONAL),
-                            rot.A, vars=rot.vars)
-    return [rot, so2] + [next(iter(parse(text).conns.values()))
-                         for text in perfbench_connection_sources()]
+    """The README's rot.sdg and the so(3) and gl(2) connections of the
+    checks_sparse benchmark."""
+    return [parse(ROT_SDG).conns["A"]] + [next(iter(parse(text).conns.values()))
+                                          for text in perfbench_connection_sources()]
 
 
 @pytest.mark.parametrize("steps", [1, 250, 1025])

@@ -736,6 +736,30 @@ def test_holonomy_without_a_log_still_exits_zero(files, monkeypatch, fmt, want):
     assert out.endswith(want)
 
 
+def test_a_rotation_off_orthogonal_by_rk4_drift_gets_its_log(files, tmp_path):
+    # at 100 steps the unit circle's holonomy, a rotation by about -pi, is
+    # 1.3e-9 off orthogonal: it went to logm, which has no real log near -I,
+    # so holonomy printed no log, ambrose-singer on the loop exited 3, and on
+    # the same circle as a closed curve answered FAILS
+    loop = ["--file", files["rot"], "--conn", "A", "--loop", "circle 0,0,1", "--steps", "100"]
+    code, out, _ = invoke(["holonomy", *loop, "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["loop0_log"] == [[0.0, pytest.approx(3.141592628097141, abs=1e-12)],
+                                            [pytest.approx(-3.141592628097141, abs=1e-12), 0.0]]
+    path = tmp_path / "circle.sdg"
+    path.write_text(CURVES)
+    curve = ["--file", str(path), "--conn", "A", "--curve", "circle", "--steps", "100"]
+    for argv in (loop, curve):
+        code, out, _ = invoke(["ambrose-singer", *argv, "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["inclusion"] is True
+    # a gl(2) holonomy, far from orthogonal, keeps logm's log
+    code, out, _ = invoke(["holonomy", "--file", files["gl2"], "--conn", "A", "--loop",
+                           "circle 0.5,0,0.3", "--steps", "200", "--format", "json"])
+    assert code == EXIT_OK
+    assert np.max(np.abs(np.array(json.loads(out)["loop0_log"]) - [
+        [-0.28274333882252961, 0.34030017252519046], [0.0, -5.0625059700010661e-12]])) <= 1e-12
+
 def test_ambrose_singer_cli(files):
     code, out, _ = invoke(["ambrose-singer", "--file", files["rot"],
                            "--conn", "A", "--loop", "circle 0,0,0.6",

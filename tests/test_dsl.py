@@ -52,7 +52,7 @@ def test_parse_wedge_and_connection():
     prog = parse(MIXED)
     assert prog.forms["c"].degree == 2
     assert prog.dists["S"].rank == 2
-    assert prog.conns["A"].group.m == 2
+    assert prog.conns["A"].m == 2
 
 
 def test_degree_mismatch_reports_position():
@@ -163,7 +163,7 @@ def test_distributions_patches_and_connections_are_built_on_lookup(monkeypatch):
     assert (list(prog.dists), len(prog.patches), list(prog.conns)) == (["D"], 1, ["A"])
     assert built == []
     assert prog.dists["D"] is prog.dists["D"]
-    assert prog.patches["P"].q == 2 and prog.conns["A"].group.m == 3
+    assert prog.patches["P"].q == 2 and prog.conns["A"].m == 3
     assert built == ["Distribution", "IntegralPatch", "ConnectionData"]
     with pytest.raises(ParseError, match="unknown distribution 'Q'"):
         prog.lookup("dists", "Q", "distribution")

@@ -47,7 +47,7 @@ def omat_from_terms(terms, k, n):
 def ref_transport_neighbor(conn, a, b):
     """T(a, b) = I + sign * sum_i A_i(a) (b - a)_i as an object array."""
     ca, cb = omat_coords(a), omat_coords(b)
-    m = conn.group.m
+    m = conn.m
     values = np.empty(conn.n * m * m, dtype=object)
     values[:] = conn._a_w(*ca)
     mats = values.reshape(conn.n, m, m)
