@@ -60,7 +60,7 @@ class Distribution:
 
     @cached_property
     def _kernel_jet(self):
-        return _FiberJet(self._kernel_coeffs, self.vars, self.rank)
+        return ex.Jet(self._kernel_coeffs, self.vars, self.rank)
 
     @cached_property
     def _span_fns(self):
@@ -69,7 +69,7 @@ class Distribution:
 
     @cached_property
     def _span_jet(self):
-        return _FiberJet([c for v in self.span for c in v], self.vars, self.rank)
+        return ex.Jet([c for v in self.span for c in v], self.vars, self.rank)
 
     @cached_property
     def _ideal_fns(self):
@@ -291,32 +291,6 @@ def _max_abs(value):
     return value.max_abs_coeff() if isinstance(value, NilElement) else abs(value)
 
 
-class _FiberJet:
-    """Expressions compiled as 1-jets (`expr.compile_jet`) at y = x + u, u
-    the row-1 offset of the generic flat 2-simplex in W(2, rank): called
-    with each variable's value at x and its row of the fiber basis, it
-    returns `compile_w`'s values at y, each a float for an expression
-    without variables and else a W(2, rank) element of a constant and
-    row-1 terms.  A float zero coefficient of the jet is left out; the
-    W arithmetic keeps one only where a scaling underflows, and in the
-    relation such a coefficient meets only finite factors on its way into
-    a product with w = v - u, which drops it."""
-
-    def __init__(self, exprs, vars, rank):
-        self.fn = ex.compile_jet(exprs, vars, rank)
-        self.constant = [not ex.free_vars(e) for e in exprs]
-        self.keys = [(0, 0)] + [(1, 1 << a) for a in range(rank)]
-        self.context = max(rank, 1)
-
-    def __call__(self, x, B):
-        coeffs = self.fn(*[c for xi, row in zip(x, B) for c in (xi, *row)])
-        count = len(self.constant)
-        return [coeffs[j] if constant else
-                NilElement(2, self.context, {key: c for key, c in zip(self.keys, coeffs[j::count])
-                                             if not _is_zero(c)})
-                for j, constant in enumerate(self.constant)]
-
-
 def _relation(dist, span, x, frame):
     """Kock's relation on the generic flat 2-simplex (x, x + u, x + v): the
     residuals K_y (v - u) of y = x + u ~_D x + v, yielded kernel row by row.
@@ -326,8 +300,9 @@ def _relation(dist, span, x, frame):
     K_y w = K0 w - (K0 X(y)) S w with X the span matrix: both outer factors
     are nilpotent and W(2, rank) stops at degree 2, so only C, the constant
     part of B^T X(y), is inverted.
-    K and X at y are 1-jets whose tangents are the rows of B (`_FiberJet`),
-    and W elements only in the products with w = v - u.  x and the frame
+    K and X at y are 1-jets whose tangents are the rows of B (`expr.Jet`,
+    on row 1 of W(2, rank)), and W elements only in the products with
+    w = v - u.  x and the frame
     are floats at one sample, or constant W elements and arrays over
     stacked samples."""
     n, rank = dist.n, dist.rank
@@ -336,14 +311,15 @@ def _relation(dist, span, x, frame):
     w = [b - a for a, b in zip(u, v)]
     # y = x + u in W: its constant is x's, its row-1 terms 0.0 + B
     x = [c.const_term if isinstance(c, NilElement) else c for c in x]
-    B = _entries(0.0 + B)
+    args = [c for xi, row in zip(x, _entries(0.0 + B)) for c in (xi, *row)]
+    context = max(rank, 1)
     if not span:
-        K = dist._kernel_jet(x, B)
+        K = dist._kernel_jet(args, 2, context)
         return (_dot(K[i:i + n], w) for i in range(0, len(K), n))
-    columns = list(zip(*([c if c.__class__ is float else NilElement(2, max(rank, 1), {(0, 0): c})
+    columns = list(zip(*([c if c.__class__ is float else NilElement(2, context, {(0, 0): c})
                           for c in row] for row in _entries(frame))))
     K0, S = columns[rank:n], columns[n:]
-    X = dist._span_jet(x, B)
+    X = dist._span_jet(args, 2, context)
     fields = [X[a:a + n] for a in range(0, len(X), n)]
     Sw = [_dot(row, w) for row in S]
     return (_dot(row, w) - _dot([_dot(row, f) for f in fields], Sw) for row in K0)
@@ -414,7 +390,8 @@ def _span_relation_stack(dist, X):
 
 def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
     """Classical oracle: ideal test d(omega_i) ^ omega_1 ^ ... = 0 for
-    KERNEL input, bracket test for SPAN input."""
+    KERNEL input, where the kernel forms have full rank, and bracket test
+    for SPAN input."""
     samples = _samples(samples)
     if dist.kernel is not None:
         return _ideal_test(dist, samples, tol)
@@ -422,10 +399,15 @@ def check_involutive_classical(dist, samples, tol=DEFAULT_TOL):
 
 
 def _ideal_test(dist, samples, tol):
-    """Every coefficient of the ideal test's forms within tol."""
+    """Every coefficient of the ideal test's forms within tol, where the
+    kernel forms have full rank (`_kernel_stack`'s verdict, whose one-row
+    stack raises where they have not): of dependent forms,
+    d(omega_i) ^ omega_1 ^ ... vanishes whatever omega is."""
     def check(samples):
-        V, finite = _stack(dist._ideal_fns, _coords(samples, dist.n), 1)
-        return np.all(within_tol(V, tol), axis=(1, 2)) & finite, finite
+        X = _coords(samples, dist.n)
+        full = dist._kernel_stack(X)[2]
+        V, finite = _stack(dist._ideal_fns, X, 1)
+        return np.all(within_tol(V, tol), axis=(1, 2)) & finite, finite & full
 
     return all(_in_order(samples, check))
 

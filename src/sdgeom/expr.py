@@ -24,6 +24,7 @@ from itertools import count
 
 from .errors import DomainError
 from .nil import _SAMPLEWISE, NilElement, _is_zero, _table, _taylor, lift_smooth
+from .nil import _wrap as _element
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -666,6 +667,35 @@ def compile_jet(exprs, varnames, slots, rows=None):
             else:
                 out.append(f"(0.0 if {jet[s]} is None else {jet[s]})")
     return _define(args, writer.lines, out)
+
+
+class Jet:
+    """Expressions compiled as 1-jets (`compile_jet`, with `slots` tangent
+    coefficients, and the tangent rows `rows` when they are known when
+    compiling): called with the arguments of that function, it returns
+    `compile_w`'s values at y = x + u with u on row `row` of W(k, n), each
+    a float for an expression without variables and else a W(k, n) element
+    of its constant and its row terms.  On one row, as on row 1 of W(2, n),
+    every product of two tangent monomials vanishes, so that is all of the
+    value.  A float zero coefficient of the jet is left out; the W
+    arithmetic keeps one only where a scaling underflows, and a product
+    with finite factors that this value meets drops it."""
+
+    __slots__ = ("fn", "constant", "slots")
+
+    def __init__(self, exprs, varnames, slots, rows=None):
+        self.fn = compile_jet(exprs, varnames, slots, rows)
+        self.constant = [not free_vars(e) for e in exprs]
+        self.slots = slots
+
+    def __call__(self, args, k, n, row=1):
+        coeffs = self.fn(*args)
+        count = len(self.constant)
+        keys = [(0, 0)] + [(1 << (row - 1), 1 << a) for a in range(self.slots)]
+        return [coeffs[j] if constant else
+                _element(k, n, {key: c for key, c in zip(keys, coeffs[j::count])
+                                if not _is_zero(c)})
+                for j, constant in enumerate(self.constant)]
 
 
 def stacked(fn, *arrays):

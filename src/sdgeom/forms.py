@@ -13,8 +13,8 @@ from types import MappingProxyType
 
 from . import expr as ex
 from .errors import ContextMismatchError, DegreeError, DomainError, SdgError
-from .nil import (_MERGE_SIGNS, DEFAULT_TOL, NilElement, _elem_mul, _elem_muladd, _wrap,
-                  generic_offsets, within_tol)
+from .nil import (_MERGE_SIGNS, DEFAULT_TOL, NilElement, _Memo, _bits, _elem_add, _elem_mul,
+                  _elem_muladd, _elem_scale, _wrap, generic_offsets, within_tol)
 
 
 def default_vars(n):
@@ -29,7 +29,7 @@ class ClassicalForm:
     under "d", its wedge with a partner b under b) are computed once and
     shared."""
 
-    __slots__ = ("degree", "n", "vars", "coeffs", "_coeff_fn", "_derived")
+    __slots__ = ("degree", "n", "vars", "coeffs", "_coeff_fn", "_coeff_jet", "_derived")
 
     def __init__(self, degree, n, coeffs, vars=None):
         self.degree = degree
@@ -48,7 +48,7 @@ class ClassicalForm:
             if not (isinstance(e, ex.Const) and e.value == 0.0):
                 clean[T] = e
         self.coeffs = MappingProxyType(clean)
-        self._coeff_fn = None
+        self._coeff_fn = self._coeff_jet = None
         self._derived = {}
 
     @staticmethod
@@ -67,6 +67,18 @@ class ClassicalForm:
         if self._coeff_fn is None:
             self._coeff_fn = ex.compile_w(list(self.coeffs.values()), self.vars)
         return self._coeff_fn
+
+    def coeff_jet(self):
+        """The coefficients, in `coeffs` order, as 1-jets (`expr.Jet`, the
+        identity as the tangent rows): at the float point x, called as
+        `coeff_jet()(x, k, n, r)`, `compile_w`'s values at the vertex
+        x + d_r of the generic simplex in W(k, n), whose coordinates have
+        the row-r generators as their tangents.  Compiled on first use."""
+        if self._coeff_jet is None:
+            n = self.n
+            self._coeff_jet = ex.Jet(list(self.coeffs.values()), self.vars, n,
+                                     rows=[[float(a == i) for a in range(n)] for i in range(n)])
+        return self._coeff_jet
 
     def coeffs_at(self, coords):
         """Numeric (or W-valued) coefficients at the given `n` coordinates,
@@ -164,19 +176,35 @@ def wedge_classical(a, b):
 
 class CombinatorialForm:
     """Function of infinitesimal p-simplices, given as base point plus p
-    nilpotent displacement vectors; vanishes on degenerate simplices."""
+    nilpotent displacement vectors; vanishes on degenerate simplices.
 
-    __slots__ = ("degree", "n", "evaluator")
+    On the generic simplex in W(k, n) at a float point x, whose vertices
+    are x and x + d_r, d_r the row-r generators, a face is given by the
+    increasing labels of its vertices, 0 for x and r for x + d_r, and
+    `on_face(x, k, face)` is the value on it:
+    by `face_evaluator(x, k, face)` where the form has one, and else by
+    `evaluator` on the face's first vertex and the offsets of the others
+    from it."""
 
-    def __init__(self, degree, n, evaluator):
+    __slots__ = ("degree", "n", "evaluator", "face_evaluator")
+
+    def __init__(self, degree, n, evaluator, face_evaluator=None):
         self.degree = degree
         self.n = n
         self.evaluator = evaluator
+        self.face_evaluator = face_evaluator
 
     def __call__(self, base_coords, offsets):
         if len(offsets) != self.degree:
             raise DegreeError("wrong simplex arity")
         return self.evaluator(tuple(base_coords), [tuple(o) for o in offsets])
+
+    def on_face(self, x, k, face):
+        if self.face_evaluator is not None:
+            return self.face_evaluator(x, k, face)
+        d = [None] + generic_offsets(k, self.n)
+        offsets = [d[v] for v in face[1:]]
+        return self(*_rebase(x, offsets, d[face[0]])) if face[0] else self(x, offsets)
 
 
 def to_combinatorial(form):
@@ -187,9 +215,16 @@ def to_combinatorial(form):
     The value sum_T a_T * det(offsets[:, T]) is accumulated into one term
     map; a float offset entry or coefficient counts as a constant term.  It
     is a NilElement when the base or an offset is W-valued, else a float.
+
+    On a face of the generic simplex (`CombinatorialForm.on_face`), the
+    coefficients at x are `coeff_function`'s floats, and at a vertex
+    x + d_r their 1-jets (`ClassicalForm.coeff_jet`), which are all of
+    their values in W there; each determinant is the face's map from
+    `_FACE_DETS`.  The value is the coordinate path's, bit for bit.
     """
     columns = [tuple(t - 1 for t in T) for T in form.coeffs]
     perms = _signed_permutations(form.degree)
+    n = form.n
 
     def evaluator(base, offsets):
         values = form.coeff_function()(*base)
@@ -207,7 +242,21 @@ def to_combinatorial(form):
             return out.get((0, 0), 0.0)
         return _wrap(context[0], context[1], out)
 
-    return CombinatorialForm(form.degree, form.n, evaluator)
+    def face_evaluator(x, k, face):
+        r = face[0]
+        values = form.coeff_jet()(x, k, n, r) if r else form.coeff_function()(*x)
+        out = {}
+        for T, a in zip(form.coeffs, values):
+            products, det = _FACE_DETS[k, n, face, T]
+            if isinstance(a, NilElement):
+                _elem_muladd(out, 1.0, a.terms, det)
+            elif a:
+                _add_terms(out, float(a), products)
+        if face == (0,):  # the point x, a float there as in coordinates
+            return out.get((0, 0), 0.0)
+        return _wrap(k, n, out)
+
+    return CombinatorialForm(form.degree, n, evaluator, face_evaluator)
 
 
 _UNIT = {(0, 0): 1.0}
@@ -258,14 +307,58 @@ def _add_det(out, c, rows, cols, perms):
         _elem_muladd(out, sign * c, partial, last[cols[perm[p - 1]]])
 
 
+def _add_terms(out, c, products):
+    """out += c * e at each (monomial, e) of `products` in turn, in place,
+    float zeros pruned: `_elem_muladd`'s accumulation, for a coefficient
+    e of +1.0 or -1.0, where c * e is exact."""
+    get = out.get
+    for key, e in products:
+        v = get(key, 0.0) + e * c
+        if v == 0.0:
+            out.pop(key, None)
+        else:
+            out[key] = v
+
+
+def _face_det(key):
+    """The determinant map of the face `face` (vertex labels) of the generic
+    simplex in W(k, n) on the columns T, for `_FACE_DETS[k, n, face, T]`:
+    det(offsets[:, T]) of the offsets d_v - d_face[0], formed by the
+    Leibniz rule of `_add_det`.  First the terms of each permutation's
+    product, in the order in which `_add_det` adds them to its map: the
+    labels are distinct, so each is a distinct monomial of coefficient
+    +1.0 or -1.0, and c times them accumulates (`_add_terms`) as
+    `_add_det` with the coefficient c does, bit for bit.  Then their sum,
+    the map that `_add_det` forms with 1.0."""
+    k, n, face, T = key
+    gen = lambda v, t: {(1 << (v - 1), 1 << (t - 1)): 1.0} if v else {}
+    rows = [{t: _elem_add(gen(v, t), _elem_scale(-1.0, gen(face[0], t))) for t in T}
+            for v in face[1:]]
+    products = []
+    for sign, perm in _signed_permutations(len(T)):
+        product = _UNIT
+        for row, j in zip(rows, perm):
+            product = _elem_mul(product, row[T[j]])
+        products += [(mono, sign * e) for mono, e in product.items()]
+    det = {}
+    _add_terms(det, 1.0, products)
+    return products, det
+
+
+# One entry per (k, n, face, T) met: the generic simplex's face maps do
+# not depend on its base point.  Callers read the maps and never change
+# them.
+_FACE_DETS = _Memo(_face_det)
+
+
 def eval_generic(theta, base):
     """Value of a combinatorial form on the generic infinitesimal simplex
-    rooted at `base`: an element of W(degree, n)."""
-    p, n = theta.degree, theta.n
-    offsets = generic_offsets(p, n)
-    value = theta(base.coords, offsets)
+    rooted at `base`: an element of W(degree, n), its value on the face of
+    all the vertices, labelled 0..degree (`CombinatorialForm.on_face`)."""
+    p = theta.degree
+    value = theta.on_face(base.coords, p, tuple(range(p + 1)))
     if not isinstance(value, NilElement):
-        value = NilElement.constant(p, n, value)
+        value = NilElement.constant(p, theta.n, value)
     return value
 
 
@@ -279,8 +372,7 @@ def extract_classical(theta, base, tol=DEFAULT_TOL):
     coeffs = {T: 0.0 for T in combinations(range(1, theta.n + 1), p)}
     for (rmask, cmask), v in value.terms.items():
         if rmask == full_rows:
-            T = tuple(i + 1 for i in range(theta.n) if cmask & (1 << i))
-            coeffs[T] = v / norm
+            coeffs[tuple(_bits(cmask))] = v / norm
         elif not within_tol(v, tol):
             raise SdgError(
                 f"non-form input: lower-degree term of size {abs(v):g} "
@@ -309,22 +401,33 @@ def comparison(theta, classical, base, tol=DEFAULT_TOL):
 
 
 def d_comb(theta):
-    """Simplicial exterior derivative: alternating sum of face evaluations."""
+    """Simplicial exterior derivative: alternating sum of face evaluations.
+    On the generic simplex, the face without vertex i is the face's labels
+    without the i-th, so rebasing a face at its next vertex is relabelling
+    it."""
     p, n = theta.degree, theta.n
 
-    def evaluator(base, offsets):
-        total = theta(*_rebase(base, offsets[1:], offsets[0]))  # the face without x0
+    def alternating(value):
+        """sum_i (-1)^i value(i), value(i) theta on the face without vertex i."""
+        total = value(0)
         for i in range(1, p + 2):
-            rest = offsets[:i - 1] + offsets[i:]
-            v = theta(base, rest)
+            v = value(i)
             total = total + v if i % 2 == 0 else total - v
         return total
 
-    return CombinatorialForm(p + 1, n, evaluator)
+    def evaluator(base, offsets):
+        return alternating(lambda i: theta(base, offsets[:i - 1] + offsets[i:]) if i else
+                           theta(*_rebase(base, offsets[1:], offsets[0])))
+
+    def face_evaluator(x, k, face):
+        return alternating(lambda i: theta.on_face(x, k, face[:i] + face[i + 1:]))
+
+    return CombinatorialForm(p + 1, n, evaluator, face_evaluator)
 
 
 def wedge_comb(om, th):
-    """Cup-product wedge: front face in `om` times rebased back face in `th`."""
+    """Cup-product wedge: front face in `om` times rebased back face in `th`
+    (on the generic simplex, the back face's labels)."""
     if om.n != th.n:
         raise DegreeError("wedge of forms on different charts")
     k, l = om.degree, th.degree
@@ -337,7 +440,10 @@ def wedge_comb(om, th):
             back = th(*_rebase(base, offsets[k:], offsets[k - 1]))
         return front * back
 
-    return CombinatorialForm(k + l, om.n, evaluator)
+    def face_evaluator(x, arity, face):
+        return om.on_face(x, arity, face[:k + 1]) * th.on_face(x, arity, face[k:])
+
+    return CombinatorialForm(k + l, om.n, evaluator, face_evaluator)
 
 
 def eval_semi(theta, base, u, v, tol=DEFAULT_TOL):

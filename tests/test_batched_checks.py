@@ -32,9 +32,9 @@ from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.distributions import Distribution
 from sdgeom.errors import DomainError, RankDeficiencyError, SdgError
-from sdgeom.forms import (ClassicalForm, d_classical, d_comb, eval_semi, to_combinatorial,
-                          wedge_classical)
-from sdgeom.nil import NilElement, lift_smooth, within_tol
+from sdgeom.forms import (ClassicalForm, d_classical, d_comb, eval_generic, eval_semi,
+                          to_combinatorial, wedge_classical, wedge_comb)
+from sdgeom.nil import NilElement, generic_offsets, lift_smooth, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
@@ -702,6 +702,78 @@ def test_jet_is_compile_w_at_the_edges(name):
         assert all(map(same_bits, at(*args), want))
 
 
+# eval_generic of a combinatorial form built from classical ones reads each
+# face of the generic simplex by its vertex labels: a coefficient at a vertex
+# x + d_r is its 1-jet (`ClassicalForm.coeff_jet`), and a determinant the
+# face's memoised map.  Its value is the coordinate path's, theta at the
+# generic offsets, term for term and bit for bit, and it raises where that
+# path raises, with its message.
+
+def generic_outcome(value):
+    """A value on the generic simplex as {monomial: float.hex}, a float as
+    eval_generic's constant element, or the message of the DomainError that
+    computing it raises."""
+    try:
+        value = value()
+    except DomainError as err:
+        return str(err)
+    if not isinstance(value, NilElement):
+        value = NilElement.constant(0, 1, value)
+    return {key: float.hex(c) for key, c in value.terms.items()}
+
+
+def assert_faces_are_the_coordinate_path(theta, base):
+    got = generic_outcome(lambda: eval_generic(theta, base))
+    want = generic_outcome(lambda: theta(base.coords, generic_offsets(theta.degree, theta.n)))
+    assert got == want
+    return got
+
+
+def d_and_wedges(forms):
+    """d of each form, and the wedge of each pair, in both orders."""
+    thetas = [to_combinatorial(f) for f in forms]
+    return [d_comb(t) for t in thetas] + [wedge_comb(a, b) for a in thetas for b in thetas]
+
+
+def test_jet_is_compile_w_on_generic_faces():
+    gen = _load_perfbench_gen()
+    for seed in (1, 3, 7):
+        sources, ops = gen.forms_dense(seed)
+        programs = {name: parse(text) for name, text in sources.items()}
+        for op in ops:  # among them d(u), u a 3-form in dimension 8
+            forms = [programs[op["file"]].forms[name] for name in op["forms"]]
+            thetas = [to_combinatorial(f) for f in forms]
+            theta = d_comb(thetas[0]) if op["op"] == "d" else wedge_comb(*thetas)
+            assert isinstance(assert_faces_are_the_coordinate_path(theta, Point(op["point"])), dict)
+    rng = np.random.default_rng(33)
+    for _ in range(12):  # the trig form corpus, degrees 0 to 3
+        n = int(rng.integers(2, 5))
+        forms = [random_form(rng, int(rng.integers(0, min(n, 3) + 1)), n, trig=True)
+                 for _ in range(2)]
+        base = Point(rng.uniform(-1.0, 1.0, n).round(3))
+        for theta in d_and_wedges(forms):
+            assert_faces_are_the_coordinate_path(theta, base)
+    # every primitive, quotients and integer powers, of a coordinate and of a
+    # corpus expression, on and off their domains: sqrt at 0 is defined at x
+    # and not at the vertex x + d_1, where its derivative is taken
+    x1, vars = ex.Var("x1"), ("x1", "x2")
+    raised = set()
+    for _ in range(4):
+        a, b = (random_scalar_expr(rng, vars, trig=True) for _ in range(2))
+        for arg in (x1, a):
+            for e in ([ex.Call(fn, arg) for fn in ex.FUNCTIONS]
+                      + [ex.Div(b, arg), ex.Div(ONE, arg), ex.Pow(arg, -2), ex.Pow(arg, 3)]):
+                forms = [ClassicalForm(1, 2, {(1,): e, (2,): b}, vars),
+                         ClassicalForm(0, 2, {(): e}, vars), ClassicalForm(1, 2, {(2,): a}, vars)]
+                for x in (0.0, -0.5, 0.5, 1e-310):
+                    for theta in d_and_wedges(forms):
+                        outcome = assert_faces_are_the_coordinate_path(
+                            theta, Point((x, float(rng.uniform(-1.0, 1.0)))))
+                        if isinstance(outcome, str):
+                            raised.add(outcome.split(" ")[0])
+    assert {"ln", "sqrt", "reciprocal", "power"} <= raised, raised
+
+
 # -- one ulp apart ----------------------------------------------------------------
 #
 # y*1e10*(f(x) - F)*(x - x1) at two samples, F the value of f at x0 one ulp
@@ -790,9 +862,10 @@ def test_a_non_finite_frame_counts_no_singular_value(where):
             assert full_outcome(method, p) == want
         for samples in ([p], finite + [p], finite + [p] + finite):
             assert full_outcome(check, dist, samples) == want
-    # the ideal test reads no frame, and its non-finite value fails; the
-    # bracket test reads the frame first
-    assert ds.check_involutive_classical(NON_FINITE.dists["E"], [p]) is False
+    # the ideal test reads the kernel forms' rank verdict, and the bracket
+    # test the frame, before their values
+    assert full_outcome(ds.check_involutive_classical, NON_FINITE.dists["E"], [p]) == (
+        RankDeficiencyError, f"kernel forms rank-deficient at {where}")
     assert full_outcome(ds.check_involutive_classical, NON_FINITE.dists["S"], [p]) == want
 
 

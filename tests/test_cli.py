@@ -676,6 +676,47 @@ def test_wedge_golden_json(files):
         '"ratio": 0.5}}\n')
 
 
+# a 3-form u and a 1-form b in dimension 4: d(u) and u ^ b are 4-forms, on
+# the generic simplex of W(4, 4)
+THREE_FORM = """\
+dim 4
+var x y z w
+form u = (sin(x*y) + z*w)*dx ^ dy ^ dz + (exp(0.5*w)*x - y*y*z)*dx ^ dy ^ dw + \
+((x + 2)/(1 + z*z))*dx ^ dz ^ dw + (cos(y)*w*x)*dy ^ dz ^ dw
+form b = (x*z - sin(w))*dx + (y + exp(z))*dw
+"""
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["d", "--form", "u", "--at", "0.3,-0.7,0.2,0.9;-1.1,0.4,0.6,-0.25"],
+     '{"at 0.29999999999999999,-0.69999999999999996,0.20000000000000001,0.90000000000000002": '
+     '{"point": [0.29999999999999999, -0.69999999999999996, 0.20000000000000001, '
+     '0.90000000000000002], "combinatorial": {"1234": -0.00041050786099006142}, '
+     '"classical": {"1234": -0.0016420314439602457}, "ratio": 0.25}, '
+     '"at -1.1000000000000001,0.40000000000000002,0.59999999999999998,-0.25": '
+     '{"point": [-1.1000000000000001, 0.40000000000000002, 0.59999999999999998, -0.25], '
+     '"combinatorial": {"1234": -0.24756631212518032}, '
+     '"classical": {"1234": -0.99026524850072128}, "ratio": 0.25}}\n'),
+    # the front face's 3-form adds its coefficient once per permutation of a
+    # determinant: times 6 in one step, the last bits of both values differ
+    (["wedge", "--forms", "u,b", "--at", "0.37,0.73,0.89,1.33;0.72,1.27,-1.41,-0.1"],
+     '{"at 0.37,0.72999999999999998,0.89000000000000001,1.3300000000000001": '
+     '{"point": [0.37, 0.72999999999999998, 0.89000000000000001, 1.3300000000000001], '
+     '"combinatorial": {"1234": 1.2066186492356756}, '
+     '"classical": {"1234": 4.8264745969427034}, "ratio": 0.24999999999999994}, '
+     '"at 0.71999999999999997,1.27,-1.4099999999999999,-0.10000000000000001": '
+     '{"point": [0.71999999999999997, 1.27, -1.4099999999999999, -0.10000000000000001], '
+     '"combinatorial": {"1234": 0.34836662855377526}, '
+     '"classical": {"1234": 1.3934665142151008}, "ratio": 0.25000000000000006}}\n'),
+], ids=["d", "wedge"])
+def test_four_form_golden_json(tmp_path, argv, want):
+    path = tmp_path / "three.sdg"
+    path.write_text(THREE_FORM)
+    code, out, _ = invoke([argv[0], "--file", str(path)] + argv[1:] + ["--format", "json"])
+    assert code == EXIT_OK
+    assert out == want
+
+
 def test_eval_golden(files):
     code, out, _ = invoke(["eval", "--file", files["contact"], "--form", "w",
                            "--at", "1,2,3", "--vectors", "1,0,0",

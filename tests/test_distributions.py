@@ -157,6 +157,24 @@ def test_contact_not_involutive_both_ways():
     assert not any(verdicts)
 
 
+@pytest.mark.parametrize("text,where", [
+    # the second form is x times the first, so rank-deficient everywhere
+    ("form b = x*dz - (x*y)*dx", "(0.0, -0.33333333333333337, -0.6)"),
+    # dependent at x = 0.5 alone: the third sample, which the stack of the
+    # samples after the first leaves to a one-sample call
+    ("form b = x*dz - (x*y)*dx + (x - 0.5)*dy", "(0.5, -0.7777777777777778, 0.20000000000000018)"),
+], ids=["everywhere", "at-a-later-sample"])
+def test_dependent_kernel_forms_raise_in_both_checks(text, where):
+    # of dependent forms, d(omega_i) ^ omega_1 ^ omega_2 vanishes whatever
+    # omega is: the classical ideal test must not pass where the kernel
+    # forms fall short of their rank, as the combinatorial check does not
+    d = parse(f"dim 3\nvar x y z\nform a = dz - y*dx\n{text}\ndist D = ker(a, b)\n").dists["D"]
+    message = re.escape(f"kernel forms rank-deficient at {where}")
+    for check in (check_involutive_classical, check_involutive_combinatorial):
+        with pytest.raises(RankDeficiencyError, match=f"^{message}$"):
+            check(d, samples3(20))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_submersion_level_sets_involutive(seed):
     # ker(df) for a random scalar f is integrable wherever df is nonzero
