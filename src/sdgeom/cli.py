@@ -186,13 +186,7 @@ def cmd_eval(args, rep):
     vectors = _parse_vectors(args.vectors, prog.dim) if args.vectors else []
     if len(vectors) != form.degree:
         raise ParseError(f"form of degree {form.degree} needs that many vectors")
-    theta = fm.to_combinatorial(form)
-    if form.degree == 2:
-        value = fm.eval_semi(theta, p, vectors[0], vectors[1], tol=args.tol)
-    else:
-        coeffs = fm.extract_classical(theta, p, tol=args.tol)
-        recon = fm.classical_from_coeffs(form.degree, form.n, coeffs, form.vars)
-        value = recon.apply(p.coords, vectors)
+    value = fm.eval_semi(fm.to_combinatorial(form), p, *vectors, tol=args.tol)
     rep.add("value", float(value))
     rep.line(f"value: {_fmt(float(value))}")
     return EXIT_OK

@@ -302,15 +302,13 @@ def _relation(dist, span, x, frame):
     part of B^T X(y), is inverted.
     K and X at y are 1-jets whose tangents are the rows of B (`expr.Jet`,
     on row 1 of W(2, rank)), and W elements only in the products with
-    w = v - u.  x and the frame
-    are floats at one sample, or constant W elements and arrays over
+    w = v - u.  x and the frame are floats at one sample, and arrays over
     stacked samples."""
     n, rank = dist.n, dist.rank
     B = frame[..., :rank]
     u, v = _flat_generic_offsets(B, 2)
     w = [b - a for a, b in zip(u, v)]
     # y = x + u in W: its constant is x's, its row-1 terms 0.0 + B
-    x = [c.const_term if isinstance(c, NilElement) else c for c in x]
     args = [c for xi, row in zip(x, _entries(0.0 + B)) for c in (xi, *row)]
     context = max(rank, 1)
     if not span:
@@ -331,20 +329,20 @@ def _flat_check(dist, span, residuals, tol, samples):
     samples that decides.  The frame is the fiber basis (`_fibers`), or with
     `span` the relation frame of SPAN input (`_span_relation_stack`), from
     one factorisation of the samples' stack; a one-row stack raises where
-    the loop raises.  One sample's residuals are floats, and raise where the
-    loop raises.  Of more samples, the residuals are evaluated once, the
-    base coordinates constant W elements with arrays of the samples'
-    coordinates as their constant terms; the stack decides a sample whose
-    frame it has and whose residuals are finite."""
+    the loop raises.  One sample's residuals are evaluated at its float
+    coordinates, and raise where the loop raises.  Of more samples, the
+    residuals are evaluated once, at arrays of the samples' coordinates;
+    the stack decides a sample whose frame it has and whose residuals are
+    finite."""
     X = _coords(samples, dist.n)
     frames, ok = _span_relation_stack(dist, X) if span else _fibers(dist, samples, X)
     if len(samples) == 1:
         frame = frames[0]
         return [(all(within_tol(r, tol) for r in residuals(samples[0].coords, frame)),
                  frame)], [True]
-    base = [NilElement(2, max(dist.rank, 1), {(0, 0): x}) for x in np.ascontiguousarray(X.T)]
+    x = list(np.ascontiguousarray(X.T))
     with np.errstate(all="ignore"):
-        residual = reduce(np.maximum, map(_max_abs, residuals(base, frames)),
+        residual = reduce(np.maximum, map(_max_abs, residuals(x, frames)),
                           np.zeros(len(samples)))
     return (list(zip(within_tol(residual, tol).tolist(), frames)),
             (ok & np.isfinite(residual)).tolist())
@@ -527,14 +525,14 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
     if rng is None:
         rng = np.random.default_rng(0)
     samples = _samples(samples)
-    flat_values = lambda x, B: [theta(x, _flat_generic_offsets(B, 2))]
+    # the generic flat simplex is the generic simplex mapped along B
+    flat_values = lambda x, B: [theta.on_face(x, 2, (0, 1, 2)).map_columns(_entries(B))]
     conclusion = True
     for p, (ok, B) in zip(samples, _in_order(
             samples, partial(_flat_check, dist, False, flat_values, tol))):
         if not ok:
             return SemiAnnihilationResult(False, None)
-        vecs = [B[:, a] for a in range(dist.rank)]
-        vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
+        vecs = B.T.tolist() + [(B @ rng.normal(size=dist.rank)).tolist() for _ in range(3)]
         coeffs = extract_classical(theta, p, tol=tol)
         for i, u in enumerate(vecs):
             for v in vecs[i + 1:]:

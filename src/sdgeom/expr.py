@@ -172,13 +172,11 @@ def diff(e, var):
         return Const(0.0) if _const(d) == 0.0 else Neg(d)
     if isinstance(e, Pow):
         d = diff(e.base, var)
-        if _const(d) == 0.0 or e.power == 0:
+        if e.power == 0:  # else Const(0.0) times a negative constant d folds to -0.0
             return Const(0.0)
         return _fold_mul(_fold_mul(Const(e.power), Pow(e.base, e.power - 1)), d)
     if isinstance(e, Call):
         d = diff(e.arg, var)
-        if _const(d) == 0.0:
-            return Const(0.0)
         if e.fn == "sin":
             outer = Call("cos", e.arg)
         elif e.fn == "cos":

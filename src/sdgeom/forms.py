@@ -1,10 +1,10 @@
 """Classical and combinatorial differential forms on a chart.
 
 A classical p-form stores one scalar coefficient expression per strictly
-increasing index tuple.  A combinatorial p-form is a callable on
-(p+1)-tuples of neighbouring points, represented here by a base point plus
-p nilpotent displacement vectors; the simplicial exterior derivative and
-the cup-product wedge act on the callable directly.
+increasing index tuple.  A combinatorial p-form is a function of
+infinitesimal p-simplices, given by its values on the faces of the generic
+simplex; the simplicial exterior derivative and the cup-product wedge act on
+those values directly.
 """
 
 import math
@@ -12,9 +12,9 @@ from itertools import combinations, permutations
 from types import MappingProxyType
 
 from . import expr as ex
-from .errors import ContextMismatchError, DegreeError, DomainError, SdgError
-from .nil import (_MERGE_SIGNS, DEFAULT_TOL, NilElement, _Memo, _bits, _elem_add, _elem_mul,
-                  _elem_muladd, _elem_scale, _wrap, generic_offsets, within_tol)
+from .errors import DegreeError, DomainError, SdgError
+from .nil import (_MERGE_SIGNS, _UNIT, DEFAULT_TOL, NilElement, _is_zero, _Memo, _bits,
+                  _elem_add, _elem_mul, _elem_muladd, _elem_scale, _wrap, within_tol)
 
 
 def default_vars(n):
@@ -87,12 +87,6 @@ class ClassicalForm:
         if len(coords) != self.n:
             raise DomainError(f"need {self.n} coordinates, got {len(coords)}")
         return dict(zip(self.coeffs, self.coeff_function()(*coords)))
-
-    def apply(self, coords, vectors):
-        """Multilinear alternating evaluation on `degree` vectors."""
-        if len(vectors) != self.degree:
-            raise DegreeError("wrong number of argument vectors")
-        return to_combinatorial(self)(coords, vectors)
 
     def __add__(self, other):
         if self.degree != other.degree or self.n != other.n:
@@ -175,74 +169,39 @@ def wedge_classical(a, b):
 
 
 class CombinatorialForm:
-    """Function of infinitesimal p-simplices, given as base point plus p
-    nilpotent displacement vectors; vanishes on degenerate simplices.
+    """Function of infinitesimal p-simplices; vanishes on degenerate ones.
 
-    On the generic simplex in W(k, n) at a float point x, whose vertices
-    are x and x + d_r, d_r the row-r generators, a face is given by the
-    increasing labels of its vertices, 0 for x and r for x + d_r, and
-    `on_face(x, k, face)` is the value on it:
-    by `face_evaluator(x, k, face)` where the form has one, and else by
-    `evaluator` on the face's first vertex and the offsets of the others
-    from it."""
+    It is fixed by its value on the generic simplex in W(k, n) at a point
+    x, whose vertices are x and x + d_r, d_r the row-r generators: every
+    other infinitesimal simplex at x is the image of the generic one under
+    a linear map of its infinitesimals (`NilElement.map_columns`).  A face
+    of the generic simplex is given by the increasing labels of its
+    vertices, 0 for x and r for x + d_r, and `on_face(x, k, face)` is the
+    value on it.  x is a sequence of floats, or of arrays over samples."""
 
-    __slots__ = ("degree", "n", "evaluator", "face_evaluator")
+    __slots__ = ("degree", "n", "on_face")
 
-    def __init__(self, degree, n, evaluator, face_evaluator=None):
+    def __init__(self, degree, n, on_face):
         self.degree = degree
         self.n = n
-        self.evaluator = evaluator
-        self.face_evaluator = face_evaluator
-
-    def __call__(self, base_coords, offsets):
-        if len(offsets) != self.degree:
-            raise DegreeError("wrong simplex arity")
-        return self.evaluator(tuple(base_coords), [tuple(o) for o in offsets])
-
-    def on_face(self, x, k, face):
-        if self.face_evaluator is not None:
-            return self.face_evaluator(x, k, face)
-        d = [None] + generic_offsets(k, self.n)
-        offsets = [d[v] for v in face[1:]]
-        return self(*_rebase(x, offsets, d[face[0]])) if face[0] else self(x, offsets)
+        self.on_face = on_face
 
 
 def to_combinatorial(form):
-    """Combinatorial form of a classical one: evaluate the classical form on
-    the displacement vectors log(x0, xi), with coefficients Taylor-lifted at
-    the (possibly W-valued) base vertex.
+    """Combinatorial form of a classical one: the classical form on the
+    displacement vectors log(x0, xi), with coefficients Taylor-lifted at the
+    base vertex, sum_T a_T * det(offsets[:, T]).
 
-    The value sum_T a_T * det(offsets[:, T]) is accumulated into one term
-    map; a float offset entry or coefficient counts as a constant term.  It
-    is a NilElement when the base or an offset is W-valued, else a float.
-
-    On a face of the generic simplex (`CombinatorialForm.on_face`), the
-    coefficients at x are `coeff_function`'s floats, and at a vertex
-    x + d_r their 1-jets (`ClassicalForm.coeff_jet`), which are all of
-    their values in W there; each determinant is the face's map from
-    `_FACE_DETS`.  The value is the coordinate path's, bit for bit.
+    On a face of the generic simplex the coefficients at x are
+    `coeff_function`'s values, and at a vertex x + d_r their 1-jets
+    (`ClassicalForm.coeff_jet`), which are all of their values in W there;
+    each determinant is the face's map from `_FACE_DETS`, and the value
+    accumulates into one term map.  The face (0,), the point x, has a
+    float (or an array over samples) as its value.
     """
-    columns = [tuple(t - 1 for t in T) for T in form.coeffs]
-    perms = _signed_permutations(form.degree)
     n = form.n
 
-    def evaluator(base, offsets):
-        values = form.coeff_function()(*base)
-        context = _context(base, offsets)
-        rows = [[_terms(x, context) for x in off] for off in offsets]
-        out = {}
-        for cols, a in zip(columns, values):
-            if isinstance(a, NilElement):
-                det = {}
-                _add_det(det, 1.0, rows, cols, perms)
-                _elem_muladd(out, 1.0, a.terms, det)
-            elif a:
-                _add_det(out, float(a), rows, cols, perms)
-        if context is None:
-            return out.get((0, 0), 0.0)
-        return _wrap(context[0], context[1], out)
-
-    def face_evaluator(x, k, face):
+    def on_face(x, k, face):
         r = face[0]
         values = form.coeff_jet()(x, k, n, r) if r else form.coeff_function()(*x)
         out = {}
@@ -250,37 +209,13 @@ def to_combinatorial(form):
             products, det = _FACE_DETS[k, n, face, T]
             if isinstance(a, NilElement):
                 _elem_muladd(out, 1.0, a.terms, det)
-            elif a:
-                _add_terms(out, float(a), products)
-        if face == (0,):  # the point x, a float there as in coordinates
+            elif not _is_zero(a):
+                _add_terms(out, a, products)
+        if face == (0,):
             return out.get((0, 0), 0.0)
         return _wrap(k, n, out)
 
-    return CombinatorialForm(form.degree, n, evaluator, face_evaluator)
-
-
-_UNIT = {(0, 0): 1.0}
-
-
-def _context(base, offsets):
-    """(k, n) of the first W-valued coordinate or offset entry, or None."""
-    for x in base:
-        if isinstance(x, NilElement):
-            return x.k, x.n
-    for off in offsets:
-        for x in off:
-            if isinstance(x, NilElement):
-                return x.k, x.n
-    return None
-
-
-def _terms(x, context):
-    """Term map of an offset entry: a float is a constant term."""
-    if isinstance(x, NilElement):
-        if (x.k, x.n) != context:
-            raise ContextMismatchError(f"W({x.k},{x.n}) vs W{context}")
-        return x.terms
-    return {(0, 0): float(x)} if x else {}
+    return CombinatorialForm(form.degree, n, on_face)
 
 
 def _signed_permutations(p):
@@ -293,18 +228,7 @@ def _signed_permutations(p):
     return out
 
 
-def _add_det(out, c, rows, cols, perms):
-    """out += c * det(rows[i][cols[j]]) on term maps, in place (Leibniz)."""
-    p = len(cols)
-    if p == 0:
-        _elem_muladd(out, c, _UNIT, _UNIT)
-        return
-    last = rows[p - 1]
-    for sign, perm in perms:
-        partial = rows[0][cols[perm[0]]] if p > 1 else _UNIT
-        for i in range(1, p - 1):
-            partial = _elem_mul(partial, rows[i][cols[perm[i]]])
-        _elem_muladd(out, sign * c, partial, last[cols[perm[p - 1]]])
+_PERMUTATIONS = _Memo(_signed_permutations)  # one entry per p met
 
 
 def _add_terms(out, c, products):
@@ -314,7 +238,7 @@ def _add_terms(out, c, products):
     get = out.get
     for key, e in products:
         v = get(key, 0.0) + e * c
-        if v == 0.0:
+        if v.__class__ is float and v == 0.0:
             out.pop(key, None)
         else:
             out[key] = v
@@ -323,19 +247,18 @@ def _add_terms(out, c, products):
 def _face_det(key):
     """The determinant map of the face `face` (vertex labels) of the generic
     simplex in W(k, n) on the columns T, for `_FACE_DETS[k, n, face, T]`:
-    det(offsets[:, T]) of the offsets d_v - d_face[0], formed by the
-    Leibniz rule of `_add_det`.  First the terms of each permutation's
-    product, in the order in which `_add_det` adds them to its map: the
-    labels are distinct, so each is a distinct monomial of coefficient
-    +1.0 or -1.0, and c times them accumulates (`_add_terms`) as
-    `_add_det` with the coefficient c does, bit for bit.  Then their sum,
-    the map that `_add_det` forms with 1.0."""
+    det(offsets[:, T]) of the offsets d_v - d_face[0], by the Leibniz rule.
+    First the terms of each permutation's product, permutation by
+    permutation: the labels are distinct, so each is a distinct monomial of
+    coefficient +1.0 or -1.0, to which c times the determinant adds c
+    times each term in turn (`_add_terms`).  Then their sum, the map of
+    the determinant itself."""
     k, n, face, T = key
     gen = lambda v, t: {(1 << (v - 1), 1 << (t - 1)): 1.0} if v else {}
     rows = [{t: _elem_add(gen(v, t), _elem_scale(-1.0, gen(face[0], t))) for t in T}
             for v in face[1:]]
     products = []
-    for sign, perm in _signed_permutations(len(T)):
+    for sign, perm in _PERMUTATIONS[len(T)]:
         product = _UNIT
         for row, j in zip(rows, perm):
             product = _elem_mul(product, row[T[j]])
@@ -380,13 +303,6 @@ def extract_classical(theta, base, tol=DEFAULT_TOL):
     return coeffs
 
 
-def classical_from_coeffs(degree, n, coeffs, vars=None):
-    """Constant-coefficient classical form from extracted numbers."""
-    return ClassicalForm(degree, n,
-                         {T: ex.Const(c) for T, c in coeffs.items() if c != 0.0},
-                         vars)
-
-
 def comparison(theta, classical, base, tol=DEFAULT_TOL):
     """Synthetic vs classical at `base`: (coefficients extracted from the
     combinatorial form `theta`, coefficients of the classical form
@@ -405,24 +321,16 @@ def d_comb(theta):
     On the generic simplex, the face without vertex i is the face's labels
     without the i-th, so rebasing a face at its next vertex is relabelling
     it."""
-    p, n = theta.degree, theta.n
+    p = theta.degree
 
-    def alternating(value):
-        """sum_i (-1)^i value(i), value(i) theta on the face without vertex i."""
-        total = value(0)
+    def on_face(x, k, face):
+        total = theta.on_face(x, k, face[1:])
         for i in range(1, p + 2):
-            v = value(i)
+            v = theta.on_face(x, k, face[:i] + face[i + 1:])
             total = total + v if i % 2 == 0 else total - v
         return total
 
-    def evaluator(base, offsets):
-        return alternating(lambda i: theta(base, offsets[:i - 1] + offsets[i:]) if i else
-                           theta(*_rebase(base, offsets[1:], offsets[0])))
-
-    def face_evaluator(x, k, face):
-        return alternating(lambda i: theta.on_face(x, k, face[:i] + face[i + 1:]))
-
-    return CombinatorialForm(p + 1, n, evaluator, face_evaluator)
+    return CombinatorialForm(p + 1, theta.n, on_face)
 
 
 def wedge_comb(om, th):
@@ -432,39 +340,32 @@ def wedge_comb(om, th):
         raise DegreeError("wedge of forms on different charts")
     k, l = om.degree, th.degree
 
-    def evaluator(base, offsets):
-        front = om(base, offsets[:k])
-        if k == 0:
-            back = th(base, offsets)
-        else:
-            back = th(*_rebase(base, offsets[k:], offsets[k - 1]))
-        return front * back
-
-    def face_evaluator(x, arity, face):
+    def on_face(x, arity, face):
         return om.on_face(x, arity, face[:k + 1]) * th.on_face(x, arity, face[k:])
 
-    return CombinatorialForm(k + l, om.n, evaluator, face_evaluator)
+    return CombinatorialForm(k + l, om.n, on_face)
 
 
-def eval_semi(theta, base, u, v, tol=DEFAULT_TOL):
-    """Extension of a combinatorial 2-form to semi-infinitesimal simplices:
-    multilinear evaluation of its extraction on a pair of real vectors."""
-    if theta.degree != 2:
-        raise DegreeError("eval_semi is defined for 2-forms")
-    return semi_value(extract_classical(theta, base, tol=tol), u, v)
+def eval_semi(theta, base, *vectors, tol=DEFAULT_TOL):
+    """Extension of a combinatorial p-form to semi-infinitesimal simplices:
+    multilinear evaluation of its extraction on p real vectors."""
+    if len(vectors) != theta.degree:
+        raise DegreeError("wrong number of argument vectors")
+    return semi_value(extract_classical(theta, base, tol=tol), *vectors)
 
 
-def semi_value(coeffs, u, v):
-    """The 2-form with the classical coefficients `coeffs` ({(s, t): a},
-    as `extract_classical` returns them) on the pair of vectors (u, v)."""
+def semi_value(coeffs, *vectors):
+    """The p-form with the classical coefficients `coeffs` ({T: a}, as
+    `extract_classical` returns them) on the p vectors V, in floats:
+    sum_T a_T * det(V[:, T]), each determinant by the Leibniz rule."""
+    perms = _PERMUTATIONS[len(vectors)]
     total = 0.0
-    for (s, t), a in coeffs.items():
-        total += a * (u[s - 1] * v[t - 1] - u[t - 1] * v[s - 1])
+    for T, a in coeffs.items():
+        det = 0.0
+        for sign, perm in perms:
+            term = sign
+            for v, j in zip(vectors, perm):
+                term *= v[T[j] - 1]
+            det += term
+        total += a * det
     return total
-
-
-def _rebase(base, offsets, pivot):
-    """A face rebased at its vertex base + pivot: that vertex, and each
-    offset minus pivot."""
-    return (tuple(b + o for b, o in zip(base, pivot)),
-            [tuple(a - b for a, b in zip(o, pivot)) for o in offsets])

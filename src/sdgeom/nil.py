@@ -153,6 +153,9 @@ def _elem_muladd(out, c, a, b):
                 out[key] = v
 
 
+_UNIT = {(0, 0): 1.0}  # the term map of 1
+
+
 def _elem_mul(a, b):
     """Product of two term maps {(rows, cols): coeff}, float zeros pruned.
 
@@ -409,6 +412,27 @@ class NilElement:
         t = {key: v for key, v in self.terms.items()
              if not key[0] & (1 << (j - 1))}
         return _wrap(self.k, self.n, t)
+
+    def map_columns(self, B):
+        """Algebra morphism W(k, n) -> W(k, q), xi[r, i] -> sum_a B[i][a]
+        xi[r, a], for B given as n rows of q entries, floats or arrays over
+        samples (q = 1 where B has no columns).  It maps the generic simplex
+        to the simplex whose offsets are the generic ones times B, so a
+        value on the generic simplex gives the value there.  A monomial is
+        the product of its generators in sorted order, and maps to the
+        product of their images; the merge signs of that product give the
+        minors of B."""
+        q = max(len(B[0]), 1)
+        images = [[{(1 << (r - 1), 1 << a): c for a, c in enumerate(row) if not _is_zero(c)}
+                   for row in B] for r in range(1, self.k + 1)]
+        out = {}
+        for (rmask, cmask), v in self.terms.items():
+            factors = [images[r - 1][i - 1] for r, i in zip(_bits(rmask), _bits(cmask))]
+            product = _UNIT
+            for image in factors[:-1]:
+                product = _elem_mul(product, image)
+            _elem_muladd(out, v, product, factors[-1] if factors else _UNIT)
+        return _wrap(self.k, q, out)
 
 
 _set_k = NilElement.k.__set__

@@ -2,7 +2,8 @@
 them: the tree walk of an expression, the fibers of a distribution one point
 at a time, the neighbour-point layer of a chart (neighbour pairs x ~ y,
 tangents and the log/exp correspondence), the run that pins the curvature
-conventions, and the monomials of W(k, n)."""
+conventions, the monomials of W(k, n), and the coordinate path of
+combinatorial forms."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -12,8 +13,9 @@ import numpy as np
 from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.connections import curvature_coboundary, span_residual
-from sdgeom.errors import ContextMismatchError, DomainError, RankDeficiencyError
-from sdgeom.nil import NilElement, within_tol
+from sdgeom.errors import ContextMismatchError, DegreeError, DomainError, RankDeficiencyError
+from sdgeom.forms import _PERMUTATIONS
+from sdgeom.nil import _UNIT, NilElement, _elem_mul, _elem_muladd, _wrap, within_tol
 
 
 # -- the tree walk -----------------------------------------------------------
@@ -257,3 +259,128 @@ def all_monomials(k, n, r):
     return [(rows, cols)
             for rows in combinations(range(1, k + 1), r)
             for cols in combinations(range(1, n + 1), r)]
+
+
+# -- the coordinate path of combinatorial forms --------------------------------
+#
+# A combinatorial form evaluated on a base point and p displacement vectors,
+# each coordinate a float or a NilElement: the oracle of the library's face
+# path (`CombinatorialForm.on_face`) and of the generic value mapped along a
+# matrix (`NilElement.map_columns`).
+
+class CoordinateForm:
+    """A combinatorial p-form as a function of a base point and p
+    displacement vectors."""
+
+    __slots__ = ("degree", "n", "evaluator")
+
+    def __init__(self, degree, n, evaluator):
+        self.degree = degree
+        self.n = n
+        self.evaluator = evaluator
+
+    def __call__(self, base_coords, offsets):
+        if len(offsets) != self.degree:
+            raise DegreeError("wrong simplex arity")
+        return self.evaluator(tuple(base_coords), [tuple(o) for o in offsets])
+
+
+def ref_to_combinatorial(form):
+    """`forms.to_combinatorial` in coordinates: the value
+    sum_T a_T * det(offsets[:, T]), with the coefficients `coeff_function`'s
+    at the (possibly W-valued) base, accumulated into one term map; a float
+    offset entry or coefficient counts as a constant term.  It is a
+    NilElement when the base or an offset is W-valued, else a float."""
+    columns = [tuple(t - 1 for t in T) for T in form.coeffs]
+    perms = _PERMUTATIONS[form.degree]
+
+    def evaluator(base, offsets):
+        values = form.coeff_function()(*base)
+        context = _context(base, offsets)
+        rows = [[_terms(x, context) for x in off] for off in offsets]
+        out = {}
+        for cols, a in zip(columns, values):
+            if isinstance(a, NilElement):
+                det = {}
+                _add_det(det, 1.0, rows, cols, perms)
+                _elem_muladd(out, 1.0, a.terms, det)
+            elif a:
+                _add_det(out, float(a), rows, cols, perms)
+        if context is None:
+            return out.get((0, 0), 0.0)
+        return _wrap(context[0], context[1], out)
+
+    return CoordinateForm(form.degree, form.n, evaluator)
+
+
+def ref_d_comb(theta):
+    """`forms.d_comb` in coordinates: the alternating sum of theta on the
+    faces, the face without the base rebased at its next vertex."""
+    p = theta.degree
+
+    def evaluator(base, offsets):
+        total = theta(*_rebase(base, offsets[1:], offsets[0]))
+        for i in range(1, p + 2):
+            v = theta(base, offsets[:i - 1] + offsets[i:])
+            total = total + v if i % 2 == 0 else total - v
+        return total
+
+    return CoordinateForm(p + 1, theta.n, evaluator)
+
+
+def ref_wedge_comb(om, th):
+    """`forms.wedge_comb` in coordinates: om on the front face times th on
+    the back face, rebased at its first vertex."""
+    k, l = om.degree, th.degree
+
+    def evaluator(base, offsets):
+        front = om(base, offsets[:k])
+        if k == 0:
+            back = th(base, offsets)
+        else:
+            back = th(*_rebase(base, offsets[k:], offsets[k - 1]))
+        return front * back
+
+    return CoordinateForm(k + l, om.n, evaluator)
+
+
+def _context(base, offsets):
+    """(k, n) of the first W-valued coordinate or offset entry, or None."""
+    for x in base:
+        if isinstance(x, NilElement):
+            return x.k, x.n
+    for off in offsets:
+        for x in off:
+            if isinstance(x, NilElement):
+                return x.k, x.n
+    return None
+
+
+def _terms(x, context):
+    """Term map of an offset entry: a float is a constant term."""
+    if isinstance(x, NilElement):
+        if (x.k, x.n) != context:
+            raise ContextMismatchError(f"W({x.k},{x.n}) vs W{context}")
+        return x.terms
+    return {(0, 0): float(x)} if x else {}
+
+
+def _add_det(out, c, rows, cols, perms):
+    """out += c * det(rows[i][cols[j]]) on term maps, in place (Leibniz)."""
+    p = len(cols)
+    if p == 0:
+        _elem_muladd(out, c, _UNIT, _UNIT)
+        return
+    last = rows[p - 1]
+    for sign, perm in perms:
+        partial = rows[0][cols[perm[0]]] if p > 1 else _UNIT
+        for i in range(1, p - 1):
+            partial = _elem_mul(partial, rows[i][cols[perm[i]]])
+        _elem_muladd(out, sign * c, partial, last[cols[perm[p - 1]]])
+
+
+def _rebase(base, offsets, pivot):
+    """A face rebased at its vertex base + pivot: that vertex, and each
+    offset minus pivot."""
+    return (tuple(b + o for b, o in zip(base, pivot)),
+            [tuple(a - b for a, b in zip(o, pivot)) for o in offsets])

@@ -39,7 +39,8 @@ from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
 from corpus import random_form, random_scalar_expr
-from reference import all_monomials, evaluate, ref_is_flat, ref_null_span, ref_span_matrix
+from reference import (all_monomials, evaluate, ref_d_comb, ref_is_flat, ref_null_span,
+                       ref_span_matrix, ref_to_combinatorial, ref_wedge_comb)
 
 VARS3 = ("x", "y", "z")
 X, Y, Z = ex.Var("x"), ex.Var("y"), ex.Var("z")
@@ -164,10 +165,11 @@ def ref_relation(dist, samples, tol, span=False):
 
 
 def dcomb_residuals(dist, p):
-    """d(omega_i) on the generic flat 2-simplex at p: the involutivity test
-    of KERNEL input before the relation, kept as a second oracle."""
+    """d(omega_i) on the generic flat 2-simplex at p, in coordinates: the
+    involutivity test of KERNEL input before the relation, kept as a second
+    oracle."""
     offsets = ds._flat_generic_offsets(dist.basis_at(p), 2)
-    return [d_comb(to_combinatorial(w))(p.coords, offsets) for w in dist.kernel]
+    return [ref_d_comb(ref_to_combinatorial(w))(p.coords, offsets) for w in dist.kernel]
 
 
 def ref_check_involutive_combinatorial(dist, samples, tol):
@@ -175,11 +177,14 @@ def ref_check_involutive_combinatorial(dist, samples, tol):
     return verdicts, all(verdicts)
 
 
-def ref_semi_annihilation_check(dist, theta, samples, rng, tol):
+def ref_semi_annihilation_check(dist, form, samples, rng, tol):
+    """The semi-annihilation check of theta = d(form), its precondition in
+    coordinates on the generic flat 2-simplex."""
+    theta, flat = d_comb(to_combinatorial(form)), ref_d_comb(ref_to_combinatorial(form))
     conclusion = True
     for p in samples:
         B = dist.basis_at(p)
-        if not within_tol(theta(p.coords, ds._flat_generic_offsets(B, 2)), tol):
+        if not within_tol(flat(p.coords, ds._flat_generic_offsets(B, 2)), tol):
             return False, None
         vecs = [B[:, a] for a in range(dist.rank)]
         vecs += [B @ rng.normal(size=dist.rank) for _ in range(3)]
@@ -722,17 +727,23 @@ def generic_outcome(value):
     return {key: float.hex(c) for key, c in value.terms.items()}
 
 
-def assert_faces_are_the_coordinate_path(theta, base):
+def assert_faces_are_the_coordinate_path(theta, coordinate, base):
+    """eval_generic of theta against `coordinate`, the same form in
+    coordinates (`reference.CoordinateForm`), at the generic offsets."""
     got = generic_outcome(lambda: eval_generic(theta, base))
-    want = generic_outcome(lambda: theta(base.coords, generic_offsets(theta.degree, theta.n)))
+    want = generic_outcome(lambda: coordinate(base.coords,
+                                              generic_offsets(theta.degree, theta.n)))
     assert got == want
     return got
 
 
 def d_and_wedges(forms):
-    """d of each form, and the wedge of each pair, in both orders."""
-    thetas = [to_combinatorial(f) for f in forms]
-    return [d_comb(t) for t in thetas] + [wedge_comb(a, b) for a in thetas for b in thetas]
+    """d of each form, and the wedge of each pair, in both orders: pairs of
+    the form and the same form in coordinates."""
+    pairs = [(to_combinatorial(f), ref_to_combinatorial(f)) for f in forms]
+    return ([(d_comb(t), ref_d_comb(r)) for t, r in pairs]
+            + [(wedge_comb(a, b), ref_wedge_comb(ra, rb))
+               for a, ra in pairs for b, rb in pairs])
 
 
 def test_jet_is_compile_w_on_generic_faces():
@@ -743,16 +754,19 @@ def test_jet_is_compile_w_on_generic_faces():
         for op in ops:  # among them d(u), u a 3-form in dimension 8
             forms = [programs[op["file"]].forms[name] for name in op["forms"]]
             thetas = [to_combinatorial(f) for f in forms]
-            theta = d_comb(thetas[0]) if op["op"] == "d" else wedge_comb(*thetas)
-            assert isinstance(assert_faces_are_the_coordinate_path(theta, Point(op["point"])), dict)
+            coordinates = [ref_to_combinatorial(f) for f in forms]
+            pair = ((d_comb(*thetas), ref_d_comb(*coordinates)) if op["op"] == "d" else
+                    (wedge_comb(*thetas), ref_wedge_comb(*coordinates)))
+            assert isinstance(assert_faces_are_the_coordinate_path(*pair, Point(op["point"])),
+                              dict)
     rng = np.random.default_rng(33)
     for _ in range(12):  # the trig form corpus, degrees 0 to 3
         n = int(rng.integers(2, 5))
         forms = [random_form(rng, int(rng.integers(0, min(n, 3) + 1)), n, trig=True)
                  for _ in range(2)]
         base = Point(rng.uniform(-1.0, 1.0, n).round(3))
-        for theta in d_and_wedges(forms):
-            assert_faces_are_the_coordinate_path(theta, base)
+        for pair in d_and_wedges(forms):
+            assert_faces_are_the_coordinate_path(*pair, base)
     # every primitive, quotients and integer powers, of a coordinate and of a
     # corpus expression, on and off their domains: sqrt at 0 is defined at x
     # and not at the vertex x + d_1, where its derivative is taken
@@ -766,9 +780,9 @@ def test_jet_is_compile_w_on_generic_faces():
                 forms = [ClassicalForm(1, 2, {(1,): e, (2,): b}, vars),
                          ClassicalForm(0, 2, {(): e}, vars), ClassicalForm(1, 2, {(2,): a}, vars)]
                 for x in (0.0, -0.5, 0.5, 1e-310):
-                    for theta in d_and_wedges(forms):
+                    for pair in d_and_wedges(forms):
                         outcome = assert_faces_are_the_coordinate_path(
-                            theta, Point((x, float(rng.uniform(-1.0, 1.0)))))
+                            *pair, Point((x, float(rng.uniform(-1.0, 1.0)))))
                         if isinstance(outcome, str):
                             raised.add(outcome.split(" ")[0])
     assert {"ln", "sqrt", "reciprocal", "power"} <= raised, raised
@@ -1113,7 +1127,7 @@ def assert_same_flat_checks(dist, samples, tol=ds.DEFAULT_TOL, semi=True):
         theta = d_comb(to_combinatorial(w))
         rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
         assert full_outcome(_semi, dist, theta, samples, rng_got, tol) == full_outcome(
-            ref_semi_annihilation_check, dist, theta, samples, rng_want, tol)
+            ref_semi_annihilation_check, dist, w, samples, rng_want, tol)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
     return got
 
@@ -1322,20 +1336,43 @@ def same_residuals(got, want):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_relation_is_the_w_path_per_sample_and_stacked(seed):
     # K and X at y as 1-jets, turned into W elements for the products with
-    # v - u, give the residuals of their W values at y
+    # v - u, give the residuals of their W values at y; stacked, at arrays
+    # of the samples' coordinates, those at constant W elements with these
+    # arrays as their constant terms
     for prog in perfbench_programs(seed):
         points = sample_box([(-1.0, 1.0)] * prog.dim, 16, seed)
+        X = list(np.array([p.coords for p in points]).T)
         for dist in prog.dists.values():
             span = dist.span is not None
             frames = [one_row_frame(frame_kinds(dist)[-1], p) for p in points]
-            for x, frame in [(p.coords, f) for p, f in zip(points, frames)] + [(
-                    [NilElement(2, max(dist.rank, 1), {(0, 0): c})
-                     for c in np.array([p.coords for p in points]).T],
-                    np.array(frames))]:
+            constants = [NilElement(2, max(dist.rank, 1), {(0, 0): c}) for c in X]
+            for x, x_w, frame in [(p.coords, p.coords, f) for p, f in zip(points, frames)] + [
+                    (X, constants, np.array(frames))]:
                 with np.errstate(all="ignore"):
-                    want = w_path_relation(dist, span, x, frame)
+                    want = w_path_relation(dist, span, x_w, frame)
                     got = list(ds._relation(dist, span, x, frame))
                 assert same_residuals(got, want)
+
+
+@pytest.mark.parametrize("k, n, q", [(1, 3, 2), (2, 3, 1), (2, 3, 0), (2, 4, 3), (3, 4, 4),
+                                     (2, 3, 5)])
+def test_stacked_map_columns_is_its_one_row_calls(k, n, q):
+    # an element with arrays over samples as its coefficients, mapped along
+    # B (n x q) with arrays as its entries, is at each sample the map of
+    # that sample's element along that sample's B, bit for bit
+    rng = np.random.default_rng(100 * k + 10 * n + q)
+    count = 6
+    terms = {(sum(1 << (r - 1) for r in rows), sum(1 << (c - 1) for c in cols)):
+             rng.normal(size=count)
+             for r in range(k + 1) for rows, cols in all_monomials(k, n, r)}
+    B = rng.normal(size=(count, n, q))
+    got = NilElement(k, n, terms).map_columns(ds._entries(B))
+    assert (got.k, got.n) == (k, max(q, 1))
+    for s in range(count):
+        one = NilElement(k, n, {key: float(c[s]) for key, c in terms.items()})
+        want = one.map_columns(B[s].tolist())
+        assert got.terms.keys() == want.terms.keys()
+        assert all(same_bits(got.terms[key][s], c) for key, c in want.terms.items())
 
 
 def random_span_distribution(rng, n):
@@ -1697,11 +1734,11 @@ def test_frame_at_runs_where_the_stack_does_not_clear(monkeypatch, name, dist, x
     if not isinstance(got[0], type):
         assert got[1] is involutive
     for tol in (1e-9, 1e-3):
-        theta = (d_comb(to_combinatorial(form_1({3: ONE}))) if span else
-                 d_comb(to_combinatorial(dist.kernel[0])))
+        form = form_1({3: ONE}) if span else dist.kernel[0]
+        theta = d_comb(to_combinatorial(form))
         rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
         got, calls = frame_calls(monkeypatch, _semi, dist, theta, points, rng_got, tol)
-        assert got == full_outcome(ref_semi_annihilation_check, dist, theta, points, rng_want,
+        assert got == full_outcome(ref_semi_annihilation_check, dist, form, points, rng_want,
                                    tol)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
         assert calls == (built if got[0] is not False else points[:1])
@@ -1713,7 +1750,8 @@ def test_a_constant_undefined_frame_raises_at_the_first_sample(monkeypatch):
     points = margin_points(0.2)
     kernel = Distribution(3, 2, kernel=[form_1({3: ONE, 1: undefined})])
     span = Distribution(3, 2, span=[[ONE, ZERO, undefined], [ZERO, ONE, ZERO]], vars=VARS3)
-    theta = d_comb(to_combinatorial(form_1({3: ONE})))
+    form = form_1({3: ONE})
+    theta = d_comb(to_combinatorial(form))
     for dist, check, reference in (
             (kernel, ds.check_involutive_combinatorial, ref_relation),
             (span, ds.pointwise_involutive_span, partial(ref_relation, span=True))):
@@ -1722,7 +1760,7 @@ def test_a_constant_undefined_frame_raises_at_the_first_sample(monkeypatch):
         assert got == full_outcome(reference, dist, points, ds.DEFAULT_TOL)
         got, calls = frame_calls(monkeypatch, _semi, dist, theta, points, None, 1e-9)
         assert got[0] is DomainError and calls == points[:1]
-        assert got == full_outcome(ref_semi_annihilation_check, dist, theta, points,
+        assert got == full_outcome(ref_semi_annihilation_check, dist, form, points,
                                    np.random.default_rng(0), 1e-9)
 
 

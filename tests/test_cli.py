@@ -725,6 +725,22 @@ def test_eval_golden(files):
     assert json.loads(out) == {"value": -2}
 
 
+def test_eval_three_form_golden(tmp_path):
+    # a 3-form in dimension 4 on three vectors V: sum_T a_T det(V[:, T]) of
+    # its extracted coefficients, against its classical coefficients
+    path = tmp_path / "three.sdg"
+    path.write_text(THREE_FORM)
+    code, out, _ = invoke(["eval", "--file", str(path), "--form", "u",
+                           "--at", "0.3,-0.7,0.2,0.9",
+                           "--vectors", "1,0.5,-2,0.25;0,1,3,-1;2,-1,0.5,1", "--format", "json"])
+    assert (code, out) == (EXIT_OK, '{"value": 12.953743237614027}\n')
+    form = parse_file(str(path)).forms["u"]
+    coeffs = form.coeffs_at((0.3, -0.7, 0.2, 0.9))
+    V = np.array([[1.0, 0.5, -2.0, 0.25], [0.0, 1.0, 3.0, -1.0], [2.0, -1.0, 0.5, 1.0]])
+    want = sum(a * np.linalg.det(V[:, [t - 1 for t in T]]) for T, a in coeffs.items())
+    assert abs(json.loads(out)["value"] - want) <= 1e-12
+
+
 def test_eval_zero_form_takes_no_vectors(tmp_path):
     # an empty --vectors failed with "could not convert string to float: ''"
     path = tmp_path / "scalar.sdg"

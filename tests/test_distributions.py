@@ -23,7 +23,7 @@ from sdgeom.program import parse
 from sdgeom.sampling import parse_box, sample_box
 
 from corpus import random_scalar_expr
-from reference import evaluate, ref_is_flat
+from reference import evaluate, ref_is_flat, ref_to_combinatorial
 
 VARS3 = ("x", "y", "z")
 
@@ -123,8 +123,9 @@ def test_flatness_examples():
 
 def flat_symmetry_check(dist, samples, tol=DEFAULT_TOL):
     """omega_i(x, y) = -omega_i(y, x) as W-identities at the samples, for
-    the kernel forms omega_i: flatness is a symmetric relation."""
-    thetas = [to_combinatorial(w) for w in dist.kernel]
+    the kernel forms omega_i in coordinates: flatness is a symmetric
+    relation."""
+    thetas = [ref_to_combinatorial(w) for w in dist.kernel]
     u, = generic_offsets(1, dist.n)
     for p in samples:
         y = [b + o for b, o in zip(p.coords, u)]
@@ -314,8 +315,9 @@ def test_relational_span_test_takes_tol(tol, want):
 
 def relational_kernel_test(dist, samples, tol=DEFAULT_TOL):
     """The relational test for KERNEL input, by the forms themselves: at the
-    generic flat offsets u, v at x, omega_i(x + u)(v - u) vanishes."""
-    thetas = [to_combinatorial(w) for w in dist.kernel]
+    generic flat offsets u, v at x, omega_i(x + u)(v - u) vanishes, in
+    coordinates."""
+    thetas = [ref_to_combinatorial(w) for w in dist.kernel]
     for p in samples:
         u, v = _flat_generic_offsets(dist.basis_at(p), 2)
         y = [c + e for c, e in zip(p.coords, u)]
@@ -488,16 +490,14 @@ def test_nan_residual_fails_the_symmetry_check():
 
 
 def test_nan_residual_fails_the_semi_annihilation_conclusion():
-    # zero on flat simplices (W(2, 2)), nan on the generic one (W(2, 3)) from
-    # which eval_semi extracts its coefficients
-    def evaluator(base, offsets):
-        k, n = offsets[0][0].k, offsets[0][0].n
-        if n == 2:
-            return NilElement.zero(k, n)
-        return NilElement.monomial(k, n, (1, 2), (1, 2), float("nan"))
-
-    theta = CombinatorialForm(2, 3, evaluator)
-    res = semi_annihilation_check(ker_dz(), theta, ORIGIN)
+    # nan on the generic simplex's monomial xi[1,1] xi[2,2], from which
+    # eval_semi extracts its coefficients; on the flat simplices of a rank-1
+    # distribution, in W(2, 1), no degree-2 monomial is left, so zero there
+    theta = CombinatorialForm(2, 3, lambda x, k, face: NilElement.monomial(
+        k, 3, (1, 2), (1, 2), float("nan")))
+    line = Distribution(3, 1, kernel=[form_1(3, {2: ex.Const(1.0)}, VARS3),
+                                      form_1(3, {3: ex.Const(1.0)}, VARS3)], vars=VARS3)
+    res = semi_annihilation_check(line, theta, ORIGIN)
     assert res.precondition is True
     assert res.conclusion is False and not bool(res)
 

@@ -12,15 +12,14 @@ import pytest
 
 from sdgeom import expr as ex
 from sdgeom.chart import Point
-from sdgeom.errors import ContextMismatchError, DegreeError, DomainError, SdgError
-from sdgeom.forms import (ClassicalForm, CombinatorialForm,
-                          classical_from_coeffs, comparison, d_classical,
+from sdgeom.errors import DegreeError, DomainError, SdgError
+from sdgeom.forms import (ClassicalForm, CombinatorialForm, comparison, d_classical,
                           d_comb, eval_generic, eval_semi, extract_classical,
                           to_combinatorial, wedge_classical, wedge_comb)
 from sdgeom.nil import NilElement, generic_offsets
 
 from corpus import random_form, random_scalar_expr
-from reference import evaluate
+from reference import evaluate, ref_d_comb, ref_to_combinatorial, ref_wedge_comb
 
 RNG = np.random.default_rng(42)
 
@@ -87,18 +86,29 @@ def det_reference(rows):
     return total
 
 
-def to_combinatorial_reference(form):
-    """`to_combinatorial` as a tree walk: `reference.evaluate` on each
-    coefficient times the Leibniz determinant of the offsets' T-columns."""
-    def evaluator(base, offsets):
-        env = dict(zip(form.vars, base))
-        total = 0.0
-        for T, a in form.coeffs.items():
-            total = total + evaluate(a, env) * det_reference(
-                [[off[t - 1] for t in T] for off in offsets])
-        return total
+def tree_walk(form, base, offsets):
+    """`to_combinatorial`'s value on the simplex of `offsets` at `base` as a
+    tree walk: `reference.evaluate` on each coefficient times the Leibniz
+    determinant of the offsets' T-columns."""
+    env = dict(zip(form.vars, base))
+    total = 0.0
+    for T, a in form.coeffs.items():
+        total = total + evaluate(a, env) * det_reference(
+            [[off[t - 1] for t in T] for off in offsets])
+    return total
 
-    return CombinatorialForm(form.degree, form.n, evaluator)
+
+def to_combinatorial_reference(form):
+    """`to_combinatorial` as a tree walk on the faces of the generic
+    simplex: a face based at its first vertex, with the offsets of the
+    others from it."""
+    def on_face(x, k, face):
+        d = [(0.0,) * form.n] + generic_offsets(k, form.n)
+        base = [c + e for c, e in zip(x, d[face[0]])] if face[0] else x
+        return tree_walk(form, base, [[a - b for a, b in zip(d[v], d[face[0]])]
+                                      for v in face[1:]])
+
+    return CombinatorialForm(form.degree, form.n, on_face)
 
 
 def assert_close(got, want, rel=1e-12):
@@ -122,28 +132,21 @@ def test_fused_to_combinatorial_matches_tree_walk(form, base):
     assert_close(eval_generic(d_comb(fused), base), eval_generic(d_comb(walk), base))
     assert_close(eval_generic(wedge_comb(fused, fused), base),
                  eval_generic(wedge_comb(walk, walk), base))
-    # float offsets give a float
+    # float vectors give a float
     rng = np.random.default_rng(len(form.coeffs))
-    offsets = [tuple(float(v) for v in rng.uniform(-1, 1, form.n))
+    vectors = [tuple(float(v) for v in rng.uniform(-1, 1, form.n))
                for _ in range(form.degree)]
-    got = fused(base.coords, offsets)
+    got = eval_semi(fused, base, *vectors)
     assert type(got) is float
-    assert_close(got, walk(base.coords, offsets))
+    assert_close(got, tree_walk(form, base.coords, vectors))
 
 
 @pytest.mark.parametrize("form,base", corpus(8, degrees=(0,), seed=11))
 def test_fused_to_combinatorial_degree_zero(form, base):
     fused, walk = to_combinatorial(form), to_combinatorial_reference(form)
-    assert fused(base.coords, []) == walk(base.coords, [])
+    assert eval_semi(fused, base) == tree_walk(form, base.coords, [])
     assert_close(eval_generic(fused, base), eval_generic(walk, base))
     assert_close(eval_generic(d_comb(fused), base), eval_generic(d_comb(walk), base))
-
-
-def test_fused_to_combinatorial_rejects_mixed_contexts():
-    form = ClassicalForm.dx(1, 2)
-    offsets = [[NilElement.generator(1, 2, 1, 1), NilElement.generator(2, 2, 1, 2)]]
-    with pytest.raises(ContextMismatchError):
-        to_combinatorial(form)((0.0, 0.0), offsets)
 
 
 # -- coeffs_at: the compiled coefficients against the tree walk -------------------
@@ -215,18 +218,16 @@ DX1, DX3 = ClassicalForm.dx(1, 2), ClassicalForm.dx(1, 3)
     (lambda: ClassicalForm(1, 2, {(2, 1): 1.0}), DegreeError,
      "index tuple (2, 1) invalid for degree 1"),
     (lambda: ClassicalForm(1, 2, {(3,): 1.0}), DegreeError, "index tuple (3,) out of range for dim 2"),
-    (lambda: DX1.apply((0.0, 0.0), []), DegreeError, "wrong number of argument vectors"),
     (lambda: DX1 + DX3, DegreeError, "cannot add forms of different degree/dimension"),
     (lambda: DX1 + wedge_classical(DX1, ClassicalForm.dx(2, 2)), DegreeError,
      "cannot add forms of different degree/dimension"),
     (lambda: wedge_classical(DX1, DX3), DegreeError, "wedge of forms on different charts"),
-    (lambda: to_combinatorial(DX1)((0.0, 0.0), []), DegreeError, "wrong simplex arity"),
     (lambda: wedge_comb(to_combinatorial(DX1), to_combinatorial(DX3)), DegreeError,
      "wedge of forms on different charts"),
     (lambda: eval_semi(to_combinatorial(DX1), Point((0.0, 0.0)), (1.0, 0.0), (0.0, 1.0)),
-     DegreeError, "eval_semi is defined for 2-forms"),
-], ids=["vars", "degree", "order", "range", "apply", "add-dim", "add-degree",
-        "wedge-classical", "arity", "wedge-comb", "eval-semi"])
+     DegreeError, "wrong number of argument vectors"),
+], ids=["vars", "degree", "order", "range", "add-dim", "add-degree",
+        "wedge-classical", "wedge-comb", "eval-semi"])
 def test_guards_raise(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -301,15 +302,15 @@ def test_extract_inverts_to_combinatorial(form, base):
 
 
 def test_extract_rejects_non_form():
-    from sdgeom.forms import CombinatorialForm
-    # an evaluator with a non-vanishing degenerate part is not a form
-    bogus = CombinatorialForm(1, 2, lambda b, offs: 1.0 + offs[0][0])
+    # a value with a non-vanishing degenerate part is not a form's
+    bogus = CombinatorialForm(1, 2, lambda x, k, face: 1.0 + NilElement.generator(k, 2, 1, 1))
     with pytest.raises(SdgError):
         extract_classical(bogus, Point((0.0, 0.0)))
 
 
 def test_extract_rejects_nan_lower_degree_term():
-    bogus = CombinatorialForm(1, 2, lambda b, offs: float("nan") + offs[0][0])
+    bogus = CombinatorialForm(1, 2, lambda x, k, face: (
+        float("nan") + NilElement.generator(k, 2, 1, 1)))
     with pytest.raises(SdgError):
         extract_classical(bogus, Point((0.0, 0.0)))
 
@@ -445,24 +446,53 @@ def test_leibniz_rule_for_extracted_derivative():
 
 # -- multilinear reconstruction and semi-simplices -----------------------------
 
+def substituted_offsets(B, k):
+    """The generic offsets of W(k, q) times the n x q matrix B: coordinate a
+    of offset j is sum_b B[a, b] xi[j+1, b+1]."""
+    n, q = B.shape
+    zeta = generic_offsets(k, q)
+    return [[sum((zeta[j][b] * float(B[a, b]) for b in range(q)), NilElement.zero(k, q))
+             for a in range(n)] for j in range(k)]
+
+
+def assert_relative(got, want, rel):
+    if not isinstance(want, NilElement):  # a 0-form's value in coordinates
+        want = NilElement.constant(got.k, got.n, want)
+    assert (got.k, got.n) == (want.k, want.n)
+    assert (got - want).max_abs_coeff() <= rel * max(1.0, want.max_abs_coeff())
+
+
 def test_form_determined_by_coefficients():
     # a combinatorial p-form is determined by its action on the generic
-    # simplex: rebuilding from extracted coefficients reproduces values on
-    # arbitrary (substituted) simplices
+    # simplex: mapped along B, its generic value is its value on the
+    # simplex of the generic offsets times B, and so is the value of the
+    # form rebuilt from its extracted coefficients
     rng = np.random.default_rng(21)
     form = random_form(rng, 2, 3)
     base = random_base(rng, 3)
     theta = to_combinatorial(form)
     coeffs = extract_classical(theta, base)
-    rebuilt = to_combinatorial(classical_from_coeffs(2, 3, coeffs))
+    rebuilt = ClassicalForm(2, 3, {T: ex.Const(c) for T, c in coeffs.items()})
     B = rng.normal(size=(3, 3))
-    zeta = generic_offsets(2, 3)
-    offsets = [[sum((zeta[j][b] * float(B[a, b]) for b in range(3)),
-                    NilElement.zero(2, 3)) for a in range(3)]
-               for j in range(2)]
-    v1 = theta(base.coords, offsets)
-    v2 = rebuilt(base.coords, offsets)
-    assert (v1 - v2).max_abs_coeff() <= 1e-9
+    offsets = substituted_offsets(B, 2)
+    want = ref_to_combinatorial(form)(base.coords, offsets)
+    assert_relative(eval_generic(theta, base).map_columns(B.tolist()), want, 1e-14)
+    assert (ref_to_combinatorial(rebuilt)(base.coords, offsets) - want).max_abs_coeff() <= 1e-9
+
+
+@pytest.mark.parametrize("form,base", corpus(12, degrees=(0, 1, 2), seed=23))
+def test_generic_value_along_b_is_the_coordinate_path(form, base):
+    # d and the wedge with itself of each form, along B of 1, 2 and n
+    # columns, against the same forms in coordinates (`reference`)
+    rng = np.random.default_rng(len(form.coeffs))
+    theta, coordinate = to_combinatorial(form), ref_to_combinatorial(form)
+    for got, want in ((d_comb(theta), ref_d_comb(coordinate)),
+                      (wedge_comb(theta, theta), ref_wedge_comb(coordinate, coordinate))):
+        value = eval_generic(got, base)
+        for q in (1, 2, form.n):
+            B = rng.normal(size=(form.n, q))
+            assert_relative(value.map_columns(B.tolist()),
+                            want(base.coords, substituted_offsets(B, got.degree)), 1e-14)
 
 
 def test_eval_semi_is_alternating_bilinear():
