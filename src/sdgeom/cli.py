@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 from . import expr as ex
 from . import forms as fm
@@ -34,34 +35,54 @@ EXIT_NUMERIC = 3
 
 
 def _fmt(x):
-    """17-significant-digit rendering of a float, used in both text and JSON
-    output."""
+    """17-significant-digit rendering of a float in text output; JSON's
+    `%.17g` writes the same."""
     return format(x, ".17g")
 
 
-def _json_floats(values):
-    """Comma-separated 17-significant-digit floats.  JSON has no literal for
-    nan or inf, so a non-finite value is a numeric failure."""
+def _json_floats(values, template):
+    """`values` through `template`, a `%`-format with one `%.17g` per value,
+    which writes a float as `_fmt` does.  JSON has no literal for nan or
+    inf, so a non-finite value is a numeric failure."""
     if not all(map(math.isfinite, values)):
         raise DomainError("non-finite value in the JSON output")
-    return ", ".join(map(_fmt, values))
+    return template % tuple(values)
+
+
+def _float_rows(o):
+    """The values of `o` row after row, if `o` is a non-empty list of
+    equal-length rows of floats (leaf points, a matrix); else None."""
+    if not o or not all(isinstance(row, (list, tuple)) for row in o):
+        return None
+    width = len(o[0])
+    if any(len(row) != width for row in o):
+        return None
+    values = list(chain.from_iterable(o))
+    if not all(isinstance(v, float) for v in values):
+        return None
+    return values
 
 
 def _json_dump(obj, out):
     """Stable-order JSON with floats at 17 significant digits; keys and
-    strings are escaped by the json module."""
+    strings are escaped by the json module.  A row of floats, and a list of
+    equal-length rows of floats, is printed by one `%`-format."""
     def emit(o):
         if isinstance(o, dict):
             return "{" + ", ".join(f"{json.dumps(str(k))}: {emit(v)}"
                                    for k, v in o.items()) + "}"
         if isinstance(o, (list, tuple)):
-            if all(type(v) is float for v in o):  # points and matrix rows
-                return "[" + _json_floats(o) + "]"
+            if all(isinstance(v, float) for v in o):  # a point or a matrix row
+                return "[" + _json_floats(o, ", ".join(["%.17g"] * len(o))) + "]"
+            values = _float_rows(o)
+            if values is not None:
+                row = "[" + ", ".join(["%.17g"] * len(o[0])) + "]"
+                return "[" + _json_floats(values, ", ".join([row] * len(o))) + "]"
             return "[" + ", ".join(emit(v) for v in o) + "]"
         if isinstance(o, bool):
             return "true" if o else "false"
         if isinstance(o, float):
-            return _json_floats((o,))
+            return _json_floats((o,), "%.17g")
         if isinstance(o, int):
             return str(o)
         if o is None:
@@ -352,14 +373,14 @@ def cmd_leaf(args, rep):
     dist = prog.lookup("dists", args.dist, "distribution")
     start = _parse_point(args.start, prog.dim)
     pts = ds.trace_leaf(dist, start, args.steps, args.stepsize)
-    rep.add("points", [list(p.coords) for p in pts])
+    rep.add("points", pts)
     if rep.fmt == "text":
         stride = max(1, len(pts) // 10)
         shown = pts[::stride]
-        if shown[-1] is not pts[-1]:
+        if (len(pts) - 1) % stride:  # the last point falls off the stride
             shown.append(pts[-1])
         for p in shown:
-            rep.line(" ".join(_fmt(c) for c in p.coords))
+            rep.line(" ".join(_fmt(c) for c in p))
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ given either by m spanning vector-field expressions or by n-m annihilating
 fiber computation is exact W-arithmetic, the base is sampled.
 """
 
+import math
 from functools import cached_property, partial, reduce
 
 import numpy as np
@@ -543,9 +544,11 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
 
 def trace_leaf(dist, start, steps, stepsize):
     """Fourth-order Runge-Kutta flow along the span fields, cycling through
-    them: step i follows field i mod rank, with coefficient +1.  The step
-    along each field is compiled once per call (`expr.compile_rk4_step`),
-    its stages evaluating the field with `compile_w`'s meaning.
+    them: step i follows field i mod rank, with coefficient +1.  Returns the
+    `steps + 1` traced points as coordinate tuples, the start's first.  The
+    step along each field is compiled once per call
+    (`expr.compile_rk4_step`), its stages evaluating the field with
+    `compile_w`'s meaning.
     A domain error, a division by zero or a non-finite point raises
     DomainError.
     """
@@ -554,13 +557,11 @@ def trace_leaf(dist, start, steps, stepsize):
     if not dist.span:
         raise DegreeError("no span field to follow")
     step = [ex.compile_rk4_step(v, dist.vars, stepsize) for v in dist.span]
-    x = _coords([start], dist.n)[0].tolist()
-    out = [Point(x)]
+    x = tuple(_coords([start], dist.n)[0].tolist())
+    out = [x]
     for i in range(steps):
         x = step[i % dist.rank](*x)
-        try:
-            out.append(Point(x))
-        except ValueError:  # Point's one finiteness check
-            raise DomainError(
-                f"leaf trace reached a non-finite point at step {i + 1}") from None
+        if not all(map(math.isfinite, x)):
+            raise DomainError(f"leaf trace reached a non-finite point at step {i + 1}")
+        out.append(x)
     return out

@@ -195,9 +195,8 @@ _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 
 def _apply_fn(fn, v):
-    if isinstance(v, NilElement):
-        return lift_smooth(fn, v)
-    if not getattr(v, "ndim", 0):  # a float
+    # a float, tested first; a numpy scalar takes the float rule too
+    if v.__class__ is float or not (isinstance(v, NilElement) or getattr(v, "ndim", 0)):
         if fn == "ln":
             if v <= 0:
                 raise DomainError(f"ln of {v}")
@@ -210,6 +209,8 @@ def _apply_fn(fn, v):
             return _MATH[fn](v)
         except (ValueError, OverflowError) as err:  # exp overflow, sin(inf)
             raise DomainError(f"{fn} of {v}: {err}") from None
+    if isinstance(v, NilElement):
+        return lift_smooth(fn, v)
     # an array of samples: nan where the float branch raises
     if fn == "exp":
         return _SAMPLEWISE.exp(v)
@@ -221,27 +222,30 @@ def _apply_fn(fn, v):
 
 
 def _div(num, den):
-    if isinstance(den, NilElement):
-        return num * lift_smooth("reciprocal", den)
-    if not getattr(den, "ndim", 0):
+    # a float, tested first; a numpy scalar takes the float rule too
+    if den.__class__ is float or not (isinstance(den, NilElement) or getattr(den, "ndim", 0)):
         if den == 0.0:
             raise DomainError("division by zero")
         return num / den
+    if isinstance(den, NilElement):
+        return num * lift_smooth("reciprocal", den)
     import numpy as np
 
     return np.where(den == 0.0, np.nan, num / den)
 
 
 def _pow(base, power):
-    if isinstance(base, NilElement):
-        return lift_smooth("power", base, exponent=power)
-    if not getattr(base, "ndim", 0):
+    # a float, tested first; a numpy scalar takes the float rule too
+    if base.__class__ is float or not (isinstance(base, NilElement)
+                                       or getattr(base, "ndim", 0)):
         if base == 0.0 and power < 0:
             raise DomainError("negative power of zero")
         try:
             return base ** power
         except OverflowError as err:
             raise DomainError(f"pow({base}, {power}): {err}") from None
+    if isinstance(base, NilElement):
+        return lift_smooth("power", base, exponent=power)
     import numpy as np
 
     # nan ** 0 is 1: keep the nan of a base that could not be evaluated
@@ -359,17 +363,6 @@ def _w_code(e, *args):
     return f"_apply_fn({e.fn!r}, {args[0]})"
 
 
-def _structure(e):
-    """A key equal for two expressions exactly when their trees are equal
-    (constants by `repr`, so that 0.0 and -0.0 differ)."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return (e.name,)
-    label = e.fn if isinstance(e, Call) else e.power if isinstance(e, Pow) else type(e).__name__
-    return (label, *map(_structure, _children(e)))
-
-
 def _source(e, names, combine=_w_code, shared=None):
     """The walk of the one code generator: the source of `e`, constants as
     literals, variables renamed through `names`, and each operation through
@@ -381,7 +374,18 @@ def _source(e, names, combine=_w_code, shared=None):
     operation whose tree was generated before is not generated again: it
     takes the earlier result, which the code computes first.  Evaluation
     is pure, so the value is the same, and an error has been raised at the
-    earlier one."""
+    earlier one.  An operation's key, built once from its operands' keys,
+    is equal for two nodes exactly when their trees are equal (constants by
+    `repr`, so that 0.0 and -0.0 differ); the operands of a tree generated
+    before were generated with it, so they add no code."""
+    keys = {}  # id of an operation node -> its key, in a shared walk
+
+    def key(e):
+        if isinstance(e, Const):
+            return repr(e.value)
+        if isinstance(e, Var):
+            return (e.name,)
+        return keys[id(e)]
 
     def gen(e):
         if isinstance(e, Const):
@@ -391,12 +395,16 @@ def _source(e, names, combine=_w_code, shared=None):
                 return names[e.name]
             except KeyError:
                 raise DomainError(f"unbound variable {e.name!r}") from None
-        if shared is not None:
-            key = _structure(e)
-            if key not in shared:
-                shared[key] = combine(e, *map(gen, _children(e)))
-            return shared[key]
-        return combine(e, *map(gen, _children(e)))
+        children = _children(e)
+        if shared is None:
+            return combine(e, *map(gen, children))
+        sources = [gen(c) for c in children]
+        label = (e.fn if isinstance(e, Call) else e.power if isinstance(e, Pow)
+                 else type(e).__name__)
+        k = keys[id(e)] = (label, *map(key, children))
+        if k not in shared:
+            shared[k] = combine(e, *sources)
+        return shared[k]
 
     return gen(e)
 

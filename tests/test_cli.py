@@ -16,7 +16,7 @@ from sdgeom import connections as cn
 from sdgeom import forms as fm
 from sdgeom.chart import Point
 from sdgeom.cli import (COMMANDS, EXIT_FALSE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                        _json_dump, build_parser, run)
+                        _float_rows, _json_dump, build_parser, run)
 from sdgeom.distributions import trace_leaf
 from sdgeom.errors import DomainError, LogBranchError
 from sdgeom.program import parse_file
@@ -834,7 +834,7 @@ def test_leaf_text_shows_every_stride_and_the_last_point(files):
     points = json.loads(data)["points"]
     dist = parse_file(files["leaf"]).dists["S"]
     want = trace_leaf(dist, Point((0.1, -0.2, 0.3)), 21, 0.01)
-    assert points == [list(p.coords) for p in want]
+    assert points == [list(p) for p in want]
     assert code == EXIT_OK
     assert out.splitlines() == [" ".join(format(c, ".17g") for c in p)
                                 for p in points[::2] + points[-1:]]
@@ -901,9 +901,36 @@ def test_json_escapes_keys_and_strings():
                                           "x": [1.5, 2]}
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, float("-inf")]])
+def test_json_float_rows_are_one_block_of_the_per_value_format():
+    # equal-length rows of floats (leaf points, matrices) are printed by one
+    # `%`-format of their values: the bytes of format(v, ".17g") value by value
+    bits = np.random.default_rng(5).integers(0, 2**64, 3000, dtype=np.uint64)
+    finite = [float(v) for v in bits.view(np.float64) if np.isfinite(v)]
+    special = [(-0.0, 5e-324, 1e22), [1 / 3, np.float64(-2.5e-8), 1.0]]
+    points = [tuple(finite[i:i + 3]) for i in range(0, len(finite) - 2, 3)]
+    for rows in (special, [[], []], points):
+        assert _float_rows(rows) is not None
+        out = io.StringIO()
+        _json_dump({"rows": rows}, out)
+        want = ", ".join("[" + ", ".join(format(v, ".17g") for v in row) + "]"
+                         for row in rows)
+        assert out.getvalue() == '{"rows": [' + want + "]}\n"
+    # ragged or mixed rows are printed element by element
+    other = {"ragged": [(1.0, 2.0), (3.0,)], "int": [(0.5, 2), (1.5, 3.0)],
+             "bool": [[1.0, True]], "none": [(1.5, None)], "nested": [[(1.0,)]],
+             "text": [[0.5], "ab"]}
+    assert all(_float_rows(v) is None for v in other.values())
+    out = io.StringIO()
+    _json_dump(other, out)
+    assert out.getvalue() == (
+        '{"ragged": [[1, 2], [3]], "int": [[0.5, 2], [1.5, 3]], "bool": [[1, true]], '
+        '"none": [[1.5, null]], "nested": [[[1]]], "text": [[0.5], "ab"]}\n')
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, float("-inf")],
+                                   [[1.0, 2.0], [3.0, 4.0], [5.0, float("nan")]]])
 def test_json_non_finite_is_a_numeric_failure(value):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="non-finite value in the JSON output"):
         _json_dump({"value": value}, io.StringIO())
 
 

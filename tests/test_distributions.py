@@ -528,7 +528,7 @@ def test_trace_leaf_preserves_height():
     d = span_dist([[ex.Const(1.0), ex.Const(0.0), ex.Const(0.0)],
                    [ex.Const(0.0), ex.Const(1.0), ex.Const(0.0)]])
     pts = trace_leaf(d, Point((0.0, 0.0, 7.0)), steps=500, stepsize=1e-2)
-    assert all(abs(p.coords[2] - 7.0) <= 1e-9 for p in pts)
+    assert all(abs(p[2] - 7.0) <= 1e-9 for p in pts)
 
 
 def test_trace_leaf_conserves_level_function():
@@ -537,8 +537,7 @@ def test_trace_leaf_conserves_level_function():
         [ex.Const(1.0), ex.Const(0.0), ex.Mul(ex.Const(2.0), ex.Var("x"))],
         [ex.Const(0.0), ex.Const(1.0), ex.Mul(ex.Const(2.0), ex.Var("y"))]])
     pts = trace_leaf(d, Point((1.0, 0.0, 1.0)), steps=800, stepsize=1e-3)
-    for p in pts:
-        x, y, z = p.coords
+    for x, y, z in pts:
         assert abs(z - x * x - y * y) <= 1e-6
 
 
@@ -552,7 +551,7 @@ def test_trace_leaf_zero_steps():
     d = span_dist([[ex.Const(1.0), ex.Const(0.0), ex.Const(0.0)]])
     start = Point((1.0, 2.0, 3.0))
     pts = trace_leaf(d, start, steps=0, stepsize=1e-3)
-    assert pts == [start]
+    assert pts == [start.coords]
 
 
 def leaf_reference(dist, start, steps, stepsize):
@@ -600,7 +599,7 @@ def test_trace_leaf_is_the_reference_loop(rank, steps, stepsize):
     d = leaf_fields(rank)
     start = Point((0.3, -0.2, 0.1))
     pts = trace_leaf(d, start, steps, stepsize)
-    assert [p.coords for p in pts] == leaf_reference(d, start, steps, stepsize)
+    assert pts == leaf_reference(d, start, steps, stepsize)
 
 
 @pytest.mark.parametrize("fields, start, stepsize", [
