@@ -458,10 +458,11 @@ def _jet_product(a0, bi, ai=None, b0=None):
 
 def _lift(f, exponent, c, *tangents):
     """`nil.lift_smooth` of the primitive f (`exponent` for a power) at the
-    element of W(2, n) with constant term c and row-1 coefficients
-    `tangents`, None where absent, as its constant and row-1 coefficients,
-    None where absent.  A product of two row-1 monomials is 0, so the
-    Taylor sum stops at order 1, or at order 0 where every tangent is 0."""
+    element of W(2, n) with constant term c and the row-1 coefficients
+    `tangents` (those not absent when compiling), None where absent, as its
+    constant and those row-1 coefficients, None where absent.  A product of
+    two row-1 monomials is 0, so the Taylor sum stops at order 1, or at
+    order 0 where every tangent is 0."""
     table = _table(f, exponent)
     power = [None if t is None else _nonzero(0.0 + t) for t in tangents]
     order = int(any(p is not None for p in power))
@@ -578,11 +579,13 @@ class _JetWriter:
 
     def lift(self, f, a, exponent=None):
         """f(a): `_lift`, at run time, where an error is raised in its
-        place; its tangents are absent where a's are."""
+        place; it takes a's tangents that are not absent, and its tangents
+        are absent where a's are."""
         out = (next(self.names),) + tuple(None if t is None else next(self.names)
                                           for t in a[1:])
-        targets = "".join(f"{name or '_'}, " for name in out)
-        self.lines.append(f"{targets}= _lift({f!r}, {exponent!r}, {', '.join(map(_code, a))})")
+        targets = "".join(f"{name}, " for name in out if name)
+        args = [a[0]] + [t for t in a[1:] if t is not None]
+        self.lines.append(f"{targets}= _lift({f!r}, {exponent!r}, {', '.join(map(_code, args))})")
         return out
 
 
@@ -678,14 +681,14 @@ def compile_jet(exprs, varnames, slots, rows=None):
 class Jet:
     """Expressions compiled as 1-jets (`compile_jet`, with `slots` tangent
     coefficients, and the tangent rows `rows` when they are known when
-    compiling): called with the arguments of that function, it returns
-    `compile_w`'s values at y = x + u with u on row `row` of W(k, n), each
-    a float for an expression without variables and else a W(k, n) element
-    of its constant and its row terms.  On one row, as on row 1 of W(2, n),
-    every product of two tangent monomials vanishes, so that is all of the
-    value.  A float zero coefficient of the jet is left out; the W
-    arithmetic keeps one only where a scaling underflows, and a product
-    with finite factors that this value meets drops it."""
+    compiling), that function kept as `fn`: called with its arguments, a
+    Jet returns `compile_w`'s values at y = x + u with u on row `row` of
+    W(k, n), each a float for an expression without variables and else a
+    W(k, n) element of its constant and its row terms.  On one row, as on
+    row 1 of W(2, n), every product of two tangent monomials vanishes, so
+    that is all of the value.  A float zero coefficient of the jet is left
+    out; the W arithmetic keeps one only where a scaling underflows, and a
+    product with finite factors that this value meets drops it."""
 
     __slots__ = ("fn", "constant", "slots")
 

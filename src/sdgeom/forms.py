@@ -14,7 +14,7 @@ from types import MappingProxyType
 from . import expr as ex
 from .errors import DegreeError, DomainError, SdgError
 from .nil import (_MERGE_SIGNS, _UNIT, DEFAULT_TOL, NilElement, _is_zero, _Memo, _bits,
-                  _elem_add, _elem_mul, _elem_muladd, _elem_scale, _wrap, within_tol)
+                  _elem_add, _elem_mul, _elem_scale, _wrap, within_tol)
 
 
 def default_vars(n):
@@ -70,10 +70,12 @@ class ClassicalForm:
 
     def coeff_jet(self):
         """The coefficients, in `coeffs` order, as 1-jets (`expr.Jet`, the
-        identity as the tangent rows): at the float point x, called as
+        identity as the tangent rows): at the point x, called as
         `coeff_jet()(x, k, n, r)`, `compile_w`'s values at the vertex
         x + d_r of the generic simplex in W(k, n), whose coordinates have
-        the row-r generators as their tangents.  Compiled on first use."""
+        the row-r generators as their tangents; its function `fn(*x)`
+        returns their values and tangent coefficients, which the faces of
+        `to_combinatorial` read.  Compiled on first use."""
         if self._coeff_jet is None:
             n = self.n
             self._coeff_jet = ex.Jet(list(self.coeffs.values()), self.vars, n,
@@ -193,24 +195,35 @@ def to_combinatorial(form):
     base vertex, sum_T a_T * det(offsets[:, T]).
 
     On a face of the generic simplex the coefficients at x are
-    `coeff_function`'s values, and at a vertex x + d_r their 1-jets
-    (`ClassicalForm.coeff_jet`), which are all of their values in W there;
-    each determinant is the face's map from `_FACE_DETS`, and the value
-    accumulates into one term map.  The face (0,), the point x, has a
-    float (or an array over samples) as its value.
+    `coeff_function`'s values, and each adds itself times the face's
+    determinant to one term map (`_add_terms` over the products of
+    `_FACE_DETS`).  At a vertex x + d_r a coefficient is its 1-jet
+    (`ClassicalForm.coeff_jet`), a value a and tangents a_i: in the first
+    neighbourhood of the diagonal that is all of its value in W, a +
+    sum_i a_i xi[r, i].  So a adds itself times the determinant's terms,
+    and each a_i itself times the terms of xi[r, i] times the
+    determinant, which the same memo entry holds, signed; an expression
+    without variables is a float and adds itself as at x.  The face (0,),
+    the point x, has a float (or an array over samples) as its value.
     """
     n = form.n
 
     def on_face(x, k, face):
-        r = face[0]
-        values = form.coeff_jet()(x, k, n, r) if r else form.coeff_function()(*x)
         out = {}
-        for T, a in zip(form.coeffs, values):
-            products, det = _FACE_DETS[k, n, face, T]
-            if isinstance(a, NilElement):
-                _elem_muladd(out, 1.0, a.terms, det)
-            elif not _is_zero(a):
-                _add_terms(out, a, products)
+        if face[0]:
+            jet = form.coeff_jet()
+            coeffs, count = jet.fn(*x), len(jet.constant)
+            for j, (T, constant) in enumerate(zip(form.coeffs, jet.constant)):
+                products, slots = _FACE_DETS[k, n, face, T]
+                if constant:
+                    slots = (products,)
+                for c, terms in zip(coeffs[j::count], slots):
+                    if not _is_zero(c):
+                        _add_terms(out, c, terms)
+        else:
+            for T, a in zip(form.coeffs, form.coeff_function()(*x)):
+                if not _is_zero(a):
+                    _add_terms(out, a, _FACE_DETS[k, n, face, T][0])
         if face == (0,):
             return out.get((0, 0), 0.0)
         return _wrap(k, n, out)
@@ -245,14 +258,21 @@ def _add_terms(out, c, products):
 
 
 def _face_det(key):
-    """The determinant map of the face `face` (vertex labels) of the generic
-    simplex in W(k, n) on the columns T, for `_FACE_DETS[k, n, face, T]`:
-    det(offsets[:, T]) of the offsets d_v - d_face[0], by the Leibniz rule.
-    First the terms of each permutation's product, permutation by
-    permutation: the labels are distinct, so each is a distinct monomial of
-    coefficient +1.0 or -1.0, to which c times the determinant adds c
-    times each term in turn (`_add_terms`).  Then their sum, the map of
-    the determinant itself."""
+    """The tables of the face `face` (vertex labels) of the generic simplex
+    in W(k, n) on the columns T, for `_FACE_DETS[k, n, face, T]`, of
+    det(offsets[:, T]) for the offsets d_v - d_face[0], by the Leibniz
+    rule; each a list of (monomial, e) to which c times the determinant
+    adds c * e, term by term (`_add_terms`).
+
+    First `products`, the terms of each permutation's product, permutation
+    by permutation: the labels are distinct, so each is a distinct monomial
+    of coefficient +1.0 or -1.0.  Then, for a face at a vertex r = face[0]
+    other than x, the jet slots: the terms of the determinant itself, their
+    sum, and for each column i those of xi[r, i] times it, in its order,
+    each coefficient times the merge signs of the product.  A product a *
+    det in W adds each term of a times each term of det in that order
+    (`nil._elem_muladd`), and a term a_i xi[r, i] adds a_i * s * e for the
+    sign s, which is s * e * a_i to the bit, since s is +1.0 or -1.0."""
     k, n, face, T = key
     gen = lambda v, t: {(1 << (v - 1), 1 << (t - 1)): 1.0} if v else {}
     rows = [{t: _elem_add(gen(v, t), _elem_scale(-1.0, gen(face[0], t))) for t in T}
@@ -263,13 +283,22 @@ def _face_det(key):
         for row, j in zip(rows, perm):
             product = _elem_mul(product, row[T[j]])
         products += [(mono, sign * e) for mono, e in product.items()]
+    if not face[0]:
+        return products, ()
     det = {}
     _add_terms(det, 1.0, products)
-    return products, det
+    row = 1 << (face[0] - 1)
+    slots = [list(det.items())]
+    for i in range(n):
+        col = 1 << i
+        signs = _MERGE_SIGNS[row], _MERGE_SIGNS[col]
+        slots.append([((row | s, col | t), signs[0][s] * signs[1][t] * e)
+                      for (s, t), e in det.items() if not (row & s or col & t)])
+    return products, slots
 
 
-# One entry per (k, n, face, T) met: the generic simplex's face maps do
-# not depend on its base point.  Callers read the maps and never change
+# One entry per (k, n, face, T) met: the generic simplex's face tables do
+# not depend on its base point.  Callers read the tables and never change
 # them.
 _FACE_DETS = _Memo(_face_det)
 

@@ -134,18 +134,28 @@ def _is_zero(v):
 
 
 def _elem_muladd(out, c, a, b):
-    """out += c * a * b on term maps, in place; float zeros pruned."""
+    """out += c * a * b on term maps, in place; float zeros pruned.
+
+    The pairs of terms are visited in a's order, then b's.  A pair that
+    shares a row adds nothing, so b's terms on other rows than a term of a
+    are listed once per row mask of a, in b's order, with their row
+    merge signs."""
     signs = _MERGE_SIGNS
     get = out.get
+    partners = {}  # a row mask of a -> [(merged rows, cols, row sign, coeff)] of b
     for (s1, t1), ca in a.items():
-        rows = signs[s1]
+        terms = partners.get(s1)
+        if terms is None:
+            rows = signs[s1]
+            terms = partners[s1] = [(s1 | s2, t2, rows[s2], cb)
+                                    for (s2, t2), cb in b.items() if not s1 & s2]
         cols = signs[t1]
         cca = c * ca
-        for (s2, t2), cb in b.items():
-            if (s1 & s2) or (t1 & t2):
+        for s, t2, sign, cb in terms:
+            if t1 & t2:
                 continue
-            key = (s1 | s2, t1 | t2)
-            v = get(key, 0.0) + rows[s2] * cols[t2] * cca * cb
+            key = (s, t1 | t2)
+            v = get(key, 0.0) + sign * cols[t2] * cca * cb
             if v.__class__ is float and v == 0.0:
                 if key in out:
                     del out[key]

@@ -2,8 +2,9 @@
 them: the tree walk of an expression, the fibers of a distribution one point
 at a time, the neighbour-point layer of a chart (neighbour pairs x ~ y,
 tangents and the log/exp correspondence), the run that pins the curvature
-conventions, the monomials of W(k, n), and the coordinate path of
-combinatorial forms."""
+conventions, the monomials of W(k, n) and the product of two term maps pair
+by pair, the coordinate path of combinatorial forms, and their faces with a
+NilElement per coefficient."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -14,8 +15,9 @@ from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.connections import curvature_coboundary, span_residual
 from sdgeom.errors import ContextMismatchError, DegreeError, DomainError, RankDeficiencyError
-from sdgeom.forms import _PERMUTATIONS
-from sdgeom.nil import _UNIT, NilElement, _elem_mul, _elem_muladd, _wrap, within_tol
+from sdgeom.forms import _FACE_DETS, _PERMUTATIONS, CombinatorialForm, _add_terms
+from sdgeom.nil import (_MERGE_SIGNS, _UNIT, NilElement, _elem_mul, _elem_muladd, _is_zero,
+                        _wrap, within_tol)
 
 
 # -- the tree walk -----------------------------------------------------------
@@ -261,6 +263,28 @@ def all_monomials(k, n, r):
             for cols in combinations(range(1, n + 1), r)]
 
 
+def ref_elem_muladd(out, c, a, b):
+    """out += c * a * b on term maps, in place, float zeros pruned: every
+    pair of terms, in a's order, then b's, a pair that shares a row or a
+    column skipped.  The oracle for `nil._elem_muladd`, which skips the
+    pairs that share a row before it visits them."""
+    get = out.get
+    for (s1, t1), ca in a.items():
+        rows = _MERGE_SIGNS[s1]
+        cols = _MERGE_SIGNS[t1]
+        cca = c * ca
+        for (s2, t2), cb in b.items():
+            if (s1 & s2) or (t1 & t2):
+                continue
+            key = (s1 | s2, t1 | t2)
+            v = get(key, 0.0) + rows[s2] * cols[t2] * cca * cb
+            if v.__class__ is float and v == 0.0:
+                if key in out:
+                    del out[key]
+            else:
+                out[key] = v
+
+
 # -- the coordinate path of combinatorial forms --------------------------------
 #
 # A combinatorial form evaluated on a base point and p displacement vectors,
@@ -384,3 +408,34 @@ def _rebase(base, offsets, pivot):
     offset minus pivot."""
     return (tuple(b + o for b, o in zip(base, pivot)),
             [tuple(a - b for a, b in zip(o, pivot)) for o in offsets])
+
+
+# -- the faces of the generic simplex with a NilElement per coefficient ------
+
+def ref_jet_faces(form):
+    """`forms.to_combinatorial` with a NilElement per coefficient: at a
+    vertex x + d_r of a face, each coefficient is its 1-jet as a W element
+    (`expr.Jet`), multiplied by the face's determinant map, the sum of its
+    permutations' products, pair of terms by pair of terms
+    (`ref_elem_muladd`); at x, and for an expression without variables,
+    each coefficient adds itself times each product's terms in turn.  The
+    oracle for the jet-slot tables of `forms._FACE_DETS`."""
+    n = form.n
+
+    def on_face(x, k, face):
+        r = face[0]
+        values = form.coeff_jet()(x, k, n, r) if r else form.coeff_function()(*x)
+        out = {}
+        for T, a in zip(form.coeffs, values):
+            products = _FACE_DETS[k, n, face, T][0]
+            if isinstance(a, NilElement):
+                det = {}
+                _add_terms(det, 1.0, products)
+                ref_elem_muladd(out, 1.0, a.terms, det)
+            elif not _is_zero(a):
+                _add_terms(out, a, products)
+        if face == (0,):
+            return out.get((0, 0), 0.0)
+        return _wrap(k, n, out)
+
+    return CombinatorialForm(form.degree, n, on_face)

@@ -34,13 +34,14 @@ from sdgeom.distributions import Distribution
 from sdgeom.errors import DomainError, RankDeficiencyError, SdgError
 from sdgeom.forms import (ClassicalForm, d_classical, d_comb, eval_generic, eval_semi,
                           to_combinatorial, wedge_classical, wedge_comb)
-from sdgeom.nil import NilElement, generic_offsets, lift_smooth, within_tol
+from sdgeom.nil import NilElement, _elem_muladd, generic_offsets, lift_smooth, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
 from corpus import random_form, random_scalar_expr
-from reference import (all_monomials, evaluate, ref_d_comb, ref_is_flat, ref_null_span,
-                       ref_span_matrix, ref_to_combinatorial, ref_wedge_comb)
+from reference import (all_monomials, evaluate, ref_d_comb, ref_elem_muladd, ref_is_flat,
+                       ref_jet_faces, ref_null_span, ref_span_matrix, ref_to_combinatorial,
+                       ref_wedge_comb)
 
 VARS3 = ("x", "y", "z")
 X, Y, Z = ex.Var("x"), ex.Var("y"), ex.Var("z")
@@ -786,6 +787,149 @@ def test_jet_is_compile_w_on_generic_faces():
                         if isinstance(outcome, str):
                             raised.add(outcome.split(" ")[0])
     assert {"ln", "sqrt", "reciprocal", "power"} <= raised, raised
+
+
+# A face at a vertex x + d_r adds each coefficient's value and tangents,
+# the jet's raw coefficients, times the memoised terms of the determinant and
+# of xi[r, i] times it (the jet slots of `forms._FACE_DETS`), with no W
+# element per coefficient.  Its value is that of a NilElement per
+# coefficient times the determinant map (`reference.ref_jet_faces`): the
+# same terms in the same order, bit for bit, at float and at array
+# coordinates, and the same DomainError.
+
+def ordered_outcome(value):
+    """A face value as its (monomial, coefficient class, float.hex of each
+    sample) in term order, or the message of the DomainError that computing
+    it raises."""
+    try:
+        value = value()
+    except DomainError as err:
+        return str(err)
+    terms = value.terms if isinstance(value, NilElement) else {(0, 0): value}
+    return [(key, type(c).__name__, [float.hex(v) for v in np.ravel(c).tolist()])
+            for key, c in terms.items()]
+
+
+def jet_face_pairs(forms, samples=False):
+    """Each form, d of each and the wedge of each pair in both orders:
+    pairs of the library's form and the same form on `ref_jet_faces`.  For
+    `samples`, no 0-form: its value at x is an array over the samples,
+    which a W element does not take as an operand."""
+    pairs = [(to_combinatorial(f), ref_jet_faces(f)) for f in forms
+             if f.degree or not samples]
+    return (pairs + [(d_comb(t), d_comb(r)) for t, r in pairs]
+            + [(wedge_comb(a, b), wedge_comb(ra, rb)) for a, ra in pairs for b, rb in pairs])
+
+
+def assert_jet_faces(theta, oracle, x):
+    """theta's value on the generic simplex at the coordinates x (floats or
+    arrays over samples), its face of all vertices, against the oracle's."""
+    face = tuple(range(theta.degree + 1))
+    got = ordered_outcome(lambda: theta.on_face(x, theta.degree, face))
+    assert got == ordered_outcome(lambda: oracle.on_face(x, theta.degree, face))
+    return got
+
+
+def test_slot_tables_are_the_jet_faces():
+    gen = _load_perfbench_gen()
+    for seed in range(1, 6):
+        sources, ops = gen.forms_dense(seed)
+        programs = {name: parse(text) for name, text in sources.items()}
+        for op in ops:
+            forms = [programs[op["file"]].forms[name] for name in op["forms"]]
+            combine = d_comb if op["op"] == "d" else wedge_comb
+            theta = combine(*[to_combinatorial(f) for f in forms])
+            oracle = combine(*[ref_jet_faces(f) for f in forms])
+            assert isinstance(assert_jet_faces(theta, oracle, op["point"]), list)
+    rng = np.random.default_rng(35)
+    for _ in range(12):  # the trig form corpus, degrees 0 to 3, at points and at samples
+        n = int(rng.integers(2, 5))
+        forms = [random_form(rng, int(rng.integers(0, min(n, 3) + 1)), n, trig=True)
+                 for _ in range(2)]
+        X = rng.uniform(-1.0, 1.0, (n, 5)).round(3)
+        for pair in jet_face_pairs(forms):
+            assert_jet_faces(*pair, tuple(X[:, 0].tolist()))
+        for pair in jet_face_pairs(forms, samples=True):
+            assert_jet_faces(*pair, list(X))
+    # every primitive, quotients and integer powers, of a coordinate and of a
+    # corpus expression, on and off their domains, at points and at samples
+    # among which some are off them (nan there)
+    x1, vars = ex.Var("x1"), ("x1", "x2")
+    outcomes = set()
+    for _ in range(3):
+        a, b = (random_scalar_expr(rng, vars, trig=True) for _ in range(2))
+        for arg in (x1, a):
+            for e in ([ex.Call(fn, arg) for fn in ex.FUNCTIONS]
+                      + [ex.Div(b, arg), ex.Div(ONE, arg), ex.Pow(arg, -2), ex.Pow(arg, 3)]):
+                forms = [ClassicalForm(1, 2, {(1,): e, (2,): b}, vars),
+                         ClassicalForm(0, 2, {(): e}, vars), ClassicalForm(1, 2, {(2,): a}, vars)]
+                y = float(rng.uniform(-1.0, 1.0))
+                for pair in jet_face_pairs(forms):
+                    for x in (0.0, -0.5, 0.5, 1e-310):
+                        outcome = assert_jet_faces(*pair, (x, y))
+                        outcomes.add("raises" if isinstance(outcome, str) else "value")
+                samples = [np.array([0.0, -0.5, 0.5, 1e-310]), np.full(4, y)]
+                for pair in jet_face_pairs(forms, samples=True):
+                    with np.errstate(all="ignore"):
+                        outcome = assert_jet_faces(*pair, samples)
+                    if not isinstance(outcome, str) and any(
+                            "nan" in bits for _, _, bits in outcome):
+                        outcomes.add("nan samples")
+    assert outcomes == {"raises", "value", "nan samples"}
+    # a 3-form whose coefficients are mostly without variables: on the face
+    # (1, 2, 3, 4) of d of it, such a coefficient times its determinant's
+    # terms rounds apart from the coefficient times its products' terms
+    vars = ("x1", "x2", "x3", "x4")
+    for _ in range(12):
+        coeffs = {T: ex.Const(float(rng.uniform(-3.0, 3.0)))
+                  for T in ((1, 2, 3), (1, 2, 4), (1, 3, 4))}
+        coeffs[(2, 3, 4)] = random_scalar_expr(rng, vars, trig=True)
+        form = ClassicalForm(3, 4, coeffs, vars)
+        X = rng.uniform(-1.0, 1.0, (4, 3))
+        for pair in jet_face_pairs([form]):
+            assert_jet_faces(*pair, tuple(X[:, 0].tolist()))
+            assert_jet_faces(*pair, list(X))
+    # the precondition of semi-annihilation: d of each kernel form of the
+    # checks_sparse programs on the generic 2-simplex at stacked samples
+    for seed in range(1, 6):
+        for prog in perfbench_programs(seed):
+            X = np.array([p.coords for p in sample_box([(-1.0, 1.0)] * prog.dim, 16, seed)])
+            for dist in prog.dists.values():
+                for w in dist.kernel or ():
+                    theta, oracle = d_comb(to_combinatorial(w)), d_comb(ref_jet_faces(w))
+                    assert isinstance(assert_jet_faces(theta, oracle, list(X.T)), list)
+
+
+def random_term_map(rng, k, n, size, arrays):
+    """A term map of W(k, n) of up to `size` terms, coefficients small
+    integers (so that sums cancel to 0.0) or, with `arrays`, arrays of them
+    over 3 samples, and some float zeros."""
+    out = {}
+    for _ in range(size):
+        r = int(rng.integers(0, min(k, n) + 1))
+        rows = rng.choice(k, r, replace=False) if r else []
+        cols = rng.choice(n, r, replace=False) if r else []
+        key = (sum(1 << int(i) for i in rows), sum(1 << int(i) for i in cols))
+        if arrays and rng.random() < 0.4:
+            out[key] = rng.integers(-2, 3, 3).astype(float)
+        else:
+            out[key] = float(rng.integers(-2, 3))
+    return out
+
+
+def test_filtered_muladd_is_the_unfiltered_kernel():
+    rng = np.random.default_rng(36)
+    for trial in range(400):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        arrays = trial % 2 == 1
+        a, b = (random_term_map(rng, k, n, int(rng.integers(0, 12)), arrays) for _ in range(2))
+        start = random_term_map(rng, k, n, int(rng.integers(0, 8)), arrays)
+        c = float(rng.choice([1.0, -1.0, 0.5, 3.0, 0.0]))
+        got, want = dict(start), dict(start)
+        _elem_muladd(got, c, a, b)
+        ref_elem_muladd(want, c, a, b)
+        assert ordered_outcome(lambda: NilElement(k, n, got)) == \
+            ordered_outcome(lambda: NilElement(k, n, want))
 
 
 # -- one ulp apart ----------------------------------------------------------------
