@@ -61,10 +61,8 @@ class ConnectionData:
     @cached_property
     def _a_jet(self):
         """The entries of A, compiled once as 1-jets at y = x + u, u_i the
-        row-1 generator xi[1, i]: the identity as the tangent rows."""
-        n = self.n
-        return ex.compile_jet(self._entries, self.vars, n,
-                              rows=[[float(a == i) for a in range(n)] for i in range(n)])
+        row-1 generator xi[1, i]."""
+        return ex.compile_jet(self._entries, self.vars)
 
     @property
     def _entries(self):
@@ -450,8 +448,7 @@ def lie_closure(mats, tol=DEFAULT_TOL):
     return basis
 
 
-def ambrose_singer_check(conn, loops, samples, basepoint, steps=2000,
-                         tol=1e-6):
+def ambrose_singer_check(conn, loops, samples, basepoint, steps, tol):
     """Log of every loop holonomy lies in the Lie algebra generated by the
     curvature values, all brought to the basepoint.
 

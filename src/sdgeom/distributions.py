@@ -15,8 +15,9 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DegreeError, DomainError, RankDeficiencyError
-from .forms import d_classical, default_vars, extract_classical, semi_value, wedge_classical
-from .nil import DEFAULT_TOL, NilElement, _is_zero, within_tol
+from .forms import (d_classical, default_vars, extract_classical, semi_value,
+                    to_combinatorial, wedge_classical)
+from .nil import DEFAULT_TOL, NilElement, generic_offsets, within_tol
 from .chart import Point
 
 RANK_CUTOFF = 1e-7  # singular values at most this do not count to a rank
@@ -60,8 +61,9 @@ class Distribution:
         return ex.compile_w(self._kernel_coeffs, self.vars)
 
     @cached_property
-    def _kernel_jet(self):
-        return ex.Jet(self._kernel_coeffs, self.vars, self.rank)
+    def _kernel_comb(self):
+        """The kernel forms as combinatorial forms, for Kock's relation."""
+        return [to_combinatorial(w) for w in self.kernel]
 
     @cached_property
     def _span_fns(self):
@@ -70,7 +72,13 @@ class Distribution:
 
     @cached_property
     def _span_jet(self):
-        return ex.Jet([c for v in self.span for c in v], self.vars, self.rank)
+        return ex.Jet([c for v in self.span for c in v], self.vars)
+
+    @cached_property
+    def _edge(self):
+        """d_2 - d_1, the edge (1, 2) of the generic 2-simplex in W(2, n)."""
+        u, v = generic_offsets(2, self.n)
+        return [b - a for a, b in zip(u, v)]
 
     @cached_property
     def _ideal_fns(self):
@@ -272,79 +280,63 @@ def _entries(M):
     return M.tolist() if M.ndim == 2 else np.ascontiguousarray(M.transpose(1, 2, 0))
 
 
-def _flat_generic_offsets(B, arity):
-    """Displacement vectors of the generic flat simplex at a point with
-    fiber basis B (n x rank): rows are generic combinations of its columns,
-    in W(arity, rank).  For a stack of bases (N, n, rank), one per sample,
-    the coefficients are arrays over the samples, each kept even where it is
-    zero.  At rank 0 they are the zero elements of W(arity, 1)."""
-    return [[NilElement(arity, max(B.shape[-1], 1), {(1 << j, 1 << alpha): c
-                                             for alpha, c in enumerate(row) if not _is_zero(c)})
-             for row in _entries(B)]
-            for j in range(arity)]
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _max_abs(value):
-    return value.max_abs_coeff() if isinstance(value, NilElement) else abs(value)
-
-
 def _relation(dist, span, x, frame):
-    """Kock's relation on the generic flat 2-simplex (x, x + u, x + v): the
-    residuals K_y (v - u) of y = x + u ~_D x + v, yielded kernel row by row.
-    The frame at x holds the columns of the fiber basis B; for KERNEL input
-    K_y is the kernel matrix at y.  For SPAN input (`span`) those of K0^T and
-    S^T follow (`_span_relation_stack`, S = C^-1 B^T), and
-    K_y w = K0 w - (K0 X(y)) S w with X the span matrix: both outer factors
-    are nilpotent and W(2, rank) stops at degree 2, so only C, the constant
-    part of B^T X(y), is inverted.
-    K and X at y are 1-jets whose tangents are the rows of B (`expr.Jet`,
-    on row 1 of W(2, rank)), and W elements only in the products with
-    w = v - u.  x and the frame are floats at one sample, and arrays over
-    stacked samples."""
-    n, rank = dist.n, dist.rank
-    B = frame[..., :rank]
-    u, v = _flat_generic_offsets(B, 2)
-    w = [b - a for a, b in zip(u, v)]
-    # y = x + u in W: its constant is x's, its row-1 terms 0.0 + B
-    args = [c for xi, row in zip(x, _entries(0.0 + B)) for c in (xi, *row)]
-    context = max(rank, 1)
+    """Kock's relation on the generic 2-simplex (x, x + d_1, x + d_2) in
+    W(2, n), d_r the row-r generators: the residuals, kernel row by kernel
+    row, that vanish where x + d_1 ~_D x + d_2.  `_flat_check` maps them
+    along the fiber basis B at x onto the generic flat 2-simplex
+    (x, x + d_1 B, x + d_2 B).
+
+    For KERNEL input they are the kernel forms' combinatorial values on
+    the edge (1, 2) (`to_combinatorial`), all evaluated before any is
+    tested.  For SPAN input (`span`) the frame at x holds the columns of B,
+    K0^T and S^T (`_span_relation_stack`, S = C^-1 B^T), and the residuals
+    are K_y w = K0 w - (K0 X(y)) S w for w = d_2 - d_1, with X the span
+    fields' 1-jets at y = x + d_1 (`expr.Jet`): both outer factors are
+    nilpotent and W(2, n) stops at degree 2, so only C, the constant part
+    of B^T X(y), is inverted.  x and the frame are floats at one sample,
+    and arrays over stacked samples."""
     if not span:
-        K = dist._kernel_jet(args, 2, context)
-        return (_dot(K[i:i + n], w) for i in range(0, len(K), n))
-    columns = list(zip(*([c if c.__class__ is float else NilElement(2, context, {(0, 0): c})
+        return [form.on_face(x, 2, (1, 2)) for form in dist._kernel_comb]
+    n, rank, w = dist.n, dist.rank, dist._edge
+    columns = list(zip(*([c if c.__class__ is float else NilElement(2, n, {(0, 0): c})
                           for c in row] for row in _entries(frame))))
     K0, S = columns[rank:n], columns[n:]
-    X = dist._span_jet(args, 2, context)
+    X = dist._span_jet(x, 2, n)
     fields = [X[a:a + n] for a in range(0, len(X), n)]
     Sw = [_dot(row, w) for row in S]
     return (_dot(row, w) - _dot([_dot(row, f) for f in fields], Sw) for row in K0)
 
 
 def _flat_check(dist, span, residuals, tol, samples):
-    """Whether every residual `residuals(x, frame)` on the generic flat
-    2-simplex at x passes, at each sample: [(verdict, frame)], and which
-    samples that decides.  The frame is the fiber basis (`_fibers`), or with
-    `span` the relation frame of SPAN input (`_span_relation_stack`), from
-    one factorisation of the samples' stack; a one-row stack raises where
-    the loop raises.  One sample's residuals are evaluated at its float
-    coordinates, and raise where the loop raises.  Of more samples, the
-    residuals are evaluated once, at arrays of the samples' coordinates;
-    the stack decides a sample whose frame it has and whose residuals are
-    finite."""
+    """Whether every residual `residuals(x, frame)`, a value on the generic
+    2-simplex at x in W(2, n), passes once mapped along the fiber basis B,
+    the frame's first rank columns (`NilElement.map_columns`), onto the
+    generic flat 2-simplex, at each sample: [(verdict, frame)], and which
+    samples that decides.  The frame is the fiber basis (`_fibers`),
+    or with `span` the relation frame of SPAN input
+    (`_span_relation_stack`), from one factorisation of the samples' stack;
+    a one-row stack raises where the loop raises.  One sample's residuals
+    are evaluated at its float coordinates, and raise where the loop
+    raises.  Of more samples, the residuals are evaluated once, at arrays
+    of the samples' coordinates; the stack decides a sample whose frame it
+    has and whose residuals are finite."""
     X = _coords(samples, dist.n)
     frames, ok = _span_relation_stack(dist, X) if span else _fibers(dist, samples, X)
     if len(samples) == 1:
         frame = frames[0]
-        return [(all(within_tol(r, tol) for r in residuals(samples[0].coords, frame)),
-                 frame)], [True]
+        B = _entries(frame[:, :dist.rank])
+        return [(all(within_tol(r.map_columns(B), tol)
+                     for r in residuals(samples[0].coords, frame)), frame)], [True]
     x = list(np.ascontiguousarray(X.T))
+    B = _entries(frames[..., :dist.rank])
     with np.errstate(all="ignore"):
-        residual = reduce(np.maximum, map(_max_abs, residuals(x, frames)),
-                          np.zeros(len(samples)))
+        residual = reduce(np.maximum, (r.map_columns(B).max_abs_coeff()
+                                       for r in residuals(x, frames)), np.zeros(len(samples)))
     return (list(zip(within_tol(residual, tol).tolist(), frames)),
             (ok & np.isfinite(residual)).tolist())
 
@@ -369,7 +361,7 @@ def check_involutive_combinatorial(dist, samples, tol=DEFAULT_TOL):
 def pointwise_involutive_span(dist, samples, tol=DEFAULT_TOL):
     """Kock's relation for SPAN input: if x ~_D x+u and x ~_D x+v for the
     generic flat offsets u, v at a sample x, then x+u ~_D x+v, in exact
-    W(2, rank) arithmetic.  Returns (per-point list, aggregate)."""
+    W-arithmetic (`_relation`).  Returns (per-point list, aggregate)."""
     if dist.span is None:
         raise DegreeError("relational span test needs a SPAN representation")
     return _relation_test(dist, True, samples, tol)
@@ -526,8 +518,8 @@ def semi_annihilation_check(dist, theta, samples, rng=None, tol=DEFAULT_TOL):
     if rng is None:
         rng = np.random.default_rng(0)
     samples = _samples(samples)
-    # the generic flat simplex is the generic simplex mapped along B
-    flat_values = lambda x, B: [theta.on_face(x, 2, (0, 1, 2)).map_columns(_entries(B))]
+    # theta on the generic simplex, which `_flat_check` maps along B
+    flat_values = lambda x, B: [theta.on_face(x, 2, (0, 1, 2))]
     conclusion = True
     for p, (ok, B) in zip(samples, _in_order(
             samples, partial(_flat_check, dist, False, flat_values, tol))):

@@ -632,19 +632,18 @@ def compile_w(exprs, varnames):
     return _define([names[v] for v in varnames], (), [_source(e, names) for e in exprs])
 
 
-def compile_jet(exprs, varnames, slots, rows=None):
-    """Compile a sequence of expressions to one function that evaluates them
-    at y = x + u, u in row 1 of W(2, n) with `slots` row-1 monomials, as
-    their 1-jets.  Each variable's value x_i is a positional argument, and
-    so are its `slots` tangent coefficients (its row-1 coefficients at y),
-    after it, unless its tangent row is `rows[i]`, floats known when
-    compiling.  A float zero coefficient is absent.
+def compile_jet(exprs, varnames):
+    """Compile a sequence of expressions to one function of the coordinates
+    of x, one positional argument per name of `varnames`, that evaluates
+    them at the vertex y = x + d_1 of the generic simplex, d_1 the row-1
+    generators of W(2, n), as their 1-jets: the tangent of variable i is
+    the generator xi[1, i].
 
     It returns a flat tuple: the values of all expressions, then their
     first tangent coefficients, and so on.  These are the constant and
     row-1 coefficients of `compile_w`'s value at y, bit for bit, wherever
     those are finite (an expression without variables is its constant; an
-    absent coefficient reads +0.0), for float and for array coefficients,
+    absent coefficient reads +0.0), for float and for array coordinates,
     and it raises DomainError with `compile_w`'s message where that
     raises.  It performs the operations of `compile_w`'s W arithmetic in
     their order, on the constant and row-1 coefficients alone: on y every
@@ -652,22 +651,16 @@ def compile_jet(exprs, varnames, slots, rows=None):
     reaches them.  A repeated subexpression is evaluated once.
     """
     writer = _JetWriter()
-    names, args = {}, []
-    for i, name in enumerate(varnames):
-        value = f"_v{i}"
-        if rows is None:
-            tangents = tuple(f"_v{i}_{a}" for a in range(slots))
-            args += (value,) + tangents
-        else:
-            tangents = tuple(_nonzero(float(t)) for t in rows[i])
-            args.append(value)
-        names[name] = (value,) + tangents
+    n = len(varnames)
+    args = [f"_v{i}" for i in range(n)]
+    names = {name: (value,) + tuple(1.0 if a == i else None for a in range(n))
+             for i, (name, value) in enumerate(zip(varnames, args))}
     writer.lines += [f"{a} = None if {a}.__class__ is float and {a} == 0.0 else {a}"
                      for a in args]
     shared = {}
     jets = [_source(e, names, writer, shared) for e in exprs]
     out = []
-    for s in range(slots + 1):
+    for s in range(n + 1):
         for jet in jets:
             if not isinstance(jet, tuple):  # a float: a zero is an absent constant
                 out.append(f"({jet} + 0.0)" if s == 0 else "0.0")
@@ -679,28 +672,28 @@ def compile_jet(exprs, varnames, slots, rows=None):
 
 
 class Jet:
-    """Expressions compiled as 1-jets (`compile_jet`, with `slots` tangent
-    coefficients, and the tangent rows `rows` when they are known when
-    compiling), that function kept as `fn`: called with its arguments, a
-    Jet returns `compile_w`'s values at y = x + u with u on row `row` of
-    W(k, n), each a float for an expression without variables and else a
-    W(k, n) element of its constant and its row terms.  On one row, as on
-    row 1 of W(2, n), every product of two tangent monomials vanishes, so
-    that is all of the value.  A float zero coefficient of the jet is left
-    out; the W arithmetic keeps one only where a scaling underflows, and a
-    product with finite factors that this value meets drops it."""
+    """Expressions compiled as 1-jets at a vertex of the generic simplex
+    (`compile_jet`), that function kept as `fn`: called with the
+    coordinates of x, a Jet returns `compile_w`'s values at y = x + d_r,
+    d_r the row-r generators of W(k, n), each a float for an expression
+    without variables and else a W(k, n) element of its constant and its
+    row terms.  On one row, as on row 1 of W(2, n), every product of two
+    tangent monomials vanishes, so that is all of the value.  A float zero
+    coefficient of the jet is left out; the W arithmetic keeps one only
+    where a scaling underflows, and a product with finite factors that
+    this value meets drops it."""
 
-    __slots__ = ("fn", "constant", "slots")
+    __slots__ = ("fn", "constant", "dim")
 
-    def __init__(self, exprs, varnames, slots, rows=None):
-        self.fn = compile_jet(exprs, varnames, slots, rows)
+    def __init__(self, exprs, varnames):
+        self.fn = compile_jet(exprs, varnames)
         self.constant = [not free_vars(e) for e in exprs]
-        self.slots = slots
+        self.dim = len(varnames)
 
-    def __call__(self, args, k, n, row=1):
-        coeffs = self.fn(*args)
+    def __call__(self, x, k, n, row=1):
+        coeffs = self.fn(*x)
         count = len(self.constant)
-        keys = [(0, 0)] + [(1 << (row - 1), 1 << a) for a in range(self.slots)]
+        keys = [(0, 0)] + [(1 << (row - 1), 1 << a) for a in range(self.dim)]
         return [coeffs[j] if constant else
                 _element(k, n, {key: c for key, c in zip(keys, coeffs[j::count])
                                 if not _is_zero(c)})

@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 from . import expr as ex
 from .errors import DegreeError, DomainError, SdgError
-from .nil import (_MERGE_SIGNS, _UNIT, DEFAULT_TOL, NilElement, _is_zero, _Memo, _bits,
+from .nil import (_MERGE_SIGNS, _UNIT, DEFAULT_TOL, _is_zero, _Memo, _bits,
                   _elem_add, _elem_mul, _elem_scale, _wrap, within_tol)
 
 
@@ -69,17 +69,15 @@ class ClassicalForm:
         return self._coeff_fn
 
     def coeff_jet(self):
-        """The coefficients, in `coeffs` order, as 1-jets (`expr.Jet`, the
-        identity as the tangent rows): at the point x, called as
-        `coeff_jet()(x, k, n, r)`, `compile_w`'s values at the vertex
-        x + d_r of the generic simplex in W(k, n), whose coordinates have
-        the row-r generators as their tangents; its function `fn(*x)`
-        returns their values and tangent coefficients, which the faces of
-        `to_combinatorial` read.  Compiled on first use."""
+        """The coefficients, in `coeffs` order, as 1-jets (`expr.Jet`): at
+        the point x, called as `coeff_jet()(x, k, n, r)`, `compile_w`'s
+        values at the vertex x + d_r of the generic simplex in W(k, n),
+        whose coordinates have the row-r generators as their tangents; its
+        function `fn(*x)` returns their values and tangent coefficients,
+        which the faces of `to_combinatorial` read.  Compiled on first
+        use."""
         if self._coeff_jet is None:
-            n = self.n
-            self._coeff_jet = ex.Jet(list(self.coeffs.values()), self.vars, n,
-                                     rows=[[float(a == i) for a in range(n)] for i in range(n)])
+            self._coeff_jet = ex.Jet(list(self.coeffs.values()), self.vars)
         return self._coeff_jet
 
     def coeffs_at(self, coords):
@@ -203,8 +201,9 @@ def to_combinatorial(form):
     sum_i a_i xi[r, i].  So a adds itself times the determinant's terms,
     and each a_i itself times the terms of xi[r, i] times the
     determinant, which the same memo entry holds, signed; an expression
-    without variables is a float and adds itself as at x.  The face (0,),
-    the point x, has a float (or an array over samples) as its value.
+    without variables is a float and adds itself as at x.  Every face's
+    value is a W(k, n) element; that of the face (0,), the point x, is a
+    constant.
     """
     n = form.n
 
@@ -224,8 +223,6 @@ def to_combinatorial(form):
             for T, a in zip(form.coeffs, form.coeff_function()(*x)):
                 if not _is_zero(a):
                     _add_terms(out, a, _FACE_DETS[k, n, face, T][0])
-        if face == (0,):
-            return out.get((0, 0), 0.0)
         return _wrap(k, n, out)
 
     return CombinatorialForm(form.degree, n, on_face)
@@ -308,10 +305,7 @@ def eval_generic(theta, base):
     rooted at `base`: an element of W(degree, n), its value on the face of
     all the vertices, labelled 0..degree (`CombinatorialForm.on_face`)."""
     p = theta.degree
-    value = theta.on_face(base.coords, p, tuple(range(p + 1)))
-    if not isinstance(value, NilElement):
-        value = NilElement.constant(p, theta.n, value)
-    return value
+    return theta.on_face(base.coords, p, tuple(range(p + 1)))
 
 
 def extract_classical(theta, base, tol=DEFAULT_TOL):

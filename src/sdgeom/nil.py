@@ -437,11 +437,12 @@ class NilElement:
                    for row in B] for r in range(1, self.k + 1)]
         out = {}
         for (rmask, cmask), v in self.terms.items():
-            factors = [images[r - 1][i - 1] for r, i in zip(_bits(rmask), _bits(cmask))]
-            product = _UNIT
-            for image in factors[:-1]:
+            factors = [images[r - 1][i - 1]
+                       for r, i in zip(_bits(rmask), _bits(cmask))] or [_UNIT]
+            product = factors[0] if len(factors) > 1 else _UNIT
+            for image in factors[1:-1]:
                 product = _elem_mul(product, image)
-            _elem_muladd(out, v, product, factors[-1] if factors else _UNIT)
+            _elem_muladd(out, v, product, factors[-1])
         return _wrap(self.k, q, out)
 
 

@@ -17,7 +17,7 @@ from sdgeom.connections import curvature_coboundary, span_residual
 from sdgeom.errors import ContextMismatchError, DegreeError, DomainError, RankDeficiencyError
 from sdgeom.forms import _FACE_DETS, _PERMUTATIONS, CombinatorialForm, _add_terms
 from sdgeom.nil import (_MERGE_SIGNS, _UNIT, NilElement, _elem_mul, _elem_muladd, _is_zero,
-                        _wrap, within_tol)
+                        _wrap, generic_offsets, within_tol)
 
 
 # -- the tree walk -----------------------------------------------------------
@@ -92,6 +92,17 @@ def ref_is_flat(dist, p, u, tol):
     else:
         resid = span_residual(ref_span_matrix(dist, p), u)
     return within_tol(resid, tol * max(1.0, np.linalg.norm(u)))
+
+
+def flat_generic_offsets(B, arity):
+    """Displacement vectors of the generic flat simplex at a point with
+    fiber basis B (n x rank): the generic offsets mapped along B
+    (`NilElement.map_columns`), in W(arity, rank), and at rank 0 the zero
+    elements of W(arity, 1).  For a stack of bases (N, n, rank), one per
+    sample, their coefficients are arrays over the samples, each kept even
+    where it is zero (as +0.0 where B's entry is -0.0)."""
+    entries = B.tolist() if B.ndim == 2 else np.ascontiguousarray(B.transpose(1, 2, 0))
+    return [[g.map_columns(entries) for g in row] for row in generic_offsets(arity, B.shape[-2])]
 
 
 # -- neighbour points in a chart ---------------------------------------------
@@ -345,7 +356,7 @@ def ref_d_comb(theta):
     def evaluator(base, offsets):
         total = theta(*_rebase(base, offsets[1:], offsets[0]))
         for i in range(1, p + 2):
-            v = theta(base, offsets[:i - 1] + offsets[i:])
+            v = _point_value(theta(base, offsets[:i - 1] + offsets[i:]), base, offsets)
             total = total + v if i % 2 == 0 else total - v
         return total
 
@@ -358,7 +369,7 @@ def ref_wedge_comb(om, th):
     k, l = om.degree, th.degree
 
     def evaluator(base, offsets):
-        front = om(base, offsets[:k])
+        front = _point_value(om(base, offsets[:k]), base, offsets)
         if k == 0:
             back = th(base, offsets)
         else:
@@ -378,6 +389,17 @@ def _context(base, offsets):
             if isinstance(x, NilElement):
                 return x.k, x.n
     return None
+
+
+def _point_value(value, base, offsets):
+    """A face's value on the simplex of `offsets` at `base`: a float, a
+    0-form's value at the base point, is the constant element of the
+    simplex's W(k, n), as `forms.to_combinatorial` gives its face (0,); it
+    stays a float where the simplex has no W-valued coordinate."""
+    context = _context(base, offsets)
+    if context is None or isinstance(value, NilElement):
+        return value
+    return NilElement.constant(*context, value)
 
 
 def _terms(x, context):
@@ -434,8 +456,6 @@ def ref_jet_faces(form):
                 ref_elem_muladd(out, 1.0, a.terms, det)
             elif not _is_zero(a):
                 _add_terms(out, a, products)
-        if face == (0,):
-            return out.get((0, 0), 0.0)
         return _wrap(k, n, out)
 
     return CombinatorialForm(form.degree, n, on_face)

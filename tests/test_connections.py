@@ -239,7 +239,7 @@ def test_ambrose_singer_argument_errors(basepoint, steps, error, message):
     loops = [(circle_curve(0.0, 0.0, 0.5), 0.0, 1.0)]
     with pytest.raises(error, match=f"^{message}$"):
         ambrose_singer_check(rotational_connection(), loops, samples2(3), Point(basepoint),
-                             steps=steps)
+                             steps=steps, tol=1e-6)
 
 
 def test_holonomy_angle_mod_2pi_radius_two():
@@ -637,7 +637,7 @@ def reducible_so3_check(basepoint):
                  "(y*cos(x))*dx, 0*dx, (1)*dx; (y*sin(x))*dx, (-1)*dx, 0*dx]\n").conns["A"]
     return ambrose_singer_check(
         conn, [(circle_curve(-0.5, 0.0, 0.2), 0.0, 1.0)],
-        sample_box([(-1.0, 1.0)] * 2, 8, 1), Point(basepoint), steps=500)
+        sample_box([(-1.0, 1.0)] * 2, 8, 1), Point(basepoint), steps=500, tol=1e-6)
 
 
 def test_ambrose_singer_on_a_reducible_so3_connection():

@@ -10,7 +10,7 @@ import pytest
 from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.distributions import (DEFAULT_TOL, Distribution, IntegralPatch,
-                                  SemiAnnihilationResult, _flat_generic_offsets,
+                                  SemiAnnihilationResult,
                                   check_integral_patch,
                                   check_involutive_classical,
                                   check_involutive_combinatorial,
@@ -23,7 +23,7 @@ from sdgeom.program import parse
 from sdgeom.sampling import parse_box, sample_box
 
 from corpus import random_scalar_expr
-from reference import evaluate, ref_is_flat, ref_to_combinatorial
+from reference import evaluate, flat_generic_offsets, ref_is_flat, ref_to_combinatorial
 
 VARS3 = ("x", "y", "z")
 
@@ -319,7 +319,7 @@ def relational_kernel_test(dist, samples, tol=DEFAULT_TOL):
     coordinates."""
     thetas = [ref_to_combinatorial(w) for w in dist.kernel]
     for p in samples:
-        u, v = _flat_generic_offsets(dist.basis_at(p), 2)
+        u, v = flat_generic_offsets(dist.basis_at(p), 2)
         y = [c + e for c, e in zip(p.coords, u)]
         w = [b - a for a, b in zip(u, v)]
         if not all(within_tol(theta(y, [w]), tol) for theta in thetas):

@@ -101,12 +101,14 @@ def tree_walk(form, base, offsets):
 def to_combinatorial_reference(form):
     """`to_combinatorial` as a tree walk on the faces of the generic
     simplex: a face based at its first vertex, with the offsets of the
-    others from it."""
+    others from it.  The point x, the face (0,), is a constant element, as
+    every face's value is an element of W(k, n)."""
     def on_face(x, k, face):
         d = [(0.0,) * form.n] + generic_offsets(k, form.n)
         base = [c + e for c, e in zip(x, d[face[0]])] if face[0] else x
-        return tree_walk(form, base, [[a - b for a, b in zip(d[v], d[face[0]])]
-                                      for v in face[1:]])
+        value = tree_walk(form, base, [[a - b for a, b in zip(d[v], d[face[0]])]
+                                       for v in face[1:]])
+        return value if isinstance(value, NilElement) else NilElement.constant(k, form.n, value)
 
     return CombinatorialForm(form.degree, form.n, on_face)
 
