@@ -2,7 +2,7 @@
 combinatorial differential forms, distributions, and principal connections,
 each cross-validated against classical coordinate oracles."""
 
-from .nil import NilElement, canonicalize, lift_smooth
+from .nil import NilElement, canonicalize
 
-__all__ = ["NilElement", "canonicalize", "lift_smooth"]
+__all__ = ["NilElement", "canonicalize"]
 __version__ = "0.1.0"

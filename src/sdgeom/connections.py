@@ -54,8 +54,8 @@ class ConnectionData:
 
     @cached_property
     def _a_w(self):
-        """The entries of A, compiled once for points, neighbours and
-        stacked samples."""
+        """The entries of A, compiled once for points and stacked
+        samples."""
         return ex.compile_w(self._entries, self.vars)
 
     @cached_property

@@ -49,7 +49,9 @@ class Distribution:
         self.vars = (tuple(vars) if vars is not None else kernel[0].vars if kernel
                      else default_vars(n))
 
-    # -- compiled functions (`expr.compile_w`), built on first use -----------
+    # -- compiled functions, built on first use -------------------------------
+    # `expr.compile_w` at points and stacked samples, 1-jets and face tables
+    # at the neighbours in W of Kock's relation
 
     @cached_property
     def _kernel_coeffs(self):
@@ -108,23 +110,6 @@ class Distribution:
         return ex.compile_w(comps, self.vars)
 
     # -- pointwise linear algebra: row 0 of a one-row stack ------------------
-
-    def kernel_matrix(self, p):
-        """(n-rank) x n matrix of kernel-form coefficients at p (for SPAN
-        input, orthonormal rows of the complement of the fiber); it raises
-        RankDeficiencyError where the rank falls short (`_full_rank`)."""
-        X = _coords([p], self.n)
-        if self.kernel is None:
-            return self._span_stack(X)[1][0, :, self.rank:].T
-        return self._kernel_stack(X)[0][0]
-
-    def span_matrix(self, p):
-        """n x rank matrix of spanning field values at p (for KERNEL input,
-        `basis_at`'s); RankDeficiencyError where the rank falls short."""
-        X = _coords([p], self.n)
-        if self.span is None:
-            return self._kernel_stack(X)[1][0]
-        return self._span_stack(X)[0][0]
 
     def basis_at(self, p):
         """Orthonormal n x rank basis of the fiber at p: row 0 of its
@@ -453,11 +438,6 @@ class IntegralPatch:
             return Point(self._point_fn(*s))
         except ValueError:  # Point's one finiteness check
             raise DomainError(f"non-finite patch point at parameters {s}") from None
-
-    def jacobian_at(self, s):
-        """The Jacobian at the parameters s, row 0 of their one-row stack;
-        RankDeficiencyError unless of rank q."""
-        return self._jacobian_stack(self._rows([s]))[0][0]
 
     def _jacobian_stack(self, P):
         """The Jacobians at the rows of P (N, q), shape (N, components, q),

@@ -1,29 +1,29 @@
 """Scalar expression AST: construction, symbolic differentiation, and
-compiled evaluation on floats, W-valued (nilpotent) arguments and arrays.
+compiled evaluation on floats and arrays, and in the first neighbourhood
+of the diagonal as 1-jets.
 
 The AST is deliberately tiny: literals, variables, +, -, *, /, unary minus,
 integer pow, and the smooth primitives sin/cos/exp/ln/sqrt.  Differentiation
 does light constant folding only; no general simplifier.
 
 One evaluator: `compile_w` compiles a function of the expressions that
-evaluates them on floats and W values (a point, real or neighbouring) and
-on arrays of stacked samples (`stacked`).  One code generator (`_source`'s
-walk) has three targets, all with `compile_w`'s meaning: `compile_w`
-itself; `compile_rk4_step`, a whole RK4 step along a vector field; and
-`compile_jet`, the value at a neighbour y = x + u in the first
-neighbourhood of the diagonal as a 1-jet, a value and its tangent
-coefficients, which is all of the value in W there: the product of two
-offsets in row 1 of W(2, n) vanishes.
+evaluates them on floats (a point) and on arrays of stacked samples
+(`stacked`).  One code generator (`_source`'s walk) has three targets:
+`compile_w` itself; `compile_rk4_step`, a whole RK4 step along a vector
+field, with `compile_w`'s meaning; and `compile_jet`, the value at a
+neighbour y = x + u in the first neighbourhood of the diagonal as a 1-jet,
+a value and its tangent coefficients, which is all of the value in W
+there: the product of two offsets in row 1 of W(2, n) vanishes.
 
-numpy is imported only on arrays, so the float and W-valued paths run
-without it.
+numpy is imported only on arrays, so the float and jet paths run without
+it.
 """
 
 import math
 from itertools import count
 
 from .errors import DomainError
-from .nil import _SAMPLEWISE, NilElement, _is_zero, _table, _taylor, lift_smooth
+from .nil import _SAMPLEWISE, _is_zero, _table, _taylor
 from .nil import _wrap as _element
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -196,7 +196,7 @@ _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 def _apply_fn(fn, v):
     # a float, tested first; a numpy scalar takes the float rule too
-    if v.__class__ is float or not (isinstance(v, NilElement) or getattr(v, "ndim", 0)):
+    if v.__class__ is float or not getattr(v, "ndim", 0):
         if fn == "ln":
             if v <= 0:
                 raise DomainError(f"ln of {v}")
@@ -209,8 +209,6 @@ def _apply_fn(fn, v):
             return _MATH[fn](v)
         except (ValueError, OverflowError) as err:  # exp overflow, sin(inf)
             raise DomainError(f"{fn} of {v}: {err}") from None
-    if isinstance(v, NilElement):
-        return lift_smooth(fn, v)
     # an array of samples: nan where the float branch raises
     if fn == "exp":
         return _SAMPLEWISE.exp(v)
@@ -223,12 +221,10 @@ def _apply_fn(fn, v):
 
 def _div(num, den):
     # a float, tested first; a numpy scalar takes the float rule too
-    if den.__class__ is float or not (isinstance(den, NilElement) or getattr(den, "ndim", 0)):
+    if den.__class__ is float or not getattr(den, "ndim", 0):
         if den == 0.0:
             raise DomainError("division by zero")
         return num / den
-    if isinstance(den, NilElement):
-        return num * lift_smooth("reciprocal", den)
     import numpy as np
 
     return np.where(den == 0.0, np.nan, num / den)
@@ -236,16 +232,13 @@ def _div(num, den):
 
 def _pow(base, power):
     # a float, tested first; a numpy scalar takes the float rule too
-    if base.__class__ is float or not (isinstance(base, NilElement)
-                                       or getattr(base, "ndim", 0)):
+    if base.__class__ is float or not getattr(base, "ndim", 0):
         if base == 0.0 and power < 0:
             raise DomainError("negative power of zero")
         try:
             return base ** power
         except OverflowError as err:
             raise DomainError(f"pow({base}, {power}): {err}") from None
-    if isinstance(base, NilElement):
-        return lift_smooth("power", base, exponent=power)
     import numpy as np
 
     # nan ** 0 is 1: keep the nan of a base that could not be evaluated
@@ -416,7 +409,7 @@ def _nonzero(v):
 
 
 # The coefficient operations of compiled jets, None absent: each performs
-# the NilElement operation that compile_w performs, on one coefficient.
+# an operation of the W arithmetic (`compile_jet`) on one coefficient.
 
 def _jet_sum(x, y):
     """x + y: `nil._elem_add`, which keeps x as it is where y is absent."""
@@ -457,12 +450,14 @@ def _jet_product(a0, bi, ai=None, b0=None):
 
 
 def _lift(f, exponent, c, *tangents):
-    """`nil.lift_smooth` of the primitive f (`exponent` for a power) at the
+    """The Taylor lift of the primitive f (`exponent` for a power) at the
     element of W(2, n) with constant term c and the row-1 coefficients
     `tangents` (those not absent when compiling), None where absent, as its
-    constant and those row-1 coefficients, None where absent.  A product of
-    two row-1 monomials is 0, so the Taylor sum stops at order 1, or at
-    order 0 where every tangent is 0."""
+    constant and those row-1 coefficients, None where absent: f(c) plus
+    f'(c) times the row-1 part.  A product of two row-1 monomials is 0, so
+    the Taylor sum stops at order 1, or at order 0 where every tangent is
+    0; `nil._taylor` gives the derivatives, and raises DomainError where
+    they are not defined at a float c."""
     table = _table(f, exponent)
     power = [None if t is None else _nonzero(0.0 + t) for t in tangents]
     order = int(any(p is not None for p in power))
@@ -482,20 +477,21 @@ def _code(c):
 class _JetWriter:
     """The jet target of `_source`: straight-line statements that evaluate
     an expression at y = x + u, with u in row 1 of W(2, n), as the
-    constant and row-1 coefficients of `compile_w`'s value there.
+    constant and row-1 coefficients of its value there in W (`compile_jet`).
 
     An operand is the source of a float, for an expression without
     variables, which is computed in its place in the walk, or a jet: a
     tuple of its coefficients, the constant first, each None where it is
     absent at every argument, a float where it is known when compiling, or
     the name of a local.  At run time an absent coefficient is None, a
-    present one a float or an array.  Each operation is the NilElement
-    operation that `compile_w` performs, restricted to degree <= 1 (a
-    product of two row-1 monomials vanishes), coefficient by coefficient
-    through the `_jet_*` functions and `_lift`: the same floating-point
-    operations in the same order, and the same coefficients dropped.  A
-    `_jet_*` function of known coefficients is applied when compiling; it
-    cannot raise, and gives the same float then as later."""
+    present one a float or an array.  Each operation is the operation of
+    the W arithmetic at that node, restricted to degree <= 1 (a product of
+    two row-1 monomials vanishes), coefficient by coefficient through the
+    `_jet_*` functions and `_lift`: the same floating-point operations as
+    the term-map kernels of `nil` in the same order, and the same
+    coefficients dropped.  A `_jet_*` function of known coefficients is
+    applied when compiling; it cannot raise, and gives the same float then
+    as later."""
 
     def __init__(self):
         self.lines = []
@@ -608,21 +604,18 @@ def _define(args, lines, result, **constants):
 def compile_w(exprs, varnames):
     """Compile a sequence of expressions to one function of positional
     arguments, one per name of `varnames`, returning a tuple: the one
-    evaluator, at a point, real or neighbouring, and at stacked samples.
-    A variable not in `varnames` raises DomainError here.
+    evaluator, at a point and at stacked samples.  A variable not in
+    `varnames` raises DomainError here.
 
-    Each argument is a float, a NilElement or a 1-D float array of samples
-    (call it through `stacked`).  The function evaluates the tree node by
-    node, operands before their operation and left before right, by one
-    rule for each kind of value:
+    Each argument is a float or a 1-D float array of samples (call it
+    through `stacked`).  The function evaluates the tree node by node,
+    operands before their operation and left before right, by one rule for
+    each kind of value:
 
     - floats: Python's float arithmetic and the `math` primitives; a
       quotient by zero, a negative power of zero, an overflowing power, ln
       of x <= 0, sqrt of x < 0 and a math error of sin, cos or exp raise
       DomainError;
-    - W values: NilElement arithmetic, a quotient as the product with the
-      reciprocal lift of the divisor, and integer powers and primitives as
-      Taylor lifts (`nil.lift_smooth`);
     - arrays: at finite samples, the float rule at each sample, bit for
       bit, wherever its value is finite, and nan wherever it raises.  A
       subexpression without variables is still a float, so one that is
@@ -641,14 +634,20 @@ def compile_jet(exprs, varnames):
 
     It returns a flat tuple: the values of all expressions, then their
     first tangent coefficients, and so on.  These are the constant and
-    row-1 coefficients of `compile_w`'s value at y, bit for bit, wherever
-    those are finite (an expression without variables is its constant; an
-    absent coefficient reads +0.0), for float and for array coordinates,
-    and it raises DomainError with `compile_w`'s message where that
-    raises.  It performs the operations of `compile_w`'s W arithmetic in
-    their order, on the constant and row-1 coefficients alone: on y every
-    product of two row-1 monomials vanishes, so no other coefficient
-    reaches them.  A repeated subexpression is evaluated once.
+    row-1 coefficients of the value at y in W(2, n), bit for bit, wherever
+    those are finite (an absent coefficient reads +0.0), for float and for
+    array coordinates.  That value is the tree's, node by node in
+    `compile_w`'s order, in the W arithmetic: a subexpression without
+    variables is a float, by the float rule; sums, differences and
+    products are `NilElement`'s, a float operand a constant term; a
+    quotient by a float is the product with 1.0 over it, and one by a W
+    value the product with the Taylor lift of its reciprocal; integer
+    powers and primitives are Taylor lifts at the constant term (`_lift`).
+    It raises DomainError where a float quotient is by zero or a lift's
+    derivatives are not defined.  It performs those operations in their
+    order on the constant and row-1 coefficients alone: on y every product
+    of two row-1 monomials vanishes, so no other coefficient reaches them.
+    A repeated subexpression is evaluated once.
     """
     writer = _JetWriter()
     n = len(varnames)
@@ -674,8 +673,8 @@ def compile_jet(exprs, varnames):
 class Jet:
     """Expressions compiled as 1-jets at a vertex of the generic simplex
     (`compile_jet`), that function kept as `fn`: called with the
-    coordinates of x, a Jet returns `compile_w`'s values at y = x + d_r,
-    d_r the row-r generators of W(k, n), each a float for an expression
+    coordinates of x, a Jet returns the values in W at y = x + d_r, d_r
+    the row-r generators of W(k, n), each a float for an expression
     without variables and else a W(k, n) element of its constant and its
     row terms.  On one row, as on row 1 of W(2, n), every product of two
     tangent monomials vanishes, so that is all of the value.  A float zero

@@ -62,16 +62,16 @@ class ClassicalForm:
 
     def coeff_function(self):
         """The coefficients, in `coeffs` order, as one compiled function of
-        the coordinates (floats or NilElements) returning a tuple, by
-        `expr.compile_w`.  Compiled on first use."""
+        the coordinates (floats, or arrays over samples) returning a tuple,
+        by `expr.compile_w`.  Compiled on first use."""
         if self._coeff_fn is None:
             self._coeff_fn = ex.compile_w(list(self.coeffs.values()), self.vars)
         return self._coeff_fn
 
     def coeff_jet(self):
         """The coefficients, in `coeffs` order, as 1-jets (`expr.Jet`): at
-        the point x, called as `coeff_jet()(x, k, n, r)`, `compile_w`'s
-        values at the vertex x + d_r of the generic simplex in W(k, n),
+        the point x, called as `coeff_jet()(x, k, n, r)`, their values in
+        W at the vertex x + d_r of the generic simplex in W(k, n),
         whose coordinates have the row-r generators as their tangents; its
         function `fn(*x)` returns their values and tangent coefficients,
         which the faces of `to_combinatorial` read.  Compiled on first
@@ -81,9 +81,9 @@ class ClassicalForm:
         return self._coeff_jet
 
     def coeffs_at(self, coords):
-        """Numeric (or W-valued) coefficients at the given `n` coordinates,
-        through `coeff_function`: the values, and the DomainErrors, of
-        `expr.compile_w`."""
+        """Numeric coefficients at the given `n` coordinates, floats or
+        arrays over samples, through `coeff_function`: the values, and the
+        DomainErrors, of `expr.compile_w`."""
         if len(coords) != self.n:
             raise DomainError(f"need {self.n} coordinates, got {len(coords)}")
         return dict(zip(self.coeffs, self.coeff_function()(*coords)))

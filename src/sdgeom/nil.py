@@ -221,38 +221,12 @@ class NilElement:
         return NilElement(k, n, {(0, 0): float(c)} if c else None)
 
     @staticmethod
-    def zero(k, n):
-        return NilElement(k, n)
-
-    @staticmethod
     def generator(k, n, row, col):
         if not (1 <= row <= k and 1 <= col <= n):
             raise ValueError(f"generator ({row},{col}) outside context ({k},{n})")
         return NilElement(k, n, {(1 << (row - 1), 1 << (col - 1)): 1.0})
 
-    @staticmethod
-    def monomial(k, n, rows, cols, coeff=1.0):
-        """Element coeff * m(rows, cols) with both index sets sorted."""
-        sign, mono = canonicalize(list(zip(sorted(rows), sorted(cols))))
-        if sign == 0 or coeff == 0:
-            return NilElement.zero(k, n)
-        return NilElement(k, n, {mono: sign * float(coeff)})
-
     # -- inspection --------------------------------------------------------
-
-    @property
-    def const_term(self):
-        return self.terms.get((0, 0), 0.0)
-
-    def coeff(self, rows, cols):
-        """Coefficient of the canonical monomial m(rows, cols)."""
-        rmask = 0
-        for r in rows:
-            rmask |= 1 << (r - 1)
-        cmask = 0
-        for c in cols:
-            cmask |= 1 << (c - 1)
-        return self.terms.get((rmask, cmask), 0.0)
 
     def max_abs_coeff(self):
         """Largest |coefficient|; nan if any coefficient is nan.  With array
@@ -273,15 +247,6 @@ class NilElement:
             return np.max(arrays, axis=0, initial=best)
         return best
 
-    def is_zero(self, tol=0.0):
-        return within_tol(self, tol)
-
-    def degree_part(self, r):
-        """Component spanned by monomials of generator-degree r."""
-        t = {key: v for key, v in self.terms.items()
-             if bin(key[0]).count("1") == r}
-        return _wrap(self.k, self.n, t)
-
     def __eq__(self, other):
         """Same context, same monomials and equal coefficients; two arrays
         are equal when their shapes and values are, and nan equals nothing,
@@ -294,11 +259,6 @@ class NilElement:
             return False
         theirs = other.terms
         return all(_coeff_equal(v, theirs[key]) for key, v in self.terms.items())
-
-    def __hash__(self):
-        if any(getattr(v, "ndim", 0) for v in self.terms.values()):
-            raise TypeError("unhashable NilElement: it has array coefficients")
-        return hash((self.k, self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -365,24 +325,6 @@ class NilElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise DomainError("division by zero")
-            return self * (1.0 / other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * lift_smooth("reciprocal", other)
-
-    def __rtruediv__(self, other):
-        return lift_smooth("reciprocal", self) * other
-
-    def __pow__(self, m):
-        if not isinstance(m, int):
-            return NotImplemented
-        return lift_smooth("power", self, exponent=m)
-
     # -- simplex morphisms -------------------------------------------------
 
     def identify_rows(self, i, j):
@@ -400,28 +342,6 @@ class NilElement:
                 else:
                     out[image] = c
         return _wrap(self.k, self.n, out)
-
-    def permute_rows(self, perm):
-        """Algebra morphism induced by a vertex permutation.
-
-        `perm` maps row index r (1-based) to perm[r-1].  It maps monomials
-        one to one, each to its signed image (`_ROW_IMAGES`).
-        """
-        perm = tuple(perm)
-        if sorted(perm) != list(range(1, self.k + 1)):
-            raise ValueError("not a permutation of 1..k")
-        images = _ROW_IMAGES[perm]
-        out = {}
-        for mono, v in self.terms.items():
-            sign, image = images[mono]
-            out[image] = sign * v
-        return _wrap(self.k, self.n, out)
-
-    def zero_row(self, j):
-        """Algebra morphism xi[j,*] -> 0 (identify vertex j with the base)."""
-        t = {key: v for key, v in self.terms.items()
-             if not key[0] & (1 << (j - 1))}
-        return _wrap(self.k, self.n, t)
 
     def map_columns(self, B):
         """Algebra morphism W(k, n) -> W(k, q), xi[r, i] -> sum_a B[i][a]
@@ -610,10 +530,10 @@ def _table(f, exponent=None):
 
 
 def _taylor(f, table, c, order):
-    """f(c), f'(c), ..., f^(order)(c) from the table of f, as `lift_smooth`
-    takes them: through `math` at a float c, raising DomainError where that
-    raises or where a derivative overflows, and through `_array_derivs` at
-    an array c."""
+    """f(c), f'(c), ..., f^(order)(c) from the table of f, as a Taylor lift
+    (`expr._lift`) takes them: through `math` at a float c, raising
+    DomainError where that raises or where a derivative overflows, and
+    through `_array_derivs` at an array c."""
     if getattr(c, "ndim", 0):  # an array; numpy only then
         return _array_derivs(table, c, order)
     try:
@@ -625,38 +545,3 @@ def _taylor(f, table, c, order):
         raise DomainError(f"{f} at constant term {c}: a derivative overflows")
     return derivs
 
-
-def lift_smooth(f, a, exponent=None):
-    """Extend a univariate smooth primitive to a W-valued argument.
-
-    f is one of sin, cos, exp, ln, sqrt, reciprocal, power (the latter
-    takes `exponent`).  Exact: the Taylor sum at the constant term stops at
-    the first power of the nilpotent part that is zero (by nilpotency, at
-    order min(k, n) or before), and only the derivatives up to that order
-    are taken.  A constant term outside the domain (a non-integer power of
-    a negative one included), or one at which a derivative up to that order
-    overflows, raises DomainError.  An array constant term is lifted sample
-    by sample in the same way, with nan in place of DomainError: every
-    coefficient is nan at a sample where the float lift raises or is not
-    finite, or where the constant term is not finite.
-    """
-    if not isinstance(a, NilElement):
-        raise TypeError("lift_smooth expects a NilElement")
-    table = _table(f, exponent)
-    nil = dict(a.terms)
-    nil.pop((0, 0), None)
-    powers = []  # the nonzero powers nil**1, nil**2, ...
-    power = {(0, 0): 1.0}
-    for _ in range(min(a.k, a.n)):
-        power = _elem_mul(power, nil)
-        if not power:
-            break
-        powers.append(power)
-    derivs = _taylor(f, table, a.const_term, len(powers))
-    out = {} if _is_zero(derivs[0]) else {(0, 0): derivs[0]}
-    fact = 1.0
-    for r, power in enumerate(powers, start=1):
-        fact *= r
-        if not _is_zero(derivs[r]):
-            out = _elem_add(out, _elem_scale(derivs[r] / fact, power))
-    return _wrap(a.k, a.n, out)

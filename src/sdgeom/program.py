@@ -254,7 +254,7 @@ class _Parser:
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a vector name"))
         self.expect("=")
-        comps = self._paren_scalar_list()
+        comps = self._paren_scalar_list(self.prog.vars)
         if len(comps) != self.prog.dim:
             self.error(f"vector needs {self.prog.dim} components", tok)
         self.prog.vectors[name] = comps
@@ -304,11 +304,15 @@ class _Parser:
         self._chart_ready(tok)
         name = self._fresh_name(self.expect("ident", "a patch name"))
         self.expect("(")
-        params = [param.text for param in
-                  self.separated(partial(self.expect, "ident", "a parameter name"))]
+        params = []
+        for param in self.separated(partial(self.expect, "ident", "a parameter name")):
+            if param.text in params:
+                self.error(f"duplicate parameter name {param.text!r}", param)
+            params.append(param.text)
         self.expect(")")
         self.expect("=")
-        comps = self._paren_scalar_list(extra_vars=params)
+        # a patch is a function of its parameters alone
+        comps = self._paren_scalar_list(params)
         if len(comps) != self.prog.dim:
             self.error(f"patch needs {self.prog.dim} components", tok)
 
@@ -354,9 +358,10 @@ class _Parser:
                 self.error("connection entries must be 1-forms")
         return row
 
-    def _paren_scalar_list(self, extra_vars=()):
+    def _paren_scalar_list(self, names):
+        """A parenthesised list of scalar expressions in the variables `names`."""
         self.expect("(")
-        allowed = set(self.prog.vars) | set(extra_vars)
+        allowed = set(names)
         comps = self.separated(partial(self._scal_sum, allowed))
         self.expect(")")
         return comps

@@ -1,10 +1,12 @@
 """References the engine is checked against, kept beside the tests that use
-them: the tree walk of an expression, the fibers of a distribution one point
-at a time, the neighbour-point layer of a chart (neighbour pairs x ~ y,
-tangents and the log/exp correspondence), the run that pins the curvature
-conventions, the monomials of W(k, n) and the product of two term maps pair
-by pair, the coordinate path of combinatorial forms, and their faces with a
-NilElement per coefficient."""
+them: the tree walk of an expression, in W too, with Taylor lifts of any
+order, the fibers of a distribution one point at a time, the
+neighbour-point layer of a chart (neighbour pairs x ~ y, tangents and the
+log/exp correspondence), the run that pins the curvature conventions, the
+inspection and simplicial structure maps of W elements, the monomials of
+W(k, n) and the product of two term maps pair by pair, the coordinate path
+of combinatorial forms, and their faces with a NilElement per
+coefficient."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -14,19 +16,86 @@ import numpy as np
 from sdgeom import expr as ex
 from sdgeom.chart import Point
 from sdgeom.connections import curvature_coboundary, span_residual
+from sdgeom.distributions import _coords
 from sdgeom.errors import ContextMismatchError, DegreeError, DomainError, RankDeficiencyError
 from sdgeom.forms import _FACE_DETS, _PERMUTATIONS, CombinatorialForm, _add_terms
-from sdgeom.nil import (_MERGE_SIGNS, _UNIT, NilElement, _elem_mul, _elem_muladd, _is_zero,
-                        _wrap, generic_offsets, within_tol)
+from sdgeom.nil import (_MERGE_SIGNS, _ROW_IMAGES, _UNIT, NilElement, _elem_add, _elem_mul,
+                        _elem_muladd, _elem_scale, _is_zero, _table, _taylor, _wrap,
+                        canonicalize, generic_offsets, within_tol)
 
 
 # -- the tree walk -----------------------------------------------------------
 
+def lift_smooth(f, a, exponent=None):
+    """Extend a univariate smooth primitive to a W-valued argument.
+
+    f is one of sin, cos, exp, ln, sqrt, reciprocal, power (the latter
+    takes `exponent`).  Exact: the Taylor sum at the constant term stops at
+    the first power of the nilpotent part that is zero (by nilpotency, at
+    order min(k, n) or before), and only the derivatives up to that order
+    are taken.  A constant term outside the domain (a non-integer power of
+    a negative one included), or one at which a derivative up to that order
+    overflows, raises DomainError.  An array constant term is lifted sample
+    by sample in the same way, with nan in place of DomainError: every
+    coefficient is nan at a sample where the float lift raises or is not
+    finite, or where the constant term is not finite.
+    """
+    if not isinstance(a, NilElement):
+        raise TypeError("lift_smooth expects a NilElement")
+    table = _table(f, exponent)
+    nil = dict(a.terms)
+    nil.pop((0, 0), None)
+    powers = []  # the nonzero powers nil**1, nil**2, ...
+    power = {(0, 0): 1.0}
+    for _ in range(min(a.k, a.n)):
+        power = _elem_mul(power, nil)
+        if not power:
+            break
+        powers.append(power)
+    derivs = _taylor(f, table, const_term(a), len(powers))
+    out = {} if _is_zero(derivs[0]) else {(0, 0): derivs[0]}
+    fact = 1.0
+    for r, power in enumerate(powers, start=1):
+        fact *= r
+        if not _is_zero(derivs[r]):
+            out = _elem_add(out, _elem_scale(derivs[r] / fact, power))
+    return _wrap(a.k, a.n, out)
+
+
+def quotient(num, den):
+    """num / den: `expr._div` on floats and arrays; in W, the product with
+    1.0 / den for a number den, and with the reciprocal lift of den for a W
+    value."""
+    if isinstance(den, NilElement):
+        return num * lift_smooth("reciprocal", den)
+    if isinstance(num, NilElement):
+        if den == 0:
+            raise DomainError("division by zero")
+        return num * (1.0 / den)
+    return ex._div(num, den)
+
+
+def power(base, exponent):
+    """base ** exponent, an integer: `expr._pow`, and a Taylor lift in W."""
+    if isinstance(base, NilElement):
+        return lift_smooth("power", base, exponent=exponent)
+    return ex._pow(base, exponent)
+
+
+def _apply_fn(fn, v):
+    """fn(v): `expr._apply_fn`, and a Taylor lift in W."""
+    if isinstance(v, NilElement):
+        return lift_smooth(fn, v)
+    return ex._apply_fn(fn, v)
+
+
 def evaluate(e, env):
-    """Evaluate with env: name -> float | NilElement (mixing allowed), node
-    by node, through the operations of `expr` (`_div`, `_pow`, `_apply_fn`):
-    the oracle for `expr.compile_w`, `expr.compile_jet` and the stacked
-    paths."""
+    """Evaluate with env: name -> float | array | NilElement (mixing
+    allowed), node by node: on floats and arrays through the operations of
+    `expr` (`_div`, `_pow`, `_apply_fn`), in W by the W arithmetic, a
+    quotient by a W value, integer powers and primitives as Taylor lifts
+    (`lift_smooth`).  The oracle for `expr.compile_w`, `expr.compile_jet`
+    and the stacked paths."""
     if isinstance(e, ex.Const):
         return e.value
     if isinstance(e, ex.Var):
@@ -41,17 +110,32 @@ def evaluate(e, env):
     if isinstance(e, ex.Mul):
         return evaluate(e.left, env) * evaluate(e.right, env)
     if isinstance(e, ex.Div):
-        return ex._div(evaluate(e.left, env), evaluate(e.right, env))
+        return quotient(evaluate(e.left, env), evaluate(e.right, env))
     if isinstance(e, ex.Neg):
         return -evaluate(e.arg, env)
     if isinstance(e, ex.Pow):
-        return ex._pow(evaluate(e.base, env), e.power)
+        return power(evaluate(e.base, env), e.power)
     if isinstance(e, ex.Call):
-        return ex._apply_fn(e.fn, evaluate(e.arg, env))
+        return _apply_fn(e.fn, evaluate(e.arg, env))
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
+def tree_walk(exprs, varnames):
+    """`evaluate` of each of `exprs` as one function of positional
+    arguments, one per name of `varnames`, returning a tuple, in the shape
+    of `expr.compile_w`'s functions: how tests evaluate expressions in W."""
+
+    def fn(*args):
+        env = dict(zip(varnames, args))
+        return tuple(evaluate(e, env) for e in exprs)
+
+    return fn
+
+
 # -- the fibers of a distribution, one point at a time ----------------------
+#
+# From its expressions by the tree walk (`ref_*`), and from the library's
+# one-row stacks.
 
 def ref_kernel_matrix(dist, p):
     if dist.kernel is None:
@@ -81,6 +165,31 @@ def ref_span_matrix(dist, p):
     if np.linalg.matrix_rank(M, tol=1e-7) != dist.rank:
         raise RankDeficiencyError(f"span fields rank-deficient at {p.coords}")
     return M
+
+
+def kernel_matrix(dist, p):
+    """(n-rank) x n matrix of kernel-form coefficients at p (for SPAN input,
+    orthonormal rows of the complement of the fiber): row 0 of its one-row
+    stack, which raises RankDeficiencyError where the rank falls short."""
+    X = _coords([p], dist.n)
+    if dist.kernel is None:
+        return dist._span_stack(X)[1][0, :, dist.rank:].T
+    return dist._kernel_stack(X)[0][0]
+
+
+def span_matrix(dist, p):
+    """n x rank matrix of spanning field values at p (for KERNEL input, the
+    fiber basis): row 0 of its one-row stack."""
+    X = _coords([p], dist.n)
+    if dist.span is None:
+        return dist._kernel_stack(X)[1][0]
+    return dist._span_stack(X)[0][0]
+
+
+def jacobian_at(patch, s):
+    """A patch's Jacobian at the parameters s: row 0 of their one-row
+    stack, which raises RankDeficiencyError unless it has rank q."""
+    return patch._jacobian_stack(patch._rows([s]))[0][0]
 
 
 def ref_is_flat(dist, p, u, tol):
@@ -119,7 +228,7 @@ class NilPoint:
         for o in offset:
             if not isinstance(o, NilElement):
                 raise TypeError("offset entries must be NilElements")
-            if o.const_term != 0.0:
+            if const_term(o) != 0.0:
                 raise ValueError("offset entries must have zero constant term")
         if len(offset) != base.n:
             raise ContextMismatchError("offset/base dimension mismatch")
@@ -156,9 +265,9 @@ class Tangent:
 def _check_square_zero(d):
     if not isinstance(d, NilElement):
         raise TypeError("expected a NilElement scalar")
-    if d.const_term != 0.0:
+    if const_term(d) != 0.0:
         raise ValueError("d must have zero constant term")
-    if not (d * d).is_zero():
+    if not is_zero(d * d):
         raise DomainError("d squared is nonzero in W")
 
 
@@ -171,7 +280,7 @@ def _as_w_coords(p):
 
 def affine_combination(d, x, y):
     """(1-d)*x + d*y, componentwise in the chart."""
-    if not isinstance(d, NilElement) or d.const_term != 0.0:
+    if not isinstance(d, NilElement) or const_term(d) != 0.0:
         raise ValueError("weight d must be a NilElement with zero constant term")
     xs = _as_w_coords(x)
     ys = _as_w_coords(y)
@@ -194,7 +303,7 @@ def log_pair(x, y):
     if isinstance(y, Point):
         if y.coords != x.coords:
             raise ContextMismatchError("log of non-neighbour real points")
-        return tuple(NilElement.zero(1, x.n) for _ in range(x.n))
+        return tuple(NilElement(1, x.n) for _ in range(x.n))
     if y.base.coords != x.coords:
         raise ContextMismatchError("y must be based at x")
     return y.offset
@@ -208,8 +317,8 @@ def exp_tangent(t, d):
 
 def pushforward_chart(phi, varnames, p):
     """Apply a smooth chart map (componentwise DSL expressions) to a
-    W-valued point, through the engine's evaluator `expr.compile_w`."""
-    f = ex.compile_w(phi, varnames)
+    W-valued point, through the tree walk (`tree_walk`)."""
+    f = tree_walk(phi, varnames)
     images = f(*_as_w_coords(p))
     base = Point(f(*(p.base.coords if isinstance(p, NilPoint) else p.coords)))
     if isinstance(p, Point):
@@ -263,6 +372,59 @@ def pin_conventions(conn, points, tol=1e-9):
         if ok and ratios and within_tol(np.std(ratios), tol):
             return float(np.mean(ratios)), s
     raise RankDeficiencyError("could not pin curvature conventions")
+
+
+# -- W elements: inspection, monomials and the simplicial structure maps ------
+
+def const_term(e):
+    """The constant term of a W element."""
+    return e.terms.get((0, 0), 0.0)
+
+
+def coeff(e, rows, cols):
+    """Coefficient of the canonical monomial m(rows, cols) in e."""
+    rmask = sum(1 << (r - 1) for r in rows)
+    cmask = sum(1 << (c - 1) for c in cols)
+    return e.terms.get((rmask, cmask), 0.0)
+
+
+def is_zero(e):
+    """Whether every coefficient of e is 0 (`within_tol`)."""
+    return within_tol(e, 0.0)
+
+
+def degree_part(e, r):
+    """Component of e spanned by monomials of generator-degree r."""
+    return _wrap(e.k, e.n, {key: v for key, v in e.terms.items() if key[0].bit_count() == r})
+
+
+def monomial(k, n, rows, cols, coefficient=1.0):
+    """Element coefficient * m(rows, cols) of W(k, n), both index sets
+    sorted."""
+    sign, mono = canonicalize(list(zip(sorted(rows), sorted(cols))))
+    if sign == 0 or coefficient == 0:
+        return NilElement(k, n)
+    return NilElement(k, n, {mono: sign * float(coefficient)})
+
+
+def permute_rows(e, perm):
+    """Algebra morphism induced by a vertex permutation: row r (1-based) to
+    perm[r-1], each monomial to its signed image (`nil._ROW_IMAGES`)."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(1, e.k + 1)):
+        raise ValueError("not a permutation of 1..k")
+    images = _ROW_IMAGES[perm]
+    out = {}
+    for mono, v in e.terms.items():
+        sign, image = images[mono]
+        out[image] = sign * v
+    return _wrap(e.k, e.n, out)
+
+
+def zero_row(e, j):
+    """Algebra morphism xi[j,*] -> 0 (identify vertex j with the base)."""
+    return _wrap(e.k, e.n, {key: v for key, v in e.terms.items()
+                            if not key[0] & (1 << (j - 1))})
 
 
 # -- monomials -----------------------------------------------------------------
@@ -322,15 +484,18 @@ class CoordinateForm:
 
 def ref_to_combinatorial(form):
     """`forms.to_combinatorial` in coordinates: the value
-    sum_T a_T * det(offsets[:, T]), with the coefficients `coeff_function`'s
-    at the (possibly W-valued) base, accumulated into one term map; a float
-    offset entry or coefficient counts as a constant term.  It is a
-    NilElement when the base or an offset is W-valued, else a float."""
+    sum_T a_T * det(offsets[:, T]), with the coefficients the tree walk's
+    (`tree_walk`) at the base, a W-valued one or arrays over samples
+    included, accumulated into one term map; a float offset entry or
+    coefficient counts as a constant term, and a float zero coefficient adds
+    nothing.  It is a NilElement when the base or an offset is W-valued,
+    else a float or an array."""
     columns = [tuple(t - 1 for t in T) for T in form.coeffs]
     perms = _PERMUTATIONS[form.degree]
+    coefficients = tree_walk(list(form.coeffs.values()), form.vars)
 
     def evaluator(base, offsets):
-        values = form.coeff_function()(*base)
+        values = coefficients(*base)
         context = _context(base, offsets)
         rows = [[_terms(x, context) for x in off] for off in offsets]
         out = {}
@@ -339,8 +504,8 @@ def ref_to_combinatorial(form):
                 det = {}
                 _add_det(det, 1.0, rows, cols, perms)
                 _elem_muladd(out, 1.0, a.terms, det)
-            elif a:
-                _add_det(out, float(a), rows, cols, perms)
+            elif not _is_zero(a):
+                _add_det(out, a, rows, cols, perms)
         if context is None:
             return out.get((0, 0), 0.0)
         return _wrap(context[0], context[1], out)
@@ -395,10 +560,19 @@ def _point_value(value, base, offsets):
     """A face's value on the simplex of `offsets` at `base`: a float, a
     0-form's value at the base point, is the constant element of the
     simplex's W(k, n), as `forms.to_combinatorial` gives its face (0,); it
-    stays a float where the simplex has no W-valued coordinate."""
+    stays a float, or an array, where the simplex has no W-valued
+    coordinate."""
     context = _context(base, offsets)
     if context is None or isinstance(value, NilElement):
         return value
+    return _constant(context, value)
+
+
+def _constant(context, value):
+    """A float or an array over samples as a constant element of the W(k, n)
+    of `context`: a float zero is no term, an array is a term."""
+    if getattr(value, "ndim", 0):
+        return NilElement(*context, {(0, 0): value})
     return NilElement.constant(*context, value)
 
 
@@ -427,8 +601,11 @@ def _add_det(out, c, rows, cols, perms):
 
 def _rebase(base, offsets, pivot):
     """A face rebased at its vertex base + pivot: that vertex, and each
-    offset minus pivot."""
-    return (tuple(b + o for b, o in zip(base, pivot)),
+    offset minus pivot.  A coordinate that is an array over samples enters
+    its sum with a W-valued entry as a constant element."""
+    return (tuple(_constant((o.k, o.n), b) + o
+                  if getattr(b, "ndim", 0) and isinstance(o, NilElement) else b + o
+                  for b, o in zip(base, pivot)),
             [tuple(a - b for a, b in zip(o, pivot)) for o in offsets])
 
 

@@ -10,8 +10,8 @@ from sdgeom.chart import Point
 from sdgeom.errors import DomainError
 from sdgeom.nil import NilElement
 
-from reference import (NilPoint, Tangent, affine_combination, evaluate, exp_tangent,
-                       log_pair, pushforward_chart)
+from reference import (NilPoint, Tangent, affine_combination, const_term, evaluate, exp_tangent,
+                       is_zero, log_pair, pushforward_chart)
 
 
 def square_zero_d(n=1):
@@ -46,9 +46,9 @@ def test_affine_combination_endpoints():
          NilElement.generator(2, 2, 2, 2) * -3.0)
     y = NilPoint(x, u)
     # weight 0 gives x; weight d gives the displacement d*(y - x)
-    zero = NilElement.zero(2, 2)
+    zero = NilElement(2, 2)
     at_x = affine_combination(zero, x, y)
-    assert all(o.is_zero() for o in at_x.offset)
+    assert all(is_zero(o) for o in at_x.offset)
     at_d = affine_combination(d, x, y)
     for got, ui in zip(at_d.offset, u):
         assert got == d * ui
@@ -71,7 +71,7 @@ def test_exp_rejects_non_square_zero_weight():
 
 def test_log_of_equal_points_is_zero():
     x = Point((1.0, 1.0))
-    assert all(o.is_zero() for o in log_pair(x, x))
+    assert all(is_zero(o) for o in log_pair(x, x))
 
 
 # -- chart invariance --------------------------------------------------------
@@ -135,5 +135,5 @@ def test_nilpoint_coords_w():
     d = square_zero_d(2)
     p = NilPoint(base, (d, d * 0.0))
     cw = p.coords_w()
-    assert cw[0].const_term == 1.0
-    assert cw[1].const_term == 2.0
+    assert const_term(cw[0]) == 1.0
+    assert const_term(cw[1]) == 2.0

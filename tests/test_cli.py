@@ -233,6 +233,10 @@ CHART2 = "dim 2\nvar x y\n"
     (CHART2 + "vector u = (1, 0, 0)\n", "3:1: vector needs 2 components"),
     (CHART2 + "vector u = 1\n", "3:12: expected (, found '1'"),
     (CHART2 + "patch P(s) = (s)\n", "3:1: patch needs 2 components"),
+    # a patch is a function of its parameters: sdg check-integral crashed on
+    # a repeated one (exit 1) and failed numerically on a chart variable (exit 3)
+    (CHART2 + "patch P(s, s) = (s, s)\n", "3:12: duplicate parameter name 's'"),
+    (CHART2 + "patch P(s, t) = (s, y)\n", "3:21: unknown identifier 'y'"),
     (CHART2 + "form a = dx\ndist D = kr(a)\n", "4:10: expected 'span' or 'ker'"),
     (CHART2 + "dist D = span(u)\n", "3:15: unknown vector 'u'"),
     (CHART2 + "dist D = ker(a)\n", "3:14: unknown form 'a'"),

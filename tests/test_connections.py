@@ -25,7 +25,7 @@ from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
 from corpus import random_scalar_expr
-from reference import NilPoint, pin_conventions
+from reference import NilPoint, permute_rows, pin_conventions, tree_walk
 from wmatrix import (in_subalgebra_cone, omat_from_terms, omat_max_abs, omat_mul,
                      ref_coefficient_matrices, ref_inverse, ref_transport_neighbor)
 
@@ -408,15 +408,16 @@ def test_coboundary_agrees_with_the_object_matrix_reference():
 
 def w_path_coboundary(conn, p):
     """curvature_coboundary with A at y = x + u and at z = x + v evaluated
-    in W by compile_w, its terms placed over the monomial basis one by one,
-    and the stacked product of the library."""
+    in W by the tree walk, its terms placed over the monomial basis one by
+    one, and the stacked product of the library."""
     n, m = conn.n, conn.m
     w = _simplex(n)
     x = p.coords
     A = np.zeros((3, len(w.index), n * m * m))
     A[0, 0] = conn._a_w(*x)
+    a_w = tree_walk(conn._entries, conn.vars)
     for k, offset in enumerate(generic_offsets(2, n), start=1):
-        for j, e in enumerate(conn._a_w(*[di + xi for di, xi in zip(offset, x)])):
+        for j, e in enumerate(a_w(*[di + xi for di, xi in zip(offset, x)])):
             if isinstance(e, NilElement):
                 for key, c in e.terms.items():
                     A[k, w.index[key], j] = c
@@ -440,12 +441,13 @@ def test_coboundary_is_the_w_path_byte_for_byte():
 def test_value_at_z_by_the_vertex_swap_is_the_direct_value():
     for conn, points in reference_cases():
         u, v = generic_offsets(2, conn.n)
+        a_w = tree_walk(conn._entries, conn.vars)
         for p in points[:4]:
             x = Point(p.coords)
-            at_y = conn._a_w(*NilPoint(x, u).coords_w())
-            at_z = conn._a_w(*NilPoint(x, v).coords_w())
+            at_y = a_w(*NilPoint(x, u).coords_w())
+            at_z = a_w(*NilPoint(x, v).coords_w())
             for e, want in zip(at_y, at_z):
-                got = e.permute_rows((2, 1)) if isinstance(e, NilElement) else e
+                got = permute_rows(e, (2, 1)) if isinstance(e, NilElement) else e
                 assert got == want
 
 

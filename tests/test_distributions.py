@@ -18,12 +18,13 @@ from sdgeom.distributions import (DEFAULT_TOL, Distribution, IntegralPatch,
                                   pointwise_involutive_span, trace_leaf)
 from sdgeom.errors import DegreeError, DomainError, RankDeficiencyError
 from sdgeom.forms import ClassicalForm, CombinatorialForm, d_classical, d_comb, to_combinatorial
-from sdgeom.nil import NilElement, generic_offsets, within_tol
+from sdgeom.nil import generic_offsets, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import parse_box, sample_box
 
 from corpus import random_scalar_expr
-from reference import evaluate, flat_generic_offsets, ref_is_flat, ref_to_combinatorial
+from reference import (evaluate, flat_generic_offsets, kernel_matrix, monomial, ref_is_flat,
+                       ref_to_combinatorial, span_matrix)
 
 VARS3 = ("x", "y", "z")
 
@@ -107,8 +108,8 @@ def test_kernel_input_matrices_are_its_frame(p):
     # the kernel matrix of ker(dz - y dx) is its coefficient row, and its
     # span matrix the fiber basis
     dist = contact()
-    assert np.array_equal(dist.kernel_matrix(p), [[-p.coords[1], 0.0, 1.0]])
-    assert np.array_equal(dist.span_matrix(p), dist.basis_at(p))
+    assert np.array_equal(kernel_matrix(dist, p), [[-p.coords[1], 0.0, 1.0]])
+    assert np.array_equal(span_matrix(dist, p), dist.basis_at(p))
 
 
 # -- flatness ----------------------------------------------------------------
@@ -493,7 +494,7 @@ def test_nan_residual_fails_the_semi_annihilation_conclusion():
     # nan on the generic simplex's monomial xi[1,1] xi[2,2], from which
     # eval_semi extracts its coefficients; on the flat simplices of a rank-1
     # distribution, in W(2, 1), no degree-2 monomial is left, so zero there
-    theta = CombinatorialForm(2, 3, lambda x, k, face: NilElement.monomial(
+    theta = CombinatorialForm(2, 3, lambda x, k, face: monomial(
         k, 3, (1, 2), (1, 2), float("nan")))
     line = Distribution(3, 1, kernel=[form_1(3, {2: ex.Const(1.0)}, VARS3),
                                       form_1(3, {3: ex.Const(1.0)}, VARS3)], vars=VARS3)

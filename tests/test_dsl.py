@@ -15,7 +15,7 @@ from sdgeom.nil import NilElement
 from sdgeom.program import parse, pretty_print
 
 from corpus import random_scalar_expr
-from reference import evaluate
+from reference import coeff, const_term, evaluate
 
 CONTACT = """\
 # contact structure
@@ -239,8 +239,8 @@ def test_evaluate_on_nilpotent_argument_matches_derivative():
     val = evaluate(e, {"x": NilElement.constant(1, 1, c) + xi})
     f = c * math.cos(c)
     fp = math.cos(c) - c * math.sin(c)
-    assert abs(val.const_term - f) <= 1e-12
-    assert abs(val.coeff((1,), (1,)) - fp) <= 1e-12
+    assert abs(const_term(val) - f) <= 1e-12
+    assert abs(coeff(val, (1,), (1,)) - fp) <= 1e-12
 
 
 def test_ad_consistency_via_nilpotent_evaluation():
@@ -253,7 +253,7 @@ def test_ad_consistency_via_nilpotent_evaluation():
         xi = NilElement.generator(1, 1, 1, 1)
         val = evaluate(e, {"x": NilElement.constant(1, 1, c) + xi})
         sym = evaluate(ex.diff(e, "x"), {"x": c})
-        got = val.coeff((1,), (1,)) if isinstance(val, NilElement) else 0.0
+        got = coeff(val, (1,), (1,)) if isinstance(val, NilElement) else 0.0
         assert abs(got - sym) <= 1e-12 * max(1.0, abs(sym))
 
 
@@ -304,7 +304,7 @@ def test_nodes_reject_what_they_cannot_hold(build, error, message):
         build()
 
 
-# -- compiled evaluation on floats and W values ------------------------------------
+# -- compiled evaluation on floats, and in W as 1-jets -------------------------------
 
 def _same(got, want):
     """Bit-for-bit equality of evaluation results (floats or NilElements)."""
@@ -331,54 +331,92 @@ EVERY_NODE_KIND = [
 ]
 
 
-def _w(const, *terms):
-    """const + sum of coeff * xi[row, col] in W(2, 3)."""
-    out = NilElement.constant(2, 3, const)
-    for coeff, row, col in terms:
-        out = out + coeff * NilElement.generator(2, 3, row, col)
-    return out
+class Near:
+    """A W-valued argument: the neighbour c + xi[1, i] of the coordinate c
+    in W(2, n), i the variable's place among those that are W-valued."""
+
+    def __init__(self, c):
+        self.c = c
+
+
+def _bind(e, values):
+    """e with each variable named in `values` replaced by that constant."""
+    if isinstance(e, ex.Var):
+        return ex.Const(values[e.name]) if e.name in values else e
+    operands = [_bind(child, values) for child in ex._children(e)]
+    if isinstance(e, ex.Pow):
+        return ex.Pow(*operands, e.power)
+    if isinstance(e, ex.Call):
+        return ex.Call(e.fn, *operands)
+    return type(e)(*operands) if operands else e
+
+
+def _evaluated(exprs, args):
+    """exprs at the arguments `args` (name -> float or Near), compiled, and
+    by the tree walk: compile_w's values at floats; else compile_jet's, in
+    the W-valued variables with the float ones bound as constants, each as
+    its value and tangent coefficients, and the walk's in W as the same
+    coefficients, an absent one read as +0.0."""
+    moving = [name for name, v in args.items() if isinstance(v, Near)]
+    if not moving:
+        return ex.compile_w(exprs, tuple(args))(*args.values()), tuple(evaluate(e, args)
+                                                                       for e in exprs)
+    n = len(moving)
+    fixed = {name: v for name, v in args.items() if name not in moving}
+    jet = ex.compile_jet([_bind(e, fixed) for e in exprs], moving)
+    got = jet(*(args[name].c for name in moving))
+    env = dict(fixed, **{name: args[name].c + NilElement.generator(2, n, 1, i + 1)
+                         for i, name in enumerate(moving)})
+    keys = [(0, 0)] + [(1, 1 << i) for i in range(n)]
+    want = []
+    for e in exprs:
+        value = evaluate(e, env)
+        want.append([value.terms.get(key, 0.0) for key in keys]
+                    if isinstance(value, NilElement) else [value + 0.0] + [0.0] * n)
+    return got, tuple(coefficients[s] for s in range(n + 1) for coefficients in want)
 
 
 @pytest.mark.parametrize("x, y", [
-    (0.7, 1.3),
-    (_w(0.7, (1.0, 1, 1), (0.5, 2, 2)), _w(1.3, (-1.0, 1, 2), (2.0, 2, 1))),
-    (0.7, _w(1.3, (-1.0, 1, 2), (0.25, 2, 3))),
-    (_w(-0.4, (3.0, 2, 3)), 2.0),
+    (0.7, 1.3), (Near(0.7), Near(1.3)), (0.7, Near(1.3)), (Near(-0.4), 2.0),
 ], ids=["floats", "w", "float-w", "w-float"])
 def test_compile_w_equals_evaluate_bit_for_bit(x, y):
-    got = ex.compile_w(EVERY_NODE_KIND, ("x", "y"))(x, y)
-    env = {"x": x, "y": y}
-    for e, value in zip(EVERY_NODE_KIND, got):
-        assert _same(value, evaluate(e, env)), ex.to_str(e)
+    # compile_w at floats; compile_jet in W, at the neighbours of the Near
+    # arguments, against the tree walk there
+    got, want = _evaluated(EVERY_NODE_KIND, {"x": x, "y": y})
+    assert len(got) == len(want)
+    for i, (value, expected) in enumerate(zip(got, want)):
+        assert _same(value, expected), ex.to_str(EVERY_NODE_KIND[i % len(EVERY_NODE_KIND)])
 
 
 @pytest.mark.parametrize("e, x", [
-    (ex.Div(ex.Const(1.0), _X), _w(0.0, (1.0, 1, 1))),
+    (ex.Div(ex.Const(1.0), _X), Near(0.0)),
     (ex.Div(_X, ex.Const(0.0)), 1.5),
-    (ex.Div(_X, ex.Const(0.0)), _w(1.5, (1.0, 1, 1))),
+    (ex.Div(_X, ex.Const(0.0)), Near(1.5)),
     (ex.Div(ex.Const(1.0), _X), 0.0),
     (ex.Pow(_X, -1), 0.0),
-    (ex.Pow(_X, -2), _w(0.0, (1.0, 1, 1))),
+    (ex.Pow(_X, -2), Near(0.0)),
     (ex.Call("ln", _X), -1.0),
-    (ex.Call("ln", _X), _w(-1.0, (1.0, 2, 2))),
+    (ex.Call("ln", _X), Near(-1.0)),
     (ex.Call("sqrt", _X), -1.0),
-    (ex.Call("sqrt", _X), _w(0.0, (1.0, 2, 2))),
+    (ex.Call("sqrt", _X), Near(0.0)),
     (ex.Add(_X, _Y), 1.0),
     # an overflow, or an infinite argument, is a domain error too
     (ex.Call("exp", _X), 1000.0),
-    (ex.Call("exp", _X), _w(1000.0, (1.0, 1, 1))),
+    (ex.Call("exp", _X), Near(1000.0)),
     (ex.Pow(_X, 400), 1000.0),
-    (ex.Pow(_X, -400), _w(1e-5, (1.0, 1, 1))),
+    (ex.Pow(_X, -400), Near(1e-5)),
     (ex.Call("sin", _X), float("inf")),
-    (ex.Call("cos", _X), _w(float("inf"), (1.0, 1, 1))),
+    (ex.Call("cos", _X), Near(float("inf"))),
     # an integer power overflows at a W-valued argument as at a float one
-    (ex.Pow(_X, 400), _w(1000.0, (1.0, 1, 1))),
+    (ex.Pow(_X, 400), Near(1000.0)),
 ])
 def test_compile_w_raises_the_domain_error_of_evaluate(e, x):
+    # compile_w at a float, compile_jet at a Near argument (`_evaluated`);
+    # an unbound variable raises on compiling
     with pytest.raises(DomainError) as want:
-        evaluate(e, {"x": x})
+        evaluate(e, {"x": x.c + NilElement.generator(2, 1, 1, 1) if isinstance(x, Near) else x})
     with pytest.raises(DomainError) as got:
-        ex.compile_w([e], ("x",))(x)  # an unbound variable raises on compiling
+        _evaluated([e], {"x": x})
     assert str(got.value) == str(want.value)
 
 

@@ -19,7 +19,8 @@ from sdgeom.forms import (ClassicalForm, CombinatorialForm, comparison, d_classi
 from sdgeom.nil import NilElement, generic_offsets
 
 from corpus import random_form, random_scalar_expr
-from reference import evaluate, ref_d_comb, ref_to_combinatorial, ref_wedge_comb
+from reference import (coeff, const_term, degree_part, evaluate, is_zero, permute_rows, ref_d_comb,
+                       ref_to_combinatorial, ref_wedge_comb, zero_row)
 
 RNG = np.random.default_rng(42)
 
@@ -55,11 +56,11 @@ def test_vanishes_on_degenerate_simplices(form, base):
     p = theta.degree
     value = eval_generic(theta, base)
     # collapsing a vertex onto the base point degenerates the simplex
-    assert value.zero_row(1).degree_part(p).is_zero()
+    assert is_zero(degree_part(zero_row(value, 1), p))
     # identifying two vertices (rows) must send the value to zero, exactly;
     # a degree-1 form has only one vertex besides the base point
     if p >= 2:
-        assert value.identify_rows(1, 2).is_zero()
+        assert is_zero(value.identify_rows(1, 2))
 
 
 @pytest.mark.parametrize("form,base", corpus(20, degrees=(2,), seed=2))
@@ -67,7 +68,7 @@ def test_alternation_sign(form, base):
     theta = to_combinatorial(form)
     value = eval_generic(theta, base)
     for perm in permutations(range(1, theta.degree + 1)):
-        permuted = value.permute_rows(list(perm))
+        permuted = permute_rows(value, list(perm))
         want = value * float(sign_of(perm))
         assert (permuted - want).max_abs_coeff() <= 1e-9
 
@@ -179,10 +180,14 @@ def test_coeffs_at_is_the_tree_walk(form, base):
 
 @pytest.mark.parametrize("form,base", corpus(10, seed=32))
 def test_coeffs_at_is_the_tree_walk_in_w(form, base):
+    # at the neighbour x + d_1 in W(1, n) the coefficients are their 1-jets
+    # (`coeff_jet`), whose constant terms are coeffs_at's values at x
     coords = [c + g for c, g in zip(base.coords, generic_offsets(1, form.n)[0])]
-    got, want = form.coeffs_at(coords), coeffs_at_reference(form, coords)
+    got = dict(zip(form.coeffs, form.coeff_jet()(base.coords, 1, form.n)))
+    want = coeffs_at_reference(form, coords)
     assert list(got) == list(want)
     assert all(got[T].terms == want[T].terms for T in want)
+    assert form.coeffs_at(base.coords) == {T: const_term(a) for T, a in got.items()}
 
 
 @pytest.mark.parametrize("text, coords", [
@@ -325,8 +330,8 @@ def test_d_of_coordinate_square():
     f = ClassicalForm(0, 1, {(): ex.Pow(ex.Var("x1"), 2)}, ("x1",))
     dtheta = d_comb(to_combinatorial(f))
     value = eval_generic(dtheta, Point((3.0,)))
-    assert abs(value.coeff((1,), (1,)) - 6.0) <= 1e-12
-    assert abs(value.const_term) <= 1e-12
+    assert abs(coeff(value, (1,), (1,)) - 6.0) <= 1e-12
+    assert abs(const_term(value)) <= 1e-12
 
 
 @pytest.mark.parametrize("form,base", corpus(30, seed=4))
@@ -406,7 +411,7 @@ def test_wedge_zero_equivalence():
                              for e in cw.coeffs.values())
         value = eval_generic(wedge_comb(to_combinatorial(a),
                                         to_combinatorial(b)), base)
-        comb_zero = value.degree_part(a.degree + b.degree).max_abs_coeff() <= 1e-9
+        comb_zero = degree_part(value, a.degree + b.degree).max_abs_coeff() <= 1e-9
         assert classical_zero == comb_zero
 
 
@@ -453,15 +458,17 @@ def substituted_offsets(B, k):
     of offset j is sum_b B[a, b] xi[j+1, b+1]."""
     n, q = B.shape
     zeta = generic_offsets(k, q)
-    return [[sum((zeta[j][b] * float(B[a, b]) for b in range(q)), NilElement.zero(k, q))
+    return [[sum((zeta[j][b] * float(B[a, b]) for b in range(q)), NilElement(k, q))
              for a in range(n)] for j in range(k)]
 
 
 def assert_relative(got, want, rel):
+    """got within rel of want, relative to max(1, its largest |coefficient|),
+    at each sample where the coefficients are arrays over samples."""
     if not isinstance(want, NilElement):  # a 0-form's value in coordinates
-        want = NilElement.constant(got.k, got.n, want)
+        want = NilElement(got.k, got.n, {(0, 0): want})
     assert (got.k, got.n) == (want.k, want.n)
-    assert (got - want).max_abs_coeff() <= rel * max(1.0, want.max_abs_coeff())
+    assert np.all((got - want).max_abs_coeff() <= rel * np.maximum(1.0, want.max_abs_coeff()))
 
 
 def test_form_determined_by_coefficients():
@@ -485,8 +492,11 @@ def test_form_determined_by_coefficients():
 @pytest.mark.parametrize("form,base", corpus(12, degrees=(0, 1, 2), seed=23))
 def test_generic_value_along_b_is_the_coordinate_path(form, base):
     # d and the wedge with itself of each form, along B of 1, 2 and n
-    # columns, against the same forms in coordinates (`reference`)
+    # columns, against the same forms in coordinates (`reference`), at the
+    # base point and at a stack of samples, the base among them
     rng = np.random.default_rng(len(form.coeffs))
+    stacked = np.random.default_rng(len(form.coeffs) + 1)
+    X = list(np.column_stack([base.coords, stacked.uniform(-1.0, 1.0, (form.n, 4))]))
     theta, coordinate = to_combinatorial(form), ref_to_combinatorial(form)
     for got, want in ((d_comb(theta), ref_d_comb(coordinate)),
                       (wedge_comb(theta, theta), ref_wedge_comb(coordinate, coordinate))):
@@ -495,6 +505,11 @@ def test_generic_value_along_b_is_the_coordinate_path(form, base):
             B = rng.normal(size=(form.n, q))
             assert_relative(value.map_columns(B.tolist()),
                             want(base.coords, substituted_offsets(B, got.degree)), 1e-14)
+        value = got.on_face(X, got.degree, tuple(range(got.degree + 1)))
+        for q in (1, 2, form.n):
+            B = stacked.normal(size=(form.n, q))
+            assert_relative(value.map_columns(B.tolist()),
+                            want(X, substituted_offsets(B, got.degree)), 1e-14)
 
 
 def test_eval_semi_is_alternating_bilinear():

@@ -8,7 +8,7 @@ import numpy as np
 from sdgeom.connections import TRANSPORT_SIGN, span_residual
 from sdgeom.nil import NilElement, within_tol
 
-from reference import NilPoint
+from reference import NilPoint, const_term, tree_walk
 
 
 def omat_mul(a, b):
@@ -49,7 +49,7 @@ def ref_transport_neighbor(conn, a, b):
     ca, cb = omat_coords(a), omat_coords(b)
     m = conn.m
     values = np.empty(conn.n * m * m, dtype=object)
-    values[:] = conn._a_w(*ca)
+    values[:] = tree_walk(conn._entries, conn.vars)(*ca)
     mats = values.reshape(conn.n, m, m)
     out = np.eye(m).astype(object)
     for i in range(conn.n):
@@ -86,7 +86,7 @@ def ref_nil_order(mat):
 
 def ref_inverse(mat):
     m = mat.shape[0]
-    C = np.array([[e.const_term if isinstance(e, NilElement) else float(e)
+    C = np.array([[const_term(e) if isinstance(e, NilElement) else float(e)
                    for e in row] for row in mat])
     Cinv = np.linalg.inv(C).astype(object)
     N = omat_mul(Cinv, mat) - np.eye(m).astype(object)
