@@ -114,8 +114,11 @@ def _parse_vectors(text, dim, what="vector"):
     """';'-separated vectors of exactly `dim` finite, ','-separated entries."""
     vectors = []
     for chunk in text.split(";"):
-        vector = [float(v) for v in chunk.split(",")]
-        if len(vector) != dim or not all(map(math.isfinite, vector)):
+        try:
+            vector = [float(v) for v in chunk.split(",")]
+        except ValueError:  # an entry that is not a number, an empty one included
+            vector = None
+        if vector is None or len(vector) != dim or not all(map(math.isfinite, vector)):
             raise ValueError(f"{what} {chunk!r} needs {dim} finite entries")
         vectors.append(vector)
     return vectors

@@ -449,23 +449,44 @@ def _jet_product(a0, bi, ai=None, b0=None):
     return _nonzero(0.0 + a0 * bi + ai * b0)
 
 
-def _lift(f, exponent, c, *tangents):
-    """The Taylor lift of the primitive f (`exponent` for a power) at the
-    element of W(2, n) with constant term c and the row-1 coefficients
-    `tangents` (those not absent when compiling), None where absent, as its
-    constant and those row-1 coefficients, None where absent: f(c) plus
-    f'(c) times the row-1 part.  A product of two row-1 monomials is 0, so
-    the Taylor sum stops at order 1, or at order 0 where every tangent is
-    0; `nil._taylor` gives the derivatives, and raises DomainError where
-    they are not defined at a float c."""
-    table = _table(f, exponent)
-    power = [None if t is None else _nonzero(0.0 + t) for t in tangents]
-    order = int(any(p is not None for p in power))
+def _lift(f, table, c, *tangents):
+    """The Taylor lift of the primitive f, whose derivative table `table`
+    (`nil._table`) its compiled jet holds, at the element of W(2, n) with
+    constant term c and the row-1 coefficients `tangents` (those not absent
+    when compiling), None where absent, as its constant and those row-1
+    coefficients, None where absent: f(c) plus f'(c) times the row-1 part.
+    A product of two row-1 monomials is 0, so the Taylor sum stops at order
+    1, or at order 0 where every tangent is 0; `nil._taylor` gives the
+    derivatives, and raises DomainError where they are not defined at a
+    float c.  Each coefficient is tested for a float zero in line, as
+    `_nonzero` tests it."""
+    power = []
+    order = 0
+    for t in tangents:
+        if t is not None:
+            t = 0.0 + t
+            if t.__class__ is float and t == 0.0:
+                t = None
+            else:
+                order = 1
+        power.append(t)
     derivs = _taylor(f, table, 0.0 if c is None else c, order)
-    if not order or _is_zero(derivs[1]):
-        return (_nonzero(derivs[0]),) + (None,) * len(tangents)
-    return (_nonzero(derivs[0]),
-            *(None if p is None else _nonzero(0.0 + derivs[1] * p) for p in power))
+    value = derivs[0]
+    if value.__class__ is float and value == 0.0:
+        value = None
+    if not order:
+        return (value,) + (None,) * len(tangents)
+    slope = derivs[1]
+    if slope.__class__ is float and slope == 0.0:
+        return (value,) + (None,) * len(tangents)
+    out = [value]
+    for p in power:
+        if p is not None:
+            p = 0.0 + slope * p
+            if p.__class__ is float and p == 0.0:
+                p = None
+        out.append(p)
+    return tuple(out)
 
 
 def _code(c):
@@ -496,6 +517,7 @@ class _JetWriter:
     def __init__(self):
         self.lines = []
         self.names = (f"_j{i}" for i in count())
+        self.tables = {}  # (f, exponent) -> the namespace name of its derivative table
 
     def temp(self, code):
         name = next(self.names)
@@ -575,13 +597,16 @@ class _JetWriter:
 
     def lift(self, f, a, exponent=None):
         """f(a): `_lift`, at run time, where an error is raised in its
-        place; it takes a's tangents that are not absent, and its tangents
-        are absent where a's are."""
+        place; it takes f's derivative table, a constant of the compiled
+        function named once per primitive and exponent (`tables`, which
+        `compile_jet` resolves when compiling), and a's tangents that are
+        not absent, and its tangents are absent where a's are."""
+        table = self.tables.setdefault((f, exponent), f"_t{len(self.tables)}")
         out = (next(self.names),) + tuple(None if t is None else next(self.names)
                                           for t in a[1:])
         targets = "".join(f"{name}, " for name in out if name)
         args = [a[0]] + [t for t in a[1:] if t is not None]
-        self.lines.append(f"{targets}= _lift({f!r}, {exponent!r}, {', '.join(map(_code, args))})")
+        self.lines.append(f"{targets}= _lift({f!r}, {table}, {', '.join(map(_code, args))})")
         return out
 
 
@@ -648,6 +673,12 @@ def compile_jet(exprs, varnames):
     order on the constant and row-1 coefficients alone: on y every product
     of two row-1 monomials vanishes, so no other coefficient reaches them.
     A repeated subexpression is evaluated once.
+
+    The function's attribute `present` says, output by output, whether the
+    output can be other than +0.0: False exactly where it is the literal
+    0.0, a coefficient absent at every argument or known to be 0.0 when
+    compiling, as every tangent in a variable that the expression does not
+    read is.
     """
     writer = _JetWriter()
     n = len(varnames)
@@ -667,7 +698,10 @@ def compile_jet(exprs, varnames):
                 out.append(_code(0.0 if jet[s] is None else jet[s]))
             else:
                 out.append(f"(0.0 if {jet[s]} is None else {jet[s]})")
-    return _define(args, writer.lines, out)
+    fn = _define(args, writer.lines, out,
+                 **{name: _table(*key) for key, name in writer.tables.items()})
+    fn.present = [code != "0.0" for code in out]
+    return fn
 
 
 class Jet:
@@ -680,7 +714,11 @@ class Jet:
     tangent monomials vanishes, so that is all of the value.  A float zero
     coefficient of the jet is left out; the W arithmetic keeps one only
     where a scaling underflows, and a product with finite factors that
-    this value meets drops it."""
+    this value meets drops it.
+
+    The face plans of `forms.to_combinatorial` read `fn(*x)` and list
+    only the outputs that `fn.present` marks: a coefficient has a tangent
+    only in the variables it reads."""
 
     __slots__ = ("fn", "constant", "dim")
 

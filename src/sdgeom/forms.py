@@ -13,8 +13,8 @@ from types import MappingProxyType
 
 from . import expr as ex
 from .errors import DegreeError, DomainError, SdgError
-from .nil import (_MERGE_SIGNS, _UNIT, DEFAULT_TOL, _is_zero, _Memo, _bits,
-                  _elem_add, _elem_mul, _elem_scale, _wrap, within_tol)
+from .nil import (_MERGE_SIGNS, _UNIT, DEFAULT_TOL, _Memo, _bits, _elem_add,
+                  _elem_mul, _elem_scale, _wrap, within_tol)
 
 
 def default_vars(n):
@@ -25,11 +25,13 @@ class ClassicalForm:
     """Multilinear alternating form field with closed-form coefficients.
 
     A form is never mutated: `coeffs` is a read-only mapping, so the
-    compiled coefficients and the derived forms (`_derived`: d of the form
+    compiled coefficients, the face plans of `to_combinatorial` (`_plans`,
+    under (k, face)) and the derived forms (`_derived`: d of the form
     under "d", its wedge with a partner b under b) are computed once and
     shared."""
 
-    __slots__ = ("degree", "n", "vars", "coeffs", "_coeff_fn", "_coeff_jet", "_derived")
+    __slots__ = ("degree", "n", "vars", "coeffs", "_coeff_fn", "_coeff_jet", "_plans",
+                 "_derived")
 
     def __init__(self, degree, n, coeffs, vars=None):
         self.degree = degree
@@ -49,6 +51,7 @@ class ClassicalForm:
                 clean[T] = e
         self.coeffs = MappingProxyType(clean)
         self._coeff_fn = self._coeff_jet = None
+        self._plans = {}
         self._derived = {}
 
     @staticmethod
@@ -79,6 +82,31 @@ class ClassicalForm:
         if self._coeff_jet is None:
             self._coeff_jet = ex.Jet(list(self.coeffs.values()), self.vars)
         return self._coeff_jet
+
+    def _face_plan(self, k, face):
+        """The plan of the face `face` of the generic simplex in W(k, n),
+        kept in `_plans` under (k, face): the pairs (index into the values,
+        terms) that `to_combinatorial`'s face adds, coefficient by
+        coefficient and for each slot by slot, from the tables of
+        `_FACE_DETS`.  At x the values are `coeff_function`'s and each
+        coefficient adds its products; at a vertex x + d_r they are the
+        jet's, and a coefficient without variables adds its products, any
+        other its present slots (those that `compile_jet` did not write as
+        the literal 0.0, `present` of the jet's function), each its table
+        of the determinant's terms or of xi[r, i] times them."""
+        tables = [_FACE_DETS[k, self.n, face, T] for T in self.coeffs]
+        if not face[0]:
+            return [(j, products) for j, (products, _) in enumerate(tables)]
+        jet = self.coeff_jet()
+        present, count = jet.fn.present, len(tables)
+        plan = []
+        for j, ((products, slots), constant) in enumerate(zip(tables, jet.constant)):
+            if constant:
+                plan.append((j, products))
+            else:
+                plan += [(s * count + j, terms) for s, terms in enumerate(slots)
+                         if present[s * count + j]]
+        return plan
 
     def coeffs_at(self, coords):
         """Numeric coefficients at the given `n` coordinates, floats or
@@ -194,35 +222,44 @@ def to_combinatorial(form):
 
     On a face of the generic simplex the coefficients at x are
     `coeff_function`'s values, and each adds itself times the face's
-    determinant to one term map (`_add_terms` over the products of
-    `_FACE_DETS`).  At a vertex x + d_r a coefficient is its 1-jet
-    (`ClassicalForm.coeff_jet`), a value a and tangents a_i: in the first
-    neighbourhood of the diagonal that is all of its value in W, a +
-    sum_i a_i xi[r, i].  So a adds itself times the determinant's terms,
-    and each a_i itself times the terms of xi[r, i] times the
-    determinant, which the same memo entry holds, signed; an expression
-    without variables is a float and adds itself as at x.  Every face's
-    value is a W(k, n) element; that of the face (0,), the point x, is a
-    constant.
+    determinant to one term map (the products of `_FACE_DETS`).  At a
+    vertex x + d_r a coefficient is its 1-jet (`ClassicalForm.coeff_jet`),
+    a value a and tangents a_i: in the first neighbourhood of the diagonal
+    that is all of its value in W, a + sum_i a_i xi[r, i].  So a adds
+    itself times the determinant's terms, and each a_i itself times the
+    terms of xi[r, i] times the determinant, which the same memo entry
+    holds, signed; an expression without variables is a float and adds
+    itself as at x.  Every face's value is a W(k, n) element; that of the
+    face (0,), the point x, is a constant.
+
+    Which value adds which terms is the face's plan, built once per form,
+    k and face (`ClassicalForm._face_plan`, memoised on the form): a face
+    is one loop over its plan, which lists only the jet slots that can be
+    other than +0.0 (`compile_jet`'s `present`).  A value that is a float
+    zero adds nothing; any other adds c * e at each (monomial, e) of its
+    terms in turn, float zeros pruned: `nil._elem_muladd`'s accumulation,
+    for e of +1.0 or -1.0, where c * e is exact.
     """
     n = form.n
+    plans = form._plans
 
     def on_face(x, k, face):
+        plan = plans.get((k, face))
+        if plan is None:
+            plan = plans[k, face] = form._face_plan(k, face)
+        values = (form.coeff_jet().fn if face[0] else form.coeff_function())(*x)
         out = {}
-        if face[0]:
-            jet = form.coeff_jet()
-            coeffs, count = jet.fn(*x), len(jet.constant)
-            for j, (T, constant) in enumerate(zip(form.coeffs, jet.constant)):
-                products, slots = _FACE_DETS[k, n, face, T]
-                if constant:
-                    slots = (products,)
-                for c, terms in zip(coeffs[j::count], slots):
-                    if not _is_zero(c):
-                        _add_terms(out, c, terms)
-        else:
-            for T, a in zip(form.coeffs, form.coeff_function()(*x)):
-                if not _is_zero(a):
-                    _add_terms(out, a, _FACE_DETS[k, n, face, T][0])
+        get = out.get
+        for j, terms in plan:
+            c = values[j]
+            if c.__class__ is float and c == 0.0:
+                continue
+            for key, e in terms:
+                v = get(key, 0.0) + e * c
+                if v.__class__ is float and v == 0.0:
+                    out.pop(key, None)
+                else:
+                    out[key] = v
         return _wrap(k, n, out)
 
     return CombinatorialForm(form.degree, n, on_face)

@@ -606,23 +606,23 @@ def jet_points(rng, n):
     return [point, stack]
 
 
-def assert_jets_are_compile_w(exprs, varnames, rng):
+def assert_jets_are_the_tree_walk(exprs, varnames, rng):
     compiled = ex.compile_jet(exprs, varnames), tree_walk(exprs, varnames)
     for xs in jet_points(rng, len(varnames)):
         jet_outcome(exprs, varnames, xs, compiled)
 
 
 @pytest.mark.bit_identity
-def test_jet_is_compile_w_on_the_corpus():
+def test_jet_is_the_tree_walk_on_the_corpus():
     rng = np.random.default_rng(19)
     for _ in range(4):
         exprs = [random_scalar_expr(rng, VARS3, trig=trig) for trig in (False, True) * 4]
         exprs += [e for degree in (1, 2) for e in random_form(rng, degree, 3, VARS3, trig=True).coeffs.values()]
-        assert_jets_are_compile_w(exprs, VARS3, rng)
+        assert_jets_are_the_tree_walk(exprs, VARS3, rng)
 
 
 @pytest.mark.bit_identity
-def test_jet_is_compile_w_with_every_primitive():
+def test_jet_is_the_tree_walk_with_every_primitive():
     # each primitive, quotients and integer powers, on and off their domains,
     # each compiled on its own so that one that raises spares the others
     rng = np.random.default_rng(20)
@@ -642,15 +642,15 @@ def test_jet_is_compile_w_with_every_primitive():
 
 
 @pytest.mark.bit_identity
-def test_jet_is_compile_w_on_the_benchmark_objects():
+def test_jet_is_the_tree_walk_on_the_benchmark_objects():
     rng = np.random.default_rng(21)
     for text in perfbench_connection_sources():
         conn = next(iter(parse(text).conns.values()))
-        assert_jets_are_compile_w(conn._entries, conn.vars, rng)
+        assert_jets_are_the_tree_walk(conn._entries, conn.vars, rng)
     for prog in perfbench_programs(3):
         for dist in prog.dists.values():
             exprs = dist._kernel_coeffs if dist.kernel else [c for v in dist.span for c in v]
-            assert_jets_are_compile_w(exprs, dist.vars, rng)
+            assert_jets_are_the_tree_walk(exprs, dist.vars, rng)
 
 
 K = ex.Const(1e300)
@@ -740,7 +740,7 @@ def d_and_wedges(forms):
 
 
 @pytest.mark.bit_identity
-def test_jet_is_compile_w_on_generic_faces():
+def test_generic_faces_are_the_coordinate_path():
     gen = _load_perfbench_gen()
     for seed in (1, 3, 7):
         sources, ops = gen.forms_dense(seed)
@@ -887,6 +887,88 @@ def test_slot_tables_are_the_jet_faces():
                 for w in dist.kernel or ():
                     theta, oracle = d_comb(to_combinatorial(w)), d_comb(ref_jet_faces(w))
                     assert isinstance(assert_jet_faces(theta, oracle, list(X.T)), list)
+
+
+# A face's plan (`ClassicalForm._face_plan`, memoised on the form) lists
+# the jet slots that the face adds: at a vertex, only those that
+# `compile_jet` did not write as the literal 0.0.  Every slot it leaves out
+# must be exactly +0.0, at float and at array coordinates; then the face
+# adds what it would add with every slot listed.
+
+def forms_for_plans(rng):
+    """The forms of perfbench's forms_dense programs at seeds 1 to 5, the
+    trig form corpus, and forms whose coefficients' variables cancel when
+    compiling."""
+    gen = _load_perfbench_gen()
+    forms = [f for seed in range(1, 6) for text in gen.forms_dense(seed)[0].values()
+             for f in parse(text).forms.values()]
+    for _ in range(12):
+        n = int(rng.integers(2, 5))
+        forms.append(random_form(rng, int(rng.integers(0, min(n, 3) + 1)), n, trig=True))
+    x1, x2, vars = ex.Var("x1"), ex.Var("x2"), ("x1", "x2")
+    cancel = [ex.Sub(x1, x1), ex.Mul(ZERO, x2), ex.Add(ex.Mul(x1, ZERO), ONE)]
+    forms += [ClassicalForm(1, 2, {(1,): cancel[0], (2,): cancel[1]}, vars),
+              ClassicalForm(2, 2, {(1, 2): cancel[2]}, vars),
+              ClassicalForm(0, 2, {(): cancel[0]}, vars),
+              ClassicalForm(1, 2, {(1,): ex.Mul(cancel[1], x1), (2,): ex.Call("sin", cancel[0])},
+                            vars)]
+    return forms
+
+
+@pytest.mark.bit_identity
+def test_face_plans_leave_out_only_zero_jet_slots():
+    rng = np.random.default_rng(36)
+    left_out = 0
+    for form in forms_for_plans(rng):
+        theta = to_combinatorial(form)
+        for combined in (theta, d_comb(theta), wedge_comb(theta, theta)):
+            if combined.degree <= form.n:  # fills the plans of the faces it reads
+                eval_generic(combined, Point([0.5] * form.n))
+        X = rng.uniform(-1.0, 1.0, (form.n, 4)).round(3)
+        points = [tuple(X[:, 0].tolist()), list(X), [np.append(X[i], 0.0) for i in range(form.n)]]
+        for (k, face), plan in form._plans.items():
+            if not face[0]:
+                assert [j for j, _ in plan] == list(range(len(form.coeffs)))
+                continue
+            listed = {i for i, _ in plan}
+            assert len(listed) == len(plan)
+            for x in points:
+                with np.errstate(all="ignore"):
+                    values = form.coeff_jet().fn(*x)
+                out = [i for i in range(len(values)) if i not in listed]
+                assert all(values[i].__class__ is float and float.hex(values[i]) == "0x0.0p+0"
+                           for i in out), (form, face, out)
+                left_out += len(out)
+        oracle = ref_jet_faces(form)
+        for pair in [(theta, oracle), (d_comb(theta), d_comb(oracle))]:
+            if pair[0].degree <= form.n:
+                for x in points:
+                    with np.errstate(all="ignore"):
+                        assert_jet_faces(*pair, x)
+    assert left_out, "some slots are left out"
+
+
+def test_a_form_builds_each_face_plan_once(monkeypatch):
+    fills = []
+    build = ClassicalForm._face_plan
+
+    def counting_face_plan(form, k, face):
+        fills.append((id(form), k, face))
+        return build(form, k, face)
+
+    monkeypatch.setattr(ClassicalForm, "_face_plan", counting_face_plan)
+    gen = _load_perfbench_gen()
+    sources, ops = gen.forms_dense(2)
+    programs = {name: parse(text) for name, text in sources.items()}
+    per_round = []
+    for _ in range(2):  # two to_combinatorial calls on each form
+        for op in ops:
+            forms = [programs[op["file"]].forms[name] for name in op["forms"]]
+            combine = d_comb if op["op"] == "d" else wedge_comb
+            eval_generic(combine(*[to_combinatorial(f) for f in forms]), Point(op["point"]))
+        per_round.append(len(fills))
+    assert per_round[0] and per_round[1] == per_round[0], per_round
+    assert len(set(fills)) == len(fills)
 
 
 def random_term_map(rng, k, n, size, arrays):

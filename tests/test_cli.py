@@ -291,16 +291,24 @@ def test_invalid_input_exits_two(files, command, extra):
     assert out == ""
 
 
-@pytest.mark.parametrize("vectors", ["1,2", "1,2,3,4", "1,nan,3"],
-                         ids=["short", "long", "nan"])
+@pytest.mark.parametrize("vectors", ["1,2", "1,2,3,4", "1,nan,3", "1,x,2"],
+                         ids=["short", "long", "nan", "not-a-number"])
 def test_eval_vector_needs_dim_finite_entries(files, vectors):
     # a short vector ran into an IndexError, a long one lost its last entry
-    # and a nan was read as 0: all exited 1 or 0
+    # and a nan was read as 0: all exited 1 or 0; an entry that is not a
+    # number printed float()'s message
     code, out, err = invoke(["eval", "--file", files["contact"], "--form", "w",
                              "--at", "0,1,0", "--vectors", vectors])
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"error: vector {vectors!r} needs 3 finite entries\n"
+
+
+def test_point_with_an_empty_chunk_needs_dim_finite_entries(files):
+    # a trailing ';' printed "could not convert string to float: ''"
+    code, out, err = invoke(["d", "--file", files["contact"], "--form", "w",
+                             "--at", "0,2,0;"])
+    assert (code, out, err) == (EXIT_USAGE, "", "error: point '' needs 3 finite entries\n")
 
 
 def one_sample(command):
