@@ -26,7 +26,7 @@ from .errors import (DomainError, LogBranchError, ParseError,
                      RankDeficiencyError, SdgError)
 from .nil import DEFAULT_TOL, within_tol
 from .program import parse_file
-from .sampling import parse_box, sample_box
+from .sampling import finite_floats, parse_box, sample_box
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -114,11 +114,8 @@ def _parse_vectors(text, dim, what="vector"):
     """';'-separated vectors of exactly `dim` finite, ','-separated entries."""
     vectors = []
     for chunk in text.split(";"):
-        try:
-            vector = [float(v) for v in chunk.split(",")]
-        except ValueError:  # an entry that is not a number, an empty one included
-            vector = None
-        if vector is None or len(vector) != dim or not all(map(math.isfinite, vector)):
+        vector = finite_floats(chunk, ",")
+        if vector is None or len(vector) != dim:
             raise ValueError(f"{what} {chunk!r} needs {dim} finite entries")
         vectors.append(vector)
     return vectors
@@ -183,15 +180,13 @@ def _cmd_compare(args, rep, prog, theta, classical, ratio):
     return code
 
 
-def cmd_d(args, rep):
-    prog = parse_file(args.file)
+def cmd_d(args, rep, prog):
     form = prog.lookup("forms", args.form, "form")
     return _cmd_compare(args, rep, prog, fm.d_comb(fm.to_combinatorial(form)),
                         fm.d_classical(form), 1.0 / (form.degree + 1))
 
 
-def cmd_wedge(args, rep):
-    prog = parse_file(args.file)
+def cmd_wedge(args, rep, prog):
     name_a, _, name_b = args.forms.partition(",")
     a = prog.lookup("forms", name_a.strip(), "form")
     b = prog.lookup("forms", name_b.strip(), "form")
@@ -202,8 +197,7 @@ def cmd_wedge(args, rep):
                         math.factorial(k) * math.factorial(l) / math.factorial(k + l))
 
 
-def cmd_eval(args, rep):
-    prog = parse_file(args.file)
+def cmd_eval(args, rep, prog):
     form = prog.lookup("forms", args.form, "form")
     p = _parse_point(args.at, prog.dim)
     # an empty --vectors gives none, for a 0-form
@@ -216,10 +210,9 @@ def cmd_eval(args, rep):
     return EXIT_OK
 
 
-def cmd_check_involutive(args, rep):
+def cmd_check_involutive(args, rep, prog):
     from . import distributions as ds
 
-    prog = parse_file(args.file)
     dist = prog.lookup("dists", args.dist, "distribution")
     samples = sample_box(parse_box(args.box, prog.dim), args.samples, args.seed)
     classical = ds.check_involutive_classical(dist, samples, tol=args.tol)
@@ -239,10 +232,9 @@ def cmd_check_involutive(args, rep):
     return EXIT_OK if verdict else EXIT_FALSE
 
 
-def cmd_check_integral(args, rep):
+def cmd_check_integral(args, rep, prog):
     from . import distributions as ds
 
-    prog = parse_file(args.file)
     dist = prog.lookup("dists", args.dist, "distribution")
     patch = prog.lookup("patches", args.patch, "patch")
     box = parse_box(args.box, patch.q)
@@ -254,12 +246,11 @@ def cmd_check_integral(args, rep):
     return EXIT_OK if ok else EXIT_FALSE
 
 
-def cmd_curvature(args, rep):
+def cmd_curvature(args, rep, prog):
     import numpy as np
 
     from . import connections as cn
 
-    prog = parse_file(args.file)
     conn = prog.lookup("conns", args.conn, "connection")
     agree = True
     for p in _parse_points(args.at, prog.dim):
@@ -286,16 +277,12 @@ def _circle(spec):
     numbers, r nonzero (a zero radius has identity holonomy, so an
     ambrose-singer run on it would check nothing)."""
     parts = spec.split()
-    try:
-        if len(parts) != 2 or parts[0] != "circle":
-            raise ValueError
-        cx, cy, r = map(float, parts[1].split(","))
-        if not (all(map(math.isfinite, (cx, cy, r))) and r != 0.0):
-            raise ValueError
-    except ValueError:
+    circle = (finite_floats(parts[1], ",")
+              if len(parts) == 2 and parts[0] == "circle" else None)
+    if circle is None or len(circle) != 3 or circle[2] == 0.0:
         raise ParseError(f"bad loop spec {spec!r} (expected 'circle cx,cy,r' "
-                         "with finite cx, cy and r, r nonzero)") from None
-    return cx, cy, r
+                         "with finite cx, cy and r, r nonzero)")
+    return circle
 
 
 def _loop_curves(args, prog):
@@ -331,10 +318,9 @@ def _loop_curves(args, prog):
     return loops
 
 
-def cmd_holonomy(args, rep):
+def cmd_holonomy(args, rep, prog):
     from . import connections as cn
 
-    prog = parse_file(args.file)
     conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
     for idx, (curve, t0, t1) in enumerate(loops):
@@ -351,10 +337,9 @@ def cmd_holonomy(args, rep):
     return EXIT_OK
 
 
-def cmd_ambrose_singer(args, rep):
+def cmd_ambrose_singer(args, rep, prog):
     from . import connections as cn
 
-    prog = parse_file(args.file)
     conn = prog.lookup("conns", args.conn, "connection")
     loops = _loop_curves(args, prog)
     samples = sample_box(parse_box(args.box, prog.dim), args.samples, args.seed)
@@ -369,10 +354,9 @@ def cmd_ambrose_singer(args, rep):
     return EXIT_OK if ok else EXIT_FALSE
 
 
-def cmd_leaf(args, rep):
+def cmd_leaf(args, rep, prog):
     from . import distributions as ds
 
-    prog = parse_file(args.file)
     dist = prog.lookup("dists", args.dist, "distribution")
     start = _parse_point(args.start, prog.dim)
     pts = ds.trace_leaf(dist, start, args.steps, args.stepsize)
@@ -507,7 +491,9 @@ def run(argv=None, stdout=None, stderr=None):
         return EXIT_USAGE if err.code else EXIT_OK
     rep = _Reporter(args.format, stdout)
     try:
-        code = args.fn(args, rep)
+        # every command reads its --file before any other option
+        prog = parse_file(args.file)
+        code = args.fn(args, rep, prog)
         rep.finish()
         return code
     except FileNotFoundError as err:

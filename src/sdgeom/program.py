@@ -19,6 +19,8 @@ imports `distributions` or `connections` (and numpy with them); parsing
 checks its declaration and loads none of these.
 """
 
+import re
+from collections import namedtuple
 from collections.abc import Mapping
 from functools import partial
 
@@ -29,70 +31,42 @@ from .forms import ClassicalForm, wedge_classical
 KEYWORDS = {"dim", "var", "form", "vector", "dist", "patch", "conn",
             "span", "ker", "pow"}
 
-_PUNCT = ("=", "(", ")", ",", ";", "[", "]", "+", "-", "*", "/", "^")
+Token = namedtuple("Token", "kind text line col")
+_token = partial(tuple.__new__, Token)  # a Token of a 4-tuple, in C
 
-
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+# one alternative per kind of token, tried in this order; a number is a digit,
+# or a "." before one, then digits, e/E and a sign after an e/E, with at most
+# one "." ("1e" and "2e+" are numbers that float() refuses, "1.2.3" is 1.2
+# then .3)
+_DIGITS = r"(?:[\deE]|(?<=[eE])[+-])*"
+_TOKEN = re.compile(rf"""
+    (?P<newline>\n)
+  | (?P<blanks>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<number>(?=\.?\d){_DIGITS}(?:\.{_DIGITS})?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<punct>[=(),;\[\]+\-*/^])
+  | (?P<other>.)
+""", re.VERBOSE)
 
 
 def tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or text[j] == "."
-                             or text[j] in "eE"
-                             or (text[j] in "+-" and text[j - 1] in "eE")):
-                if text[j] == ".":
-                    if seen_dot:
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "".join(_PUNCT):
-            tokens.append(Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind in ("number", "ident", "punct"):
+            tok = m.group()
+            tokens.append(_token((tok if kind == "punct" else kind, tok,
+                                  line, m.start() - line_start + 1)))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "other":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             line, m.start() - line_start + 1)
+    # a comment takes no columns: the end of the file stands where it starts
+    last = text[line_start:].partition("#")[0]
+    tokens.append(Token("eof", "", line, len(last) + 1))
     return tokens
 
 
@@ -145,6 +119,12 @@ class Program:
             raise ParseError(f"unknown {what} {name!r}") from None
 
 
+# the statements that declare a name, and what a message calls the name
+_NAMED = {"form": "a form name", "vector": "a vector name",
+          "dist": "a distribution name", "patch": "a patch name",
+          "conn": "a connection name"}
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
@@ -189,7 +169,10 @@ class _Parser:
             handler = getattr(self, f"_stmt_{tok.text}", None)
             if handler is None:
                 self.error(f"unknown statement {tok.text!r}", tok)
-            handler(tok)
+            if tok.text in _NAMED:
+                handler(tok, self._declare(tok))
+            else:
+                handler(tok)
         if self.prog.dim is None:
             raise ParseError("missing 'dim' declaration")
         if len(self.prog.vars) != self.prog.dim:
@@ -197,19 +180,21 @@ class _Parser:
                 f"declared {len(self.prog.vars)} variables for dim {self.prog.dim}")
         return self.prog
 
-    def _chart_ready(self, tok):
+    def _declare(self, tok):
+        """The new name that the declaration `tok` starts, after the chart,
+        recorded in declaration order."""
         if self.prog.dim is None or not self.prog.vars:
             self.error("chart ('dim' and 'var') must be declared first", tok)
-
-    def _fresh_name(self, tok):
-        name = tok.text
+        name_tok = self.expect("ident", _NAMED[tok.text])
+        name = name_tok.text
         if name in KEYWORDS:
-            self.error(f"{name!r} is a reserved word", tok)
+            self.error(f"{name!r} is a reserved word", name_tok)
         for table in ("forms", "vectors", "dists", "patches", "conns"):
             if name in getattr(self.prog, table):
-                self.error(f"duplicate name {name!r}", tok)
+                self.error(f"duplicate name {name!r}", name_tok)
         if name in self.prog.vars:
-            self.error(f"{name!r} is already a chart variable", tok)
+            self.error(f"{name!r} is already a chart variable", name_tok)
+        self.prog.order.append((tok.text, name))
         return name
 
     def _stmt_dim(self, tok):
@@ -242,27 +227,19 @@ class _Parser:
             if self._is_differential(t.text):
                 self.error(f"variable {t.text!r} reads as the differential of {t.text[1:]!r}", t)
 
-    def _stmt_form(self, tok):
-        self._chart_ready(tok)
-        name = self._fresh_name(self.expect("ident", "a form name"))
+    def _stmt_form(self, tok, name):
         self.expect("=")
         form = self.parse_form_expr()
         self.prog.forms[name] = form
-        self.prog.order.append(("form", name))
 
-    def _stmt_vector(self, tok):
-        self._chart_ready(tok)
-        name = self._fresh_name(self.expect("ident", "a vector name"))
+    def _stmt_vector(self, tok, name):
         self.expect("=")
         comps = self._paren_scalar_list(self.prog.vars)
         if len(comps) != self.prog.dim:
             self.error(f"vector needs {self.prog.dim} components", tok)
         self.prog.vectors[name] = comps
-        self.prog.order.append(("vector", name))
 
-    def _stmt_dist(self, tok):
-        self._chart_ready(tok)
-        name = self._fresh_name(self.expect("ident", "a distribution name"))
+    def _stmt_dist(self, tok, name):
         self.expect("=")
         kind_tok = self.expect("ident", "'span' or 'ker'")
         if kind_tok.text not in ("span", "ker"):
@@ -298,11 +275,8 @@ class _Parser:
             return Distribution(n, vars=vars, **options)
 
         self.prog.dists.declare(name, (kind_tok.text, [m.text for m in members]), build)
-        self.prog.order.append(("dist", name))
 
-    def _stmt_patch(self, tok):
-        self._chart_ready(tok)
-        name = self._fresh_name(self.expect("ident", "a patch name"))
+    def _stmt_patch(self, tok, name):
         self.expect("(")
         params = []
         for param in self.separated(partial(self.expect, "ident", "a parameter name")):
@@ -322,11 +296,8 @@ class _Parser:
             return IntegralPatch(params, comps)
 
         self.prog.patches.declare(name, (params, comps), build)
-        self.prog.order.append(("patch", name))
 
-    def _stmt_conn(self, tok):
-        self._chart_ready(tok)
-        name = self._fresh_name(self.expect("ident", "a connection name"))
+    def _stmt_conn(self, tok, name):
         self.expect("=")
         self.expect("[")
         rows = self.separated(self._conn_row, ";")
@@ -349,7 +320,6 @@ class _Parser:
             return ConnectionData(n, A, vars=vars)
 
         self.prog.conns.declare(name, rows, build)
-        self.prog.order.append(("conn", name))
 
     def _conn_row(self):
         row = self.separated(self.parse_form_expr)

@@ -35,6 +35,16 @@ def sample_box(box, count, seed=0):
     return points
 
 
+def finite_floats(text, sep):
+    """The floats of `text` split at `sep`, if each part is a finite number;
+    else None."""
+    try:
+        values = [float(v) for v in text.split(sep)]
+    except ValueError:  # a part that is not a number, an empty one included
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
 def parse_box(text, dim):
     """Parse 'lo..hi' (shared) or comma-separated per-dimension bounds."""
     parts = text.split(",")
@@ -44,9 +54,8 @@ def parse_box(text, dim):
         raise ValueError(f"box needs 1 or {dim} ranges, got {len(parts)}")
     box = []
     for part in parts:
-        lo, _, hi = part.partition("..")
-        lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        bounds = finite_floats(part, "..")
+        if bounds is None or len(bounds) != 2 or bounds[0] > bounds[1]:
             raise ValueError(f"box range {part!r} needs finite bounds with lo <= hi")
-        box.append((lo, hi))
+        box.append(tuple(bounds))
     return box

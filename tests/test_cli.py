@@ -291,6 +291,15 @@ def test_invalid_input_exits_two(files, command, extra):
     assert out == ""
 
 
+@pytest.mark.parametrize("box", ["a..1", "1", "1..2..3", "..1"])
+def test_a_malformed_box_range_names_itself(files, box):
+    # float()'s message went through: "could not convert string to float"
+    code, out, err = invoke(["check-involutive", "--file", files["contact"], "--dist", "D",
+                             f"--box={box}"])
+    assert (code, out, err) == (
+        EXIT_USAGE, "", f"error: box range {box!r} needs finite bounds with lo <= hi\n")
+
+
 @pytest.mark.parametrize("vectors", ["1,2", "1,2,3,4", "1,nan,3", "1,x,2"],
                          ids=["short", "long", "nan", "not-a-number"])
 def test_eval_vector_needs_dim_finite_entries(files, vectors):

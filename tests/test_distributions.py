@@ -96,11 +96,46 @@ PLANE = Distribution(3, 2, span=[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]], vars=VAR
     (lambda: sample_box([(0.0, 1.0)] * 17, 1), ValueError,
      "box dimension too large for the Halton table"),
     (lambda: parse_box("0..1,0..1", 3), ValueError, "box needs 1 or 3 ranges, got 2"),
+    (lambda: parse_box("a..1", 2), ValueError,
+     "box range 'a..1' needs finite bounds with lo <= hi"),
+    (lambda: parse_box("1", 2), ValueError, "box range '1' needs finite bounds with lo <= hi"),
+    (lambda: parse_box("1..2..3", 2), ValueError,
+     "box range '1..2..3' needs finite bounds with lo <= hi"),
+    (lambda: parse_box("..1", 2), ValueError,
+     "box range '..1' needs finite bounds with lo <= hi"),
+    (lambda: parse_box("0..1,1..inf", 2), ValueError,
+     "box range '1..inf' needs finite bounds with lo <= hi"),
 ], ids=["kernel-count", "kernel-chart", "kernel-degree", "span-shape", "relation-kernel",
-        "relation-span", "patch-mode", "semi-degree", "box-dimension", "box-ranges"])
+        "relation-span", "patch-mode", "semi-degree", "box-dimension", "box-ranges",
+        "box-not-a-number", "box-one-bound", "box-three-bounds", "box-no-lower-bound",
+        "box-infinite-bound"])
 def test_guards_raise(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_a_box_range_is_split_at_its_first_two_dots():
+    assert parse_box(".5...7,-1..1", 2) == [(0.5, 0.7), (-1.0, 1.0)]
+
+
+def _radical_inverse(index, base):
+    digits = []
+    while index:
+        index, digit = divmod(index, base)
+        digits.append(digit)
+    return sum(d / base ** (k + 1) for k, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 100010])
+def test_sample_box_is_the_radical_inverse_in_the_first_16_primes(seed):
+    # the Halton point of index 1 + 997*(seed mod 100003) + i in each of the
+    # 16 dimensions the table allows
+    primes = [p for p in range(2, 54) if all(p % q for q in range(2, p))]
+    assert len(primes) == 16
+    offset = 1 + 997 * (seed % 100003)
+    for i, point in enumerate(sample_box([(0.0, 1.0)] * 16, 4, seed)):
+        want = [_radical_inverse(offset + i, p) for p in primes]
+        assert list(point.coords) == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("p", samples3(3, seed=4))

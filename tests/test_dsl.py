@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import pytest
 from sdgeom import expr as ex
 from sdgeom.errors import DomainError, ParseError
 from sdgeom.nil import NilElement
-from sdgeom.program import parse, pretty_print
+from sdgeom.program import parse, pretty_print, tokenize
 
 from corpus import random_scalar_expr
 from reference import coeff, const_term, evaluate
@@ -79,6 +80,67 @@ def test_comments_and_blank_lines():
     assert prog.dim == 1
 
 
+# (kind, text, line, col) of each token, the end of the file last; a number
+# is read permissively, and float() judges it when it is used
+TOKEN_EDGES = [
+    ("1e+5", [("number", "1e+5", 1, 1), ("eof", "", 1, 5)]),
+    (".5", [("number", ".5", 1, 1), ("eof", "", 1, 3)]),
+    ("1.2.3", [("number", "1.2", 1, 1), ("number", ".3", 1, 4), ("eof", "", 1, 6)]),
+    ("1e", [("number", "1e", 1, 1), ("eof", "", 1, 3)]),
+    ("2ex", [("number", "2e", 1, 1), ("ident", "x", 1, 3), ("eof", "", 1, 4)]),
+    ("1ee5 2e+-1", [("number", "1ee5", 1, 1), ("number", "2e+", 1, 6), ("-", "-", 1, 9),
+                    ("number", "1", 1, 10), ("eof", "", 1, 11)]),
+    ("\t\r\tx\r\n \ty", [("ident", "x", 1, 4), ("ident", "y", 2, 3), ("eof", "", 2, 4)]),
+    ("dim 2 # to the end", [("ident", "dim", 1, 1), ("number", "2", 1, 5), ("eof", "", 1, 7)]),
+    ("# only\n", [("eof", "", 2, 1)]),
+    ("var \u00e9a_1 x\u0663", [("ident", "var", 1, 1), ("ident", "\u00e9a_1", 1, 5),
+                             ("ident", "x\u0663", 1, 10), ("eof", "", 1, 12)]),
+    ("\u0663.\u0663", [("number", "\u0663.\u0663", 1, 1), ("eof", "", 1, 4)]),
+]
+
+
+@pytest.mark.parametrize("text, want", TOKEN_EDGES,
+                         ids=["signed-exponent", "leading-dot", "two-dots", "bare-e", "e-then-name",
+                              "repeated-e", "tabs-and-crs", "comment-before-eof", "comment-line",
+                              "non-ascii-name", "arabic-indic-digits"])
+def test_tokens_and_their_places(text, want):
+    assert [tuple(t) for t in tokenize(text)] == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim 2\nvar $", "2:5: unexpected character '$'"),
+    ("a.b", "1:2: unexpected character '.'"),
+    ("dim 2\n\x0b", "2:1: unexpected character '\\x0b'"),
+])
+def test_an_unexpected_character_names_its_place(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        tokenize(text)
+
+
+def test_a_non_decimal_digit_starts_a_name():
+    # names start with a word character that is not a decimal digit, and
+    # numbers with a decimal digit: a superscript two is a letter here
+    assert [tuple(t) for t in tokenize("\u00b2 x\u00b2")] == [
+        ("ident", "\u00b2", 1, 1), ("ident", "x\u00b2", 1, 3), ("eof", "", 1, 5)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_token_stands_at_its_place(seed):
+    # sources of every statement kind, and runs of pieces of tokens, blanks,
+    # comments and line ends, which may run into each other
+    rng = random.Random(seed)
+    pieces = ["x", "y_2", "\u00e9", "\u0663", "0", "1.5", ".5", "2e+3", "1e", "E", *"=(),;[]+-*/^",
+              " ", "\t", "\r", "\n", "# note"]
+    sources = [CONTACT, MIXED, HUGE] + [
+        "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30))) for _ in range(300)]
+    for text in sources:
+        lines = text.split("\n")
+        toks = tokenize(text)
+        assert toks[-1].kind == "eof" and toks[-1].line == len(lines)
+        for tok in toks:
+            assert lines[tok.line - 1][tok.col - 1:tok.col - 1 + len(tok.text)] == tok.text
+
+
 def test_pretty_print_round_trip_fixed_point():
     for text in (CONTACT, MIXED, "dim 2\nvar x y\nform f = x\n"):
         s1 = pretty_print(parse(text))
@@ -99,6 +161,13 @@ def test_quotient_coefficient_round_trips():
     text = pretty_print(parse("dim 2\nvar x y\nform a = x/y*dx + dy\n"))
     assert "form a = (x/y)*dx + dy" in text
     assert pretty_print(parse(text)) == text
+
+
+def test_a_form_divided_by_a_scalar_has_the_reciprocal_coefficient():
+    prog = parse("dim 2\nvar x y\nform a = dx/y\n")
+    (coeff,) = prog.forms["a"].coeffs.values()
+    assert evaluate(coeff, {"x": 0.3, "y": 4.0}) == 0.25
+    assert "form a = (1/y)*dx\n" in pretty_print(prog)
 
 
 @pytest.mark.parametrize("spelling, expanded", [
@@ -206,6 +275,16 @@ def test_diff_chain_rule_pow():
     e = ex.Pow(ex.Add(ex.Var("x"), ex.Const(1.0)), 3)
     de = ex.diff(e, "x")
     assert abs(_num(de, {"x": 2.0}) - 27.0) <= 1e-12
+
+
+def test_diff_of_a_first_power_is_its_base_derivative():
+    assert _num(ex.diff(ex.Pow(ex.Var("x"), 1), "x"), {"x": 0.7}) == 1.0
+
+
+def test_diff_of_a_zeroth_power_is_plus_zero():
+    # 0 times the base's derivative -1 would be -0.0
+    d = ex.diff(ex.Pow(ex.Sub(ex.Const(0.0), ex.Var("x")), 0), "x")
+    assert isinstance(d, ex.Const) and math.copysign(1.0, d.value) == 1.0 and d.value == 0.0
 
 
 def test_diff_quotient():
@@ -379,7 +458,7 @@ def _evaluated(exprs, args):
 @pytest.mark.parametrize("x, y", [
     (0.7, 1.3), (Near(0.7), Near(1.3)), (0.7, Near(1.3)), (Near(-0.4), 2.0),
 ], ids=["floats", "w", "float-w", "w-float"])
-def test_compile_w_equals_evaluate_bit_for_bit(x, y):
+def test_compile_w_and_compile_jet_are_evaluate_bit_for_bit(x, y):
     # compile_w at floats; compile_jet in W, at the neighbours of the Near
     # arguments, against the tree walk there
     got, want = _evaluated(EVERY_NODE_KIND, {"x": x, "y": y})
