@@ -402,32 +402,31 @@ def _source(e, names, combine=_w_code, shared=None):
     return gen(e)
 
 
-def _nonzero(v):
-    """A coefficient, or None where it is a float zero, which the term-map
-    kernels of `nil` drop."""
-    return None if v.__class__ is float and v == 0.0 else v
-
-
 # The coefficient operations of compiled jets, None absent: each performs
-# an operation of the W arithmetic (`compile_jet`) on one coefficient.
+# an operation of the W arithmetic (`compile_jet`) on one coefficient, and
+# gives None for a float zero, which the term-map kernels of `nil` drop,
+# testing it in line.
 
 def _jet_sum(x, y):
     """x + y: `nil._elem_add`, which keeps x as it is where y is absent."""
     if y is None:
         return x
-    return _nonzero((0.0 if x is None else x) + y)
+    v = (0.0 if x is None else x) + y
+    return None if v.__class__ is float and v == 0.0 else v
 
 
 def _jet_difference(x, y):
     """x - y, which `NilElement.__sub__` forms as x + (-1.0 * y)."""
     if y is None:
         return x
-    return _nonzero((0.0 if x is None else x) + -1.0 * y)
+    v = (0.0 if x is None else x) + -1.0 * y
+    return None if v.__class__ is float and v == 0.0 else v
 
 
 def _jet_shift(c, k):
     """The constant term c plus a float k: `NilElement.__add__`."""
-    return _nonzero((0.0 if c is None else c) + k)
+    v = (0.0 if c is None else c) + k
+    return None if v.__class__ is float and v == 0.0 else v
 
 
 def _jet_scale(k, c):
@@ -443,10 +442,12 @@ def _jet_product(a0, bi, ai=None, b0=None):
     if a0 is None or bi is None:
         if ai is None or b0 is None:
             return None
-        return _nonzero(0.0 + ai * b0)
-    if ai is None or b0 is None:
-        return _nonzero(0.0 + a0 * bi)
-    return _nonzero(0.0 + a0 * bi + ai * b0)
+        v = 0.0 + ai * b0
+    elif ai is None or b0 is None:
+        v = 0.0 + a0 * bi
+    else:
+        v = 0.0 + a0 * bi + ai * b0
+    return None if v.__class__ is float and v == 0.0 else v
 
 
 def _lift(f, table, c, *tangents):
@@ -458,8 +459,7 @@ def _lift(f, table, c, *tangents):
     A product of two row-1 monomials is 0, so the Taylor sum stops at order
     1, or at order 0 where every tangent is 0; `nil._taylor` gives the
     derivatives, and raises DomainError where they are not defined at a
-    float c.  Each coefficient is tested for a float zero in line, as
-    `_nonzero` tests it."""
+    float c.  Each coefficient is tested for a float zero in line."""
     power = []
     order = 0
     for t in tangents:

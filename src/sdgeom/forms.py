@@ -14,7 +14,7 @@ from types import MappingProxyType
 from . import expr as ex
 from .errors import DegreeError, DomainError, SdgError
 from .nil import (_MERGE_SIGNS, _UNIT, DEFAULT_TOL, _Memo, _bits, _elem_add,
-                  _elem_mul, _elem_scale, _wrap, within_tol)
+                  _elem_addto, _elem_mul, _elem_scale, _wrap, within_tol)
 
 
 def default_vars(n):
@@ -345,6 +345,14 @@ def eval_generic(theta, base):
     return theta.on_face(base.coords, p, tuple(range(p + 1)))
 
 
+# The index tuple of a column mask, and the zero coefficients of a p-form
+# in dimension n under (n, p), in `combinations` order: one entry per key
+# met: at most 2**n column masks and n + 1 degrees in dimension n.
+# `extract_classical` copies the template and never changes it.
+_INDEX_TUPLES = _Memo(lambda mask: tuple(_bits(mask)))
+_ZERO_COEFFS = _Memo(lambda key: dict.fromkeys(combinations(range(1, key[0] + 1), key[1]), 0.0))
+
+
 def extract_classical(theta, base, tol=DEFAULT_TOL):
     """Coefficients of the classical form corresponding to `theta` at `base`,
     read off the generic value and normalized by degree!."""
@@ -352,10 +360,11 @@ def extract_classical(theta, base, tol=DEFAULT_TOL):
     value = eval_generic(theta, base)
     full_rows = (1 << p) - 1
     norm = math.factorial(p)
-    coeffs = {T: 0.0 for T in combinations(range(1, theta.n + 1), p)}
+    coeffs = dict(_ZERO_COEFFS[theta.n, p])
+    index = _INDEX_TUPLES
     for (rmask, cmask), v in value.terms.items():
         if rmask == full_rows:
-            coeffs[tuple(_bits(cmask))] = v / norm
+            coeffs[index[cmask]] = v / norm
         elif not within_tol(v, tol):
             raise SdgError(
                 f"non-form input: lower-degree term of size {abs(v):g} "
@@ -380,15 +389,23 @@ def d_comb(theta):
     """Simplicial exterior derivative: alternating sum of face evaluations.
     On the generic simplex, the face without vertex i is the face's labels
     without the i-th, so rebasing a face at its next vertex is relabelling
-    it."""
+    it.
+
+    The faces are summed into one term map in place: the first face's map
+    is copied, since an `on_face` may return an element it keeps, and every
+    other face is added to it with its sign by `nil._elem_addto`, the
+    kernel of `NilElement.__add__` and `__sub__`, so the sum is theirs bit
+    for bit; a face in another W context raises ContextMismatchError, as
+    they do."""
     p = theta.degree
 
     def on_face(x, k, face):
-        total = theta.on_face(x, k, face[1:])
+        first = theta.on_face(x, k, face[1:])
+        out = dict(first.terms)
         for i in range(1, p + 2):
-            v = theta.on_face(x, k, face[:i] + face[i + 1:])
-            total = total + v if i % 2 == 0 else total - v
-        return total
+            v = first._coerce(theta.on_face(x, k, face[:i] + face[i + 1:]))
+            _elem_addto(out, -1.0 if i % 2 else 1.0, v.terms)
+        return _wrap(first.k, first.n, out)
 
     return CombinatorialForm(p + 1, theta.n, on_face)
 

@@ -63,15 +63,20 @@ def _bits(mask):
 
 class _Memo(dict):
     """A dict that fills a missing key with `fill(key)` on its first
-    lookup; a hit is a plain dict lookup."""
+    lookup; a hit is a plain dict lookup.  A memo with a `limit` is
+    emptied before it fills an entry past that many, so that keys drawn
+    from data cannot grow it without bound."""
 
-    __slots__ = ("fill",)
+    __slots__ = ("fill", "limit")
 
-    def __init__(self, fill):
+    def __init__(self, fill, limit=None):
         super().__init__()
         self.fill = fill
+        self.limit = limit
 
     def __missing__(self, key):
+        if self.limit is not None and len(self) >= self.limit:
+            self.clear()
         value = self[key] = self.fill(key)
         return value
 
@@ -133,29 +138,47 @@ def _is_zero(v):
     return v.__class__ is float and v == 0.0
 
 
+def _pairing(key):
+    """The pairing of two monomial tuples (a, b), for `_PAIRINGS[a, b]`:
+    for each monomial of a, in a's order, the monomials of b sharing no row
+    and no column with it, in b's order, as (index in b, merged monomial,
+    sign), the sign the merge sign of the rows times that of the columns,
+    +1.0 or -1.0."""
+    a, b = key
+    signs = _MERGE_SIGNS
+    pairing = []
+    for s1, t1 in a:
+        rows, cols = signs[s1], signs[t1]
+        pairing.append([(j, (s1 | s2, t1 | t2), rows[s2] * cols[t2])
+                        for j, (s2, t2) in enumerate(b) if not (s1 & s2 or t1 & t2)])
+    return pairing
+
+
+# One entry per pair of monomial tuples multiplied: the pairs of terms that
+# can meet depend on the monomials alone, not on the coefficients.  Callers
+# read the lists and never change them.  The monomials of a product depend
+# on the data (a coefficient pruned as a float zero drops its monomial), so
+# the table is bounded: a forms_dense pass of perfbench fills ~400 entries
+# (~0.3 MB), and past _PAIRINGS_LIMIT the table starts again empty.
+_PAIRINGS_LIMIT = 4096
+_PAIRINGS = _Memo(_pairing, _PAIRINGS_LIMIT)
+
+
 def _elem_muladd(out, c, a, b):
     """out += c * a * b on term maps, in place; float zeros pruned.
 
-    The pairs of terms are visited in a's order, then b's.  A pair that
-    shares a row adds nothing, so b's terms on other rows than a term of a
-    are listed once per row mask of a, in b's order, with their row
-    merge signs."""
-    signs = _MERGE_SIGNS
+    The pairs of terms are visited in a's order, then b's; a pair that
+    shares a row or a column adds nothing.  The pairs that remain, with
+    their merged monomials and signs, are read from the pairing of the two
+    monomial tuples (`_PAIRINGS`), built on their first product; a pair
+    adds s * (c * ca) * cb, which equals the product of the row sign, the
+    column sign, c * ca and cb to the bit, since s is +1.0 or -1.0."""
     get = out.get
-    partners = {}  # a row mask of a -> [(merged rows, cols, row sign, coeff)] of b
-    for (s1, t1), ca in a.items():
-        terms = partners.get(s1)
-        if terms is None:
-            rows = signs[s1]
-            terms = partners[s1] = [(s1 | s2, t2, rows[s2], cb)
-                                    for (s2, t2), cb in b.items() if not s1 & s2]
-        cols = signs[t1]
+    coeffs = tuple(b.values())
+    for ca, pairs in zip(a.values(), _PAIRINGS[tuple(a), tuple(b)]):
         cca = c * ca
-        for s, t2, sign, cb in terms:
-            if t1 & t2:
-                continue
-            key = (s, t1 | t2)
-            v = get(key, 0.0) + sign * cols[t2] * cca * cb
+        for j, key, s in pairs:
+            v = get(key, 0.0) + s * cca * coeffs[j]
             if v.__class__ is float and v == 0.0:
                 if key in out:
                     del out[key]
@@ -171,23 +194,31 @@ def _elem_mul(a, b):
 
     Two monomials multiply to zero when they share a row or a column;
     otherwise the sign is the merge sign of the rows times that of the
-    columns.
+    columns.  The pairs that meet are read from the memoised pairing of
+    the two maps' monomial tuples (`_elem_muladd`).
     """
     out = {}
     _elem_muladd(out, 1.0, a, b)
     return out
 
 
-def _elem_add(a, b):
-    """Sum of two term maps, float zeros pruned."""
-    out = dict(a)
+def _elem_addto(out, e, b):
+    """out += e * b on term maps, in place, for e = 1.0 or -1.0; float zeros
+    pruned.  e * cb is cb, or its negation, to the bit."""
+    get = out.get
     for key, cb in b.items():
-        c = out.get(key, 0.0) + cb
+        c = get(key, 0.0) + e * cb
         if c.__class__ is float and c == 0.0:
             if key in out:
                 del out[key]
         else:
             out[key] = c
+
+
+def _elem_add(a, b):
+    """Sum of two term maps, float zeros pruned."""
+    out = dict(a)
+    _elem_addto(out, 1.0, b)
     return out
 
 
@@ -309,8 +340,9 @@ class NilElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _wrap(self.k, self.n,
-                     _elem_add(self.terms, _elem_scale(-1.0, other.terms)))
+        out = dict(self.terms)
+        _elem_addto(out, -1.0, other.terms)
+        return _wrap(self.k, self.n, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -534,7 +566,7 @@ def _taylor(f, table, c, order):
     (`expr._lift`) takes them: through `math` at a float c, raising
     DomainError where that raises or where a derivative overflows, and
     through `_array_derivs` at an array c."""
-    if getattr(c, "ndim", 0):  # an array; numpy only then
+    if c.__class__ is not float and getattr(c, "ndim", 0):  # an array; numpy only then
         return _array_derivs(table, c, order)
     try:
         derivs = table(c, order, math)

@@ -5,8 +5,8 @@ neighbour-point layer of a chart (neighbour pairs x ~ y, tangents and the
 log/exp correspondence), the run that pins the curvature conventions, the
 inspection and simplicial structure maps of W elements, the monomials of
 W(k, n) and the product of two term maps pair by pair, the coordinate path
-of combinatorial forms, and their faces with a NilElement per
-coefficient."""
+of combinatorial forms, their faces with a NilElement per coefficient,
+and their exterior derivative with a NilElement per face."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -439,8 +439,8 @@ def all_monomials(k, n, r):
 def ref_elem_muladd(out, c, a, b):
     """out += c * a * b on term maps, in place, float zeros pruned: every
     pair of terms, in a's order, then b's, a pair that shares a row or a
-    column skipped.  The oracle for `nil._elem_muladd`, which skips the
-    pairs that share a row before it visits them."""
+    column skipped.  The oracle for `nil._elem_muladd`, which visits only
+    the pairs that its memoised pairing of the two monomial tuples lists."""
     get = out.get
     for (s1, t1), ca in a.items():
         rows = _MERGE_SIGNS[s1]
@@ -636,3 +636,45 @@ def ref_jet_faces(form):
         return _wrap(k, n, out)
 
     return CombinatorialForm(form.degree, n, on_face)
+
+
+# -- the exterior derivative with a W element per face -----------------------
+
+def ref_elem_add(a, b):
+    """Sum of two term maps as a new map, float zeros pruned: a's terms,
+    then each of b's added key by key.  The oracle for `nil._elem_addto`
+    with sign 1.0; a difference a - b is a plus (-1.0 * cb for each cb of
+    b), as `NilElement.__sub__` forms it."""
+    out = dict(a)
+    for key, cb in b.items():
+        c = out.get(key, 0.0) + cb
+        if c.__class__ is float and c == 0.0:
+            if key in out:
+                del out[key]
+        else:
+            out[key] = c
+    return out
+
+
+def ref_elem_sub(a, b):
+    """a - b on term maps: a plus -1.0 times each coefficient of b."""
+    return ref_elem_add(a, {key: -1.0 * cb for key, cb in b.items()})
+
+
+def ref_element_d_comb(theta):
+    """`forms.d_comb` as the alternating sum of its faces' values as W
+    elements, each a new map (`ref_elem_add`, `ref_elem_sub`).  The oracle
+    for `d_comb`'s sum of the faces in one term map."""
+    p = theta.degree
+
+    def on_face(x, k, face):
+        total = theta.on_face(x, k, face[1:])
+        for i in range(1, p + 2):
+            v = theta.on_face(x, k, face[:i] + face[i + 1:])
+            if (v.k, v.n) != (total.k, total.n):
+                raise ContextMismatchError(f"W({total.k},{total.n}) vs W({v.k},{v.n})")
+            add = ref_elem_add if i % 2 == 0 else ref_elem_sub
+            total = NilElement(total.k, total.n, add(total.terms, v.terms))
+        return total
+
+    return CombinatorialForm(p + 1, theta.n, on_face)

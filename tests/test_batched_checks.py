@@ -29,20 +29,23 @@ from sdgeom import cli
 from sdgeom import connections as cn
 from sdgeom import distributions as ds
 from sdgeom import expr as ex
+from sdgeom import nil
 from sdgeom.chart import Point
 from sdgeom.distributions import Distribution
-from sdgeom.errors import DomainError, RankDeficiencyError, SdgError
-from sdgeom.forms import (ClassicalForm, d_classical, d_comb, eval_generic, eval_semi,
-                          to_combinatorial, wedge_classical, wedge_comb)
-from sdgeom.nil import NilElement, _elem_muladd, generic_offsets, within_tol
+from sdgeom.errors import ContextMismatchError, DomainError, RankDeficiencyError, SdgError
+from sdgeom.forms import (ClassicalForm, CombinatorialForm, d_classical, d_comb, eval_generic,
+                          eval_semi, extract_classical, to_combinatorial, wedge_classical,
+                          wedge_comb)
+from sdgeom.nil import NilElement, _elem_muladd, _table, _taylor, generic_offsets, within_tol
 from sdgeom.program import parse
 from sdgeom.sampling import sample_box
 
 from corpus import random_form, random_scalar_expr
 from reference import (all_monomials, const_term, evaluate, flat_generic_offsets, jacobian_at,
-                       kernel_matrix, lift_smooth, power, quotient, ref_d_comb, ref_elem_muladd,
-                       ref_is_flat, ref_jet_faces, ref_null_span, ref_span_matrix,
-                       ref_to_combinatorial, ref_wedge_comb, span_matrix, tree_walk)
+                       kernel_matrix, lift_smooth, power, quotient, ref_d_comb, ref_elem_add,
+                       ref_elem_muladd, ref_elem_sub, ref_element_d_comb, ref_is_flat,
+                       ref_jet_faces, ref_null_span, ref_span_matrix, ref_to_combinatorial,
+                       ref_wedge_comb, span_matrix, tree_walk)
 
 VARS3 = ("x", "y", "z")
 X, Y, Z = ex.Var("x"), ex.Var("y"), ex.Var("z")
@@ -1002,6 +1005,203 @@ def test_filtered_muladd_is_the_unfiltered_kernel():
         ref_elem_muladd(want, c, a, b)
         assert ordered_outcome(lambda: NilElement(k, n, got)) == \
             ordered_outcome(lambda: NilElement(k, n, want))
+
+
+# The W product reads the pairs of terms that can meet from a memo keyed by
+# the two operands' monomial tuples alone (`nil._PAIRINGS`), so a pairing
+# built for one pair of operands serves every other pair with the same
+# monomials, whatever their coefficients: on its first product (cold) and on
+# every later one (warm), the product must be the unfiltered kernel's.
+
+SPECIAL_COEFFS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-310, -2.5, 1.0, -1.0, 2.0]
+
+
+def special_coeff(rng, arrays):
+    """A coefficient drawn from SPECIAL_COEFFS, or with `arrays`, half the
+    time, an array of 3 of them."""
+    if arrays and rng.random() < 0.5:
+        return np.array([SPECIAL_COEFFS[i] for i in rng.integers(0, len(SPECIAL_COEFFS), 3)])
+    return SPECIAL_COEFFS[int(rng.integers(0, len(SPECIAL_COEFFS)))]
+
+
+@pytest.mark.bit_identity
+def test_memoised_pairings_are_the_unfiltered_kernel_cold_and_warm(monkeypatch):
+    pairings = nil._Memo(nil._pairing)
+    monkeypatch.setattr(nil, "_PAIRINGS", pairings)
+    rng = np.random.default_rng(40)
+    for trial in range(300):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        a, b = (random_term_map(rng, k, n, int(rng.integers(1, 12)), False) for _ in range(2))
+        start = random_term_map(rng, k, n, int(rng.integers(0, 8)), False)
+        pairings.clear()
+        for variant in range(6):  # the first product builds the pairing
+            arrays = variant >= 3
+            if variant:  # the same monomials, other coefficients
+                a, b, start = ({key: special_coeff(rng, arrays) for key in terms}
+                               for terms in (a, b, start))
+            c = special_coeff(rng, arrays) if variant else 1.0
+            got, want = dict(start), dict(start)
+            with np.errstate(all="ignore"):
+                _elem_muladd(got, c, a, b)
+                ref_elem_muladd(want, c, a, b)
+            assert list(pairings) == [(tuple(a), tuple(b))]
+            assert ordered_outcome(lambda: NilElement(k, n, got)) == \
+                ordered_outcome(lambda: NilElement(k, n, want)), (trial, variant)
+
+
+def test_a_second_forms_dense_pass_builds_no_pairing(monkeypatch):
+    pairings = nil._Memo(nil._pairing, nil._PAIRINGS_LIMIT)
+    monkeypatch.setattr(nil, "_PAIRINGS", pairings)
+    sources, ops = _load_perfbench_gen().forms_dense(1)
+    programs = {name: parse(text) for name, text in sources.items()}
+    sizes = []
+    for _ in range(2):  # perfbench's forms_dense ops, the comparison and the degeneracy
+        for op in ops:
+            forms = [programs[op["file"]].forms[name] for name in op["forms"]]
+            combine = d_comb if op["op"] == "d" else wedge_comb
+            theta = combine(*[to_combinatorial(f) for f in forms])
+            extract_classical(theta, Point(op["point"]))
+            eval_generic(theta, Point(op["point"])).identify_rows(1, 2)
+        sizes.append(len(pairings))
+    assert sizes[0] and sizes[1] == sizes[0], sizes
+    assert 4 * sizes[0] <= nil._PAIRINGS_LIMIT, sizes  # far from the limit
+
+
+def test_pairing_memo_stays_within_its_limit(monkeypatch):
+    limit = 64
+    pairings = nil._Memo(nil._pairing, limit)
+    monkeypatch.setattr(nil, "_PAIRINGS", pairings)
+    rng = np.random.default_rng(42)
+    sizes = set()
+    for trial in range(4 * limit):  # products of monomials drawn at random
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        a, b = (random_term_map(rng, k, n, int(rng.integers(1, 12)), False) for _ in range(2))
+        got = (NilElement(k, n, a) * NilElement(k, n, b)).terms
+        want = {}
+        ref_elem_muladd(want, 1.0, a, b)
+        assert list(got.items()) == list(want.items()), trial
+        sizes.add(len(pairings))
+    assert max(sizes) == limit and min(sizes) == 1, sorted(sizes)
+
+
+# `nil._elem_addto` adds a term map times 1.0 or -1.0 in place; it is the
+# kernel of `NilElement.__add__` and `__sub__`, whose values are a new map
+# of a's terms with each of b's added key by key (`reference.ref_elem_add`),
+# b's coefficients negated as -1.0 * cb for a difference.
+
+@pytest.mark.bit_identity
+def test_in_place_sum_is_the_sum_of_term_maps():
+    rng = np.random.default_rng(43)
+    for trial in range(300):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        arrays = trial % 2 == 1
+        a, b = (random_term_map(rng, k, n, int(rng.integers(0, 12)), arrays) for _ in range(2))
+        if trial % 3 == 2:  # the same monomials, special coefficients
+            a, b = ({key: special_coeff(rng, arrays) for key in terms} for terms in (a, b))
+        x, y = NilElement(k, n, a), NilElement(k, n, b)
+        with np.errstate(all="ignore"):
+            for got, want in ((lambda: x + y, ref_elem_add(a, b)),
+                              (lambda: x - y, ref_elem_sub(a, b))):
+                assert ordered_outcome(got) == \
+                    ordered_outcome(lambda: NilElement(k, n, want)), trial
+        assert (x.terms, y.terms) == (a, b)
+
+
+# `d_comb` sums its faces into one term map in place.  Its value is the
+# alternating sum of the faces as W elements (`reference.ref_element_d_comb`):
+# the same terms in the same order, bit for bit, at float and at array
+# coordinates, and the same DomainError; and a face value that `on_face`
+# keeps comes out of the sum as it went in.
+
+@pytest.mark.bit_identity
+def test_in_place_face_sum_is_the_sum_of_w_elements():
+    rng = np.random.default_rng(41)
+    x1, x2, vars = ex.Var("x1"), ex.Var("x2"), ("x1", "x2")
+    forms = [random_form(rng, degree, int(rng.integers(max(degree, 2), 5)), trig=True)
+             for degree in range(4) for _ in range(5)]
+    forms.append(ClassicalForm(1, 2, {(1,): ex.Call("ln", x1), (2,): ex.Div(x1, x2)}, vars))
+    outcomes = set()
+    for form in forms:
+        theta = to_combinatorial(form)
+        pairs = [(d_comb(theta), ref_element_d_comb(theta)),
+                 (d_comb(d_comb(theta)), ref_element_d_comb(ref_element_d_comb(theta)))]
+        X = rng.uniform(-1.0, 1.0, (form.n, 4)).round(3)
+        X[:, 1] = 0.0  # ln and the quotient raise at floats and give nan at arrays
+        for got, want in pairs:
+            k = got.degree + 1
+            for face in (tuple(range(got.degree + 1)), tuple(range(1, got.degree + 2))):
+                for x in (tuple(X[:, 0].tolist()), tuple(X[:, 1].tolist()), list(X)):
+                    with np.errstate(all="ignore"):
+                        outcome = ordered_outcome(lambda: got.on_face(x, k, face))
+                        assert outcome == ordered_outcome(lambda: want.on_face(x, k, face))
+                    outcomes.add("raises" if isinstance(outcome, str) else "value")
+    assert outcomes == {"raises", "value"}
+    stored = {k: NilElement(k, 2, {(0, 0): 1.5, (1, 1): -0.0, (1, 2): math.nan, (2, 1): 2.0,
+                                   (3, 3): np.array([0.5, -0.0, math.inf])})
+              for k in (2, 3)}
+    kept = CombinatorialForm(1, 2, lambda x, k, face: stored[k])
+    before = {k: ordered_outcome(lambda: e) for k, e in stored.items()}
+    for k, face in ((2, (0, 1, 2)), (3, (1, 2, 3))):
+        with np.errstate(all="ignore"):
+            assert ordered_outcome(lambda: d_comb(kept).on_face((0.5, 0.5), k, face)) == \
+                ordered_outcome(lambda: ref_element_d_comb(kept).on_face((0.5, 0.5), k, face))
+    assert {k: ordered_outcome(lambda: e) for k, e in stored.items()} == before
+    mixed = CombinatorialForm(1, 2, lambda x, k, face: stored[k] if face[0] else stored[5 - k])
+    for form in (d_comb(mixed), ref_element_d_comb(mixed)):  # a face in W(3, 2) on W(2, 2)
+        with pytest.raises(ContextMismatchError, match=r"W\(2,2\) vs W\(3,2\)"):
+            form.on_face((0.5, 0.5), 2, (0, 1, 2))
+
+
+# `expr._lift` assembles f(c) + f'(c) times the row-1 part from
+# `nil._taylor`'s derivatives, which a float constant term reaches before
+# any test for an array: its values and its messages must be those of the
+# Taylor sum of `_taylor`'s derivatives, float zeros dropped.
+
+def lift_through_taylor(f, table, c, *tangents):
+    """`expr._lift`'s result at a float c (or None) computed from
+    `nil._taylor`: f(c), and f'(c) times each tangent, float zeros None."""
+    def nonzero(v):
+        return None if v is None or (v.__class__ is float and v == 0.0) else v
+
+    tangents = [None if t is None else nonzero(0.0 + t) for t in tangents]
+    order = int(any(t is not None for t in tangents))
+    derivs = _taylor(f, table, 0.0 if c is None else c, order)
+    slope = nonzero(derivs[1]) if order else None
+    return (nonzero(derivs[0]),) + tuple(
+        None if t is None or slope is None else nonzero(0.0 + slope * t) for t in tangents)
+
+
+def lift_outcome(fn):
+    """The coefficients as float.hex (None absent), or the DomainError's
+    message."""
+    try:
+        return [None if v is None else float.hex(v) for v in fn()]
+    except DomainError as err:
+        return str(err)
+
+
+@pytest.mark.bit_identity
+def test_float_lift_is_the_taylor_lift():
+    tables = ([(f, _table(f)) for f in ("sin", "cos", "exp", "ln", "sqrt", "reciprocal")]
+              + [("power", _table("power", e)) for e in (-2, 3, 0.5)])
+    constants = [None, 0.0, -0.0, 0.5, -1.0, 1e-310, -1e-310, 1e300, math.inf, -math.inf,
+                 math.nan]
+    tangent_lists = [(), (None,), (0.0,), (-0.0,), (1.5,), (1.5, None, -2.0), (1e300, 1e-320)]
+    messages = set()
+    for f, table in tables:
+        for c in constants:
+            for tangents in tangent_lists:
+                got = lift_outcome(lambda: ex._lift(f, table, c, *tangents))
+                assert got == lift_outcome(lambda: lift_through_taylor(f, table, c, *tangents)), \
+                    (f, c, tangents)
+                if isinstance(got, str):
+                    messages.add(got)
+    for expected in ("ln at constant term -1.0: math domain error",
+                     "sqrt at constant term -1.0: math domain error",
+                     "reciprocal at constant term 0.0: float division by zero",
+                     "power at constant term 0.0: math domain error",
+                     "reciprocal at constant term 1e-310: a derivative overflows"):
+        assert expected in messages, sorted(messages)
 
 
 # -- one ulp apart ----------------------------------------------------------------
